@@ -8,12 +8,10 @@ what a group means is none of its business.
 
 from __future__ import annotations
 
-import itertools
-import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
 
 from .clock import SimClock
 from .encoding import append_record, read_records
@@ -64,25 +62,21 @@ class RevenueShares:
 
 @dataclass(frozen=True)
 class PricingPolicy:
-    """kind one of free | flat | increasing | reverse | custom.
+    """kind one of free | flat | increasing | reverse.
 
     flat:        per_group[g] each time
     increasing:  per_group[g] + step * prior_count
     reverse:     -incentive (a credit)
-    custom:      hook(group, prior_count) — programmatic only, not wire-encodable
     """
 
     kind: str
     per_group: dict[int, int] = field(default_factory=dict)
     step: int = 0
     incentive: int = 0
-    hook: Callable[[int, int], int] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("free", "flat", "increasing", "reverse", "custom"):
+        if self.kind not in ("free", "flat", "increasing", "reverse"):
             raise InvalidArgument(f"unknown pricing kind {self.kind!r}")
-        if self.kind == "custom" and self.hook is None:
-            raise InvalidArgument("custom pricing needs a hook")
         if self.step < 0 or self.incentive < 0:
             raise InvalidArgument("step and incentive must be non-negative")
         if any(p < 0 for p in self.per_group.values()):
@@ -104,13 +98,7 @@ class PricingPolicy:
     def reverse(cls, incentive: int) -> "PricingPolicy":
         return cls(kind="reverse", incentive=incentive)
 
-    @classmethod
-    def custom(cls, hook: Callable[[int, int], int]) -> "PricingPolicy":
-        return cls(kind="custom", hook=hook)
-
     def to_record(self) -> dict:
-        if self.kind == "custom":
-            raise InvalidArgument("custom pricing is not wire-encodable")
         return {
             "kind": self.kind,
             "per_group": {str(g): p for g, p in self.per_group.items()},
@@ -142,11 +130,6 @@ def price(policy: PricingPolicy, group: int, prior_count: int) -> int:
         return 0
     if policy.kind == "reverse":
         return -policy.incentive
-    if policy.kind == "custom":
-        amount = policy.hook(group, prior_count)
-        if not isinstance(amount, int) or not math.isfinite(amount):
-            raise InvalidArgument("custom pricing must return a finite int")
-        return amount
     if group not in policy.per_group:
         raise UnknownGroup(f"group {group} has no configured price")
     if policy.kind == "flat":
@@ -202,6 +185,10 @@ class LedgerEntry:
             "receipt": self.receipt_id,
         }
 
+    @classmethod
+    def from_record(cls, record: dict) -> "LedgerEntry":
+        return cls(record["at"], record["amount"], record["phase"], record["group"], record["receipt"])
+
 
 @dataclass
 class Account:
@@ -226,19 +213,27 @@ class ChargingProvider:
         self._shares = shares
         self._credit_limit = credit_limit
         self._accounts: dict[str, Account] = {}
-        self._receipt_seq = itertools.count(1)
+        self._last_receipt = 0
         self._revenue = {"cp": 0, "pca": 0, "rs": 0}
+        # the socket server is threaded: open_account and charge check and
+        # then update, and without the lock concurrent charges lose updates
+        self._lock = threading.Lock()
         self._ledger_log = Path(ledger_log) if ledger_log else None
         if self._ledger_log and self._ledger_log.exists():
-            self._replay(read_records(self._ledger_log))
+            for record in read_records(self._ledger_log):
+                if record["kind"] == "open":
+                    self._apply(record["account"], opening=record["balance"])
+                elif record["kind"] == "charge":
+                    self._apply(record["account"], entry=LedgerEntry.from_record(record))
 
     # -- accounts ------------------------------------------------------------
 
     def open_account(self, account_id: str, balance: int = 0) -> None:
-        if account_id in self._accounts:
-            raise ChargingError(f"account {account_id} already open", code="duplicate-account")
-        self._accounts[account_id] = Account(account_id, balance, balance)
-        self._log({"kind": "open", "account": account_id, "balance": balance})
+        with self._lock:
+            if account_id in self._accounts:
+                raise ChargingError(f"account {account_id} already open", code="duplicate-account")
+            self._log({"kind": "open", "account": account_id, "balance": balance})
+            self._apply(account_id, opening=balance)
 
     def balance(self, account_id: str) -> int:
         return self._account(account_id).balance
@@ -270,29 +265,22 @@ class ChargingProvider:
         Positive revenue is immediately split between the parties."""
         if phase not in PHASES:
             raise InvalidArgument(f"unknown charging phase {phase!r}")
-        account = self._account(account_id)
-        new_balance = account.balance - amount
-        if self._credit_limit is not None and new_balance < -self._credit_limit:
-            return Declined(reason="limit-exceeded")
-        receipt_id = f"rcpt-{next(self._receipt_seq):06d}"
-        entry = LedgerEntry(self._clock.now(), amount, phase, group, receipt_id)
-        account.balance = new_balance
-        account.history.append(entry)
-        if amount > 0 and self._shares is not None:
-            cp_part, pca_part, rs_part = split_revenue(amount, self._shares)
-            self._revenue["cp"] += cp_part
-            self._revenue["pca"] += pca_part
-            self._revenue["rs"] += rs_part
-        self._log({"kind": "charge", "account": account_id, **entry.to_record()})
-        return ChargeReceipt(
-            receipt_id=receipt_id,
-            account_id=account_id,
-            amount=amount,
-            group=group,
-            phase=phase,
-            at=entry.at,
-            balance_after=account.balance,
-        )
+        with self._lock:
+            account = self._account(account_id)
+            if self._credit_limit is not None and account.balance - amount < -self._credit_limit:
+                return Declined(reason="limit-exceeded")
+            entry = LedgerEntry(self._clock.now(), amount, phase, group, f"rcpt-{self._last_receipt + 1:06d}")
+            self._log({"kind": "charge", "account": account_id, **entry.to_record()})
+            self._apply(account_id, entry=entry)
+            return ChargeReceipt(
+                receipt_id=entry.receipt_id,
+                account_id=account_id,
+                amount=amount,
+                group=group,
+                phase=phase,
+                at=entry.at,
+                balance_after=account.balance,
+            )
 
     # -- audit ----------------------------------------------------------------
 
@@ -331,27 +319,18 @@ class ChargingProvider:
         if self._ledger_log:
             append_record(self._ledger_log, record)
 
-    def _replay(self, records: list) -> None:
-        last_receipt = 0
-        for record in records:
-            if record["kind"] == "open":
-                acct = Account(record["account"], record["balance"], record["balance"])
-                self._accounts[acct.account_id] = acct
-            elif record["kind"] == "charge":
-                last_receipt = max(last_receipt, int(record["receipt"].rsplit("-", 1)[1]))
-                acct = self._accounts[record["account"]]
-                entry = LedgerEntry(
-                    at=record["at"],
-                    amount=record["amount"],
-                    phase=record["phase"],
-                    group=record["group"],
-                    receipt_id=record["receipt"],
-                )
-                acct.history.append(entry)
-                acct.balance -= entry.amount
-                if entry.amount > 0 and self._shares is not None:
-                    cp_part, pca_part, rs_part = split_revenue(entry.amount, self._shares)
-                    self._revenue["cp"] += cp_part
-                    self._revenue["pca"] += pca_part
-                    self._revenue["rs"] += rs_part
-        self._receipt_seq = itertools.count(last_receipt + 1)
+    def _apply(self, account_id: str, *, opening: int | None = None, entry: LedgerEntry | None = None) -> None:
+        """The only code that changes ledger state: live operations call it
+        after logging the record, and replay calls it for each logged record."""
+        if entry is None:
+            self._accounts[account_id] = Account(account_id, opening, opening)
+            return
+        account = self._accounts[account_id]
+        account.balance -= entry.amount
+        account.history.append(entry)
+        self._last_receipt = max(self._last_receipt, int(entry.receipt_id.rsplit("-", 1)[1]))
+        if entry.amount > 0 and self._shares is not None:
+            cp_part, pca_part, rs_part = split_revenue(entry.amount, self._shares)
+            self._revenue["cp"] += cp_part
+            self._revenue["pca"] += pca_part
+            self._revenue["rs"] += rs_part

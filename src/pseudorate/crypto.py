@@ -284,8 +284,6 @@ class VerifyReport:
     valid: bool
     group: int | None
     reason: str | None
-    links: Mapping[str, bool]
-    linkage: Mapping[str, bool]
 
 
 def verify_chain(chain: CredentialChain, group_registry: Mapping[int, bytes]) -> VerifyReport:
@@ -318,4 +316,4 @@ def verify_chain(chain: CredentialChain, group_registry: Mapping[int, bytes]) ->
     else:
         reason = None
 
-    return VerifyReport(valid=reason is None, group=group, reason=reason, links=links, linkage=linkage)
+    return VerifyReport(valid=reason is None, group=group, reason=reason)

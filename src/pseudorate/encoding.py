@@ -19,6 +19,7 @@ byte strings therefore never decode to equal values.
 from __future__ import annotations
 
 import base64
+import os
 from pathlib import Path
 from typing import Any
 
@@ -175,16 +176,21 @@ def append_record(path: Path | str, value: Value) -> None:
 
 
 def read_records(path: Path | str) -> list[Value]:
-    """Read back every record written by :func:`append_record`."""
+    """Read back every record written by :func:`append_record`. A final line
+    without its newline is an append that never finished: it is dropped and
+    cut from the file, so the next append starts a line of its own."""
+    data = Path(path).read_bytes()
+    end = data.rfind(b"\n") + 1
+    if end < len(data):
+        os.truncate(path, end)
     records = []
-    with open(path, "rb") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = base64.b64decode(line, validate=True)
-            except Exception as exc:
-                raise EncodingError("corrupt log line") from exc
-            records.append(decode(raw))
+    for line in data[:end].split(b"\n"):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            raw = base64.b64decode(line, validate=True)
+        except ValueError as exc:  # binascii.Error
+            raise EncodingError("corrupt log line") from exc
+        records.append(decode(raw))
     return records

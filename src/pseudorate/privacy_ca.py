@@ -151,7 +151,8 @@ class PrivacyCa:
         self._receipts: list[ChargeReceipt] = []
         self._issuance_log = Path(issuance_log) if issuance_log else None
         if self._issuance_log and self._issuance_log.exists():
-            self._replay(read_records(self._issuance_log))
+            for record in read_records(self._issuance_log):
+                self._apply(record)
 
     @staticmethod
     def _validate_groups(groups: dict[int, GroupConfig]) -> None:
@@ -185,20 +186,13 @@ class PrivacyCa:
             platform_id = crypto.sha256_hex(ek_public)
             if platform_id in self._platforms:
                 raise DuplicateEk("endorsement key already registered")
-            record = IdentityRecord(
-                platform_id=platform_id,
-                ek_public=ek_public,
-                user_account=user_account,
-                platform_info=dict(platform_info or {}),
-            )
-            self._platforms[platform_id] = record
-            self._log(
+            self._commit(
                 {
                     "kind": "register",
                     "platform_id": platform_id,
                     "ek_public": ek_public,
                     "user_account": user_account,
-                    "platform_info": record.platform_info,
+                    "platform_info": dict(platform_info or {}),
                 }
             )
             return platform_id
@@ -271,22 +265,13 @@ class PrivacyCa:
             plaintext = crypto.encode_activation_payload(pending.aik_public, credential, blob_nonce)
             blob = crypto.seal(record.ek_public, plaintext, ephemeral_seed=self._randbytes(32))
 
-            ticket = IssuedTicket(
-                aik_digest=aik_digest,
-                group=pending.group,
-                at=self._clock.now(),
-                identity_label=identity_label,
-                charge_ref=pending.charge_ref,
-            )
-            record.issued.append(ticket)
-            self._aik_index[aik_digest] = record.platform_id
-            self._log(
+            self._commit(
                 {
                     "kind": "issue",
                     "platform_id": record.platform_id,
                     "aik_digest": aik_digest,
                     "group": pending.group,
-                    "at": ticket.at,
+                    "at": self._clock.now(),
                     "label": identity_label,
                     "charge_ref": pending.charge_ref,
                 }
@@ -313,19 +298,9 @@ class PrivacyCa:
             record = self._platforms.get(platform_id)
             if record is None:
                 raise UnknownPlatform("platform not registered")
-            record.blacklisted = bool(flag)
-            self._log({"kind": "blacklist", "platform_id": platform_id, "flag": int(flag)})
+            self._commit({"kind": "blacklist", "platform_id": platform_id, "flag": int(flag)})
 
     # -- charging ------------------------------------------------------------------
-
-    def initiate_charging(self, platform_id: str, group: int, phase: str) -> ChargeReceipt | Declined:
-        """Charge the platform's account the policy price for one new ticket."""
-        with self._lock:
-            record = self._platforms.get(platform_id)
-            if record is None:
-                raise UnknownPlatform("platform not registered")
-            self._require_group(group)
-            return self._charge(record, group, self._randbytes(16).hex(), phase)
 
     def charge_for_ticket(self, aik_digest: str, group: int) -> ChargeReceipt | Declined:
         """Ex-post charging entry point used at redemption time; the caller
@@ -347,14 +322,15 @@ class PrivacyCa:
     ) -> ChargeReceipt | Declined | None:
         if self._charging is None or self._pricing is None:
             return None
-        index_map = self._account_ticket_index.setdefault(record.user_account, {})
-        was_priced = charge_ref in index_map
-        prior = index_map.setdefault(charge_ref, len(index_map))
-        amount = price(self._pricing, group, prior)
+        # a ticket keeps the price index it was first charged at; only the
+        # charge record's fold assigns one, so a declined or failed charge
+        # leaves no index behind
+        index_map = self._account_ticket_index.get(record.user_account, {})
+        amount = price(self._pricing, group, index_map.get(charge_ref, len(index_map)))
         result = self._charging.charge(record.user_account, amount, group=group, phase=phase)
         if isinstance(result, ChargeReceipt):
             self._receipts.append(result)
-            self._log(
+            self._commit(
                 {
                     "kind": "charge",
                     "account": record.user_account,
@@ -363,9 +339,6 @@ class PrivacyCa:
                 }
             )
         else:
-            if not was_priced:
-                # declined ticket was never bought; free its price index
-                del index_map[charge_ref]
             logger.info("charge declined for account %s", record.user_account)
         return result
 
@@ -375,34 +348,35 @@ class PrivacyCa:
         if group not in self._groups:
             raise UnknownGroup(f"group {group} is not configured")
 
-    def _log(self, record: dict) -> None:
+    def _commit(self, record: dict) -> None:
         if self._issuance_log:
             append_record(self._issuance_log, record)
+        self._apply(record)
 
-    def _replay(self, records: list) -> None:
-        for record in records:
-            kind = record["kind"]
-            if kind == "register":
-                rec = IdentityRecord(
-                    platform_id=record["platform_id"],
-                    ek_public=record["ek_public"],
-                    user_account=record["user_account"],
-                    platform_info=record["platform_info"],
-                )
-                self._platforms[rec.platform_id] = rec
-            elif kind == "issue":
-                rec = self._platforms[record["platform_id"]]
-                ticket = IssuedTicket(
-                    aik_digest=record["aik_digest"],
-                    group=record["group"],
-                    at=record["at"],
-                    identity_label=record["label"],
-                    charge_ref=record["charge_ref"],
-                )
-                rec.issued.append(ticket)
-                self._aik_index[ticket.aik_digest] = rec.platform_id
-            elif kind == "blacklist":
-                self._platforms[record["platform_id"]].blacklisted = bool(record["flag"])
-            elif kind == "charge":
-                index_map = self._account_ticket_index.setdefault(record["account"], {})
-                index_map.setdefault(record["charge_ref"], len(index_map))
+    def _apply(self, record: dict) -> None:
+        """The only code that changes logged state: live operations reach it
+        through :meth:`_commit` after logging, and replay calls it for each
+        logged record."""
+        kind = record["kind"]
+        if kind == "register":
+            self._platforms[record["platform_id"]] = IdentityRecord(
+                platform_id=record["platform_id"],
+                ek_public=record["ek_public"],
+                user_account=record["user_account"],
+                platform_info=record["platform_info"],
+            )
+        elif kind == "issue":
+            ticket = IssuedTicket(
+                aik_digest=record["aik_digest"],
+                group=record["group"],
+                at=record["at"],
+                identity_label=record["label"],
+                charge_ref=record["charge_ref"],
+            )
+            self._platforms[record["platform_id"]].issued.append(ticket)
+            self._aik_index[ticket.aik_digest] = record["platform_id"]
+        elif kind == "blacklist":
+            self._platforms[record["platform_id"]].blacklisted = bool(record["flag"])
+        elif kind == "charge":
+            index_map = self._account_ticket_index.setdefault(record["account"], {})
+            index_map.setdefault(record["charge_ref"], len(index_map))

@@ -188,7 +188,6 @@ class ReputationSystem:
         with self._lock:
             if aik_digest in self._spent:
                 return Reject(REJECT_DOUBLE_SPEND, detail="ticket already redeemed")
-            self._spent[aik_digest] = self._clock.now()
             record = RatingRecord(
                 payload=payload,
                 group=group,
@@ -196,9 +195,9 @@ class ReputationSystem:
                 received=self._clock.now(),
                 chain_digest=chain_digest,
             )
-            self._records.append(record)
             if self._rating_log:
                 append_record(self._rating_log, {**record.to_record(), "aik_digest": aik_digest})
+            self._apply(record, aik_digest)
 
         if self._expost_charge is not None:
             try:
@@ -301,13 +300,18 @@ class ReputationSystem:
 
     def load_rating_log(self, path: Path | str) -> int:
         """Ingest previously accepted ratings (they were verified before being
-        logged); restores spend state for logged tickets as well."""
-        count = 0
-        for raw in read_records(path):
-            digest = raw.pop("aik_digest", None)
-            record = RatingRecord.from_record(raw)
-            self._records.append(record)
-            if digest is not None:
-                self._spent.setdefault(digest, record.received)
-            count += 1
-        return count
+        logged) through the fold live submissions use, which also marks each
+        logged ticket spent again; returns the number of records read."""
+        records = read_records(path)
+        with self._lock:
+            for raw in records:
+                digest = raw.pop("aik_digest", None)
+                self._apply(RatingRecord.from_record(raw), digest)
+        return len(records)
+
+    def _apply(self, record: RatingRecord, aik_digest: str | None) -> None:
+        """The only code that changes logged state: a live submission calls
+        it after logging the record, and replay calls it for each logged record."""
+        self._records.append(record)
+        if aik_digest is not None:
+            self._spent.setdefault(aik_digest, record.received)

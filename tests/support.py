@@ -55,13 +55,14 @@ def make_stack(
     credit_limit: int | None = None,
     scale: tuple[int, int] = (1, 5),
     rs_id: str = "rs-test",
+    cp_kwargs: dict | None = None,
     pca_kwargs: dict | None = None,
     rs_kwargs: dict | None = None,
 ) -> Stack:
     rng = random.Random(seed)
     clock = SimClock()
     policy = policy or PricingPolicy.free()
-    cp = ChargingProvider(clock, policy=policy, shares=shares, credit_limit=credit_limit)
+    cp = ChargingProvider(clock, policy=policy, shares=shares, credit_limit=credit_limit, **(cp_kwargs or {}))
     groups = {g: GroupConfig(impact=Fraction(g)) for g in range(1, group_count + 1)}
     pricing = policy if charging != "none" else None
     phases = ("acquisition",) if charging in ("acquisition", "both") else ()

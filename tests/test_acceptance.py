@@ -180,11 +180,11 @@ def colony(tmp_path_factory):
         policy=PricingPolicy.flat({1: 50, 2: 60, 3: 70}),
         shares=RevenueShares(Fraction(1, 5), Fraction(2, 5), Fraction(2, 5)),
         charging="ex_post",
+        cp_kwargs={"ledger_log": state / "cp-ledger.log"},
         pca_kwargs={"issuance_log": state / "pca-issuance.log"},
         rs_kwargs={"rating_log": state / "rs-ratings.log",
                    "spent_snapshot": state / "rs-spent.snap"},
     )
-    stack.cp._ledger_log = state / "cp-ledger.log"
 
     tap: list = []
     router = Router(pca=stack.pca, rs=stack.rs, cp=stack.cp)
@@ -250,7 +250,11 @@ def test_6_shielding(colony):
     secrets = private_material(stack, agents)
     assert len(secrets) >= 100
     messages = b"||".join(frame for _, frame in tap)
-    files = b"||".join(p.read_bytes() for p in sorted(state.iterdir()))
+    paths = sorted(state.iterdir())
+    # every service's persisted state is in the haystack, none silently missing
+    assert [p.name for p in paths] == ["cp-ledger.log", "pca-issuance.log", "rs-ratings.log", "rs-spent.snap"]
+    assert all(p.stat().st_size > 0 for p in paths)
+    files = b"||".join(p.read_bytes() for p in paths)
     haystack = messages + b"||" + files
     for secret in secrets:
         assert secret not in haystack

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -54,13 +56,6 @@ def test_unknown_group_in_params():
 def test_negative_prior_count_rejected():
     with pytest.raises(InvalidArgument):
         price(PricingPolicy.free(), 1, -1)
-
-
-def test_custom_policy_hook():
-    policy = PricingPolicy.custom(lambda group, prior: group * 10 + prior)
-    assert price(policy, 3, 4) == 34
-    with pytest.raises(InvalidArgument):
-        policy.to_record()
 
 
 @given(st.integers(min_value=0, max_value=9_999))
@@ -206,6 +201,53 @@ def test_ledger_log_replay(tmp_path):
     # receipts keep counting upward after a restart
     receipt = revived.charge("acct", 10, group=2, phase="ex_post")
     assert receipt.receipt_id == "rcpt-000003"
+
+
+def test_torn_ledger_tail_does_not_block_restart(tmp_path):
+    path = tmp_path / "ledger.log"
+    cp = ChargingProvider(SimClock(), shares=THIRDS, ledger_log=path)
+    cp.open_account("acct", 500)
+    for amount in (10, 20, 30):
+        cp.charge("acct", amount, group=1, phase="ex_post")
+    # a crash in the middle of the last append leaves a line without its newline
+    path.write_bytes(path.read_bytes()[:-7])
+
+    revived = ChargingProvider(SimClock(), shares=THIRDS, ledger_log=path)
+    assert [e.amount for e in revived.history("acct")] == [10, 20]
+    revived.charge("acct", 40, group=1, phase="ex_post")
+
+    again = ChargingProvider(SimClock(), shares=THIRDS, ledger_log=path)
+    assert [e.amount for e in again.history("acct")] == [10, 20, 40]
+    assert [e.receipt_id for e in again.history("acct")] == ["rcpt-000001", "rcpt-000002", "rcpt-000003"]
+    assert again.balance("acct") == again.replayed_balance("acct") == 430
+    assert again.export_state() == revived.export_state()
+
+
+def test_concurrent_charges_lose_no_update():
+    threads_n, charges_n = 4, 5000
+    cp = ChargingProvider(SimClock(), shares=THIRDS)
+    cp.open_account("acct", 0)
+
+    def work():
+        for _ in range(charges_n):
+            cp.charge("acct", 1, group=1, phase="ex_post")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    total = threads_n * charges_n
+    assert len(cp.history("acct")) == total
+    assert cp.balance("acct") == cp.replayed_balance("acct") == -total
+    assert sum(cp.revenue_totals.values()) == total
+    assert len({e.receipt_id for e in cp.history("acct")}) == total
 
 
 def test_acquisition_charging_through_authority():

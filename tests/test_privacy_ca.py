@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from pseudorate import crypto
-from pseudorate.charging import ChargeReceipt, PricingPolicy
+from pseudorate.charging import PricingPolicy
 from pseudorate.errors import InvalidArgument, UnknownGroup
 from pseudorate.privacy_ca import (
     Challenge,
@@ -195,14 +195,6 @@ def test_declined_charge_denies_issuance():
     _, public2 = agent.tpm.make_identity()
     assert isinstance(stack.pca.request_credential(public2, 1, agent.platform_id), Challenge)
     assert stack.pca.charge_receipts[-1].amount == 100
-
-
-def test_initiate_charging_public_operation():
-    stack = make_stack(1, policy=PricingPolicy.flat({1: 25, 2: 25, 3: 25}), charging="acquisition")
-    agent = stack.new_agent("a")
-    receipt = stack.pca.initiate_charging(agent.platform_id, 1, "acquisition")
-    assert isinstance(receipt, ChargeReceipt)
-    assert receipt.amount == 25
 
 
 def test_issuance_log_survives_restart(tmp_path):
