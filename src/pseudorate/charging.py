@@ -251,10 +251,6 @@ class ChargingProvider:
         self._policy = policy
 
     @property
-    def shares(self) -> RevenueShares | None:
-        return self._shares
-
-    @property
     def revenue_totals(self) -> dict[str, int]:
         return dict(self._revenue)
 

@@ -65,7 +65,6 @@ def key_id_of(public: bytes) -> str:
 class KeyPair:
     public: bytes
     private: bytes = field(repr=False)
-    key_id: str = ""
 
 
 def _seed_to_raw(domain: bytes, seed: bytes) -> bytes:
@@ -77,7 +76,7 @@ def generate_keypair(seed: bytes | None = None) -> KeyPair:
     raw = _seed_to_raw(_SIGN_SEED_DOMAIN, seed) if seed is not None else secrets.token_bytes(32)
     priv = Ed25519PrivateKey.from_private_bytes(raw)
     pub = priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-    return KeyPair(public=pub, private=raw, key_id=key_id_of(pub))
+    return KeyPair(public=pub, private=raw)
 
 
 def generate_sealing_keypair(seed: bytes | None = None) -> KeyPair:
@@ -85,7 +84,7 @@ def generate_sealing_keypair(seed: bytes | None = None) -> KeyPair:
     raw = _seed_to_raw(_SEAL_SEED_DOMAIN, seed) if seed is not None else secrets.token_bytes(32)
     priv = X25519PrivateKey.from_private_bytes(raw)
     pub = priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-    return KeyPair(public=pub, private=raw, key_id=key_id_of(pub))
+    return KeyPair(public=pub, private=raw)
 
 
 def sign(private: bytes, message: bytes) -> bytes:

@@ -99,7 +99,6 @@ class IdentityRecord:
     platform_id: str
     ek_public: bytes
     user_account: str
-    platform_info: dict[str, str]
     issued: list[IssuedTicket] = field(default_factory=list)
     blacklisted: bool = False
 
@@ -148,7 +147,6 @@ class PrivacyCa:
         # per-account ticket-ref -> price index; refs are PCA-internal ids,
         # never shown to the charging provider
         self._account_ticket_index: dict[str, dict[str, int]] = {}
-        self._receipts: list[ChargeReceipt] = []
         self._issuance_log = Path(issuance_log) if issuance_log else None
         if self._issuance_log and self._issuance_log.exists():
             for record in read_records(self._issuance_log):
@@ -169,19 +167,13 @@ class PrivacyCa:
     def group_count(self) -> int:
         return len(self._groups)
 
-    def group_public(self, group: int) -> bytes:
-        self._require_group(group)
-        return self._group_keys[group].public
-
     def group_registry(self) -> dict[int, tuple[bytes, Fraction]]:
         """What the reputation side needs: per-group verification key and impact."""
         return {g: (self._group_keys[g].public, self._groups[g].impact) for g in sorted(self._groups)}
 
     # -- registration ----------------------------------------------------------
 
-    def register_platform(
-        self, ek_public: bytes, user_account: str, platform_info: dict[str, str] | None = None
-    ) -> str:
+    def register_platform(self, ek_public: bytes, user_account: str) -> str:
         with self._lock:
             platform_id = crypto.sha256_hex(ek_public)
             if platform_id in self._platforms:
@@ -192,7 +184,6 @@ class PrivacyCa:
                     "platform_id": platform_id,
                     "ek_public": ek_public,
                     "user_account": user_account,
-                    "platform_info": dict(platform_info or {}),
                 }
             )
             return platform_id
@@ -256,8 +247,8 @@ class PrivacyCa:
                 "kind": "group-credential",
                 "group": str(pending.group),
                 "label": identity_label,
-                "tpm": record.platform_info.get("tpm", "software-emulator-v1"),
-                "platform": record.platform_info.get("platform", "generic-trusted-platform"),
+                "tpm": "software-emulator-v1",
+                "platform": "generic-trusted-platform",
             }
             credential = crypto.certify(self._group_keys[pending.group], pending.aik_public, meta)
 
@@ -313,10 +304,6 @@ class PrivacyCa:
             ticket = next(t for t in record.issued if t.aik_digest == aik_digest)
             return self._charge(record, group, ticket.charge_ref, PHASE_EX_POST)
 
-    @property
-    def charge_receipts(self) -> list[ChargeReceipt]:
-        return list(self._receipts)
-
     def _charge(
         self, record: IdentityRecord, group: int, charge_ref: str, phase: str
     ) -> ChargeReceipt | Declined | None:
@@ -329,7 +316,6 @@ class PrivacyCa:
         amount = price(self._pricing, group, index_map.get(charge_ref, len(index_map)))
         result = self._charging.charge(record.user_account, amount, group=group, phase=phase)
         if isinstance(result, ChargeReceipt):
-            self._receipts.append(result)
             self._commit(
                 {
                     "kind": "charge",
@@ -363,7 +349,6 @@ class PrivacyCa:
                 platform_id=record["platform_id"],
                 ek_public=record["ek_public"],
                 user_account=record["user_account"],
-                platform_info=record["platform_info"],
             )
         elif kind == "issue":
             ticket = IssuedTicket(

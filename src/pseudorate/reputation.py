@@ -10,6 +10,7 @@ to exactly one machine-readable reject reason.
 from __future__ import annotations
 
 import logging
+import os
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -116,13 +117,14 @@ class WeightedScore:
 
 
 class ReputationSystem:
+    none_value = "no-score"  # what rs/score reports for a subject with no ratings
+
     def __init__(
         self,
         rs_id: str,
         *,
         clock: SimClock | None = None,
         scale: tuple[int, int] = (1, 5),
-        none_value: str = "no-score",
         expost_charge: Callable[[str, int], object] | None = None,
         rating_log: Path | str | None = None,
         spent_snapshot: Path | str | None = None,
@@ -131,7 +133,6 @@ class ReputationSystem:
             raise InvalidArgument("rating scale is empty")
         self.rs_id = rs_id
         self.scale = (int(scale[0]), int(scale[1]))
-        self.none_value = none_value
         self._clock = clock or SimClock()
         self._expost_charge = expost_charge
         self._registry: dict[int, tuple[bytes, Fraction]] = {}
@@ -289,7 +290,11 @@ class ReputationSystem:
         target = Path(path) if path else self._spent_snapshot
         if target is None:
             raise InvalidArgument("no snapshot path configured")
-        target.write_bytes(encode({"spent": dict(self._spent)}))
+        # written beside the snapshot and renamed over it, so a write cut
+        # short leaves the previous snapshot whole
+        partial = target.with_name(target.name + ".tmp")
+        partial.write_bytes(encode({"spent": dict(self._spent)}))
+        os.replace(partial, target)
 
     def _load_spent_snapshot(self, path: Path) -> None:
         from .encoding import decode

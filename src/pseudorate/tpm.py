@@ -29,11 +29,6 @@ KIND_AIK = "aik"
 KIND_CSK = "csk"
 KIND_EK = "ek"
 
-DEFAULT_PLATFORM_INFO = {
-    "tpm": "software-emulator-v1",
-    "platform": "generic-trusted-platform",
-}
-
 
 class TpmError(TicketError):
     code = "tpm-error"
@@ -94,12 +89,7 @@ class TpmInstance:
     """One emulated module. Commands are serialized per instance; distinct
     instances are fully independent."""
 
-    def __init__(
-        self,
-        rng: random.Random | None = None,
-        platform_info: dict[str, str] | None = None,
-        max_keys: int | None = None,
-    ):
+    def __init__(self, rng: random.Random | None = None, max_keys: int | None = None):
         self._randbytes = rng.randbytes if rng is not None else secrets.token_bytes
         self._lock = threading.RLock()
         self._keys: dict[int, ShieldedKey] = {}
@@ -108,7 +98,6 @@ class TpmInstance:
         self._wrap_key = self._randbytes(32)
         self._wrap_seq = 0
         self._used_blob_nonces: set[bytes] = set()
-        self.platform_info = dict(platform_info or DEFAULT_PLATFORM_INFO)
         ek_pair = crypto.generate_sealing_keypair(seed=self._randbytes(32))
         self._ek = ShieldedKey(handle=0, pair=ek_pair, kind=KIND_EK)
         self._keys[0] = self._ek  # addressable, but refuses every signing role
@@ -186,7 +175,7 @@ class TpmInstance:
                 private = ChaCha20Poly1305(self._wrap_key).decrypt(nonce, cipher, wrapped.public)
             except InvalidTag as exc:
                 raise ForeignBlob("wrapped key was not created by this instance") from exc
-            pair = KeyPair(public=wrapped.public, private=private, key_id=crypto.key_id_of(wrapped.public))
+            pair = KeyPair(public=wrapped.public, private=private)
             return self._store(pair, KIND_CSK).handle
 
     def certify_key(self, aik_handle: int, csk_handle: int) -> Credential:

@@ -23,7 +23,7 @@ import threading
 from fractions import Fraction
 from typing import Callable
 
-from .charging import ChargeReceipt, ChargingProvider, Declined, PricingPolicy
+from .charging import ChargingProvider, Declined, PricingPolicy
 from .crypto import CredentialChain
 from .encoding import EncodingError, decode, encode
 from .errors import TicketError
@@ -65,44 +65,39 @@ def encode_response(endpoint: str, correlation_id: bytes, status: str, body: dic
     )
 
 
-def decode_request(data: bytes) -> tuple[str, dict, bytes]:
+_REQUEST_FIELDS = frozenset({"version", "endpoint", "correlation_id", "body"})
+_RESPONSE_FIELDS = _REQUEST_FIELDS | {"status"}
+
+
+def _decode_frame(data: bytes, kind: str, fields: frozenset[str]) -> dict:
     try:
         frame = decode(data)
     except EncodingError as exc:
         raise WireError(f"undecodable frame: {exc}") from exc
-    if not isinstance(frame, dict) or set(frame) != {"version", "endpoint", "correlation_id", "body"}:
-        raise WireError("bad request frame shape")
+    if not isinstance(frame, dict) or set(frame) != fields:
+        raise WireError(f"bad {kind} frame shape")
     if frame["version"] != WIRE_VERSION:
         raise WireError(f"unsupported version {frame['version']!r}", code="unsupported-version")
-    endpoint, body, corr = frame["endpoint"], frame["body"], frame["correlation_id"]
-    if not isinstance(endpoint, str) or not isinstance(body, dict) or not isinstance(corr, bytes):
-        raise WireError("bad request frame field types")
-    return endpoint, body, corr
+    if (
+        not isinstance(frame["endpoint"], str)
+        or not isinstance(frame["body"], dict)
+        or not isinstance(frame["correlation_id"], bytes)
+    ):
+        raise WireError(f"bad {kind} frame field types")
+    return frame
+
+
+def decode_request(data: bytes) -> tuple[str, dict, bytes]:
+    frame = _decode_frame(data, "request", _REQUEST_FIELDS)
+    return frame["endpoint"], frame["body"], frame["correlation_id"]
 
 
 def decode_response(data: bytes) -> tuple[str, bytes, str, dict]:
-    try:
-        frame = decode(data)
-    except EncodingError as exc:
-        raise WireError(f"undecodable frame: {exc}") from exc
-    if not isinstance(frame, dict) or set(frame) != {
-        "version",
-        "endpoint",
-        "correlation_id",
-        "status",
-        "body",
-    }:
-        raise WireError("bad response frame shape")
-    if frame["version"] != WIRE_VERSION:
-        raise WireError("unsupported version", code="unsupported-version")
-    if frame["status"] not in ("ok", "error") or not isinstance(frame["body"], dict):
+    frame = _decode_frame(data, "response", _RESPONSE_FIELDS)
+    if frame["status"] not in ("ok", "error"):
         raise WireError("bad response status")
     return frame["endpoint"], frame["correlation_id"], frame["status"], frame["body"]
 
-
-# ---------------------------------------------------------------------------
-# Schema helpers
-# ---------------------------------------------------------------------------
 
 def _field(body: dict, name: str, kind: type):
     if name not in body:
@@ -113,106 +108,18 @@ def _field(body: dict, name: str, kind: type):
     return value
 
 
-def _exact_fields(body: dict, names: set[str]) -> None:
-    if set(body) != names:
-        raise WireError(f"expected fields {sorted(names)}, got {sorted(body)}")
+# -- handlers: each takes its service and the checked request fields, and maps
+# the service's result to the response body
 
-
-# ---------------------------------------------------------------------------
-# Router
-# ---------------------------------------------------------------------------
-
-class Router:
-    """Dispatches decoded request bodies to service handlers. Total over
-    arbitrary input bytes."""
-
-    def __init__(
-        self,
-        pca: PrivacyCa | None = None,
-        rs: ReputationSystem | None = None,
-        cp: ChargingProvider | None = None,
-    ):
-        self._handlers: dict[str, Callable[[dict], dict]] = {}
-        if pca is not None:
-            self._handlers.update(
-                {
-                    "pca/register": lambda b: _h_register(pca, b),
-                    "pca/request": lambda b: _h_request(pca, b),
-                    "pca/complete": lambda b: _h_complete(pca, b),
-                    "pca/resolve": lambda b: _h_resolve(pca, b),
-                    "pca/blacklist": lambda b: _h_blacklist(pca, b),
-                }
-            )
-        if rs is not None:
-            self._handlers.update(
-                {
-                    "rs/submit": lambda b: _h_submit(rs, b),
-                    "rs/score": lambda b: _h_score(rs, b),
-                    "rs/admin/groups": lambda b: _h_groups(rs, b),
-                }
-            )
-        if cp is not None:
-            self._handlers.update(
-                {
-                    "cp/charge": lambda b: _h_charge(cp, b),
-                    "cp/balance": lambda b: _h_balance(cp, b),
-                    "cp/policy": lambda b: _h_policy(cp, b),
-                }
-            )
-
-    @property
-    def endpoints(self) -> list[str]:
-        return sorted(self._handlers)
-
-    def handle(self, data: bytes) -> bytes:
-        endpoint, corr = "", b""
-        try:
-            endpoint, body, corr = decode_request(data)
-            handler = self._handlers.get(endpoint)
-            if handler is None:
-                raise WireError(f"unknown endpoint {endpoint!r}", code="unknown-endpoint")
-            result = handler(body)
-            return encode_response(endpoint, corr, "ok", result)
-        except TicketError as exc:
-            return encode_response(endpoint, corr, "error", {"code": exc.code, "message": str(exc)})
-        except Exception as exc:  # pragma: no cover - defensive catch-all
-            logger.exception("handler failure on %s", endpoint)
-            return encode_response(endpoint, corr, "error", {"code": "internal", "message": str(exc)})
-
-
-# -- handlers -----------------------------------------------------------------
-
-def _h_register(pca: PrivacyCa, body: dict) -> dict:
-    _exact_fields(body, {"ek_public", "user_account"})
-    platform_id = pca.register_platform(
-        _field(body, "ek_public", bytes), _field(body, "user_account", str)
-    )
-    return {"platform_id": platform_id}
-
-
-def _h_request(pca: PrivacyCa, body: dict) -> dict:
-    _exact_fields(body, {"aik_public", "group", "platform_id"})
-    result = pca.request_credential(
-        _field(body, "aik_public", bytes),
-        _field(body, "group", int),
-        _field(body, "platform_id", str),
-    )
+def _h_request(pca: PrivacyCa, aik_public: bytes, group: int, platform_id: str) -> dict:
+    result = pca.request_credential(aik_public, group, platform_id)
     if isinstance(result, DeniedRequest):
         return {"status": "denied", "reason": result.reason}
     return {"status": "challenge", "nonce": result.nonce, "expires": result.expires}
 
 
-def _h_complete(pca: PrivacyCa, body: dict) -> dict:
-    _exact_fields(body, {"nonce", "signature"})
-    blob = pca.complete_handshake(_field(body, "nonce", bytes), _field(body, "signature", bytes))
-    return {"activation_blob": blob}
-
-
-def _h_resolve(pca: PrivacyCa, body: dict) -> dict:
-    _exact_fields(body, {"aik_digest", "authority_token"})
-    record = pca.resolve_identity(
-        _field(body, "aik_digest", str), _field(body, "authority_token", str)
-    )
+def _h_resolve(pca: PrivacyCa, aik_digest: str, authority_token: str) -> dict:
+    record = pca.resolve_identity(aik_digest, authority_token)
     return {
         "platform_id": record.platform_id,
         "user_account": record.user_account,
@@ -223,38 +130,33 @@ def _h_resolve(pca: PrivacyCa, body: dict) -> dict:
     }
 
 
-def _h_blacklist(pca: PrivacyCa, body: dict) -> dict:
-    _exact_fields(body, {"platform_id", "flag"})
-    pca.blacklist(_field(body, "platform_id", str), bool(_field(body, "flag", int)))
+def _h_blacklist(pca: PrivacyCa, platform_id: str, flag: int) -> dict:
+    pca.blacklist(platform_id, bool(flag))
     return {"ok": 1}
 
 
-def _h_submit(rs: ReputationSystem, body: dict) -> dict:
-    _exact_fields(body, {"payload", "chain"})
+def _h_submit(rs: ReputationSystem, payload: dict, chain: dict) -> dict:
     try:
-        payload = RatingPayload.from_record(_field(body, "payload", dict))
-        chain = CredentialChain.from_record(_field(body, "chain", dict))
+        rating = RatingPayload.from_record(payload)
+        credentials = CredentialChain.from_record(chain)
     except EncodingError as exc:
         raise WireError(f"bad submission record: {exc}") from exc
-    result = rs.submit_rating(payload, chain)
+    result = rs.submit_rating(rating, credentials)
     if isinstance(result, Reject):
         return {"status": "reject", "reason": result.reason, "detail": result.detail}
     return {"status": "ack", "receipt": result.receipt, "subject": result.subject, "group": result.group}
 
 
-def _h_score(rs: ReputationSystem, body: dict) -> dict:
-    _exact_fields(body, {"subject"})
-    score = rs.aggregate(_field(body, "subject", str))
+def _h_score(rs: ReputationSystem, subject: str) -> dict:
+    score = rs.aggregate(subject)
     value = rs.none_value if score.score is None else str(Fraction(score.score))
     return {"count": score.count, "score": value}
 
 
-def _h_groups(rs: ReputationSystem, body: dict) -> dict:
-    _exact_fields(body, {"groups"})
-    raw = _field(body, "groups", dict)
+def _h_groups(rs: ReputationSystem, groups: dict) -> dict:
     registry: dict[int, tuple[bytes, Fraction]] = {}
     try:
-        for key, entry in raw.items():
+        for key, entry in groups.items():
             if not isinstance(entry, dict) or set(entry) != {"pub", "impact"}:
                 raise WireError("bad group entry")
             registry[int(key)] = (_field(entry, "pub", bytes), Fraction(_field(entry, "impact", str)))
@@ -264,14 +166,8 @@ def _h_groups(rs: ReputationSystem, body: dict) -> dict:
     return {"count": len(registry)}
 
 
-def _h_charge(cp: ChargingProvider, body: dict) -> dict:
-    _exact_fields(body, {"account_id", "amount", "group", "phase"})
-    result = cp.charge(
-        _field(body, "account_id", str),
-        _field(body, "amount", int),
-        group=_field(body, "group", int),
-        phase=_field(body, "phase", str),
-    )
+def _h_charge(cp: ChargingProvider, account_id: str, amount: int, group: int, phase: str) -> dict:
+    result = cp.charge(account_id, amount, group=group, phase=phase)
     if isinstance(result, Declined):
         return {"status": "declined", "reason": result.reason}
     return {
@@ -283,17 +179,74 @@ def _h_charge(cp: ChargingProvider, body: dict) -> dict:
     }
 
 
-def _h_balance(cp: ChargingProvider, body: dict) -> dict:
-    _exact_fields(body, {"account_id"})
-    return {"balance": cp.balance(_field(body, "account_id", str))}
-
-
 def _h_policy(cp: ChargingProvider, body: dict) -> dict:
+    """Reads with an empty body and sets with ``{"policy": ...}``, so this is
+    the one route that checks its own body."""
     if set(body) == {"policy"}:
         cp.set_policy(PricingPolicy.from_record(_field(body, "policy", dict)))
     elif body:
         raise WireError("expected empty body or a policy")
     return {"policy": cp.policy.to_record()}
+
+
+# endpoint -> (Router keyword of its service, request field -> type, handler).
+# Every request schema lives here: the router checks a body's fields and their
+# types before the handler sees them. cp/policy, with fields None, gets the raw body.
+ROUTES: dict[str, tuple[str, dict[str, type] | None, Callable[..., dict]]] = {
+    "pca/register": (
+        "pca",
+        {"ek_public": bytes, "user_account": str},
+        lambda pca, ek_public, user_account: {"platform_id": pca.register_platform(ek_public, user_account)},
+    ),
+    "pca/request": ("pca", {"aik_public": bytes, "group": int, "platform_id": str}, _h_request),
+    "pca/complete": (
+        "pca",
+        {"nonce": bytes, "signature": bytes},
+        lambda pca, nonce, signature: {"activation_blob": pca.complete_handshake(nonce, signature)},
+    ),
+    "pca/resolve": ("pca", {"aik_digest": str, "authority_token": str}, _h_resolve),
+    "pca/blacklist": ("pca", {"platform_id": str, "flag": int}, _h_blacklist),
+    "rs/submit": ("rs", {"payload": dict, "chain": dict}, _h_submit),
+    "rs/score": ("rs", {"subject": str}, _h_score),
+    "rs/admin/groups": ("rs", {"groups": dict}, _h_groups),
+    "cp/charge": ("cp", {"account_id": str, "amount": int, "group": int, "phase": str}, _h_charge),
+    "cp/balance": ("cp", {"account_id": str}, lambda cp, account_id: {"balance": cp.balance(account_id)}),
+    "cp/policy": ("cp", None, _h_policy),
+}
+
+
+class Router:
+    """Dispatches decoded request bodies to service handlers. Total over
+    arbitrary input bytes; an endpoint whose service was not given is unknown."""
+
+    def __init__(
+        self,
+        pca: PrivacyCa | None = None,
+        rs: ReputationSystem | None = None,
+        cp: ChargingProvider | None = None,
+    ):
+        self._services = {"pca": pca, "rs": rs, "cp": cp}
+
+    def handle(self, data: bytes) -> bytes:
+        endpoint, corr = "", b""
+        try:
+            endpoint, body, corr = decode_request(data)
+            service_name, fields, handler = ROUTES.get(endpoint, ("", None, None))
+            service = self._services.get(service_name)
+            if service is None:
+                raise WireError(f"unknown endpoint {endpoint!r}", code="unknown-endpoint")
+            if fields is None:
+                result = handler(service, body)
+            else:
+                if body.keys() != fields.keys():
+                    raise WireError(f"expected fields {sorted(fields)}, got {sorted(body)}")
+                result = handler(service, **{name: _field(body, name, kind) for name, kind in fields.items()})
+            return encode_response(endpoint, corr, "ok", result)
+        except TicketError as exc:
+            return encode_response(endpoint, corr, "error", {"code": exc.code, "message": str(exc)})
+        except Exception as exc:  # pragma: no cover - defensive catch-all
+            logger.exception("handler failure on %s", endpoint)
+            return encode_response(endpoint, corr, "error", {"code": "internal", "message": str(exc)})
 
 
 # ---------------------------------------------------------------------------

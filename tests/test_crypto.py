@@ -28,15 +28,15 @@ def test_sign_verify_round_trip_empty_message():
 
 
 def test_fresh_pairs_have_distinct_ids():
-    assert generate_keypair().key_id != generate_keypair().key_id
+    assert generate_keypair().public != generate_keypair().public
 
 
 def test_seeded_generation_is_deterministic():
     a = generate_keypair(seed=b"fixed-seed")
     b = generate_keypair(seed=b"fixed-seed")
-    assert a.key_id == b.key_id
+    assert a.public == b.public
     assert a.private == b.private
-    assert generate_keypair(seed=b"other-seed").key_id != a.key_id
+    assert generate_keypair(seed=b"other-seed").public != a.public
 
 
 def test_signing_and_sealing_seeds_are_independent():

@@ -168,13 +168,13 @@ def test_acquisition_charging_flat_and_free():
     before = stack.cp.balance(agent.user_account)
     agent.acquire_ticket(1)
     assert before - stack.cp.balance(agent.user_account) == 70
-    receipt = stack.pca.charge_receipts[-1]
+    receipt = stack.cp.history(agent.user_account)[-1]
     assert receipt.amount == 70 and receipt.phase == "acquisition"
 
     free_stack = make_stack(2, policy=PricingPolicy.free(), charging="acquisition")
     free_agent = free_stack.new_agent("f")
     free_agent.acquire_ticket(1)
-    assert free_stack.pca.charge_receipts[-1].amount == 0
+    assert free_stack.cp.history(free_agent.user_account)[-1].amount == 0
     assert free_stack.cp.balance(free_agent.user_account) == 10_000
 
 
@@ -194,7 +194,7 @@ def test_declined_charge_denies_issuance():
     stack.cp._accounts[agent.user_account].balance = 10_000
     _, public2 = agent.tpm.make_identity()
     assert isinstance(stack.pca.request_credential(public2, 1, agent.platform_id), Challenge)
-    assert stack.pca.charge_receipts[-1].amount == 100
+    assert stack.cp.history(agent.user_account)[-1].amount == 100
 
 
 def test_issuance_log_survives_restart(tmp_path):

@@ -1,6 +1,7 @@
 import random
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -251,7 +252,7 @@ def test_expost_charging_happens_via_authority():
     assert stack.cp.balance(agent.user_account) == before  # nothing at acquisition
     agent.redeem_ticket(agent.tickets[0], agent.make_payload("seller", 4))
     assert before - stack.cp.balance(agent.user_account) == 40
-    receipt = stack.pca.charge_receipts[-1]
+    receipt = stack.cp.history(agent.user_account)[-1]
     assert receipt.phase == "ex_post"
 
 
@@ -282,6 +283,32 @@ def test_persistence_round_trip(tmp_path):
     assert revived.aggregate("s1").score == Fraction(5)
     for digest in stack.rs._spent:
         assert revived.is_spent(digest)
+
+
+def test_torn_snapshot_write_keeps_previous_snapshot(tmp_path, monkeypatch):
+    snapshot = tmp_path / "rs-spent.snap"
+    stack = make_stack(1, rs_kwargs={"spent_snapshot": snapshot})
+    agent = stack.new_agent("a")
+    _, payload, chain = honest_chain(stack, agent, subject="s1")
+    stack.rs.submit_rating(payload, chain)
+    stack.rs.save_spent_snapshot()
+    first = set(stack.rs._spent)
+    assert len(first) == 1
+    _, payload, chain = honest_chain(stack, agent, subject="s2")
+    stack.rs.submit_rating(payload, chain)
+
+    def torn_write(path, data):
+        with open(path, "wb") as handle:
+            handle.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", torn_write)
+    with pytest.raises(OSError):
+        stack.rs.save_spent_snapshot()
+    monkeypatch.undo()
+
+    revived = ReputationSystem("rs-test", spent_snapshot=snapshot)
+    assert set(revived._spent) == first
 
 
 def test_load_rating_log_supports_aggregation_oracle(tmp_path):

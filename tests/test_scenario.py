@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -54,6 +55,22 @@ def test_adversary_drills():
     # previously issued ticket still redeems after blacklisting
     assert actions(transcript, "redeem")[0]["outcome"] == "ack"
     assert actions(transcript, "resolve")[0]["outcome"] == "resolved"
+
+
+# sha256 of each scenario's canonical transcript; a change to any transcript
+# byte, from any layer, must show up here and be deliberate
+GOLDEN_TRANSCRIPTS = {
+    "adversary_drills.json": "897c124c5124af1f0d426c297eae7333cf8634c17bb535f0720b30c914d8e188",
+    "basic.json": "6ac7f29255e7d87c83b1a5f92561f9841c004b9b4493dac94241f7de067e3664",
+    "double_spend.json": "5ee924c8bdaab9a5c72bacbc85fdafc2424bb669e2cfd5d8176c4b40a8843115",
+    "sybil_increasing.json": "28f1f621ead3ac7bc83e11cfc0149501b487c0c206f21014f3f7c4d1ff631307",
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_transcript_matches_golden_digest(name):
+    digest = hashlib.sha256(run_file(name).to_bytes()).hexdigest()
+    assert digest == GOLDEN_TRANSCRIPTS[name]
 
 
 def test_config_errors_found_before_services_start():

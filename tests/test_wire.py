@@ -12,6 +12,7 @@ from pseudorate.wire import (
     CpClient,
     InprocTransport,
     PcaClient,
+    ROUTES,
     Router,
     RsClient,
     ServiceFault,
@@ -66,18 +67,27 @@ def test_router_unknown_endpoint():
     assert status == "error" and body["code"] == "unknown-endpoint"
 
 
-def test_router_schema_rejects_extra_and_missing_fields():
+SAMPLE = {bytes: b"x", str: "x", int: 1, dict: {}}
+WRONG_TYPE = {bytes: "x", str: 7, int: "1", dict: b"x"}
+
+
+@pytest.mark.parametrize("endpoint", sorted(ROUTES))
+def test_router_schema_rejects_extra_and_missing_fields(endpoint):
     stack = make_stack(1)
     router = full_router(stack)
-    bad_bodies = [
-        {},  # missing
-        {"subject": "x", "extra": 1},  # extra
-        {"subject": 7},  # wrong type
-    ]
+    _, fields, _ = ROUTES[endpoint]
+    if fields is None:  # cp/policy: an empty body reads, only {"policy": dict} sets
+        bad_bodies = [{"x": 1}, {"policy": 7}, {"policy": {}, "x": 1}]
+    else:
+        good = {name: SAMPLE[kind] for name, kind in fields.items()}
+        bad_bodies = [{**good, "extra": 1}]
+        for name, kind in fields.items():
+            bad_bodies.append({k: v for k, v in good.items() if k != name})  # missing
+            bad_bodies.append({**good, name: WRONG_TYPE[kind]})  # wrong type
     for body in bad_bodies:
-        _, _, status, out = decode_response(router.handle(encode_request("rs/score", body, b"c")))
-        assert status == "error"
-        assert out["code"] == "protocol-error"
+        _, _, status, out = decode_response(router.handle(encode_request(endpoint, body, b"c")))
+        assert status == "error", body
+        assert out["code"] == "protocol-error", (body, out)
 
 
 @given(st.binary(max_size=200))
