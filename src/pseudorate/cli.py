@@ -62,9 +62,9 @@ def demo_config(seed: int = 42) -> dict:
         "seed": seed,
         "rs_id": "rs-demo",
         "groups": {
-            "1": {"impact": "1", "price_class": "basic"},
-            "2": {"impact": "2", "price_class": "plus"},
-            "3": {"impact": "3", "price_class": "premium"},
+            "1": {"impact": "1"},
+            "2": {"impact": "2"},
+            "3": {"impact": "3"},
         },
         "policy": {"kind": "flat", "per_group": {"1": 100, "2": 250, "3": 500}},
         "shares": {"cp": "1/5", "pca": "2/5", "rs": "2/5"},

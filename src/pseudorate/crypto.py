@@ -17,7 +17,9 @@ from __future__ import annotations
 import hashlib
 import secrets
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -63,8 +65,12 @@ def key_id_of(public: bytes) -> str:
 
 @dataclass(frozen=True)
 class KeyPair:
+    """Raw key bytes plus the ``cryptography`` private-key object built from
+    them once: signing (Ed25519) and unsealing (X25519) go through ``key``."""
+
     public: bytes
     private: bytes = field(repr=False)
+    key: Ed25519PrivateKey | X25519PrivateKey = field(repr=False, compare=False)
 
 
 def _seed_to_raw(domain: bytes, seed: bytes) -> bytes:
@@ -74,9 +80,14 @@ def _seed_to_raw(domain: bytes, seed: bytes) -> bytes:
 def generate_keypair(seed: bytes | None = None) -> KeyPair:
     """Fresh Ed25519 signing pair; a fixed seed makes the pair reproducible."""
     raw = _seed_to_raw(_SIGN_SEED_DOMAIN, seed) if seed is not None else secrets.token_bytes(32)
-    priv = Ed25519PrivateKey.from_private_bytes(raw)
+    return signing_pair(raw)
+
+
+def signing_pair(private: bytes) -> KeyPair:
+    """The Ed25519 pair of raw private bytes."""
+    priv = Ed25519PrivateKey.from_private_bytes(private)
     pub = priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-    return KeyPair(public=pub, private=raw)
+    return KeyPair(public=pub, private=private, key=priv)
 
 
 def generate_sealing_keypair(seed: bytes | None = None) -> KeyPair:
@@ -84,17 +95,21 @@ def generate_sealing_keypair(seed: bytes | None = None) -> KeyPair:
     raw = _seed_to_raw(_SEAL_SEED_DOMAIN, seed) if seed is not None else secrets.token_bytes(32)
     priv = X25519PrivateKey.from_private_bytes(raw)
     pub = priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-    return KeyPair(public=pub, private=raw)
+    return KeyPair(public=pub, private=raw, key=priv)
 
 
-def sign(private: bytes, message: bytes) -> bytes:
-    return Ed25519PrivateKey.from_private_bytes(private).sign(message)
+def sign(pair: KeyPair, message: bytes) -> bytes:
+    """Ed25519 signature by a signing pair's prebuilt key object."""
+    return pair.key.sign(message)
 
 
-def verify(public: bytes, message: bytes, signature: bytes) -> bool:
-    """True iff the signature validates; never raises on malformed input."""
+def verify(public: Ed25519PublicKey | bytes, message: bytes, signature: bytes) -> bool:
+    """True iff the signature validates; never raises on malformed input.
+    ``public`` is a key object or raw public bytes."""
     try:
-        Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
+        if not isinstance(public, Ed25519PublicKey):
+            public = Ed25519PublicKey.from_public_bytes(public)
+        public.verify(signature, message)
         return True
     except (InvalidSignature, ValueError, TypeError):
         return False
@@ -126,9 +141,7 @@ def unseal(recipient: KeyPair, blob: bytes) -> bytes:
         raise SealError("blob too short")
     eph_pub, ciphertext = blob[:32], blob[32:]
     try:
-        shared = X25519PrivateKey.from_private_bytes(recipient.private).exchange(
-            X25519PublicKey.from_public_bytes(eph_pub)
-        )
+        shared = recipient.key.exchange(X25519PublicKey.from_public_bytes(eph_pub))
     except ValueError as exc:
         raise SealError("malformed blob") from exc
     key = _seal_key(shared, eph_pub, recipient.public)
@@ -154,12 +167,23 @@ def _seal_key(shared: bytes, eph_pub: bytes, recipient_pub: bytes) -> bytes:
 @dataclass(frozen=True)
 class Credential:
     """Signed statement over ``entity`` (+ labels), verifiable with the
-    embedded issuer public key."""
+    embedded issuer public key. ``meta`` is a read-only copy taken at
+    construction, so the cached :attr:`body` always matches the fields."""
 
     entity: bytes
     issuer_public: bytes
     signature: bytes
     meta: Mapping[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
+
+    @cached_property
+    def body(self) -> bytes:
+        """The record without its signature, encoded once: the signature
+        covers ``CREDENTIAL_DOMAIN + body``, and :meth:`to_bytes` is ``body``
+        with the ``sig`` entry spliced in before its final ``e``."""
+        return _credential_body(self.entity, self.issuer_public, self.meta)
 
     def to_record(self) -> dict:
         return {
@@ -183,7 +207,8 @@ class Credential:
         return cls(entity=entity, issuer_public=issuer, signature=sig, meta=meta)
 
     def to_bytes(self) -> bytes:
-        return encode(self.to_record())
+        # "sig" sorts after "entity", "issuer" and "meta"
+        return b"%ss3:sigb%d:%se" % (self.body[:-1], len(self.signature), self.signature)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Credential":
@@ -192,10 +217,14 @@ class Credential:
         return cls.from_record(decode(data))
 
 
+def _credential_body(entity: bytes, issuer_public: bytes, meta: Mapping[str, str]) -> bytes:
+    return encode({"entity": entity, "issuer": issuer_public, "meta": dict(meta)})
+
+
 def credential_signing_bytes(entity: bytes, issuer_public: bytes, meta: Mapping[str, str]) -> bytes:
     """The exact bytes a credential signature covers. Issuers that hold raw
     signing handles (the platform module) sign these bytes directly."""
-    return CREDENTIAL_DOMAIN + encode({"entity": entity, "issuer": issuer_public, "meta": dict(meta)})
+    return CREDENTIAL_DOMAIN + _credential_body(entity, issuer_public, meta)
 
 
 def certify(issuer: KeyPair, entity: bytes, meta: Mapping[str, str] | None = None) -> Credential:
@@ -208,19 +237,25 @@ def certify(issuer: KeyPair, entity: bytes, meta: Mapping[str, str] | None = Non
     return Credential(
         entity=entity,
         issuer_public=issuer.public,
-        signature=sign(issuer.private, payload),
+        signature=sign(issuer, payload),
         meta=meta,
     )
 
 
 def verify_credential(cred: Credential) -> bool:
+    return _verify_signed_by(cred, cred.issuer_public)
+
+
+def _verify_signed_by(cred: Credential, issuer: Ed25519PublicKey | bytes) -> bool:
+    """The credential's signature check, with ``issuer`` (the embedded
+    issuer key, or its prebuilt key object) as the verification key."""
     try:
         if not cred.entity:
             return False
-        payload = credential_signing_bytes(cred.entity, cred.issuer_public, cred.meta)
+        payload = CREDENTIAL_DOMAIN + cred.body
     except Exception:
         return False
-    return verify(cred.issuer_public, payload, cred.signature)
+    return verify(issuer, payload, cred.signature)
 
 
 def encode_activation_payload(aik_public: bytes, credential: Credential, blob_nonce: bytes) -> bytes:
@@ -261,7 +296,12 @@ class CredentialChain:
         )
 
     def to_bytes(self) -> bytes:
-        return encode(self.to_record())
+        """``encode(self.to_record())``, spliced from the credentials' own bytes."""
+        return b"ds3:aik%ss3:csk%ss6:rating%se" % (
+            self.aik_cred.to_bytes(),
+            self.csk_cred.to_bytes(),
+            self.rating_cred.to_bytes(),
+        )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CredentialChain":
@@ -285,30 +325,63 @@ class VerifyReport:
     reason: str | None
 
 
+class GroupKeys(Mapping[int, bytes]):
+    """A group registry (gid -> public key bytes) that also finds the gid of
+    a key, and builds each registered key's verification object once. The
+    objects are keyed by the key bytes, not by gid, so a gid that gets a new
+    key never verifies with its old one."""
+
+    def __init__(self, registry: Mapping[int, bytes]):
+        self._public = dict(registry)
+        self._group: dict[bytes, int] = {}
+        for gid, public in self._public.items():
+            self._group.setdefault(public, gid)
+        self._verifiers: dict[bytes, Ed25519PublicKey] = {}
+
+    def __getitem__(self, gid: int) -> bytes:
+        return self._public[gid]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._public)
+
+    def __len__(self) -> int:
+        return len(self._public)
+
+    def group_of(self, public: bytes) -> int | None:
+        return self._group.get(public)
+
+    def verifier(self, public: bytes) -> Ed25519PublicKey | bytes:
+        """The key object of a registered key; a malformed key stays bytes,
+        which verifies nothing."""
+        key = self._verifiers.get(public)
+        if key is None:
+            try:
+                key = self._verifiers[public] = Ed25519PublicKey.from_public_bytes(public)
+            except ValueError:
+                return public
+        return key
+
+
 def verify_chain(chain: CredentialChain, group_registry: Mapping[int, bytes]) -> VerifyReport:
     """Check each link's signature, the key linkage between links, and that
-    the group credential was issued under a registered group key."""
+    the group credential was issued under a registered group key. Pass a
+    :class:`GroupKeys` to reuse its key objects across calls."""
     if not group_registry:
         raise InvalidArgument("group registry must not be empty")
+    keys = group_registry if isinstance(group_registry, GroupKeys) else GroupKeys(group_registry)
 
-    links = {
-        "rating": verify_credential(chain.rating_cred),
-        "csk": verify_credential(chain.csk_cred),
-        "aik": verify_credential(chain.aik_cred),
-    }
-    linkage = {
-        "rating-csk": chain.rating_cred.issuer_public == chain.csk_cred.entity,
-        "csk-aik": chain.csk_cred.issuer_public == chain.aik_cred.entity,
-    }
-    group = None
-    for gid, pub in group_registry.items():
-        if pub == chain.aik_cred.issuer_public:
-            group = gid
-            break
-
-    if not all(links.values()):
+    group_public = chain.aik_cred.issuer_public
+    group = keys.group_of(group_public)
+    if not (
+        verify_credential(chain.rating_cred)
+        and verify_credential(chain.csk_cred)
+        and _verify_signed_by(chain.aik_cred, group_public if group is None else keys.verifier(group_public))
+    ):
         reason = "bad-signature"
-    elif not all(linkage.values()):
+    elif not (
+        chain.rating_cred.issuer_public == chain.csk_cred.entity
+        and chain.csk_cred.issuer_public == chain.aik_cred.entity
+    ):
         reason = "link-mismatch"
     elif group is None:
         reason = "unknown-group"

@@ -41,6 +41,42 @@ def encode(value: Value) -> bytes:
 def _encode_into(value: Value, out: bytearray, depth: int) -> None:
     if depth > MAX_DEPTH:
         raise EncodingError("nesting too deep")
+    # the five exact types first; everything else takes the generic path
+    cls = type(value)
+    if cls is bytes:
+        out += b"b%d:" % len(value)
+        out += value
+    elif cls is str:
+        raw = value.encode("utf-8")
+        out += b"s%d:" % len(raw)
+        out += raw
+    elif cls is dict:
+        for key in value:
+            if type(key) is not str:
+                _encode_generic(value, out, depth)
+                return
+        # code-point order is UTF-8 byte order, so plain str keys sort as is
+        out += b"d"
+        for key in sorted(value):
+            raw = key.encode("utf-8")
+            out += b"s%d:" % len(raw)
+            out += raw
+            _encode_into(value[key], out, depth + 1)
+        out += b"e"
+    elif cls is int:
+        out += b"i%de" % value
+    elif cls is list:
+        out += b"l"
+        for item in value:
+            _encode_into(item, out, depth + 1)
+        out += b"e"
+    else:
+        _encode_generic(value, out, depth)
+
+
+def _encode_generic(value: Value, out: bytearray, depth: int) -> None:
+    """Subclasses of the five types, bytearray, memoryview and tuple, and
+    the errors for everything outside the domain."""
     if isinstance(value, bool):
         # bool is an int subclass; keep the domain unambiguous
         raise EncodingError("bool is not encodable, use 0/1")

@@ -71,7 +71,6 @@ class NotFound(PcaError):
 @dataclass(frozen=True)
 class GroupConfig:
     impact: Fraction
-    price_class: str = "standard"
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,8 @@ class PrivacyCa:
         # check-and-update pairs and must be linearizable
         self._lock = threading.RLock()
         self._platforms: dict[str, IdentityRecord] = {}
-        self._aik_index: dict[str, str] = {}
+        self._aik_index: dict[str, str] = {}  # aik digest -> platform id
+        self._tickets: dict[str, IssuedTicket] = {}  # aik digest -> ticket
         self._pending: dict[bytes, PendingIssuance] = {}
         # per-account ticket-ref -> price index; refs are PCA-internal ids,
         # never shown to the charging provider
@@ -300,9 +300,8 @@ class PrivacyCa:
             platform_id = self._aik_index.get(aik_digest)
             if platform_id is None:
                 raise NotFound("no ticket issued for that identity key")
-            record = self._platforms[platform_id]
-            ticket = next(t for t in record.issued if t.aik_digest == aik_digest)
-            return self._charge(record, group, ticket.charge_ref, PHASE_EX_POST)
+            charge_ref = self._tickets[aik_digest].charge_ref
+            return self._charge(self._platforms[platform_id], group, charge_ref, PHASE_EX_POST)
 
     def _charge(
         self, record: IdentityRecord, group: int, charge_ref: str, phase: str
@@ -360,6 +359,7 @@ class PrivacyCa:
             )
             self._platforms[record["platform_id"]].issued.append(ticket)
             self._aik_index[ticket.aik_digest] = record["platform_id"]
+            self._tickets[ticket.aik_digest] = ticket
         elif kind == "blacklist":
             self._platforms[record["platform_id"]].blacklisted = bool(record["flag"])
         elif kind == "charge":

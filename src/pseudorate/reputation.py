@@ -136,8 +136,12 @@ class ReputationSystem:
         self._clock = clock or SimClock()
         self._expost_charge = expost_charge
         self._registry: dict[int, tuple[bytes, Fraction]] = {}
+        self._group_keys = crypto.GroupKeys({})
         self._spent: dict[str, int] = {}
         self._records: list[RatingRecord] = []
+        # subject -> (count, sum of impacts, sum of impact * score), in the
+        # order subjects were first rated
+        self._totals: dict[str, tuple[int, Fraction, Fraction]] = {}
         self._pending_charges: list[tuple[str, int]] = []
         self._lock = threading.Lock()
         self._rating_log = Path(rating_log) if rating_log else None
@@ -160,6 +164,7 @@ class ReputationSystem:
                 raise InvalidArgument("group keys must be bytes")
             cleaned[int(group)] = (public, impact)
         self._registry = cleaned
+        self._group_keys = crypto.GroupKeys({g: pub for g, (pub, _) in cleaned.items()})
 
     @property
     def group_registry(self) -> dict[int, tuple[bytes, Fraction]]:
@@ -168,7 +173,7 @@ class ReputationSystem:
     # -- submission ----------------------------------------------------------
 
     def submit_rating(self, payload: RatingPayload, chain: CredentialChain) -> Ack | Reject:
-        report = crypto.verify_chain(chain, {g: pub for g, (pub, _) in self._registry.items()})
+        report = crypto.verify_chain(chain, self._group_keys)
         if not report.valid:
             return Reject(REJECT_INVALID_CHAIN, detail=report.reason or "")
 
@@ -225,13 +230,13 @@ class ReputationSystem:
     # -- aggregation --------------------------------------------------------------
 
     def aggregate(self, subject: str) -> WeightedScore:
-        """Impact-weighted mean over stored ratings for the subject, exact."""
-        matching = [r for r in self._records if r.payload.subject == subject]
-        if not matching:
+        """Impact-weighted mean over stored ratings for the subject, exact;
+        read from the running sums :meth:`_apply` keeps."""
+        totals = self._totals.get(subject)
+        if totals is None:
             return WeightedScore(subject=subject, count=0, score=None)
-        total_weight = sum((r.impact for r in matching), Fraction(0))
-        weighted = sum((r.impact * r.payload.score for r in matching), Fraction(0))
-        return WeightedScore(subject=subject, count=len(matching), score=weighted / total_weight)
+        count, total_weight, weighted = totals
+        return WeightedScore(subject=subject, count=count, score=weighted / total_weight)
 
     # -- charge retry ---------------------------------------------------------------
 
@@ -266,10 +271,7 @@ class ReputationSystem:
         return list(self._records)
 
     def subjects(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for record in self._records:
-            seen.setdefault(record.payload.subject, None)
-        return list(seen)
+        return list(self._totals)
 
     def export_state(self) -> bytes:
         """Full serialization of everything this service stores, for audits."""
@@ -318,5 +320,8 @@ class ReputationSystem:
         """The only code that changes logged state: a live submission calls
         it after logging the record, and replay calls it for each logged record."""
         self._records.append(record)
+        subject, impact = record.payload.subject, record.impact
+        count, total_weight, weighted = self._totals.get(subject, (0, Fraction(0), Fraction(0)))
+        self._totals[subject] = (count + 1, total_weight + impact, weighted + impact * record.payload.score)
         if aik_digest is not None:
             self._spent.setdefault(aik_digest, record.received)

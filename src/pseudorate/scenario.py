@@ -116,10 +116,7 @@ def _parse_config(raw: dict) -> ScenarioConfig:
 
     groups: dict[int, GroupConfig] = {}
     for key, entry in raw["groups"].items():
-        groups[int(key)] = GroupConfig(
-            impact=Fraction(entry["impact"]),
-            price_class=str(entry.get("price_class", "standard")),
-        )
+        groups[int(key)] = GroupConfig(impact=Fraction(entry["impact"]))
     if sorted(groups) != list(range(1, len(groups) + 1)):
         raise ScenarioError("group ids must be dense 1..G")
 

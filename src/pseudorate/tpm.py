@@ -175,8 +175,7 @@ class TpmInstance:
                 private = ChaCha20Poly1305(self._wrap_key).decrypt(nonce, cipher, wrapped.public)
             except InvalidTag as exc:
                 raise ForeignBlob("wrapped key was not created by this instance") from exc
-            pair = KeyPair(public=wrapped.public, private=private)
-            return self._store(pair, KIND_CSK).handle
+            return self._store(crypto.signing_pair(private), KIND_CSK).handle
 
     def certify_key(self, aik_handle: int, csk_handle: int) -> Credential:
         """Statement by an activated identity key that the signing key lives
@@ -205,7 +204,7 @@ class TpmInstance:
                 raise ForbiddenKeyUse("identity keys never sign arbitrary data")
             if key.kind == KIND_EK:
                 raise ForbiddenKeyUse("endorsement key never signs", code="forbidden-ek-signing")
-            return crypto.sign(key.pair.private, payload)
+            return crypto.sign(key.pair, payload)
 
     def sign_issuance_nonce(self, handle: int, nonce: bytes) -> bytes:
         """Scoped challenge-response: an identity key proves possession by
@@ -214,7 +213,7 @@ class TpmInstance:
             key = self._get(handle)
             if key.kind != KIND_AIK:
                 raise InvalidHandle("challenge-response needs an identity key")
-            return crypto.sign(key.pair.private, crypto.ISSUANCE_NONCE_DOMAIN + nonce)
+            return crypto.sign(key.pair, crypto.ISSUANCE_NONCE_DOMAIN + nonce)
 
     # -- internals -----------------------------------------------------------
 

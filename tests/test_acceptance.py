@@ -314,14 +314,16 @@ def test_8_aggregation_oracle():
         for i in range(n):
             impact = Fraction(rng.randrange(1, 50), rng.randrange(1, 9))
             score = rng.randrange(1, 6)
-            rs._records.append(
+            # through the fold that live submissions and log replay share
+            rs._apply(
                 RatingRecord(
                     payload=RatingPayload("subj", score, nonce=b"%d" % i, rs_id="rs-agg"),
                     group=1,
                     impact=impact,
                     received=i,
                     chain_digest=f"{trial}-{i}",
-                )
+                ),
+                None,
             )
             weighted += impact * score
             total += impact

@@ -16,7 +16,7 @@ from pseudorate.crypto import (
     verify_chain,
     verify_credential,
 )
-from pseudorate.encoding import EncodingError
+from pseudorate.encoding import EncodingError, encode
 from pseudorate.errors import InvalidArgument
 
 from support import all_single_field_mutants, honest_chain, make_stack, replace
@@ -24,7 +24,7 @@ from support import all_single_field_mutants, honest_chain, make_stack, replace
 
 def test_sign_verify_round_trip_empty_message():
     pair = generate_keypair()
-    assert crypto.verify(pair.public, b"", crypto.sign(pair.private, b""))
+    assert crypto.verify(pair.public, b"", crypto.sign(pair, b""))
 
 
 def test_fresh_pairs_have_distinct_ids():
@@ -104,6 +104,45 @@ def test_all_one_byte_truncations_rejected():
         assert not verify_credential(mutant)
 
 
+def test_meta_is_copied_and_frozen_at_construction():
+    cred = certify(generate_keypair(), b"score=5", {"group": "1"})
+    shared = dict(cred.meta)
+    copy = Credential(cred.entity, cred.issuer_public, cred.signature, shared)
+    sibling = Credential(cred.entity, cred.issuer_public, b"\x00" * 64, copy.meta)
+    assert verify_credential(copy)  # computes and caches the signed body
+    assert not verify_credential(sibling)
+    shared["group"] = "2"
+    assert copy.meta == {"group": "1"}  # what it shows is what was signed
+    assert verify_credential(copy)
+    assert not verify_credential(Credential(cred.entity, cred.issuer_public, cred.signature, shared))
+    with pytest.raises(TypeError):
+        copy.meta["group"] = "2"  # type: ignore[index]
+    assert sibling.meta == {"group": "1"} and sibling.meta is not copy.meta
+
+
+def test_meta_shared_by_chain_credentials_cannot_be_changed_after_checking():
+    _, chain, registry = _stack_chain()
+    shared = dict(chain.aik_cred.meta)
+    aik = chain.aik_cred
+    chained = replace(chain, "aik", Credential(aik.entity, aik.issuer_public, aik.signature, shared))
+    assert verify_chain(chained, registry).valid
+    shared["group"] = "3"
+    assert chained.aik_cred.meta["group"] == "2"
+    assert verify_chain(chained, registry).valid
+    forged = replace(chain, "aik", Credential(aik.entity, aik.issuer_public, aik.signature, shared))
+    assert verify_chain(forged, registry).reason == "bad-signature"
+
+
+def test_credential_and_chain_bytes_equal_the_encoded_records():
+    _, chain, _ = _stack_chain()
+    assert chain.to_bytes() == encode(chain.to_record())
+    for slot, _field, _mode, mutant in all_single_field_mutants(chain):
+        for cred in (mutant.rating_cred, mutant.csk_cred, mutant.aik_cred):
+            assert cred.to_bytes() == encode(cred.to_record())
+        assert mutant.to_bytes() == encode(mutant.to_record())
+    assert CredentialChain.from_bytes(chain.to_bytes()) == chain
+
+
 def test_credential_bytes_canonical():
     cred = certify(generate_keypair(), b"payload", {"a": "b"})
     blob = cred.to_bytes()
@@ -114,7 +153,7 @@ def test_credential_bytes_canonical():
 @settings(max_examples=30)
 def test_sign_verify_property(message, suffix):
     pair = generate_keypair(seed=b"prop")
-    signature = crypto.sign(pair.private, message)
+    signature = crypto.sign(pair, message)
     assert crypto.verify(pair.public, message, signature)
     assert not crypto.verify(pair.public, message + suffix, signature)
 
@@ -182,6 +221,21 @@ def test_unregistered_group_key_reported():
     report = verify_chain(chain, {9: crypto.generate_keypair().public})
     assert not report.valid
     assert report.reason == "unknown-group"
+
+
+def test_group_keys_follow_the_key_not_the_gid():
+    _, chain, registry = _stack_chain()
+    keys = crypto.GroupKeys(registry)
+    assert verify_chain(chain, keys).valid  # builds the group's key object
+    rekeyed = crypto.GroupKeys({**registry, 2: crypto.generate_keypair().public})
+    report = verify_chain(chain, rekeyed)
+    assert (report.valid, report.reason) == (False, "unknown-group")
+    assert verify_chain(chain, keys).valid
+    # another authority's key for the same gid verifies that authority's chains
+    _, other_chain, other_registry = _stack_chain(seed=2)
+    assert other_registry[2] != registry[2]
+    assert verify_chain(other_chain, crypto.GroupKeys(other_registry)).valid
+    assert verify_chain(other_chain, keys).reason == "unknown-group"
 
 
 def test_every_single_field_mutation_invalid():

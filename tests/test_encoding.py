@@ -1,8 +1,10 @@
+import enum
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pseudorate.encoding import EncodingError, append_record, decode, encode, read_records
+from pseudorate.encoding import MAX_DEPTH, EncodingError, append_record, decode, encode, read_records
 
 
 def test_scalar_round_trips():
@@ -91,6 +93,138 @@ def test_decode_total_and_canonical(data):
     except EncodingError:
         return
     assert encode(value) == data
+
+
+def _reference_encode(value) -> bytes:
+    """The encoder as it was before its exact-type fast path: isinstance
+    dispatch, dict keys sorted by their UTF-8 bytes."""
+    out = bytearray()
+
+    def into(value, depth):
+        if depth > MAX_DEPTH:
+            raise EncodingError("nesting too deep")
+        if isinstance(value, bool):
+            raise EncodingError("bool is not encodable, use 0/1")
+        if isinstance(value, int):
+            out.extend(b"i%de" % value)
+        elif isinstance(value, (bytes, bytearray, memoryview)):
+            raw = bytes(value)
+            out.extend(b"b%d:" % len(raw) + raw)
+        elif isinstance(value, str):
+            raw = value.encode("utf-8")
+            out.extend(b"s%d:" % len(raw) + raw)
+        elif isinstance(value, (list, tuple)):
+            out.extend(b"l")
+            for item in value:
+                into(item, depth + 1)
+            out.extend(b"e")
+        elif isinstance(value, dict):
+            pairs = []
+            for key in value:
+                if not isinstance(key, str):
+                    raise EncodingError("dict keys must be str")
+                pairs.append((key.encode("utf-8"), key))
+            pairs.sort(key=lambda kv: kv[0])
+            out.extend(b"d")
+            for raw_key, key in pairs:
+                out.extend(b"s%d:" % len(raw_key) + raw_key)
+                into(value[key], depth + 1)
+            out.extend(b"e")
+        else:
+            raise EncodingError(f"cannot encode {type(value).__name__}")
+
+    into(value, 0)
+    return bytes(out)
+
+
+class Small(int):
+    pass
+
+
+class Color(enum.IntEnum):
+    RED = 1
+    BLUE = 22
+
+
+class Text(str):
+    def __lt__(self, other):  # sorts backwards: the encoder must not use it
+        return str.__gt__(self, other)
+
+
+class Blob(bytes):
+    pass
+
+
+class Mapping(dict):
+    pass
+
+
+class Items(list):
+    pass
+
+
+scalars = (
+    st.integers()
+    | st.binary(max_size=16)
+    | st.text(max_size=8)
+    | st.binary(max_size=16).map(bytearray)
+    | st.binary(max_size=16).map(memoryview)
+    | st.binary(max_size=16).map(Blob)
+    | st.integers(-5, 5).map(Small)
+    | st.sampled_from(Color)
+    | st.text(max_size=8).map(Text)
+    | st.booleans()
+    | st.none()
+    | st.floats(allow_nan=False)
+)
+keys = st.text(max_size=6) | st.text(max_size=6).map(Text) | st.integers(0, 3) | st.binary(max_size=2)
+any_values = st.recursive(
+    scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.lists(children, max_size=4).map(Items)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4).map(Mapping)
+    | st.dictionaries(keys, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(any_values)
+def test_encode_equals_the_reference_encoder(value):
+    try:
+        expected = _reference_encode(value)
+    except EncodingError:
+        with pytest.raises(EncodingError):
+            encode(value)
+        return
+    assert encode(value) == expected
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        True,
+        [1, False],
+        {"a": True},
+        {1: "a", 2: "b"},  # sortable, but not str
+        {"a": 1, 2: "b"},  # mixed key types: sorted() alone would raise TypeError
+        {b"k": 1},
+        {"a": {Text("b"): 1, 3: 2}},
+        None,
+        1.5,
+        {"a"},
+    ],
+)
+def test_values_outside_the_domain_raise_encoding_error(bad):
+    with pytest.raises(EncodingError):
+        encode(bad)
+
+
+def test_subclasses_encode_as_their_base_type():
+    assert encode({Text("b"): 1, Text("a"): 2}) == encode({"a": 2, "b": 1})
+    assert encode(Mapping(z=Small(3), a=Color.BLUE)) == b"ds1:ai22es1:zi3ee"
+    assert encode(Items([Blob(b"x"), bytearray(b"y"), memoryview(b"z"), ("t",)])) == b"lb1:xb1:yb1:zls1:tee"
 
 
 def test_log_records_round_trip(tmp_path):

@@ -96,6 +96,7 @@ def test_authority_live_state_equals_replayed(tmp_path):
     assert revived._platforms == stack.pca._platforms
     assert any(record.issued for record in revived._platforms.values())
     assert revived._aik_index == stack.pca._aik_index
+    assert revived._tickets == stack.pca._tickets
     assert revived._account_ticket_index == stack.pca._account_ticket_index
 
 
@@ -108,3 +109,8 @@ def test_ledger_and_ratings_of_a_stack_equal_replayed(tmp_path):
     rs = ReputationSystem("rs-test", rating_log=tmp_path / "rs-ratings.log")
     rs.configure_groups(stack.pca.group_registry())
     assert rs.export_state() == stack.rs.export_state()
+    # the running per-subject sums are rebuilt by the same fold
+    assert len(rs.subjects()) > 1
+    assert rs.subjects() == stack.rs.subjects()
+    for subject in rs.subjects():
+        assert rs.aggregate(subject) == stack.rs.aggregate(subject)

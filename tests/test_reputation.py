@@ -17,7 +17,7 @@ from pseudorate.reputation import (
     Reject,
     ReputationSystem,
 )
-from pseudorate.encoding import append_record
+from pseudorate.encoding import append_record, encode
 
 from support import honest_chain, make_stack, replace
 
@@ -93,6 +93,28 @@ def test_unknown_group_is_invalid_chain():
     assert result.detail == "unknown-group"
 
 
+def test_new_key_for_a_configured_group_rejects_chains_under_the_old_key():
+    stack = make_stack(1)
+    agent = stack.new_agent("a")
+    _, payload, chain = honest_chain(stack, agent, group=2)
+    _, old_payload, old_chain = honest_chain(stack, agent, group=2)
+    assert isinstance(stack.rs.submit_rating(payload, chain), Ack)  # the old key's object is built
+    registry = stack.pca.group_registry()
+    registry[2] = (crypto.generate_keypair().public, registry[2][1])
+    stack.rs.configure_groups(registry)
+    result = stack.rs.submit_rating(old_payload, old_chain)
+    assert (result.reason, result.detail) == ("invalid-chain", "unknown-group")
+
+
+def test_receipt_is_the_digest_of_the_encoded_chain():
+    stack = make_stack(1)
+    agent = stack.new_agent("a")
+    _, payload, chain = honest_chain(stack, agent)
+    result = stack.rs.submit_rating(payload, chain)
+    assert result.receipt == crypto.sha256_hex(encode(chain.to_record()))
+    assert stack.rs.records[0].chain_digest == result.receipt
+
+
 def test_crossover_chain_is_invalid_chain():
     stack = make_stack(1)
     agent_a, agent_b = stack.new_agent("a"), stack.new_agent("b")
@@ -162,14 +184,15 @@ def test_aggregate_matches_brute_force_and_permutation_invariant(pairs):
     def build(seq):
         rs = ReputationSystem("rs-x")
         for n, (impact, score) in enumerate(seq):
-            rs._records.append(
+            rs._apply(
                 RatingRecord(
                     payload=RatingPayload("subj", score, nonce=b"n%d" % n, rs_id="rs-x"),
                     group=1,
                     impact=Fraction(impact),
                     received=n,
                     chain_digest=f"{n:02d}",
-                )
+                ),
+                None,
             )
         return rs.aggregate("subj").score
 
