@@ -19,7 +19,7 @@ import secrets
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -103,13 +103,10 @@ def sign(pair: KeyPair, message: bytes) -> bytes:
     return pair.key.sign(message)
 
 
-def verify(public: Ed25519PublicKey | bytes, message: bytes, signature: bytes) -> bool:
-    """True iff the signature validates; never raises on malformed input.
-    ``public`` is a key object or raw public bytes."""
+def verify(public: bytes, message: bytes, signature: bytes) -> bool:
+    """True iff the signature validates; never raises on malformed input."""
     try:
-        if not isinstance(public, Ed25519PublicKey):
-            public = Ed25519PublicKey.from_public_bytes(public)
-        public.verify(signature, message)
+        Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
         return True
     except (InvalidSignature, ValueError, TypeError):
         return False
@@ -243,19 +240,13 @@ def certify(issuer: KeyPair, entity: bytes, meta: Mapping[str, str] | None = Non
 
 
 def verify_credential(cred: Credential) -> bool:
-    return _verify_signed_by(cred, cred.issuer_public)
-
-
-def _verify_signed_by(cred: Credential, issuer: Ed25519PublicKey | bytes) -> bool:
-    """The credential's signature check, with ``issuer`` (the embedded
-    issuer key, or its prebuilt key object) as the verification key."""
     try:
         if not cred.entity:
             return False
         payload = CREDENTIAL_DOMAIN + cred.body
     except Exception:
         return False
-    return verify(issuer, payload, cred.signature)
+    return verify(cred.issuer_public, payload, cred.signature)
 
 
 def encode_activation_payload(aik_public: bytes, credential: Credential, blob_nonce: bytes) -> bytes:
@@ -325,57 +316,19 @@ class VerifyReport:
     reason: str | None
 
 
-class GroupKeys(Mapping[int, bytes]):
-    """A group registry (gid -> public key bytes) that also finds the gid of
-    a key, and builds each registered key's verification object once. The
-    objects are keyed by the key bytes, not by gid, so a gid that gets a new
-    key never verifies with its old one."""
-
-    def __init__(self, registry: Mapping[int, bytes]):
-        self._public = dict(registry)
-        self._group: dict[bytes, int] = {}
-        for gid, public in self._public.items():
-            self._group.setdefault(public, gid)
-        self._verifiers: dict[bytes, Ed25519PublicKey] = {}
-
-    def __getitem__(self, gid: int) -> bytes:
-        return self._public[gid]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._public)
-
-    def __len__(self) -> int:
-        return len(self._public)
-
-    def group_of(self, public: bytes) -> int | None:
-        return self._group.get(public)
-
-    def verifier(self, public: bytes) -> Ed25519PublicKey | bytes:
-        """The key object of a registered key; a malformed key stays bytes,
-        which verifies nothing."""
-        key = self._verifiers.get(public)
-        if key is None:
-            try:
-                key = self._verifiers[public] = Ed25519PublicKey.from_public_bytes(public)
-            except ValueError:
-                return public
-        return key
-
-
 def verify_chain(chain: CredentialChain, group_registry: Mapping[int, bytes]) -> VerifyReport:
     """Check each link's signature, the key linkage between links, and that
-    the group credential was issued under a registered group key. Pass a
-    :class:`GroupKeys` to reuse its key objects across calls."""
+    the group credential was issued under a registered group key. The group
+    is the first gid in ``group_registry`` with that key."""
     if not group_registry:
         raise InvalidArgument("group registry must not be empty")
-    keys = group_registry if isinstance(group_registry, GroupKeys) else GroupKeys(group_registry)
 
     group_public = chain.aik_cred.issuer_public
-    group = keys.group_of(group_public)
+    group = next((gid for gid, public in group_registry.items() if public == group_public), None)
     if not (
         verify_credential(chain.rating_cred)
         and verify_credential(chain.csk_cred)
-        and _verify_signed_by(chain.aik_cred, group_public if group is None else keys.verifier(group_public))
+        and verify_credential(chain.aik_cred)
     ):
         reason = "bad-signature"
     elif not (

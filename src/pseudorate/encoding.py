@@ -10,6 +10,7 @@ The format is a small tagged encoding with explicit length prefixes
     list   l<items>e
     dict   d<key><value>...e     keys are str, strictly ascending by UTF-8
 
+``encode`` accepts exactly the five built-in types, not their subclasses;
 ``decode`` rejects every non-canonical or malformed input, which makes
 ``encode`` and ``decode`` mutual inverses on the accepted domain:
 ``encode(decode(b)) == b`` and ``decode(encode(v)) == v``. Two distinct
@@ -41,7 +42,6 @@ def encode(value: Value) -> bytes:
 def _encode_into(value: Value, out: bytearray, depth: int) -> None:
     if depth > MAX_DEPTH:
         raise EncodingError("nesting too deep")
-    # the five exact types first; everything else takes the generic path
     cls = type(value)
     if cls is bytes:
         out += b"b%d:" % len(value)
@@ -53,9 +53,8 @@ def _encode_into(value: Value, out: bytearray, depth: int) -> None:
     elif cls is dict:
         for key in value:
             if type(key) is not str:
-                _encode_generic(value, out, depth)
-                return
-        # code-point order is UTF-8 byte order, so plain str keys sort as is
+                raise EncodingError("dict keys must be str")
+        # code-point order is UTF-8 byte order, so str keys sort as is
         out += b"d"
         for key in sorted(value):
             raw = key.encode("utf-8")
@@ -71,45 +70,7 @@ def _encode_into(value: Value, out: bytearray, depth: int) -> None:
             _encode_into(item, out, depth + 1)
         out += b"e"
     else:
-        _encode_generic(value, out, depth)
-
-
-def _encode_generic(value: Value, out: bytearray, depth: int) -> None:
-    """Subclasses of the five types, bytearray, memoryview and tuple, and
-    the errors for everything outside the domain."""
-    if isinstance(value, bool):
-        # bool is an int subclass; keep the domain unambiguous
-        raise EncodingError("bool is not encodable, use 0/1")
-    if isinstance(value, int):
-        out += b"i%de" % value
-    elif isinstance(value, (bytes, bytearray, memoryview)):
-        raw = bytes(value)
-        out += b"b%d:" % len(raw)
-        out += raw
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out += b"s%d:" % len(raw)
-        out += raw
-    elif isinstance(value, (list, tuple)):
-        out += b"l"
-        for item in value:
-            _encode_into(item, out, depth + 1)
-        out += b"e"
-    elif isinstance(value, dict):
-        pairs = []
-        for key in value:
-            if not isinstance(key, str):
-                raise EncodingError("dict keys must be str")
-            pairs.append((key.encode("utf-8"), key))
-        pairs.sort(key=lambda kv: kv[0])
-        out += b"d"
-        for raw_key, key in pairs:
-            out += b"s%d:" % len(raw_key)
-            out += raw_key
-            _encode_into(value[key], out, depth + 1)
-        out += b"e"
-    else:
-        raise EncodingError(f"cannot encode {type(value).__name__}")
+        raise EncodingError(f"cannot encode {cls.__name__}")
 
 
 def decode(data: bytes) -> Value:

@@ -87,6 +87,7 @@ class DeniedRequest:
 @dataclass(frozen=True)
 class IssuedTicket:
     aik_digest: str
+    platform_id: str
     group: int
     at: int
     identity_label: str
@@ -141,7 +142,6 @@ class PrivacyCa:
         # check-and-update pairs and must be linearizable
         self._lock = threading.RLock()
         self._platforms: dict[str, IdentityRecord] = {}
-        self._aik_index: dict[str, str] = {}  # aik digest -> platform id
         self._tickets: dict[str, IssuedTicket] = {}  # aik digest -> ticket
         self._pending: dict[bytes, PendingIssuance] = {}
         # per-account ticket-ref -> price index; refs are PCA-internal ids,
@@ -162,10 +162,6 @@ class PrivacyCa:
             raise InvalidArgument("impact factors must be positive")
 
     # -- group table ----------------------------------------------------------
-
-    @property
-    def group_count(self) -> int:
-        return len(self._groups)
 
     def group_registry(self) -> dict[int, tuple[bytes, Fraction]]:
         """What the reputation side needs: per-group verification key and impact."""
@@ -203,7 +199,7 @@ class PrivacyCa:
             if record.blacklisted:
                 return DeniedRequest(reason="blacklisted")
             aik_digest = crypto.key_id_of(aik_public)
-            if aik_digest in self._aik_index:
+            if aik_digest in self._tickets:
                 raise DuplicateAik("identity key already carries a ticket")
 
             charge_ref = self._randbytes(16).hex()
@@ -238,7 +234,7 @@ class PrivacyCa:
             ):
                 raise HandshakeFailed("possession proof did not verify")
             aik_digest = crypto.key_id_of(pending.aik_public)
-            if aik_digest in self._aik_index:
+            if aik_digest in self._tickets:
                 raise HandshakeFailed("identity key already carries a ticket")
 
             record = self._platforms[pending.platform_id]
@@ -277,10 +273,10 @@ class PrivacyCa:
         with self._lock:
             if authority_token not in self._authority_tokens:
                 raise Forbidden("missing or invalid authority token")
-            platform_id = self._aik_index.get(aik_digest)
-            if platform_id is None:
+            ticket = self._tickets.get(aik_digest)
+            if ticket is None:
                 raise NotFound("no ticket issued for that identity key")
-            return self._platforms[platform_id]
+            return self._platforms[ticket.platform_id]
 
     # -- policy enforcement ------------------------------------------------------
 
@@ -297,11 +293,10 @@ class PrivacyCa:
         """Ex-post charging entry point used at redemption time; the caller
         only ever supplies the pseudonymous ticket digest."""
         with self._lock:
-            platform_id = self._aik_index.get(aik_digest)
-            if platform_id is None:
+            ticket = self._tickets.get(aik_digest)
+            if ticket is None:
                 raise NotFound("no ticket issued for that identity key")
-            charge_ref = self._tickets[aik_digest].charge_ref
-            return self._charge(self._platforms[platform_id], group, charge_ref, PHASE_EX_POST)
+            return self._charge(self._platforms[ticket.platform_id], group, ticket.charge_ref, PHASE_EX_POST)
 
     def _charge(
         self, record: IdentityRecord, group: int, charge_ref: str, phase: str
@@ -352,13 +347,13 @@ class PrivacyCa:
         elif kind == "issue":
             ticket = IssuedTicket(
                 aik_digest=record["aik_digest"],
+                platform_id=record["platform_id"],
                 group=record["group"],
                 at=record["at"],
                 identity_label=record["label"],
                 charge_ref=record["charge_ref"],
             )
-            self._platforms[record["platform_id"]].issued.append(ticket)
-            self._aik_index[ticket.aik_digest] = record["platform_id"]
+            self._platforms[ticket.platform_id].issued.append(ticket)
             self._tickets[ticket.aik_digest] = ticket
         elif kind == "blacklist":
             self._platforms[record["platform_id"]].blacklisted = bool(record["flag"])

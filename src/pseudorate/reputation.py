@@ -136,7 +136,7 @@ class ReputationSystem:
         self._clock = clock or SimClock()
         self._expost_charge = expost_charge
         self._registry: dict[int, tuple[bytes, Fraction]] = {}
-        self._group_keys = crypto.GroupKeys({})
+        self._group_keys: dict[int, bytes] = {}  # gid -> group public key
         self._spent: dict[str, int] = {}
         self._records: list[RatingRecord] = []
         # subject -> (count, sum of impacts, sum of impact * score), in the
@@ -164,7 +164,7 @@ class ReputationSystem:
                 raise InvalidArgument("group keys must be bytes")
             cleaned[int(group)] = (public, impact)
         self._registry = cleaned
-        self._group_keys = crypto.GroupKeys({g: pub for g, (pub, _) in cleaned.items()})
+        self._group_keys = {g: pub for g, (pub, _) in cleaned.items()}
 
     @property
     def group_registry(self) -> dict[int, tuple[bytes, Fraction]]:
@@ -288,8 +288,8 @@ class ReputationSystem:
             }
         )
 
-    def save_spent_snapshot(self, path: Path | str | None = None) -> None:
-        target = Path(path) if path else self._spent_snapshot
+    def save_spent_snapshot(self) -> None:
+        target = self._spent_snapshot
         if target is None:
             raise InvalidArgument("no snapshot path configured")
         # written beside the snapshot and renamed over it, so a write cut

@@ -211,7 +211,17 @@ class Transcript:
     @classmethod
     def from_bytes(cls, data: bytes) -> "Transcript":
         raw = decode(data)
-        if not isinstance(raw, dict) or raw.get("version") != 1:
+        if not (
+            isinstance(raw, dict)
+            and raw.keys() == {"version", "seed", "events", "final", "groups"}
+            and raw["version"] == 1
+            and isinstance(raw["seed"], int)
+            and isinstance(raw["events"], list)
+            and all(isinstance(event, dict) for event in raw["events"])
+            and isinstance(raw["final"], dict)
+            and isinstance(raw["final"].get("scores", {}), dict)
+            and isinstance(raw["groups"], dict)
+        ):
             raise ScenarioError("not a transcript")
         return cls(seed=raw["seed"], events=raw["events"], final=raw["final"], groups=raw["groups"])
 
@@ -254,7 +264,8 @@ class Transcript:
 # ---------------------------------------------------------------------------
 
 class _Stack:
-    """Services plus the transports/clients for one scenario run."""
+    """Services behind one router, one transport to it, and the clients for
+    one scenario run."""
 
     def __init__(self, config: ScenarioConfig, transport: str, state_dir: Path | None):
         if transport not in TRANSPORTS:
@@ -313,29 +324,17 @@ class _Stack:
         )
 
         self.tap: list = []
-        self._servers: list[SocketServer] = []
-        self._transports = []
-        routers = {
-            "pca": Router(pca=self.pca),
-            "rs": Router(rs=self.rs),
-            "cp": Router(cp=self.cp),
-        }
+        router = Router(pca=self.pca, rs=self.rs, cp=self.cp)
+        self._server: SocketServer | None = None
         if transport == "inproc":
-            mk = {name: InprocTransport(router, tap=self.tap) for name, router in routers.items()}
+            self._transport = InprocTransport(router, tap=self.tap)
         else:
-            base = int(os.environ.get("PSEUDORATE_PORT_BASE", "0"))
-            mk = {}
-            for offset, (name, router) in enumerate(routers.items()):
-                server = SocketServer(router, port=base + offset if base else 0)
-                self._servers.append(server)
-                client_transport = SocketTransport(server.host, server.port, tap=self.tap)
-                self._transports.append(client_transport)
-                mk[name] = client_transport
-        self._by_service = mk
+            self._server = SocketServer(router, port=int(os.environ.get("PSEUDORATE_PORT_BASE", "0")))
+            self._transport = SocketTransport(self._server.host, self._server.port, tap=self.tap)
 
-        self.pca_client = PcaClient(mk["pca"])
-        self.rs_client = RsClient(mk["rs"])
-        self.cp_client = CpClient(mk["cp"])
+        self.pca_client = PcaClient(self._transport)
+        self.rs_client = RsClient(self._transport)
+        self.cp_client = CpClient(self._transport)
 
         self.agents: dict[str, TrustedAgent] = {}
         self.accounts: dict[str, str] = {}
@@ -343,8 +342,8 @@ class _Stack:
             tpm = TpmInstance(rng=self.agent_rngs[spec.name])
             self.agents[spec.name] = TrustedAgent(
                 tpm,
-                PcaClient(mk["pca"]),
-                RsClient(mk["rs"]),
+                PcaClient(self._transport),
+                RsClient(self._transport),
                 user_account=spec.account,
                 rs_id=config.rs_id,
                 rng=self.agent_rngs[spec.name],
@@ -352,10 +351,9 @@ class _Stack:
             self.accounts[spec.name] = spec.account
 
     def close(self) -> None:
-        for transport in self._transports:
-            transport.close()
-        for server in self._servers:
-            server.close()
+        self._transport.close()
+        if self._server is not None:
+            self._server.close()
 
 
 def run_scenario(

@@ -62,10 +62,6 @@ class ForbiddenKeyUse(TpmError):
     code = "forbidden-aik-signing"
 
 
-class StoreFull(TpmError):
-    code = "store-full"
-
-
 @dataclass
 class ShieldedKey:
     handle: int
@@ -89,12 +85,11 @@ class TpmInstance:
     """One emulated module. Commands are serialized per instance; distinct
     instances are fully independent."""
 
-    def __init__(self, rng: random.Random | None = None, max_keys: int | None = None):
+    def __init__(self, rng: random.Random | None = None):
         self._randbytes = rng.randbytes if rng is not None else secrets.token_bytes
         self._lock = threading.RLock()
         self._keys: dict[int, ShieldedKey] = {}
         self._next_handle = 1
-        self._max_keys = max_keys
         self._wrap_key = self._randbytes(32)
         self._wrap_seq = 0
         self._used_blob_nonces: set[bytes] = set()
@@ -218,8 +213,6 @@ class TpmInstance:
     # -- internals -----------------------------------------------------------
 
     def _store(self, pair: KeyPair, kind: str) -> ShieldedKey:
-        if self._max_keys is not None and len(self._keys) - 1 >= self._max_keys:
-            raise StoreFull("key store full")  # the endorsement slot is fixed
         handle = self._next_handle
         self._next_handle += 1
         key = ShieldedKey(handle=handle, pair=pair, kind=kind)

@@ -225,17 +225,19 @@ def test_unregistered_group_key_reported():
 
 def test_group_keys_follow_the_key_not_the_gid():
     _, chain, registry = _stack_chain()
-    keys = crypto.GroupKeys(registry)
-    assert verify_chain(chain, keys).valid  # builds the group's key object
-    rekeyed = crypto.GroupKeys({**registry, 2: crypto.generate_keypair().public})
+    assert verify_chain(chain, registry).valid
+    rekeyed = {**registry, 2: crypto.generate_keypair().public}
     report = verify_chain(chain, rekeyed)
     assert (report.valid, report.reason) == (False, "unknown-group")
-    assert verify_chain(chain, keys).valid
-    # another authority's key for the same gid verifies that authority's chains
+    # another authority's registry verifies that authority's chains only
     _, other_chain, other_registry = _stack_chain(seed=2)
     assert other_registry[2] != registry[2]
-    assert verify_chain(other_chain, crypto.GroupKeys(other_registry)).valid
-    assert verify_chain(other_chain, keys).reason == "unknown-group"
+    assert verify_chain(other_chain, other_registry).valid
+    assert verify_chain(other_chain, registry).reason == "unknown-group"
+    assert verify_chain(chain, other_registry).reason == "unknown-group"
+    # a key registered under two gids names the first of them
+    shared = {3: registry[2], 1: registry[1], 2: registry[2]}
+    assert verify_chain(chain, shared).group == 3
 
 
 def test_every_single_field_mutation_invalid():

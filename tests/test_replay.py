@@ -95,7 +95,6 @@ def test_authority_live_state_equals_replayed(tmp_path):
     )
     assert revived._platforms == stack.pca._platforms
     assert any(record.issued for record in revived._platforms.values())
-    assert revived._aik_index == stack.pca._aik_index
     assert revived._tickets == stack.pca._tickets
     assert revived._account_ticket_index == stack.pca._account_ticket_index
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from pseudorate.cli import demo_config, main
+from pseudorate.encoding import encode
 from pseudorate.scenario import ScenarioConfig, ScenarioError, Transcript, run_scenario
 
 REPO = Path(__file__).resolve().parent.parent
@@ -157,8 +158,6 @@ def test_cli_verify_transcript_and_tampered_chain(tmp_path, capsys):
     chain = bytearray(bundle["chain"])
     chain[len(chain) // 2] ^= 0x10
     bundle["chain"] = bytes(chain)
-    from pseudorate.encoding import encode
-
     tampered = tmp_path / "tampered.bin"
     tampered.write_bytes(encode(bundle))
     assert main(["verify", str(tampered)]) == 1
@@ -168,6 +167,35 @@ def test_cli_verify_rejects_garbage(tmp_path, capsys):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"\x01\x02\x03")
     assert main(["verify", str(path)]) == 2
+
+
+WELL_FORMED = {"version": 1, "seed": 1, "events": [], "final": {}, "groups": {}}
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"version": 1, "events": []},
+        {k: v for k, v in WELL_FORMED.items() if k != "groups"},
+        {**WELL_FORMED, "extra": 1},
+        {**WELL_FORMED, "version": 2},
+        {**WELL_FORMED, "seed": "1"},
+        {**WELL_FORMED, "events": {}},
+        {**WELL_FORMED, "events": [1]},
+        {**WELL_FORMED, "final": []},
+        {**WELL_FORMED, "final": {"scores": []}},
+        {**WELL_FORMED, "groups": []},
+    ],
+    ids=["no-seed", "no-groups", "extra-key", "version-2", "str-seed", "dict-events",
+         "int-event", "list-final", "list-scores", "list-groups"],
+)
+def test_malformed_transcript_is_usage_error(tmp_path, capsys, raw):
+    path = tmp_path / "t.bin"
+    path.write_bytes(encode(raw))
+    with pytest.raises(ScenarioError):
+        Transcript.from_bytes(path.read_bytes())
+    assert main(["verify", str(path)]) == 2
+    assert main(["score", "s", "--transcript", str(path)]) == 2
 
 
 def test_cli_score_reads_transcript(tmp_path, capsys):

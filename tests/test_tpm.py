@@ -10,7 +10,6 @@ from pseudorate.tpm import (
     InvalidHandle,
     MalformedBlob,
     NotActivated,
-    StoreFull,
     TpmError,
     TpmInstance,
     WrongPlatform,
@@ -203,13 +202,6 @@ def test_issuance_nonce_needs_identity_key():
     csk = tpm.load_key(tpm.cmk_create_key())
     with pytest.raises(InvalidHandle):
         tpm.sign_issuance_nonce(csk, b"n")
-
-
-def test_store_full():
-    tpm = TpmInstance(max_keys=1)
-    tpm.make_identity()
-    with pytest.raises(StoreFull):
-        tpm.make_identity()
 
 
 def test_emitted_surface_contains_no_private_bytes():
