@@ -221,10 +221,7 @@ class ChargingProvider:
         self._ledger_log = Path(ledger_log) if ledger_log else None
         if self._ledger_log and self._ledger_log.exists():
             for record in read_records(self._ledger_log):
-                if record["kind"] == "open":
-                    self._apply(record["account"], opening=record["balance"])
-                elif record["kind"] == "charge":
-                    self._apply(record["account"], entry=LedgerEntry.from_record(record))
+                self._apply(record)
 
     # -- accounts ------------------------------------------------------------
 
@@ -232,8 +229,7 @@ class ChargingProvider:
         with self._lock:
             if account_id in self._accounts:
                 raise ChargingError(f"account {account_id} already open", code="duplicate-account")
-            self._log({"kind": "open", "account": account_id, "balance": balance})
-            self._apply(account_id, opening=balance)
+            self._commit({"kind": "open", "account": account_id, "balance": balance})
 
     def balance(self, account_id: str) -> int:
         return self._account(account_id).balance
@@ -266,8 +262,7 @@ class ChargingProvider:
             if self._credit_limit is not None and account.balance - amount < -self._credit_limit:
                 return Declined(reason="limit-exceeded")
             entry = LedgerEntry(self._clock.now(), amount, phase, group, f"rcpt-{self._last_receipt + 1:06d}")
-            self._log({"kind": "charge", "account": account_id, **entry.to_record()})
-            self._apply(account_id, entry=entry)
+            self._commit({"kind": "charge", "account": account_id, **entry.to_record()})
             return ChargeReceipt(
                 receipt_id=entry.receipt_id,
                 account_id=account_id,
@@ -311,16 +306,20 @@ class ChargingProvider:
         except KeyError:
             raise UnknownAccount(f"unknown account {account_id}") from None
 
-    def _log(self, record: dict) -> None:
+    def _commit(self, record: dict) -> None:
         if self._ledger_log:
             append_record(self._ledger_log, record)
+        self._apply(record)
 
-    def _apply(self, account_id: str, *, opening: int | None = None, entry: LedgerEntry | None = None) -> None:
-        """The only code that changes ledger state: live operations call it
-        after logging the record, and replay calls it for each logged record."""
-        if entry is None:
-            self._accounts[account_id] = Account(account_id, opening, opening)
+    def _apply(self, record: dict) -> None:
+        """The only code that changes ledger state: live operations reach it
+        through :meth:`_commit` after logging, and replay calls it for each
+        logged record."""
+        account_id = record["account"]
+        if record["kind"] == "open":
+            self._accounts[account_id] = Account(account_id, record["balance"], record["balance"])
             return
+        entry = LedgerEntry.from_record(record)
         account = self._accounts[account_id]
         account.balance -= entry.amount
         account.history.append(entry)

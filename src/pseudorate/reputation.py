@@ -147,7 +147,8 @@ class ReputationSystem:
         self._rating_log = Path(rating_log) if rating_log else None
         self._spent_snapshot = Path(spent_snapshot) if spent_snapshot else None
         if self._rating_log and self._rating_log.exists():
-            self.load_rating_log(self._rating_log)
+            for raw in read_records(self._rating_log):
+                self._apply(RatingRecord.from_record(raw), raw["aik_digest"])
         if self._spent_snapshot and self._spent_snapshot.exists():
             self._load_spent_snapshot(self._spent_snapshot)
 
@@ -305,23 +306,12 @@ class ReputationSystem:
         for digest, at in snapshot["spent"].items():
             self._spent.setdefault(digest, at)
 
-    def load_rating_log(self, path: Path | str) -> int:
-        """Ingest previously accepted ratings (they were verified before being
-        logged) through the fold live submissions use, which also marks each
-        logged ticket spent again; returns the number of records read."""
-        records = read_records(path)
-        with self._lock:
-            for raw in records:
-                digest = raw.pop("aik_digest", None)
-                self._apply(RatingRecord.from_record(raw), digest)
-        return len(records)
-
-    def _apply(self, record: RatingRecord, aik_digest: str | None) -> None:
+    def _apply(self, record: RatingRecord, aik_digest: str) -> None:
         """The only code that changes logged state: a live submission calls
-        it after logging the record, and replay calls it for each logged record."""
+        it after logging the record with its ``aik_digest``, and replay calls
+        it for each logged record."""
         self._records.append(record)
         subject, impact = record.payload.subject, record.impact
         count, total_weight, weighted = self._totals.get(subject, (0, Fraction(0), Fraction(0)))
         self._totals[subject] = (count + 1, total_weight + impact, weighted + impact * record.payload.score)
-        if aik_digest is not None:
-            self._spent.setdefault(aik_digest, record.received)
+        self._spent.setdefault(aik_digest, record.received)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,11 +26,11 @@ from .charging import (
     RevenueShares,
 )
 from .clock import SimClock
-from .crypto import Credential, CredentialChain, key_id_of
+from .crypto import CredentialChain, key_id_of
 from .encoding import decode, encode
 from .errors import TicketError
 from .privacy_ca import GroupConfig, PrivacyCa
-from .reputation import Ack, RatingPayload, Reject, ReputationSystem
+from .reputation import Ack, RatingPayload, ReputationSystem
 from .tpm import TpmError, TpmInstance
 from .wire import (
     CpClient,
@@ -41,7 +41,6 @@ from .wire import (
     ServiceFault,
     SocketServer,
     SocketTransport,
-    decode_request,
     decode_response,
 )
 
@@ -271,17 +270,14 @@ class _Stack:
         if transport not in TRANSPORTS:
             raise ScenarioError(f"transport must be one of {TRANSPORTS}")
         master = random.Random(config.seed)
-        self.pca_rng = random.Random(master.getrandbits(64))
+        pca_rng = random.Random(master.getrandbits(64))
         self.driver_rng = random.Random(master.getrandbits(64))
-        self.agent_rngs = {
-            spec.name: random.Random(master.getrandbits(64)) for spec in config.agents
-        }
+        agent_rngs = {spec.name: random.Random(master.getrandbits(64)) for spec in config.agents}
         self.clock = SimClock()
         self.authority_token = "authority-" + self.driver_rng.randbytes(8).hex()
 
         logs = {}
         if state_dir is not None:
-            state_dir = Path(state_dir)
             state_dir.mkdir(parents=True, exist_ok=True)
             logs = {
                 "ledger_log": state_dir / "cp-ledger.log",
@@ -306,7 +302,7 @@ class _Stack:
         self.pca = PrivacyCa(
             config.groups,
             clock=self.clock,
-            rng=self.pca_rng,
+            rng=pca_rng,
             charging=self.cp if pricing else None,
             pricing=pricing,
             charge_phases=phases,
@@ -336,19 +332,17 @@ class _Stack:
         self.rs_client = RsClient(self._transport)
         self.cp_client = CpClient(self._transport)
 
-        self.agents: dict[str, TrustedAgent] = {}
-        self.accounts: dict[str, str] = {}
-        for spec in config.agents:
-            tpm = TpmInstance(rng=self.agent_rngs[spec.name])
-            self.agents[spec.name] = TrustedAgent(
-                tpm,
+        self.agents = {
+            spec.name: TrustedAgent(
+                TpmInstance(rng=agent_rngs[spec.name]),
                 PcaClient(self._transport),
                 RsClient(self._transport),
                 user_account=spec.account,
                 rs_id=config.rs_id,
-                rng=self.agent_rngs[spec.name],
+                rng=agent_rngs[spec.name],
             )
-            self.accounts[spec.name] = spec.account
+            for spec in config.agents
+        }
 
     def close(self) -> None:
         self._transport.close()
@@ -373,24 +367,16 @@ def _drive(config: ScenarioConfig, stack: _Stack) -> Transcript:
     transcript = Transcript(seed=config.seed)
     transcript.groups = {str(g): pub for g, (pub, _) in stack.pca.group_registry().items()}
     seq = 0
-    tap_read = 0
-    pending: list[dict] = []
 
     def drain_messages() -> None:
-        nonlocal seq, tap_read
-        entries = stack.tap[tap_read:]
-        tap_read = len(stack.tap)
-        for direction, frame in entries:
-            if direction == "send":
-                endpoint, _, _ = decode_request(frame)
+        """One msg event per response: it names its endpoint and status."""
+        nonlocal seq
+        for direction, frame in stack.tap:
+            if direction == "recv":
+                endpoint, _, status, _ = decode_response(frame)
                 seq += 1
-                pending.append({"kind": "msg", "seq": seq, "endpoint": endpoint, "status": "?"})
-            else:
-                _, _, status, _ = decode_response(frame)
-                if pending:
-                    pending[-1]["status"] = status
-        transcript.events.extend(pending)
-        pending.clear()
+                transcript.events.append({"kind": "msg", "seq": seq, "endpoint": endpoint, "status": status})
+        stack.tap.clear()
 
     def record(action: str, agent: str | None, outcome: str, detail: dict | None = None) -> None:
         nonlocal seq
@@ -431,18 +417,15 @@ def _drive(config: ScenarioConfig, stack: _Stack) -> Transcript:
                     )
 
             elif action == "redeem":
-                ticket = _pick_ticket(agent, step)
+                if "ticket" in step:
+                    ticket = agent.tickets[int(step["ticket"])]
+                else:
+                    ticket = _fresh_ticket(agent, int(step["group"]) if "group" in step else None)
                 payload = agent.make_payload(
                     str(step["subject"]), int(step["score"]), str(step.get("comment", ""))
                 )
                 chain = agent.build_chain(ticket, payload)
-                result = agent.submit_chain(ticket, payload, chain)
-                record(
-                    action,
-                    agent_name,
-                    _outcome_of(result),
-                    {"chain": chain.to_bytes(), "payload": payload.to_record()},
-                )
+                record(action, agent_name, *_submit(agent, ticket, payload, chain))
 
             elif action == "blacklist":
                 flag = bool(step.get("flag", True))
@@ -482,97 +465,56 @@ def _drive(config: ScenarioConfig, stack: _Stack) -> Transcript:
     return transcript
 
 
-def _pick_ticket(agent: TrustedAgent, step: dict) -> Ticket:
-    if "ticket" in step:
-        return agent.tickets[int(step["ticket"])]
-    fresh = agent.fresh_tickets(int(step["group"]) if "group" in step else None)
+def _fresh_ticket(agent: TrustedAgent, group: int | None = None) -> Ticket:
+    fresh = agent.fresh_tickets(group)
     if not fresh:
-        raise ScenarioError(f"agent has no fresh ticket for step {step!r}")
+        raise ScenarioError(f"agent has no fresh ticket in group {group}")
     return fresh[0]
 
 
-def _outcome_of(result: Ack | Reject) -> str:
-    if isinstance(result, Ack):
-        return "ack"
-    return f"reject:{result.reason}"
+def _submit(
+    agent: TrustedAgent, ticket: Ticket, payload: RatingPayload, chain: CredentialChain
+) -> tuple[str, dict]:
+    """Submit a chain; returns the outcome and the detail that records it."""
+    result = agent.submit_chain(ticket, payload, chain)
+    outcome = "ack" if isinstance(result, Ack) else f"reject:{result.reason}"
+    return outcome, {"chain": chain.to_bytes(), "payload": payload.to_record()}
 
 
 def _run_tamper(stack: _Stack, agent: TrustedAgent, step: dict) -> tuple[str, dict]:
     """Adversarial moves. Every mode submits (or attempts) something
     dishonest and reports how the system answered."""
     mode = step["mode"]
-    subject = str(step.get("subject", "tamper-subject"))
-    score = int(step.get("score", 1))
+    if mode not in TAMPER_MODES:
+        raise ScenarioError(f"unknown tamper mode {mode!r}")
+    other = stack.agents.get(str(step.get("other"))) if mode == "crossover" else None
+    if mode == "crossover" and other is None:
+        raise ScenarioError("crossover tamper needs 'other' agent")
+    ticket = _fresh_ticket(agent)
+    their_ticket = _fresh_ticket(other) if other is not None else None
 
     if mode == "aik-sign":
         # misuse the identity key as a payload signer; must fail locally
-        fresh = agent.fresh_tickets()
-        if not fresh:
-            raise ScenarioError("aik-sign tamper needs a fresh ticket")
         try:
-            agent.tpm.sign_with_key(fresh[0].aik_handle, b"direct-misuse")
+            agent.tpm.sign_with_key(ticket.aik_handle, b"direct-misuse")
             return "signed", {}
         except TpmError as exc:
             return f"tpm-error:{exc.code}", {}
 
+    payload = agent.make_payload(str(step.get("subject", "tamper-subject")), int(step.get("score", 1)))
+    chain = agent.build_chain(ticket, payload)
     if mode == "replay":
-        fresh = agent.fresh_tickets()
-        if not fresh:
-            raise ScenarioError("replay tamper needs a fresh ticket")
-        ticket = fresh[0]
-        payload = agent.make_payload(subject, score)
-        chain = agent.build_chain(ticket, payload)
-        first = agent.submit_chain(ticket, payload, chain)
-        second = agent.submit_chain(ticket, payload, chain)
-        return (
-            f"first={_outcome_of(first)} second={_outcome_of(second)}",
-            {"chain": chain.to_bytes(), "payload": payload.to_record()},
-        )
-
+        first, _ = _submit(agent, ticket, payload, chain)
+        second, detail = _submit(agent, ticket, payload, chain)
+        return f"first={first} second={second}", detail
     if mode == "bitflip":
-        fresh = agent.fresh_tickets()
-        if not fresh:
-            raise ScenarioError("bitflip tamper needs a fresh ticket")
-        ticket = fresh[0]
-        payload = agent.make_payload(subject, score)
-        chain = agent.build_chain(ticket, payload)
         sig = bytearray(chain.rating_cred.signature)
         sig[stack.driver_rng.randrange(len(sig))] ^= 1 << stack.driver_rng.randrange(8)
-        mutated = CredentialChain(
-            rating_cred=Credential(
-                entity=chain.rating_cred.entity,
-                issuer_public=chain.rating_cred.issuer_public,
-                signature=bytes(sig),
-                meta=chain.rating_cred.meta,
-            ),
-            csk_cred=chain.csk_cred,
-            aik_cred=chain.aik_cred,
-        )
-        result = agent.submit_chain(ticket, payload, mutated)
-        return _outcome_of(result), {"chain": mutated.to_bytes(), "payload": payload.to_record()}
-
-    if mode == "crossover":
-        other_name = step.get("other")
-        other = stack.agents.get(str(other_name))
-        if other is None:
-            raise ScenarioError("crossover tamper needs 'other' agent")
-        mine = agent.fresh_tickets()
-        theirs = other.fresh_tickets()
-        if not mine or not theirs:
-            raise ScenarioError("crossover tamper needs fresh tickets on both agents")
-        payload = agent.make_payload(subject, score)
-        my_chain = agent.build_chain(mine[0], payload)
-        other_chain = other.build_chain(theirs[0], payload)
+        rating_cred = replace(chain.rating_cred, signature=bytes(sig))
+    else:
         # rating signed under the other platform's key, multiplexed onto my ticket
-        frankenstein = CredentialChain(
-            rating_cred=other_chain.rating_cred,
-            csk_cred=my_chain.csk_cred,
-            aik_cred=my_chain.aik_cred,
-        )
-        result = agent.submit_chain(mine[0], payload, frankenstein)
-        return _outcome_of(result), {"chain": frankenstein.to_bytes(), "payload": payload.to_record()}
-
-    raise ScenarioError(f"unknown tamper mode {mode!r}")
+        rating_cred = other.build_chain(their_ticket, payload).rating_cred
+    return _submit(agent, ticket, payload, replace(chain, rating_cred=rating_cred))
 
 
 def _final_state(config: ScenarioConfig, stack: _Stack) -> dict:

@@ -15,10 +15,10 @@ Frame layout (socket transport adds a 4-byte big-endian length prefix):
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 import socket
-import socketserver
 import threading
 from fractions import Fraction
 from typing import Callable
@@ -299,32 +299,52 @@ def _write_frame(sock: socket.socket, data: bytes) -> None:
 
 
 class SocketServer:
-    """Threaded TCP server speaking length-prefixed frames into a router."""
+    """Threaded TCP server speaking length-prefixed frames into a router.
+    ``close`` stops accepting, ends every connection it accepted and returns
+    once no request is still being handled, so a service rebuilt behind the
+    same port never runs beside the old one."""
 
     def __init__(self, router: Router, host: str = "127.0.0.1", port: int = 0):
-        handle = router.handle
-
-        class _Handler(socketserver.BaseRequestHandler):
-            def handle(self) -> None:
-                try:
-                    while True:
-                        frame = _read_frame(self.request)
-                        _write_frame(self.request, handle(frame))
-                except (ConnectionError, OSError, WireError):
-                    return
-
-        class _Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = _Server((host, port), _Handler)
-        self.host, self.port = self._server.server_address[:2]
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._handle = router.handle
+        self._listener = socket.create_server((host, port))
+        self.host, self.port = self._listener.getsockname()[:2]
+        self._lock = threading.Lock()
+        self._connections: dict[socket.socket, threading.Thread] = {}
+        self._thread = threading.Thread(target=self._accept, daemon=True)
         self._thread.start()
 
+    def _accept(self) -> None:
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            with self._lock:
+                thread = self._connections[conn] = threading.Thread(target=self._serve, args=(conn,))
+            thread.start()
+
+    def _serve(self, conn: socket.socket) -> None:
+        try:
+            with conn:
+                while True:
+                    _write_frame(conn, self._handle(_read_frame(conn)))
+        except (OSError, WireError):
+            pass
+        finally:
+            with self._lock:
+                del self._connections[conn]
+
     def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        with contextlib.suppress(OSError):
+            self._listener.shutdown(socket.SHUT_RDWR)  # ends the accept loop
+        self._thread.join()
+        self._listener.close()
+        with self._lock:
+            connections = list(self._connections.items())
+        for conn, thread in connections:
+            with contextlib.suppress(OSError):  # a connection its client already closed
+                conn.shutdown(socket.SHUT_RDWR)  # wakes a blocked read or write
+            thread.join()
 
 
 class SocketTransport:
@@ -336,21 +356,30 @@ class SocketTransport:
 
     def request(self, data: bytes) -> bytes:
         with self._lock:
-            if self._sock is None:
-                self._sock = socket.create_connection(self._addr)
-            if self.tap is not None:
-                self.tap.append(("send", data))
-            _write_frame(self._sock, data)
-            response = _read_frame(self._sock)
+            try:
+                if self._sock is None:
+                    self._sock = socket.create_connection(self._addr)
+                if self.tap is not None:
+                    self.tap.append(("send", data))
+                _write_frame(self._sock, data)
+                response = _read_frame(self._sock)
+            except BaseException:
+                # the next request opens a new connection; this one is never
+                # sent again, because a lost reply must not become a second charge
+                self._drop()
+                raise
             if self.tap is not None:
                 self.tap.append(("recv", response))
             return response
 
     def close(self) -> None:
         with self._lock:
-            if self._sock is not None:
-                self._sock.close()
-                self._sock = None
+            self._drop()
+
+    def _drop(self) -> None:
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
 
 
 # ---------------------------------------------------------------------------

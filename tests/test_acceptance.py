@@ -323,7 +323,7 @@ def test_8_aggregation_oracle():
                     received=i,
                     chain_digest=f"{trial}-{i}",
                 ),
-                None,
+                f"aik-{trial}-{i}",
             )
             weighted += impact * score
             total += impact

@@ -192,7 +192,7 @@ def test_aggregate_matches_brute_force_and_permutation_invariant(pairs):
                     received=n,
                     chain_digest=f"{n:02d}",
                 ),
-                None,
+                f"aik-{n:02d}",
             )
         return rs.aggregate("subj").score
 
@@ -334,7 +334,7 @@ def test_torn_snapshot_write_keeps_previous_snapshot(tmp_path, monkeypatch):
     assert set(revived._spent) == first
 
 
-def test_load_rating_log_supports_aggregation_oracle(tmp_path):
+def test_rating_log_replay_supports_aggregation_oracle(tmp_path):
     path = tmp_path / "ratings.log"
     rng = random.Random(3)
     pairs = []
@@ -348,7 +348,7 @@ def test_load_rating_log_supports_aggregation_oracle(tmp_path):
             received=n,
             chain_digest=f"{n:03d}",
         )
-        append_record(path, record.to_record())
-    rs = ReputationSystem("rs-test")
-    assert rs.load_rating_log(path) == 20
+        append_record(path, {**record.to_record(), "aik_digest": f"aik-{n:03d}"})
+    rs = ReputationSystem("rs-test", rating_log=path)
+    assert len(rs.records) == rs.spent_count == 20
     assert rs.aggregate("subj").score == _brute_force(pairs)

@@ -74,6 +74,42 @@ def test_transcript_matches_golden_digest(name):
     assert digest == GOLDEN_TRANSCRIPTS[name]
 
 
+# every tamper mode on an agent with no fresh ticket, then crossover with no
+# other agent, an unknown one and one with no fresh ticket; each is a
+# scenario error, and an honest redeem and a score still follow
+DRILL_ERRORS = {
+    "seed": 11,
+    "groups": {"1": {"impact": "1"}},
+    "agents": [{"name": "a"}, {"name": "b"}, {"name": "c"}],
+    "script": [
+        {"action": "register", "agent": "a"},
+        {"action": "register", "agent": "c"},
+        *(
+            {"action": "tamper", "agent": "a", "mode": mode, "other": "c"}
+            for mode in ("bitflip", "replay", "crossover", "aik-sign")
+        ),
+        {"action": "acquire", "agent": "a", "group": 1},
+        {"action": "tamper", "agent": "a", "mode": "crossover"},
+        {"action": "tamper", "agent": "a", "mode": "crossover", "other": "ghost"},
+        {"action": "tamper", "agent": "a", "mode": "crossover", "other": "b"},
+        {"action": "tamper", "agent": "a", "mode": "crossover", "other": "c"},
+        {"action": "redeem", "agent": "a", "subject": "s", "score": 4},
+        {"action": "score", "subject": "s"},
+    ],
+}
+DRILL_ERRORS_DIGEST = "b4c4ba2eb9e3392abf7bb17c1e30bee9e589f02d5ca9021dda6dcf324e86508f"
+
+
+@pytest.mark.parametrize("transport", ["inproc", "socket"])
+def test_drill_error_branches(transport):
+    transcript = run_scenario(ScenarioConfig.from_dict(DRILL_ERRORS), transport=transport)
+    tampers = actions(transcript, "tamper")
+    assert [e["outcome"] for e in tampers] == ["error:scenario-error"] * 8
+    assert [e["outcome"] for e in actions(transcript, "redeem")] == ["ack"]
+    assert actions(transcript, "score")[0]["detail"] == {"subject": "s", "count": 1, "score": "4"}
+    assert hashlib.sha256(transcript.to_bytes()).hexdigest() == DRILL_ERRORS_DIGEST
+
+
 def test_config_errors_found_before_services_start():
     raw = json.loads((SCENARIOS / "basic.json").read_text())
     raw["script"].append({"action": "acquire", "agent": "ghost", "group": 1})

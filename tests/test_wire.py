@@ -1,3 +1,7 @@
+import socket
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,7 +11,8 @@ from hypothesis import strategies as st
 from pseudorate.charging import PricingPolicy
 from pseudorate.crypto import key_id_of
 from pseudorate.encoding import decode, encode
-from pseudorate.reputation import Ack
+from pseudorate.encoding import read_records
+from pseudorate.reputation import Ack, ReputationSystem
 from pseudorate.wire import (
     CpClient,
     InprocTransport,
@@ -19,13 +24,15 @@ from pseudorate.wire import (
     SocketServer,
     SocketTransport,
     WireError,
+    _read_frame,
+    _write_frame,
     decode_request,
     decode_response,
     encode_request,
     encode_response,
 )
 
-from support import TOKEN, make_stack
+from support import TOKEN, honest_chain, make_stack
 
 
 def full_router(stack):
@@ -236,3 +243,113 @@ def test_tap_records_both_directions():
     transport = InprocTransport(full_router(stack), tap=tap)
     CpClient(transport).get_policy()
     assert [d for d, _ in tap] == ["send", "recv"]
+
+
+def test_closed_server_answers_no_open_connection(tmp_path):
+    """A rebuilt RS serves the port once the old server is closed; a
+    connection opened before the close must not reach the old RS, or one
+    ticket leaves two ratings in the shared log."""
+    log = tmp_path / "ratings.log"
+    stack = make_stack(5, rs_kwargs={"rating_log": log})
+    agent = stack.new_agent("w")
+    (_, p1, c1), (_, p2, c2) = honest_chain(stack, agent), honest_chain(stack, agent)
+    server_a = SocketServer(full_router(stack))
+    early = SocketTransport(server_a.host, server_a.port)
+    assert isinstance(RsClient(early).submit_rating(p1, c1), Ack)
+    server_a.close()
+
+    rs_b = ReputationSystem(stack.rs.rs_id, rating_log=log)
+    rs_b.configure_groups(stack.pca.group_registry())
+    server_b = SocketServer(Router(rs=rs_b), port=server_a.port)
+    late = SocketTransport(server_b.host, server_b.port)
+    try:
+        with pytest.raises(OSError):
+            RsClient(early).submit_rating(p2, c2)
+        assert isinstance(RsClient(late).submit_rating(p2, c2), Ack)
+    finally:
+        early.close()
+        late.close()
+        server_b.close()
+    assert len(read_records(log)) == 2
+    assert ReputationSystem(stack.rs.rs_id, rating_log=log).spent_count == 2
+
+
+def test_socket_transport_reconnects_after_the_server_drops_it():
+    router = full_router(make_stack(1))
+    listener = socket.create_server(("127.0.0.1", 0))
+    served = []
+
+    def one_frame_per_connection():
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return
+            with conn:
+                frame = _read_frame(conn)
+                served.append(frame)
+                _write_frame(conn, router.handle(frame))
+
+    thread = threading.Thread(target=one_frame_per_connection, daemon=True)
+    thread.start()
+    transport = SocketTransport(*listener.getsockname()[:2])
+    frame = encode_request("rs/score", {"subject": "x"}, b"\x01")
+    try:
+        assert decode_response(transport.request(frame))[2] == "ok"
+        # the server dropped that connection: one request fails, and it is
+        # not sent again on a new one
+        with pytest.raises(OSError):
+            transport.request(frame)
+        assert decode_response(transport.request(frame))[2] == "ok"
+        assert len(served) == 2
+    finally:
+        transport.close()
+        listener.shutdown(socket.SHUT_RDWR)
+        listener.close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_close_under_load_returns_after_the_last_request():
+    router = full_router(make_stack(1))
+    handled = []
+
+    class CountingRouter:
+        def handle(self, data: bytes) -> bytes:
+            response = router.handle(data)
+            handled.append(1)
+            return response
+
+    server = SocketServer(CountingRouter())
+    frame = encode_request("rs/score", {"subject": "x"}, b"\x01")
+    failures = []
+
+    def client():
+        transport = SocketTransport(server.host, server.port)
+        try:
+            while True:
+                transport.request(frame)
+        except OSError as exc:
+            failures.append(exc)
+        finally:
+            transport.close()
+
+    clients = [threading.Thread(target=client, daemon=True) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in clients:
+            thread.start()
+        deadline = time.monotonic() + 10
+        while len(handled) < 200 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        server.close()
+        handled_at_close = len(handled)
+        for thread in clients:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert handled_at_close >= 200
+    assert not any(thread.is_alive() for thread in clients)
+    assert len(failures) == len(clients)
+    assert len(handled) == handled_at_close
