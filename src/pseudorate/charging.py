@@ -26,14 +26,6 @@ class ChargingError(TicketError):
     code = "charging-error"
 
 
-class UnknownAccount(ChargingError):
-    code = "unknown-account"
-
-
-class InvalidShares(ChargingError):
-    code = "invalid-shares"
-
-
 @dataclass(frozen=True)
 class RevenueShares:
     cp: Fraction
@@ -43,11 +35,11 @@ class RevenueShares:
     def __post_init__(self):
         parts = (self.cp, self.pca, self.rs)
         if any(not isinstance(p, Fraction) for p in parts):
-            raise InvalidShares("shares must be fractions")
+            raise ChargingError("shares must be fractions", code="invalid-shares")
         if any(p < 0 for p in parts):
-            raise InvalidShares("shares must be non-negative")
+            raise ChargingError("shares must be non-negative", code="invalid-shares")
         if sum(parts) != 1:
-            raise InvalidShares("shares must sum to exactly 1")
+            raise ChargingError("shares must sum to exactly 1", code="invalid-shares")
 
     def to_record(self) -> dict:
         return {"cp": str(self.cp), "pca": str(self.pca), "rs": str(self.rs)}
@@ -57,7 +49,7 @@ class RevenueShares:
         try:
             return cls(Fraction(record["cp"]), Fraction(record["pca"]), Fraction(record["rs"]))
         except (KeyError, ValueError, ZeroDivisionError, TypeError) as exc:
-            raise InvalidShares(f"bad shares record: {exc}") from exc
+            raise ChargingError(f"bad shares record: {exc}", code="invalid-shares") from exc
 
 
 @dataclass(frozen=True)
@@ -304,7 +296,7 @@ class ChargingProvider:
         try:
             return self._accounts[account_id]
         except KeyError:
-            raise UnknownAccount(f"unknown account {account_id}") from None
+            raise ChargingError(f"unknown account {account_id}", code="unknown-account") from None
 
     def _commit(self, record: dict) -> None:
         if self._ledger_log:

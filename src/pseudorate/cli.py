@@ -21,7 +21,7 @@ from pathlib import Path
 from . import crypto
 from .encoding import EncodingError, decode
 from .errors import TicketError
-from .reputation import RatingPayload
+from .reputation import RatingPayload, ReputationSystem
 from .scenario import ScenarioConfig, ScenarioError, Transcript, run_scenario
 
 
@@ -55,11 +55,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def demo_config(seed: int = 42) -> dict:
+def demo_config() -> dict:
     """Built-in scenario: three agents buy tickets in different value groups,
     rate two subjects, pay at redemption, and revenue is shared."""
     return {
-        "seed": seed,
+        "seed": 42,
         "rs_id": "rs-demo",
         "groups": {
             "1": {"impact": "1"},
@@ -132,7 +132,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
     if isinstance(raw, dict) and "events" in raw:
-        bundles = Transcript.from_bytes(args.file.read_bytes()).chain_bundles()
+        bundles = Transcript.from_record(raw).chain_bundles()
         if not bundles:
             print("transcript contains no chains")
             return 1
@@ -155,7 +155,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     except (OSError, EncodingError, ScenarioError) as exc:
         print(f"error: cannot read transcript: {exc}", file=sys.stderr)
         return 2
-    score = transcript.final.get("scores", {}).get(args.subject, "no-score")
+    score = transcript.final.get("scores", {}).get(args.subject, ReputationSystem.none_value)
     print(f"{args.subject} {score}")
     return 0
 
@@ -169,12 +169,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "run":
-            config = ScenarioConfig.from_json_file(args.scenario)
-            return _cmd_run(args, config)
+            return _cmd_run(args, ScenarioConfig.from_json_file(args.scenario))
         if args.command == "demo":
-            config = ScenarioConfig.from_dict(demo_config(args.seed if args.seed is not None else 42))
-            args.seed = None  # already baked into the config
-            return _cmd_run(args, config)
+            return _cmd_run(args, ScenarioConfig.from_dict(demo_config()))
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "score":

@@ -1,5 +1,6 @@
-"""Shared error base. Every service failure carries a stable machine-readable
-code that the wire layer maps to protocol error responses."""
+"""Shared error base. Every service failure is a :class:`TicketError` whose
+stable machine-readable ``code`` names it; the wire layer sends that code in
+its error responses, and clients raise it again as the same code."""
 
 from __future__ import annotations
 
@@ -8,9 +9,9 @@ class TicketError(Exception):
     code = "internal"
 
     def __init__(self, message: str = "", *, code: str | None = None):
-        super().__init__(message or self.__class__.code)
         if code is not None:
             self.code = code
+        super().__init__(message or self.code)
 
 
 class InvalidArgument(TicketError):

@@ -40,34 +40,6 @@ class PcaError(TicketError):
     code = "pca-error"
 
 
-class DuplicateEk(PcaError):
-    code = "duplicate-ek"
-
-
-class DuplicateAik(PcaError):
-    code = "duplicate-aik"
-
-
-class UnregisteredPlatform(PcaError):
-    code = "unregistered-platform"
-
-
-class UnknownPlatform(PcaError):
-    code = "unknown-platform"
-
-
-class HandshakeFailed(PcaError):
-    code = "handshake-failed"
-
-
-class Forbidden(PcaError):
-    code = "forbidden"
-
-
-class NotFound(PcaError):
-    code = "not-found"
-
-
 @dataclass(frozen=True)
 class GroupConfig:
     impact: Fraction
@@ -133,9 +105,10 @@ class PrivacyCa:
         self._group_keys = {g: crypto.generate_keypair(seed=self._randbytes(32)) for g in sorted(groups)}
         self._charging = charging
         self._pricing = pricing
+        # ex-post charges reach the authority through charge_for_ticket only
         for phase in charge_phases:
-            if phase not in (PHASE_ACQUISITION, PHASE_EX_POST):
-                raise InvalidArgument(f"unknown charge phase {phase!r}")
+            if phase != PHASE_ACQUISITION:
+                raise InvalidArgument(f"the authority charges only at acquisition, not {phase!r}")
         self._charge_phases = tuple(charge_phases)
         self._authority_tokens = set(authority_tokens or ())
         # one writer at a time: nonce consumption and the identity index are
@@ -173,7 +146,7 @@ class PrivacyCa:
         with self._lock:
             platform_id = crypto.sha256_hex(ek_public)
             if platform_id in self._platforms:
-                raise DuplicateEk("endorsement key already registered")
+                raise PcaError("endorsement key already registered", code="duplicate-ek")
             self._commit(
                 {
                     "kind": "register",
@@ -194,13 +167,13 @@ class PrivacyCa:
         with self._lock:
             record = self._platforms.get(platform_id)
             if record is None:
-                raise UnregisteredPlatform("platform not registered")
+                raise PcaError("platform not registered", code="unregistered-platform")
             self._require_group(group)
             if record.blacklisted:
                 return DeniedRequest(reason="blacklisted")
             aik_digest = crypto.key_id_of(aik_public)
             if aik_digest in self._tickets:
-                raise DuplicateAik("identity key already carries a ticket")
+                raise PcaError("identity key already carries a ticket", code="duplicate-aik")
 
             charge_ref = self._randbytes(16).hex()
             if PHASE_ACQUISITION in self._charge_phases:
@@ -226,16 +199,16 @@ class PrivacyCa:
         with self._lock:
             pending = self._pending.pop(nonce, None)  # single use, valid or not
             if pending is None:
-                raise HandshakeFailed("unknown or already-used challenge")
+                raise PcaError("unknown or already-used challenge", code="handshake-failed")
             if self._clock.now() > pending.expires:
-                raise HandshakeFailed("challenge expired")
+                raise PcaError("challenge expired", code="handshake-failed")
             if not crypto.verify(
                 pending.aik_public, crypto.ISSUANCE_NONCE_DOMAIN + nonce, signature
             ):
-                raise HandshakeFailed("possession proof did not verify")
+                raise PcaError("possession proof did not verify", code="handshake-failed")
             aik_digest = crypto.key_id_of(pending.aik_public)
             if aik_digest in self._tickets:
-                raise HandshakeFailed("identity key already carries a ticket")
+                raise PcaError("identity key already carries a ticket", code="handshake-failed")
 
             record = self._platforms[pending.platform_id]
             identity_label = self._randbytes(8).hex()
@@ -272,10 +245,10 @@ class PrivacyCa:
         contractual bearer token."""
         with self._lock:
             if authority_token not in self._authority_tokens:
-                raise Forbidden("missing or invalid authority token")
+                raise PcaError("missing or invalid authority token", code="forbidden")
             ticket = self._tickets.get(aik_digest)
             if ticket is None:
-                raise NotFound("no ticket issued for that identity key")
+                raise PcaError("no ticket issued for that identity key", code="not-found")
             return self._platforms[ticket.platform_id]
 
     # -- policy enforcement ------------------------------------------------------
@@ -284,7 +257,7 @@ class PrivacyCa:
         with self._lock:
             record = self._platforms.get(platform_id)
             if record is None:
-                raise UnknownPlatform("platform not registered")
+                raise PcaError("platform not registered", code="unknown-platform")
             self._commit({"kind": "blacklist", "platform_id": platform_id, "flag": int(flag)})
 
     # -- charging ------------------------------------------------------------------
@@ -295,7 +268,7 @@ class PrivacyCa:
         with self._lock:
             ticket = self._tickets.get(aik_digest)
             if ticket is None:
-                raise NotFound("no ticket issued for that identity key")
+                raise PcaError("no ticket issued for that identity key", code="not-found")
             return self._charge(self._platforms[ticket.platform_id], group, ticket.charge_ref, PHASE_EX_POST)
 
     def _charge(

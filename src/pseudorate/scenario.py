@@ -38,7 +38,6 @@ from .wire import (
     PcaClient,
     Router,
     RsClient,
-    ServiceFault,
     SocketServer,
     SocketTransport,
     decode_response,
@@ -209,7 +208,10 @@ class Transcript:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Transcript":
-        raw = decode(data)
+        return cls.from_record(decode(data))
+
+    @classmethod
+    def from_record(cls, raw: object) -> "Transcript":
         if not (
             isinstance(raw, dict)
             and raw.keys() == {"version", "seed", "events", "final", "groups"}
@@ -454,7 +456,7 @@ def _drive(config: ScenarioConfig, stack: _Stack) -> Transcript:
 
         except TicketDenied as exc:
             record(action, agent_name, f"denied:{exc.reason}", {})
-        except (ServiceFault, TicketError) as exc:
+        except TicketError as exc:
             record(action, agent_name, f"error:{exc.code}", {})
 
     drain_messages()

@@ -34,34 +34,6 @@ class TpmError(TicketError):
     code = "tpm-error"
 
 
-class InvalidHandle(TpmError):
-    code = "invalid-handle"
-
-
-class NotActivated(TpmError):
-    code = "not-activated"
-
-
-class AlreadyActivated(TpmError):
-    code = "already-activated"
-
-
-class WrongPlatform(TpmError):
-    code = "wrong-platform"
-
-
-class ForeignBlob(TpmError):
-    code = "foreign-blob"
-
-
-class MalformedBlob(TpmError):
-    code = "malformed-blob"
-
-
-class ForbiddenKeyUse(TpmError):
-    code = "forbidden-aik-signing"
-
-
 @dataclass
 class ShieldedKey:
     handle: int
@@ -116,13 +88,13 @@ class TpmInstance:
         with self._lock:
             key = self._get(handle)
             if key.kind != KIND_AIK:
-                raise InvalidHandle("handle is not an identity key")
+                raise TpmError("handle is not an identity key", code="invalid-handle")
             if key.activated:
-                raise AlreadyActivated("identity already activated")
+                raise TpmError("identity already activated", code="already-activated")
             try:
                 plaintext = crypto.unseal(self._ek.pair, activation_blob)
             except SealError as exc:
-                raise WrongPlatform("blob not sealed to this platform") from exc
+                raise TpmError("blob not sealed to this platform", code="wrong-platform") from exc
             try:
                 record = decode(plaintext)
                 aik_public = record["aik"]
@@ -131,11 +103,11 @@ class TpmInstance:
                 if not isinstance(aik_public, bytes) or not isinstance(blob_nonce, bytes):
                     raise EncodingError("bad blob fields")
             except (EncodingError, KeyError, TypeError) as exc:
-                raise MalformedBlob("undecodable activation blob") from exc
+                raise TpmError("undecodable activation blob", code="malformed-blob") from exc
             if aik_public != key.public:
                 raise TpmError("blob targets a different identity key", code="aik-mismatch")
             if blob_nonce in self._used_blob_nonces:
-                raise AlreadyActivated("activation blob replayed")
+                raise TpmError("activation blob replayed", code="already-activated")
             self._used_blob_nonces.add(blob_nonce)
             key.activated = True
             key.credential = credential
@@ -164,12 +136,12 @@ class TpmInstance:
         with self._lock:
             blob = wrapped.private_blob
             if len(blob) < 12 + 16:
-                raise MalformedBlob("wrapped blob too short")
+                raise TpmError("wrapped blob too short", code="malformed-blob")
             nonce, cipher = blob[:12], blob[12:]
             try:
                 private = ChaCha20Poly1305(self._wrap_key).decrypt(nonce, cipher, wrapped.public)
             except InvalidTag as exc:
-                raise ForeignBlob("wrapped key was not created by this instance") from exc
+                raise TpmError("wrapped key was not created by this instance", code="foreign-blob") from exc
             return self._store(crypto.signing_pair(private), KIND_CSK).handle
 
     def certify_key(self, aik_handle: int, csk_handle: int) -> Credential:
@@ -179,9 +151,9 @@ class TpmInstance:
             aik = self._get(aik_handle)
             csk = self._get(csk_handle)
             if aik.kind != KIND_AIK or csk.kind != KIND_CSK:
-                raise InvalidHandle("certify needs an identity key and a signing key")
+                raise TpmError("certify needs an identity key and a signing key", code="invalid-handle")
             if not aik.activated:
-                raise NotActivated("identity key not activated")
+                raise TpmError("identity key not activated", code="not-activated")
             meta = {
                 "kind": "certified-signing-key",
                 "statement": "key-held-in-shielded-location-never-revealed",
@@ -196,9 +168,9 @@ class TpmInstance:
         with self._lock:
             key = self._get(handle)
             if key.kind == KIND_AIK:
-                raise ForbiddenKeyUse("identity keys never sign arbitrary data")
+                raise TpmError("identity keys never sign arbitrary data", code="forbidden-aik-signing")
             if key.kind == KIND_EK:
-                raise ForbiddenKeyUse("endorsement key never signs", code="forbidden-ek-signing")
+                raise TpmError("endorsement key never signs", code="forbidden-ek-signing")
             return crypto.sign(key.pair, payload)
 
     def sign_issuance_nonce(self, handle: int, nonce: bytes) -> bytes:
@@ -207,7 +179,7 @@ class TpmInstance:
         with self._lock:
             key = self._get(handle)
             if key.kind != KIND_AIK:
-                raise InvalidHandle("challenge-response needs an identity key")
+                raise TpmError("challenge-response needs an identity key", code="invalid-handle")
             return crypto.sign(key.pair, crypto.ISSUANCE_NONCE_DOMAIN + nonce)
 
     # -- internals -----------------------------------------------------------
@@ -223,4 +195,4 @@ class TpmInstance:
         try:
             return self._keys[handle]
         except KeyError:
-            raise InvalidHandle(f"unknown handle {handle}") from None
+            raise TpmError(f"unknown handle {handle}", code="invalid-handle") from None

@@ -40,13 +40,6 @@ class WireError(TicketError):
     code = "protocol-error"
 
 
-class ServiceFault(TicketError):
-    """Error response received from a remote service."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message, code=code)
-
-
 def encode_request(endpoint: str, body: dict, correlation_id: bytes) -> bytes:
     return encode(
         {"version": WIRE_VERSION, "endpoint": endpoint, "correlation_id": correlation_id, "body": body}
@@ -398,7 +391,7 @@ class _Client:
         if r_corr != corr and r_corr != b"":
             raise WireError("correlation id mismatch")
         if status == "error":
-            raise ServiceFault(str(r_body.get("code", "internal")), str(r_body.get("message", "")))
+            raise TicketError(str(r_body.get("message", "")), code=str(r_body.get("code", "internal")))
         return r_body
 
 

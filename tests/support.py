@@ -1,21 +1,35 @@
 """Shared builders for the test suite: a directly-wired service stack (no
-wire layer) and helpers to build honest chains and mutate them."""
+wire layer), helpers to build honest chains and mutate them, and
+``raises_code`` to expect a failure by its error code."""
 
 from __future__ import annotations
 
+import contextlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+import pytest
 
 from pseudorate.agent import TrustedAgent
 from pseudorate.charging import ChargingProvider, PricingPolicy, RevenueShares
 from pseudorate.clock import SimClock
 from pseudorate.crypto import Credential, CredentialChain
+from pseudorate.errors import TicketError
 from pseudorate.privacy_ca import GroupConfig, PrivacyCa
 from pseudorate.reputation import ReputationSystem
 from pseudorate.tpm import TpmInstance
 
 TOKEN = "token-for-tests"
+
+
+@contextlib.contextmanager
+def raises_code(code: str):
+    """Expect a :class:`TicketError` whose code is exactly ``code``; yields
+    pytest's exception info."""
+    with pytest.raises(TicketError) as excinfo:
+        yield excinfo
+    assert excinfo.value.code == code
 
 
 @dataclass

@@ -24,10 +24,10 @@ from pseudorate.crypto import CredentialChain, key_id_of, verify_chain
 from pseudorate.encoding import EncodingError, encode
 from pseudorate.errors import TicketError
 from pseudorate.reputation import Ack, RatingPayload, RatingRecord, Reject, ReputationSystem
-from pseudorate.tpm import ForbiddenKeyUse, TpmInstance
+from pseudorate.tpm import TpmInstance
 from pseudorate.wire import InprocTransport, PcaClient, Router, RsClient, encode_request
 
-from support import TOKEN, all_single_field_mutants, honest_chain, make_stack, private_material
+from support import TOKEN, all_single_field_mutants, honest_chain, make_stack, private_material, raises_code
 
 
 def ok(n: int, name: str, detail: str) -> None:
@@ -153,7 +153,7 @@ def test_4_identity_key_signing_restriction():
     for handle in handles:
         for _ in range(20):
             payload = rng.randbytes(rng.randrange(0, 64))
-            with pytest.raises(ForbiddenKeyUse):
+            with raises_code("forbidden-aik-signing"):
                 agent.tpm.sign_with_key(handle, payload)
             attempts += 1
     assert attempts == 120

@@ -4,10 +4,10 @@ import pytest
 
 from pseudorate.agent import STATE_FRESH, STATE_SPENT, TicketDenied, TrustedAgent
 from pseudorate.reputation import Ack, Reject
-from pseudorate.tpm import ForbiddenKeyUse, TpmInstance
+from pseudorate.tpm import TpmInstance
 from pseudorate.wire import InprocTransport, PcaClient, Router, RsClient, decode_request
 
-from support import make_stack
+from support import make_stack, raises_code
 
 # body fields each endpoint is allowed to carry, per docs/FORMATS.md;
 # anything extra would be platform state sneaking out of the agent
@@ -114,7 +114,7 @@ def test_direct_identity_signing_fails_before_any_message():
     ticket = agent.acquire_ticket(1)
     messages_before = len(tap)
     payload = agent.make_payload("seller", 5)
-    with pytest.raises(ForbiddenKeyUse):
+    with raises_code("forbidden-aik-signing"):
         agent.tpm.sign_with_key(ticket.aik_handle, payload.canonical_bytes())
     assert len(tap) == messages_before  # nothing left the platform
 

@@ -13,14 +13,13 @@ from pseudorate.charging import (
     Declined,
     PricingPolicy,
     RevenueShares,
-    UnknownAccount,
     price,
     split_revenue,
 )
 from pseudorate.clock import SimClock
 from pseudorate.errors import InvalidArgument, UnknownGroup
 
-from support import make_stack
+from support import make_stack, raises_code
 
 THIRDS = RevenueShares(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 
@@ -98,11 +97,9 @@ def test_split_rejects_negative_amount():
 
 
 def test_invalid_shares_rejected():
-    from pseudorate.charging import InvalidShares
-
-    with pytest.raises(InvalidShares):
+    with raises_code("invalid-shares"):
         RevenueShares(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
-    with pytest.raises(InvalidShares):
+    with raises_code("invalid-shares"):
         RevenueShares(Fraction(3, 2), Fraction(-1, 2), Fraction(0))
 
 
@@ -157,7 +154,7 @@ def test_charge_beyond_limit_declined_and_unchanged():
 
 def test_unknown_account():
     cp = _provider()
-    with pytest.raises(UnknownAccount):
+    with raises_code("unknown-account"):
         cp.charge("ghost", 1, group=1, phase="acquisition")
 
 

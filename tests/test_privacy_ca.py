@@ -6,21 +6,10 @@ import pytest
 from pseudorate import crypto
 from pseudorate.charging import PricingPolicy
 from pseudorate.errors import InvalidArgument, UnknownGroup
-from pseudorate.privacy_ca import (
-    Challenge,
-    DeniedRequest,
-    DuplicateAik,
-    DuplicateEk,
-    Forbidden,
-    GroupConfig,
-    HandshakeFailed,
-    NotFound,
-    PrivacyCa,
-    UnregisteredPlatform,
-)
+from pseudorate.privacy_ca import Challenge, DeniedRequest, GroupConfig, PrivacyCa
 from pseudorate.tpm import TpmInstance
 
-from support import TOKEN, make_stack
+from support import TOKEN, make_stack, raises_code
 
 
 def test_group_table_must_be_dense_and_positive():
@@ -32,12 +21,22 @@ def test_group_table_must_be_dense_and_positive():
         PrivacyCa({})
 
 
+def test_authority_charges_only_at_acquisition():
+    """Ex-post charges reach the authority through charge_for_ticket only, so
+    acquisition is the one phase it may be built to charge in."""
+    groups = {1: GroupConfig(Fraction(1))}
+    PrivacyCa(groups, charge_phases=("acquisition",))
+    for phases in (("ex_post",), ("acquisition", "ex_post"), ("later",)):
+        with pytest.raises(InvalidArgument):
+            PrivacyCa(groups, charge_phases=phases)
+
+
 def test_register_and_duplicate():
     stack = make_stack(1)
     tpm = TpmInstance()
     platform_id = stack.pca.register_platform(tpm.ek_public, "acct-x")
     assert platform_id == crypto.sha256_hex(tpm.ek_public)
-    with pytest.raises(DuplicateEk):
+    with raises_code("duplicate-ek"):
         stack.pca.register_platform(tpm.ek_public, "acct-x")
     other = TpmInstance()
     assert stack.pca.register_platform(other.ek_public, "acct-y") != platform_id
@@ -45,7 +44,7 @@ def test_register_and_duplicate():
 
 def test_request_unregistered_platform():
     stack = make_stack(1)
-    with pytest.raises(UnregisteredPlatform):
+    with raises_code("unregistered-platform"):
         stack.pca.request_credential(b"k" * 32, 1, "nope")
 
 
@@ -96,7 +95,7 @@ def test_handshake_nonce_single_use():
     challenge = stack.pca.request_credential(public, 1, agent.platform_id)
     signature = agent.tpm.sign_issuance_nonce(handle, challenge.nonce)
     stack.pca.complete_handshake(challenge.nonce, signature)
-    with pytest.raises(HandshakeFailed):
+    with raises_code("handshake-failed"):
         stack.pca.complete_handshake(challenge.nonce, signature)
 
 
@@ -107,7 +106,7 @@ def test_handshake_rejects_other_identitys_signature():
     impostor_handle, _ = agent.tpm.make_identity()
     challenge = stack.pca.request_credential(public, 1, agent.platform_id)
     forged = agent.tpm.sign_issuance_nonce(impostor_handle, challenge.nonce)
-    with pytest.raises(HandshakeFailed):
+    with raises_code("handshake-failed"):
         stack.pca.complete_handshake(challenge.nonce, forged)
 
 
@@ -118,7 +117,7 @@ def test_handshake_expiry():
     challenge = stack.pca.request_credential(public, 1, agent.platform_id)
     stack.clock.advance(301)
     signature = agent.tpm.sign_issuance_nonce(handle, challenge.nonce)
-    with pytest.raises(HandshakeFailed):
+    with raises_code("handshake-failed"):
         stack.pca.complete_handshake(challenge.nonce, signature)
 
 
@@ -127,7 +126,7 @@ def test_duplicate_identity_key_rejected():
     agent = stack.new_agent("a")
     ticket = agent.acquire_ticket(1)
     public = ticket.credential.entity
-    with pytest.raises(DuplicateAik):
+    with raises_code("duplicate-aik"):
         stack.pca.request_credential(public, 1, agent.platform_id)
 
 
@@ -139,9 +138,9 @@ def test_resolve_identity_requires_token():
     record = stack.pca.resolve_identity(digest, TOKEN)
     assert record.platform_id == agent.platform_id
     assert record.user_account == agent.user_account
-    with pytest.raises(Forbidden):
+    with raises_code("forbidden"):
         stack.pca.resolve_identity(digest, "wrong-token")
-    with pytest.raises(NotFound):
+    with raises_code("not-found"):
         stack.pca.resolve_identity("ff" * 32, TOKEN)
 
 

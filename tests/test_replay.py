@@ -8,8 +8,9 @@ from collections import Counter
 from fractions import Fraction
 
 from pseudorate.agent import TicketDenied
-from pseudorate.charging import PHASES, ChargingProvider, Declined, PricingPolicy, RevenueShares, UnknownAccount
+from pseudorate.charging import PHASES, ChargingProvider, Declined, PricingPolicy, RevenueShares
 from pseudorate.clock import SimClock
+from pseudorate.errors import TicketError
 from pseudorate.privacy_ca import GroupConfig, PrivacyCa
 from pseudorate.reputation import Ack, ReputationSystem
 
@@ -77,7 +78,8 @@ def _drive(tmp_path, seed: int):
                 outcomes["issued"] += 1
             except TicketDenied as exc:
                 outcomes[exc.reason] += 1
-            except UnknownAccount:
+            except TicketError as exc:
+                assert exc.code == "unknown-account"
                 outcomes["charge-raised"] += 1
         else:
             ticket = rng.choice(agent.tickets)

@@ -3,19 +3,9 @@ import random
 import pytest
 
 from pseudorate import crypto
-from pseudorate.tpm import (
-    AlreadyActivated,
-    ForbiddenKeyUse,
-    ForeignBlob,
-    InvalidHandle,
-    MalformedBlob,
-    NotActivated,
-    TpmError,
-    TpmInstance,
-    WrongPlatform,
-)
+from pseudorate.tpm import TpmError, TpmInstance
 
-from support import make_stack
+from support import make_stack, raises_code
 
 
 def make_blob(ek_public: bytes, aik_public: bytes, nonce: bytes = b"n" * 16) -> bytes:
@@ -60,7 +50,7 @@ def test_activation_blob_for_other_platform_rejected():
     tpm, other = TpmInstance(), TpmInstance()
     handle, public = tpm.make_identity()
     blob = make_blob(other.ek_public, public)
-    with pytest.raises(WrongPlatform):
+    with raises_code("wrong-platform"):
         tpm.activate_identity(handle, blob)
     assert not tpm.is_activated(handle)
 
@@ -70,7 +60,7 @@ def test_activation_blob_replay_rejected():
     handle, public = tpm.make_identity()
     blob = make_blob(tpm.ek_public, public)
     tpm.activate_identity(handle, blob)
-    with pytest.raises(AlreadyActivated):
+    with raises_code("already-activated"):
         tpm.activate_identity(handle, blob)
 
 
@@ -87,14 +77,14 @@ def test_activation_blob_for_other_identity_rejected():
 def test_activation_on_non_identity_handle_rejected():
     tpm = TpmInstance()
     csk = tpm.load_key(tpm.cmk_create_key())
-    with pytest.raises(InvalidHandle):
+    with raises_code("invalid-handle"):
         tpm.activate_identity(csk, b"anything")
 
 
 def test_garbage_blob_is_wrong_platform_not_crash():
     tpm = TpmInstance()
     handle, _ = tpm.make_identity()
-    with pytest.raises(WrongPlatform):
+    with raises_code("wrong-platform"):
         tpm.activate_identity(handle, b"\x00" * 64)
 
 
@@ -109,7 +99,7 @@ def test_wrapped_key_round_trip():
 def test_wrapped_key_foreign_load_rejected():
     tpm, other = TpmInstance(), TpmInstance()
     wrapped = tpm.cmk_create_key()
-    with pytest.raises(ForeignBlob):
+    with raises_code("foreign-blob"):
         other.load_key(wrapped)
 
 
@@ -118,7 +108,7 @@ def test_wrapped_key_malformed_blob():
     wrapped = tpm.cmk_create_key()
     from pseudorate.tpm import WrappedKey
 
-    with pytest.raises(MalformedBlob):
+    with raises_code("malformed-blob"):
         tpm.load_key(WrappedKey(public=wrapped.public, private_blob=b"xx"))
 
 
@@ -148,7 +138,7 @@ def test_certify_requires_activation():
     tpm = TpmInstance()
     aik, public = tpm.make_identity()
     csk = tpm.load_key(tpm.cmk_create_key())
-    with pytest.raises(NotActivated):
+    with raises_code("not-activated"):
         tpm.certify_key(aik, csk)
     tpm.activate_identity(aik, make_blob(tpm.ek_public, public))
     cred = tpm.certify_key(aik, csk)
@@ -162,7 +152,7 @@ def test_certify_cross_instance_handle_rejected():
     aik, public = tpm.make_identity()
     tpm.activate_identity(aik, make_blob(tpm.ek_public, public))
     foreign_csk = other.load_key(other.cmk_create_key())
-    with pytest.raises(InvalidHandle):
+    with raises_code("invalid-handle"):
         tpm.certify_key(aik, foreign_csk)
 
 
@@ -171,21 +161,19 @@ def test_identity_key_never_signs_payloads():
     aik, public = tpm.make_identity()
     tpm.activate_identity(aik, make_blob(tpm.ek_public, public))
     for payload in (b"", b"r", b"x" * 100, crypto.ISSUANCE_NONCE_DOMAIN + b"n"):
-        with pytest.raises(ForbiddenKeyUse) as excinfo:
+        with raises_code("forbidden-aik-signing"):
             tpm.sign_with_key(aik, payload)
-        assert excinfo.value.code == "forbidden-aik-signing"
 
 
 def test_endorsement_key_never_signs():
     tpm = TpmInstance()
-    with pytest.raises(ForbiddenKeyUse) as excinfo:
+    with raises_code("forbidden-ek-signing"):
         tpm.sign_with_key(0, b"payload")
-    assert excinfo.value.code == "forbidden-ek-signing"
 
 
 def test_unknown_handle():
     tpm = TpmInstance()
-    with pytest.raises(InvalidHandle):
+    with raises_code("invalid-handle"):
         tpm.sign_with_key(77, b"payload")
 
 
@@ -200,7 +188,7 @@ def test_issuance_nonce_signing_allowed_before_activation():
 def test_issuance_nonce_needs_identity_key():
     tpm = TpmInstance()
     csk = tpm.load_key(tpm.cmk_create_key())
-    with pytest.raises(InvalidHandle):
+    with raises_code("invalid-handle"):
         tpm.sign_issuance_nonce(csk, b"n")
 
 

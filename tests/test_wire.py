@@ -20,7 +20,6 @@ from pseudorate.wire import (
     ROUTES,
     Router,
     RsClient,
-    ServiceFault,
     SocketServer,
     SocketTransport,
     WireError,
@@ -32,7 +31,7 @@ from pseudorate.wire import (
     encode_response,
 )
 
-from support import TOKEN, honest_chain, make_stack
+from support import TOKEN, honest_chain, make_stack, raises_code
 
 
 def full_router(stack):
@@ -145,15 +144,46 @@ test_submission_endpoint_total_over_fuzzed_records.router = Router(
 )
 
 
-def test_error_codes_surface_through_clients():
-    stack = make_stack(1)
-    pca_client, rs_client, cp_client = clients(InprocTransport(full_router(stack)))
-    with pytest.raises(ServiceFault) as excinfo:
-        cp_client.balance("ghost")
-    assert excinfo.value.code == "unknown-account"
-    with pytest.raises(ServiceFault) as excinfo:
-        pca_client.resolve_identity("00" * 32, "bad-token")
-    assert excinfo.value.code == "forbidden"
+# "endpoint:code" -> the failing call, for every error code the certification
+# authority and the charging provider send. Each call takes the service or its
+# wire client, agent a (holds a ticket) and agent b (registered, no account).
+ERROR_CASES = {
+    "pca/register:duplicate-ek": lambda pca, a, b: pca.register_platform(a.tpm.ek_public, "acct-x"),
+    "pca/request:unregistered-platform": lambda pca, a, b: pca.request_credential(b"k" * 32, 1, "nope"),
+    "pca/request:unknown-group": lambda pca, a, b: pca.request_credential(b"k" * 32, 4, a.platform_id),
+    "pca/request:duplicate-aik": lambda pca, a, b: pca.request_credential(
+        a.tickets[0].credential.entity, 1, a.platform_id
+    ),
+    "pca/request:unknown-account": lambda pca, a, b: pca.request_credential(b"k" * 32, 1, b.platform_id),
+    "pca/complete:handshake-failed": lambda pca, a, b: pca.complete_handshake(b"n" * 32, b"s" * 64),
+    "pca/resolve:forbidden": lambda pca, a, b: pca.resolve_identity("00" * 32, "bad-token"),
+    "pca/resolve:not-found": lambda pca, a, b: pca.resolve_identity("ff" * 32, TOKEN),
+    "pca/blacklist:unknown-platform": lambda pca, a, b: pca.blacklist("nope", True),
+    "cp/charge:unknown-account": lambda cp, a, b: cp.charge(b.user_account, 1, group=1, phase="acquisition"),
+    "cp/charge:invalid-argument": lambda cp, a, b: cp.charge(a.user_account, 1, group=1, phase="later"),
+    "cp/balance:unknown-account": lambda cp, a, b: cp.balance("ghost"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_error_codes_surface_through_clients(case):
+    """A failure has one name, its code: the wire client raises the same code
+    and message as the service does in process."""
+    endpoint, code = case.split(":")
+    service = endpoint.split("/")[0]
+    stack = make_stack(1, charging="acquisition")
+    a = stack.new_agent("a")
+    a.acquire_ticket(1)
+    b = stack.new_agent("b", register=False)
+    b.register()
+    tap = []
+    client = {"pca": PcaClient, "cp": CpClient}[service](InprocTransport(full_router(stack), tap=tap))
+    with raises_code(code) as local:
+        ERROR_CASES[case](getattr(stack, service), a, b)
+    with raises_code(code) as remote:
+        ERROR_CASES[case](client, a, b)
+    assert str(remote.value) == str(local.value)
+    assert decode_request(tap[0][1])[0] == endpoint
 
 
 def test_full_protocol_over_inproc_clients():
