@@ -40,7 +40,7 @@ from cryptography.hazmat.primitives.serialization import (
     PublicFormat,
 )
 
-from .encoding import EncodingError, encode
+from .encoding import EncodingError, decode, encode
 from .errors import InvalidArgument
 
 CREDENTIAL_DOMAIN = b"pseudorate:cred:v1:"
@@ -177,9 +177,9 @@ class Credential:
 
     @cached_property
     def body(self) -> bytes:
-        """The record without its signature, encoded once: the signature
-        covers ``CREDENTIAL_DOMAIN + body``, and :meth:`to_bytes` is ``body``
-        with the ``sig`` entry spliced in before its final ``e``."""
+        """The record without its signature, encoded once (or cut from the
+        bytes it was parsed from): the signature covers ``CREDENTIAL_DOMAIN +
+        body``, and :meth:`to_bytes` is ``body`` with the ``sig`` entry spliced in."""
         return _credential_body(self.entity, self.issuer_public, self.meta)
 
     def to_record(self) -> dict:
@@ -191,7 +191,9 @@ class Credential:
         }
 
     @classmethod
-    def from_record(cls, record: object) -> "Credential":
+    def from_record(cls, record: object, data: bytes, spans: dict) -> "Credential":
+        """``record`` as ``decode(data, spans)`` produced it. Decoding is
+        canonical, so its span without the ``sig`` entry is the body."""
         if not isinstance(record, dict) or set(record) != {"entity", "issuer", "meta", "sig"}:
             raise EncodingError("bad credential record")
         entity, issuer, meta, sig = record["entity"], record["issuer"], record["meta"], record["sig"]
@@ -201,7 +203,10 @@ class Credential:
             not isinstance(k, str) or not isinstance(v, str) for k, v in meta.items()
         ):
             raise EncodingError("bad credential meta")
-        return cls(entity=entity, issuer_public=issuer, signature=sig, meta=meta)
+        cred = cls(entity=entity, issuer_public=issuer, signature=sig, meta=meta)
+        start, end = spans[id(record)]  # the span ends in the "sig" entry and "e"
+        object.__setattr__(cred, "body", data[start : end - len(b"s3:sigb%d:%se" % (len(sig), sig))] + b"e")
+        return cred
 
     def to_bytes(self) -> bytes:
         # "sig" sorts after "entity", "issuer" and "meta"
@@ -209,9 +214,8 @@ class Credential:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Credential":
-        from .encoding import decode
-
-        return cls.from_record(decode(data))
+        spans: dict = {}
+        return cls.from_record(decode(data, spans), data, spans)
 
 
 def _credential_body(entity: bytes, issuer_public: bytes, meta: Mapping[str, str]) -> bytes:
@@ -277,13 +281,13 @@ class CredentialChain:
         }
 
     @classmethod
-    def from_record(cls, record: object) -> "CredentialChain":
+    def from_record(cls, record: object, data: bytes, spans: dict) -> "CredentialChain":
         if not isinstance(record, dict) or set(record) != {"rating", "csk", "aik"}:
             raise EncodingError("bad chain record")
         return cls(
-            rating_cred=Credential.from_record(record["rating"]),
-            csk_cred=Credential.from_record(record["csk"]),
-            aik_cred=Credential.from_record(record["aik"]),
+            rating_cred=Credential.from_record(record["rating"], data, spans),
+            csk_cred=Credential.from_record(record["csk"], data, spans),
+            aik_cred=Credential.from_record(record["aik"], data, spans),
         )
 
     def to_bytes(self) -> bytes:
@@ -296,9 +300,8 @@ class CredentialChain:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CredentialChain":
-        from .encoding import decode
-
-        return cls.from_record(decode(data))
+        spans: dict = {}
+        return cls.from_record(decode(data, spans), data, spans)
 
     @property
     def aik_public(self) -> bytes:

@@ -73,17 +73,19 @@ def _encode_into(value: Value, out: bytearray, depth: int) -> None:
         raise EncodingError(f"cannot encode {cls.__name__}")
 
 
-def decode(data: bytes) -> Value:
+def decode(data: bytes, spans: dict[int, tuple[int, int]] | None = None) -> Value:
+    """Given ``spans``, also records ``id(d) -> (start, end)`` for every
+    decoded dict ``d``: canonical decoding makes ``data[start:end] == encode(d)``."""
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise EncodingError("decode expects bytes")
     buf = bytes(data)
-    value, pos = _decode_at(buf, 0, 0)
+    value, pos = _decode_at(buf, 0, 0, spans)
     if pos != len(buf):
         raise EncodingError("trailing bytes after value")
     return value
 
 
-def _decode_at(data: bytes, pos: int, depth: int) -> tuple[Value, int]:
+def _decode_at(data: bytes, pos: int, depth: int, spans: dict | None) -> tuple[Value, int]:
     if depth > MAX_DEPTH:
         raise EncodingError("nesting too deep")
     if pos >= len(data):
@@ -109,9 +111,10 @@ def _decode_at(data: bytes, pos: int, depth: int) -> tuple[Value, int]:
                 raise EncodingError("unterminated list")
             if data[pos] == 0x65:  # e
                 return items, pos + 1
-            item, pos = _decode_at(data, pos, depth + 1)
+            item, pos = _decode_at(data, pos, depth + 1, spans)
             items.append(item)
     if tag == 0x64:  # d
+        start = pos
         pos += 1
         result: dict[str, Value] = {}
         prev_key: bytes | None = None
@@ -119,6 +122,8 @@ def _decode_at(data: bytes, pos: int, depth: int) -> tuple[Value, int]:
             if pos >= len(data):
                 raise EncodingError("unterminated dict")
             if data[pos] == 0x65:  # e
+                if spans is not None:
+                    spans[id(result)] = (start, pos + 1)
                 return result, pos + 1
             if data[pos] != 0x73:
                 raise EncodingError("dict key must be str")
@@ -126,7 +131,7 @@ def _decode_at(data: bytes, pos: int, depth: int) -> tuple[Value, int]:
             if prev_key is not None and raw_key <= prev_key:
                 raise EncodingError("dict keys not strictly ascending")
             prev_key = raw_key
-            value, pos = _decode_at(data, pos, depth + 1)
+            value, pos = _decode_at(data, pos, depth + 1, spans)
             result[_decode_utf8(raw_key)] = value
     raise EncodingError(f"unknown tag byte {tag:#04x}")
 

@@ -14,6 +14,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -39,8 +40,13 @@ class RatingPayload:
     rs_id: str
     comment: str = ""
 
-    def canonical_bytes(self) -> bytes:
+    @cached_property
+    def _canonical(self) -> bytes:
         return encode(self.to_record())
+
+    def canonical_bytes(self) -> bytes:
+        """``encode(self.to_record())``: encoded once, or the payload's span."""
+        return self._canonical
 
     def to_record(self) -> dict:
         return {
@@ -52,7 +58,8 @@ class RatingPayload:
         }
 
     @classmethod
-    def from_record(cls, record: object) -> "RatingPayload":
+    def from_record(cls, record: object, data: bytes = b"", spans: dict | None = None) -> "RatingPayload":
+        """Given the ``decode(data, spans)`` that produced it, its canonical bytes are its span."""
         if not isinstance(record, dict) or set(record) != {"subject", "score", "comment", "nonce", "rs_id"}:
             raise EncodingError("bad payload record")
         subject, score, comment = record["subject"], record["score"], record["comment"]
@@ -65,7 +72,10 @@ class RatingPayload:
             and isinstance(rs_id, str)
         ):
             raise EncodingError("bad payload field types")
-        return cls(subject=subject, score=score, comment=comment, nonce=nonce, rs_id=rs_id)
+        payload = cls(subject=subject, score=score, comment=comment, nonce=nonce, rs_id=rs_id)
+        if spans is not None:
+            object.__setattr__(payload, "_canonical", data[slice(*spans[id(record)])])
+        return payload
 
 
 @dataclass(frozen=True)
@@ -174,6 +184,8 @@ class ReputationSystem:
     # -- submission ----------------------------------------------------------
 
     def submit_rating(self, payload: RatingPayload, chain: CredentialChain) -> Ack | Reject:
+        if not self._group_keys:
+            return Reject(REJECT_INVALID_CHAIN, detail="unknown-group")
         report = crypto.verify_chain(chain, self._group_keys)
         if not report.valid:
             return Reject(REJECT_INVALID_CHAIN, detail=report.reason or "")

@@ -64,6 +64,7 @@ class TpmInstance:
         self._next_handle = 1
         self._wrap_key = self._randbytes(32)
         self._wrap_seq = 0
+        self._created: dict[bytes, KeyPair] = {}  # public -> pair, for each wrapped key made here
         self._used_blob_nonces: set[bytes] = set()
         ek_pair = crypto.generate_sealing_keypair(seed=self._randbytes(32))
         self._ek = ShieldedKey(handle=0, pair=ek_pair, kind=KIND_EK)
@@ -96,9 +97,10 @@ class TpmInstance:
             except SealError as exc:
                 raise TpmError("blob not sealed to this platform", code="wrong-platform") from exc
             try:
-                record = decode(plaintext)
+                spans: dict = {}
+                record = decode(plaintext, spans)
                 aik_public = record["aik"]
-                credential = Credential.from_record(record["cred"])
+                credential = Credential.from_record(record["cred"], plaintext, spans)
                 blob_nonce = record["nonce"]
                 if not isinstance(aik_public, bytes) or not isinstance(blob_nonce, bytes):
                     raise EncodingError("bad blob fields")
@@ -130,6 +132,7 @@ class TpmInstance:
             self._wrap_seq += 1
             nonce = self._wrap_seq.to_bytes(12, "big")
             cipher = ChaCha20Poly1305(self._wrap_key).encrypt(nonce, pair.private, pair.public)
+            self._created[pair.public] = pair
             return WrappedKey(public=pair.public, private_blob=nonce + cipher)
 
     def load_key(self, wrapped: WrappedKey) -> int:
@@ -139,10 +142,11 @@ class TpmInstance:
                 raise TpmError("wrapped blob too short", code="malformed-blob")
             nonce, cipher = blob[:12], blob[12:]
             try:
-                private = ChaCha20Poly1305(self._wrap_key).decrypt(nonce, cipher, wrapped.public)
-            except InvalidTag as exc:
+                ChaCha20Poly1305(self._wrap_key).decrypt(nonce, cipher, wrapped.public)
+                pair = self._created[wrapped.public]
+            except (InvalidTag, KeyError) as exc:
                 raise TpmError("wrapped key was not created by this instance", code="foreign-blob") from exc
-            return self._store(crypto.signing_pair(private), KIND_CSK).handle
+            return self._store(pair, KIND_CSK).handle
 
     def certify_key(self, aik_handle: int, csk_handle: int) -> Credential:
         """Statement by an activated identity key that the signing key lives

@@ -62,12 +62,12 @@ _REQUEST_FIELDS = frozenset({"version", "endpoint", "correlation_id", "body"})
 _RESPONSE_FIELDS = _REQUEST_FIELDS | {"status"}
 
 
-def _decode_frame(data: bytes, kind: str, fields: frozenset[str]) -> dict:
+def _decode_frame(data: bytes, kind: str, fields: frozenset[str], spans: dict | None = None) -> dict:
     try:
-        frame = decode(data)
+        frame = decode(data, spans)
     except EncodingError as exc:
         raise WireError(f"undecodable frame: {exc}") from exc
-    if not isinstance(frame, dict) or set(frame) != fields:
+    if not isinstance(frame, dict) or frame.keys() != fields:
         raise WireError(f"bad {kind} frame shape")
     if frame["version"] != WIRE_VERSION:
         raise WireError(f"unsupported version {frame['version']!r}", code="unsupported-version")
@@ -80,8 +80,8 @@ def _decode_frame(data: bytes, kind: str, fields: frozenset[str]) -> dict:
     return frame
 
 
-def decode_request(data: bytes) -> tuple[str, dict, bytes]:
-    frame = _decode_frame(data, "request", _REQUEST_FIELDS)
+def decode_request(data: bytes, spans: dict | None = None) -> tuple[str, dict, bytes]:
+    frame = _decode_frame(data, "request", _REQUEST_FIELDS, spans)
     return frame["endpoint"], frame["body"], frame["correlation_id"]
 
 
@@ -128,10 +128,10 @@ def _h_blacklist(pca: PrivacyCa, platform_id: str, flag: int) -> dict:
     return {"ok": 1}
 
 
-def _h_submit(rs: ReputationSystem, payload: dict, chain: dict) -> dict:
+def _h_submit(rs: ReputationSystem, payload: dict, chain: dict, data: bytes, spans: dict) -> dict:
     try:
-        rating = RatingPayload.from_record(payload)
-        credentials = CredentialChain.from_record(chain)
+        rating = RatingPayload.from_record(payload, data, spans)
+        credentials = CredentialChain.from_record(chain, data, spans)
     except EncodingError as exc:
         raise WireError(f"bad submission record: {exc}") from exc
     result = rs.submit_rating(rating, credentials)
@@ -142,7 +142,7 @@ def _h_submit(rs: ReputationSystem, payload: dict, chain: dict) -> dict:
 
 def _h_score(rs: ReputationSystem, subject: str) -> dict:
     score = rs.aggregate(subject)
-    value = rs.none_value if score.score is None else str(Fraction(score.score))
+    value = rs.none_value if score.score is None else str(score.score)
     return {"count": score.count, "score": value}
 
 
@@ -223,7 +223,8 @@ class Router:
     def handle(self, data: bytes) -> bytes:
         endpoint, corr = "", b""
         try:
-            endpoint, body, corr = decode_request(data)
+            spans: dict = {}
+            endpoint, body, corr = decode_request(data, spans)
             service_name, fields, handler = ROUTES.get(endpoint, ("", None, None))
             service = self._services.get(service_name)
             if service is None:
@@ -233,7 +234,10 @@ class Router:
             else:
                 if body.keys() != fields.keys():
                     raise WireError(f"expected fields {sorted(fields)}, got {sorted(body)}")
-                result = handler(service, **{name: _field(body, name, kind) for name, kind in fields.items()})
+                args = {name: _field(body, name, kind) for name, kind in fields.items()}
+                if handler is _h_submit:  # signed records are read from the bytes they arrived as
+                    args.update(data=data, spans=spans)
+                result = handler(service, **args)
             return encode_response(endpoint, corr, "ok", result)
         except TicketError as exc:
             return encode_response(endpoint, corr, "error", {"code": exc.code, "message": str(exc)})

@@ -171,4 +171,6 @@ def private_material(stack: Stack, agents: list[TrustedAgent]) -> list[bytes]:
         secrets.append(tpm._wrap_key)
         for shielded in tpm._keys.values():
             secrets.append(shielded.pair.private)
+        for pair in tpm._created.values():
+            secrets.append(pair.private)
     return secrets

@@ -1,7 +1,10 @@
 import random
+import sys
+from collections import Counter
 
 import pytest
 
+from pseudorate import crypto, encoding
 from pseudorate.agent import STATE_FRESH, STATE_SPENT, TicketDenied, TrustedAgent
 from pseudorate.reputation import Ack, Reject
 from pseudorate.tpm import TpmInstance
@@ -60,6 +63,45 @@ def test_acquire_and_redeem_through_wire():
     result = agent.redeem_ticket(ticket, agent.make_payload("seller", 5))
     assert isinstance(result, Ack)
     assert ticket.state == STATE_SPENT
+
+
+def count_calls(monkeypatch, owner, names) -> Counter:
+    """Count calls of ``owner``'s functions ``names`` from anywhere in the
+    package: the name is patched in every ``pseudorate`` module that holds it."""
+    calls = Counter()
+    for name in names:
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "pseudorate" and module.__dict__.get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_build_chain_builds_one_key_object(monkeypatch):
+    stack = make_stack(4)
+    agent = stack.new_agent("k")
+    ticket = agent.acquire_ticket(1)
+    payload = agent.make_payload("seller", 3)
+    calls = count_calls(monkeypatch, crypto, ["signing_pair", "generate_keypair"])
+    chain = agent.build_chain(ticket, payload)
+    assert calls == {"signing_pair": 1, "generate_keypair": 1}
+    assert isinstance(stack.rs.submit_rating(payload, chain), Ack)
+
+
+def test_wire_redemption_encodes_at_most_five_times_and_decodes_twice(monkeypatch):
+    stack = make_stack(5)
+    agent = wired_agent(stack)
+    agent.register()
+    ticket = agent.acquire_ticket(1)
+    calls = count_calls(monkeypatch, encoding, ["encode", "decode"])
+    assert isinstance(agent.redeem_ticket(ticket, agent.make_payload("seller", 4)), Ack)
+    assert calls["encode"] <= 5
+    assert calls["decode"] == 2
 
 
 def test_wallet_consistent_with_platform_module():

@@ -18,6 +18,8 @@ from pseudorate.crypto import (
 )
 from pseudorate.encoding import EncodingError, encode
 from pseudorate.errors import InvalidArgument
+from pseudorate.reputation import RatingPayload
+from pseudorate.wire import decode_request, encode_request
 
 from support import all_single_field_mutants, honest_chain, make_stack, replace
 
@@ -141,6 +143,44 @@ def test_credential_and_chain_bytes_equal_the_encoded_records():
             assert cred.to_bytes() == encode(cred.to_record())
         assert mutant.to_bytes() == encode(mutant.to_record())
     assert CredentialChain.from_bytes(chain.to_bytes()) == chain
+
+
+credentials = st.builds(
+    Credential,
+    entity=st.binary(max_size=140),
+    issuer_public=st.binary(max_size=40),
+    signature=st.binary(max_size=130),
+    meta=st.dictionaries(st.text(max_size=6), st.text(max_size=6), max_size=3),
+)
+
+
+@given(
+    st.tuples(credentials, credentials, credentials),
+    st.builds(
+        RatingPayload,
+        subject=st.text(max_size=12),
+        score=st.integers(-10**6, 10**6),
+        nonce=st.binary(max_size=20),
+        rs_id=st.text(max_size=8),
+        comment=st.text(max_size=30),
+    ),
+)
+def test_records_parsed_from_a_frame_hold_their_encodings(creds, payload):
+    """A credential's body and a payload's bytes read from the frame they
+    arrived in are exactly what encoding their fields gives."""
+    chain = CredentialChain(*creds)
+    frame = encode_request("rs/submit", {"payload": payload.to_record(), "chain": chain.to_record()}, b"c")
+    spans = {}
+    _, body, _ = decode_request(frame, spans)
+    parsed = CredentialChain.from_record(body["chain"], frame, spans)
+    assert parsed == chain
+    for cred in (parsed.rating_cred, parsed.csk_cred, parsed.aik_cred):
+        assert "body" in vars(cred)  # taken from the frame, not encoded on first use
+        assert cred.body == crypto._credential_body(cred.entity, cred.issuer_public, cred.meta)
+    assert parsed.to_bytes() == chain.to_bytes() == encode(chain.to_record())
+    received = RatingPayload.from_record(body["payload"], frame, spans)
+    assert received == payload and "_canonical" in vars(received)
+    assert received.canonical_bytes() == encode(payload.to_record())
 
 
 def test_credential_bytes_canonical():

@@ -103,6 +103,15 @@ def test_wrapped_key_foreign_load_rejected():
         other.load_key(wrapped)
 
 
+def test_wrapped_key_from_a_same_seed_twin_is_foreign():
+    """The twin holds the same wrap key, so the blob decrypts there, but the
+    twin never created that key."""
+    tpm, twin = TpmInstance(rng=random.Random(9)), TpmInstance(rng=random.Random(9))
+    wrapped = tpm.cmk_create_key()
+    with raises_code("foreign-blob"):
+        twin.load_key(wrapped)
+
+
 def test_wrapped_key_malformed_blob():
     tpm = TpmInstance()
     wrapped = tpm.cmk_create_key()
@@ -132,6 +141,7 @@ def test_load_twice_same_material():
     h1, h2 = tpm.load_key(wrapped), tpm.load_key(wrapped)
     assert h1 != h2
     assert tpm.public_of(h1) == tpm.public_of(h2) == wrapped.public
+    assert crypto.verify(wrapped.public, b"p", tpm.sign_with_key(h2, b"p"))
 
 
 def test_certify_requires_activation():
@@ -212,6 +222,7 @@ def test_emitted_surface_contains_no_private_bytes():
     surface = b"||".join(emitted)
     privates = [tpm._ek.pair.private, tpm._wrap_key]
     privates += [k.pair.private for k in tpm._keys.values()]
+    privates += [pair.private for pair in tpm._created.values()]
     for secret in privates:
         assert secret not in surface
         assert secret.hex().encode() not in surface

@@ -1,3 +1,4 @@
+import random
 import socket
 import sys
 import threading
@@ -9,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudorate.charging import PricingPolicy
-from pseudorate.crypto import key_id_of
+from pseudorate.crypto import key_id_of, sha256_hex
 from pseudorate.encoding import decode, encode
 from pseudorate.encoding import read_records
-from pseudorate.reputation import Ack, ReputationSystem
+from pseudorate.reputation import Ack, Reject, ReputationSystem
 from pseudorate.wire import (
     CpClient,
     InprocTransport,
@@ -31,7 +32,7 @@ from pseudorate.wire import (
     encode_response,
 )
 
-from support import TOKEN, honest_chain, make_stack, raises_code
+from support import TOKEN, all_single_field_mutants, honest_chain, make_stack, raises_code
 
 
 def full_router(stack):
@@ -383,3 +384,90 @@ def test_close_under_load_returns_after_the_last_request():
     assert not any(thread.is_alive() for thread in clients)
     assert len(failures) == len(clients)
     assert len(handled) == handled_at_close
+
+
+def test_rs_submit_frames_with_tampered_chains_never_ack():
+    """Received credentials are checked against the bytes they arrived as:
+    every field mutant, and chain bytes with one bit flipped spliced into an
+    honest frame, is a reject or a protocol error."""
+    stack = make_stack(201)
+    agent = stack.new_agent("m")
+    _, payload, chain = honest_chain(stack, agent, subject="target", score=5)
+    router = Router(rs=stack.rs)
+
+    def submit(frame: bytes) -> dict:
+        _, _, status, out = decode_response(router.handle(frame))
+        return out if status == "ok" else {"status": "error", "code": out["code"]}
+
+    def frame_of(chain_record: dict) -> bytes:
+        return encode_request("rs/submit", {"payload": payload.to_record(), "chain": chain_record}, b"c")
+
+    for slot, fieldname, mode, mutant in all_single_field_mutants(chain):
+        out = submit(frame_of(mutant.to_record()))
+        assert (out["status"], out["reason"]) == ("reject", "invalid-chain"), (slot, fieldname, mode)
+
+    honest = frame_of(chain.to_record())
+    blob = chain.to_bytes()
+    assert honest.count(blob) == 1
+    rng = random.Random(778)
+    outcomes = set()
+    for _ in range(400):
+        flipped = bytearray(blob)
+        flipped[rng.randrange(len(flipped))] ^= 1 << rng.randrange(8)
+        out = submit(honest.replace(blob, bytes(flipped)))
+        outcome = (out["status"], out.get("reason", out.get("code")))
+        assert outcome in {("reject", "invalid-chain"), ("error", "protocol-error")}, outcome
+        outcomes.add(outcome)
+    assert len(outcomes) == 2
+    assert submit(honest)["status"] == "ack"
+
+
+def test_interleaved_socket_submissions_get_their_own_receipts():
+    """Each connection is served on its own thread; spans are per decode
+    call, so one client's chain never lends bytes to another's."""
+    stack = make_stack(6)
+    work = []
+    for name in ("a", "b"):
+        agent = stack.new_agent(name)
+        submissions = []
+        for i in range(12):
+            ticket = agent.acquire_ticket(1 + i % 3)
+            payload = agent.make_payload(f"seller-{i % 4}", 1 + i % 5, comment="\u00e9" * i)
+            submissions.append((payload, agent.build_chain(ticket, payload)))
+        work.append(submissions)
+    server = SocketServer(Router(rs=stack.rs))
+    results = [[], []]
+
+    def client(k: int) -> None:
+        transport = SocketTransport(server.host, server.port)
+        try:
+            for payload, chain in work[k]:
+                results[k].append((chain, RsClient(transport).submit_rating(payload, chain)))
+        finally:
+            transport.close()
+
+    threads = [threading.Thread(target=client, args=(k,)) for k in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        server.close()
+    assert [len(r) for r in results] == [12, 12]
+    for chain, result in results[0] + results[1]:
+        assert isinstance(result, Ack)
+        assert result.receipt == sha256_hex(chain.to_bytes())
+
+
+def test_submit_without_group_keys_is_an_invalid_chain():
+    stack = make_stack(7)
+    _, payload, chain = honest_chain(stack, stack.new_agent("g"))
+    bare = ReputationSystem(stack.rs.rs_id)
+    expected = Reject("invalid-chain", detail="unknown-group")
+    assert bare.submit_rating(payload, chain) == expected
+    assert RsClient(InprocTransport(Router(rs=bare))).submit_rating(payload, chain) == expected
+    assert bare.spent_count == 0
