@@ -60,11 +60,11 @@ def main() -> int:
         row = [f"{results[name]['revenue'][party]:>14}" for name in POLICIES]
         print(f"revenue {party:6}" + "".join(row))
     scores = results["free"]["scores"]
-    print("\nscores are policy-independent:",
-          all(results[name]["scores"] == scores for name in POLICIES))
+    independent = all(results[name]["scores"] == scores for name in POLICIES)
+    print("\nscores are policy-independent:", independent)
     for subject, score in scores.items():
         print(f"  {subject} = {score}")
-    return 0
+    return 0 if independent else 1
 
 
 if __name__ == "__main__":

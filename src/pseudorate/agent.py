@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import secrets
 from dataclasses import dataclass
+from functools import partial
 
 from . import crypto
 from .crypto import Credential, CredentialChain
@@ -114,14 +115,8 @@ class TrustedAgent:
         wrapped = self.tpm.cmk_create_key()
         csk_handle = self.tpm.load_key(wrapped)
         csk_cred = self.tpm.certify_key(ticket.aik_handle, csk_handle)
-        entity = payload.canonical_bytes()
-        signing_bytes = crypto.credential_signing_bytes(entity, wrapped.public, RATING_META)
-        rating_cred = Credential(
-            entity=entity,
-            issuer_public=wrapped.public,
-            signature=self.tpm.sign_with_key(csk_handle, signing_bytes),
-            meta=dict(RATING_META),
-        )
+        sign = partial(self.tpm.sign_with_key, csk_handle)
+        rating_cred = crypto.certify(wrapped.public, sign, payload.canonical_bytes(), RATING_META)
         return CredentialChain(rating_cred=rating_cred, csk_cred=csk_cred, aik_cred=ticket.credential)
 
     def submit_chain(self, ticket: Ticket, payload: RatingPayload, chain: CredentialChain) -> Ack | Reject:

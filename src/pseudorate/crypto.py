@@ -19,7 +19,7 @@ import secrets
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -177,10 +177,11 @@ class Credential:
 
     @cached_property
     def body(self) -> bytes:
-        """The record without its signature, encoded once (or cut from the
-        bytes it was parsed from): the signature covers ``CREDENTIAL_DOMAIN +
-        body``, and :meth:`to_bytes` is ``body`` with the ``sig`` entry spliced in."""
-        return _credential_body(self.entity, self.issuer_public, self.meta)
+        """The record without its signature: the bytes :func:`certify` signed,
+        or cut from the bytes it was parsed from, else encoded once. The
+        signature covers ``CREDENTIAL_DOMAIN + body``, and :meth:`to_bytes` is
+        ``body`` with the ``sig`` entry spliced in."""
+        return encode({"entity": self.entity, "issuer": self.issuer_public, "meta": dict(self.meta)})
 
     def to_record(self) -> dict:
         return {
@@ -218,29 +219,25 @@ class Credential:
         return cls.from_record(decode(data, spans), data, spans)
 
 
-def _credential_body(entity: bytes, issuer_public: bytes, meta: Mapping[str, str]) -> bytes:
-    return encode({"entity": entity, "issuer": issuer_public, "meta": dict(meta)})
-
-
-def credential_signing_bytes(entity: bytes, issuer_public: bytes, meta: Mapping[str, str]) -> bytes:
-    """The exact bytes a credential signature covers. Issuers that hold raw
-    signing handles (the platform module) sign these bytes directly."""
-    return CREDENTIAL_DOMAIN + _credential_body(entity, issuer_public, meta)
-
-
-def certify(issuer: KeyPair, entity: bytes, meta: Mapping[str, str] | None = None) -> Credential:
+def certify(
+    issuer_public: bytes,
+    sign: Callable[[bytes], bytes],
+    entity: bytes,
+    meta: Mapping[str, str] | None = None,
+) -> Credential:
+    """The one way to make a credential: ``sign`` maps the preimage
+    ``CREDENTIAL_DOMAIN + body`` to the issuer's signature, and the credential
+    keeps the body it signed."""
     meta = dict(meta or {})
     if not entity:
         raise InvalidArgument("entity must be non-empty")
     if any(not isinstance(k, str) or not isinstance(v, str) for k, v in meta.items()):
         raise InvalidArgument("meta must map str to str")
-    payload = credential_signing_bytes(entity, issuer.public, meta)
-    return Credential(
-        entity=entity,
-        issuer_public=issuer.public,
-        signature=sign(issuer, payload),
-        meta=meta,
-    )
+    body = encode({"entity": entity, "issuer": issuer_public, "meta": meta})
+    signature = sign(CREDENTIAL_DOMAIN + body)
+    cred = Credential(entity=entity, issuer_public=issuer_public, signature=signature, meta=meta)
+    object.__setattr__(cred, "body", body)
+    return cred
 
 
 def verify_credential(cred: Credential) -> bool:

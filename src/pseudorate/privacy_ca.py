@@ -15,6 +15,7 @@ import secrets
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from . import crypto
@@ -219,7 +220,8 @@ class PrivacyCa:
                 "tpm": "software-emulator-v1",
                 "platform": "generic-trusted-platform",
             }
-            credential = crypto.certify(self._group_keys[pending.group], pending.aik_public, meta)
+            group_pair = self._group_keys[pending.group]
+            credential = crypto.certify(group_pair.public, partial(crypto.sign, group_pair), pending.aik_public, meta)
 
             blob_nonce = self._randbytes(16)
             plaintext = crypto.encode_activation_payload(pending.aik_public, credential, blob_nonce)

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import crypto
+from .charging import Declined
 from .clock import SimClock
 from .crypto import CredentialChain
 from .encoding import EncodingError, append_record, encode, read_records
@@ -218,14 +219,10 @@ class ReputationSystem:
                 append_record(self._rating_log, {**record.to_record(), "aik_digest": aik_digest})
             self._apply(record, aik_digest)
 
-        if self._expost_charge is not None:
-            try:
-                self._expost_charge(aik_digest, group)
-            except Exception:
-                # availability over settlement atomicity: keep the rating,
-                # queue the charge for retry
-                logger.exception("ex-post charge failed; queued for retry")
-                self._pending_charges.append((aik_digest, group))
+        # availability over settlement atomicity: keep the rating, queue the
+        # charge for retry
+        if self._expost_charge is not None and not self._settle(aik_digest, group):
+            self._pending_charges.append((aik_digest, group))
         return Ack(receipt=chain_digest, subject=payload.subject, group=group)
 
     def _payload_problem(self, payload: RatingPayload) -> str | None:
@@ -255,16 +252,21 @@ class ReputationSystem:
 
     def retry_pending_charges(self) -> int:
         """Retry queued ex-post charges; returns how many are still pending."""
-        if self._expost_charge is None:
-            return len(self._pending_charges)
-        still_pending = []
-        for aik_digest, group in self._pending_charges:
-            try:
-                self._expost_charge(aik_digest, group)
-            except Exception:
-                still_pending.append((aik_digest, group))
-        self._pending_charges = still_pending
-        return len(still_pending)
+        if self._expost_charge is not None:
+            self._pending_charges = [(d, g) for d, g in self._pending_charges if not self._settle(d, g)]
+        return len(self._pending_charges)
+
+    def _settle(self, aik_digest: str, group: int) -> bool:
+        """One ex-post charge attempt; a declined charge is as unsettled as a raised one."""
+        try:
+            result = self._expost_charge(aik_digest, group)
+        except Exception:
+            logger.exception("ex-post charge failed")
+            return False
+        if isinstance(result, Declined):
+            logger.info("ex-post charge declined: %s", result.reason)
+            return False
+        return True
 
     @property
     def pending_charge_count(self) -> int:

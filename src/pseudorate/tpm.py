@@ -16,6 +16,7 @@ import random
 import secrets
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -40,7 +41,6 @@ class ShieldedKey:
     pair: KeyPair = field(repr=False)
     kind: str
     activated: bool = False
-    credential: Credential | None = None
 
     @property
     def public(self) -> bytes:
@@ -112,7 +112,6 @@ class TpmInstance:
                 raise TpmError("activation blob replayed", code="already-activated")
             self._used_blob_nonces.add(blob_nonce)
             key.activated = True
-            key.credential = credential
             return credential
 
     def is_activated(self, handle: int) -> bool:
@@ -162,7 +161,7 @@ class TpmInstance:
                 "kind": "certified-signing-key",
                 "statement": "key-held-in-shielded-location-never-revealed",
             }
-            return crypto.certify(aik.pair, csk.public, meta)
+            return crypto.certify(aik.public, partial(crypto.sign, aik.pair), csk.public, meta)
 
     # -- signing -------------------------------------------------------------
 

@@ -172,20 +172,15 @@ def _h_charge(cp: ChargingProvider, account_id: str, amount: int, group: int, ph
     }
 
 
-def _h_policy(cp: ChargingProvider, body: dict) -> dict:
-    """Reads with an empty body and sets with ``{"policy": ...}``, so this is
-    the one route that checks its own body."""
-    if set(body) == {"policy"}:
-        cp.set_policy(PricingPolicy.from_record(_field(body, "policy", dict)))
-    elif body:
-        raise WireError("expected empty body or a policy")
+def _h_set_policy(cp: ChargingProvider, policy: dict) -> dict:
+    cp.set_policy(PricingPolicy.from_record(policy))
     return {"policy": cp.policy.to_record()}
 
 
 # endpoint -> (Router keyword of its service, request field -> type, handler).
 # Every request schema lives here: the router checks a body's fields and their
-# types before the handler sees them. cp/policy, with fields None, gets the raw body.
-ROUTES: dict[str, tuple[str, dict[str, type] | None, Callable[..., dict]]] = {
+# types before the handler sees them.
+ROUTES: dict[str, tuple[str, dict[str, type], Callable[..., dict]]] = {
     "pca/register": (
         "pca",
         {"ek_public": bytes, "user_account": str},
@@ -204,7 +199,8 @@ ROUTES: dict[str, tuple[str, dict[str, type] | None, Callable[..., dict]]] = {
     "rs/admin/groups": ("rs", {"groups": dict}, _h_groups),
     "cp/charge": ("cp", {"account_id": str, "amount": int, "group": int, "phase": str}, _h_charge),
     "cp/balance": ("cp", {"account_id": str}, lambda cp, account_id: {"balance": cp.balance(account_id)}),
-    "cp/policy": ("cp", None, _h_policy),
+    "cp/policy": ("cp", {}, lambda cp: {"policy": cp.policy.to_record()}),
+    "cp/admin/policy": ("cp", {"policy": dict}, _h_set_policy),
 }
 
 
@@ -225,19 +221,16 @@ class Router:
         try:
             spans: dict = {}
             endpoint, body, corr = decode_request(data, spans)
-            service_name, fields, handler = ROUTES.get(endpoint, ("", None, None))
+            service_name, fields, handler = ROUTES.get(endpoint, ("", {}, None))
             service = self._services.get(service_name)
             if service is None:
                 raise WireError(f"unknown endpoint {endpoint!r}", code="unknown-endpoint")
-            if fields is None:
-                result = handler(service, body)
-            else:
-                if body.keys() != fields.keys():
-                    raise WireError(f"expected fields {sorted(fields)}, got {sorted(body)}")
-                args = {name: _field(body, name, kind) for name, kind in fields.items()}
-                if handler is _h_submit:  # signed records are read from the bytes they arrived as
-                    args.update(data=data, spans=spans)
-                result = handler(service, **args)
+            if body.keys() != fields.keys():
+                raise WireError(f"expected fields {sorted(fields)}, got {sorted(body)}")
+            args = {name: _field(body, name, kind) for name, kind in fields.items()}
+            if handler is _h_submit:  # signed records are read from the bytes they arrived as
+                args.update(data=data, spans=spans)
+            result = handler(service, **args)
             return encode_response(endpoint, corr, "ok", result)
         except TicketError as exc:
             return encode_response(endpoint, corr, "error", {"code": exc.code, "message": str(exc)})
@@ -468,4 +461,4 @@ class CpClient(_Client):
         return _field(self._call("cp/policy", {}), "policy", dict)
 
     def set_policy(self, policy: PricingPolicy) -> dict:
-        return _field(self._call("cp/policy", {"policy": policy.to_record()}), "policy", dict)
+        return _field(self._call("cp/admin/policy", {"policy": policy.to_record()}), "policy", dict)

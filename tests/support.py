@@ -8,13 +8,15 @@ import contextlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from pseudorate.agent import TrustedAgent
 from pseudorate.charging import ChargingProvider, PricingPolicy, RevenueShares
 from pseudorate.clock import SimClock
-from pseudorate.crypto import Credential, CredentialChain
+from pseudorate import crypto
+from pseudorate.crypto import Credential, CredentialChain, KeyPair
 from pseudorate.errors import TicketError
 from pseudorate.privacy_ca import GroupConfig, PrivacyCa
 from pseudorate.reputation import ReputationSystem
@@ -95,6 +97,11 @@ def make_stack(
     rs = ReputationSystem(rs_id, clock=clock, scale=scale, **rs_options)
     rs.configure_groups(pca.group_registry())
     return Stack(clock=clock, rng=rng, cp=cp, pca=pca, rs=rs)
+
+
+def certify_with(pair: KeyPair, entity: bytes, meta: dict[str, str] | None = None) -> Credential:
+    """A credential signed with a key pair held in the clear, as the authority signs."""
+    return crypto.certify(pair.public, partial(crypto.sign, pair), entity, meta)
 
 
 def honest_chain(stack: Stack, agent: TrustedAgent, *, group: int = 1, subject: str = "seller-1", score: int = 4):

@@ -1,12 +1,14 @@
 import random
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from pseudorate import crypto, encoding
 from pseudorate.agent import STATE_FRESH, STATE_SPENT, TicketDenied, TrustedAgent
 from pseudorate.reputation import Ack, Reject
+from pseudorate.scenario import ScenarioConfig, run_scenario
 from pseudorate.tpm import TpmInstance
 from pseudorate.wire import InprocTransport, PcaClient, Router, RsClient, decode_request
 
@@ -102,6 +104,25 @@ def test_wire_redemption_encodes_at_most_five_times_and_decodes_twice(monkeypatc
     assert isinstance(agent.redeem_ticket(ticket, agent.make_payload("seller", 4)), Ack)
     assert calls["encode"] <= 5
     assert calls["decode"] == 2
+
+
+def test_built_chain_keeps_the_bodies_it_signed(monkeypatch):
+    stack = make_stack(6)
+    agent = stack.new_agent("b")
+    ticket = agent.acquire_ticket(1)
+    chain = agent.build_chain(ticket, agent.make_payload("seller", 2))
+    calls = count_calls(monkeypatch, encoding, ["encode"])
+    spliced = chain.to_bytes()
+    assert calls["encode"] == 0
+    assert spliced == encoding.encode(chain.to_record())
+    for cred in (chain.rating_cred, chain.csk_cred):
+        expected = encoding.encode({"entity": cred.entity, "issuer": cred.issuer_public, "meta": dict(cred.meta)})
+        assert vars(cred)["body"] == expected
+
+    calls.clear()
+    config = ScenarioConfig.from_json_file(Path(__file__).resolve().parent.parent / "scenarios" / "basic.json")
+    run_scenario(config)
+    assert calls["encode"] == 23
 
 
 def test_wallet_consistent_with_platform_module():

@@ -8,7 +8,6 @@ from pseudorate import crypto
 from pseudorate.crypto import (
     Credential,
     CredentialChain,
-    certify,
     generate_keypair,
     generate_sealing_keypair,
     seal,
@@ -21,7 +20,7 @@ from pseudorate.errors import InvalidArgument
 from pseudorate.reputation import RatingPayload
 from pseudorate.wire import decode_request, encode_request
 
-from support import all_single_field_mutants, honest_chain, make_stack, replace
+from support import all_single_field_mutants, certify_with, honest_chain, make_stack, replace
 
 
 def test_sign_verify_round_trip_empty_message():
@@ -49,17 +48,17 @@ def test_signing_and_sealing_seeds_are_independent():
 
 def test_certify_round_trip():
     issuer = generate_keypair()
-    cred = certify(issuer, b"score=5", {"group": "1"})
+    cred = certify_with(issuer, b"score=5", {"group": "1"})
     assert verify_credential(cred)
 
 
 def test_certify_rejects_empty_entity():
     with pytest.raises(InvalidArgument):
-        certify(generate_keypair(), b"")
+        certify_with(generate_keypair(), b"")
 
 
 def test_signature_bit_flip_rejected():
-    cred = certify(generate_keypair(), b"score=5")
+    cred = certify_with(generate_keypair(), b"score=5")
     for i in range(0, len(cred.signature), 7):
         sig = bytearray(cred.signature)
         sig[i] ^= 0x40
@@ -68,7 +67,7 @@ def test_signature_bit_flip_rejected():
 
 
 def test_meta_tamper_breaks_verification():
-    cred = certify(generate_keypair(), b"score=5", {"group": "1"})
+    cred = certify_with(generate_keypair(), b"score=5", {"group": "1"})
     tampered = Credential(cred.entity, cred.issuer_public, cred.signature, {"group": "2"})
     assert not verify_credential(tampered)
     added = Credential(cred.entity, cred.issuer_public, cred.signature, {"group": "1", "x": "y"})
@@ -76,14 +75,14 @@ def test_meta_tamper_breaks_verification():
 
 
 def test_issuer_swap_rejected():
-    cred = certify(generate_keypair(), b"entity")
+    cred = certify_with(generate_keypair(), b"entity")
     other = generate_keypair()
     assert not verify_credential(Credential(cred.entity, other.public, cred.signature, cred.meta))
 
 
 def test_malformed_credentials_return_false_not_crash():
     pair = generate_keypair()
-    cred = certify(pair, b"x")
+    cred = certify_with(pair, b"x")
     weird = [
         Credential(b"", pair.public, cred.signature, {}),
         Credential(b"x", b"short", cred.signature, {}),
@@ -95,7 +94,7 @@ def test_malformed_credentials_return_false_not_crash():
 
 
 def test_all_one_byte_truncations_rejected():
-    cred = certify(generate_keypair(), b"payload", {"a": "b"})
+    cred = certify_with(generate_keypair(), b"payload", {"a": "b"})
     blob = cred.to_bytes()
     for cut in range(len(blob)):
         truncated = blob[:cut] + blob[cut + 1 :]
@@ -107,7 +106,7 @@ def test_all_one_byte_truncations_rejected():
 
 
 def test_meta_is_copied_and_frozen_at_construction():
-    cred = certify(generate_keypair(), b"score=5", {"group": "1"})
+    cred = certify_with(generate_keypair(), b"score=5", {"group": "1"})
     shared = dict(cred.meta)
     copy = Credential(cred.entity, cred.issuer_public, cred.signature, shared)
     sibling = Credential(cred.entity, cred.issuer_public, b"\x00" * 64, copy.meta)
@@ -176,7 +175,7 @@ def test_records_parsed_from_a_frame_hold_their_encodings(creds, payload):
     assert parsed == chain
     for cred in (parsed.rating_cred, parsed.csk_cred, parsed.aik_cred):
         assert "body" in vars(cred)  # taken from the frame, not encoded on first use
-        assert cred.body == crypto._credential_body(cred.entity, cred.issuer_public, cred.meta)
+        assert cred.body == encode({"entity": cred.entity, "issuer": cred.issuer_public, "meta": dict(cred.meta)})
     assert parsed.to_bytes() == chain.to_bytes() == encode(chain.to_record())
     received = RatingPayload.from_record(body["payload"], frame, spans)
     assert received == payload and "_canonical" in vars(received)
@@ -184,7 +183,7 @@ def test_records_parsed_from_a_frame_hold_their_encodings(creds, payload):
 
 
 def test_credential_bytes_canonical():
-    cred = certify(generate_keypair(), b"payload", {"a": "b"})
+    cred = certify_with(generate_keypair(), b"payload", {"a": "b"})
     blob = cred.to_bytes()
     assert Credential.from_bytes(blob).to_bytes() == blob
 

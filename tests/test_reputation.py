@@ -279,6 +279,22 @@ def test_expost_charging_happens_via_authority():
     assert receipt.phase == "ex_post"
 
 
+def test_declined_expost_charge_stays_pending_until_it_settles():
+    stack = make_stack(1, policy=PricingPolicy.flat({1: 40, 2: 40, 3: 40}), charging="ex_post", credit_limit=0)
+    stack.cp.open_account("acct-a", 10)  # below the price
+    agent = stack.new_agent("a")
+    ticket = agent.acquire_ticket(1)
+    assert isinstance(agent.redeem_ticket(ticket, agent.make_payload("seller", 4)), Ack)
+    assert stack.cp.balance(agent.user_account) == 10
+    assert stack.rs.pending_charge_count == 1
+    assert stack.rs.retry_pending_charges() == 1  # still declined
+    stack.cp.charge(agent.user_account, -100, group=1, phase="ex_post")  # a credit
+    assert stack.rs.retry_pending_charges() == 0
+    assert stack.cp.balance(agent.user_account) == 110 - 40
+    assert stack.rs.retry_pending_charges() == 0  # settled once, never charged again
+    assert stack.cp.balance(agent.user_account) == 110 - 40
+
+
 def test_blacklisted_platform_can_still_redeem_issued_ticket():
     stack = make_stack(1)
     agent = stack.new_agent("a")

@@ -5,13 +5,13 @@ import pytest
 from pseudorate import crypto
 from pseudorate.tpm import TpmError, TpmInstance
 
-from support import make_stack, raises_code
+from support import certify_with, make_stack, raises_code
 
 
 def make_blob(ek_public: bytes, aik_public: bytes, nonce: bytes = b"n" * 16) -> bytes:
     """Build an activation blob the way the certification authority does."""
     group = crypto.generate_keypair(seed=b"group")
-    cred = crypto.certify(group, aik_public, {"group": "1"})
+    cred = certify_with(group, aik_public, {"group": "1"})
     plaintext = crypto.encode_activation_payload(aik_public, cred, nonce)
     return crypto.seal(ek_public, plaintext)
 

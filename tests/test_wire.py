@@ -83,14 +83,11 @@ def test_router_schema_rejects_extra_and_missing_fields(endpoint):
     stack = make_stack(1)
     router = full_router(stack)
     _, fields, _ = ROUTES[endpoint]
-    if fields is None:  # cp/policy: an empty body reads, only {"policy": dict} sets
-        bad_bodies = [{"x": 1}, {"policy": 7}, {"policy": {}, "x": 1}]
-    else:
-        good = {name: SAMPLE[kind] for name, kind in fields.items()}
-        bad_bodies = [{**good, "extra": 1}]
-        for name, kind in fields.items():
-            bad_bodies.append({k: v for k, v in good.items() if k != name})  # missing
-            bad_bodies.append({**good, name: WRONG_TYPE[kind]})  # wrong type
+    good = {name: SAMPLE[kind] for name, kind in fields.items()}
+    bad_bodies = [{**good, "extra": 1}]
+    for name, kind in fields.items():
+        bad_bodies.append({k: v for k, v in good.items() if k != name})  # missing
+        bad_bodies.append({**good, name: WRONG_TYPE[kind]})  # wrong type
     for body in bad_bodies:
         _, _, status, out = decode_response(router.handle(encode_request(endpoint, body, b"c")))
         assert status == "error", body
