@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .clock import SimClock
-from .encoding import append_record, read_records
+from .encoding import append_record, encode, read_records
 from .errors import InvalidArgument, TicketError, UnknownGroup
 
 PHASE_ACQUISITION = "acquisition"
@@ -100,14 +100,17 @@ class PricingPolicy:
 
     @classmethod
     def from_record(cls, record: dict) -> "PricingPolicy":
+        """An absent key takes its default; an unknown key, or a price, step
+        or incentive that is not an int, is refused rather than coerced."""
+        unknown = set(record) - {"kind", "per_group", "step", "incentive"}
+        if unknown:
+            raise InvalidArgument(f"bad policy record: unknown keys {sorted(unknown)}")
+        per_group = record.get("per_group", {})
+        step, incentive = record.get("step", 0), record.get("incentive", 0)
+        if not isinstance(per_group, dict) or any(type(v) is not int for v in (*per_group.values(), step, incentive)):
+            raise InvalidArgument("bad policy record: prices, step and incentive must be integers")
         try:
-            per_group = {int(g): int(p) for g, p in record.get("per_group", {}).items()}
-            return cls(
-                kind=record["kind"],
-                per_group=per_group,
-                step=int(record.get("step", 0)),
-                incentive=int(record.get("incentive", 0)),
-            )
+            return cls(record["kind"], {int(g): p for g, p in per_group.items()}, step, incentive)
         except (KeyError, ValueError, TypeError) as exc:
             raise InvalidArgument(f"bad policy record: {exc}") from exc
 
@@ -146,6 +149,9 @@ def split_revenue(amount: int, shares: RevenueShares) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class ChargeReceipt:
+    """One ledger entry. The fold builds it from the logged charge record,
+    and :meth:`ChargingProvider.charge` returns that same object."""
+
     receipt_id: str
     account_id: str
     amount: int
@@ -161,33 +167,11 @@ class Declined:
 
 
 @dataclass
-class LedgerEntry:
-    at: int
-    amount: int
-    phase: str
-    group: int
-    receipt_id: str
-
-    def to_record(self) -> dict:
-        return {
-            "at": self.at,
-            "amount": self.amount,
-            "phase": self.phase,
-            "group": self.group,
-            "receipt": self.receipt_id,
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "LedgerEntry":
-        return cls(record["at"], record["amount"], record["phase"], record["group"], record["receipt"])
-
-
-@dataclass
 class Account:
     account_id: str
     balance: int
     opening_balance: int
-    history: list[LedgerEntry] = field(default_factory=list)
+    history: list[ChargeReceipt] = field(default_factory=list)
 
 
 class ChargingProvider:
@@ -205,7 +189,7 @@ class ChargingProvider:
         self._shares = shares
         self._credit_limit = credit_limit
         self._accounts: dict[str, Account] = {}
-        self._last_receipt = 0
+        self._charges = 0  # charge records folded so far; numbers the next receipt
         self._revenue = {"cp": 0, "pca": 0, "rs": 0}
         # the socket server is threaded: open_account and charge check and
         # then update, and without the lock concurrent charges lose updates
@@ -226,7 +210,7 @@ class ChargingProvider:
     def balance(self, account_id: str) -> int:
         return self._account(account_id).balance
 
-    def history(self, account_id: str) -> list[LedgerEntry]:
+    def history(self, account_id: str) -> list[ChargeReceipt]:
         return list(self._account(account_id).history)
 
     # -- policy / shares -----------------------------------------------------
@@ -253,30 +237,32 @@ class ChargingProvider:
             account = self._account(account_id)
             if self._credit_limit is not None and account.balance - amount < -self._credit_limit:
                 return Declined(reason="limit-exceeded")
-            entry = LedgerEntry(self._clock.now(), amount, phase, group, f"rcpt-{self._last_receipt + 1:06d}")
-            self._commit({"kind": "charge", "account": account_id, **entry.to_record()})
-            return ChargeReceipt(
-                receipt_id=entry.receipt_id,
-                account_id=account_id,
-                amount=amount,
-                group=group,
-                phase=phase,
-                at=entry.at,
-                balance_after=account.balance,
+            self._commit(
+                {
+                    "kind": "charge",
+                    "account": account_id,
+                    "at": self._clock.now(),
+                    "amount": amount,
+                    "phase": phase,
+                    "group": group,
+                    "receipt": f"rcpt-{self._charges + 1:06d}",
+                }
             )
+            return account.history[-1]
 
     # -- audit ----------------------------------------------------------------
 
     def export_state(self) -> bytes:
-        from .encoding import encode
-
         return encode(
             {
                 "accounts": {
                     a.account_id: {
                         "balance": a.balance,
                         "opening": a.opening_balance,
-                        "history": [e.to_record() for e in a.history],
+                        "history": [
+                            {"at": e.at, "amount": e.amount, "phase": e.phase, "group": e.group, "receipt": e.receipt_id}
+                            for e in a.history
+                        ],
                     }
                     for a in self._accounts.values()
                 },
@@ -311,13 +297,17 @@ class ChargingProvider:
         if record["kind"] == "open":
             self._accounts[account_id] = Account(account_id, record["balance"], record["balance"])
             return
-        entry = LedgerEntry.from_record(record)
         account = self._accounts[account_id]
-        account.balance -= entry.amount
-        account.history.append(entry)
-        self._last_receipt = max(self._last_receipt, int(entry.receipt_id.rsplit("-", 1)[1]))
-        if entry.amount > 0 and self._shares is not None:
-            cp_part, pca_part, rs_part = split_revenue(entry.amount, self._shares)
+        amount = record["amount"]
+        account.balance -= amount
+        account.history.append(
+            ChargeReceipt(
+                record["receipt"], account_id, amount, record["group"], record["phase"], record["at"], account.balance
+            )
+        )
+        self._charges += 1
+        if amount > 0 and self._shares is not None:
+            cp_part, pca_part, rs_part = split_revenue(amount, self._shares)
             self._revenue["cp"] += cp_part
             self._revenue["pca"] += pca_part
             self._revenue["rs"] += rs_part

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 
 class SimClock:
-    def __init__(self, start: int = 0):
-        self._now = int(start)
+    def __init__(self):
+        self._now = 0
 
     def now(self) -> int:
         return self._now

@@ -33,12 +33,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 )
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
-from cryptography.hazmat.primitives.serialization import (
-    Encoding,
-    NoEncryption,
-    PrivateFormat,
-    PublicFormat,
-)
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from .encoding import EncodingError, decode, encode
 from .errors import InvalidArgument
@@ -299,10 +294,6 @@ class CredentialChain:
     def from_bytes(cls, data: bytes) -> "CredentialChain":
         spans: dict = {}
         return cls.from_record(decode(data, spans), data, spans)
-
-    @property
-    def aik_public(self) -> bytes:
-        return self.aik_cred.entity
 
     @property
     def aik_digest(self) -> str:

@@ -16,6 +16,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import takewhile
 from pathlib import Path
 
 from . import crypto
@@ -166,6 +167,10 @@ class PrivacyCa:
         """Authorization first, handshake only afterwards: blacklist and
         charging decisions happen before any challenge is produced."""
         with self._lock:
+            # expired challenges are a prefix: the TTL is constant and the clock never goes back
+            now = self._clock.now()
+            for nonce in list(takewhile(lambda n: self._pending[n].expires < now, self._pending)):
+                del self._pending[nonce]
             record = self._platforms.get(platform_id)
             if record is None:
                 raise PcaError("platform not registered", code="unregistered-platform")
@@ -188,7 +193,7 @@ class PrivacyCa:
                 aik_public=aik_public,
                 group=group,
                 platform_id=platform_id,
-                expires=self._clock.now() + CHALLENGE_TTL,
+                expires=now + CHALLENGE_TTL,
                 charge_ref=charge_ref,
             )
             self._pending[nonce] = pending

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -22,7 +22,7 @@ from . import crypto
 from .charging import Declined
 from .clock import SimClock
 from .crypto import CredentialChain
-from .encoding import EncodingError, append_record, encode, read_records
+from .encoding import EncodingError, append_record, decode, encode, read_records
 from .errors import InvalidArgument
 
 logger = logging.getLogger(__name__)
@@ -314,8 +314,6 @@ class ReputationSystem:
         os.replace(partial, target)
 
     def _load_spent_snapshot(self, path: Path) -> None:
-        from .encoding import decode
-
         snapshot = decode(path.read_bytes())
         for digest, at in snapshot["spent"].items():
             self._spent.setdefault(digest, at)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -75,8 +75,87 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
+        """Parse and check a scenario; any fault in ``raw`` is a ScenarioError."""
         try:
-            return _parse_config(raw)
+            if not isinstance(raw, dict):
+                raise ScenarioError("scenario must be a JSON object")
+            unknown = set(raw) - {f.name for f in fields(cls)}
+            if unknown:
+                raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
+
+            seed = int(raw.get("seed", 0))
+            rs_id = str(raw.get("rs_id", "rs-main"))
+
+            groups: dict[int, GroupConfig] = {}
+            for key, entry in raw["groups"].items():
+                groups[int(key)] = GroupConfig(impact=Fraction(entry["impact"]))
+            if sorted(groups) != list(range(1, len(groups) + 1)):
+                raise ScenarioError("group ids must be dense 1..G")
+
+            policy = PricingPolicy.from_record(raw.get("policy", {"kind": "free"}))
+            shares = RevenueShares.from_record(raw["shares"]) if raw.get("shares") else None
+
+            charging = str(raw.get("charging", "none"))
+            if charging not in CHARGING_MODES:
+                raise ScenarioError(f"charging mode must be one of {CHARGING_MODES}")
+            if charging != "none" and policy.kind in ("flat", "increasing"):
+                missing = [g for g in groups if g not in policy.per_group]
+                if missing:
+                    raise ScenarioError(f"policy has no price for groups {missing}")
+
+            credit_limit = raw.get("credit_limit")
+            if credit_limit is not None:
+                credit_limit = int(credit_limit)
+
+            scale_raw = raw.get("scale", [1, 5])
+            scale = (int(scale_raw[0]), int(scale_raw[1]))
+            if scale[0] > scale[1]:
+                raise ScenarioError("rating scale is empty")
+
+            agents = []
+            names = set()
+            for entry in raw.get("agents", []):
+                spec = AgentSpec(
+                    name=str(entry["name"]),
+                    account=str(entry.get("account", f"acct-{entry['name']}")),
+                    balance=int(entry.get("balance", 0)),
+                )
+                if spec.name in names:
+                    raise ScenarioError(f"duplicate agent {spec.name!r}")
+                names.add(spec.name)
+                agents.append(spec)
+
+            script = list(raw.get("script", []))
+            for i, step in enumerate(script):
+                if not isinstance(step, dict) or "action" not in step:
+                    raise ScenarioError(f"step {i}: missing action")
+                action = step["action"]
+                if action not in ACTIONS:
+                    raise ScenarioError(f"step {i}: unknown action {action!r}")
+                if action in ("register", "acquire", "redeem", "blacklist", "tamper", "resolve"):
+                    if step.get("agent") not in names:
+                        raise ScenarioError(f"step {i}: unknown agent {step.get('agent')!r}")
+                if action == "acquire" and int(step.get("group", 1)) not in groups:
+                    raise ScenarioError(f"step {i}: unknown group {step.get('group')!r}")
+                if action == "redeem" and ("subject" not in step or "score" not in step):
+                    raise ScenarioError(f"step {i}: redeem needs subject and score")
+                if action == "score" and "subject" not in step:
+                    raise ScenarioError(f"step {i}: score needs a subject")
+                if action == "tamper" and step.get("mode") not in TAMPER_MODES:
+                    raise ScenarioError(f"step {i}: tamper mode must be one of {TAMPER_MODES}")
+
+            return cls(
+                seed=seed,
+                rs_id=rs_id,
+                groups=groups,
+                policy=policy,
+                shares=shares,
+                charging=charging,
+                agents=agents,
+                script=script,
+                credit_limit=credit_limit,
+                scale=scale,
+            )
         except ScenarioError:
             raise
         except Exception as exc:
@@ -89,99 +168,6 @@ class ScenarioConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ScenarioError(f"cannot read scenario file: {exc}") from exc
         return cls.from_dict(raw)
-
-
-def _parse_config(raw: dict) -> ScenarioConfig:
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario must be a JSON object")
-    unknown = set(raw) - {
-        "seed",
-        "rs_id",
-        "groups",
-        "policy",
-        "shares",
-        "charging",
-        "credit_limit",
-        "scale",
-        "agents",
-        "script",
-    }
-    if unknown:
-        raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
-
-    seed = int(raw.get("seed", 0))
-    rs_id = str(raw.get("rs_id", "rs-main"))
-
-    groups: dict[int, GroupConfig] = {}
-    for key, entry in raw["groups"].items():
-        groups[int(key)] = GroupConfig(impact=Fraction(entry["impact"]))
-    if sorted(groups) != list(range(1, len(groups) + 1)):
-        raise ScenarioError("group ids must be dense 1..G")
-
-    policy = PricingPolicy.from_record(raw.get("policy", {"kind": "free"}))
-    shares = RevenueShares.from_record(raw["shares"]) if raw.get("shares") else None
-
-    charging = str(raw.get("charging", "none"))
-    if charging not in CHARGING_MODES:
-        raise ScenarioError(f"charging mode must be one of {CHARGING_MODES}")
-    if charging != "none" and policy.kind in ("flat", "increasing"):
-        missing = [g for g in groups if g not in policy.per_group]
-        if missing:
-            raise ScenarioError(f"policy has no price for groups {missing}")
-
-    credit_limit = raw.get("credit_limit")
-    if credit_limit is not None:
-        credit_limit = int(credit_limit)
-
-    scale_raw = raw.get("scale", [1, 5])
-    scale = (int(scale_raw[0]), int(scale_raw[1]))
-    if scale[0] > scale[1]:
-        raise ScenarioError("rating scale is empty")
-
-    agents = []
-    names = set()
-    for entry in raw.get("agents", []):
-        spec = AgentSpec(
-            name=str(entry["name"]),
-            account=str(entry.get("account", f"acct-{entry['name']}")),
-            balance=int(entry.get("balance", 0)),
-        )
-        if spec.name in names:
-            raise ScenarioError(f"duplicate agent {spec.name!r}")
-        names.add(spec.name)
-        agents.append(spec)
-
-    script = list(raw.get("script", []))
-    for i, step in enumerate(script):
-        if not isinstance(step, dict) or "action" not in step:
-            raise ScenarioError(f"step {i}: missing action")
-        action = step["action"]
-        if action not in ACTIONS:
-            raise ScenarioError(f"step {i}: unknown action {action!r}")
-        if action in ("register", "acquire", "redeem", "blacklist", "tamper", "resolve"):
-            if step.get("agent") not in names:
-                raise ScenarioError(f"step {i}: unknown agent {step.get('agent')!r}")
-        if action == "acquire" and int(step.get("group", 1)) not in groups:
-            raise ScenarioError(f"step {i}: unknown group {step.get('group')!r}")
-        if action == "redeem" and ("subject" not in step or "score" not in step):
-            raise ScenarioError(f"step {i}: redeem needs subject and score")
-        if action == "score" and "subject" not in step:
-            raise ScenarioError(f"step {i}: score needs a subject")
-        if action == "tamper" and step.get("mode") not in TAMPER_MODES:
-            raise ScenarioError(f"step {i}: tamper mode must be one of {TAMPER_MODES}")
-
-    return ScenarioConfig(
-        seed=seed,
-        rs_id=rs_id,
-        groups=groups,
-        policy=policy,
-        shares=shares,
-        charging=charging,
-        agents=agents,
-        script=script,
-        credit_limit=credit_limit,
-        scale=scale,
-    )
 
 
 # ---------------------------------------------------------------------------

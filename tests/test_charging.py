@@ -57,6 +57,33 @@ def test_negative_prior_count_rejected():
         price(PricingPolicy.free(), 1, -1)
 
 
+def test_policy_record_round_trips_and_absent_keys_take_defaults():
+    policy = PricingPolicy.increasing({1: 100, 3: 40}, step=10)
+    assert PricingPolicy.from_record(policy.to_record()) == policy
+    assert PricingPolicy.from_record({"kind": "free"}) == PricingPolicy.free()
+    assert PricingPolicy.from_record({"kind": "reverse", "incentive": 5}) == PricingPolicy.reverse(5)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"kind": "flat", "per_group": {"1": 70}, "bogus": 1},
+        {"kind": "flat", "per_group": {"1": "70"}},
+        {"kind": "flat", "per_group": {"1": 7.0}},
+        {"kind": "flat", "per_group": {"1": True}},
+        {"kind": "flat", "per_group": [["1", 70]]},
+        {"kind": "increasing", "per_group": {"1": 70}, "step": b"3"},
+        {"kind": "increasing", "per_group": {"1": 70}, "step": "3"},
+        {"kind": "reverse", "incentive": "5"},
+        {"kind": "flat", "per_group": {"one": 70}},
+        {"per_group": {"1": 70}},
+    ],
+)
+def test_policy_record_is_not_coerced(record):
+    with pytest.raises(InvalidArgument):
+        PricingPolicy.from_record(record)
+
+
 @given(st.integers(min_value=0, max_value=9_999))
 @settings(max_examples=200)
 def test_increasing_policy_monotone(n):
@@ -135,6 +162,27 @@ def test_charge_moves_balance():
     assert isinstance(receipt, ChargeReceipt)
     assert cp.balance("acct") == 400
     assert receipt.balance_after == 400
+
+
+def test_charge_returns_the_receipt_the_ledger_keeps_and_replay_rebuilds(tmp_path):
+    path = tmp_path / "ledger.log"
+    cp = ChargingProvider(SimClock(), shares=THIRDS, ledger_log=path)
+    cp.open_account("acct", 500)
+    cp.open_account("other", 0)
+    receipts = [
+        cp.charge("acct", 120, group=2, phase="acquisition"),
+        cp.charge("other", -30, group=1, phase="ex_post"),
+        cp.charge("acct", 45, group=1, phase="ex_post"),
+    ]
+    assert receipts[0] is cp.history("acct")[0]
+    assert receipts[1] is cp.history("other")[-1]
+    assert receipts[2] is cp.history("acct")[-1]
+    assert [r.balance_after for r in receipts] == [380, 30, 335]
+    assert [r.receipt_id for r in receipts] == ["rcpt-000001", "rcpt-000002", "rcpt-000003"]
+
+    revived = ChargingProvider(SimClock(), shares=THIRDS, ledger_log=path)
+    for account in ("acct", "other"):
+        assert revived.history(account) == cp.history(account)
 
 
 def test_incentive_credits_account():

@@ -226,3 +226,19 @@ def test_mapping_completeness():
             expected[crypto.key_id_of(ticket.credential.entity)] = agent.platform_id
     for digest, platform_id in expected.items():
         assert stack.pca.resolve_identity(digest, TOKEN).platform_id == platform_id
+
+
+def test_expired_challenges_are_dropped_by_the_next_request():
+    stack = make_stack(1)
+    agent = stack.new_agent("a")
+    for _ in range(50):  # abandoned: never completed
+        stack.pca.request_credential(agent.tpm.make_identity()[1], 1, agent.platform_id)
+    assert len(stack.pca._pending) == 50
+    stack.clock.advance(150)
+    stack.pca.request_credential(agent.tpm.make_identity()[1], 1, agent.platform_id)
+    assert len(stack.pca._pending) == 51  # none has expired yet
+    stack.clock.advance(151)
+    handle, public = agent.tpm.make_identity()
+    challenge = stack.pca.request_credential(public, 1, agent.platform_id)
+    assert len(stack.pca._pending) == 2  # the 50 expired, the 51st and this one live
+    stack.pca.complete_handshake(challenge.nonce, agent.tpm.sign_issuance_nonce(handle, challenge.nonce))

@@ -222,6 +222,20 @@ def test_cp_policy_endpoint_get_and_set():
     assert stack.cp.policy.per_group == {1: 100}
 
 
+def test_cp_admin_policy_refuses_wrong_types_and_unknown_keys():
+    stack = make_stack(1)
+    router = full_router(stack)
+    before = stack.cp.policy
+    for policy in (
+        {"kind": "flat", "per_group": {"1": "70"}, "step": b"3", "bogus": 1},
+        {"kind": "flat", "per_group": {"1": 70}, "bogus": 1},
+    ):
+        request = encode_request("cp/admin/policy", {"policy": policy}, b"c")
+        _, _, status, body = decode_response(router.handle(request))
+        assert (status, body["code"]) == ("error", "invalid-argument"), policy
+    assert stack.cp.policy == before
+
+
 def test_groups_admin_endpoint():
     stack = make_stack(1)
     rs_client = RsClient(InprocTransport(Router(rs=stack.rs)))
