@@ -100,8 +100,10 @@ class PricingPolicy:
 
     @classmethod
     def from_record(cls, record: dict) -> "PricingPolicy":
-        """An absent key takes its default; an unknown key, or a price, step
-        or incentive that is not an int, is refused rather than coerced."""
+        """An absent key takes its default; an unknown key, a group key that
+        is not the decimal string of a group id (as :meth:`to_record` writes
+        it), or a price, step or incentive that is not an int, is refused
+        rather than coerced."""
         unknown = set(record) - {"kind", "per_group", "step", "incentive"}
         if unknown:
             raise InvalidArgument(f"bad policy record: unknown keys {sorted(unknown)}")
@@ -110,6 +112,8 @@ class PricingPolicy:
         if not isinstance(per_group, dict) or any(type(v) is not int for v in (*per_group.values(), step, incentive)):
             raise InvalidArgument("bad policy record: prices, step and incentive must be integers")
         try:
+            if any(str(int(g)) != g for g in per_group):
+                raise ValueError(f"group keys must be decimal group ids, not {list(per_group)}")
             return cls(record["kind"], {int(g): p for g, p in per_group.items()}, step, incentive)
         except (KeyError, ValueError, TypeError) as exc:
             raise InvalidArgument(f"bad policy record: {exc}") from exc

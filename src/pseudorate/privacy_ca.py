@@ -119,9 +119,6 @@ class PrivacyCa:
         self._platforms: dict[str, IdentityRecord] = {}
         self._tickets: dict[str, IssuedTicket] = {}  # aik digest -> ticket
         self._pending: dict[bytes, PendingIssuance] = {}
-        # per-account ticket-ref -> price index; refs are PCA-internal ids,
-        # never shown to the charging provider
-        self._account_ticket_index: dict[str, dict[str, int]] = {}
         self._issuance_log = Path(issuance_log) if issuance_log else None
         if self._issuance_log and self._issuance_log.exists():
             for record in read_records(self._issuance_log):
@@ -181,9 +178,11 @@ class PrivacyCa:
             if aik_digest in self._tickets:
                 raise PcaError("identity key already carries a ticket", code="duplicate-aik")
 
+            # a CA-random reference kept on the issue record; drawn before the
+            # nonce, so every later draw and label keeps its place
             charge_ref = self._randbytes(16).hex()
             if PHASE_ACQUISITION in self._charge_phases:
-                result = self._charge(record, group, charge_ref, PHASE_ACQUISITION)
+                result = self._charge(record, group, PHASE_ACQUISITION)
                 if isinstance(result, Declined):
                     return DeniedRequest(reason="cp-declined")
 
@@ -276,30 +275,18 @@ class PrivacyCa:
             ticket = self._tickets.get(aik_digest)
             if ticket is None:
                 raise PcaError("no ticket issued for that identity key", code="not-found")
-            return self._charge(self._platforms[ticket.platform_id], group, ticket.charge_ref, PHASE_EX_POST)
+            return self._charge(self._platforms[ticket.platform_id], group, PHASE_EX_POST)
 
-    def _charge(
-        self, record: IdentityRecord, group: int, charge_ref: str, phase: str
-    ) -> ChargeReceipt | Declined | None:
+    def _charge(self, record: IdentityRecord, group: int, phase: str) -> ChargeReceipt | Declined | None:
         if self._charging is None or self._pricing is None:
             return None
-        # a ticket keeps the price index it was first charged at; only the
-        # charge record's fold assigns one, so a declined or failed charge
-        # leaves no index behind
-        index_map = self._account_ticket_index.get(record.user_account, {})
-        amount = price(self._pricing, group, index_map.get(charge_ref, len(index_map)))
-        result = self._charging.charge(record.user_account, amount, group=group, phase=phase)
-        if isinstance(result, ChargeReceipt):
-            self._commit(
-                {
-                    "kind": "charge",
-                    "account": record.user_account,
-                    "charge_ref": charge_ref,
-                    "receipt": result.receipt_id,
-                }
-            )
-        else:
-            logger.info("charge declined for account %s", record.user_account)
+        # the provider's ledger is the one count of the charges an account
+        # has paid, so a declined or failed charge does not move the price
+        account = record.user_account
+        amount = price(self._pricing, group, len(self._charging.history(account)))
+        result = self._charging.charge(account, amount, group=group, phase=phase)
+        if isinstance(result, Declined):
+            logger.info("charge declined for account %s", account)
         return result
 
     # -- internals --------------------------------------------------------------
@@ -316,7 +303,8 @@ class PrivacyCa:
     def _apply(self, record: dict) -> None:
         """The only code that changes logged state: live operations reach it
         through :meth:`_commit` after logging, and replay calls it for each
-        logged record."""
+        logged record. It skips the "charge" records of older logs: the
+        provider's ledger holds those charges."""
         kind = record["kind"]
         if kind == "register":
             self._platforms[record["platform_id"]] = IdentityRecord(
@@ -337,6 +325,3 @@ class PrivacyCa:
             self._tickets[ticket.aik_digest] = ticket
         elif kind == "blacklist":
             self._platforms[record["platform_id"]].blacklisted = bool(record["flag"])
-        elif kind == "charge":
-            index_map = self._account_ticket_index.setdefault(record["account"], {})
-            index_map.setdefault(record["charge_ref"], len(index_map))

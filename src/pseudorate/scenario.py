@@ -43,7 +43,7 @@ from .wire import (
     decode_response,
 )
 
-CHARGING_MODES = ("none", "acquisition", "ex_post", "both")
+CHARGING_MODES = ("none", "acquisition", "ex_post")
 ACTIONS = ("register", "acquire", "redeem", "blacklist", "tamper", "advance", "resolve", "score")
 TAMPER_MODES = ("bitflip", "replay", "crossover", "aik-sign")
 TRANSPORTS = ("inproc", "socket")
@@ -286,7 +286,7 @@ class _Stack:
             self.cp.open_account(spec.account, spec.balance)
 
         pricing = config.policy if config.charging != "none" else None
-        phases = (PHASE_ACQUISITION,) if config.charging in ("acquisition", "both") else ()
+        phases = (PHASE_ACQUISITION,) if config.charging == "acquisition" else ()
         self.pca = PrivacyCa(
             config.groups,
             clock=self.clock,
@@ -297,7 +297,7 @@ class _Stack:
             authority_tokens={self.authority_token},
             issuance_log=logs.get("issuance_log"),
         )
-        expost = self.pca.charge_for_ticket if config.charging in ("ex_post", "both") else None
+        expost = self.pca.charge_for_ticket if config.charging == "ex_post" else None
         self.rs = ReputationSystem(
             config.rs_id,
             clock=self.clock,

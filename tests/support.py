@@ -81,7 +81,7 @@ def make_stack(
     cp = ChargingProvider(clock, policy=policy, shares=shares, credit_limit=credit_limit, **(cp_kwargs or {}))
     groups = {g: GroupConfig(impact=Fraction(g)) for g in range(1, group_count + 1)}
     pricing = policy if charging != "none" else None
-    phases = ("acquisition",) if charging in ("acquisition", "both") else ()
+    phases = ("acquisition",) if charging == "acquisition" else ()
     pca = PrivacyCa(
         groups,
         clock=clock,
@@ -92,7 +92,7 @@ def make_stack(
         authority_tokens={TOKEN},
         **(pca_kwargs or {}),
     )
-    expost = pca.charge_for_ticket if charging in ("ex_post", "both") else None
+    expost = pca.charge_for_ticket if charging == "ex_post" else None
     rs_options = {"expost_charge": expost, **(rs_kwargs or {})}
     rs = ReputationSystem(rs_id, clock=clock, scale=scale, **rs_options)
     rs.configure_groups(pca.group_registry())

@@ -77,6 +77,7 @@ def test_policy_record_round_trips_and_absent_keys_take_defaults():
         {"kind": "reverse", "incentive": "5"},
         {"kind": "flat", "per_group": {"one": 70}},
         {"per_group": {"1": 70}},
+        {"kind": "flat", "per_group": {"1": 10, "01": 20, " 2": 5}},
     ],
 )
 def test_policy_record_is_not_coerced(record):

@@ -7,6 +7,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from pseudorate.agent import TicketDenied
 from pseudorate.charging import PHASES, ChargingProvider, Declined, PricingPolicy, RevenueShares
 from pseudorate.clock import SimClock
@@ -43,14 +45,14 @@ def test_ledger_live_state_equals_replayed(tmp_path):
     assert revived.charge("acct-0", 1, group=1, phase="ex_post").receipt_id == f"rcpt-{300 - declined + 1:06d}"
 
 
-def _drive(tmp_path, seed: int):
+def _drive(tmp_path, seed: int, charging: str):
     """Random traffic through a stack with all three logs configured;
     returns the stack and the outcome counts."""
     stack = make_stack(
         seed,
         policy=POLICY,
         shares=SHARES,
-        charging="both",
+        charging=charging,
         credit_limit=0,
         cp_kwargs={"ledger_log": tmp_path / "cp-ledger.log"},
         pca_kwargs={"issuance_log": tmp_path / "pca-issuance.log"},
@@ -88,23 +90,36 @@ def _drive(tmp_path, seed: int):
     return stack, outcomes
 
 
-def test_authority_live_state_equals_replayed(tmp_path):
-    stack, outcomes = _drive(tmp_path, 21)
-    for outcome in ("issued", "cp-declined", "blacklisted", "charge-raised"):
+def _check_charge_failures(stack, outcomes, charging: str) -> None:
+    """A declined or raising charge refuses the ticket at acquisition, and
+    leaves the rating's charge pending ex post."""
+    if charging == "acquisition":
+        for outcome in ("cp-declined", "charge-raised"):
+            assert outcomes[outcome] > 0, outcome
+    else:
+        assert stack.rs.pending_charge_count > 0
+
+
+@pytest.mark.parametrize("charging", ["acquisition", "ex_post"])
+def test_authority_live_state_equals_replayed(tmp_path, charging):
+    stack, outcomes = _drive(tmp_path, 21, charging)
+    for outcome in ("issued", "blacklisted"):
         assert outcomes[outcome] > 0, outcome
+    _check_charge_failures(stack, outcomes, charging)
     revived = PrivacyCa(
         {g: GroupConfig(impact=Fraction(g)) for g in (1, 2, 3)}, issuance_log=tmp_path / "pca-issuance.log"
     )
     assert revived._platforms == stack.pca._platforms
     assert any(record.issued for record in revived._platforms.values())
     assert revived._tickets == stack.pca._tickets
-    assert revived._account_ticket_index == stack.pca._account_ticket_index
 
 
-def test_ledger_and_ratings_of_a_stack_equal_replayed(tmp_path):
-    stack, outcomes = _drive(tmp_path, 22)
-    for outcome in ("ack", "double-spend", "cp-declined"):
+@pytest.mark.parametrize("charging", ["acquisition", "ex_post"])
+def test_ledger_and_ratings_of_a_stack_equal_replayed(tmp_path, charging):
+    stack, outcomes = _drive(tmp_path, 22, charging)
+    for outcome in ("ack", "double-spend"):
         assert outcomes[outcome] > 0, outcome
+    _check_charge_failures(stack, outcomes, charging)
     cp = ChargingProvider(SimClock(), shares=SHARES, credit_limit=0, ledger_log=tmp_path / "cp-ledger.log")
     assert cp.export_state() == stack.cp.export_state()
     rs = ReputationSystem("rs-test", rating_log=tmp_path / "rs-ratings.log")

@@ -183,6 +183,16 @@ def test_cli_run_malformed_scenario_is_usage_error(tmp_path, capsys):
     assert main(["run", str(sick)]) == 2
 
 
+def test_charging_mode_both_is_refused(tmp_path):
+    raw = json.loads((SCENARIOS / "basic.json").read_text())
+    raw["charging"] = "both"
+    with pytest.raises(ScenarioError):
+        ScenarioConfig.from_dict(raw)
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path)]) == 2
+
+
 def test_cli_verify_transcript_and_tampered_chain(tmp_path, capsys):
     out = tmp_path / "t.bin"
     assert main(["run", str(SCENARIOS / "basic.json"), "--out", str(out)]) == 0

@@ -229,6 +229,7 @@ def test_cp_admin_policy_refuses_wrong_types_and_unknown_keys():
     for policy in (
         {"kind": "flat", "per_group": {"1": "70"}, "step": b"3", "bogus": 1},
         {"kind": "flat", "per_group": {"1": 70}, "bogus": 1},
+        {"kind": "flat", "per_group": {"1": 10, "01": 20, " 2": 5}},
     ):
         request = encode_request("cp/admin/policy", {"policy": policy}, b"c")
         _, _, status, body = decode_response(router.handle(request))
