@@ -47,6 +47,8 @@ class RevenueShares:
     @classmethod
     def from_record(cls, record: dict) -> "RevenueShares":
         try:
+            if set(record) != {"cp", "pca", "rs"}:
+                raise ValueError(f"keys must be cp, pca and rs, not {sorted(record)}")
             return cls(Fraction(record["cp"]), Fraction(record["pca"]), Fraction(record["rs"]))
         except (KeyError, ValueError, ZeroDivisionError, TypeError) as exc:
             raise ChargingError(f"bad shares record: {exc}", code="invalid-shares") from exc

@@ -116,16 +116,10 @@ def seal(recipient_public: bytes, plaintext: bytes, *, ephemeral_seed: bytes | N
         recipient = X25519PublicKey.from_public_bytes(recipient_public)
     except ValueError as exc:
         raise SealError("bad recipient key") from exc
-    eph_raw = (
-        _seed_to_raw(_SEAL_SEED_DOMAIN, ephemeral_seed)
-        if ephemeral_seed is not None
-        else secrets.token_bytes(32)
-    )
-    eph_priv = X25519PrivateKey.from_private_bytes(eph_raw)
-    eph_pub = eph_priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-    key = _seal_key(eph_priv.exchange(recipient), eph_pub, recipient_public)
+    ephemeral = generate_sealing_keypair(ephemeral_seed)
+    key = _seal_key(ephemeral.key.exchange(recipient), ephemeral.public, recipient_public)
     ciphertext = ChaCha20Poly1305(key).encrypt(_SEAL_NONCE, plaintext, None)
-    return eph_pub + ciphertext
+    return ephemeral.public + ciphertext
 
 
 def unseal(recipient: KeyPair, blob: bytes) -> bytes:

@@ -129,21 +129,18 @@ class WeightedScore:
 
 class ReputationSystem:
     none_value = "no-score"  # what rs/score reports for a subject with no ratings
+    scale = (1, 5)  # the lowest and highest score a rating may give
 
     def __init__(
         self,
         rs_id: str,
         *,
         clock: SimClock | None = None,
-        scale: tuple[int, int] = (1, 5),
         expost_charge: Callable[[str, int], object] | None = None,
         rating_log: Path | str | None = None,
         spent_snapshot: Path | str | None = None,
     ):
-        if scale[0] > scale[1]:
-            raise InvalidArgument("rating scale is empty")
         self.rs_id = rs_id
-        self.scale = (int(scale[0]), int(scale[1]))
         self._clock = clock or SimClock()
         self._expost_charge = expost_charge
         self._registry: dict[int, tuple[bytes, Fraction]] = {}

@@ -44,9 +44,27 @@ from .wire import (
 )
 
 CHARGING_MODES = ("none", "acquisition", "ex_post")
-ACTIONS = ("register", "acquire", "redeem", "blacklist", "tamper", "advance", "resolve", "score")
 TAMPER_MODES = ("bitflip", "replay", "crossover", "aik-sign")
 TRANSPORTS = ("inproc", "socket")
+
+# action -> (every field of its steps with its type, the defaults of the
+# fields a step may leave out). A value must be exactly of its field's type,
+# as wire.ROUTES types request fields: true is not an int and 1 is not a bool.
+STEPS: dict[str, tuple[dict[str, type], dict[str, object]]] = {
+    "register": ({"agent": str}, {}),
+    "acquire": ({"agent": str, "group": int, "count": int}, {"group": 1, "count": 1}),
+    "redeem": ({"agent": str, "subject": str, "score": int}, {}),
+    "blacklist": ({"agent": str, "flag": bool}, {"flag": True}),
+    "tamper": (
+        {"agent": str, "mode": str, "subject": str, "score": int, "other": str},
+        {"subject": "tamper-subject", "score": 1, "other": None},
+    ),
+    "advance": ({"seconds": int}, {"seconds": 1}),
+    "resolve": ({"agent": str, "index": int}, {"index": 0}),
+    "score": ({"subject": str}, {}),
+}
+_STEP_KINDS = {action: {"action": str, **kinds} for action, (kinds, _) in STEPS.items()}  # built once
+_AGENT_FIELDS = {"name": str, "account": str, "balance": int}
 
 
 class ScenarioError(TicketError):
@@ -71,7 +89,6 @@ class ScenarioConfig:
     agents: list[AgentSpec]
     script: list[dict]
     credit_limit: int | None = None
-    scale: tuple[int, int] = (1, 5)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -88,6 +105,7 @@ class ScenarioConfig:
 
             groups: dict[int, GroupConfig] = {}
             for key, entry in raw["groups"].items():
+                _check_fields(f"group {key}", entry, {"impact": str}, ())
                 groups[int(key)] = GroupConfig(impact=Fraction(entry["impact"]))
             if sorted(groups) != list(range(1, len(groups) + 1)):
                 raise ScenarioError("group ids must be dense 1..G")
@@ -107,55 +125,33 @@ class ScenarioConfig:
             if credit_limit is not None:
                 credit_limit = int(credit_limit)
 
-            scale_raw = raw.get("scale", [1, 5])
-            scale = (int(scale_raw[0]), int(scale_raw[1]))
-            if scale[0] > scale[1]:
-                raise ScenarioError("rating scale is empty")
-
             agents = []
             names = set()
-            for entry in raw.get("agents", []):
-                spec = AgentSpec(
-                    name=str(entry["name"]),
-                    account=str(entry.get("account", f"acct-{entry['name']}")),
-                    balance=int(entry.get("balance", 0)),
-                )
-                if spec.name in names:
-                    raise ScenarioError(f"duplicate agent {spec.name!r}")
-                names.add(spec.name)
-                agents.append(spec)
+            for i, entry in enumerate(raw.get("agents", [])):
+                _check_fields(f"agent {i}", entry, _AGENT_FIELDS, ("account", "balance"))
+                name = entry["name"]
+                if name in names:
+                    raise ScenarioError(f"duplicate agent {name!r}")
+                names.add(name)
+                agents.append(AgentSpec(name, entry.get("account", f"acct-{name}"), entry.get("balance", 0)))
 
-            script = list(raw.get("script", []))
-            for i, step in enumerate(script):
-                if not isinstance(step, dict) or "action" not in step:
-                    raise ScenarioError(f"step {i}: missing action")
-                action = step["action"]
-                if action not in ACTIONS:
+            script = []
+            for i, step in enumerate(raw.get("script", [])):
+                action = step.get("action") if isinstance(step, dict) else None
+                if action not in STEPS:
                     raise ScenarioError(f"step {i}: unknown action {action!r}")
-                if action in ("register", "acquire", "redeem", "blacklist", "tamper", "resolve"):
-                    if step.get("agent") not in names:
-                        raise ScenarioError(f"step {i}: unknown agent {step.get('agent')!r}")
-                if action == "acquire" and int(step.get("group", 1)) not in groups:
-                    raise ScenarioError(f"step {i}: unknown group {step.get('group')!r}")
-                if action == "redeem" and ("subject" not in step or "score" not in step):
-                    raise ScenarioError(f"step {i}: redeem needs subject and score")
-                if action == "score" and "subject" not in step:
-                    raise ScenarioError(f"step {i}: score needs a subject")
-                if action == "tamper" and step.get("mode") not in TAMPER_MODES:
+                kinds, defaults = STEPS[action]
+                _check_fields(f"step {i} ({action})", step, _STEP_KINDS[action], defaults)
+                step = {**defaults, **step}
+                if "agent" in kinds and step["agent"] not in names:
+                    raise ScenarioError(f"step {i}: unknown agent {step['agent']!r}")
+                if action == "acquire" and step["group"] not in groups:
+                    raise ScenarioError(f"step {i}: unknown group {step['group']!r}")
+                if action == "tamper" and step["mode"] not in TAMPER_MODES:
                     raise ScenarioError(f"step {i}: tamper mode must be one of {TAMPER_MODES}")
+                script.append(step)
 
-            return cls(
-                seed=seed,
-                rs_id=rs_id,
-                groups=groups,
-                policy=policy,
-                shares=shares,
-                charging=charging,
-                agents=agents,
-                script=script,
-                credit_limit=credit_limit,
-                scale=scale,
-            )
+            return cls(seed, rs_id, groups, policy, shares, charging, agents, script, credit_limit)
         except ScenarioError:
             raise
         except Exception as exc:
@@ -168,6 +164,20 @@ class ScenarioConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ScenarioError(f"cannot read scenario file: {exc}") from exc
         return cls.from_dict(raw)
+
+
+def _check_fields(where: str, entry: dict, kinds: dict[str, type], optional) -> None:
+    """Refuse an ``entry`` that leaves out a field of ``kinds`` not in ``optional``,
+    or gives a field not in ``kinds`` or not exactly of its kind."""
+    for name in kinds:
+        if name not in entry and name not in optional:
+            raise ScenarioError(f"{where}: missing {name!r}")
+    for name, value in entry.items():
+        kind = kinds.get(name)
+        if kind is None:
+            raise ScenarioError(f"{where}: unknown field {name!r}")
+        if type(value) is not kind:
+            raise ScenarioError(f"{where}: {name} must be {kind.__name__}, not {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +311,6 @@ class _Stack:
         self.rs = ReputationSystem(
             config.rs_id,
             clock=self.clock,
-            scale=config.scale,
             expost_charge=expost,
             rating_log=logs.get("rating_log"),
             spent_snapshot=logs.get("spent_snapshot"),
@@ -385,7 +394,7 @@ def _drive(config: ScenarioConfig, stack: _Stack) -> Transcript:
         stack.clock.advance(1)
         action = step["action"]
         agent_name = step.get("agent")
-        agent = stack.agents.get(agent_name) if agent_name else None
+        agent = stack.agents.get(agent_name)
 
         try:
             if action == "register":
@@ -393,9 +402,8 @@ def _drive(config: ScenarioConfig, stack: _Stack) -> Transcript:
                 record(action, agent_name, "registered", {"platform_id": platform_id})
 
             elif action == "acquire":
-                group = int(step.get("group", 1))
-                count = int(step.get("count", 1))
-                for _ in range(count):
+                group = step["group"]
+                for _ in range(step["count"]):
                     ticket = agent.acquire_ticket(group)
                     record(
                         action,
@@ -405,38 +413,31 @@ def _drive(config: ScenarioConfig, stack: _Stack) -> Transcript:
                     )
 
             elif action == "redeem":
-                if "ticket" in step:
-                    ticket = agent.tickets[int(step["ticket"])]
-                else:
-                    ticket = _fresh_ticket(agent, int(step["group"]) if "group" in step else None)
-                payload = agent.make_payload(
-                    str(step["subject"]), int(step["score"]), str(step.get("comment", ""))
-                )
+                ticket = _fresh_ticket(agent)
+                payload = agent.make_payload(step["subject"], step["score"])
                 chain = agent.build_chain(ticket, payload)
                 record(action, agent_name, *_submit(agent, ticket, payload, chain))
 
             elif action == "blacklist":
-                flag = bool(step.get("flag", True))
-                stack.pca_client.blacklist(agent.platform_id, flag)
-                record(action, agent_name, f"flag={int(flag)}", {})
+                stack.pca_client.blacklist(agent.platform_id, step["flag"])
+                record(action, agent_name, f"flag={step['flag']:d}", {})
 
             elif action == "tamper":
                 outcome, detail = _run_tamper(stack, agent, step)
                 record(action, agent_name, outcome, detail)
 
             elif action == "advance":
-                stack.clock.advance(int(step.get("seconds", 1)))
+                stack.clock.advance(step["seconds"])
                 record(action, None, f"now={stack.clock.now()}", {})
 
             elif action == "resolve":
-                index = int(step.get("index", 0))
-                ticket = agent.tickets[index]
+                ticket = agent.tickets[step["index"]]
                 digest = key_id_of(ticket.credential.entity)
                 body = stack.pca_client.resolve_identity(digest, stack.authority_token)
                 record(action, agent_name, "resolved", {"platform_id": body["platform_id"]})
 
             elif action == "score":
-                subject = str(step["subject"])
+                subject = step["subject"]
                 count, score = stack.rs_client.score(subject)
                 record(action, None, "scored", {"subject": subject, "count": count, "score": score})
 
@@ -453,10 +454,10 @@ def _drive(config: ScenarioConfig, stack: _Stack) -> Transcript:
     return transcript
 
 
-def _fresh_ticket(agent: TrustedAgent, group: int | None = None) -> Ticket:
-    fresh = agent.fresh_tickets(group)
+def _fresh_ticket(agent: TrustedAgent) -> Ticket:
+    fresh = agent.fresh_tickets()
     if not fresh:
-        raise ScenarioError(f"agent has no fresh ticket in group {group}")
+        raise ScenarioError("agent has no fresh ticket")
     return fresh[0]
 
 
@@ -473,9 +474,7 @@ def _run_tamper(stack: _Stack, agent: TrustedAgent, step: dict) -> tuple[str, di
     """Adversarial moves. Every mode submits (or attempts) something
     dishonest and reports how the system answered."""
     mode = step["mode"]
-    if mode not in TAMPER_MODES:
-        raise ScenarioError(f"unknown tamper mode {mode!r}")
-    other = stack.agents.get(str(step.get("other"))) if mode == "crossover" else None
+    other = stack.agents.get(step["other"]) if mode == "crossover" else None
     if mode == "crossover" and other is None:
         raise ScenarioError("crossover tamper needs 'other' agent")
     ticket = _fresh_ticket(agent)
@@ -489,7 +488,7 @@ def _run_tamper(stack: _Stack, agent: TrustedAgent, step: dict) -> tuple[str, di
         except TpmError as exc:
             return f"tpm-error:{exc.code}", {}
 
-    payload = agent.make_payload(str(step.get("subject", "tamper-subject")), int(step.get("score", 1)))
+    payload = agent.make_payload(step["subject"], step["score"])
     chain = agent.build_chain(ticket, payload)
     if mode == "replay":
         first, _ = _submit(agent, ticket, payload, chain)

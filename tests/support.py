@@ -69,7 +69,6 @@ def make_stack(
     shares: RevenueShares | None = None,
     charging: str = "none",
     credit_limit: int | None = None,
-    scale: tuple[int, int] = (1, 5),
     rs_id: str = "rs-test",
     cp_kwargs: dict | None = None,
     pca_kwargs: dict | None = None,
@@ -94,7 +93,7 @@ def make_stack(
     )
     expost = pca.charge_for_ticket if charging == "ex_post" else None
     rs_options = {"expost_charge": expost, **(rs_kwargs or {})}
-    rs = ReputationSystem(rs_id, clock=clock, scale=scale, **rs_options)
+    rs = ReputationSystem(rs_id, clock=clock, **rs_options)
     rs.configure_groups(pca.group_registry())
     return Stack(clock=clock, rng=rng, cp=cp, pca=pca, rs=rs)
 

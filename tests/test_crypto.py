@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -203,6 +204,14 @@ def test_sign_verify_property(message, suffix):
 def test_seal_unseal_round_trip():
     pair = generate_sealing_keypair()
     assert unseal(pair, seal(pair.public, b"secret")) == b"secret"
+
+
+def test_seeded_seal_bytes_are_pinned():
+    # the authority seals each activation blob with a seeded ephemeral key
+    pair = generate_sealing_keypair(seed=b"recipient")
+    blob = seal(pair.public, b"activation", ephemeral_seed=b"ephemeral")
+    assert hashlib.sha256(blob).hexdigest() == "73c961b9ec88ae8107d5b01bafa8cbd4db0ad81731f99a1b8261a805b621403e"
+    assert blob[:32] == generate_sealing_keypair(b"ephemeral").public
 
 
 def test_unseal_with_wrong_key_fails():

@@ -110,26 +110,72 @@ def test_drill_error_branches(transport):
     assert hashlib.sha256(transcript.to_bytes()).hexdigest() == DRILL_ERRORS_DIGEST
 
 
-def test_config_errors_found_before_services_start():
-    raw = json.loads((SCENARIOS / "basic.json").read_text())
-    raw["script"].append({"action": "acquire", "agent": "ghost", "group": 1})
-    with pytest.raises(ScenarioError):
-        ScenarioConfig.from_dict(raw)
+def add_step(**step):
+    return lambda raw: raw["script"].append(step)
 
-    raw = json.loads((SCENARIOS / "basic.json").read_text())
-    raw["script"].append({"action": "warp"})
-    with pytest.raises(ScenarioError):
-        ScenarioConfig.from_dict(raw)
 
-    raw = json.loads((SCENARIOS / "basic.json").read_text())
-    raw["groups"] = {"2": {"impact": "1"}}
-    with pytest.raises(ScenarioError):
-        ScenarioConfig.from_dict(raw)
+def set_key(*path, value):
+    def edit(raw):
+        for key in path[:-1]:
+            raw = raw[key]
+        raw[path[-1]] = value
 
+    return edit
+
+
+# edits to basic.json that make it a config error; all but the first four and
+# the last were accepted before steps were checked against scenario.STEPS
+CONFIG_ERRORS = {
+    "unknown-agent": add_step(action="acquire", agent="ghost", group=1),
+    "unknown-action": add_step(action="warp"),
+    "sparse-group-ids": set_key("groups", value={"2": {"impact": "1"}}),
+    "policy-without-price": set_key("policy", value={"kind": "flat", "per_group": {}}),
+    "misspelled-step-key": add_step(action="acquire", agent="buyer", grup=2),
+    "string-score": add_step(action="redeem", agent="buyer", subject="s", score="high"),
+    "string-count": add_step(action="acquire", agent="buyer", group=1, count="2"),
+    "bool-count": add_step(action="acquire", agent="buyer", group=1, count=True),
+    "int-flag": add_step(action="blacklist", agent="buyer", flag=1),
+    "redeem-ticket": add_step(action="redeem", agent="buyer", subject="s", score=4, ticket=0),
+    "redeem-group": add_step(action="redeem", agent="buyer", subject="s", score=4, group=1),
+    "redeem-comment": add_step(action="redeem", agent="buyer", subject="s", score=4, comment="fine"),
+    "top-level-scale": set_key("scale", value=[1, 5]),
+    "misspelled-agent-key": set_key("agents", 0, "balence", value=900),
+    "string-agent-balance": set_key("agents", 0, "balance", value="500"),
+    "extra-group-key": set_key("groups", "1", "weight", value="2"),
+    "number-impact": set_key("groups", "1", "impact", value=1),
+    "extra-shares-key": set_key("shares", "bank", value="0"),
+    "step-missing-field": add_step(action="redeem", agent="buyer", subject="s"),
+}
+
+
+@pytest.mark.parametrize("edit", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS.keys())
+def test_config_errors_found_before_services_start(edit, tmp_path, capsys):
     raw = json.loads((SCENARIOS / "basic.json").read_text())
-    raw["policy"] = {"kind": "flat", "per_group": {}}
+    edit(raw)
     with pytest.raises(ScenarioError):
         ScenarioConfig.from_dict(raw)
+    # a config error is a usage error, never a traceback from a running service
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_checked_steps_carry_their_defaults():
+    raw = json.loads((SCENARIOS / "basic.json").read_text())
+    raw["script"] = [
+        {"action": "acquire", "agent": "buyer"},
+        {"action": "blacklist", "agent": "buyer"},
+        {"action": "advance"},
+        {"action": "tamper", "agent": "buyer", "mode": "bitflip"},
+    ]
+    config = ScenarioConfig.from_dict(raw)
+    assert config.script == [
+        {"action": "acquire", "agent": "buyer", "group": 1, "count": 1},
+        {"action": "blacklist", "agent": "buyer", "flag": True},
+        {"action": "advance", "seconds": 1},
+        {"action": "tamper", "agent": "buyer", "mode": "bitflip", "subject": "tamper-subject", "score": 1, "other": None},
+    ]
 
 
 def test_same_seed_same_transcript_bytes():
