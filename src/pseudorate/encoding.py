@@ -40,31 +40,39 @@ def encode(value: Value) -> bytes:
 
 
 def _encode_into(value: Value, out: bytearray, depth: int) -> None:
-    if depth > MAX_DEPTH:
-        raise EncodingError("nesting too deep")
     cls = type(value)
-    if cls is bytes:
-        out += b"b%d:" % len(value)
-        out += value
-    elif cls is str:
-        raw = value.encode("utf-8")
-        out += b"s%d:" % len(raw)
-        out += raw
-    elif cls is dict:
+    if cls is dict:
+        if value and depth == MAX_DEPTH:
+            raise EncodingError("nesting too deep")
         for key in value:
             if type(key) is not str:
                 raise EncodingError("dict keys must be str")
         # code-point order is UTF-8 byte order, so str keys sort as is
         out += b"d"
         for key in sorted(value):
-            raw = key.encode("utf-8")
-            out += b"s%d:" % len(raw)
-            out += raw
-            _encode_into(value[key], out, depth + 1)
+            raw, item = key.encode("utf-8"), value[key]
+            kind = type(item)
+            if kind is str:
+                item = item.encode("utf-8")
+                out += b"s%d:%ss%d:%s" % (len(raw), raw, len(item), item)
+            elif kind is bytes:
+                out += b"s%d:%sb%d:%s" % (len(raw), raw, len(item), item)
+            elif kind is int:
+                out += b"s%d:%si%de" % (len(raw), raw, item)
+            else:
+                out += b"s%d:%s" % (len(raw), raw)
+                _encode_into(item, out, depth + 1)
         out += b"e"
+    elif cls is bytes:
+        out += b"b%d:%s" % (len(value), value)
+    elif cls is str:
+        raw = value.encode("utf-8")
+        out += b"s%d:%s" % (len(raw), raw)
     elif cls is int:
         out += b"i%de" % value
     elif cls is list:
+        if value and depth == MAX_DEPTH:
+            raise EncodingError("nesting too deep")
         out += b"l"
         for item in value:
             _encode_into(item, out, depth + 1)
@@ -79,95 +87,85 @@ def decode(data: bytes, spans: dict[int, tuple[int, int]] | None = None) -> Valu
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise EncodingError("decode expects bytes")
     buf = bytes(data)
-    value, pos = _decode_at(buf, 0, 0, spans)
-    if pos != len(buf):
+    end = len(buf)
+    try:
+        value, pos = _decode_at(buf, 0, end, 0, spans)
+    except IndexError:  # a read past the end
+        raise EncodingError("truncated input") from None
+    except UnicodeDecodeError as exc:
+        raise EncodingError("invalid utf-8 in string") from exc
+    if pos != end:
         raise EncodingError("trailing bytes after value")
     return value
 
 
-def _decode_at(data: bytes, pos: int, depth: int, spans: dict | None) -> tuple[Value, int]:
-    if depth > MAX_DEPTH:
-        raise EncodingError("nesting too deep")
-    if pos >= len(data):
-        raise EncodingError("truncated input")
-    tag = data[pos]
-    if tag == 0x69:  # i
-        end = data.find(b"e", pos + 1)
-        if end < 0:
-            raise EncodingError("unterminated int")
-        digits = data[pos + 1 : end]
-        _check_canonical_int(digits)
-        return int(digits), end + 1
-    if tag == 0x62:  # b
-        return _read_length_prefixed(data, pos + 1)
-    if tag == 0x73:  # s
-        raw, nxt = _read_length_prefixed(data, pos + 1)
-        return _decode_utf8(raw), nxt
-    if tag == 0x6C:  # l
+def _decode_at(data: bytes, pos: int, end: int, depth: int, spans: dict | None) -> tuple[Value, int]:
+    """Decode the value at ``pos``; return it and the position after it.
+    One loop reads a container's items, scalars inline, and only a nested
+    container recurses; a scalar at ``pos`` is the loop's only token. A read
+    past ``end`` raises IndexError, which ``decode`` reports as truncation."""
+    start, tag = pos, data[pos]
+    result: Any = None  # the dict or list being filled
+    is_list = tag == 0x6C  # l
+    if is_list or tag == 0x64:  # d
+        result = [] if is_list else {}
         pos += 1
-        items: list[Value] = []
-        while True:
-            if pos >= len(data):
-                raise EncodingError("unterminated list")
-            if data[pos] == 0x65:  # e
-                return items, pos + 1
-            item, pos = _decode_at(data, pos, depth + 1, spans)
-            items.append(item)
-    if tag == 0x64:  # d
-        start = pos
-        pos += 1
-        result: dict[str, Value] = {}
-        prev_key: bytes | None = None
-        while True:
-            if pos >= len(data):
-                raise EncodingError("unterminated dict")
-            if data[pos] == 0x65:  # e
-                if spans is not None:
+    deep = depth == MAX_DEPTH  # the container may hold no items
+    key = prev = None  # a dict key waiting for its value; the key before it
+    while True:
+        if result is not None:
+            tag = data[pos]
+            if tag == 0x65 and key is None:  # e
+                if spans is not None and not is_list:
                     spans[id(result)] = (start, pos + 1)
                 return result, pos + 1
-            if data[pos] != 0x73:
-                raise EncodingError("dict key must be str")
-            raw_key, pos = _read_length_prefixed(data, pos + 1)
-            if prev_key is not None and raw_key <= prev_key:
-                raise EncodingError("dict keys not strictly ascending")
-            prev_key = raw_key
-            value, pos = _decode_at(data, pos, depth + 1, spans)
-            result[_decode_utf8(raw_key)] = value
-    raise EncodingError(f"unknown tag byte {tag:#04x}")
-
-
-def _check_canonical_int(digits: bytes) -> None:
-    body = digits[1:] if digits.startswith(b"-") else digits
-    if not body or not body.isdigit():
-        raise EncodingError("malformed int")
-    if body[0:1] == b"0" and len(body) > 1:
-        raise EncodingError("leading zeros in int")
-    if digits == b"-0":
-        raise EncodingError("negative zero")
-
-
-def _read_length_prefixed(data: bytes, pos: int) -> tuple[bytes, int]:
-    sep = data.find(b":", pos)
-    if sep < 0:
-        raise EncodingError("missing length separator")
-    digits = data[pos:sep]
-    if not digits.isdigit():
-        raise EncodingError("malformed length")
-    if digits[0:1] == b"0" and len(digits) > 1:
-        raise EncodingError("leading zeros in length")
-    length = int(digits)
-    start = sep + 1
-    end = start + length
-    if end > len(data):
-        raise EncodingError("length prefix exceeds input")
-    return data[start:end], end
-
-
-def _decode_utf8(raw: bytes) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise EncodingError("invalid utf-8 in string") from exc
+            if deep:
+                raise EncodingError("nesting too deep")
+        if tag == 0x62 or tag == 0x73:  # b, s
+            if data[pos + 2] == 0x3A and 0x30 <= data[pos + 1] <= 0x39:  # a one-digit length
+                sep = pos + 2
+                pos = sep + 1 + data[pos + 1] - 0x30
+            else:
+                sep = data.find(b":", pos)
+                if sep < 0:
+                    raise EncodingError("truncated input")
+                digits = data[pos + 1 : sep]
+                if not digits.isdigit() or digits[0] == 0x30:
+                    raise EncodingError("malformed length")
+                pos = sep + 1 + int(digits)
+            if pos > end:
+                raise EncodingError("truncated input")
+            value = data[sep + 1 : pos] if tag == 0x62 else data[sep + 1 : pos].decode()
+        elif tag == 0x69 and data[pos + 2] == 0x65 and 0x30 <= data[pos + 1] <= 0x39:  # i<digit>e
+            value, pos = data[pos + 1] - 0x30, pos + 3
+        elif tag == 0x69:  # i
+            stop = data.find(b"e", pos)
+            if stop < 0:
+                raise EncodingError("truncated input")
+            digits = data[pos + 1 : stop]
+            try:
+                value = int(digits)
+            except ValueError:
+                raise EncodingError("malformed int") from None
+            if b"%d" % value != digits:
+                raise EncodingError("non-canonical int")
+            pos = stop + 1
+        elif result is not None and (tag == 0x64 or tag == 0x6C):
+            value, pos = _decode_at(data, pos, end, depth + 1, spans)
+        else:
+            raise EncodingError(f"unknown tag byte {tag:#04x}")
+        if result is None:
+            return value, pos
+        if is_list:
+            result.append(value)
+        elif key is not None:
+            result[key], prev, key = value, key, None
+        elif tag != 0x73:
+            raise EncodingError("dict key must be str")
+        elif prev is not None and value <= prev:  # str order is UTF-8 byte order
+            raise EncodingError("dict keys not strictly ascending")
+        else:
+            key = value
 
 
 def append_record(path: Path | str, value: Value) -> None:

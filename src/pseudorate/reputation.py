@@ -147,9 +147,9 @@ class ReputationSystem:
         self._group_keys: dict[int, bytes] = {}  # gid -> group public key
         self._spent: dict[str, int] = {}
         self._records: list[RatingRecord] = []
-        # subject -> (count, sum of impacts, sum of impact * score), in the
-        # order subjects were first rated
-        self._totals: dict[str, tuple[int, Fraction, Fraction]] = {}
+        # subject -> (count, sum of impacts, sum of impact * score, their
+        # quotient), in the order subjects were first rated
+        self._totals: dict[str, tuple[int, Fraction, Fraction, Fraction]] = {}
         self._pending_charges: list[tuple[str, int]] = []
         self._lock = threading.Lock()
         self._rating_log = Path(rating_log) if rating_log else None
@@ -238,12 +238,9 @@ class ReputationSystem:
 
     def aggregate(self, subject: str) -> WeightedScore:
         """Impact-weighted mean over stored ratings for the subject, exact;
-        read from the running sums :meth:`_apply` keeps."""
-        totals = self._totals.get(subject)
-        if totals is None:
-            return WeightedScore(subject=subject, count=0, score=None)
-        count, total_weight, weighted = totals
-        return WeightedScore(subject=subject, count=count, score=weighted / total_weight)
+        the mean :meth:`_apply` keeps beside its running sums."""
+        count, _, _, mean = self._totals.get(subject, (0, None, None, None))
+        return WeightedScore(subject=subject, count=count, score=mean)
 
     # -- charge retry ---------------------------------------------------------------
 
@@ -321,6 +318,7 @@ class ReputationSystem:
         it for each logged record."""
         self._records.append(record)
         subject, impact = record.payload.subject, record.impact
-        count, total_weight, weighted = self._totals.get(subject, (0, Fraction(0), Fraction(0)))
-        self._totals[subject] = (count + 1, total_weight + impact, weighted + impact * record.payload.score)
+        count, total_weight, weighted, _ = self._totals.get(subject, (0, 0, 0, None))
+        total_weight, weighted = total_weight + impact, weighted + impact * record.payload.score
+        self._totals[subject] = (count + 1, total_weight, weighted, weighted / total_weight)
         self._spent.setdefault(aik_digest, record.received)

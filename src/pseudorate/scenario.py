@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -64,7 +64,14 @@ STEPS: dict[str, tuple[dict[str, type], dict[str, object]]] = {
     "score": ({"subject": str}, {}),
 }
 _STEP_KINDS = {action: {"action": str, **kinds} for action, (kinds, _) in STEPS.items()}  # built once
+_STEP_LEAST = {"count": 1, "seconds": 0, "index": 0}  # the least value of each bounded step field
 _AGENT_FIELDS = {"name": str, "account": str, "balance": int}
+# every top-level field with its type; all but groups may be left out, and
+# shares and credit_limit may be null
+_SCENARIO_FIELDS = {
+    "seed": int, "rs_id": str, "groups": dict, "policy": dict, "shares": dict,
+    "charging": str, "credit_limit": int, "agents": list, "script": list,
+}
 
 
 class ScenarioError(TicketError):
@@ -96,16 +103,16 @@ class ScenarioConfig:
         try:
             if not isinstance(raw, dict):
                 raise ScenarioError("scenario must be a JSON object")
-            unknown = set(raw) - {f.name for f in fields(cls)}
-            if unknown:
-                raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
-
-            seed = int(raw.get("seed", 0))
-            rs_id = str(raw.get("rs_id", "rs-main"))
+            given = {k: v for k, v in raw.items() if v is not None or k not in ("shares", "credit_limit")}
+            _check_fields("scenario", given, _SCENARIO_FIELDS, _SCENARIO_FIELDS.keys() - {"groups"})
+            seed, rs_id = raw.get("seed", 0), raw.get("rs_id", "rs-main")
+            charging, credit_limit = raw.get("charging", "none"), raw.get("credit_limit")
 
             groups: dict[int, GroupConfig] = {}
             for key, entry in raw["groups"].items():
                 _check_fields(f"group {key}", entry, {"impact": str}, ())
+                if str(int(key)) != key:
+                    raise ScenarioError(f"group ids must be decimal strings, not {key!r}")
                 groups[int(key)] = GroupConfig(impact=Fraction(entry["impact"]))
             if sorted(groups) != list(range(1, len(groups) + 1)):
                 raise ScenarioError("group ids must be dense 1..G")
@@ -113,17 +120,12 @@ class ScenarioConfig:
             policy = PricingPolicy.from_record(raw.get("policy", {"kind": "free"}))
             shares = RevenueShares.from_record(raw["shares"]) if raw.get("shares") else None
 
-            charging = str(raw.get("charging", "none"))
             if charging not in CHARGING_MODES:
                 raise ScenarioError(f"charging mode must be one of {CHARGING_MODES}")
             if charging != "none" and policy.kind in ("flat", "increasing"):
                 missing = [g for g in groups if g not in policy.per_group]
                 if missing:
                     raise ScenarioError(f"policy has no price for groups {missing}")
-
-            credit_limit = raw.get("credit_limit")
-            if credit_limit is not None:
-                credit_limit = int(credit_limit)
 
             agents = []
             names = set()
@@ -143,6 +145,9 @@ class ScenarioConfig:
                 kinds, defaults = STEPS[action]
                 _check_fields(f"step {i} ({action})", step, _STEP_KINDS[action], defaults)
                 step = {**defaults, **step}
+                for name, least in _STEP_LEAST.items():
+                    if step.get(name, least) < least:
+                        raise ScenarioError(f"step {i}: {name} must be at least {least}, not {step[name]}")
                 if "agent" in kinds and step["agent"] not in names:
                     raise ScenarioError(f"step {i}: unknown agent {step['agent']!r}")
                 if action == "acquire" and step["group"] not in groups:
@@ -431,6 +436,8 @@ def _drive(config: ScenarioConfig, stack: _Stack) -> Transcript:
                 record(action, None, f"now={stack.clock.now()}", {})
 
             elif action == "resolve":
+                if step["index"] >= len(agent.tickets):
+                    raise ScenarioError(f"agent has no ticket at index {step['index']}")
                 ticket = agent.tickets[step["index"]]
                 digest = key_id_of(ticket.credential.entity)
                 body = stack.pca_client.resolve_identity(digest, stack.authority_token)

@@ -41,20 +41,21 @@ class WireError(TicketError):
 
 
 def encode_request(endpoint: str, body: dict, correlation_id: bytes) -> bytes:
-    return encode(
-        {"version": WIRE_VERSION, "endpoint": endpoint, "correlation_id": correlation_id, "body": body}
-    )
+    return _frame(body, correlation_id, endpoint, b"")
 
 
 def encode_response(endpoint: str, correlation_id: bytes, status: str, body: dict) -> bytes:
-    return encode(
-        {
-            "version": WIRE_VERSION,
-            "endpoint": endpoint,
-            "correlation_id": correlation_id,
-            "status": status,
-            "body": body,
-        }
+    raw = status.encode()
+    return _frame(body, correlation_id, endpoint, b"s6:statuss%d:%s" % (len(raw), raw))
+
+
+def _frame(body: dict, correlation_id: bytes, endpoint: str, status: bytes) -> bytes:
+    """``encode`` of the frame dict, spliced around the body's bytes: the frame
+    keys sort as body < correlation_id < endpoint < status < version.
+    ``status`` is a response's encoded status entry, empty in a request."""
+    raw = endpoint.encode()
+    return b"ds4:body%ss14:correlation_idb%d:%ss8:endpoints%d:%s%ss7:versioni%dee" % (
+        encode(body), len(correlation_id), correlation_id, len(raw), raw, status, WIRE_VERSION
     )
 
 

@@ -1,4 +1,5 @@
 import enum
+import re
 
 import pytest
 from hypothesis import given
@@ -44,6 +45,7 @@ def test_dict_keys_sorted_by_utf8_bytes():
         b"i1ei2e",  # trailing bytes
         b"",  # empty
         b"x",  # unknown tag
+        b"i" + b"1" * 5000 + b"e",  # past Python's int-string limit, which encode cannot write either
     ],
 )
 def test_non_canonical_inputs_rejected(bad):
@@ -93,6 +95,126 @@ def test_decode_total_and_canonical(data):
     except EncodingError:
         return
     assert encode(value) == data
+
+
+# the head of each value: a whole int, the tag and length of bytes or str, or
+# the tag of a container
+_REFERENCE_HEAD = re.compile(rb"i(0|-?[1-9][0-9]*)e|([bs])(0|[1-9][0-9]*):|([dl])")
+
+
+def _reference_decode(data: bytes, spans: dict) -> object:
+    """A decoder written apart from ``decode``: a regular expression reads
+    each value's head, a container's items are read as values and then paired
+    into a dict, and dict keys are compared as UTF-8 bytes. Records each
+    dict's span in ``spans`` as ``decode`` does."""
+
+    def value_at(pos: int, depth: int) -> tuple[object, int]:
+        if depth > MAX_DEPTH:
+            raise EncodingError("nesting too deep")
+        head = _REFERENCE_HEAD.match(data, pos)
+        if head is None:
+            raise EncodingError("no value head")
+        number, kind, length, container = head.groups()
+        pos = head.end()
+        if number is not None:
+            return int(number), pos
+        if kind is not None:
+            end = pos + int(length)
+            if end > len(data):
+                raise EncodingError("length past the end")
+            if kind == b"b":
+                return data[pos:end], end
+            try:
+                return data[pos:end].decode("utf-8"), end
+            except UnicodeDecodeError:
+                raise EncodingError("invalid utf-8") from None
+        items = []
+        while data[pos : pos + 1] != b"e":
+            if pos >= len(data):
+                raise EncodingError("container without its end")
+            item, pos = value_at(pos, depth + 1)
+            items.append(item)
+        if container == b"l":
+            return items, pos + 1
+        keys, values = items[0::2], items[1::2]
+        if len(keys) != len(values) or any(type(key) is not str for key in keys):
+            raise EncodingError("dict items are not str keys with values")
+        raw_keys = [key.encode("utf-8") for key in keys]
+        if any(a >= b for a, b in zip(raw_keys, raw_keys[1:])):
+            raise EncodingError("dict keys not strictly ascending")
+        result = dict(zip(keys, values))
+        spans[id(result)] = (head.start(), pos + 1)
+        return result, pos + 1
+
+    value, pos = value_at(0, 0)
+    if pos != len(data):
+        raise EncodingError("bytes after the value")
+    return value
+
+
+def _decoded(decoder, data: bytes):
+    """The value and the span of each dict in it, depth first; None when
+    ``decoder`` refuses ``data``."""
+    spans: dict = {}
+    try:
+        value = decoder(data, spans)
+    except EncodingError:
+        return None
+    found = []
+
+    def walk(item):
+        if type(item) is dict:
+            found.append(spans[id(item)])
+            item = list(item.values())
+        if type(item) is list:
+            for child in item:
+                walk(child)
+
+    walk(value)
+    return value, found
+
+
+# bytes that mean something in the format come up more often than the rest
+format_bytes = st.sampled_from(b"0123456789:-ibsdle") | st.integers(0, 255)
+
+
+@st.composite
+def mutated_encodings(draw):
+    """A canonical encoding with one byte replaced, inserted or deleted, or
+    with a leading zero put before a number's first digit."""
+    data = bytearray(encode(draw(values)))
+    edit = draw(st.sampled_from(["replace", "insert", "delete", "pad"]))
+    if edit == "pad":
+        firsts = [at for at in range(1, len(data)) if data[at] in b"0123456789" and data[at - 1] in b"-ibs"]
+        if firsts:
+            data.insert(draw(st.sampled_from(firsts)), ord("0"))
+        return bytes(data)
+    at = draw(st.integers(0, len(data)))
+    if edit == "insert":
+        data.insert(at, draw(format_bytes))
+    elif at < len(data):
+        if edit == "replace":
+            data[at] = draw(format_bytes)
+        else:
+            del data[at]
+    return bytes(data)
+
+
+@st.composite
+def shuffled_dicts(draw):
+    """A dict's bytes with its entries in any order, keys repeated or not."""
+    entries = draw(st.lists(st.tuples(st.text("aé", max_size=2), values), max_size=4))
+    return b"d" + b"".join(encode(key) + encode(value) for key, value in entries) + b"e"
+
+
+@given(st.binary(max_size=64) | st.lists(format_bytes, max_size=24).map(bytes) | mutated_encodings())
+def test_decode_equals_the_reference_decoder(data):
+    assert _decoded(decode, data) == _decoded(_reference_decode, data)
+
+
+@given(shuffled_dicts())
+def test_decode_equals_the_reference_decoder_on_shuffled_dict_entries(data):
+    assert _decoded(decode, data) == _decoded(_reference_decode, data)
 
 
 def _reference_encode(value) -> bytes:

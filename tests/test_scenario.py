@@ -124,7 +124,9 @@ def set_key(*path, value):
 
 
 # edits to basic.json that make it a config error; all but the first four and
-# the last were accepted before steps were checked against scenario.STEPS
+# "step-missing-field" were accepted before steps were checked against
+# scenario.STEPS, and the last seven before step bounds and top-level types
+# were checked
 CONFIG_ERRORS = {
     "unknown-agent": add_step(action="acquire", agent="ghost", group=1),
     "unknown-action": add_step(action="warp"),
@@ -145,6 +147,13 @@ CONFIG_ERRORS = {
     "number-impact": set_key("groups", "1", "impact", value=1),
     "extra-shares-key": set_key("shares", "bank", value="0"),
     "step-missing-field": add_step(action="redeem", agent="buyer", subject="s"),
+    "negative-seconds": add_step(action="advance", seconds=-5),
+    "zero-count": add_step(action="acquire", agent="buyer", group=1, count=0),
+    "negative-index": add_step(action="resolve", agent="buyer", index=-1),
+    "string-seed": set_key("seed", value="7"),
+    "number-rs-id": set_key("rs_id", value=7),
+    "string-credit-limit": set_key("credit_limit", value="100"),
+    "zero-padded-group-key": set_key("groups", value={"1": {"impact": "1"}, "01": {"impact": "5"}}),
 }
 
 
@@ -159,6 +168,29 @@ def test_config_errors_found_before_services_start(edit, tmp_path, capsys):
     path.write_text(json.dumps(raw))
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_resolve_past_the_tickets_is_a_scenario_error_outcome():
+    raw = json.loads((SCENARIOS / "basic.json").read_text())
+    raw["script"] += [
+        {"action": "resolve", "agent": "buyer", "index": 1},
+        {"action": "resolve", "agent": "buyer", "index": 0},
+    ]
+    transcript = run_scenario(ScenarioConfig.from_dict(raw))
+    assert [e["outcome"] for e in actions(transcript, "resolve")] == ["error:scenario-error", "resolved"]
+
+
+def test_bounded_step_fields_take_their_least_value_and_null_credit_limit():
+    raw = json.loads((SCENARIOS / "basic.json").read_text())
+    raw["credit_limit"] = None
+    raw["script"] += [
+        {"action": "advance", "seconds": 0},
+        {"action": "acquire", "agent": "buyer", "count": 1},
+        {"action": "resolve", "agent": "buyer", "index": 0},
+    ]
+    config = ScenarioConfig.from_dict(raw)
+    assert config.credit_limit is None
+    assert [e["outcome"] for e in actions(run_scenario(config), "advance")] == ["now=5"]
 
 
 def test_checked_steps_carry_their_defaults():

@@ -48,6 +48,24 @@ def test_request_frame_round_trip():
     assert decode_request(frame) == ("pca/register", {"a": 1}, b"\x00\x01")
 
 
+bodies = st.dictionaries(
+    st.text(max_size=8),
+    st.recursive(
+        st.integers() | st.binary(max_size=16) | st.text(max_size=8),
+        lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+        max_leaves=8,
+    ),
+    max_size=4,
+)
+
+
+@given(st.text(max_size=12), st.binary(max_size=12), st.text(max_size=8), bodies)
+def test_frames_are_the_encoding_of_the_frame_dict(endpoint, correlation_id, status, body):
+    request = {"version": 1, "endpoint": endpoint, "correlation_id": correlation_id, "body": body}
+    assert encode_request(endpoint, body, correlation_id) == encode(request)
+    assert encode_response(endpoint, correlation_id, status, body) == encode({**request, "status": status})
+
+
 def test_unknown_version_rejected():
     frame = encode(
         {"version": 2, "endpoint": "x", "correlation_id": b"", "body": {}}
