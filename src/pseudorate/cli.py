@@ -106,7 +106,7 @@ def _cmd_run(args: argparse.Namespace, config: ScenarioConfig) -> int:
     return 0
 
 
-def _verify_bundle(bundle: dict, data: bytes, spans: dict) -> tuple[bool, str]:
+def _verify_bundle(bundle: dict) -> tuple[bool, str]:
     try:
         chain = crypto.CredentialChain.from_bytes(bundle["chain"])
         registry = {int(g): pub for g, pub in bundle["groups"].items()}
@@ -117,7 +117,7 @@ def _verify_bundle(bundle: dict, data: bytes, spans: dict) -> tuple[bool, str]:
         return False, f"invalid chain: {report.reason}"
     if "payload" in bundle:
         try:
-            payload = RatingPayload.from_record(bundle["payload"], data, spans)
+            payload = RatingPayload.from_record(bundle["payload"])
         except EncodingError as exc:
             return False, f"malformed payload: {exc}"
         if chain.rating_cred.entity != payload.canonical_bytes():
@@ -126,10 +126,8 @@ def _verify_bundle(bundle: dict, data: bytes, spans: dict) -> tuple[bool, str]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    spans: dict = {}
     try:
-        data = args.file.read_bytes()
-        raw = decode(data, spans)
+        raw = decode(args.file.read_bytes())
     except (OSError, EncodingError) as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
@@ -145,7 +143,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 2
     failures = 0
     for i, bundle in enumerate(bundles):
-        ok, message = _verify_bundle(bundle, data, spans)
+        ok, message = _verify_bundle(bundle)
         print(f"chain {i}: {message}")
         failures += 0 if ok else 1
     return 1 if failures else 0

@@ -242,7 +242,7 @@ def verify_credential(cred: Credential) -> bool:
 def encode_activation_payload(aik_public: bytes, credential: Credential, blob_nonce: bytes) -> bytes:
     """Plaintext carried inside a sealed activation blob: the target identity
     key, its group credential, and a single-use nonce."""
-    return encode({"aik": aik_public, "cred": credential.to_record(), "nonce": blob_nonce})
+    return encode({"aik": aik_public, "cred": credential.to_bytes(), "nonce": blob_nonce})
 
 
 # ---------------------------------------------------------------------------
@@ -266,16 +266,6 @@ class CredentialChain:
             "aik": self.aik_cred.to_record(),
         }
 
-    @classmethod
-    def from_record(cls, record: object, data: bytes, spans: dict) -> "CredentialChain":
-        if not isinstance(record, dict) or set(record) != {"rating", "csk", "aik"}:
-            raise EncodingError("bad chain record")
-        return cls(
-            rating_cred=Credential.from_record(record["rating"], data, spans),
-            csk_cred=Credential.from_record(record["csk"], data, spans),
-            aik_cred=Credential.from_record(record["aik"], data, spans),
-        )
-
     def to_bytes(self) -> bytes:
         """``encode(self.to_record())``, spliced from the credentials' own bytes."""
         return b"ds3:aik%ss3:csk%ss6:rating%se" % (
@@ -287,7 +277,14 @@ class CredentialChain:
     @classmethod
     def from_bytes(cls, data: bytes) -> "CredentialChain":
         spans: dict = {}
-        return cls.from_record(decode(data, spans), data, spans)
+        record = decode(data, spans)
+        if not isinstance(record, dict) or set(record) != {"rating", "csk", "aik"}:
+            raise EncodingError("bad chain record")
+        return cls(
+            rating_cred=Credential.from_record(record["rating"], data, spans),
+            csk_cred=Credential.from_record(record["csk"], data, spans),
+            aik_cred=Credential.from_record(record["aik"], data, spans),
+        )
 
     @property
     def aik_digest(self) -> str:

@@ -35,7 +35,12 @@ class EncodingError(ValueError):
 
 def encode(value: Value) -> bytes:
     out = bytearray()
-    _encode_into(value, out, 0)
+    try:
+        _encode_into(value, out, 0)
+    except EncodingError:
+        raise
+    except ValueError as exc:  # a str with a lone surrogate; an int past Python's 4300 digits
+        raise EncodingError(f"cannot encode: {exc}") from exc
     return bytes(out)
 
 

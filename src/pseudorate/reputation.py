@@ -46,7 +46,7 @@ class RatingPayload:
         return encode(self.to_record())
 
     def canonical_bytes(self) -> bytes:
-        """``encode(self.to_record())``: encoded once, or the payload's span."""
+        """``encode(self.to_record())``: encoded once, or the bytes it was parsed from."""
         return self._canonical
 
     def to_record(self) -> dict:
@@ -59,8 +59,7 @@ class RatingPayload:
         }
 
     @classmethod
-    def from_record(cls, record: object, data: bytes = b"", spans: dict | None = None) -> "RatingPayload":
-        """Given the ``decode(data, spans)`` that produced it, its canonical bytes are its span."""
+    def from_record(cls, record: object) -> "RatingPayload":
         if not isinstance(record, dict) or set(record) != {"subject", "score", "comment", "nonce", "rs_id"}:
             raise EncodingError("bad payload record")
         subject, score, comment = record["subject"], record["score"], record["comment"]
@@ -73,9 +72,13 @@ class RatingPayload:
             and isinstance(rs_id, str)
         ):
             raise EncodingError("bad payload field types")
-        payload = cls(subject=subject, score=score, comment=comment, nonce=nonce, rs_id=rs_id)
-        if spans is not None:
-            object.__setattr__(payload, "_canonical", data[slice(*spans[id(record)])])
+        return cls(subject=subject, score=score, comment=comment, nonce=nonce, rs_id=rs_id)
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "RatingPayload":
+        """Decoding is canonical, so ``data`` is the payload's canonical bytes."""
+        payload = cls.from_record(decode(data))
+        object.__setattr__(payload, "_canonical", data)
         return payload
 
 

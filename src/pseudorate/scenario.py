@@ -173,7 +173,7 @@ class ScenarioConfig:
 
 def _check_fields(where: str, entry: dict, kinds: dict[str, type], optional) -> None:
     """Refuse an ``entry`` that leaves out a field of ``kinds`` not in ``optional``,
-    or gives a field not in ``kinds`` or not exactly of its kind."""
+    or gives a field not in ``kinds``, not exactly of its kind, or a str UTF-8 cannot encode."""
     for name in kinds:
         if name not in entry and name not in optional:
             raise ScenarioError(f"{where}: missing {name!r}")
@@ -183,6 +183,8 @@ def _check_fields(where: str, entry: dict, kinds: dict[str, type], optional) -> 
             raise ScenarioError(f"{where}: unknown field {name!r}")
         if type(value) is not kind:
             raise ScenarioError(f"{where}: {name} must be {kind.__name__}, not {value!r}")
+        if kind is str:
+            value.encode()  # JSON can write a lone surrogate, which UTF-8 cannot encode
 
 
 # ---------------------------------------------------------------------------

@@ -97,13 +97,11 @@ class TpmInstance:
             except SealError as exc:
                 raise TpmError("blob not sealed to this platform", code="wrong-platform") from exc
             try:
-                spans: dict = {}
-                record = decode(plaintext, spans)
-                aik_public = record["aik"]
-                credential = Credential.from_record(record["cred"], plaintext, spans)
-                blob_nonce = record["nonce"]
-                if not isinstance(aik_public, bytes) or not isinstance(blob_nonce, bytes):
+                record = decode(plaintext)
+                aik_public, cred, blob_nonce = record["aik"], record["cred"], record["nonce"]
+                if not all(isinstance(v, bytes) for v in (aik_public, cred, blob_nonce)):
                     raise EncodingError("bad blob fields")
+                credential = Credential.from_bytes(cred)
             except (EncodingError, KeyError, TypeError) as exc:
                 raise TpmError("undecodable activation blob", code="malformed-blob") from exc
             if aik_public != key.public:

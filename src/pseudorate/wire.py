@@ -63,9 +63,9 @@ _REQUEST_FIELDS = frozenset({"version", "endpoint", "correlation_id", "body"})
 _RESPONSE_FIELDS = _REQUEST_FIELDS | {"status"}
 
 
-def _decode_frame(data: bytes, kind: str, fields: frozenset[str], spans: dict | None = None) -> dict:
+def _decode_frame(data: bytes, kind: str, fields: frozenset[str]) -> dict:
     try:
-        frame = decode(data, spans)
+        frame = decode(data)
     except EncodingError as exc:
         raise WireError(f"undecodable frame: {exc}") from exc
     if not isinstance(frame, dict) or frame.keys() != fields:
@@ -81,8 +81,8 @@ def _decode_frame(data: bytes, kind: str, fields: frozenset[str], spans: dict | 
     return frame
 
 
-def decode_request(data: bytes, spans: dict | None = None) -> tuple[str, dict, bytes]:
-    frame = _decode_frame(data, "request", _REQUEST_FIELDS, spans)
+def decode_request(data: bytes) -> tuple[str, dict, bytes]:
+    frame = _decode_frame(data, "request", _REQUEST_FIELDS)
     return frame["endpoint"], frame["body"], frame["correlation_id"]
 
 
@@ -129,10 +129,10 @@ def _h_blacklist(pca: PrivacyCa, platform_id: str, flag: int) -> dict:
     return {"ok": 1}
 
 
-def _h_submit(rs: ReputationSystem, payload: dict, chain: dict, data: bytes, spans: dict) -> dict:
+def _h_submit(rs: ReputationSystem, payload: bytes, chain: bytes) -> dict:
     try:
-        rating = RatingPayload.from_record(payload, data, spans)
-        credentials = CredentialChain.from_record(chain, data, spans)
+        credentials = CredentialChain.from_bytes(chain)
+        rating = RatingPayload.from_bytes(payload)
     except EncodingError as exc:
         raise WireError(f"bad submission record: {exc}") from exc
     result = rs.submit_rating(rating, credentials)
@@ -153,6 +153,8 @@ def _h_groups(rs: ReputationSystem, groups: dict) -> dict:
         for key, entry in groups.items():
             if not isinstance(entry, dict) or set(entry) != {"pub", "impact"}:
                 raise WireError("bad group entry")
+            if str(int(key)) != key or int(key) < 1:  # "01", " 3" and "-1" name no group
+                raise WireError(f"bad group id {key!r}")
             registry[int(key)] = (_field(entry, "pub", bytes), Fraction(_field(entry, "impact", str)))
     except (ValueError, ZeroDivisionError) as exc:
         raise WireError(f"bad group registry: {exc}") from exc
@@ -195,7 +197,7 @@ ROUTES: dict[str, tuple[str, dict[str, type], Callable[..., dict]]] = {
     ),
     "pca/resolve": ("pca", {"aik_digest": str, "authority_token": str}, _h_resolve),
     "pca/blacklist": ("pca", {"platform_id": str, "flag": int}, _h_blacklist),
-    "rs/submit": ("rs", {"payload": dict, "chain": dict}, _h_submit),
+    "rs/submit": ("rs", {"payload": bytes, "chain": bytes}, _h_submit),
     "rs/score": ("rs", {"subject": str}, _h_score),
     "rs/admin/groups": ("rs", {"groups": dict}, _h_groups),
     "cp/charge": ("cp", {"account_id": str, "amount": int, "group": int, "phase": str}, _h_charge),
@@ -220,18 +222,14 @@ class Router:
     def handle(self, data: bytes) -> bytes:
         endpoint, corr = "", b""
         try:
-            spans: dict = {}
-            endpoint, body, corr = decode_request(data, spans)
+            endpoint, body, corr = decode_request(data)
             service_name, fields, handler = ROUTES.get(endpoint, ("", {}, None))
             service = self._services.get(service_name)
             if service is None:
                 raise WireError(f"unknown endpoint {endpoint!r}", code="unknown-endpoint")
             if body.keys() != fields.keys():
                 raise WireError(f"expected fields {sorted(fields)}, got {sorted(body)}")
-            args = {name: _field(body, name, kind) for name, kind in fields.items()}
-            if handler is _h_submit:  # signed records are read from the bytes they arrived as
-                args.update(data=data, spans=spans)
-            result = handler(service, **args)
+            result = handler(service, **{name: _field(body, name, kind) for name, kind in fields.items()})
             return encode_response(endpoint, corr, "ok", result)
         except TicketError as exc:
             return encode_response(endpoint, corr, "error", {"code": exc.code, "message": str(exc)})
@@ -424,9 +422,7 @@ class PcaClient(_Client):
 
 class RsClient(_Client):
     def submit_rating(self, payload: RatingPayload, chain: CredentialChain) -> Ack | Reject:
-        body = self._call(
-            "rs/submit", {"payload": payload.to_record(), "chain": chain.to_record()}
-        )
+        body = self._call("rs/submit", {"payload": payload.canonical_bytes(), "chain": chain.to_bytes()})
         if _field(body, "status", str) == "reject":
             return Reject(reason=_field(body, "reason", str), detail=_field(body, "detail", str))
         return Ack(

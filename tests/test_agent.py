@@ -67,9 +67,15 @@ def test_acquire_and_redeem_through_wire():
     assert ticket.state == STATE_SPENT
 
 
+def patch_everywhere(monkeypatch, original, replacement) -> None:
+    """Replace ``original`` in every ``pseudorate`` module that holds it."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "pseudorate" and module.__dict__.get(original.__name__) is original:
+            monkeypatch.setattr(module, original.__name__, replacement)
+
+
 def count_calls(monkeypatch, owner, names) -> Counter:
-    """Count calls of ``owner``'s functions ``names`` from anywhere in the
-    package: the name is patched in every ``pseudorate`` module that holds it."""
+    """Count calls of ``owner``'s functions ``names`` from anywhere in the package."""
     calls = Counter()
     for name in names:
         original = getattr(owner, name)
@@ -78,9 +84,7 @@ def count_calls(monkeypatch, owner, names) -> Counter:
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        for module_name, module in list(sys.modules.items()):
-            if module_name.split(".")[0] == "pseudorate" and module.__dict__.get(name) is original:
-                monkeypatch.setattr(module, name, counted)
+        patch_everywhere(monkeypatch, original, counted)
     return calls
 
 
@@ -95,15 +99,23 @@ def test_build_chain_builds_one_key_object(monkeypatch):
     assert isinstance(stack.rs.submit_rating(payload, chain), Ack)
 
 
-def test_wire_redemption_encodes_at_most_five_times_and_decodes_twice(monkeypatch):
+def test_wire_redemption_encodes_at_most_five_times_and_decodes_each_input_once(monkeypatch):
+    """The chain and the payload travel as their own bytes: each is parsed by
+    its own decode, and no byte is parsed as structure twice."""
     stack = make_stack(5)
-    agent = wired_agent(stack)
+    tap = []
+    agent = wired_agent(stack, tap=tap)
     agent.register()
     ticket = agent.acquire_ticket(1)
-    calls = count_calls(monkeypatch, encoding, ["encode", "decode"])
+    tap.clear()
+    calls = count_calls(monkeypatch, encoding, ["encode"])
+    decode, decoded = encoding.decode, []
+    patch_everywhere(monkeypatch, decode, lambda data, *spans: decoded.append(data) or decode(data, *spans))
     assert isinstance(agent.redeem_ticket(ticket, agent.make_payload("seller", 4)), Ack)
     assert calls["encode"] <= 5
-    assert calls["decode"] == 2
+    (_, request), (_, response) = tap
+    body = decode(request)["body"]
+    assert decoded == [request, body["chain"], body["payload"], response]
 
 
 def test_built_chain_keeps_the_bodies_it_signed(monkeypatch):

@@ -166,19 +166,18 @@ credentials = st.builds(
     ),
 )
 def test_records_parsed_from_a_frame_hold_their_encodings(creds, payload):
-    """A credential's body and a payload's bytes read from the frame they
-    arrived in are exactly what encoding their fields gives."""
+    """A credential's body and a payload's bytes parsed from their own bytes,
+    as an rs/submit frame carries them, are exactly what encoding their fields gives."""
     chain = CredentialChain(*creds)
-    frame = encode_request("rs/submit", {"payload": payload.to_record(), "chain": chain.to_record()}, b"c")
-    spans = {}
-    _, body, _ = decode_request(frame, spans)
-    parsed = CredentialChain.from_record(body["chain"], frame, spans)
+    frame = encode_request("rs/submit", {"payload": payload.canonical_bytes(), "chain": chain.to_bytes()}, b"c")
+    _, body, _ = decode_request(frame)
+    parsed = CredentialChain.from_bytes(body["chain"])
     assert parsed == chain
     for cred in (parsed.rating_cred, parsed.csk_cred, parsed.aik_cred):
-        assert "body" in vars(cred)  # taken from the frame, not encoded on first use
+        assert "body" in vars(cred)  # cut from the chain bytes, not encoded on first use
         assert cred.body == encode({"entity": cred.entity, "issuer": cred.issuer_public, "meta": dict(cred.meta)})
     assert parsed.to_bytes() == chain.to_bytes() == encode(chain.to_record())
-    received = RatingPayload.from_record(body["payload"], frame, spans)
+    received = RatingPayload.from_bytes(body["payload"])
     assert received == payload and "_canonical" in vars(received)
     assert received.canonical_bytes() == encode(payload.to_record())
 

@@ -358,6 +358,9 @@ def test_encode_equals_the_reference_encoder(value):
         pytest.param({Text("b"): 1, "a": 2}, id="str-subclass-key"),
         pytest.param([b"x", Blob(b"y")], id="nested-bytes-subclass"),
         pytest.param({"a": Color.RED}, id="nested-intenum"),
+        # values of the five types that have no encoding
+        pytest.param(10**5000, id="int-past-the-digit-limit"),
+        pytest.param("\ud800", id="lone-surrogate"),
     ],
 )
 def test_values_outside_the_domain_raise_encoding_error(bad):

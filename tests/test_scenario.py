@@ -125,8 +125,9 @@ def set_key(*path, value):
 
 # edits to basic.json that make it a config error; all but the first four and
 # "step-missing-field" were accepted before steps were checked against
-# scenario.STEPS, and the last seven before step bounds and top-level types
-# were checked
+# scenario.STEPS, the seven from "negative-seconds" before step bounds and
+# top-level types were checked, and "lone-surrogate-subject" crashed the run
+# with a traceback before strings were checked to be encodable
 CONFIG_ERRORS = {
     "unknown-agent": add_step(action="acquire", agent="ghost", group=1),
     "unknown-action": add_step(action="warp"),
@@ -154,6 +155,7 @@ CONFIG_ERRORS = {
     "number-rs-id": set_key("rs_id", value=7),
     "string-credit-limit": set_key("credit_limit", value="100"),
     "zero-padded-group-key": set_key("groups", value={"1": {"impact": "1"}, "01": {"impact": "5"}}),
+    "lone-surrogate-subject": set_key("script", 2, "subject", value="\ud800"),
 }
 
 

@@ -131,6 +131,30 @@ test_router_total_over_arbitrary_bytes.router = Router(
 )
 
 
+FUZZ_STACK = make_stack(2)
+_, FUZZ_PAYLOAD, FUZZ_CHAIN = honest_chain(FUZZ_STACK, FUZZ_STACK.new_agent("f"))
+
+
+@st.composite
+def one_byte_edits(draw, data: bytes) -> bytes:
+    """``data`` with one byte replaced by another, one byte inserted, or one deleted."""
+    i = draw(st.integers(0, len(data) - 1))
+    edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+    if edit == "delete":
+        return data[:i] + data[i + 1 :]
+    if edit == "insert":
+        return data[:i] + bytes([draw(st.integers(0, 255))]) + data[i:]
+    return data[:i] + bytes([data[i] ^ draw(st.integers(1, 255))]) + data[i + 1 :]
+
+
+# random bytes, or an honest submission's payload or chain bytes with one byte edited
+submission_bytes = (
+    st.binary(max_size=16)
+    | one_byte_edits(FUZZ_PAYLOAD.canonical_bytes())
+    | one_byte_edits(FUZZ_CHAIN.to_bytes())
+)
+
+
 @given(
     st.dictionaries(
         st.sampled_from(["payload", "chain", "subject", "x"]),
@@ -138,26 +162,24 @@ test_router_total_over_arbitrary_bytes.router = Router(
             st.integers(-5, 5) | st.binary(max_size=8) | st.text(max_size=4),
             lambda c: st.dictionaries(st.text(max_size=3), c, max_size=3),
             max_leaves=6,
-        ),
+        )
+        | submission_bytes,
         max_size=3,
     )
+    | st.fixed_dictionaries({"payload": submission_bytes, "chain": submission_bytes | st.just(FUZZ_CHAIN.to_bytes())})
+    | st.fixed_dictionaries({"payload": st.just(FUZZ_PAYLOAD.canonical_bytes()), "chain": submission_bytes})
 )
 @settings(max_examples=100)
 def test_submission_endpoint_total_over_fuzzed_records(body):
-    stack = test_submission_endpoint_total_over_fuzzed_records.stack
-    router = test_submission_endpoint_total_over_fuzzed_records.router
+    router = Router(rs=FUZZ_STACK.rs)
     response = router.handle(encode_request("rs/submit", body, b"c"))
     _, _, status, out = decode_response(response)
-    # no fuzzed submission crashes, and none is ever accepted
+    # no fuzzed submission crashes or fails inside a handler, and none is ever accepted
     assert status in ("ok", "error")
     if status == "ok":
         assert out["status"] == "reject"
-
-
-test_submission_endpoint_total_over_fuzzed_records.stack = make_stack(2)
-test_submission_endpoint_total_over_fuzzed_records.router = Router(
-    rs=test_submission_endpoint_total_over_fuzzed_records.stack.rs
-)
+    else:
+        assert out["code"] != "internal", out
 
 
 # "endpoint:code" -> the failing call, for every error code the certification
@@ -260,6 +282,31 @@ def test_groups_admin_endpoint():
     rs_client = RsClient(InprocTransport(Router(rs=stack.rs)))
     registry = {g: (pub, impact) for g, (pub, impact) in stack.pca.group_registry().items()}
     assert rs_client.configure_groups(registry) == 3
+
+
+# group keys that int() reads, but that are not the decimal string of a group id >= 1
+BAD_GROUP_KEYS = {
+    "zero-padded": ["1", "01"],
+    "leading-space": ["1", " 3"],
+    "negative": ["-1"],
+    "zero": ["0"],
+    "plus-sign": ["+2"],
+    "underscore": ["1_0"],
+}
+
+
+@pytest.mark.parametrize("keys", BAD_GROUP_KEYS.values(), ids=BAD_GROUP_KEYS.keys())
+def test_groups_admin_endpoint_refuses_keys_that_are_not_group_ids(keys):
+    """A group key is the decimal string of a group id >= 1, as policy and
+    scenario keys are: it is never coerced, and the registry in force stays."""
+    stack = make_stack(1)
+    router = Router(rs=stack.rs)
+    before = stack.rs.group_registry
+    pub = stack.pca.group_registry()[1][0]
+    groups = {key: {"pub": pub, "impact": "1"} for key in keys}
+    _, _, status, body = decode_response(router.handle(encode_request("rs/admin/groups", {"groups": groups}, b"c")))
+    assert (status, body["code"]) == ("error", "protocol-error")
+    assert stack.rs.group_registry == before
 
 
 def test_socket_transport_matches_inproc_bytes():
@@ -429,15 +476,15 @@ def test_rs_submit_frames_with_tampered_chains_never_ack():
         _, _, status, out = decode_response(router.handle(frame))
         return out if status == "ok" else {"status": "error", "code": out["code"]}
 
-    def frame_of(chain_record: dict) -> bytes:
-        return encode_request("rs/submit", {"payload": payload.to_record(), "chain": chain_record}, b"c")
+    def frame_of(chain_bytes: bytes) -> bytes:
+        return encode_request("rs/submit", {"payload": payload.canonical_bytes(), "chain": chain_bytes}, b"c")
 
     for slot, fieldname, mode, mutant in all_single_field_mutants(chain):
-        out = submit(frame_of(mutant.to_record()))
+        out = submit(frame_of(mutant.to_bytes()))
         assert (out["status"], out["reason"]) == ("reject", "invalid-chain"), (slot, fieldname, mode)
 
-    honest = frame_of(chain.to_record())
     blob = chain.to_bytes()
+    honest = frame_of(blob)
     assert honest.count(blob) == 1
     rng = random.Random(778)
     outcomes = set()
@@ -453,8 +500,8 @@ def test_rs_submit_frames_with_tampered_chains_never_ack():
 
 
 def test_interleaved_socket_submissions_get_their_own_receipts():
-    """Each connection is served on its own thread; spans are per decode
-    call, so one client's chain never lends bytes to another's."""
+    """Each connection is served on its own thread, and each chain is parsed
+    from its own bytes, so one client's chain never lends bytes to another's."""
     stack = make_stack(6)
     work = []
     for name in ("a", "b"):
