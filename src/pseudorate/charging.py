@@ -26,6 +26,15 @@ class ChargingError(TicketError):
     code = "charging-error"
 
 
+def group_id(key: str) -> int:
+    """The group id a record key names, as ``str(g)`` writes it: a key that is
+    not the decimal string of an int >= 1 raises ValueError, so no two name one group."""
+    group = int(key)
+    if str(group) != key or group < 1:
+        raise ValueError(f"bad group id {key!r}")
+    return group
+
+
 @dataclass(frozen=True)
 class RevenueShares:
     cp: Fraction
@@ -103,9 +112,8 @@ class PricingPolicy:
     @classmethod
     def from_record(cls, record: dict) -> "PricingPolicy":
         """An absent key takes its default; an unknown key, a group key that
-        is not the decimal string of a group id (as :meth:`to_record` writes
-        it), or a price, step or incentive that is not an int, is refused
-        rather than coerced."""
+        :func:`group_id` refuses, or a price, step or incentive that is not an
+        int, is refused rather than coerced."""
         unknown = set(record) - {"kind", "per_group", "step", "incentive"}
         if unknown:
             raise InvalidArgument(f"bad policy record: unknown keys {sorted(unknown)}")
@@ -114,9 +122,7 @@ class PricingPolicy:
         if not isinstance(per_group, dict) or any(type(v) is not int for v in (*per_group.values(), step, incentive)):
             raise InvalidArgument("bad policy record: prices, step and incentive must be integers")
         try:
-            if any(str(int(g)) != g for g in per_group):
-                raise ValueError(f"group keys must be decimal group ids, not {list(per_group)}")
-            return cls(record["kind"], {int(g): p for g, p in per_group.items()}, step, incentive)
+            return cls(record["kind"], {group_id(g): p for g, p in per_group.items()}, step, incentive)
         except (KeyError, ValueError, TypeError) as exc:
             raise InvalidArgument(f"bad policy record: {exc}") from exc
 

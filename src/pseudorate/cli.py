@@ -2,7 +2,7 @@
 
     pseudorate run <scenario.json> [--seed N] [--transport inproc|socket]
                                    [--out FILE] [--state-dir DIR]
-    pseudorate verify <file>           # chain bundle or transcript
+    pseudorate verify <transcript>     # re-verify every chain it holds
     pseudorate score <subject> --transcript FILE
     pseudorate demo [--seed N] [--transport ...] [--out FILE]
 
@@ -19,7 +19,8 @@ import sys
 from pathlib import Path
 
 from . import crypto
-from .encoding import EncodingError, decode
+from .charging import group_id
+from .encoding import EncodingError
 from .errors import TicketError
 from .reputation import RatingPayload, ReputationSystem
 from .scenario import ScenarioConfig, ScenarioError, Transcript, run_scenario
@@ -42,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario", type=Path)
     common(p_run)
 
-    p_verify = sub.add_parser("verify", help="verify chains from a bundle or transcript file")
+    p_verify = sub.add_parser("verify", help="verify the chains a transcript holds")
     p_verify.add_argument("file", type=Path)
 
     p_score = sub.add_parser("score", help="report a subject's aggregate score from a transcript")
@@ -106,44 +107,37 @@ def _cmd_run(args: argparse.Namespace, config: ScenarioConfig) -> int:
     return 0
 
 
-def _verify_bundle(bundle: dict) -> tuple[bool, str]:
+def _verify_detail(detail: object, registry: dict[int, bytes]) -> tuple[bool, str]:
+    """Check one event detail's chain, its payload and their binding."""
     try:
-        chain = crypto.CredentialChain.from_bytes(bundle["chain"])
-        registry = {int(g): pub for g, pub in bundle["groups"].items()}
-    except (EncodingError, KeyError, ValueError, TypeError) as exc:
-        return False, f"malformed bundle: {exc}"
+        chain = crypto.CredentialChain.from_bytes(detail["chain"])
+        payload = RatingPayload.from_record(detail["payload"])
+    except (EncodingError, KeyError, TypeError) as exc:
+        return False, f"malformed detail: {exc!r}"
     report = crypto.verify_chain(chain, registry)
     if not report.valid:
         return False, f"invalid chain: {report.reason}"
-    if "payload" in bundle:
-        try:
-            payload = RatingPayload.from_record(bundle["payload"])
-        except EncodingError as exc:
-            return False, f"malformed payload: {exc}"
-        if chain.rating_cred.entity != payload.canonical_bytes():
-            return False, "payload does not match signed bytes"
+    if chain.rating_cred.entity != payload.canonical_bytes():
+        return False, "payload does not match signed bytes"
     return True, f"valid chain (group {report.group})"
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        raw = decode(args.file.read_bytes())
-    except (OSError, EncodingError) as exc:
+        transcript = Transcript.from_bytes(args.file.read_bytes())
+        registry = {group_id(g): pub for g, pub in transcript.groups.items()}
+    except (OSError, ValueError, ScenarioError) as exc:  # ValueError: undecodable bytes or a bad group id
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
-    if isinstance(raw, dict) and "events" in raw:
-        bundles = Transcript.from_record(raw).chain_bundles()
-        if not bundles:
-            print("transcript contains no chains")
-            return 1
-    elif isinstance(raw, dict) and "chain" in raw:
-        bundles = [raw]
-    else:
-        print("error: file is neither a transcript nor a chain bundle", file=sys.stderr)
-        return 2
+    # every detail that holds a chain, and any that is not a dict: it is malformed
+    details = [event.get("detail", {}) for event in transcript.events]
+    details = [d for d in details if not isinstance(d, dict) or "chain" in d]
+    if not details:
+        print("transcript contains no chains")
+        return 1
     failures = 0
-    for i, bundle in enumerate(bundles):
-        ok, message = _verify_bundle(bundle)
+    for i, detail in enumerate(details):
+        ok, message = _verify_detail(detail, registry)
         print(f"chain {i}: {message}")
         failures += 0 if ok else 1
     return 1 if failures else 0

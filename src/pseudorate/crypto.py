@@ -301,10 +301,8 @@ class VerifyReport:
 def verify_chain(chain: CredentialChain, group_registry: Mapping[int, bytes]) -> VerifyReport:
     """Check each link's signature, the key linkage between links, and that
     the group credential was issued under a registered group key. The group
-    is the first gid in ``group_registry`` with that key."""
-    if not group_registry:
-        raise InvalidArgument("group registry must not be empty")
-
+    is the first gid in ``group_registry`` with that key; an empty registry
+    names none, so a chain whose signatures and links hold is an ``unknown-group``."""
     group_public = chain.aik_cred.issuer_public
     group = next((gid for gid, public in group_registry.items() if public == group_public), None)
     if not (

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping
 
 from . import crypto
 from .charging import Declined
@@ -130,6 +130,11 @@ class WeightedScore:
     score: Fraction | None
 
 
+def registry_record(registry: Mapping[int, tuple[bytes, Fraction]]) -> dict:
+    """The group table as ``rs/admin/groups`` and an exported state carry it."""
+    return {str(g): {"pub": pub, "impact": str(impact)} for g, (pub, impact) in registry.items()}
+
+
 class ReputationSystem:
     none_value = "no-score"  # what rs/score reports for a subject with no ratings
     scale = (1, 5)  # the lowest and highest score a rating may give
@@ -166,17 +171,17 @@ class ReputationSystem:
     # -- configuration ---------------------------------------------------------
 
     def configure_groups(self, registry: dict[int, tuple[bytes, Fraction]]) -> None:
-        """Replace the accepted group keys and their aggregation weights."""
-        cleaned: dict[int, tuple[bytes, Fraction]] = {}
+        """Replace the accepted group keys and their aggregation weights: each
+        group an int >= 1, its key bytes and its impact a positive Fraction, none coerced."""
         for group, (public, impact) in registry.items():
-            impact = Fraction(impact)
-            if impact <= 0:
-                raise InvalidArgument("impact factors must be positive")
+            if type(group) is not int or group < 1:
+                raise InvalidArgument(f"bad group id {group!r}")
+            if not isinstance(impact, Fraction) or impact <= 0:
+                raise InvalidArgument("impact factors must be positive fractions")
             if not isinstance(public, bytes):
                 raise InvalidArgument("group keys must be bytes")
-            cleaned[int(group)] = (public, impact)
-        self._registry = cleaned
-        self._group_keys = {g: pub for g, (pub, _) in cleaned.items()}
+        self._registry = dict(registry)
+        self._group_keys = {g: pub for g, (pub, _) in registry.items()}
 
     @property
     def group_registry(self) -> dict[int, tuple[bytes, Fraction]]:
@@ -185,8 +190,6 @@ class ReputationSystem:
     # -- submission ----------------------------------------------------------
 
     def submit_rating(self, payload: RatingPayload, chain: CredentialChain) -> Ack | Reject:
-        if not self._group_keys:
-            return Reject(REJECT_INVALID_CHAIN, detail="unknown-group")
         report = crypto.verify_chain(chain, self._group_keys)
         if not report.valid:
             return Reject(REJECT_INVALID_CHAIN, detail=report.reason or "")
@@ -291,10 +294,7 @@ class ReputationSystem:
             {
                 "rs_id": self.rs_id,
                 "scale": [self.scale[0], self.scale[1]],
-                "registry": {
-                    str(g): {"pub": pub, "impact": str(impact)}
-                    for g, (pub, impact) in self._registry.items()
-                },
+                "registry": registry_record(self._registry),
                 "spent": dict(self._spent),
                 "records": [r.to_record() for r in self._records],
             }

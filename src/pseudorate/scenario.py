@@ -24,6 +24,7 @@ from .charging import (
     ChargingProvider,
     PricingPolicy,
     RevenueShares,
+    group_id,
 )
 from .clock import SimClock
 from .crypto import CredentialChain, key_id_of
@@ -111,9 +112,7 @@ class ScenarioConfig:
             groups: dict[int, GroupConfig] = {}
             for key, entry in raw["groups"].items():
                 _check_fields(f"group {key}", entry, {"impact": str}, ())
-                if str(int(key)) != key:
-                    raise ScenarioError(f"group ids must be decimal strings, not {key!r}")
-                groups[int(key)] = GroupConfig(impact=Fraction(entry["impact"]))
+                groups[group_id(key)] = GroupConfig(impact=Fraction(entry["impact"]))
             if sorted(groups) != list(range(1, len(groups) + 1)):
                 raise ScenarioError("group ids must be dense 1..G")
 
@@ -229,19 +228,6 @@ class Transcript:
             raise ScenarioError("not a transcript")
         return cls(seed=raw["seed"], events=raw["events"], final=raw["final"], groups=raw["groups"])
 
-    def chain_bundles(self) -> list[dict]:
-        """Every chain the scenario submitted, paired with the group keys —
-        ready for offline verification."""
-        bundles = []
-        for event in self.events:
-            detail = event.get("detail", {})
-            if isinstance(detail, dict) and "chain" in detail:
-                bundle = {"chain": detail["chain"], "groups": self.groups}
-                if "payload" in detail:
-                    bundle["payload"] = detail["payload"]
-                bundles.append(bundle)
-        return bundles
-
     def summary_lines(self) -> list[str]:
         lines = []
         for event in self.events:
@@ -274,6 +260,9 @@ class _Stack:
     def __init__(self, config: ScenarioConfig, transport: str, state_dir: Path | None):
         if transport not in TRANSPORTS:
             raise ScenarioError(f"transport must be one of {TRANSPORTS}")
+        port = os.environ.get("PSEUDORATE_PORT_BASE", "0")  # only the socket transport serves on it
+        if transport == "socket" and not (port.isascii() and port.isdigit() and int(port) <= 65535):
+            raise ScenarioError(f"PSEUDORATE_PORT_BASE must be a port number 0..65535, not {port!r}")
         master = random.Random(config.seed)
         pca_rng = random.Random(master.getrandbits(64))
         self.driver_rng = random.Random(master.getrandbits(64))
@@ -329,7 +318,7 @@ class _Stack:
         if transport == "inproc":
             self._transport = InprocTransport(router, tap=self.tap)
         else:
-            self._server = SocketServer(router, port=int(os.environ.get("PSEUDORATE_PORT_BASE", "0")))
+            self._server = SocketServer(router, port=int(port))
             self._transport = SocketTransport(self._server.host, self._server.port, tap=self.tap)
 
         self.pca_client = PcaClient(self._transport)

@@ -23,12 +23,12 @@ import threading
 from fractions import Fraction
 from typing import Callable
 
-from .charging import ChargingProvider, Declined, PricingPolicy
+from .charging import ChargingProvider, Declined, PricingPolicy, group_id
 from .crypto import CredentialChain
 from .encoding import EncodingError, decode, encode
 from .errors import TicketError
 from .privacy_ca import Challenge, DeniedRequest, PrivacyCa
-from .reputation import Ack, RatingPayload, Reject, ReputationSystem
+from .reputation import Ack, RatingPayload, Reject, ReputationSystem, registry_record
 
 logger = logging.getLogger(__name__)
 
@@ -153,9 +153,7 @@ def _h_groups(rs: ReputationSystem, groups: dict) -> dict:
         for key, entry in groups.items():
             if not isinstance(entry, dict) or set(entry) != {"pub", "impact"}:
                 raise WireError("bad group entry")
-            if str(int(key)) != key or int(key) < 1:  # "01", " 3" and "-1" name no group
-                raise WireError(f"bad group id {key!r}")
-            registry[int(key)] = (_field(entry, "pub", bytes), Fraction(_field(entry, "impact", str)))
+            registry[group_id(key)] = (_field(entry, "pub", bytes), Fraction(_field(entry, "impact", str)))
     except (ValueError, ZeroDivisionError) as exc:
         raise WireError(f"bad group registry: {exc}") from exc
     rs.configure_groups(registry)
@@ -436,11 +434,7 @@ class RsClient(_Client):
         return _field(body, "count", int), _field(body, "score", str)
 
     def configure_groups(self, registry: dict[int, tuple[bytes, Fraction]]) -> int:
-        groups = {
-            str(g): {"pub": pub, "impact": str(Fraction(impact))}
-            for g, (pub, impact) in registry.items()
-        }
-        body = self._call("rs/admin/groups", {"groups": groups})
+        body = self._call("rs/admin/groups", {"groups": registry_record(registry)})
         return _field(body, "count", int)
 
 

@@ -78,6 +78,8 @@ def test_policy_record_round_trips_and_absent_keys_take_defaults():
         {"kind": "flat", "per_group": {"one": 70}},
         {"per_group": {"1": 70}},
         {"kind": "flat", "per_group": {"1": 10, "01": 20, " 2": 5}},
+        {"kind": "flat", "per_group": {"0": 5}},
+        {"kind": "flat", "per_group": {"-1": 7}},
     ],
 )
 def test_policy_record_is_not_coerced(record):
@@ -86,7 +88,7 @@ def test_policy_record_is_not_coerced(record):
 
 
 @given(st.integers(min_value=0, max_value=9_999))
-@settings(max_examples=200)
+@settings(max_examples=settings().max_examples * 2)
 def test_increasing_policy_monotone(n):
     policy = PricingPolicy.increasing({1: 100}, step=10)
     assert price(policy, 1, n + 1) >= price(policy, 1, n)
@@ -137,7 +139,7 @@ def test_invalid_shares_rejected():
     st.integers(min_value=0, max_value=1000),
     st.integers(min_value=0, max_value=1000),
 )
-@settings(max_examples=300)
+@settings(max_examples=settings().max_examples * 3)
 def test_split_conserves_every_amount(amount, a, b, c):
     total = a + b + c
     if total == 0:

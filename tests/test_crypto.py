@@ -9,6 +9,7 @@ from pseudorate import crypto
 from pseudorate.crypto import (
     Credential,
     CredentialChain,
+    VerifyReport,
     generate_keypair,
     generate_sealing_keypair,
     seal,
@@ -21,7 +22,7 @@ from pseudorate.errors import InvalidArgument
 from pseudorate.reputation import RatingPayload
 from pseudorate.wire import decode_request, encode_request
 
-from support import all_single_field_mutants, certify_with, honest_chain, make_stack, replace
+from support import all_single_field_mutants, certify_with, honest_chain, make_stack, mutate_credential, replace
 
 
 def test_sign_verify_round_trip_empty_message():
@@ -189,7 +190,7 @@ def test_credential_bytes_canonical():
 
 
 @given(st.binary(max_size=128), st.binary(min_size=1, max_size=16))
-@settings(max_examples=30)
+@settings(max_examples=settings().max_examples * 3 // 10)
 def test_sign_verify_property(message, suffix):
     pair = generate_keypair(seed=b"prop")
     signature = crypto.sign(pair, message)
@@ -245,9 +246,12 @@ def test_honest_chain_valid():
 
 
 def test_chain_needs_nonempty_registry():
+    """An empty registry names no group: an honest chain is an unknown group,
+    and a forged one is still reported by what is wrong with it."""
     _, chain, _ = _stack_chain()
-    with pytest.raises(InvalidArgument):
-        verify_chain(chain, {})
+    assert verify_chain(chain, {}) == VerifyReport(valid=False, group=None, reason="unknown-group")
+    forged = replace(chain, "rating", mutate_credential(chain.rating_cred, "sig"))
+    assert verify_chain(forged, {}).reason == "bad-signature"
 
 
 def test_csk_credential_from_other_identity_is_link_mismatch():

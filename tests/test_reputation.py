@@ -30,6 +30,32 @@ def test_configure_groups_rejects_nonpositive_impact():
     assert rs.group_registry[1][1] == Fraction(1, 2)
 
 
+# group ids and impacts that int() and Fraction() read, but that are not
+# exactly what a registry holds
+NOT_GROUP_IDS = {"negative": -1, "zero": 0, "str": "7", "bool": True, "float": 1.0}
+NOT_IMPACTS = {"int": 1, "str": "1/2", "float": 0.5}
+
+
+@pytest.mark.parametrize("group", NOT_GROUP_IDS.values(), ids=NOT_GROUP_IDS.keys())
+def test_configure_groups_refuses_what_is_not_a_group_id(group):
+    """A group is exactly an int >= 1, the id ``charging.group_id`` reads from
+    a record key: nothing is coerced, and the registry in force stays."""
+    rs = ReputationSystem("rs-x")
+    rs.configure_groups({1: (b"k" * 32, Fraction(1))})
+    before = rs.group_registry
+    with pytest.raises(InvalidArgument):
+        rs.configure_groups({2: (b"j" * 32, Fraction(1)), group: (b"m" * 32, Fraction(1))})
+    assert rs.group_registry == before
+
+
+@pytest.mark.parametrize("impact", NOT_IMPACTS.values(), ids=NOT_IMPACTS.keys())
+def test_configure_groups_refuses_an_impact_that_is_not_a_fraction(impact):
+    rs = ReputationSystem("rs-x")
+    with pytest.raises(InvalidArgument):
+        rs.configure_groups({1: (b"k" * 32, impact)})
+    assert rs.group_registry == {}
+
+
 def test_honest_submission_acked_and_stored():
     stack = make_stack(1)
     agent = stack.new_agent("a")
@@ -179,7 +205,7 @@ def _brute_force(pairs):
         max_size=12,
     )
 )
-@settings(max_examples=60)
+@settings(max_examples=settings().max_examples * 3 // 5)
 def test_aggregate_matches_brute_force_and_permutation_invariant(pairs):
     def build(seq):
         rs = ReputationSystem("rs-x")

@@ -224,14 +224,11 @@ def test_transport_equivalence():
     assert a.to_bytes() == b.to_bytes()
 
 
-def test_transcript_round_trip_and_bundles():
+def test_transcript_round_trip():
     transcript = run_file("basic.json")
     blob = transcript.to_bytes()
     revived = Transcript.from_bytes(blob)
     assert revived.to_bytes() == blob
-    bundles = revived.chain_bundles()
-    assert len(bundles) == 1
-    assert set(bundles[0]) == {"chain", "groups", "payload"}
 
 
 def test_state_dir_persists_services(tmp_path):
@@ -280,13 +277,52 @@ def test_cli_verify_transcript_and_tampered_chain(tmp_path, capsys):
     assert "valid chain" in capsys.readouterr().out
 
     transcript = Transcript.from_bytes(out.read_bytes())
-    bundle = transcript.chain_bundles()[0]
-    chain = bytearray(bundle["chain"])
+    (redeem,) = actions(transcript, "redeem")
+    chain = bytearray(redeem["detail"]["chain"])
     chain[len(chain) // 2] ^= 0x10
-    bundle["chain"] = bytes(chain)
+    redeem["detail"]["chain"] = bytes(chain)
     tampered = tmp_path / "tampered.bin"
-    tampered.write_bytes(encode(bundle))
+    tampered.write_bytes(transcript.to_bytes())
     assert main(["verify", str(tampered)]) == 1
+
+
+def test_cli_verify_with_no_group_keys_finds_no_group(tmp_path, capsys):
+    transcript = run_scenario(ScenarioConfig.from_dict(demo_config()))
+    transcript.groups = {}
+    path = tmp_path / "t.bin"
+    path.write_bytes(transcript.to_bytes())
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"chain {i}: invalid chain: unknown-group" for i in range(3)]
+
+
+def test_cli_verify_refuses_a_groups_table_key_that_is_not_a_group_id(tmp_path, capsys):
+    transcript = run_file("basic.json")
+    transcript.groups = {"01": transcript.groups["1"]}
+    path = tmp_path / "t.bin"
+    path.write_bytes(transcript.to_bytes())
+    assert main(["verify", str(path)]) == 2
+    assert "bad group id '01'" in capsys.readouterr().err
+
+
+# a redeem detail that verify cannot read: the transcript is outside input
+MALFORMED_DETAILS = {
+    "not-a-dict": lambda detail: [detail["chain"]],
+    "undecodable-chain": lambda detail: {**detail, "chain": detail["chain"][:-1]},
+    "chain-not-bytes": lambda detail: {**detail, "chain": "chain"},
+    "no-payload": lambda detail: {"chain": detail["chain"]},
+    "payload-not-a-record": lambda detail: {**detail, "payload": 4},
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_DETAILS.values(), ids=MALFORMED_DETAILS.keys())
+def test_cli_verify_reports_a_malformed_detail(tmp_path, capsys, edit):
+    transcript = run_file("basic.json")
+    (redeem,) = actions(transcript, "redeem")
+    redeem["detail"] = edit(redeem["detail"])
+    path = tmp_path / "t.bin"
+    path.write_bytes(transcript.to_bytes())
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("chain 0: malformed detail: ")
 
 
 def test_cli_verify_rejects_garbage(tmp_path, capsys):
@@ -311,9 +347,10 @@ WELL_FORMED = {"version": 1, "seed": 1, "events": [], "final": {}, "groups": {}}
         {**WELL_FORMED, "final": []},
         {**WELL_FORMED, "final": {"scores": []}},
         {**WELL_FORMED, "groups": []},
+        {"chain": b"", "groups": {}, "payload": {}},
     ],
     ids=["no-seed", "no-groups", "extra-key", "version-2", "str-seed", "dict-events",
-         "int-event", "list-final", "list-scores", "list-groups"],
+         "int-event", "list-final", "list-scores", "list-groups", "chain-bundle"],
 )
 def test_malformed_transcript_is_usage_error(tmp_path, capsys, raw):
     path = tmp_path / "t.bin"
@@ -322,6 +359,17 @@ def test_malformed_transcript_is_usage_error(tmp_path, capsys, raw):
         Transcript.from_bytes(path.read_bytes())
     assert main(["verify", str(path)]) == 2
     assert main(["score", "s", "--transcript", str(path)]) == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "", " 0", "-1", "65536"])
+def test_bad_port_base_is_a_usage_error(tmp_path, monkeypatch, value):
+    """A port variable that is not a port number is refused before any service
+    starts or any state file is written."""
+    monkeypatch.setenv("PSEUDORATE_PORT_BASE", value)
+    state = tmp_path / "state"
+    argv = ["run", str(SCENARIOS / "basic.json"), "--transport", "socket", "--state-dir", str(state)]
+    assert main(argv) == 2
+    assert not state.exists()
 
 
 def test_cli_score_reads_transcript(tmp_path, capsys):
