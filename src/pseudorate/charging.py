@@ -8,6 +8,7 @@ what a group means is none of its business.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,6 +41,8 @@ class RevenueShares:
     cp: Fraction
     pca: Fraction
     rs: Fraction
+    # (cp, pca, rs, d): the shares as numerators over one common denominator d
+    scaled: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         parts = (self.cp, self.pca, self.rs)
@@ -49,6 +52,8 @@ class RevenueShares:
             raise ChargingError("shares must be non-negative", code="invalid-shares")
         if sum(parts) != 1:
             raise ChargingError("shares must sum to exactly 1", code="invalid-shares")
+        d = math.lcm(*(p.denominator for p in parts))
+        object.__setattr__(self, "scaled", (*(p.numerator * (d // p.denominator) for p in parts), d))
 
     def to_record(self) -> dict:
         return {"cp": str(self.cp), "pca": str(self.pca), "rs": str(self.rs)}
@@ -80,6 +85,10 @@ class PricingPolicy:
     def __post_init__(self):
         if self.kind not in ("free", "flat", "increasing", "reverse"):
             raise InvalidArgument(f"unknown pricing kind {self.kind!r}")
+        if any(type(v) is not int for v in (*self.per_group, *self.per_group.values(), self.step, self.incentive)):
+            raise InvalidArgument("group ids, prices, step and incentive must be integers")
+        if any(g < 1 for g in self.per_group):
+            raise InvalidArgument("group ids must be at least 1")
         if self.step < 0 or self.incentive < 0:
             raise InvalidArgument("step and incentive must be non-negative")
         if any(p < 0 for p in self.per_group.values()):
@@ -118,11 +127,11 @@ class PricingPolicy:
         if unknown:
             raise InvalidArgument(f"bad policy record: unknown keys {sorted(unknown)}")
         per_group = record.get("per_group", {})
-        step, incentive = record.get("step", 0), record.get("incentive", 0)
-        if not isinstance(per_group, dict) or any(type(v) is not int for v in (*per_group.values(), step, incentive)):
-            raise InvalidArgument("bad policy record: prices, step and incentive must be integers")
+        if not isinstance(per_group, dict):
+            raise InvalidArgument("bad policy record: per_group must be a dict")
         try:
-            return cls(record["kind"], {group_id(g): p for g, p in per_group.items()}, step, incentive)
+            groups = {group_id(g): p for g, p in per_group.items()}
+            return cls(record["kind"], groups, record.get("step", 0), record.get("incentive", 0))
         except (KeyError, ValueError, TypeError) as exc:
             raise InvalidArgument(f"bad policy record: {exc}") from exc
 
@@ -149,13 +158,13 @@ def split_revenue(amount: int, shares: RevenueShares) -> tuple[int, int, int]:
     Largest-remainder rounding; ties go to the earlier party."""
     if amount < 0:
         raise InvalidArgument("split amount must be non-negative")
-    exact = [amount * shares.cp, amount * shares.pca, amount * shares.rs]
-    floors = [int(x) for x in exact]  # int() truncates toward zero; x >= 0 here
-    remainder = amount - sum(floors)
-    order = sorted(range(3), key=lambda i: (floors[i] - exact[i], i))
-    parts = list(floors)
-    for i in order[:remainder]:
-        parts[i] += 1
+    *numerators, d = shares.scaled
+    parts = [amount * n // d for n in numerators]
+    left = amount - sum(parts)
+    if left:
+        # largest remainder over d first; sorted is stable, so ties keep party order
+        for i in sorted(range(3), key=lambda i: -(amount * numerators[i] % d))[:left]:
+            parts[i] += 1
     return parts[0], parts[1], parts[2]
 
 

@@ -104,11 +104,23 @@ def decode(data: bytes, spans: dict[int, tuple[int, int]] | None = None) -> Valu
     return value
 
 
+def decode_head(data: bytes, pos: int, depth: int) -> tuple[Value, int]:
+    """Decode the one value at ``pos`` as if it sat ``depth`` containers deep,
+    and return it with the position after it; what follows is the caller's.
+    Faults raise EncodingError, as in :func:`decode`."""
+    try:
+        return _decode_at(data, pos, len(data), depth, None)
+    except IndexError:
+        raise EncodingError("truncated input") from None
+    except UnicodeDecodeError as exc:
+        raise EncodingError("invalid utf-8 in string") from exc
+
+
 def _decode_at(data: bytes, pos: int, end: int, depth: int, spans: dict | None) -> tuple[Value, int]:
     """Decode the value at ``pos``; return it and the position after it.
     One loop reads a container's items, scalars inline, and only a nested
     container recurses; a scalar at ``pos`` is the loop's only token. A read
-    past ``end`` raises IndexError, which ``decode`` reports as truncation."""
+    past ``end`` raises IndexError, which its callers report as truncation."""
     start, tag = pos, data[pos]
     result: Any = None  # the dict or list being filled
     is_list = tag == 0x6C  # l
@@ -130,6 +142,9 @@ def _decode_at(data: bytes, pos: int, end: int, depth: int, spans: dict | None) 
             if data[pos + 2] == 0x3A and 0x30 <= data[pos + 1] <= 0x39:  # a one-digit length
                 sep = pos + 2
                 pos = sep + 1 + data[pos + 1] - 0x30
+            elif 0x31 <= data[pos + 1] <= 0x39 and 0x30 <= data[pos + 2] <= 0x39 and data[pos + 3] == 0x3A:
+                sep = pos + 3  # a two-digit length, which cannot start with 0
+                pos = sep + 1 + (data[pos + 1] - 0x30) * 10 + data[pos + 2] - 0x30
             else:
                 sep = data.find(b":", pos)
                 if sep < 0:

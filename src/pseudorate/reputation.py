@@ -151,8 +151,8 @@ class ReputationSystem:
         self.rs_id = rs_id
         self._clock = clock or SimClock()
         self._expost_charge = expost_charge
+        # gid -> (group public key, impact); replaced whole, and read once per submission
         self._registry: dict[int, tuple[bytes, Fraction]] = {}
-        self._group_keys: dict[int, bytes] = {}  # gid -> group public key
         self._spent: dict[str, int] = {}
         self._records: list[RatingRecord] = []
         # subject -> (count, sum of impacts, sum of impact * score, their
@@ -181,7 +181,6 @@ class ReputationSystem:
             if not isinstance(public, bytes):
                 raise InvalidArgument("group keys must be bytes")
         self._registry = dict(registry)
-        self._group_keys = {g: pub for g, (pub, _) in registry.items()}
 
     @property
     def group_registry(self) -> dict[int, tuple[bytes, Fraction]]:
@@ -190,7 +189,8 @@ class ReputationSystem:
     # -- submission ----------------------------------------------------------
 
     def submit_rating(self, payload: RatingPayload, chain: CredentialChain) -> Ack | Reject:
-        report = crypto.verify_chain(chain, self._group_keys)
+        registry = self._registry  # a configure_groups from here on is the next submission's
+        report = crypto.verify_chain(chain, {g: public for g, (public, _) in registry.items()})
         if not report.valid:
             return Reject(REJECT_INVALID_CHAIN, detail=report.reason or "")
 
@@ -204,7 +204,7 @@ class ReputationSystem:
 
         group = report.group
         assert group is not None
-        impact = self._registry[group][1]
+        impact = registry[group][1]
         aik_digest = chain.aik_digest
         chain_digest = crypto.sha256_hex(chain.to_bytes())
 

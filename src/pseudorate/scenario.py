@@ -272,7 +272,6 @@ class _Stack:
 
         logs = {}
         if state_dir is not None:
-            state_dir.mkdir(parents=True, exist_ok=True)
             logs = {
                 "ledger_log": state_dir / "cp-ledger.log",
                 "issuance_log": state_dir / "pca-issuance.log",
@@ -288,8 +287,6 @@ class _Stack:
             credit_limit=config.credit_limit,
             ledger_log=logs.get("ledger_log"),
         )
-        for spec in config.agents:
-            self.cp.open_account(spec.account, spec.balance)
 
         pricing = config.policy if config.charging != "none" else None
         phases = (PHASE_ACQUISITION,) if config.charging == "acquisition" else ()
@@ -318,8 +315,22 @@ class _Stack:
         if transport == "inproc":
             self._transport = InprocTransport(router, tap=self.tap)
         else:
-            self._server = SocketServer(router, port=int(port))
+            try:
+                self._server = SocketServer(router, port=int(port))
+            except OSError as exc:
+                raise ScenarioError(f"cannot serve on port {port}: {exc}") from exc
             self._transport = SocketTransport(self._server.host, self._server.port, tap=self.tap)
+
+        # the services only read their state files so far: a port that cannot
+        # be served leaves the state dir untouched
+        try:
+            if state_dir is not None:
+                state_dir.mkdir(parents=True, exist_ok=True)
+            for spec in config.agents:
+                self.cp.open_account(spec.account, spec.balance)
+        except BaseException:
+            self.close()
+            raise
 
         self.pca_client = PcaClient(self._transport)
         self.rs_client = RsClient(self._transport)

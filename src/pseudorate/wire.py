@@ -25,7 +25,7 @@ from typing import Callable
 
 from .charging import ChargingProvider, Declined, PricingPolicy, group_id
 from .crypto import CredentialChain
-from .encoding import EncodingError, decode, encode
+from .encoding import EncodingError, decode, decode_head, encode
 from .errors import TicketError
 from .privacy_ca import Challenge, DeniedRequest, PrivacyCa
 from .reputation import Ack, RatingPayload, Reject, ReputationSystem, registry_record
@@ -61,9 +61,16 @@ def _frame(body: dict, correlation_id: bytes, endpoint: str, status: bytes) -> b
 
 _REQUEST_FIELDS = frozenset({"version", "endpoint", "correlation_id", "body"})
 _RESPONSE_FIELDS = _REQUEST_FIELDS | {"status"}
+_VERSION_ENTRY = b"s7:versioni%dee" % WIRE_VERSION  # a frame's last entry, and its end
 
 
-def _decode_frame(data: bytes, kind: str, fields: frozenset[str]) -> dict:
+def _decode_frame(data: bytes, response: bool) -> tuple[str, bytes, str, dict]:
+    """A frame's endpoint, correlation id, status ("" in a request) and body.
+    Bytes :func:`_cut_frame` does not accept are decoded in full, which names their fault."""
+    cut = _cut_frame(data, response)
+    if cut is not None:
+        return cut
+    kind, fields = ("response", _RESPONSE_FIELDS) if response else ("request", _REQUEST_FIELDS)
     try:
         frame = decode(data)
     except EncodingError as exc:
@@ -78,19 +85,55 @@ def _decode_frame(data: bytes, kind: str, fields: frozenset[str]) -> dict:
         or not isinstance(frame["correlation_id"], bytes)
     ):
         raise WireError(f"bad {kind} frame field types")
-    return frame
+    if response and frame["status"] not in ("ok", "error"):
+        raise WireError("bad response status")
+    return frame["endpoint"], frame["correlation_id"], frame.get("status", ""), frame["body"]
+
+
+def _cut_frame(data: bytes, response: bool) -> tuple[str, bytes, str, dict] | None:
+    """:func:`_frame` in reverse: decode only the body, then read each entry
+    after it at its fixed key. None for any bytes that are not such a frame,
+    in canonical form and with a valid status; every frame accepted here
+    decodes in full to the same fields."""
+    if type(data) is not bytes or not data.startswith(b"ds4:bodyd"):
+        return None
+    try:
+        body, pos = decode_head(data, 8, 1)  # one level inside the frame dict
+        corr, pos = _cut_entry(data, pos, b"s14:correlation_idb")
+        endpoint, pos = _cut_entry(data, pos, b"s8:endpoints")
+        status = b""
+        if response:
+            status, pos = _cut_entry(data, pos, b"s6:statuss")
+            if status != b"ok" and status != b"error":
+                return None
+        if data[pos:] != _VERSION_ENTRY:
+            return None
+        return endpoint.decode(), corr, status.decode(), body
+    except ValueError:  # EncodingError, bad UTF-8, a length past Python's int-string limit
+        return None
+
+
+def _cut_entry(data: bytes, pos: int, key: bytes) -> tuple[bytes, int]:
+    """The raw value of the entry at ``pos`` whose key and value tag are
+    ``key``, and the position after it; a length must be canonical."""
+    if not data.startswith(key, pos):
+        raise EncodingError("not the expected entry")
+    pos += len(key)
+    sep = data.find(b":", pos)
+    digits = data[pos:sep]
+    if sep < 0 or not digits.isdigit() or digits[0] == 0x30 and len(digits) > 1:
+        raise EncodingError("malformed length")
+    end = sep + 1 + int(digits)  # an end past the data fails the next key or the version check
+    return data[sep + 1 : end], end
 
 
 def decode_request(data: bytes) -> tuple[str, dict, bytes]:
-    frame = _decode_frame(data, "request", _REQUEST_FIELDS)
-    return frame["endpoint"], frame["body"], frame["correlation_id"]
+    endpoint, corr, _, body = _decode_frame(data, False)
+    return endpoint, body, corr
 
 
 def decode_response(data: bytes) -> tuple[str, bytes, str, dict]:
-    frame = _decode_frame(data, "response", _RESPONSE_FIELDS)
-    if frame["status"] not in ("ok", "error"):
-        raise WireError("bad response status")
-    return frame["endpoint"], frame["correlation_id"], frame["status"], frame["body"]
+    return _decode_frame(data, True)
 
 
 def _field(body: dict, name: str, kind: type):

@@ -101,7 +101,8 @@ def test_build_chain_builds_one_key_object(monkeypatch):
 
 def test_wire_redemption_encodes_at_most_five_times_and_decodes_each_input_once(monkeypatch):
     """The chain and the payload travel as their own bytes: each is parsed by
-    its own decode, and no byte is parsed as structure twice."""
+    its own decode, each frame by one decode_head of its body, and no byte is
+    parsed as structure twice."""
     stack = make_stack(5)
     tap = []
     agent = wired_agent(stack, tap=tap)
@@ -109,8 +110,9 @@ def test_wire_redemption_encodes_at_most_five_times_and_decodes_each_input_once(
     ticket = agent.acquire_ticket(1)
     tap.clear()
     calls = count_calls(monkeypatch, encoding, ["encode"])
-    decode, decoded = encoding.decode, []
+    decode, decode_head, decoded = encoding.decode, encoding.decode_head, []
     patch_everywhere(monkeypatch, decode, lambda data, *spans: decoded.append(data) or decode(data, *spans))
+    patch_everywhere(monkeypatch, decode_head, lambda data, *at: decoded.append(data) or decode_head(data, *at))
     assert isinstance(agent.redeem_ticket(ticket, agent.make_payload("seller", 4)), Ack)
     assert calls["encode"] <= 5
     (_, request), (_, response) = tap

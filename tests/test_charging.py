@@ -4,7 +4,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pseudorate.charging import (
@@ -87,6 +87,42 @@ def test_policy_record_is_not_coerced(record):
         PricingPolicy.from_record(record)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PricingPolicy.flat({0: 5}),
+        lambda: PricingPolicy.flat({-1: 5}),
+        lambda: PricingPolicy.flat({"1": 5}),
+        lambda: PricingPolicy.flat({True: 5}),
+        lambda: PricingPolicy.increasing({1.0: 5}, step=1),
+        lambda: PricingPolicy.flat({1: True}),
+        lambda: PricingPolicy.increasing({1: 5}, step=1.5),
+        lambda: PricingPolicy.reverse(True),
+    ],
+    ids=["group-0", "group-negative", "group-str", "group-bool", "group-float", "price-bool", "step-float", "incentive-bool"],
+)
+def test_policy_refuses_what_its_record_could_not_hold(build):
+    with pytest.raises(InvalidArgument):
+        build()
+
+
+group_prices = st.dictionaries(st.integers(-3, 10**6) | st.booleans() | st.text(max_size=2), st.integers(-3, 10**6))
+
+
+@given(
+    st.sampled_from(["free", "flat", "increasing", "reverse"]),
+    group_prices,
+    st.integers(-3, 10**6) | st.booleans(),
+    st.integers(-3, 10**6) | st.booleans(),
+)
+def test_every_constructible_policy_round_trips(kind, per_group, step, incentive):
+    try:
+        policy = PricingPolicy(kind, per_group, step, incentive)
+    except InvalidArgument:
+        return
+    assert PricingPolicy.from_record(policy.to_record()) == policy
+
+
 @given(st.integers(min_value=0, max_value=9_999))
 @settings(max_examples=settings().max_examples * 2)
 def test_increasing_policy_monotone(n):
@@ -148,6 +184,31 @@ def test_split_conserves_every_amount(amount, a, b, c):
     parts = split_revenue(amount, shares)
     assert sum(parts) == amount
     assert all(p >= 0 for p in parts)
+
+
+def split_by_fractions(amount: int, shares: RevenueShares) -> tuple[int, int, int]:
+    """Largest-remainder split computed on Fractions, the reference for split_revenue."""
+    exact = [amount * shares.cp, amount * shares.pca, amount * shares.rs]
+    floors = [int(x) for x in exact]
+    order = sorted(range(3), key=lambda i: (floors[i] - exact[i], i))
+    parts = list(floors)
+    for i in order[: amount - sum(floors)]:
+        parts[i] += 1
+    return parts[0], parts[1], parts[2]
+
+
+@given(
+    st.integers(min_value=0, max_value=10**12),
+    st.lists(st.integers(min_value=0, max_value=10**4), min_size=3, max_size=3),
+    st.lists(st.integers(min_value=1, max_value=10**4), min_size=3, max_size=3),
+)
+@example(7, [1, 1, 1], [1, 1, 1])  # remainders tie three ways
+@example(5, [1, 1, 0], [1, 1, 1])  # two ways, and a zero share
+def test_split_matches_the_fraction_reference(amount, numerators, denominators):
+    weights = [Fraction(n, d) for n, d in zip(numerators, denominators)]
+    total = sum(weights)
+    shares = RevenueShares(*(w / total for w in weights)) if total else THIRDS
+    assert split_revenue(amount, shares) == split_by_fractions(amount, shares)
 
 
 # -- ledger -----------------------------------------------------------------------

@@ -35,7 +35,9 @@ def test_dict_keys_sorted_by_utf8_bytes():
         b"i1",  # unterminated
         b"ie",  # empty int
         b"b02:ab",  # leading zero length
+        b"b05:abcde",  # leading zero on a two-digit length
         b"b5:ab",  # length beyond input
+        b"s12:abc",  # two-digit length beyond input
         b"s1:\xff",  # invalid utf-8
         b"li1e",  # unterminated list
         b"ds1:ai1e",  # unterminated dict

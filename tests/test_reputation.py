@@ -18,6 +18,7 @@ from pseudorate.reputation import (
     ReputationSystem,
 )
 from pseudorate.encoding import append_record, encode
+from pseudorate.wire import InprocTransport, Router, RsClient
 
 from support import honest_chain, make_stack, replace
 
@@ -130,6 +131,33 @@ def test_new_key_for_a_configured_group_rejects_chains_under_the_old_key():
     stack.rs.configure_groups(registry)
     result = stack.rs.submit_rating(old_payload, old_chain)
     assert (result.reason, result.detail) == ("invalid-chain", "unknown-group")
+
+
+@pytest.mark.parametrize("change", ["emptied", "rekeyed", "dropped"])
+def test_groups_reconfigured_during_a_submission_never_answer_internal(monkeypatch, change):
+    """A configure_groups that lands between a submission's chain check and
+    its impact lookup leaves that submission with the table it started with."""
+    stack = make_stack(1)
+    _, payload, chain = honest_chain(stack, stack.new_agent("a"))
+    registry = stack.rs.group_registry
+    changed = {
+        "emptied": {},
+        "rekeyed": {**registry, 1: (crypto.generate_keypair().public, Fraction(7))},
+        "dropped": {g: entry for g, entry in registry.items() if g != 1},
+    }[change]
+    verify_chain = crypto.verify_chain
+
+    def verify_then_reconfigure(*args):
+        report = verify_chain(*args)
+        stack.rs.configure_groups(changed)
+        return report
+
+    monkeypatch.setattr(crypto, "verify_chain", verify_then_reconfigure)
+    result = RsClient(InprocTransport(Router(rs=stack.rs))).submit_rating(payload, chain)
+    if isinstance(result, Ack):
+        assert stack.rs.records[-1].impact == registry[1][1]
+    else:
+        assert result.reason == "invalid-chain"
 
 
 def test_receipt_is_the_digest_of_the_encoded_chain():

@@ -1,11 +1,18 @@
 import hashlib
 import json
+import os
+import socket
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+import pseudorate
 from pseudorate.cli import demo_config, main
 from pseudorate.encoding import encode
+from pseudorate.errors import TicketError
 from pseudorate.scenario import ScenarioConfig, ScenarioError, Transcript, run_scenario
 
 REPO = Path(__file__).resolve().parent.parent
@@ -370,6 +377,36 @@ def test_bad_port_base_is_a_usage_error(tmp_path, monkeypatch, value):
     argv = ["run", str(SCENARIOS / "basic.json"), "--transport", "socket", "--state-dir", str(state)]
     assert main(argv) == 2
     assert not state.exists()
+
+
+def test_busy_port_base_is_a_config_error(tmp_path):
+    """A port another listener holds is refused before any state file is
+    written: exit 2 with a one-line error, not a traceback."""
+    state = tmp_path / "state"
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        env = {
+            **os.environ,
+            "PSEUDORATE_PORT_BASE": str(listener.getsockname()[1]),
+            "PYTHONPATH": str(Path(pseudorate.__file__).parent.parent),
+        }
+        argv = ["run", str(SCENARIOS / "basic.json"), "--transport", "socket", "--state-dir", str(state)]
+        done = subprocess.run([sys.executable, "-m", "pseudorate", *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: cannot serve on port")
+    assert not state.exists()
+
+
+def test_a_run_that_fails_after_binding_closes_its_server():
+    """Accounts open after the port is bound, so a duplicate account must
+    still stop the server it started."""
+    raw = json.loads((SCENARIOS / "basic.json").read_text())
+    raw["agents"].append({"name": "twin", "account": raw["agents"][0]["account"]})
+    threads = threading.active_count()
+    with pytest.raises(TicketError) as excinfo:
+        run_scenario(ScenarioConfig.from_dict(raw), transport="socket")
+    assert excinfo.value.code == "duplicate-account"
+    assert threading.active_count() == threads
 
 
 def test_cli_score_reads_transcript(tmp_path, capsys):

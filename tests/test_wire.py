@@ -1,4 +1,5 @@
 import random
+import re
 import socket
 import sys
 import threading
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from pseudorate.charging import PricingPolicy
 from pseudorate.crypto import key_id_of, sha256_hex
-from pseudorate.encoding import decode, encode
+from pseudorate.encoding import MAX_DEPTH, EncodingError, decode, encode
 from pseudorate.encoding import read_records
 from pseudorate.reputation import Ack, Reject, ReputationSystem
 from pseudorate.wire import (
@@ -24,6 +25,7 @@ from pseudorate.wire import (
     SocketServer,
     SocketTransport,
     WireError,
+    _cut_frame,
     _read_frame,
     _write_frame,
     decode_request,
@@ -64,6 +66,99 @@ def test_frames_are_the_encoding_of_the_frame_dict(endpoint, correlation_id, sta
     request = {"version": 1, "endpoint": endpoint, "correlation_id": correlation_id, "body": body}
     assert encode_request(endpoint, body, correlation_id) == encode(request)
     assert encode_response(endpoint, correlation_id, status, body) == encode({**request, "status": status})
+
+
+@st.composite
+def frames(draw):
+    """A request or response frame as the encoders write it: (response?, bytes)."""
+    response = draw(st.booleans())
+    endpoint, correlation_id, body = draw(st.text(max_size=12)), draw(st.binary(max_size=12)), draw(bodies)
+    if response:
+        return True, encode_response(endpoint, correlation_id, draw(st.sampled_from(["ok", "error"])), body)
+    return False, encode_request(endpoint, body, correlation_id)
+
+
+def decoded_fields(data: bytes, response: bool):
+    """The fields the generic decoder reads from a frame, in the cutter's order;
+    None for a frame it refuses or whose fields are not a frame's."""
+    try:
+        frame = decode(data)
+    except EncodingError:
+        return None
+    fields = {"version", "endpoint", "correlation_id", "body"} | ({"status"} if response else set())
+    if not isinstance(frame, dict) or frame.keys() != fields or frame["version"] != 1:
+        return None
+    return frame["endpoint"], frame["correlation_id"], frame.get("status", ""), frame["body"]
+
+
+@given(frames())
+def test_cutter_accepts_every_encoded_frame(frame):
+    response, data = frame
+    cut = _cut_frame(data, response)
+    assert cut is not None
+    assert cut == decoded_fields(data, response)
+
+
+def nested(depth: int) -> dict:
+    """A body whose deepest item sits in a list ``depth`` containers below its frame."""
+    value = [0]
+    for _ in range(depth - 2):
+        value = [value]
+    return {"n": value}
+
+
+@pytest.mark.parametrize("response", [False, True])
+@pytest.mark.parametrize("depth", [MAX_DEPTH - 1, MAX_DEPTH])
+def test_cutter_keeps_the_depth_limit(depth, response):
+    body = nested(depth)
+    data = b"ds4:body" + encode(body) + b"s14:correlation_idb1:cs8:endpoints1:x"
+    data += (b"s6:statuss2:ok" if response else b"") + b"s7:versioni1ee"
+    if depth < MAX_DEPTH:
+        assert _cut_frame(data, response) == ("x", b"c", "ok" if response else "", body)
+    else:
+        assert _cut_frame(data, response) is None
+        with pytest.raises(EncodingError):
+            decode(data)
+
+
+@st.composite
+def mutated_frames(draw):
+    """An encoded frame after one edit: a cut, a length given a leading zero,
+    an extra entry, version 2, any status, a byte edit, bytes of another
+    type, or the other kind of frame expected."""
+    response, data = draw(frames())
+    edit = draw(st.sampled_from(["truncate", "leading-zero", "extra-key", "version", "status", "byte", "type", "kind"]))
+    if edit == "truncate":
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    elif edit == "leading-zero":
+        heads = [m.start() + 1 for m in re.finditer(rb"[bs][0-9]+:", data)]
+        at = draw(st.sampled_from(heads))
+        data = data[:at] + b"0" + data[at:]
+    elif edit == "extra-key":
+        key = draw(st.sampled_from([b"s5:extrai1e", b"s4:zzzzi1e", b"s1:ab0:"]))
+        at = draw(st.sampled_from([len(data) - 1, len(data) - 14, 8]))  # after, before version; before body
+        data = data[:at] + key + data[at:]
+    elif edit == "version":
+        data = data[:-3] + b"2ee"
+    elif edit == "status":
+        response, data = True, encode_response("x", b"c", draw(st.text(max_size=6)), {})
+    elif edit == "byte":
+        data = draw(one_byte_edits(data))
+    elif edit == "type":
+        data = draw(st.sampled_from([bytearray, memoryview, lambda d: d.decode("latin-1")]))(data)
+    else:
+        response = not response
+    return response, data
+
+
+@given(mutated_frames() | st.tuples(st.booleans(), st.binary(max_size=64)))
+@settings(max_examples=settings().max_examples * 2)
+def test_cutter_agrees_with_decode_or_leaves_the_frame_to_it(frame):
+    response, data = frame
+    cut = _cut_frame(data, response)
+    if cut is not None:
+        assert cut == decoded_fields(data, response)
+        assert cut[2] in (("ok", "error") if response else ("",))
 
 
 def test_unknown_version_rejected():
