@@ -234,6 +234,10 @@ class ChargingProvider:
     def history(self, account_id: str) -> list[ChargeReceipt]:
         return list(self._account(account_id).history)
 
+    def charge_count(self, account_id: str) -> int:
+        """``len(history(account_id))``, counted without copying the history."""
+        return len(self._account(account_id).history)
+
     # -- policy / shares -----------------------------------------------------
 
     @property

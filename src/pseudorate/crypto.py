@@ -298,13 +298,19 @@ class VerifyReport:
     reason: str | None
 
 
+def chain_group(chain: CredentialChain, group_registry: Mapping[int, bytes]) -> int | None:
+    """The first gid in ``group_registry`` whose key issued the chain's group
+    credential, or None; a lookup only, no signature is checked."""
+    group_public = chain.aik_cred.issuer_public
+    return next((gid for gid, public in group_registry.items() if public == group_public), None)
+
+
 def verify_chain(chain: CredentialChain, group_registry: Mapping[int, bytes]) -> VerifyReport:
     """Check each link's signature, the key linkage between links, and that
     the group credential was issued under a registered group key. The group
-    is the first gid in ``group_registry`` with that key; an empty registry
-    names none, so a chain whose signatures and links hold is an ``unknown-group``."""
-    group_public = chain.aik_cred.issuer_public
-    group = next((gid for gid, public in group_registry.items() if public == group_public), None)
+    is :func:`chain_group`; an empty registry names none, so a chain whose
+    signatures and links hold is an ``unknown-group``."""
+    group = chain_group(chain, group_registry)
     if not (
         verify_credential(chain.rating_cred)
         and verify_credential(chain.csk_cred)

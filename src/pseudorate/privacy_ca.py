@@ -283,7 +283,7 @@ class PrivacyCa:
         # the provider's ledger is the one count of the charges an account
         # has paid, so a declined or failed charge does not move the price
         account = record.user_account
-        amount = price(self._pricing, group, len(self._charging.history(account)))
+        amount = price(self._pricing, group, self._charging.charge_count(account))
         result = self._charging.charge(account, amount, group=group, phase=phase)
         if isinstance(result, Declined):
             logger.info("charge declined for account %s", account)

@@ -4,7 +4,9 @@ impact-weighted scores exactly (rational arithmetic).
 
 Check order for a submission is fixed and total — chain validity, payload
 binding, target binding, then spend — so every malformed submission maps
-to exactly one machine-readable reject reason.
+to exactly one machine-readable reject reason. A chain whose exact bytes
+were accepted before skips only the signature and link checks, which those
+bytes passed then, so it gets the same answer for less work.
 """
 
 from __future__ import annotations
@@ -129,6 +131,28 @@ class WeightedScore:
     count: int
     score: Fraction | None
 
+    @cached_property
+    def text(self) -> str:
+        """The score as ``rs/score`` reports it: the exact fraction, or the
+        RS's ``none_value`` for a subject with no ratings."""
+        return ReputationSystem.none_value if self.score is None else str(self.score)
+
+
+@dataclass(frozen=True)
+class _Totals:
+    """One subject's running sums, replaced whole by each rating, so the
+    score built from them on the first read after a rating serves every
+    later read until the next one."""
+
+    subject: str
+    count: int
+    weight: Fraction
+    weighted: Fraction  # the sum of impact * score
+
+    @cached_property
+    def score(self) -> WeightedScore:
+        return WeightedScore(subject=self.subject, count=self.count, score=self.weighted / self.weight)
+
 
 def registry_record(registry: Mapping[int, tuple[bytes, Fraction]]) -> dict:
     """The group table as ``rs/admin/groups`` and an exported state carry it."""
@@ -155,9 +179,9 @@ class ReputationSystem:
         self._registry: dict[int, tuple[bytes, Fraction]] = {}
         self._spent: dict[str, int] = {}
         self._records: list[RatingRecord] = []
-        # subject -> (count, sum of impacts, sum of impact * score, their
-        # quotient), in the order subjects were first rated
-        self._totals: dict[str, tuple[int, Fraction, Fraction, Fraction]] = {}
+        self._accepted: set[str] = set()  # the chain digest of every stored rating
+        # subject -> its totals, in the order subjects were first rated
+        self._totals: dict[str, _Totals] = {}
         self._pending_charges: list[tuple[str, int]] = []
         self._lock = threading.Lock()
         self._rating_log = Path(rating_log) if rating_log else None
@@ -190,9 +214,18 @@ class ReputationSystem:
 
     def submit_rating(self, payload: RatingPayload, chain: CredentialChain) -> Ack | Reject:
         registry = self._registry  # a configure_groups from here on is the next submission's
-        report = crypto.verify_chain(chain, {g: public for g, (public, _) in registry.items()})
-        if not report.valid:
-            return Reject(REJECT_INVALID_CHAIN, detail=report.reason or "")
+        keys = {g: public for g, (public, _) in registry.items()}
+        chain_digest = crypto.sha256_hex(chain.to_bytes())
+        if chain_digest in self._accepted:
+            # signatures and links depend only on the chain's bytes, and these
+            # bytes passed them once; the group is looked up in today's registry
+            group = crypto.chain_group(chain, keys)
+            reason = None if group is not None else "unknown-group"
+        else:
+            report = crypto.verify_chain(chain, keys)
+            group, reason = report.group, report.reason
+        if reason is not None:
+            return Reject(REJECT_INVALID_CHAIN, detail=reason)
 
         problem = self._payload_problem(payload)
         if problem:
@@ -202,11 +235,8 @@ class ReputationSystem:
         if payload.rs_id != self.rs_id:
             return Reject(REJECT_WRONG_RS, detail="payload addressed to another system")
 
-        group = report.group
-        assert group is not None
         impact = registry[group][1]
         aik_digest = chain.aik_digest
-        chain_digest = crypto.sha256_hex(chain.to_bytes())
 
         with self._lock:
             if aik_digest in self._spent:
@@ -243,10 +273,11 @@ class ReputationSystem:
     # -- aggregation --------------------------------------------------------------
 
     def aggregate(self, subject: str) -> WeightedScore:
-        """Impact-weighted mean over stored ratings for the subject, exact;
-        the mean :meth:`_apply` keeps beside its running sums."""
-        count, _, _, mean = self._totals.get(subject, (0, None, None, None))
-        return WeightedScore(subject=subject, count=count, score=mean)
+        """Impact-weighted mean over stored ratings for the subject, exact:
+        built from the totals :meth:`_apply` keeps on the first read after a
+        rating, and kept for later reads. An unrated subject is not stored."""
+        totals = self._totals.get(subject)
+        return WeightedScore(subject=subject, count=0, score=None) if totals is None else totals.score
 
     # -- charge retry ---------------------------------------------------------------
 
@@ -320,8 +351,9 @@ class ReputationSystem:
         it after logging the record with its ``aik_digest``, and replay calls
         it for each logged record."""
         self._records.append(record)
+        self._accepted.add(record.chain_digest)
         subject, impact = record.payload.subject, record.impact
-        count, total_weight, weighted, _ = self._totals.get(subject, (0, 0, 0, None))
-        total_weight, weighted = total_weight + impact, weighted + impact * record.payload.score
-        self._totals[subject] = (count + 1, total_weight, weighted, weighted / total_weight)
+        totals = self._totals.get(subject)
+        count, weight, weighted = (totals.count, totals.weight, totals.weighted) if totals else (0, 0, 0)
+        self._totals[subject] = _Totals(subject, count + 1, weight + impact, weighted + impact * record.payload.score)
         self._spent.setdefault(aik_digest, record.received)

@@ -127,14 +127,18 @@ class ScenarioConfig:
                     raise ScenarioError(f"policy has no price for groups {missing}")
 
             agents = []
-            names = set()
+            names, accounts = set(), set()
             for i, entry in enumerate(raw.get("agents", [])):
                 _check_fields(f"agent {i}", entry, _AGENT_FIELDS, ("account", "balance"))
                 name = entry["name"]
+                account = entry.get("account", f"acct-{name}")
                 if name in names:
                     raise ScenarioError(f"duplicate agent {name!r}")
+                if account in accounts:  # the charging provider opens each account once
+                    raise ScenarioError(f"agent {name!r}: duplicate account {account!r}")
                 names.add(name)
-                agents.append(AgentSpec(name, entry.get("account", f"acct-{name}"), entry.get("balance", 0)))
+                accounts.add(account)
+                agents.append(AgentSpec(name, account, entry.get("balance", 0)))
 
             script = []
             for i, step in enumerate(raw.get("script", [])):

@@ -109,21 +109,29 @@ def _cut_frame(data: bytes, response: bool) -> tuple[str, bytes, str, dict] | No
         if data[pos:] != _VERSION_ENTRY:
             return None
         return endpoint.decode(), corr, status.decode(), body
-    except ValueError:  # EncodingError, bad UTF-8, a length past Python's int-string limit
-        return None
+    except (ValueError, IndexError):  # EncodingError, bad UTF-8, a length past Python's
+        return None  # int-string limit; a read past the end
 
 
 def _cut_entry(data: bytes, pos: int, key: bytes) -> tuple[bytes, int]:
     """The raw value of the entry at ``pos`` whose key and value tag are
-    ``key``, and the position after it; a length must be canonical."""
+    ``key``, and the position after it; a length must be canonical. One- and
+    two-digit lengths are read inline, as :func:`encoding._decode_at` reads them."""
     if not data.startswith(key, pos):
         raise EncodingError("not the expected entry")
     pos += len(key)
+    # an end past the data fails the next key or the version check
+    if data[pos + 1] == 0x3A and 0x30 <= data[pos] <= 0x39:  # a one-digit length
+        end = pos + 2 + data[pos] - 0x30
+        return data[pos + 2 : end], end
+    if 0x31 <= data[pos] <= 0x39 and 0x30 <= data[pos + 1] <= 0x39 and data[pos + 2] == 0x3A:
+        end = pos + 3 + (data[pos] - 0x30) * 10 + data[pos + 1] - 0x30  # two digits, no leading 0
+        return data[pos + 3 : end], end
     sep = data.find(b":", pos)
     digits = data[pos:sep]
     if sep < 0 or not digits.isdigit() or digits[0] == 0x30 and len(digits) > 1:
         raise EncodingError("malformed length")
-    end = sep + 1 + int(digits)  # an end past the data fails the next key or the version check
+    end = sep + 1 + int(digits)
     return data[sep + 1 : end], end
 
 
@@ -186,8 +194,7 @@ def _h_submit(rs: ReputationSystem, payload: bytes, chain: bytes) -> dict:
 
 def _h_score(rs: ReputationSystem, subject: str) -> dict:
     score = rs.aggregate(subject)
-    value = rs.none_value if score.score is None else str(score.score)
-    return {"count": score.count, "score": value}
+    return {"count": score.count, "score": score.text}
 
 
 def _h_groups(rs: ReputationSystem, groups: dict) -> dict:

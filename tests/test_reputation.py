@@ -1,6 +1,9 @@
 import random
+import sys
+import tempfile
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudorate import crypto
+from pseudorate.agent import RATING_META
 from pseudorate.charging import PricingPolicy
 from pseudorate.errors import InvalidArgument
 from pseudorate.reputation import (
@@ -20,7 +24,7 @@ from pseudorate.reputation import (
 from pseudorate.encoding import append_record, encode
 from pseudorate.wire import InprocTransport, Router, RsClient
 
-from support import honest_chain, make_stack, replace
+from support import certify_with, honest_chain, make_stack, replace
 
 
 def test_configure_groups_rejects_nonpositive_impact():
@@ -257,10 +261,147 @@ def test_aggregate_matches_brute_force_and_permutation_invariant(pairs):
     assert build(shuffled) == forward
 
 
+# group -> (key pair, impact) for chains built without a platform module
+SCORE_GROUPS = {
+    g: (crypto.generate_keypair(b"score-group-%d" % g), impact)
+    for g, impact in ((1, Fraction(1, 2)), (2, Fraction(3)), (3, Fraction(2, 3)))
+}
+
+
+@lru_cache(maxsize=None)
+def scored_chain(index: int, subject: str, group: int, score: int) -> tuple[RatingPayload, crypto.CredentialChain]:
+    """The ``index``-th submission of an example: its own identity key, so one
+    example never spends a ticket twice; cached, as every example builds a new RS."""
+    seed = b"%d/%s/%d/%d" % (index, subject.encode(), group, score)
+    aik, csk = crypto.generate_keypair(b"aik:" + seed), crypto.generate_keypair(b"csk:" + seed)
+    payload = RatingPayload(subject, score, nonce=seed, rs_id="rs-x")
+    return payload, crypto.CredentialChain(
+        rating_cred=certify_with(csk, payload.canonical_bytes(), RATING_META),
+        csk_cred=certify_with(aik, csk.public),
+        aik_cred=certify_with(SCORE_GROUPS[group][0], aik.public),
+    )
+
+
+def score_reply(pairs) -> tuple[int, str]:
+    return (len(pairs), str(_brute_force(pairs))) if pairs else (0, "no-score")
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("rate"), st.sampled_from("abc"), st.sampled_from(sorted(SCORE_GROUPS)), st.integers(1, 5)),
+            st.tuples(st.just("read"), st.sampled_from("abcd")),
+        ),
+        max_size=14,
+    )
+)
+@settings(max_examples=settings().max_examples // 2)
+def test_score_replies_follow_every_rating(ops):
+    """Submissions and rs/score reads interleaved: each reply is the exact
+    weighted mean of the ratings so far, so no read after a rating returns the
+    score before it; a rated subject's reply is built once per rating; an
+    unrated subject answers no-score and is not stored; and an RS rebuilt
+    from the rating log answers the same."""
+    registry = {g: (pair.public, impact) for g, (pair, impact) in SCORE_GROUPS.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "ratings.log"
+        rs = ReputationSystem("rs-x", rating_log=log)
+        rs.configure_groups(registry)
+        client = RsClient(InprocTransport(Router(rs=rs)))
+        rated: dict[str, list] = {}
+        for n, (op, subject, *rating) in enumerate(ops):
+            if op == "rate":
+                group, score = rating
+                assert isinstance(rs.submit_rating(*scored_chain(n, subject, group, score)), Ack)
+                rated.setdefault(subject, []).append((registry[group][1], score))
+            assert client.score(subject) == score_reply(rated.get(subject))
+            if subject in rated:
+                assert rs.aggregate(subject) is rs.aggregate(subject)
+            else:
+                assert subject not in rs.subjects()
+        assert rs.subjects() == list(rated)
+
+        rebuilt = ReputationSystem("rs-x", rating_log=log)
+        rebuilt_client = RsClient(InprocTransport(Router(rs=rebuilt)))
+        for subject in "abcd":
+            assert rebuilt_client.score(subject) == client.score(subject) == score_reply(rated.get(subject))
+        assert rebuilt.subjects() == rs.subjects()
+
+
+# -- resubmitted chains ---------------------------------------------------------------
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """Counts ``crypto.verify`` calls, each one Ed25519 signature check."""
+    calls = []
+    verify = crypto.verify
+
+    def counting(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(crypto, "verify", counting)
+    return calls
+
+
+def accepted_over_the_wire(tmp_path):
+    """An RS with a rating log, a client of it, and one accepted submission."""
+    stack = make_stack(1, rs_kwargs={"rating_log": tmp_path / "ratings.log"})
+    agent = stack.new_agent("a")
+    ticket, payload, chain = honest_chain(stack, agent)
+    client = RsClient(InprocTransport(Router(rs=stack.rs)))
+    assert isinstance(client.submit_rating(payload, chain), Ack)
+    return stack, agent, ticket, payload, chain
+
+
+def test_resubmitted_chain_is_a_double_spend_without_a_signature_check(tmp_path, verify_calls):
+    stack, _, _, payload, chain = accepted_over_the_wire(tmp_path)
+    verify_calls.clear()
+    spent = Reject("double-spend", "ticket already redeemed")
+    assert RsClient(InprocTransport(Router(rs=stack.rs))).submit_rating(payload, chain) == spent
+    assert verify_calls == []
+    # an RS rebuilt from its rating log knows the chain too
+    rebuilt = ReputationSystem(stack.rs.rs_id, rating_log=tmp_path / "ratings.log")
+    rebuilt.configure_groups(stack.rs.group_registry)
+    assert RsClient(InprocTransport(Router(rs=rebuilt))).submit_rating(payload, chain) == spent
+    assert verify_calls == []
+
+
+def test_resubmitted_chain_whose_group_was_dropped_is_an_unknown_group(tmp_path, verify_calls):
+    stack, _, _, payload, chain = accepted_over_the_wire(tmp_path)
+    verify_calls.clear()
+    stack.rs.configure_groups({g: entry for g, entry in stack.rs.group_registry.items() if g != 1})
+    result = RsClient(InprocTransport(Router(rs=stack.rs))).submit_rating(payload, chain)
+    assert (result.reason, result.detail) == ("invalid-chain", "unknown-group")
+    stack.rs.configure_groups({})
+    assert stack.rs.submit_rating(payload, chain) == result
+    assert verify_calls == []
+
+
+def test_resubmitted_chain_with_another_payload_is_a_bad_payload(tmp_path, verify_calls):
+    stack, agent, _, _, chain = accepted_over_the_wire(tmp_path)
+    verify_calls.clear()
+    result = RsClient(InprocTransport(Router(rs=stack.rs))).submit_rating(agent.make_payload("seller-1", 4), chain)
+    assert result == Reject("bad-payload", "signed bytes do not match payload")
+    assert verify_calls == []
+
+
+def test_new_chain_under_a_spent_ticket_pays_every_signature_check(tmp_path, verify_calls):
+    stack, agent, ticket, payload, _ = accepted_over_the_wire(tmp_path)
+    chain = agent.build_chain(ticket, payload)  # a new signing key, so new bytes
+    verify_calls.clear()
+    assert RsClient(InprocTransport(Router(rs=stack.rs))).submit_rating(payload, chain).reason == "double-spend"
+    assert len(verify_calls) == 3
+
+
 # -- concurrency --------------------------------------------------------------------
 
 
 def test_concurrent_submissions_single_ack():
+    """Chains under one ticket, each sent twice, from as many threads: once
+    the accepted chain is known, its copies skip verification, and still
+    only one submission is acked."""
     stack = make_stack(5)
     agent = stack.new_agent("a")
     ticket = agent.acquire_ticket(1)
@@ -268,6 +409,7 @@ def test_concurrent_submissions_single_ack():
     for i in range(12):
         payload = agent.make_payload("seller", 1 + i % 5)
         submissions.append((payload, agent.build_chain(ticket, payload)))
+    submissions += submissions
     results = [None] * len(submissions)
     barrier = threading.Barrier(len(submissions))
 
@@ -276,10 +418,16 @@ def test_concurrent_submissions_single_ack():
         results[index] = stack.rs.submit_rating(*submissions[index])
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(len(submissions))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     acks = [r for r in results if isinstance(r, Ack)]
     rejects = [r for r in results if isinstance(r, Reject)]
     assert len(acks) == 1

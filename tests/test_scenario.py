@@ -13,7 +13,7 @@ import pseudorate
 from pseudorate.cli import demo_config, main
 from pseudorate.encoding import encode
 from pseudorate.errors import TicketError
-from pseudorate.scenario import ScenarioConfig, ScenarioError, Transcript, run_scenario
+from pseudorate.scenario import AgentSpec, ScenarioConfig, ScenarioError, Transcript, run_scenario
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -121,6 +121,10 @@ def add_step(**step):
     return lambda raw: raw["script"].append(step)
 
 
+def add_agents(*entries):
+    return lambda raw: raw["agents"].extend(entries)
+
+
 def set_key(*path, value):
     def edit(raw):
         for key in path[:-1]:
@@ -134,7 +138,8 @@ def set_key(*path, value):
 # "step-missing-field" were accepted before steps were checked against
 # scenario.STEPS, the seven from "negative-seconds" before step bounds and
 # top-level types were checked, and "lone-surrogate-subject" crashed the run
-# with a traceback before strings were checked to be encodable
+# with a traceback before strings were checked to be encodable; the two
+# account edits exited 1 with duplicate-account after the ledger was written
 CONFIG_ERRORS = {
     "unknown-agent": add_step(action="acquire", agent="ghost", group=1),
     "unknown-action": add_step(action="warp"),
@@ -163,6 +168,8 @@ CONFIG_ERRORS = {
     "string-credit-limit": set_key("credit_limit", value="100"),
     "zero-padded-group-key": set_key("groups", value={"1": {"impact": "1"}, "01": {"impact": "5"}}),
     "lone-surrogate-subject": set_key("script", 2, "subject", value="\ud800"),
+    "shared-account": add_agents({"name": "twin", "account": "acct-buyer"}),
+    "account-of-a-default": add_agents({"name": "twin", "account": "acct-late"}, {"name": "late"}),
 }
 
 
@@ -397,14 +404,31 @@ def test_busy_port_base_is_a_config_error(tmp_path):
     assert not state.exists()
 
 
-def test_a_run_that_fails_after_binding_closes_its_server():
-    """Accounts open after the port is bound, so a duplicate account must
-    still stop the server it started."""
+def test_shared_account_is_refused_before_any_state_file(tmp_path):
+    """Two agents on one account are a config error: exit 2, one error line
+    and no state dir, where the run once failed after writing the ledger."""
     raw = json.loads((SCENARIOS / "basic.json").read_text())
     raw["agents"].append({"name": "twin", "account": raw["agents"][0]["account"]})
+    path, state = tmp_path / "scenario.json", tmp_path / "state"
+    path.write_text(json.dumps(raw))
+    env = {**os.environ, "PYTHONPATH": str(Path(pseudorate.__file__).parent.parent)}
+    argv = ["run", str(path), "--state-dir", str(state)]
+    done = subprocess.run([sys.executable, "-m", "pseudorate", *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") and "duplicate account 'acct-buyer'" in done.stderr
+    assert not state.exists()
+
+
+def test_a_run_that_fails_after_binding_closes_its_server():
+    """Accounts open after the port is bound, so a duplicate account must
+    still stop the server it started. The scenario file refuses one, so
+    the twin is added to a checked config."""
+    config = ScenarioConfig.from_dict(json.loads((SCENARIOS / "basic.json").read_text()))
+    config.agents.append(AgentSpec("twin", config.agents[0].account, 0))
     threads = threading.active_count()
     with pytest.raises(TicketError) as excinfo:
-        run_scenario(ScenarioConfig.from_dict(raw), transport="socket")
+        run_scenario(config, transport="socket")
     assert excinfo.value.code == "duplicate-account"
     assert threading.active_count() == threads
 

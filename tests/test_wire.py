@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pseudorate.charging import PricingPolicy
@@ -91,7 +91,40 @@ def decoded_fields(data: bytes, response: bool):
     return frame["endpoint"], frame["correlation_id"], frame.get("status", ""), frame["body"]
 
 
+def with_examples(cases):
+    """``@example`` for each case, in the order given."""
+
+    def decorate(test):
+        for case in reversed(cases):
+            test = example(case)(test)
+        return test
+
+    return decorate
+
+
+# frames whose entries have one-, two- and three-digit lengths, at each edge;
+# the cutter reads one and two digits inline, and longer lengths in general
+ENTRY_LENGTH_FRAMES = [
+    frame
+    for n in (0, 9, 10, 99, 100)
+    for frame in (
+        (False, encode_request("e" * n, {}, b"c" * n)),
+        (True, encode_response("e" * n, b"c" * n, "ok", {"k": b"v" * n})),
+        (True, encode_response("e", b"c", "x" * n, {})),  # a status neither ok nor error
+    )
+]
+# the same frames with a length written with a leading zero, 00 or 01
+LEADING_ZERO_FRAMES = [
+    (False, encode_request("e", {}, b"").replace(b"correlation_idb0:", b"correlation_idb00:")),
+    (False, encode_request("e", {}, b"c").replace(b"correlation_idb1:", b"correlation_idb01:")),
+    (False, encode_request("e", {}, b"c").replace(b"endpoints1:", b"endpoints01:")),
+    (True, encode_response("", b"c", "ok", {}).replace(b"endpoints0:", b"endpoints00:")),
+    (True, encode_response("e", b"c", "", {}).replace(b"statuss0:", b"statuss00:")),
+]
+
+
 @given(frames())
+@with_examples(ENTRY_LENGTH_FRAMES[::3] + ENTRY_LENGTH_FRAMES[1::3])
 def test_cutter_accepts_every_encoded_frame(frame):
     response, data = frame
     cut = _cut_frame(data, response)
@@ -152,13 +185,25 @@ def mutated_frames(draw):
 
 
 @given(mutated_frames() | st.tuples(st.booleans(), st.binary(max_size=64)))
+@with_examples(ENTRY_LENGTH_FRAMES + LEADING_ZERO_FRAMES)
 @settings(max_examples=settings().max_examples * 2)
 def test_cutter_agrees_with_decode_or_leaves_the_frame_to_it(frame):
     response, data = frame
     cut = _cut_frame(data, response)
+    fields = decoded_fields(data, response)
     if cut is not None:
-        assert cut == decoded_fields(data, response)
+        assert cut == fields
         assert cut[2] in (("ok", "error") if response else ("",))
+    elif type(data) is bytes and fields is not None:
+        # the cutter leaves a decodable frame to the decoder only for a field
+        # the decoder's checks refuse too
+        endpoint, corr, status, body = fields
+        assert not (
+            type(endpoint) is str
+            and type(corr) is bytes
+            and type(body) is dict
+            and status in (("ok", "error") if response else ("",))
+        )
 
 
 def test_unknown_version_rejected():
