@@ -190,9 +190,23 @@ def _decode_at(data: bytes, pos: int, end: int, depth: int, spans: dict | None) 
 
 def append_record(path: Path | str, value: Value) -> None:
     """Append one record to a log file: base64 of the canonical bytes, one per line."""
+    # one os.write on a descriptor opened per record; a write that fails part-way
+    # is cut back, so the next append does not land on a half line (FORMATS §6)
     line = base64.b64encode(encode(value)) + b"\n"
-    with open(path, "ab") as fh:
-        fh.write(line)
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    written = 0
+    try:
+        while written < len(line):
+            written += os.write(fd, line[written:])
+    except BaseException:
+        if written:
+            try:
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR) - written)
+            except OSError:
+                pass  # the original error matters more; reading drops a torn tail
+        raise
+    finally:
+        os.close(fd)
 
 
 def read_records(path: Path | str) -> list[Value]:

@@ -1,10 +1,18 @@
+import base64
 import enum
+import errno
+import os
 import re
+import stat
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pseudorate.charging import ChargingProvider
+from pseudorate.clock import SimClock
 from pseudorate.encoding import MAX_DEPTH, EncodingError, append_record, decode, encode, read_records
 
 
@@ -383,3 +391,146 @@ def test_corrupt_log_line_rejected(tmp_path):
     path.write_bytes(b"!!!not-base64!!!\n")
     with pytest.raises(EncodingError):
         read_records(path)
+
+
+os_write = os.write  # the real one, for FillingDisk to call while it stands in
+
+
+def log_line(value) -> bytes:
+    return base64.b64encode(encode(value)) + b"\n"
+
+
+class FillingDisk:
+    """Stands in for ``os.write``: each call writes at most ``chunk`` bytes,
+    and once ``budget`` bytes have gone out the next call fails with ENOSPC,
+    as on a disk that fills up part-way through a line. ``budget=None`` never
+    fails."""
+
+    def __init__(self):
+        self.budget: int | None = None
+        self.chunk = 1 << 20
+
+    def write(self, fd: int, data: bytes) -> int:
+        if self.budget == 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        limit = self.chunk if self.budget is None else min(self.chunk, self.budget)
+        written = os_write(fd, data[:limit])
+        if self.budget is not None:
+            self.budget -= written
+        return written
+
+
+def test_append_cut_short_by_a_full_disk_leaves_no_half_line(tmp_path, monkeypatch):
+    path = tmp_path / "ledger.log"
+    cp = ChargingProvider(SimClock(), ledger_log=path)
+    cp.open_account("first", 100)
+    disk = FillingDisk()
+    monkeypatch.setattr(os, "write", disk.write)
+    disk.budget = len(log_line({"kind": "open", "account": "second", "balance": 200})) // 2
+    with pytest.raises(OSError) as excinfo:
+        cp.open_account("second", 200)
+    assert excinfo.value.errno == errno.ENOSPC
+    assert disk.budget == 0  # half the line did reach the file before the failure
+    # the service keeps going, and its next record starts a line of its own
+    disk.budget = None
+    cp.open_account("third", 300)
+
+    revived = ChargingProvider(SimClock(), ledger_log=path)
+    assert revived.balance("first") == 100
+    assert revived.balance("third") == 300
+    assert revived.export_state() == cp.export_state()
+    assert path.read_bytes().count(b"\n") == 2
+
+
+@given(
+    st.lists(
+        st.tuples(st.none() | st.integers(0, 60), st.integers(1, 64)),
+        min_size=1,
+        max_size=25,
+    )
+)
+def test_failed_appends_leave_exactly_the_records_whose_append_returned(faults):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / "records.log"
+        disk = FillingDisk()
+        mp.setattr(os, "write", disk.write)
+        kept = []
+        for n, (budget, chunk) in enumerate(faults):
+            record = {"n": n, "pad": "x" * (n * 7 % 23)}
+            disk.budget, disk.chunk = budget, chunk
+            try:
+                append_record(path, record)
+            except OSError as exc:
+                assert exc.errno == errno.ENOSPC
+            else:
+                kept.append(record)
+        mp.undo()
+        # no torn tail either: the file holds exactly the returned records' lines
+        assert path.read_bytes() == b"".join(log_line(record) for record in kept)
+        assert read_records(path) == kept
+
+
+def test_a_failed_cut_back_still_raises_the_write_error(tmp_path, monkeypatch):
+    path = tmp_path / "records.log"
+    append_record(path, {"n": 0})
+    disk = FillingDisk()
+    disk.budget = 5
+    monkeypatch.setattr(os, "write", disk.write)
+
+    def no_truncate(fd, length):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(os, "ftruncate", no_truncate)
+    with pytest.raises(OSError) as excinfo:
+        append_record(path, {"n": 1})
+    assert excinfo.value.errno == errno.ENOSPC
+    monkeypatch.undo()
+    # what the cut-back left behind is a torn tail, and reading drops it
+    assert read_records(path) == [{"n": 0}]
+    append_record(path, {"n": 2})
+    assert read_records(path) == [{"n": 0}, {"n": 2}]
+
+
+def test_append_keeps_the_mode_errors_and_descriptor_of_a_buffered_open(tmp_path, monkeypatch):
+    previous = os.umask(0o027)
+    try:
+        append_record(tmp_path / "records.log", {"n": 0})
+        with open(tmp_path / "opened.log", "ab"):
+            pass
+    finally:
+        os.umask(previous)
+    mode = stat.S_IMODE((tmp_path / "records.log").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "opened.log").stat().st_mode) == 0o640
+
+    with pytest.raises(FileNotFoundError):
+        append_record(tmp_path / "missing" / "records.log", {"n": 0})
+    with pytest.raises(IsADirectoryError):
+        append_record(tmp_path, {"n": 0})
+
+    inheritable = []
+    close = os.close
+
+    def spy_close(fd):
+        inheritable.append(os.get_inheritable(fd))
+        close(fd)
+
+    monkeypatch.setattr(os, "close", spy_close)
+    append_record(tmp_path / "records.log", {"n": 1})
+    assert inheritable == [False]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_appends_leave_no_descriptor_open(tmp_path, monkeypatch):
+    # a leaked raw descriptor raises no ResourceWarning, so count them instead
+    path = tmp_path / "records.log"
+    disk = FillingDisk()
+    monkeypatch.setattr(os, "write", disk.write)
+    before = len(os.listdir("/proc/self/fd"))
+    for n in range(200):
+        disk.budget = (None, 0, 7)[n % 3]
+        target = tmp_path / "missing" / "records.log" if n % 10 == 9 else path
+        try:
+            append_record(target, {"n": n})
+        except OSError:
+            pass
+    assert len(os.listdir("/proc/self/fd")) == before
