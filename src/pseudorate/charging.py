@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .clock import SimClock
-from .encoding import append_record, encode, read_records
+from .encoding import append_record, check_fields, encode, read_records
 from .errors import InvalidArgument, TicketError, UnknownGroup
 
 PHASE_ACQUISITION = "acquisition"
@@ -60,11 +60,11 @@ class RevenueShares:
 
     @classmethod
     def from_record(cls, record: dict) -> "RevenueShares":
+        """Each share a fraction string: ``True`` or ``0`` is refused, not coerced."""
         try:
-            if set(record) != {"cp", "pca", "rs"}:
-                raise ValueError(f"keys must be cp, pca and rs, not {sorted(record)}")
+            check_fields(record, {"cp": str, "pca": str, "rs": str}, where="shares")
             return cls(Fraction(record["cp"]), Fraction(record["pca"]), Fraction(record["rs"]))
-        except (KeyError, ValueError, ZeroDivisionError, TypeError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ChargingError(f"bad shares record: {exc}", code="invalid-shares") from exc
 
 
@@ -120,19 +120,15 @@ class PricingPolicy:
 
     @classmethod
     def from_record(cls, record: dict) -> "PricingPolicy":
-        """An absent key takes its default; an unknown key, a group key that
-        :func:`group_id` refuses, or a price, step or incentive that is not an
-        int, is refused rather than coerced."""
-        unknown = set(record) - {"kind", "per_group", "step", "incentive"}
-        if unknown:
-            raise InvalidArgument(f"bad policy record: unknown keys {sorted(unknown)}")
-        per_group = record.get("per_group", {})
-        if not isinstance(per_group, dict):
-            raise InvalidArgument("bad policy record: per_group must be a dict")
+        """An absent key but ``kind`` takes its default; an unknown key, a group
+        key that :func:`group_id` refuses, or a price, step or incentive that
+        is not an int, is refused rather than coerced."""
         try:
-            groups = {group_id(g): p for g, p in per_group.items()}
+            kinds = {"kind": str, "per_group": dict, "step": int, "incentive": int}
+            check_fields(record, kinds, kinds.keys() - {"kind"}, "policy")
+            groups = {group_id(g): p for g, p in record.get("per_group", {}).items()}
             return cls(record["kind"], groups, record.get("step", 0), record.get("incentive", 0))
-        except (KeyError, ValueError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:  # TypeError: a per_group key int() cannot read
             raise InvalidArgument(f"bad policy record: {exc}") from exc
 
 

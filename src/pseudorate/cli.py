@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import crypto
 from .charging import group_id
-from .encoding import EncodingError
+from .encoding import EncodingError, check_fields
 from .errors import TicketError
 from .reputation import RatingPayload, ReputationSystem
 from .scenario import ScenarioConfig, ScenarioError, Transcript, run_scenario
@@ -110,9 +110,10 @@ def _cmd_run(args: argparse.Namespace, config: ScenarioConfig) -> int:
 def _verify_detail(detail: object, registry: dict[int, bytes]) -> tuple[bool, str]:
     """Check one event detail's chain, its payload and their binding."""
     try:
+        check_fields(detail, {"chain": bytes, "payload": dict}, where="detail")
         chain = crypto.CredentialChain.from_bytes(detail["chain"])
         payload = RatingPayload.from_record(detail["payload"])
-    except (EncodingError, KeyError, TypeError) as exc:
+    except EncodingError as exc:
         return False, f"malformed detail: {exc!r}"
     report = crypto.verify_chain(chain, registry)
     if not report.valid:

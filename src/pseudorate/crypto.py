@@ -35,7 +35,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from .encoding import EncodingError, decode, encode
+from .encoding import EncodingError, check_fields, decode, encode
 from .errors import InvalidArgument
 
 CREDENTIAL_DOMAIN = b"pseudorate:cred:v1:"
@@ -184,14 +184,9 @@ class Credential:
     def from_record(cls, record: object, data: bytes, spans: dict) -> "Credential":
         """``record`` as ``decode(data, spans)`` produced it. Decoding is
         canonical, so its span without the ``sig`` entry is the body."""
-        if not isinstance(record, dict) or set(record) != {"entity", "issuer", "meta", "sig"}:
-            raise EncodingError("bad credential record")
+        check_fields(record, {"entity": bytes, "issuer": bytes, "meta": dict, "sig": bytes}, where="credential")
         entity, issuer, meta, sig = record["entity"], record["issuer"], record["meta"], record["sig"]
-        if not (isinstance(entity, bytes) and isinstance(issuer, bytes) and isinstance(sig, bytes)):
-            raise EncodingError("bad credential field types")
-        if not isinstance(meta, dict) or any(
-            not isinstance(k, str) or not isinstance(v, str) for k, v in meta.items()
-        ):
+        if any(type(v) is not str for v in meta.values()):  # decoded keys are str
             raise EncodingError("bad credential meta")
         cred = cls(entity=entity, issuer_public=issuer, signature=sig, meta=meta)
         start, end = spans[id(record)]  # the span ends in the "sig" entry and "e"
@@ -277,9 +272,7 @@ class CredentialChain:
     @classmethod
     def from_bytes(cls, data: bytes) -> "CredentialChain":
         spans: dict = {}
-        record = decode(data, spans)
-        if not isinstance(record, dict) or set(record) != {"rating", "csk", "aik"}:
-            raise EncodingError("bad chain record")
+        record = check_fields(decode(data, spans), {"rating": dict, "csk": dict, "aik": dict}, where="chain")
         return cls(
             rating_cred=Credential.from_record(record["rating"], data, spans),
             csk_cred=Credential.from_record(record["csk"], data, spans),

@@ -188,6 +188,30 @@ def _decode_at(data: bytes, pos: int, end: int, depth: int, spans: dict | None) 
             key = value
 
 
+def check_fields(record: object, kinds: dict[str, type], optional=(), where: str = "record") -> dict:
+    """``record``, if it is a dict with exactly the keys of ``kinds``, less any
+    ``optional`` ones it leaves out, each value exactly of its kind (``True``
+    is not an int) and each str one UTF-8 can encode; else EncodingError."""
+    if type(record) is not dict:
+        raise EncodingError(f"{where} must be a dict, not {type(record).__name__}")
+    for name, value in record.items():
+        kind = kinds.get(name)
+        if kind is None:
+            raise EncodingError(f"{where}: unknown field {name!r}")
+        if type(value) is not kind:
+            raise EncodingError(f"{where}: {name} must be {kind.__name__}, not {type(value).__name__}")
+        if kind is str:
+            try:
+                value.encode()
+            except UnicodeEncodeError:  # a lone surrogate, which JSON can write
+                raise EncodingError(f"{where}: {name} is not encodable as UTF-8") from None
+    if len(record) < len(kinds):  # every key given is one of kinds
+        for name in kinds:
+            if name not in record and name not in optional:
+                raise EncodingError(f"{where}: missing {name!r}")
+    return record
+
+
 def append_record(path: Path | str, value: Value) -> None:
     """Append one record to a log file: base64 of the canonical bytes, one per line."""
     # one os.write on a descriptor opened per record; a write that fails part-way

@@ -101,6 +101,10 @@ class PrivacyCa:
         issuance_log: Path | str | None = None,
     ):
         self._validate_groups(groups)
+        self._issuance_log = Path(issuance_log) if issuance_log else None
+        records = read_records(self._issuance_log) if self._issuance_log and self._issuance_log.exists() else []
+        if records and rng is None:  # fresh group keys would void every ticket the log records
+            raise InvalidArgument("an authority rebuilt from its issuance log must be given its rng")
         self._clock = clock or SimClock()
         self._randbytes = rng.randbytes if rng is not None else secrets.token_bytes
         self._groups = dict(groups)
@@ -119,10 +123,8 @@ class PrivacyCa:
         self._platforms: dict[str, IdentityRecord] = {}
         self._tickets: dict[str, IssuedTicket] = {}  # aik digest -> ticket
         self._pending: dict[bytes, PendingIssuance] = {}
-        self._issuance_log = Path(issuance_log) if issuance_log else None
-        if self._issuance_log and self._issuance_log.exists():
-            for record in read_records(self._issuance_log):
-                self._apply(record)
+        for record in records:
+            self._apply(record)
 
     @staticmethod
     def _validate_groups(groups: dict[int, GroupConfig]) -> None:

@@ -24,7 +24,7 @@ from . import crypto
 from .charging import Declined
 from .clock import SimClock
 from .crypto import CredentialChain
-from .encoding import EncodingError, append_record, decode, encode, read_records
+from .encoding import append_record, check_fields, decode, encode, read_records
 from .errors import InvalidArgument
 
 logger = logging.getLogger(__name__)
@@ -33,6 +33,8 @@ REJECT_INVALID_CHAIN = "invalid-chain"
 REJECT_WRONG_RS = "wrong-rs"
 REJECT_DOUBLE_SPEND = "double-spend"
 REJECT_BAD_PAYLOAD = "bad-payload"
+
+_PAYLOAD_FIELDS = {"subject": str, "score": int, "comment": str, "nonce": bytes, "rs_id": str}
 
 
 @dataclass(frozen=True)
@@ -62,19 +64,7 @@ class RatingPayload:
 
     @classmethod
     def from_record(cls, record: object) -> "RatingPayload":
-        if not isinstance(record, dict) or set(record) != {"subject", "score", "comment", "nonce", "rs_id"}:
-            raise EncodingError("bad payload record")
-        subject, score, comment = record["subject"], record["score"], record["comment"]
-        nonce, rs_id = record["nonce"], record["rs_id"]
-        if not (
-            isinstance(subject, str)
-            and isinstance(score, int)
-            and isinstance(comment, str)
-            and isinstance(nonce, bytes)
-            and isinstance(rs_id, str)
-        ):
-            raise EncodingError("bad payload field types")
-        return cls(subject=subject, score=score, comment=comment, nonce=nonce, rs_id=rs_id)
+        return cls(**check_fields(record, _PAYLOAD_FIELDS, where="payload"))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "RatingPayload":

@@ -28,7 +28,7 @@ from .charging import (
 )
 from .clock import SimClock
 from .crypto import CredentialChain, key_id_of
-from .encoding import decode, encode
+from .encoding import EncodingError, check_fields, decode, encode
 from .errors import TicketError
 from .privacy_ca import GroupConfig, PrivacyCa
 from .reputation import Ack, RatingPayload, ReputationSystem
@@ -49,8 +49,8 @@ TAMPER_MODES = ("bitflip", "replay", "crossover", "aik-sign")
 TRANSPORTS = ("inproc", "socket")
 
 # action -> (every field of its steps with its type, the defaults of the
-# fields a step may leave out). A value must be exactly of its field's type,
-# as wire.ROUTES types request fields: true is not an int and 1 is not a bool.
+# fields a step may leave out). encoding.check_fields checks each step, as it
+# checks wire.ROUTES request bodies: true is not an int and 1 is not a bool.
 STEPS: dict[str, tuple[dict[str, type], dict[str, object]]] = {
     "register": ({"agent": str}, {}),
     "acquire": ({"agent": str, "group": int, "count": int}, {"group": 1, "count": 1}),
@@ -102,16 +102,15 @@ class ScenarioConfig:
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
         """Parse and check a scenario; any fault in ``raw`` is a ScenarioError."""
         try:
-            if not isinstance(raw, dict):
-                raise ScenarioError("scenario must be a JSON object")
-            given = {k: v for k, v in raw.items() if v is not None or k not in ("shares", "credit_limit")}
-            _check_fields("scenario", given, _SCENARIO_FIELDS, _SCENARIO_FIELDS.keys() - {"groups"})
+            if type(raw) is dict:  # shares and credit_limit may be null: as if left out
+                raw = {k: v for k, v in raw.items() if v is not None or k not in ("shares", "credit_limit")}
+            check_fields(raw, _SCENARIO_FIELDS, _SCENARIO_FIELDS.keys() - {"groups"}, "scenario")
             seed, rs_id = raw.get("seed", 0), raw.get("rs_id", "rs-main")
             charging, credit_limit = raw.get("charging", "none"), raw.get("credit_limit")
 
             groups: dict[int, GroupConfig] = {}
             for key, entry in raw["groups"].items():
-                _check_fields(f"group {key}", entry, {"impact": str}, ())
+                check_fields(entry, {"impact": str}, where=f"group {key}")
                 groups[group_id(key)] = GroupConfig(impact=Fraction(entry["impact"]))
             if sorted(groups) != list(range(1, len(groups) + 1)):
                 raise ScenarioError("group ids must be dense 1..G")
@@ -129,7 +128,7 @@ class ScenarioConfig:
             agents = []
             names, accounts = set(), set()
             for i, entry in enumerate(raw.get("agents", [])):
-                _check_fields(f"agent {i}", entry, _AGENT_FIELDS, ("account", "balance"))
+                check_fields(entry, _AGENT_FIELDS, ("account", "balance"), f"agent {i}")
                 name = entry["name"]
                 account = entry.get("account", f"acct-{name}")
                 if name in names:
@@ -146,7 +145,7 @@ class ScenarioConfig:
                 if action not in STEPS:
                     raise ScenarioError(f"step {i}: unknown action {action!r}")
                 kinds, defaults = STEPS[action]
-                _check_fields(f"step {i} ({action})", step, _STEP_KINDS[action], defaults)
+                check_fields(step, _STEP_KINDS[action], defaults, f"step {i} ({action})")
                 step = {**defaults, **step}
                 for name, least in _STEP_LEAST.items():
                     if step.get(name, least) < least:
@@ -172,22 +171,6 @@ class ScenarioConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ScenarioError(f"cannot read scenario file: {exc}") from exc
         return cls.from_dict(raw)
-
-
-def _check_fields(where: str, entry: dict, kinds: dict[str, type], optional) -> None:
-    """Refuse an ``entry`` that leaves out a field of ``kinds`` not in ``optional``,
-    or gives a field not in ``kinds``, not exactly of its kind, or a str UTF-8 cannot encode."""
-    for name in kinds:
-        if name not in entry and name not in optional:
-            raise ScenarioError(f"{where}: missing {name!r}")
-    for name, value in entry.items():
-        kind = kinds.get(name)
-        if kind is None:
-            raise ScenarioError(f"{where}: unknown field {name!r}")
-        if type(value) is not kind:
-            raise ScenarioError(f"{where}: {name} must be {kind.__name__}, not {value!r}")
-        if kind is str:
-            value.encode()  # JSON can write a lone surrogate, which UTF-8 cannot encode
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +201,13 @@ class Transcript:
 
     @classmethod
     def from_record(cls, raw: object) -> "Transcript":
-        if not (
-            isinstance(raw, dict)
-            and raw.keys() == {"version", "seed", "events", "final", "groups"}
-            and raw["version"] == 1
-            and isinstance(raw["seed"], int)
-            and isinstance(raw["events"], list)
-            and all(isinstance(event, dict) for event in raw["events"])
-            and isinstance(raw["final"], dict)
-            and isinstance(raw["final"].get("scores", {}), dict)
-            and isinstance(raw["groups"], dict)
-        ):
+        try:
+            kinds = {"version": int, "seed": int, "events": list, "final": dict, "groups": dict}
+            check_fields(raw, kinds)
+        except EncodingError as exc:
+            raise ScenarioError(f"not a transcript: {exc}") from exc
+        scores = raw["final"].get("scores", {})
+        if raw["version"] != 1 or type(scores) is not dict or any(type(event) is not dict for event in raw["events"]):
             raise ScenarioError("not a transcript")
         return cls(seed=raw["seed"], events=raw["events"], final=raw["final"], groups=raw["groups"])
 

@@ -23,7 +23,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from . import crypto
 from .crypto import Credential, KeyPair, SealError
-from .encoding import EncodingError, decode
+from .encoding import EncodingError, check_fields, decode
 from .errors import TicketError
 
 KIND_AIK = "aik"
@@ -97,18 +97,15 @@ class TpmInstance:
             except SealError as exc:
                 raise TpmError("blob not sealed to this platform", code="wrong-platform") from exc
             try:
-                record = decode(plaintext)
-                aik_public, cred, blob_nonce = record["aik"], record["cred"], record["nonce"]
-                if not all(isinstance(v, bytes) for v in (aik_public, cred, blob_nonce)):
-                    raise EncodingError("bad blob fields")
-                credential = Credential.from_bytes(cred)
-            except (EncodingError, KeyError, TypeError) as exc:
+                record = check_fields(decode(plaintext), {"aik": bytes, "cred": bytes, "nonce": bytes}, where="blob")
+                credential = Credential.from_bytes(record["cred"])
+            except EncodingError as exc:
                 raise TpmError("undecodable activation blob", code="malformed-blob") from exc
-            if aik_public != key.public:
+            if record["aik"] != key.public:
                 raise TpmError("blob targets a different identity key", code="aik-mismatch")
-            if blob_nonce in self._used_blob_nonces:
+            if record["nonce"] in self._used_blob_nonces:
                 raise TpmError("activation blob replayed", code="already-activated")
-            self._used_blob_nonces.add(blob_nonce)
+            self._used_blob_nonces.add(record["nonce"])
             key.activated = True
             return credential
 

@@ -25,7 +25,7 @@ from typing import Callable
 
 from .charging import ChargingProvider, Declined, PricingPolicy, group_id
 from .crypto import CredentialChain
-from .encoding import EncodingError, decode, decode_head, encode
+from .encoding import EncodingError, check_fields, decode_head, encode
 from .errors import TicketError
 from .privacy_ca import Challenge, DeniedRequest, PrivacyCa
 from .reputation import Ack, RatingPayload, Reject, ReputationSystem, registry_record
@@ -59,45 +59,18 @@ def _frame(body: dict, correlation_id: bytes, endpoint: str, status: bytes) -> b
     )
 
 
-_REQUEST_FIELDS = frozenset({"version", "endpoint", "correlation_id", "body"})
-_RESPONSE_FIELDS = _REQUEST_FIELDS | {"status"}
 _VERSION_ENTRY = b"s7:versioni%dee" % WIRE_VERSION  # a frame's last entry, and its end
 
 
 def _decode_frame(data: bytes, response: bool) -> tuple[str, bytes, str, dict]:
-    """A frame's endpoint, correlation id, status ("" in a request) and body.
-    Bytes :func:`_cut_frame` does not accept are decoded in full, which names their fault."""
-    cut = _cut_frame(data, response)
-    if cut is not None:
-        return cut
-    kind, fields = ("response", _RESPONSE_FIELDS) if response else ("request", _REQUEST_FIELDS)
+    """A frame's endpoint, correlation id, status ("" in a request) and body:
+    :func:`_frame` in reverse. Only the body is decoded; each entry after it
+    is read at its fixed key, the version last. A frame that is canonical but
+    for a version other than 1 is unsupported-version; any other fault is a
+    protocol-error."""
     try:
-        frame = decode(data)
-    except EncodingError as exc:
-        raise WireError(f"undecodable frame: {exc}") from exc
-    if not isinstance(frame, dict) or frame.keys() != fields:
-        raise WireError(f"bad {kind} frame shape")
-    if frame["version"] != WIRE_VERSION:
-        raise WireError(f"unsupported version {frame['version']!r}", code="unsupported-version")
-    if (
-        not isinstance(frame["endpoint"], str)
-        or not isinstance(frame["body"], dict)
-        or not isinstance(frame["correlation_id"], bytes)
-    ):
-        raise WireError(f"bad {kind} frame field types")
-    if response and frame["status"] not in ("ok", "error"):
-        raise WireError("bad response status")
-    return frame["endpoint"], frame["correlation_id"], frame.get("status", ""), frame["body"]
-
-
-def _cut_frame(data: bytes, response: bool) -> tuple[str, bytes, str, dict] | None:
-    """:func:`_frame` in reverse: decode only the body, then read each entry
-    after it at its fixed key. None for any bytes that are not such a frame,
-    in canonical form and with a valid status; every frame accepted here
-    decodes in full to the same fields."""
-    if type(data) is not bytes or not data.startswith(b"ds4:bodyd"):
-        return None
-    try:
+        if type(data) is not bytes or not data.startswith(b"ds4:bodyd"):
+            raise EncodingError("not a canonical frame")
         body, pos = decode_head(data, 8, 1)  # one level inside the frame dict
         corr, pos = _cut_entry(data, pos, b"s14:correlation_idb")
         endpoint, pos = _cut_entry(data, pos, b"s8:endpoints")
@@ -105,12 +78,19 @@ def _cut_frame(data: bytes, response: bool) -> tuple[str, bytes, str, dict] | No
         if response:
             status, pos = _cut_entry(data, pos, b"s6:statuss")
             if status != b"ok" and status != b"error":
-                return None
+                raise EncodingError("status must be ok or error")
+        endpoint, status = endpoint.decode(), status.decode()
         if data[pos:] != _VERSION_ENTRY:
-            return None
-        return endpoint.decode(), corr, status.decode(), body
-    except (ValueError, IndexError):  # EncodingError, bad UTF-8, a length past Python's
-        return None  # int-string limit; a read past the end
+            if not data.startswith(b"s7:version", pos):
+                raise EncodingError("no version entry at the end")
+            version, pos = decode_head(data, pos + 10, 1)
+            if data[pos:] != b"e":
+                raise EncodingError("bytes after the version entry")
+            raise WireError(f"unsupported version {version!r}", code="unsupported-version")
+    except (ValueError, IndexError) as exc:  # EncodingError, bad UTF-8, a length past
+        # Python's int-string limit; a read past the end
+        raise WireError(f"bad {'response' if response else 'request'} frame: {exc}") from exc
+    return endpoint, corr, status, body
 
 
 def _cut_entry(data: bytes, pos: int, key: bytes) -> tuple[bytes, int]:
@@ -145,11 +125,10 @@ def decode_response(data: bytes) -> tuple[str, bytes, str, dict]:
 
 
 def _field(body: dict, name: str, kind: type):
-    if name not in body:
-        raise WireError(f"missing field {name!r}")
-    value = body[name]
-    if kind is int and isinstance(value, bool) or not isinstance(value, kind):
-        raise WireError(f"field {name!r} must be {kind.__name__}")
+    """A response body's field ``name``, exactly of type ``kind``."""
+    value = body.get(name)
+    if type(value) is not kind:
+        raise WireError(f"response field {name!r} missing or not {kind.__name__}")
     return value
 
 
@@ -181,12 +160,8 @@ def _h_blacklist(pca: PrivacyCa, platform_id: str, flag: int) -> dict:
 
 
 def _h_submit(rs: ReputationSystem, payload: bytes, chain: bytes) -> dict:
-    try:
-        credentials = CredentialChain.from_bytes(chain)
-        rating = RatingPayload.from_bytes(payload)
-    except EncodingError as exc:
-        raise WireError(f"bad submission record: {exc}") from exc
-    result = rs.submit_rating(rating, credentials)
+    credentials = CredentialChain.from_bytes(chain)
+    result = rs.submit_rating(RatingPayload.from_bytes(payload), credentials)
     if isinstance(result, Reject):
         return {"status": "reject", "reason": result.reason, "detail": result.detail}
     return {"status": "ack", "receipt": result.receipt, "subject": result.subject, "group": result.group}
@@ -201,9 +176,8 @@ def _h_groups(rs: ReputationSystem, groups: dict) -> dict:
     registry: dict[int, tuple[bytes, Fraction]] = {}
     try:
         for key, entry in groups.items():
-            if not isinstance(entry, dict) or set(entry) != {"pub", "impact"}:
-                raise WireError("bad group entry")
-            registry[group_id(key)] = (_field(entry, "pub", bytes), Fraction(_field(entry, "impact", str)))
+            check_fields(entry, {"pub": bytes, "impact": str}, where=f"group {key}")
+            registry[group_id(key)] = (entry["pub"], Fraction(entry["impact"]))
     except (ValueError, ZeroDivisionError) as exc:
         raise WireError(f"bad group registry: {exc}") from exc
     rs.configure_groups(registry)
@@ -275,10 +249,10 @@ class Router:
             service = self._services.get(service_name)
             if service is None:
                 raise WireError(f"unknown endpoint {endpoint!r}", code="unknown-endpoint")
-            if body.keys() != fields.keys():
-                raise WireError(f"expected fields {sorted(fields)}, got {sorted(body)}")
-            result = handler(service, **{name: _field(body, name, kind) for name, kind in fields.items()})
+            result = handler(service, **check_fields(body, fields, where=endpoint))
             return encode_response(endpoint, corr, "ok", result)
+        except EncodingError as exc:  # a body, or a record it carries, that is not of its shape
+            return encode_response(endpoint, corr, "error", {"code": WireError.code, "message": str(exc)})
         except TicketError as exc:
             return encode_response(endpoint, corr, "error", {"code": exc.code, "message": str(exc)})
         except Exception as exc:  # pragma: no cover - defensive catch-all

@@ -169,6 +169,22 @@ def test_invalid_shares_rejected():
         RevenueShares(Fraction(3, 2), Fraction(-1, 2), Fraction(0))
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"cp": True, "pca": 0, "rs": 0},
+        {"cp": 1, "pca": 0, "rs": 0},
+        {"cp": "1", "pca": "0", "rs": False},
+        {"cp": "1", "pca": "0", "rs": b"0"},
+    ],
+    ids=["bool", "int", "str-and-bool", "bytes"],
+)
+def test_shares_are_fraction_strings_not_coerced(record):
+    with raises_code("invalid-shares"):
+        RevenueShares.from_record(record)
+    assert RevenueShares.from_record({"cp": "1", "pca": "0", "rs": "0"}) == RevenueShares(Fraction(1), Fraction(0), Fraction(0))
+
+
 @given(
     st.integers(min_value=0, max_value=10**9),
     st.integers(min_value=0, max_value=1000),

@@ -1,19 +1,31 @@
 import base64
 import enum
 import errno
+import json
 import os
+import random
 import re
 import stat
 import tempfile
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pseudorate.charging import ChargingProvider
+from pseudorate import crypto
+from pseudorate.charging import ChargingProvider, PricingPolicy, RevenueShares
+from pseudorate.cli import _verify_detail
 from pseudorate.clock import SimClock
-from pseudorate.encoding import MAX_DEPTH, EncodingError, append_record, decode, encode, read_records
+from pseudorate.encoding import MAX_DEPTH, EncodingError, append_record, check_fields, decode, encode, read_records
+from pseudorate.errors import TicketError
+from pseudorate.reputation import RatingPayload
+from pseudorate.scenario import ScenarioConfig, Transcript
+from pseudorate.tpm import TpmInstance
+from pseudorate.wire import Router, decode_response, encode_request
+
+from support import honest_chain, make_stack
 
 
 def test_scalar_round_trips():
@@ -534,3 +546,169 @@ def test_appends_leave_no_descriptor_open(tmp_path, monkeypatch):
         except OSError:
             pass
     assert len(os.listdir("/proc/self/fd")) == before
+
+
+# -- the one shape rule: encoding.check_fields, and every record parser ------
+
+KINDS = {"n": int, "b": bytes, "s": str, "d": dict, "l": list}
+RECORD = {"n": 1, "b": b"x", "s": "x", "d": {}, "l": []}
+
+
+def test_check_fields_returns_a_record_of_its_shape():
+    assert check_fields(RECORD, KINDS) is RECORD
+    assert check_fields({"n": 1}, KINDS, optional=("b", "s", "d", "l")) == {"n": 1}
+    assert check_fields({}, {}) == {}
+
+
+class Name(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({k: v for k, v in RECORD.items() if k != "s"}, "row: missing 's'"),
+        ({**RECORD, "x": 1}, "row: unknown field 'x'"),
+        ({**RECORD, "n": True}, "row: n must be int, not bool"),
+        ({**RECORD, "b": bytearray(b"x")}, "row: b must be bytes, not bytearray"),
+        ({**RECORD, "s": Name("x")}, "row: s must be str, not Name"),
+        ({**RECORD, "s": "\ud800"}, "row: s is not encodable as UTF-8"),
+        ({**RECORD, "d": None}, "row: d must be dict, not NoneType"),
+        ([RECORD], "row must be a dict, not list"),
+        (None, "row must be a dict, not NoneType"),
+    ],
+    ids=["missing", "unknown", "bool-for-int", "bytearray", "str-subclass", "lone-surrogate", "null", "list", "none"],
+)
+def test_check_fields_refuses_any_other_record(record, message):
+    with pytest.raises(EncodingError, match=f"^{re.escape(message)}$"):
+        check_fields(record, KINDS, where="row")
+
+
+# a value of another type for each kind: true is not an int, a str is not
+# bytes; a record sent encoded cannot carry true, so there it is a str
+WRONG = {int: True, bytes: "x", str: 1, dict: [], list: {}}
+WRONG_ENCODED = {**WRONG, int: "1"}
+
+SHAPE_STACK = make_stack(2)
+SHAPE_STACK.cp.open_account("acct-shape", 10**6)
+_, SHAPE_PAYLOAD, SHAPE_CHAIN = honest_chain(SHAPE_STACK, SHAPE_STACK.new_agent("shape"))
+SHAPE_REGISTRY = {g: pub for g, (pub, _) in SHAPE_STACK.pca.group_registry().items()}
+CREDENTIAL = {"entity": b"e", "issuer": b"i", "meta": {"k": "v"}, "sig": b"s"}
+BASIC = json.loads((Path(__file__).parent.parent / "scenarios" / "basic.json").read_text())
+
+
+def routed(endpoint: str, body) -> str:
+    router = Router(rs=SHAPE_STACK.rs, cp=SHAPE_STACK.cp)
+    _, _, status, out = decode_response(router.handle(encode_request(endpoint, body, b"c")))
+    return "ok" if status == "ok" else out["code"]
+
+
+def activated(record) -> None:
+    tpm = TpmInstance(rng=random.Random(3))  # the same identity key each time
+    handle, _ = tpm.make_identity()
+    tpm.activate_identity(handle, crypto.seal(tpm.ek_public, encode(record)))
+
+
+def verified(record) -> str:
+    ok, message = _verify_detail(record, SHAPE_REGISTRY)
+    return "ok" if ok else message.split(":")[0]
+
+
+class Shape(NamedTuple):
+    kinds: dict  # every field with its type
+    optional: tuple  # the fields a record may leave out
+    good: dict  # a record the parser accepts
+    call: Callable  # the parser
+    error: str  # what it answers a record of another shape with
+    wrong: dict = WRONG
+
+
+SHAPES = {
+    "router-body": Shape(
+        {"account_id": str, "amount": int, "group": int, "phase": str}, (),
+        {"account_id": "acct-shape", "amount": 1, "group": 1, "phase": "acquisition"},
+        lambda body: routed("cp/charge", body), "protocol-error", WRONG_ENCODED,
+    ),
+    "router-group-entry": Shape(
+        {"pub": bytes, "impact": str}, (), {"pub": SHAPE_REGISTRY[1], "impact": "1"},
+        lambda entry: routed("rs/admin/groups", {"groups": {"1": entry, "2": {"pub": SHAPE_REGISTRY[2], "impact": "2"}}}),
+        "protocol-error", WRONG_ENCODED,
+    ),
+    "payload": Shape(
+        {"subject": str, "score": int, "comment": str, "nonce": bytes, "rs_id": str}, (),
+        SHAPE_PAYLOAD.to_record(), RatingPayload.from_record, "EncodingError",
+    ),
+    "credential": Shape(
+        {"entity": bytes, "issuer": bytes, "meta": dict, "sig": bytes}, (), CREDENTIAL,
+        lambda record: crypto.Credential.from_bytes(encode(record)), "EncodingError", WRONG_ENCODED,
+    ),
+    "chain": Shape(
+        {"rating": dict, "csk": dict, "aik": dict}, (), SHAPE_CHAIN.to_record(),
+        lambda record: crypto.CredentialChain.from_bytes(encode(record)), "EncodingError", WRONG_ENCODED,
+    ),
+    "activation-blob": Shape(
+        {"aik": bytes, "cred": bytes, "nonce": bytes}, (),
+        {"aik": TpmInstance(rng=random.Random(3)).make_identity()[1], "cred": encode(CREDENTIAL), "nonce": b"n"},
+        activated, "malformed-blob", WRONG_ENCODED,
+    ),
+    "transcript": Shape(
+        {"version": int, "seed": int, "events": list, "final": dict, "groups": dict}, (),
+        {"version": 1, "seed": 1, "events": [], "final": {}, "groups": {}},
+        Transcript.from_record, "scenario-error",
+    ),
+    "scenario": Shape(
+        {"seed": int, "rs_id": str, "groups": dict, "policy": dict, "shares": dict,
+         "charging": str, "credit_limit": int, "agents": list, "script": list},
+        ("seed", "rs_id", "policy", "shares", "charging", "credit_limit", "agents", "script"),
+        {**BASIC, "credit_limit": 100}, ScenarioConfig.from_dict, "scenario-error",
+    ),
+    "policy": Shape(
+        {"kind": str, "per_group": dict, "step": int, "incentive": int}, ("per_group", "step", "incentive"),
+        {"kind": "increasing", "per_group": {"1": 5}, "step": 1, "incentive": 0},
+        PricingPolicy.from_record, "invalid-argument",
+    ),
+    "shares": Shape(
+        {"cp": str, "pca": str, "rs": str}, (), {"cp": "1/5", "pca": "2/5", "rs": "2/5"},
+        RevenueShares.from_record, "invalid-shares",
+    ),
+    "verify-detail": Shape(
+        {"chain": bytes, "payload": dict}, (),
+        {"chain": SHAPE_CHAIN.to_bytes(), "payload": SHAPE_PAYLOAD.to_record()},
+        verified, "malformed detail",
+    ),
+}
+
+
+def shape_faults(shape: Shape) -> dict:
+    """One fault each: a required field left out, an unknown field, each field
+    of another type, and a record that is not a dict."""
+    required = next(name for name in shape.kinds if name not in shape.optional)
+    faults = {
+        f"missing-{required}": {k: v for k, v in shape.good.items() if k != required},
+        "unknown-field": {**shape.good, "zz": 1},
+    }
+    for name, kind in shape.kinds.items():
+        faults[f"{type(shape.wrong[kind]).__name__}-{name}"] = {**shape.good, name: shape.wrong[kind]}
+    faults["not-a-dict"] = [shape.good]
+    return faults
+
+
+def outcome(call, record) -> str:
+    """What a parser makes of ``record``: "ok", the code of its error, or
+    "EncodingError" for a parser that raises that."""
+    try:
+        result = call(record)
+    except TicketError as exc:
+        return exc.code
+    except EncodingError:
+        return "EncodingError"
+    return result if isinstance(result, str) else "ok"
+
+
+@pytest.mark.parametrize(
+    "parser, fault", [(parser, fault) for parser, shape in SHAPES.items() for fault in shape_faults(shape)]
+)
+def test_every_record_parser_refuses_a_record_of_another_shape(parser, fault):
+    shape = SHAPES[parser]
+    assert outcome(shape.call, shape.good) == "ok"
+    assert outcome(shape.call, shape_faults(shape)[fault]) == shape.error

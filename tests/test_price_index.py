@@ -54,6 +54,7 @@ def test_a_charge_the_authority_never_logged_still_raises_the_price(tmp_path):
     cp = ChargingProvider(SimClock(), policy=policy, ledger_log=ledger)
     pca = PrivacyCa(
         {1: GroupConfig(impact=Fraction(1))},
+        rng=random.Random(0),
         charging=cp,
         pricing=policy,
         charge_phases=("acquisition",),
@@ -100,7 +101,9 @@ def test_charge_records_of_older_issuance_logs_are_skipped(tmp_path):
     def rebuild(log: Path, ledger_copy: Path) -> tuple[PrivacyCa, int]:
         shutil.copy(ledger, ledger_copy)
         cp = ChargingProvider(SimClock(), policy=POLICY, ledger_log=ledger_copy)
-        pca = PrivacyCa(GROUPS, charging=cp, pricing=POLICY, charge_phases=("acquisition",), issuance_log=log)
+        pca = PrivacyCa(
+            GROUPS, rng=random.Random(0), charging=cp, pricing=POLICY, charge_phases=("acquisition",), issuance_log=log
+        )
         _, public = agents[0].tpm.make_identity()
         assert isinstance(pca.request_credential(public, 2, agents[0].platform_id), Challenge)
         return pca, cp.history(agents[0].user_account)[-1].amount

@@ -216,6 +216,28 @@ def test_issuance_log_survives_restart(tmp_path):
     assert record.issued[0].group == 2
 
 
+def test_authority_rebuilt_from_its_log_without_an_rng_is_refused(tmp_path, monkeypatch):
+    """Built without an rng, it would draw new group keys, and every ticket
+    it issued before would stop verifying: refused before any key is drawn."""
+    log = tmp_path / "issuance.log"
+    stack = make_stack(1, pca_kwargs={"issuance_log": log})
+    stack.new_agent("a").acquire_ticket(1)
+    before = log.read_bytes()
+    draws = []
+    generate = crypto.generate_keypair
+    monkeypatch.setattr(crypto, "generate_keypair", lambda seed=None: draws.append(seed) or generate(seed))
+    groups = {g: GroupConfig(Fraction(g)) for g in (1, 2, 3)}
+    with raises_code("invalid-argument"):
+        PrivacyCa(groups, issuance_log=log)
+    assert draws == [] and log.read_bytes() == before
+    # with an rng, or with a log that holds no record yet, the authority builds
+    PrivacyCa(groups, rng=random.Random(0), issuance_log=log)
+    (tmp_path / "empty.log").touch()
+    PrivacyCa(groups, issuance_log=tmp_path / "empty.log")
+    PrivacyCa(groups, issuance_log=tmp_path / "absent.log")
+    assert len(draws) == 9
+
+
 def test_mapping_completeness():
     stack = make_stack(1)
     agents = [stack.new_agent(f"a{i}") for i in range(5)]

@@ -107,7 +107,9 @@ def test_authority_live_state_equals_replayed(tmp_path, charging):
         assert outcomes[outcome] > 0, outcome
     _check_charge_failures(stack, outcomes, charging)
     revived = PrivacyCa(
-        {g: GroupConfig(impact=Fraction(g)) for g in (1, 2, 3)}, issuance_log=tmp_path / "pca-issuance.log"
+        {g: GroupConfig(impact=Fraction(g)) for g in (1, 2, 3)},
+        rng=random.Random(0),
+        issuance_log=tmp_path / "pca-issuance.log",
     )
     assert revived._platforms == stack.pca._platforms
     assert any(record.issued for record in revived._platforms.values())

@@ -177,7 +177,9 @@ def set_key(*path, value):
 # scenario.STEPS, the seven from "negative-seconds" before step bounds and
 # top-level types were checked, and "lone-surrogate-subject" crashed the run
 # with a traceback before strings were checked to be encodable; the two
-# account edits exited 1 with duplicate-account after the ledger was written
+# account edits exited 1 with duplicate-account after the ledger was written;
+# the two share edits were accepted, true read as 1, before shares were
+# checked to be fraction strings
 CONFIG_ERRORS = {
     "unknown-agent": add_step(action="acquire", agent="ghost", group=1),
     "unknown-action": add_step(action="warp"),
@@ -208,6 +210,8 @@ CONFIG_ERRORS = {
     "lone-surrogate-subject": set_key("script", 2, "subject", value="\ud800"),
     "shared-account": add_agents({"name": "twin", "account": "acct-buyer"}),
     "account-of-a-default": add_agents({"name": "twin", "account": "acct-late"}, {"name": "late"}),
+    "bool-shares": set_key("shares", value={"cp": True, "pca": 0, "rs": 0}),
+    "number-shares": set_key("shares", value={"cp": 1, "pca": 0, "rs": 0}),
 }
 
 
@@ -222,6 +226,16 @@ def test_config_errors_found_before_services_start(edit, tmp_path, capsys):
     path.write_text(json.dumps(raw))
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bool_shares_are_refused_before_any_state_file(tmp_path, capsys):
+    raw = json.loads((SCENARIOS / "basic.json").read_text())
+    raw["shares"] = {"cp": True, "pca": 0, "rs": 0}
+    path, state = tmp_path / "scenario.json", tmp_path / "state"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--state-dir", str(state)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad scenario config: bad shares record: shares: cp must be str")
+    assert not state.exists()
 
 
 def test_resolve_past_the_tickets_is_a_scenario_error_outcome():

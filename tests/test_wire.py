@@ -25,7 +25,7 @@ from pseudorate.wire import (
     SocketServer,
     SocketTransport,
     WireError,
-    _cut_frame,
+    _decode_frame,
     _read_frame,
     _write_frame,
     decode_request,
@@ -79,16 +79,34 @@ def frames(draw):
 
 
 def decoded_fields(data: bytes, response: bool):
-    """The fields the generic decoder reads from a frame, in the cutter's order;
-    None for a frame it refuses or whose fields are not a frame's."""
+    """What the generic decoder makes of a frame: its fields in the frame
+    decoder's order, or the error code the frame decoder must answer. Only a
+    frame that is bytes, canonical and of a frame's shape but for its version
+    is unsupported-version."""
     try:
-        frame = decode(data)
+        frame = decode(data) if type(data) is bytes else None
     except EncodingError:
-        return None
+        return "protocol-error"
     fields = {"version", "endpoint", "correlation_id", "body"} | ({"status"} if response else set())
-    if not isinstance(frame, dict) or frame.keys() != fields or frame["version"] != 1:
-        return None
-    return frame["endpoint"], frame["correlation_id"], frame.get("status", ""), frame["body"]
+    if not isinstance(frame, dict) or frame.keys() != fields:
+        return "protocol-error"
+    endpoint, corr, status, body = frame["endpoint"], frame["correlation_id"], frame.get("status", ""), frame["body"]
+    if not (
+        type(endpoint) is str
+        and type(corr) is bytes
+        and type(body) is dict
+        and status in (("ok", "error") if response else ("",))
+    ):
+        return "protocol-error"
+    return (endpoint, corr, status, body) if frame["version"] == 1 else "unsupported-version"
+
+
+def frame_outcome(data: bytes, response: bool):
+    """The frame decoder's fields for ``data``, or the code of its WireError."""
+    try:
+        return _decode_frame(data, response)
+    except WireError as exc:
+        return exc.code
 
 
 def with_examples(cases):
@@ -103,7 +121,7 @@ def with_examples(cases):
 
 
 # frames whose entries have one-, two- and three-digit lengths, at each edge;
-# the cutter reads one and two digits inline, and longer lengths in general
+# the frame decoder reads one and two digits inline, and longer lengths in general
 ENTRY_LENGTH_FRAMES = [
     frame
     for n in (0, 9, 10, 99, 100)
@@ -127,9 +145,7 @@ LEADING_ZERO_FRAMES = [
 @with_examples(ENTRY_LENGTH_FRAMES[::3] + ENTRY_LENGTH_FRAMES[1::3])
 def test_cutter_accepts_every_encoded_frame(frame):
     response, data = frame
-    cut = _cut_frame(data, response)
-    assert cut is not None
-    assert cut == decoded_fields(data, response)
+    assert _decode_frame(data, response) == decoded_fields(data, response)
 
 
 def nested(depth: int) -> dict:
@@ -147,9 +163,9 @@ def test_cutter_keeps_the_depth_limit(depth, response):
     data = b"ds4:body" + encode(body) + b"s14:correlation_idb1:cs8:endpoints1:x"
     data += (b"s6:statuss2:ok" if response else b"") + b"s7:versioni1ee"
     if depth < MAX_DEPTH:
-        assert _cut_frame(data, response) == ("x", b"c", "ok" if response else "", body)
+        assert _decode_frame(data, response) == ("x", b"c", "ok" if response else "", body)
     else:
-        assert _cut_frame(data, response) is None
+        assert frame_outcome(data, response) == "protocol-error"
         with pytest.raises(EncodingError):
             decode(data)
 
@@ -187,23 +203,9 @@ def mutated_frames(draw):
 @given(mutated_frames() | st.tuples(st.booleans(), st.binary(max_size=64)))
 @with_examples(ENTRY_LENGTH_FRAMES + LEADING_ZERO_FRAMES)
 @settings(max_examples=settings().max_examples * 2)
-def test_cutter_agrees_with_decode_or_leaves_the_frame_to_it(frame):
+def test_cutter_agrees_with_decode(frame):
     response, data = frame
-    cut = _cut_frame(data, response)
-    fields = decoded_fields(data, response)
-    if cut is not None:
-        assert cut == fields
-        assert cut[2] in (("ok", "error") if response else ("",))
-    elif type(data) is bytes and fields is not None:
-        # the cutter leaves a decodable frame to the decoder only for a field
-        # the decoder's checks refuse too
-        endpoint, corr, status, body = fields
-        assert not (
-            type(endpoint) is str
-            and type(corr) is bytes
-            and type(body) is dict
-            and status in (("ok", "error") if response else ("",))
-        )
+    assert frame_outcome(data, response) == decoded_fields(data, response)
 
 
 def test_unknown_version_rejected():
@@ -213,6 +215,31 @@ def test_unknown_version_rejected():
     with pytest.raises(WireError) as excinfo:
         decode_request(frame)
     assert excinfo.value.code == "unsupported-version"
+
+
+REQUEST_V9 = encode({"version": 9, "endpoint": "rs/score", "correlation_id": b"c", "body": {}})
+
+
+@pytest.mark.parametrize(
+    "data, code",
+    [
+        (REQUEST_V9, "unsupported-version"),
+        (REQUEST_V9.replace(b"s8:endpoints8:rs/score", b"s8:endpointi7e"), "protocol-error"),
+        (REQUEST_V9.replace(b"s14:correlation_idb1:c", b"s14:correlation_ids1:c"), "protocol-error"),
+        (REQUEST_V9.replace(b"s7:versioni9e", b"s7:versions1:9"), "unsupported-version"),
+        (REQUEST_V9[:-1] + b"s8:zzzzzzzzi1ee", "protocol-error"),
+        (bytearray(encode_request("rs/score", {}, b"c")), "protocol-error"),
+        (memoryview(encode_request("rs/score", {}, b"c")), "protocol-error"),
+    ],
+    ids=["version-9", "version-9-int-endpoint", "version-9-str-correlation-id", "str-version",
+         "version-9-then-a-key", "bytearray", "memoryview"],
+)
+def test_frame_fault_precedence(data, code):
+    """The version is read last: a frame answers unsupported-version only if
+    it is sound but for its version, and a frame must be bytes."""
+    assert frame_outcome(data, False) == code
+    _, _, status, body = decode_response(Router(rs=make_stack(1).rs).handle(data))
+    assert (status, body["code"]) == ("error", code)
 
 
 def test_router_maps_unknown_version_to_error_response():
