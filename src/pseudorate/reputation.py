@@ -120,15 +120,10 @@ class WeightedScore:
     subject: str
     count: int
     score: Fraction | None
-
-    @cached_property
-    def text(self) -> str:
-        """The score as ``rs/score`` reports it: the exact fraction, or the
-        RS's ``none_value`` for a subject with no ratings."""
-        return ReputationSystem.none_value if self.score is None else str(self.score)
+    body: bytes  # the encoded rs/score reply body: {"count": count, "score": the score's text}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Totals:
     """One subject's running sums, replaced whole by each rating, so the
     score built from them on the first read after a rating serves every
@@ -138,10 +133,7 @@ class _Totals:
     count: int
     weight: Fraction
     weighted: Fraction  # the sum of impact * score
-
-    @cached_property
-    def score(self) -> WeightedScore:
-        return WeightedScore(subject=self.subject, count=self.count, score=self.weighted / self.weight)
+    score: WeightedScore | None = None  # built on the first read
 
 
 def registry_record(registry: Mapping[int, tuple[bytes, Fraction]]) -> dict:
@@ -151,6 +143,7 @@ def registry_record(registry: Mapping[int, tuple[bytes, Fraction]]) -> dict:
 
 class ReputationSystem:
     none_value = "no-score"  # what rs/score reports for a subject with no ratings
+    none_body = encode({"count": 0, "score": none_value})
     scale = (1, 5)  # the lowest and highest score a rating may give
 
     def __init__(
@@ -264,10 +257,20 @@ class ReputationSystem:
 
     def aggregate(self, subject: str) -> WeightedScore:
         """Impact-weighted mean over stored ratings for the subject, exact:
-        built from the totals :meth:`_apply` keeps on the first read after a
-        rating, and kept for later reads. An unrated subject is not stored."""
+        built with its ``rs/score`` body from the totals :meth:`_apply` keeps
+        on the first read after a rating, and kept for later reads. An
+        unrated subject is not stored."""
         totals = self._totals.get(subject)
-        return WeightedScore(subject=subject, count=0, score=None) if totals is None else totals.score
+        if totals is None:
+            return WeightedScore(subject, 0, None, self.none_body)
+        score = totals.score
+        if score is None:
+            # two first reads may both build it, from the same totals: either is the answer
+            mean = totals.weighted / totals.weight
+            score = totals.score = WeightedScore(
+                subject, totals.count, mean, encode({"count": totals.count, "score": str(mean)})
+            )
+        return score
 
     # -- charge retry ---------------------------------------------------------------
 

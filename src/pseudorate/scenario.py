@@ -116,7 +116,7 @@ class ScenarioConfig:
                 raise ScenarioError("group ids must be dense 1..G")
 
             policy = PricingPolicy.from_record(raw.get("policy", {"kind": "free"}))
-            shares = RevenueShares.from_record(raw["shares"]) if raw.get("shares") else None
+            shares = RevenueShares.from_record(raw["shares"]) if "shares" in raw else None
 
             if charging not in CHARGING_MODES:
                 raise ScenarioError(f"charging mode must be one of {CHARGING_MODES}")

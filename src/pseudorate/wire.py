@@ -44,18 +44,20 @@ def encode_request(endpoint: str, body: dict, correlation_id: bytes) -> bytes:
     return _frame(body, correlation_id, endpoint, b"")
 
 
-def encode_response(endpoint: str, correlation_id: bytes, status: str, body: dict) -> bytes:
+def encode_response(endpoint: str, correlation_id: bytes, status: str, body: dict | bytes) -> bytes:
     raw = status.encode()
     return _frame(body, correlation_id, endpoint, b"s6:statuss%d:%s" % (len(raw), raw))
 
 
-def _frame(body: dict, correlation_id: bytes, endpoint: str, status: bytes) -> bytes:
+def _frame(body: dict | bytes, correlation_id: bytes, endpoint: str, status: bytes) -> bytes:
     """``encode`` of the frame dict, spliced around the body's bytes: the frame
     keys sort as body < correlation_id < endpoint < status < version.
-    ``status`` is a response's encoded status entry, empty in a request."""
+    ``status`` is a response's encoded status entry, empty in a request. A
+    body given as bytes is already encoded, and is spliced as it is."""
     raw = endpoint.encode()
+    encoded = body if type(body) is bytes else encode(body)
     return b"ds4:body%ss14:correlation_idb%d:%ss8:endpoints%d:%s%ss7:versioni%dee" % (
-        encode(body), len(correlation_id), correlation_id, len(raw), raw, status, WIRE_VERSION
+        encoded, len(correlation_id), correlation_id, len(raw), raw, status, WIRE_VERSION
     )
 
 
@@ -133,7 +135,7 @@ def _field(body: dict, name: str, kind: type):
 
 
 # -- handlers: each takes its service and the checked request fields, and maps
-# the service's result to the response body
+# the service's result to the response body, a dict or its encoded bytes
 
 def _h_request(pca: PrivacyCa, aik_public: bytes, group: int, platform_id: str) -> dict:
     result = pca.request_credential(aik_public, group, platform_id)
@@ -167,9 +169,8 @@ def _h_submit(rs: ReputationSystem, payload: bytes, chain: bytes) -> dict:
     return {"status": "ack", "receipt": result.receipt, "subject": result.subject, "group": result.group}
 
 
-def _h_score(rs: ReputationSystem, subject: str) -> dict:
-    score = rs.aggregate(subject)
-    return {"count": score.count, "score": score.text}
+def _h_score(rs: ReputationSystem, subject: str) -> bytes:
+    return rs.aggregate(subject).body
 
 
 def _h_groups(rs: ReputationSystem, groups: dict) -> dict:
@@ -205,7 +206,7 @@ def _h_set_policy(cp: ChargingProvider, policy: dict) -> dict:
 # endpoint -> (Router keyword of its service, request field -> type, handler).
 # Every request schema lives here: the router checks a body's fields and their
 # types before the handler sees them.
-ROUTES: dict[str, tuple[str, dict[str, type], Callable[..., dict]]] = {
+ROUTES: dict[str, tuple[str, dict[str, type], Callable[..., dict | bytes]]] = {
     "pca/register": (
         "pca",
         {"ek_public": bytes, "user_account": str},

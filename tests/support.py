@@ -1,11 +1,14 @@
 """Shared builders for the test suite: a directly-wired service stack (no
-wire layer), helpers to build honest chains and mutate them, and
-``raises_code`` to expect a failure by its error code."""
+wire layer), helpers to build honest chains and mutate them,
+``raises_code`` to expect a failure by its error code, and ``count_calls``
+to count calls of package functions."""
 
 from __future__ import annotations
 
 import contextlib
 import random
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -32,6 +35,27 @@ def raises_code(code: str):
     with pytest.raises(TicketError) as excinfo:
         yield excinfo
     assert excinfo.value.code == code
+
+
+def patch_everywhere(monkeypatch, original, replacement) -> None:
+    """Replace ``original`` in every ``pseudorate`` module that holds it."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "pseudorate" and module.__dict__.get(original.__name__) is original:
+            monkeypatch.setattr(module, original.__name__, replacement)
+
+
+def count_calls(monkeypatch, owner, names) -> Counter:
+    """Count calls of ``owner``'s functions ``names`` from anywhere in the package."""
+    calls = Counter()
+    for name in names:
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        patch_everywhere(monkeypatch, original, counted)
+    return calls
 
 
 @dataclass

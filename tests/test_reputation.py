@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pseudorate import crypto
+from pseudorate import crypto, encoding
 from pseudorate.agent import RATING_META
 from pseudorate.charging import PricingPolicy
 from pseudorate.errors import InvalidArgument
@@ -22,9 +22,9 @@ from pseudorate.reputation import (
     ReputationSystem,
 )
 from pseudorate.encoding import append_record, encode
-from pseudorate.wire import InprocTransport, Router, RsClient
+from pseudorate.wire import InprocTransport, Router, RsClient, decode_request, encode_request, encode_response
 
-from support import certify_with, honest_chain, make_stack, replace
+from support import certify_with, count_calls, honest_chain, make_stack, replace
 
 
 def test_configure_groups_rejects_nonpositive_impact():
@@ -286,6 +286,22 @@ def score_reply(pairs) -> tuple[int, str]:
     return (len(pairs), str(_brute_force(pairs))) if pairs else (0, "no-score")
 
 
+def assert_score_reply(client: RsClient, tap: list, subject: str, pairs) -> None:
+    """``client``'s rs/score for ``subject`` answers the brute-force mean of
+    ``pairs``, in exactly the response frame ``encode_response`` writes for
+    that reply: the spliced body is the body ``encode`` writes."""
+    count, score = score_reply(pairs)
+    assert client.score(subject) == (count, score)
+    (_, request), (_, response) = tap[-2:]
+    corr = decode_request(request)[2]
+    assert response == encode_response("rs/score", corr, "ok", {"count": count, "score": score})
+
+
+def score_client(rs: ReputationSystem) -> tuple[RsClient, list]:
+    tap = []
+    return RsClient(InprocTransport(Router(rs=rs), tap=tap)), tap
+
+
 @given(
     st.lists(
         st.one_of(
@@ -297,24 +313,24 @@ def score_reply(pairs) -> tuple[int, str]:
 )
 @settings(max_examples=settings().max_examples // 2)
 def test_score_replies_follow_every_rating(ops):
-    """Submissions and rs/score reads interleaved: each reply is the exact
-    weighted mean of the ratings so far, so no read after a rating returns the
-    score before it; a rated subject's reply is built once per rating; an
-    unrated subject answers no-score and is not stored; and an RS rebuilt
-    from the rating log answers the same."""
+    """Submissions and rs/score reads interleaved: each reply frame is the
+    encoding of the exact weighted mean of the ratings so far, so no read
+    after a rating returns the score before it; a rated subject's reply is
+    built once per rating; an unrated subject answers no-score and is not
+    stored; and an RS rebuilt from the rating log answers the same frames."""
     registry = {g: (pair.public, impact) for g, (pair, impact) in SCORE_GROUPS.items()}
     with tempfile.TemporaryDirectory() as tmp:
         log = Path(tmp) / "ratings.log"
         rs = ReputationSystem("rs-x", rating_log=log)
         rs.configure_groups(registry)
-        client = RsClient(InprocTransport(Router(rs=rs)))
+        client, tap = score_client(rs)
         rated: dict[str, list] = {}
         for n, (op, subject, *rating) in enumerate(ops):
             if op == "rate":
                 group, score = rating
                 assert isinstance(rs.submit_rating(*scored_chain(n, subject, group, score)), Ack)
                 rated.setdefault(subject, []).append((registry[group][1], score))
-            assert client.score(subject) == score_reply(rated.get(subject))
+            assert_score_reply(client, tap, subject, rated.get(subject))
             if subject in rated:
                 assert rs.aggregate(subject) is rs.aggregate(subject)
             else:
@@ -322,10 +338,32 @@ def test_score_replies_follow_every_rating(ops):
         assert rs.subjects() == list(rated)
 
         rebuilt = ReputationSystem("rs-x", rating_log=log)
-        rebuilt_client = RsClient(InprocTransport(Router(rs=rebuilt)))
+        rebuilt_client, rebuilt_tap = score_client(rebuilt)
         for subject in "abcd":
-            assert rebuilt_client.score(subject) == client.score(subject) == score_reply(rated.get(subject))
+            assert_score_reply(rebuilt_client, rebuilt_tap, subject, rated.get(subject))
         assert rebuilt.subjects() == rs.subjects()
+
+
+def test_score_body_is_encoded_once_per_rating(monkeypatch):
+    """A read with no rating of its subject since the previous read encodes
+    nothing for its reply; the first read after a rating encodes the body
+    once; an unrated subject's body is a constant."""
+    rs = ReputationSystem("rs-x")
+    rs.configure_groups({g: (pair.public, impact) for g, (pair, impact) in SCORE_GROUPS.items()})
+    router = Router(rs=rs)
+    requests = {subject: encode_request("rs/score", {"subject": subject}, b"c") for subject in "ab"}
+    ratings = [scored_chain(n, "a", 1 + n % 3, 1 + n % 5) for n in range(2)]
+    calls = count_calls(monkeypatch, encoding, ["encode"])
+
+    def encodes_per_read(subject: str) -> int:
+        calls.clear()
+        router.handle(requests[subject])
+        return calls["encode"]
+
+    assert [encodes_per_read("a"), encodes_per_read("b")] == [0, 0]
+    for rating in ratings:
+        assert isinstance(rs.submit_rating(*rating), Ack)
+        assert [encodes_per_read("a"), encodes_per_read("a"), encodes_per_read("b")] == [1, 0, 0]
 
 
 # -- resubmitted chains ---------------------------------------------------------------
@@ -432,6 +470,57 @@ def test_concurrent_submissions_single_ack():
     rejects = [r for r in results if isinstance(r, Reject)]
     assert len(acks) == 1
     assert all(r.reason == "double-spend" for r in rejects)
+
+
+def test_score_reads_racing_ratings_pair_each_count_with_its_own_mean():
+    """Readers call rs/score on one subject while a writer rates it: the
+    first read after a rating builds the reply without a lock, so every reply
+    is one prefix state of the ratings, never the count of one and the mean
+    of another, no reader sees a count go down, and a read after the writer
+    is done answers the mean of all, not a reply built before the last
+    rating. The writer applies each rating as an accepted submission does,
+    under the RS lock, without the signature checks that would space the
+    ratings too far apart for a read to race them; each round is a new RS."""
+    ratings = [
+        RatingRecord(RatingPayload("s", 1 + n * 2 % 5, nonce=b"n%d" % n, rs_id="rs-x"), 1, impact, n, f"{n:02d}")
+        for n, impact in enumerate(Fraction(1 + n % 3, 2 + n % 2) for n in range(12))
+    ]
+    pairs = [(r.impact, r.payload.score) for r in ratings]
+    prefixes = {score_reply(pairs[:n]) for n in range(len(pairs) + 1)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            rs = ReputationSystem("rs-x")
+            done = threading.Event()
+            replies: list[list] = [[] for _ in range(3)]
+
+            def write():
+                try:
+                    for record in ratings:
+                        with rs._lock:
+                            rs._apply(record, "aik-" + record.chain_digest)
+                finally:
+                    done.set()
+
+            def read(seen: list):
+                client = RsClient(InprocTransport(Router(rs=rs)))
+                while not done.is_set():
+                    seen.append(client.score("s"))
+
+            threads = [threading.Thread(target=read, args=(seen,)) for seen in replies]
+            threads.append(threading.Thread(target=write))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            for seen in replies:
+                assert set(seen) <= prefixes
+                assert [count for count, _ in seen] == sorted(count for count, _ in seen)
+            assert RsClient(InprocTransport(Router(rs=rs))).score("s") == score_reply(pairs)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- pseudonymity and persistence -------------------------------------------------------

@@ -179,7 +179,8 @@ def set_key(*path, value):
 # with a traceback before strings were checked to be encodable; the two
 # account edits exited 1 with duplicate-account after the ledger was written;
 # the two share edits were accepted, true read as 1, before shares were
-# checked to be fraction strings
+# checked to be fraction strings; and empty shares turned revenue splitting
+# off, as if left out
 CONFIG_ERRORS = {
     "unknown-agent": add_step(action="acquire", agent="ghost", group=1),
     "unknown-action": add_step(action="warp"),
@@ -212,6 +213,7 @@ CONFIG_ERRORS = {
     "account-of-a-default": add_agents({"name": "twin", "account": "acct-late"}, {"name": "late"}),
     "bool-shares": set_key("shares", value={"cp": True, "pca": 0, "rs": 0}),
     "number-shares": set_key("shares", value={"cp": 1, "pca": 0, "rs": 0}),
+    "empty-shares": set_key("shares", value={}),
 }
 
 
@@ -236,6 +238,20 @@ def test_bool_shares_are_refused_before_any_state_file(tmp_path, capsys):
     assert main(["run", str(path), "--state-dir", str(state)]) == 2
     assert capsys.readouterr().err.startswith("error: bad scenario config: bad shares record: shares: cp must be str")
     assert not state.exists()
+
+
+def test_empty_shares_are_refused_before_any_state_file(tmp_path, capsys):
+    """``"shares": {}`` is a shares record missing every share, not a
+    scenario without revenue splitting: that is ``null``, or no key."""
+    raw = json.loads((SCENARIOS / "basic.json").read_text())
+    raw["shares"] = {}
+    path, state = tmp_path / "scenario.json", tmp_path / "state"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--state-dir", str(state)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad scenario config: bad shares record: shares: missing 'cp'")
+    assert not state.exists()
+    raw["shares"] = None
+    assert ScenarioConfig.from_dict(raw).shares is None
 
 
 def test_resolve_past_the_tickets_is_a_scenario_error_outcome():
