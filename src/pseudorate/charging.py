@@ -249,14 +249,18 @@ class ChargingProvider:
 
     # -- charging ------------------------------------------------------------
 
+    def declines(self, account_id: str, amount: int) -> bool:
+        """Whether :meth:`charge` would decline `amount` on the account now."""
+        balance = self._account(account_id).balance
+        return self._credit_limit is not None and balance - amount < -self._credit_limit
+
     def charge(self, account_id: str, amount: int, *, group: int, phase: str) -> ChargeReceipt | Declined:
         """Move `amount` off the account (negative = incentive credit).
         Positive revenue is immediately split between the parties."""
         if phase not in PHASES:
             raise InvalidArgument(f"unknown charging phase {phase!r}")
         with self._lock:
-            account = self._account(account_id)
-            if self._credit_limit is not None and account.balance - amount < -self._credit_limit:
+            if self.declines(account_id, amount):
                 return Declined(reason="limit-exceeded")
             self._commit(
                 {
@@ -269,7 +273,7 @@ class ChargingProvider:
                     "receipt": f"rcpt-{self._charges + 1:06d}",
                 }
             )
-            return account.history[-1]
+            return self._accounts[account_id].history[-1]
 
     # -- audit ----------------------------------------------------------------
 

@@ -115,7 +115,8 @@ class PrivacyCa:
         for phase in charge_phases:
             if phase != PHASE_ACQUISITION:
                 raise InvalidArgument(f"the authority charges only at acquisition, not {phase!r}")
-        self._charge_phases = tuple(charge_phases)
+        # without a provider and a policy the authority charges nothing, in any phase
+        self._charge_phases = tuple(charge_phases) if charging is not None and pricing is not None else ()
         self._authority_tokens = set(authority_tokens or ())
         # one writer at a time: nonce consumption and the identity index are
         # check-and-update pairs and must be linearizable
@@ -125,6 +126,8 @@ class PrivacyCa:
         self._pending: dict[bytes, PendingIssuance] = {}
         for record in records:
             self._apply(record)
+        if records:  # a rebuilt authority must not repeat a ref, nonce, label or seal key of its first life
+            self._randbytes = random.Random(f"{rng.getrandbits(128)}:{len(records)}").randbytes
 
     @staticmethod
     def _validate_groups(groups: dict[int, GroupConfig]) -> None:
@@ -164,7 +167,8 @@ class PrivacyCa:
         self, aik_public: bytes, group: int, platform_id: str
     ) -> Challenge | DeniedRequest:
         """Authorization first, handshake only afterwards: blacklist and
-        charging decisions happen before any challenge is produced."""
+        charging decisions happen before any challenge is produced. No money
+        moves here: the ticket is charged at the commit that issues it."""
         with self._lock:
             # expired challenges are a prefix: the TTL is constant and the clock never goes back
             now = self._clock.now()
@@ -184,8 +188,7 @@ class PrivacyCa:
             # nonce, so every later draw and label keeps its place
             charge_ref = self._randbytes(16).hex()
             if PHASE_ACQUISITION in self._charge_phases:
-                result = self._charge(record, group, PHASE_ACQUISITION)
-                if isinstance(result, Declined):
+                if self._charging.declines(record.user_account, self._price(record, group)):
                     return DeniedRequest(reason="cp-declined")
 
             nonce = self._randbytes(32)
@@ -218,6 +221,10 @@ class PrivacyCa:
                 raise PcaError("identity key already carries a ticket", code="handshake-failed")
 
             record = self._platforms[pending.platform_id]
+            # before any draw: a commit declined by a racing charge draws nothing
+            if PHASE_ACQUISITION in self._charge_phases:
+                if isinstance(self._charge(record, pending.group, PHASE_ACQUISITION), Declined):
+                    raise PcaError("charging provider declined the ticket", code="cp-declined")
             identity_label = self._randbytes(8).hex()
             meta = {
                 "kind": "group-credential",
@@ -279,14 +286,16 @@ class PrivacyCa:
                 raise PcaError("no ticket issued for that identity key", code="not-found")
             return self._charge(self._platforms[ticket.platform_id], group, PHASE_EX_POST)
 
+    def _price(self, record: IdentityRecord, group: int) -> int:
+        # the provider's ledger is the one count of the charges an account
+        # has paid, so a declined or failed charge does not move the price
+        return price(self._pricing, group, self._charging.charge_count(record.user_account))
+
     def _charge(self, record: IdentityRecord, group: int, phase: str) -> ChargeReceipt | Declined | None:
         if self._charging is None or self._pricing is None:
             return None
-        # the provider's ledger is the one count of the charges an account
-        # has paid, so a declined or failed charge does not move the price
         account = record.user_account
-        amount = price(self._pricing, group, self._charging.charge_count(account))
-        result = self._charging.charge(account, amount, group=group, phase=phase)
+        result = self._charging.charge(account, self._price(record, group), group=group, phase=phase)
         if isinstance(result, Declined):
             logger.info("charge declined for account %s", account)
         return result

@@ -302,9 +302,6 @@ class ReputationSystem:
     def spent_count(self) -> int:
         return len(self._spent)
 
-    def is_spent(self, aik_digest: str) -> bool:
-        return aik_digest in self._spent
-
     @property
     def records(self) -> list[RatingRecord]:
         return list(self._records)

@@ -124,6 +124,8 @@ class ScenarioConfig:
                 missing = [g for g in groups if g not in policy.per_group]
                 if missing:
                     raise ScenarioError(f"policy has no price for groups {missing}")
+            if charging == "acquisition" and policy.kind == "reverse":  # a credit per ticket pays for pseudonyms
+                raise ScenarioError("reverse pricing pays each ticket's buyer: charge it ex post, not at acquisition")
 
             agents = []
             names, accounts = set(), set()

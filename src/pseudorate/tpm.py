@@ -65,7 +65,6 @@ class TpmInstance:
         self._wrap_key = self._randbytes(32)
         self._wrap_seq = 0
         self._created: dict[bytes, KeyPair] = {}  # public -> pair, for each wrapped key made here
-        self._used_blob_nonces: set[bytes] = set()
         ek_pair = crypto.generate_sealing_keypair(seed=self._randbytes(32))
         self._ek = ShieldedKey(handle=0, pair=ek_pair, kind=KIND_EK)
         self._keys[0] = self._ek  # addressable, but refuses every signing role
@@ -103,19 +102,8 @@ class TpmInstance:
                 raise TpmError("undecodable activation blob", code="malformed-blob") from exc
             if record["aik"] != key.public:
                 raise TpmError("blob targets a different identity key", code="aik-mismatch")
-            if record["nonce"] in self._used_blob_nonces:
-                raise TpmError("activation blob replayed", code="already-activated")
-            self._used_blob_nonces.add(record["nonce"])
             key.activated = True
             return credential
-
-    def is_activated(self, handle: int) -> bool:
-        with self._lock:
-            return self._get(handle).activated
-
-    def public_of(self, handle: int) -> bytes:
-        with self._lock:
-            return self._get(handle).public
 
     # -- certified signing keys --------------------------------------------
 

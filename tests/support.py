@@ -127,6 +127,12 @@ def certify_with(pair: KeyPair, entity: bytes, meta: dict[str, str] | None = Non
     return crypto.certify(pair.public, partial(crypto.sign, pair), entity, meta)
 
 
+def certify_fresh_key(tpm: TpmInstance, aik_handle: int) -> Credential:
+    """``certify_key`` over a new signing key: the module refuses it with
+    ``not-activated`` until the identity key is activated."""
+    return tpm.certify_key(aik_handle, tpm.load_key(tpm.cmk_create_key()))
+
+
 def honest_chain(stack: Stack, agent: TrustedAgent, *, group: int = 1, subject: str = "seller-1", score: int = 4):
     """Acquire a ticket and build a valid submission; returns (ticket, payload, chain)."""
     ticket = agent.acquire_ticket(group)

@@ -10,7 +10,7 @@ from pseudorate.scenario import ScenarioConfig, run_scenario
 from pseudorate.tpm import TpmInstance
 from pseudorate.wire import InprocTransport, PcaClient, Router, RsClient, decode_request
 
-from support import count_calls, make_stack, patch_everywhere, raises_code
+from support import certify_fresh_key, count_calls, make_stack, patch_everywhere, raises_code
 
 # body fields each endpoint is allowed to carry, per docs/FORMATS.md;
 # anything extra would be platform state sneaking out of the agent
@@ -124,8 +124,8 @@ def test_wallet_consistent_with_platform_module():
     for group in (1, 2, 3):
         agent.acquire_ticket(group)
     for ticket in agent.tickets:
-        assert agent.tpm.is_activated(ticket.aik_handle)
-        assert agent.tpm.public_of(ticket.aik_handle) == ticket.credential.entity
+        # the handle certifies, so it is activated, and it certifies as the ticket's identity key
+        assert certify_fresh_key(agent.tpm, ticket.aik_handle).issuer_public == ticket.credential.entity
 
 
 def test_denied_propagates_and_wallet_unchanged():
@@ -197,7 +197,7 @@ def test_acquisition_fault_injection_at_every_boundary():
         assert agent.tickets == wallet_before  # clean failure, no half-ticket
         ticket = agent.acquire_ticket(1)  # retry succeeds
         assert [t for t in agent.tickets if t.state == STATE_FRESH] == [ticket]
-        assert agent.tpm.is_activated(ticket.aik_handle)
+        assert certify_fresh_key(agent.tpm, ticket.aik_handle).issuer_public == ticket.credential.entity
 
 
 def test_redemption_fault_keeps_wallet_pre_state():

@@ -16,7 +16,7 @@ from pseudorate.agent import TicketDenied, TrustedAgent
 from pseudorate.charging import ChargingProvider, PricingPolicy, price
 from pseudorate.clock import SimClock
 from pseudorate.encoding import append_record, read_records
-from pseudorate.privacy_ca import Challenge, GroupConfig, PrivacyCa
+from pseudorate.privacy_ca import GroupConfig, PrivacyCa
 from pseudorate.reputation import ReputationSystem
 from pseudorate.tpm import TpmInstance
 
@@ -31,8 +31,8 @@ def amounts(cp: ChargingProvider, account: str) -> list[int]:
 
 
 def test_a_charge_the_authority_never_logged_still_raises_the_price(tmp_path):
-    """A crash between the provider's append and the authority's loses
-    nothing: the next ticket costs the next price."""
+    """A crash at the issue commit, between the provider's append and the
+    authority's, loses nothing: the next ticket costs the next price."""
     policy = PricingPolicy.increasing({1: 100}, step=10)
     ledger, issuance = tmp_path / "cp-ledger.log", tmp_path / "pca-issuance.log"
     stack = make_stack(
@@ -46,8 +46,7 @@ def test_a_charge_the_authority_never_logged_still_raises_the_price(tmp_path):
     )
     agent = stack.new_agent("a")
     snapshot = issuance.read_bytes()
-    _, public = agent.tpm.make_identity()
-    assert isinstance(stack.pca.request_credential(public, 1, agent.platform_id), Challenge)
+    agent.acquire_ticket(1)
     assert amounts(stack.cp, agent.user_account) == [100]
     issuance.write_bytes(snapshot)  # the authority's append after the charge never happened
 
@@ -98,28 +97,32 @@ def test_charge_records_of_older_issuance_logs_are_skipped(tmp_path):
         append_record(older, record)
     assert sum(record["kind"] == "charge" for record in read_records(older)) == 6
 
-    def rebuild(log: Path, ledger_copy: Path) -> tuple[PrivacyCa, int]:
+    def rebuild(log: Path, ledger_copy: Path) -> tuple[PrivacyCa, ChargingProvider]:
         shutil.copy(ledger, ledger_copy)
         cp = ChargingProvider(SimClock(), policy=POLICY, ledger_log=ledger_copy)
         pca = PrivacyCa(
             GROUPS, rng=random.Random(0), charging=cp, pricing=POLICY, charge_phases=("acquisition",), issuance_log=log
         )
-        _, public = agents[0].tpm.make_identity()
-        assert isinstance(pca.request_credential(public, 2, agents[0].platform_id), Challenge)
-        return pca, cp.history(agents[0].user_account)[-1].amount
+        return pca, cp
 
-    current, current_price = rebuild(issuance, tmp_path / "ledger-current.log")
-    replayed, replayed_price = rebuild(older, tmp_path / "ledger-older.log")
+    def next_price(pca: PrivacyCa, cp: ChargingProvider) -> int:
+        handle, public = agents[0].tpm.make_identity()
+        challenge = pca.request_credential(public, 2, agents[0].platform_id)
+        pca.complete_handshake(challenge.nonce, agents[0].tpm.sign_issuance_nonce(handle, challenge.nonce))
+        return cp.history(agents[0].user_account)[-1].amount
+
+    current, current_cp = rebuild(issuance, tmp_path / "ledger-current.log")
+    replayed, replayed_cp = rebuild(older, tmp_path / "ledger-older.log")
     assert replayed._platforms == current._platforms
     assert replayed._platforms[agents[1].platform_id].blacklisted
     assert replayed._tickets == current._tickets
     assert len(replayed._tickets) == 6
-    assert replayed_price == current_price == price(POLICY, 2, 3)
+    assert next_price(replayed, replayed_cp) == next_price(current, current_cp) == price(POLICY, 2, 3)
 
 
 STEPS = st.lists(
     st.tuples(
-        st.sampled_from(["acquire", "redeem", "retry", "restart-both", "restart-authority"]),
+        st.sampled_from(["acquire", "abandon", "redeem", "retry", "restart-both", "restart-authority"]),
         st.integers(0, 1),
         st.integers(1, 3),
     ),
@@ -129,27 +132,25 @@ STEPS = st.lists(
 
 @given(st.sampled_from(["acquisition", "ex_post"]), st.lists(st.integers(0, 300), min_size=2, max_size=2), STEPS)
 def test_every_charge_is_priced_at_its_place_in_the_ledger(charging, balances, steps):
-    """Acquisitions, ex-post redemptions, declines under a credit limit and
-    rebuilds of the provider and the authority from their logs, in any
-    order: each account's i-th charge in group g is ``price(POLICY, g, i)``."""
+    """Acquisitions, abandoned requests, ex-post redemptions, declines under
+    a credit limit and rebuilds of the provider and the authority from their
+    logs, in any order: each account's i-th charge in group g is
+    ``price(POLICY, g, i)``, and under acquisition charging each account has
+    paid for exactly the tickets it holds."""
     phases = ("acquisition",) if charging == "acquisition" else ()
     with tempfile.TemporaryDirectory() as tmp:
         ledger, issuance = Path(tmp) / "cp-ledger.log", Path(tmp) / "pca-issuance.log"
-        clock, builds = SimClock(), iter(range(1_000))
+        clock = SimClock()
 
         def provider() -> ChargingProvider:
             return ChargingProvider(clock, policy=POLICY, credit_limit=0, ledger_log=ledger)
 
         def authority(cp: ChargingProvider) -> PrivacyCa:
-            pca = PrivacyCa(
+            # the same seed gives the same group keys, so earlier tickets still redeem
+            return PrivacyCa(
                 GROUPS, clock=clock, rng=random.Random(7), charging=cp, pricing=POLICY,
                 charge_phases=phases, issuance_log=issuance,
             )
-            # the same seed gives the same group keys, so earlier tickets still
-            # redeem; each build then draws from a stream of its own, since
-            # repeated blob nonces would be refused by the platform modules
-            pca._randbytes = random.Random(next(builds)).randbytes
-            return pca
 
         live = {"cp": provider()}
         live["pca"] = authority(live["cp"])
@@ -172,6 +173,8 @@ def test_every_charge_is_priced_at_its_place_in_the_ledger(charging, balances, s
                     agent.acquire_ticket(group)
                 except TicketDenied as exc:
                     assert exc.reason == "cp-declined"
+            elif op == "abandon":  # a challenge never answered
+                live["pca"].request_credential(agent.tpm.make_identity()[1], group, agent.platform_id)
             elif op == "redeem" and agent.fresh_tickets():
                 agent.redeem_ticket(agent.fresh_tickets()[0], agent.make_payload("seller", 3))
             elif op == "retry":
@@ -186,3 +189,5 @@ def test_every_charge_is_priced_at_its_place_in_the_ledger(charging, balances, s
         for agent in agents:
             history = live["cp"].history(agent.user_account)
             assert [e.amount for e in history] == [price(POLICY, e.group, i) for i, e in enumerate(history)]
+            if charging == "acquisition":
+                assert len(history) == len(agent.tickets)

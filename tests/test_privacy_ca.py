@@ -1,13 +1,18 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 from pseudorate import crypto
-from pseudorate.charging import PricingPolicy
-from pseudorate.errors import InvalidArgument, UnknownGroup
-from pseudorate.privacy_ca import Challenge, DeniedRequest, GroupConfig, PrivacyCa
+from pseudorate.agent import TrustedAgent
+from pseudorate.charging import PricingPolicy, price
+from pseudorate.encoding import read_records
+from pseudorate.errors import InvalidArgument, TicketError, UnknownGroup
+from pseudorate.privacy_ca import CHALLENGE_TTL, Challenge, DeniedRequest, GroupConfig, PrivacyCa
 from pseudorate.tpm import TpmInstance
+from pseudorate.wire import InprocTransport, PcaClient, Router
 
 from support import TOKEN, make_stack, raises_code
 
@@ -191,9 +196,164 @@ def test_declined_charge_denies_issuance():
     assert stack.cp.balance(agent.user_account) == 50
     # the declined ticket must not inflate later price indices
     stack.cp._accounts[agent.user_account].balance = 10_000
-    _, public2 = agent.tpm.make_identity()
-    assert isinstance(stack.pca.request_credential(public2, 1, agent.platform_id), Challenge)
-    assert stack.cp.history(agent.user_account)[-1].amount == 100
+    agent.acquire_ticket(1)
+    assert [entry.amount for entry in stack.cp.history(agent.user_account)] == [100]
+
+
+# each pricing kind charged at acquisition, with a balance that pays
+# several tickets; reverse credits the account instead
+PRICINGS = {
+    "flat": PricingPolicy.flat({1: 100}),
+    "increasing": PricingPolicy.increasing({1: 100}, step=10),
+    "reverse": PricingPolicy.reverse(50),
+}
+
+
+def prove(agent, identity, challenge) -> bytes:
+    """The possession proof for ``challenge`` by ``identity``, a (handle, public) pair."""
+    return agent.tpm.sign_issuance_nonce(identity[0], challenge.nonce)
+
+
+@pytest.mark.parametrize("kind", PRICINGS)
+def test_abandoned_requests_move_no_money(kind):
+    """A request only reads the ledger: challenges never answered neither
+    drain the account nor, under reverse pricing, pay it. Once charged at
+    request, 50 at flat 100 took 10000 to 5000, and 100 at reverse(50) took
+    it to 15000, with no ticket issued."""
+    policy = PRICINGS[kind]
+    stack = make_stack(8, group_count=1, policy=policy, charging="acquisition", credit_limit=0)
+    agent = stack.new_agent("a")
+    for _ in range(100 if kind == "reverse" else 50):
+        assert isinstance(stack.pca.request_credential(agent.tpm.make_identity()[1], 1, agent.platform_id), Challenge)
+    assert stack.cp.balance(agent.user_account) == 10_000
+    assert stack.cp.history(agent.user_account) == []
+    assert stack.pca._tickets == {}
+    agent.acquire_ticket(1)  # the one ticket issued is the one charged, at the first price
+    assert [e.amount for e in stack.cp.history(agent.user_account)] == [price(policy, 1, 0)]
+
+
+@pytest.mark.parametrize("kind", PRICINGS)
+@pytest.mark.parametrize("cause", ["expired", "bad-proof", "ticketed-meanwhile"])
+def test_a_failed_handshake_leaves_no_charge(cause, kind):
+    """An expired challenge, a proof that does not verify, and a second
+    challenge for an identity key that got its ticket meanwhile each fail at
+    the commit, and leave the ledger holding exactly the issued tickets."""
+    policy = PRICINGS[kind]
+    stack = make_stack(9, group_count=1, policy=policy, charging="acquisition", credit_limit=0)
+    agent = stack.new_agent("a")
+    identity = agent.tpm.make_identity()
+    challenge = stack.pca.request_credential(identity[1], 1, agent.platform_id)
+    proof = prove(agent, identity, challenge)
+    if cause == "expired":
+        stack.clock.advance(CHALLENGE_TTL + 1)
+    elif cause == "bad-proof":
+        proof = agent.tpm.sign_issuance_nonce(identity[0], b"another nonce")
+    else:
+        first = stack.pca.request_credential(identity[1], 1, agent.platform_id)
+        stack.pca.complete_handshake(first.nonce, prove(agent, identity, first))
+    with raises_code("handshake-failed"):
+        stack.pca.complete_handshake(challenge.nonce, proof)
+    issued = len(stack.pca._tickets)
+    assert issued == (cause == "ticketed-meanwhile")
+    assert [e.amount for e in stack.cp.history(agent.user_account)] == [price(policy, 1, i) for i in range(issued)]
+    assert stack.cp.balance(agent.user_account) == 10_000 - sum(price(policy, 1, i) for i in range(issued))
+
+
+@pytest.mark.parametrize("path", ["in-process", "wire"])
+def test_a_ticket_declined_at_its_commit_is_not_issued(path, tmp_path):
+    """Two requests on one account both pass the request's check; the first
+    commit drains the account, so the second is declined at its own commit:
+    ``cp-declined`` at ``pca/complete``, its challenge used up, no ticket, no
+    issue record, and the next price unchanged."""
+    policy = PricingPolicy.increasing({1: 100}, step=10)
+    log = tmp_path / "pca-issuance.log"
+    stack = make_stack(
+        4, group_count=1, policy=policy, charging="acquisition", credit_limit=0, pca_kwargs={"issuance_log": log}
+    )
+    pca = stack.pca if path == "in-process" else PcaClient(InprocTransport(Router(pca=stack.pca)))
+    agent = stack.new_agent("racer", register=False)
+    stack.cp.open_account(agent.user_account, 150)
+    agent.register()
+    late, early = agent.tpm.make_identity(), agent.tpm.make_identity()
+    late_challenge = pca.request_credential(late[1], 1, agent.platform_id)
+    early_challenge = pca.request_credential(early[1], 1, agent.platform_id)
+    assert isinstance(late_challenge, Challenge) and isinstance(early_challenge, Challenge)  # 150 pays either
+    pca.complete_handshake(early_challenge.nonce, prove(agent, early, early_challenge))
+    assert stack.cp.balance(agent.user_account) == 50
+    before = log.read_bytes()
+    with raises_code("cp-declined"):
+        pca.complete_handshake(late_challenge.nonce, prove(agent, late, late_challenge))
+    assert log.read_bytes() == before
+    assert len(stack.pca._tickets) == 1
+    assert [e.amount for e in stack.cp.history(agent.user_account)] == [100]
+    with raises_code("handshake-failed"):  # the declined challenge is used up
+        pca.complete_handshake(late_challenge.nonce, prove(agent, late, late_challenge))
+    stack.cp._accounts[agent.user_account].balance = 10_000
+    agent.acquire_ticket(1)
+    assert [e.amount for e in stack.cp.history(agent.user_account)] == [100, price(policy, 1, 1)]
+
+
+def test_racing_acquisitions_on_one_account_pay_for_exactly_the_issued_tickets():
+    """More threads than cores race request and commit on one account that
+    pays for 10 of their 24 tries. Whatever the interleaving, each ticket
+    issued is charged once, nothing else is charged, and the balance never
+    passes the credit limit."""
+    stack = make_stack(12, group_count=1, policy=PricingPolicy.flat({1: 100}), charging="acquisition", credit_limit=0)
+    agent = stack.new_agent("shared", register=False)
+    stack.cp.open_account(agent.user_account, 1000)
+    agent.register()
+    declined = []
+
+    def buy():
+        for _ in range(6):
+            identity = agent.tpm.make_identity()
+            challenge = stack.pca.request_credential(identity[1], 1, agent.platform_id)
+            if isinstance(challenge, DeniedRequest):
+                declined.append(challenge.reason)
+                continue
+            try:
+                stack.pca.complete_handshake(challenge.nonce, prove(agent, identity, challenge))
+            except TicketError as exc:
+                declined.append(exc.code)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=buy) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(stack.pca._tickets) == len(stack.cp.history(agent.user_account)) == 10
+    assert stack.cp.balance(agent.user_account) == 0
+    assert len(declined) == 14 and set(declined) == {"cp-declined"}
+
+
+def test_a_rebuilt_authority_never_repeats_a_draw(tmp_path, monkeypatch):
+    """The same seed gives the same group keys, and every later draw comes
+    from a stream of the rebuild's own: the platform activates the tickets of
+    each rebuild, and no two blobs share an ephemeral key, which would reuse
+    a ChaCha20-Poly1305 key and nonce (RFC 8439 section 4)."""
+    blobs = []
+    seal = crypto.seal
+    monkeypatch.setattr(crypto, "seal", lambda *args, **kwargs: blobs.append(seal(*args, **kwargs)) or blobs[-1])
+    log = tmp_path / "pca-issuance.log"
+    groups = {g: GroupConfig(Fraction(g)) for g in (1, 2)}
+    first = PrivacyCa(groups, rng=random.Random(5), issuance_log=log)
+    agent = TrustedAgent(TpmInstance(rng=random.Random(6)), first, None, user_account="acct-a", rs_id="rs-test")
+    agent.register()
+    agent.acquire_ticket(1)
+    for _ in range(2):
+        agent._pca = PrivacyCa(groups, rng=random.Random(5), issuance_log=log)
+        assert agent._pca.group_registry() == first.group_registry()
+        agent.acquire_ticket(2)
+    assert len(agent.tickets) == 3
+    assert len({blob[:32] for blob in blobs}) == len(blobs) == 3
+    issues = [record for record in read_records(log) if record["kind"] == "issue"]
+    assert len({record["charge_ref"] for record in issues}) == len({record["label"] for record in issues}) == 3
 
 
 def test_issuance_log_survives_restart(tmp_path):

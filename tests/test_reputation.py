@@ -71,7 +71,8 @@ def test_honest_submission_acked_and_stored():
     record = stack.rs.records[0]
     assert record.impact == Fraction(2)
     assert record.chain_digest == result.receipt
-    assert stack.rs.is_spent(chain.aik_digest)
+    assert stack.rs.spent_count == 1
+    assert stack.rs.submit_rating(payload, chain) == Reject("double-spend", "ticket already redeemed")
 
 
 def test_double_spend_rejected():
@@ -600,9 +601,11 @@ def test_persistence_round_trip(tmp_path):
     snapshot = tmp_path / "spent.snap"
     stack = make_stack(1, rs_kwargs={"rating_log": rating_log, "spent_snapshot": snapshot})
     agent = stack.new_agent("a")
+    submitted = []
     for subject, score in (("s1", 5), ("s2", 2)):
         t, p, c = honest_chain(stack, agent, subject=subject, score=score)
         stack.rs.submit_rating(p, c)
+        submitted.append((p, c))
     stack.rs.save_spent_snapshot()
 
     revived = ReputationSystem(
@@ -611,8 +614,9 @@ def test_persistence_round_trip(tmp_path):
     assert len(revived.records) == 2
     assert revived.spent_count == 2
     assert revived.aggregate("s1").score == Fraction(5)
-    for digest in stack.rs._spent:
-        assert revived.is_spent(digest)
+    revived.configure_groups(stack.pca.group_registry())
+    for payload, chain in submitted:
+        assert revived.submit_rating(payload, chain).reason == "double-spend"
 
 
 def test_torn_snapshot_write_keeps_previous_snapshot(tmp_path, monkeypatch):

@@ -179,8 +179,9 @@ def set_key(*path, value):
 # with a traceback before strings were checked to be encodable; the two
 # account edits exited 1 with duplicate-account after the ledger was written;
 # the two share edits were accepted, true read as 1, before shares were
-# checked to be fraction strings; and empty shares turned revenue splitting
-# off, as if left out
+# checked to be fraction strings; empty shares turned revenue splitting
+# off, as if left out; and reverse pricing at acquisition credited each
+# ticket's buyer
 CONFIG_ERRORS = {
     "unknown-agent": add_step(action="acquire", agent="ghost", group=1),
     "unknown-action": add_step(action="warp"),
@@ -214,6 +215,7 @@ CONFIG_ERRORS = {
     "bool-shares": set_key("shares", value={"cp": True, "pca": 0, "rs": 0}),
     "number-shares": set_key("shares", value={"cp": 1, "pca": 0, "rs": 0}),
     "empty-shares": set_key("shares", value={}),
+    "reverse-at-acquisition": lambda raw: raw.update(charging="acquisition", policy={"kind": "reverse", "incentive": 5}),
 }
 
 
@@ -252,6 +254,20 @@ def test_empty_shares_are_refused_before_any_state_file(tmp_path, capsys):
     assert not state.exists()
     raw["shares"] = None
     assert ScenarioConfig.from_dict(raw).shares is None
+
+
+def test_reverse_pricing_at_acquisition_is_refused_before_any_state_file(tmp_path, capsys):
+    """A credit for each ticket issued pays its buyer to amass pseudonyms;
+    reverse pricing is charged ex post, at redemption, or not at all."""
+    raw = json.loads((SCENARIOS / "basic.json").read_text())
+    raw["policy"] = {"kind": "reverse", "incentive": 5}
+    assert ScenarioConfig.from_dict(raw).charging == "ex_post"
+    raw["charging"] = "acquisition"
+    path, state = tmp_path / "scenario.json", tmp_path / "state"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--state-dir", str(state)]) == 2
+    assert capsys.readouterr().err.startswith("error: reverse pricing pays each ticket's buyer")
+    assert not state.exists()
 
 
 def test_resolve_past_the_tickets_is_a_scenario_error_outcome():

@@ -5,7 +5,7 @@ import pytest
 from pseudorate import crypto
 from pseudorate.tpm import TpmError, TpmInstance
 
-from support import certify_with, make_stack, raises_code
+from support import certify_fresh_key, certify_with, make_stack, raises_code
 
 
 def make_blob(ek_public: bytes, aik_public: bytes, nonce: bytes = b"n" * 16) -> bytes:
@@ -19,8 +19,9 @@ def make_blob(ek_public: bytes, aik_public: bytes, nonce: bytes = b"n" * 16) -> 
 def test_make_identity_starts_unactivated():
     tpm = TpmInstance()
     handle, public = tpm.make_identity()
-    assert not tpm.is_activated(handle)
-    assert tpm.public_of(handle) == public
+    with raises_code("not-activated"):
+        certify_fresh_key(tpm, handle)
+    assert crypto.verify(public, crypto.ISSUANCE_NONCE_DOMAIN + b"n", tpm.sign_issuance_nonce(handle, b"n"))
 
 
 def test_identity_publics_are_fresh():
@@ -42,7 +43,7 @@ def test_activation_round_trip():
     tpm = TpmInstance()
     handle, public = tpm.make_identity()
     cred = tpm.activate_identity(handle, make_blob(tpm.ek_public, public))
-    assert tpm.is_activated(handle)
+    assert certify_fresh_key(tpm, handle).issuer_public == public
     assert cred.entity == public
 
 
@@ -52,7 +53,8 @@ def test_activation_blob_for_other_platform_rejected():
     blob = make_blob(other.ek_public, public)
     with raises_code("wrong-platform"):
         tpm.activate_identity(handle, blob)
-    assert not tpm.is_activated(handle)
+    with raises_code("not-activated"):
+        certify_fresh_key(tpm, handle)
 
 
 def test_activation_blob_replay_rejected():
@@ -62,6 +64,22 @@ def test_activation_blob_replay_rejected():
     tpm.activate_identity(handle, blob)
     with raises_code("already-activated"):
         tpm.activate_identity(handle, blob)
+
+
+@pytest.mark.parametrize("target, code", [("own key", "already-activated"), ("other key", "aik-mismatch"),
+                                          ("other platform", "wrong-platform")])
+def test_a_used_blob_is_refused_wherever_it_is_replayed(target, code):
+    """The module keeps no list of used blobs: the activated flag, the
+    blob's identity key and the endorsement key it is sealed to refuse every
+    replay."""
+    tpm, other = TpmInstance(), TpmInstance()
+    handle, public = tpm.make_identity()
+    blob = make_blob(tpm.ek_public, public)
+    tpm.activate_identity(handle, blob)
+    module = other if target == "other platform" else tpm
+    replay_to = handle if target == "own key" else module.make_identity()[0]
+    with raises_code(code):
+        module.activate_identity(replay_to, blob)
 
 
 def test_activation_blob_for_other_identity_rejected():
@@ -140,8 +158,8 @@ def test_load_twice_same_material():
     wrapped = tpm.cmk_create_key()
     h1, h2 = tpm.load_key(wrapped), tpm.load_key(wrapped)
     assert h1 != h2
-    assert tpm.public_of(h1) == tpm.public_of(h2) == wrapped.public
-    assert crypto.verify(wrapped.public, b"p", tpm.sign_with_key(h2, b"p"))
+    for handle in (h1, h2):
+        assert crypto.verify(wrapped.public, b"p", tpm.sign_with_key(handle, b"p"))
 
 
 def test_certify_requires_activation():
