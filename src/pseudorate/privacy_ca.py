@@ -126,8 +126,8 @@ class PrivacyCa:
         self._pending: dict[bytes, PendingIssuance] = {}
         for record in records:
             self._apply(record)
-        if records:  # a rebuilt authority must not repeat a ref, nonce, label or seal key of its first life
-            self._randbytes = random.Random(f"{rng.getrandbits(128)}:{len(records)}").randbytes
+        if records:  # two lives at one log length share seed and length: only the OS tells them apart
+            self._randbytes = secrets.token_bytes
 
     @staticmethod
     def _validate_groups(groups: dict[int, GroupConfig]) -> None:

@@ -3,15 +3,16 @@ one rating per ticket, stores accepted ratings, and aggregates
 impact-weighted scores exactly (rational arithmetic).
 
 Check order for a submission is fixed and total — chain validity, payload
-binding, target binding, then spend — so every malformed submission maps
-to exactly one machine-readable reject reason. A chain whose exact bytes
-were accepted before skips only the signature and link checks, which those
-bytes passed then, so it gets the same answer for less work.
+binding, target binding, spend check, then payment — so every refused
+submission maps to exactly one machine-readable reject reason. Under ex-post
+charging a rating is paid for before it is stored: a declined charge and a
+charge that raises (which propagates) both store nothing. A chain whose
+exact bytes were accepted before skips only the signature and link checks,
+which those bytes passed then, so it gets the same answer for less work.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 import threading
 from dataclasses import dataclass
@@ -27,12 +28,11 @@ from .crypto import CredentialChain
 from .encoding import append_record, check_fields, decode, encode, read_records
 from .errors import InvalidArgument
 
-logger = logging.getLogger(__name__)
-
 REJECT_INVALID_CHAIN = "invalid-chain"
 REJECT_WRONG_RS = "wrong-rs"
 REJECT_DOUBLE_SPEND = "double-spend"
 REJECT_BAD_PAYLOAD = "bad-payload"
+REJECT_CP_DECLINED = "cp-declined"
 
 _PAYLOAD_FIELDS = {"subject": str, "score": int, "comment": str, "nonce": bytes, "rs_id": str}
 
@@ -165,7 +165,6 @@ class ReputationSystem:
         self._accepted: set[str] = set()  # the chain digest of every stored rating
         # subject -> its totals, in the order subjects were first rated
         self._totals: dict[str, _Totals] = {}
-        self._pending_charges: list[tuple[str, int]] = []
         self._lock = threading.Lock()
         self._rating_log = Path(rating_log) if rating_log else None
         self._spent_snapshot = Path(spent_snapshot) if spent_snapshot else None
@@ -224,6 +223,11 @@ class ReputationSystem:
         with self._lock:
             if aik_digest in self._spent:
                 return Reject(REJECT_DOUBLE_SPEND, detail="ticket already redeemed")
+            # paid under the lock, so two submissions of one ticket pay once
+            if self._expost_charge is not None:
+                paid = self._expost_charge(aik_digest, group)
+                if isinstance(paid, Declined):
+                    return Reject(REJECT_CP_DECLINED, detail=paid.reason)
             record = RatingRecord(
                 payload=payload,
                 group=group,
@@ -234,11 +238,6 @@ class ReputationSystem:
             if self._rating_log:
                 append_record(self._rating_log, {**record.to_record(), "aik_digest": aik_digest})
             self._apply(record, aik_digest)
-
-        # availability over settlement atomicity: keep the rating, queue the
-        # charge for retry
-        if self._expost_charge is not None and not self._settle(aik_digest, group):
-            self._pending_charges.append((aik_digest, group))
         return Ack(receipt=chain_digest, subject=payload.subject, group=group)
 
     def _payload_problem(self, payload: RatingPayload) -> str | None:
@@ -271,30 +270,6 @@ class ReputationSystem:
                 subject, totals.count, mean, encode({"count": totals.count, "score": str(mean)})
             )
         return score
-
-    # -- charge retry ---------------------------------------------------------------
-
-    def retry_pending_charges(self) -> int:
-        """Retry queued ex-post charges; returns how many are still pending."""
-        if self._expost_charge is not None:
-            self._pending_charges = [(d, g) for d, g in self._pending_charges if not self._settle(d, g)]
-        return len(self._pending_charges)
-
-    def _settle(self, aik_digest: str, group: int) -> bool:
-        """One ex-post charge attempt; a declined charge is as unsettled as a raised one."""
-        try:
-            result = self._expost_charge(aik_digest, group)
-        except Exception:
-            logger.exception("ex-post charge failed")
-            return False
-        if isinstance(result, Declined):
-            logger.info("ex-post charge declined: %s", result.reason)
-            return False
-        return True
-
-    @property
-    def pending_charge_count(self) -> int:
-        return len(self._pending_charges)
 
     # -- inspection / persistence ------------------------------------------------------
 

@@ -334,7 +334,7 @@ def test_racing_acquisitions_on_one_account_pay_for_exactly_the_issued_tickets()
 
 def test_a_rebuilt_authority_never_repeats_a_draw(tmp_path, monkeypatch):
     """The same seed gives the same group keys, and every later draw comes
-    from a stream of the rebuild's own: the platform activates the tickets of
+    from the operating system: the platform activates the tickets of
     each rebuild, and no two blobs share an ephemeral key, which would reuse
     a ChaCha20-Poly1305 key and nonce (RFC 8439 section 4)."""
     blobs = []
@@ -354,6 +354,21 @@ def test_a_rebuilt_authority_never_repeats_a_draw(tmp_path, monkeypatch):
     assert len({blob[:32] for blob in blobs}) == len(blobs) == 3
     issues = [record for record in read_records(log) if record["kind"] == "issue"]
     assert len({record["charge_ref"] for record in issues}) == len({record["label"] for record in issues}) == 3
+
+
+def test_two_rebuilds_at_one_log_length_draw_apart(tmp_path):
+    """A request commits nothing, so two lives rebuilt from the same log with
+    the same seed share the seed and the log length: their challenges still
+    carry different nonces."""
+    log = tmp_path / "pca-issuance.log"
+    groups = {1: GroupConfig(Fraction(1))}
+    tpm = TpmInstance(rng=random.Random(6))
+    platform_id = PrivacyCa(groups, rng=random.Random(5), issuance_log=log).register_platform(tpm.ek_public, "acct-a")
+    nonces = []
+    for _ in range(2):
+        pca = PrivacyCa(groups, rng=random.Random(5), issuance_log=log)
+        nonces.append(pca.request_credential(tpm.make_identity()[1], 1, platform_id).nonce)
+    assert nonces[0] != nonces[1]
 
 
 def test_issuance_log_survives_restart(tmp_path):

@@ -24,7 +24,7 @@ from pseudorate.reputation import (
 from pseudorate.encoding import append_record, encode
 from pseudorate.wire import InprocTransport, Router, RsClient, decode_request, encode_request, encode_response
 
-from support import certify_with, count_calls, honest_chain, make_stack, replace
+from support import certify_with, count_calls, honest_chain, make_stack, raises_code, replace
 
 
 def test_configure_groups_rejects_nonpositive_impact():
@@ -473,6 +473,37 @@ def test_concurrent_submissions_single_ack():
     assert all(r.reason == "double-spend" for r in rejects)
 
 
+def test_racing_submissions_of_one_chain_pay_once():
+    """Four threads submit one chain charged ex post, each switch a
+    microsecond apart, for each of five tickets: the spend check and the
+    charge are one step, so each chain is acked once and paid for once."""
+    stack = make_stack(6, policy=PricingPolicy.flat({1: 40, 2: 40, 3: 40}), charging="ex_post")
+    agent = stack.new_agent("a")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for paid in range(1, 6):
+            _, payload, chain = honest_chain(stack, agent)
+            results = [None] * 4
+            barrier = threading.Barrier(len(results))
+
+            def run(index):
+                barrier.wait()
+                results[index] = stack.rs.submit_rating(payload, chain)
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert sum(isinstance(r, Ack) for r in results) == 1
+            assert sorted(r.reason for r in results if isinstance(r, Reject)) == ["double-spend"] * 3
+            assert len(stack.cp.history(agent.user_account)) == paid
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_score_reads_racing_ratings_pair_each_count_with_its_own_mean():
     """Readers call rs/score on one subject while a writer rates it: the
     first read after a rating builds the reply without a lock, so every reply
@@ -540,23 +571,29 @@ def test_state_contains_no_platform_identifiers():
         assert agent.user_account.encode() not in state
 
 
-def test_expost_charge_failure_keeps_rating_and_retries():
-    calls = {"n": 0}
-
-    def flaky(aik_digest, group):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise RuntimeError("settlement down")
-
-    stack = make_stack(1, rs_kwargs={"expost_charge": flaky})
+def test_a_raised_expost_charge_stores_nothing_until_a_resubmission_pays(monkeypatch):
+    """A rating is paid for before it is stored: a charge that raises
+    propagates and leaves no rating, spend or score, and once the fault is
+    gone the same chain is acked and paid for once."""
+    stack = make_stack(1, policy=PricingPolicy.flat({1: 40, 2: 40, 3: 40}), charging="ex_post")
     agent = stack.new_agent("a")
-    t, p, c = honest_chain(stack, agent)
-    result = stack.rs.submit_rating(p, c)
-    assert isinstance(result, Ack)
-    assert len(stack.rs.records) == 1
-    assert stack.rs.pending_charge_count == 1
-    assert stack.rs.retry_pending_charges() == 0
-    assert calls["n"] == 2
+    ticket, payload, chain = honest_chain(stack, agent, subject="seller")
+    charge = stack.cp.charge
+    faults = [RuntimeError("settlement down")]
+
+    def flaky(*args, **kwargs):
+        if faults:
+            raise faults.pop()
+        return charge(*args, **kwargs)
+
+    monkeypatch.setattr(stack.cp, "charge", flaky)
+    with pytest.raises(RuntimeError):
+        agent.submit_chain(ticket, payload, chain)
+    assert (stack.rs.records, stack.rs.spent_count, stack.rs.subjects()) == ([], 0, [])
+    assert stack.cp.history(agent.user_account) == [] and agent.fresh_tickets() == [ticket]
+    assert isinstance(agent.submit_chain(ticket, payload, chain), Ack)
+    assert [e.amount for e in stack.cp.history(agent.user_account)] == [40]
+    assert stack.rs.aggregate("seller").count == stack.rs.spent_count == 1
 
 
 def test_expost_charging_happens_via_authority():
@@ -571,20 +608,37 @@ def test_expost_charging_happens_via_authority():
     assert receipt.phase == "ex_post"
 
 
-def test_declined_expost_charge_stays_pending_until_it_settles():
+def test_a_declined_expost_charge_stores_nothing_until_a_top_up():
+    """Under a credit limit of 0, a ticket its account cannot pay for is
+    refused ``cp-declined`` and stays fresh; once the account is topped up
+    (a negative charge, until the provider has a deposit record) the same
+    ticket redeems, and its charge is in the ledger exactly once."""
     stack = make_stack(1, policy=PricingPolicy.flat({1: 40, 2: 40, 3: 40}), charging="ex_post", credit_limit=0)
     stack.cp.open_account("acct-a", 10)  # below the price
     agent = stack.new_agent("a")
-    ticket = agent.acquire_ticket(1)
-    assert isinstance(agent.redeem_ticket(ticket, agent.make_payload("seller", 4)), Ack)
-    assert stack.cp.balance(agent.user_account) == 10
-    assert stack.rs.pending_charge_count == 1
-    assert stack.rs.retry_pending_charges() == 1  # still declined
-    stack.cp.charge(agent.user_account, -100, group=1, phase="ex_post")  # a credit
-    assert stack.rs.retry_pending_charges() == 0
+    first = agent.rate("seller", 4, group=1)
+    assert isinstance(first, Reject) and (first.reason, first.detail) == ("cp-declined", "limit-exceeded")
+    assert (stack.rs.records, stack.rs.spent_count) == ([], 0)
+    assert stack.rs.aggregate("seller").body == stack.rs.none_body
+    assert stack.cp.balance(agent.user_account) == 10 and len(agent.fresh_tickets()) == 1
+    stack.cp.charge(agent.user_account, -100, group=1, phase="ex_post")  # the top-up
+    assert isinstance(agent.rate("seller", 4, group=1), Ack)
+    assert [e.amount for e in stack.cp.history(agent.user_account) if e.phase == "ex_post"] == [-100, 40]
     assert stack.cp.balance(agent.user_account) == 110 - 40
-    assert stack.rs.retry_pending_charges() == 0  # settled once, never charged again
-    assert stack.cp.balance(agent.user_account) == 110 - 40
+    assert stack.rs.aggregate("seller").count == 1 and len(agent.tickets) == 1 and agent.fresh_tickets() == []
+
+
+def test_a_submission_from_an_account_the_provider_does_not_know_is_an_error():
+    """The ex-post charge of a platform with no account raises
+    ``unknown-account``: ``rs/submit`` answers that error, and nothing is stored."""
+    stack = make_stack(1, policy=PricingPolicy.flat({1: 40, 2: 40, 3: 40}), charging="ex_post")
+    agent = stack.new_agent("a", register=False)
+    agent.register()  # registered at the authority, with no account at the provider
+    ticket, payload, chain = honest_chain(stack, agent)
+    client = RsClient(InprocTransport(Router(rs=stack.rs)))
+    with raises_code("unknown-account"):
+        client.submit_rating(payload, chain)
+    assert (stack.rs.records, stack.rs.spent_count, stack.rs.subjects()) == ([], 0, [])
 
 
 def test_blacklisted_platform_can_still_redeem_issued_ticket():
