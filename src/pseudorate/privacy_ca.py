@@ -221,7 +221,9 @@ class PrivacyCa:
                 raise PcaError("identity key already carries a ticket", code="handshake-failed")
 
             record = self._platforms[pending.platform_id]
-            # before any draw: a commit declined by a racing charge draws nothing
+            # before any draw: a refused or declined commit draws nothing
+            if record.blacklisted:
+                raise PcaError("platform blacklisted since its request", code="handshake-failed")
             if PHASE_ACQUISITION in self._charge_phases:
                 if isinstance(self._charge(record, pending.group, PHASE_ACQUISITION), Declined):
                     raise PcaError("charging provider declined the ticket", code="cp-declined")

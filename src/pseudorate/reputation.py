@@ -13,7 +13,6 @@ which those bytes passed then, so it gets the same answer for less work.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -167,12 +166,14 @@ class ReputationSystem:
         self._totals: dict[str, _Totals] = {}
         self._lock = threading.Lock()
         self._rating_log = Path(rating_log) if rating_log else None
-        self._spent_snapshot = Path(spent_snapshot) if spent_snapshot else None
         if self._rating_log and self._rating_log.exists():
             for raw in read_records(self._rating_log):
                 self._apply(RatingRecord.from_record(raw), raw["aik_digest"])
-        if self._spent_snapshot and self._spent_snapshot.exists():
-            self._load_spent_snapshot(self._spent_snapshot)
+        # the rating log records every spent ticket; a spend snapshot that an
+        # older state dir still holds is merged too
+        if spent_snapshot and Path(spent_snapshot).exists():
+            for digest, at in decode(Path(spent_snapshot).read_bytes())["spent"].items():
+                self._spent.setdefault(digest, at)
 
     # -- configuration ---------------------------------------------------------
 
@@ -295,21 +296,6 @@ class ReputationSystem:
                 "records": [r.to_record() for r in self._records],
             }
         )
-
-    def save_spent_snapshot(self) -> None:
-        target = self._spent_snapshot
-        if target is None:
-            raise InvalidArgument("no snapshot path configured")
-        # written beside the snapshot and renamed over it, so a write cut
-        # short leaves the previous snapshot whole
-        partial = target.with_name(target.name + ".tmp")
-        partial.write_bytes(encode({"spent": dict(self._spent)}))
-        os.replace(partial, target)
-
-    def _load_spent_snapshot(self, path: Path) -> None:
-        snapshot = decode(path.read_bytes())
-        for digest, at in snapshot["spent"].items():
-            self._spent.setdefault(digest, at)
 
     def _apply(self, record: RatingRecord, aik_digest: str) -> None:
         """The only code that changes logged state: a live submission calls

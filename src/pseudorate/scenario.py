@@ -261,9 +261,7 @@ class _Stack:
                 "ledger_log": state_dir / "cp-ledger.log",
                 "issuance_log": state_dir / "pca-issuance.log",
                 "rating_log": state_dir / "rs-ratings.log",
-                "spent_snapshot": state_dir / "rs-spent.snap",
             }
-        self.state_dir = state_dir
 
         self.cp = ChargingProvider(
             self.clock,
@@ -291,7 +289,6 @@ class _Stack:
             clock=self.clock,
             expost_charge=expost,
             rating_log=logs.get("rating_log"),
-            spent_snapshot=logs.get("spent_snapshot"),
         )
 
         self.tap: list = []
@@ -443,8 +440,6 @@ def _drive(config: ScenarioConfig, stack: _Stack) -> Transcript:
     drain_messages()
     transcript.final = _final_state(config, stack)
     drain_messages()
-    if stack.state_dir is not None:
-        stack.rs.save_spent_snapshot()
     return transcript
 
 

@@ -182,8 +182,7 @@ def colony(tmp_path_factory):
         charging="ex_post",
         cp_kwargs={"ledger_log": state / "cp-ledger.log"},
         pca_kwargs={"issuance_log": state / "pca-issuance.log"},
-        rs_kwargs={"rating_log": state / "rs-ratings.log",
-                   "spent_snapshot": state / "rs-spent.snap"},
+        rs_kwargs={"rating_log": state / "rs-ratings.log"},
     )
 
     tap: list = []
@@ -209,7 +208,6 @@ def colony(tmp_path_factory):
         result = agent.redeem_ticket(ticket, agent.make_payload(f"subject-{i % 7}", i % 5 + 1))
         assert isinstance(result, Ack)
         agents.append(agent)
-    stack.rs.save_spent_snapshot()
     return {"stack": stack, "agents": agents, "issued": issued, "tap": tap, "state": state}
 
 
@@ -252,7 +250,7 @@ def test_6_shielding(colony):
     messages = b"||".join(frame for _, frame in tap)
     paths = sorted(state.iterdir())
     # every service's persisted state is in the haystack, none silently missing
-    assert [p.name for p in paths] == ["cp-ledger.log", "pca-issuance.log", "rs-ratings.log", "rs-spent.snap"]
+    assert [p.name for p in paths] == ["cp-ledger.log", "pca-issuance.log", "rs-ratings.log"]
     assert all(p.stat().st_size > 0 for p in paths)
     files = b"||".join(p.read_bytes() for p in paths)
     haystack = messages + b"||" + files

@@ -233,11 +233,12 @@ def test_abandoned_requests_move_no_money(kind):
 
 
 @pytest.mark.parametrize("kind", PRICINGS)
-@pytest.mark.parametrize("cause", ["expired", "bad-proof", "ticketed-meanwhile"])
+@pytest.mark.parametrize("cause", ["expired", "bad-proof", "ticketed-meanwhile", "blacklisted-meanwhile"])
 def test_a_failed_handshake_leaves_no_charge(cause, kind):
-    """An expired challenge, a proof that does not verify, and a second
-    challenge for an identity key that got its ticket meanwhile each fail at
-    the commit, and leave the ledger holding exactly the issued tickets."""
+    """An expired challenge, a proof that does not verify, a second
+    challenge for an identity key that got its ticket meanwhile, and a
+    platform blacklisted since its request each fail at the commit before
+    any draw, and leave the ledger holding exactly the issued tickets."""
     policy = PRICINGS[kind]
     stack = make_stack(9, group_count=1, policy=policy, charging="acquisition", credit_limit=0)
     agent = stack.new_agent("a")
@@ -248,11 +249,17 @@ def test_a_failed_handshake_leaves_no_charge(cause, kind):
         stack.clock.advance(CHALLENGE_TTL + 1)
     elif cause == "bad-proof":
         proof = agent.tpm.sign_issuance_nonce(identity[0], b"another nonce")
+    elif cause == "blacklisted-meanwhile":
+        stack.pca.blacklist(agent.platform_id, True)
     else:
         first = stack.pca.request_credential(identity[1], 1, agent.platform_id)
         stack.pca.complete_handshake(first.nonce, prove(agent, identity, first))
+    draws = []
+    randbytes = stack.pca._randbytes
+    stack.pca._randbytes = lambda n: draws.append(n) or randbytes(n)
     with raises_code("handshake-failed"):
         stack.pca.complete_handshake(challenge.nonce, proof)
+    assert draws == []
     issued = len(stack.pca._tickets)
     assert issued == (cause == "ticketed-meanwhile")
     assert [e.amount for e in stack.cp.history(agent.user_account)] == [price(policy, 1, i) for i in range(issued)]

@@ -652,19 +652,16 @@ def test_blacklisted_platform_can_still_redeem_issued_ticket():
 
 def test_persistence_round_trip(tmp_path):
     rating_log = tmp_path / "ratings.log"
-    snapshot = tmp_path / "spent.snap"
-    stack = make_stack(1, rs_kwargs={"rating_log": rating_log, "spent_snapshot": snapshot})
+    stack = make_stack(1, rs_kwargs={"rating_log": rating_log})
     agent = stack.new_agent("a")
     submitted = []
     for subject, score in (("s1", 5), ("s2", 2)):
         t, p, c = honest_chain(stack, agent, subject=subject, score=score)
         stack.rs.submit_rating(p, c)
         submitted.append((p, c))
-    stack.rs.save_spent_snapshot()
 
-    revived = ReputationSystem(
-        "rs-test", rating_log=rating_log, spent_snapshot=snapshot
-    )
+    # the rating log alone restores the spend set
+    revived = ReputationSystem("rs-test", rating_log=rating_log)
     assert len(revived.records) == 2
     assert revived.spent_count == 2
     assert revived.aggregate("s1").score == Fraction(5)
@@ -673,30 +670,20 @@ def test_persistence_round_trip(tmp_path):
         assert revived.submit_rating(payload, chain).reason == "double-spend"
 
 
-def test_torn_snapshot_write_keeps_previous_snapshot(tmp_path, monkeypatch):
-    snapshot = tmp_path / "rs-spent.snap"
-    stack = make_stack(1, rs_kwargs={"spent_snapshot": snapshot})
+def test_a_spend_snapshot_from_an_older_state_dir_is_still_read(tmp_path):
+    """A state dir written before the rating log became the only record of
+    spent tickets may hold ``rs-spent.snap``: its spends are merged."""
+    stack = make_stack(1)
     agent = stack.new_agent("a")
-    _, payload, chain = honest_chain(stack, agent, subject="s1")
-    stack.rs.submit_rating(payload, chain)
-    stack.rs.save_spent_snapshot()
-    first = set(stack.rs._spent)
-    assert len(first) == 1
-    _, payload, chain = honest_chain(stack, agent, subject="s2")
-    stack.rs.submit_rating(payload, chain)
-
-    def torn_write(path, data):
-        with open(path, "wb") as handle:
-            handle.write(data[: len(data) // 2])
-        raise OSError("disk full")
-
-    monkeypatch.setattr(Path, "write_bytes", torn_write)
-    with pytest.raises(OSError):
-        stack.rs.save_spent_snapshot()
-    monkeypatch.undo()
+    _, payload, chain = honest_chain(stack, agent)
+    snapshot = tmp_path / "rs-spent.snap"
+    snapshot.write_bytes(encode({"spent": {chain.aik_digest: 7}}))
 
     revived = ReputationSystem("rs-test", spent_snapshot=snapshot)
-    assert set(revived._spent) == first
+    revived.configure_groups(stack.pca.group_registry())
+    assert revived.spent_count == 1
+    assert revived.submit_rating(payload, chain).reason == "double-spend"
+    assert revived.records == []
 
 
 def test_rating_log_replay_supports_aggregation_oracle(tmp_path):

@@ -82,7 +82,7 @@ def test_transcript_matches_golden_digest(name):
 
 
 # sha256 of each state file a scenario run leaves in its state dir; the logs
-# and the spent snapshot are what a restart reads, so their bytes are pinned
+# are what a restart reads, so their bytes are pinned
 # as the transcripts are (sybil_increasing submits no rating, so it has no
 # rating log)
 GOLDEN_STATE_FILES = {
@@ -90,24 +90,20 @@ GOLDEN_STATE_FILES = {
         "cp-ledger.log": "a4475e753ac17fe0312c3dfbf1ac47e6ddbc395256981d23fa5a84670bd78e68",
         "pca-issuance.log": "94417f9e2209bfba61b632d6e2996feaafb0f65f849a31eff30ff14edb50c813",
         "rs-ratings.log": "648848e059b675b1cd04c7dc76fb61ca47e495006fd73b2cb098ce11196b9f7f",
-        "rs-spent.snap": "6b33b6a8c4640e4bd2ea1f85aa015729aaf880e0d6fa9009fdc2ed4e7c9a28a6",
     },
     "basic.json": {
         "cp-ledger.log": "03af514fb42982256b0e5c87d6c5573c75618c08e38e2fb9601fb8f668159a2f",
         "pca-issuance.log": "e0d1549f18213879e175e4fbe5164bb102a28d6846214705d32935e15d31d318",
         "rs-ratings.log": "0950d6a1538853d17f691d5eac0ab2e1da517093d173d2406a08c12b6561a16b",
-        "rs-spent.snap": "e178b8457013688476fceab9af7e1446ea4bfe58e4dbd3df05eb2b4d438eb458",
     },
     "double_spend.json": {
         "cp-ledger.log": "b00a054ac9f7d83acccad72224facaf63c5bacf4232f2d667f6b4e18a8f8c484",
         "pca-issuance.log": "5fbc52840a6d578a97b75bcc124682345e08b241a11eb46ca72760780041ba0e",
         "rs-ratings.log": "d5565e990fc750058dbbc66baec4ecc4f43b7928aef59b3166f56386ee8d51a4",
-        "rs-spent.snap": "ee51b78440f12fbcafad0fb67a899101a1032cf8a421c295335df30ea663ba98",
     },
     "sybil_increasing.json": {
         "cp-ledger.log": "a43811a0644462572e261f2f9dc2a6466cef8ac0e2ebe4223038137462b09e2e",
         "pca-issuance.log": "0f5ba1de8325fe5fe6ebe32ee44f2ff6af2eed8be37bac2885e972ce14fea5f7",
-        "rs-spent.snap": "9b7b0e1d0530f96baad08d8092f5b3aebc16fafa7c53fa811d2d9e5984fc2b38",
     },
 }
 
@@ -332,7 +328,7 @@ def test_transcript_round_trip():
 def test_state_dir_persists_services(tmp_path):
     run_file("basic.json", state_dir=tmp_path)
     names = {p.name for p in tmp_path.iterdir()}
-    assert names == {"cp-ledger.log", "pca-issuance.log", "rs-ratings.log", "rs-spent.snap"}
+    assert names == {"cp-ledger.log", "pca-issuance.log", "rs-ratings.log"}
 
 
 # -- command line ----------------------------------------------------------------
@@ -356,6 +352,17 @@ def test_cli_run_malformed_scenario_is_usage_error(tmp_path, capsys):
     sick = tmp_path / "sick.json"
     sick.write_text(json.dumps(raw))
     assert main(["run", str(sick)]) == 2
+
+
+@pytest.mark.parametrize("log", ["cp-ledger.log", "pca-issuance.log", "rs-ratings.log"])
+def test_cli_run_over_a_log_line_that_does_not_decode_is_one_error_line(log, tmp_path, capsys):
+    state = tmp_path / "state"
+    assert main(["run", str(SCENARIOS / "basic.json"), "--state-dir", str(state)]) == 0
+    with open(state / log, "ab") as handle:
+        handle.write(b"garbage!!\n")
+    capsys.readouterr()
+    assert main(["run", str(SCENARIOS / "basic.json"), "--state-dir", str(state)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: corrupt log line"]
 
 
 def test_charging_mode_both_is_refused(tmp_path):
