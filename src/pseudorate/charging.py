@@ -15,12 +15,16 @@ from fractions import Fraction
 from pathlib import Path
 
 from .clock import SimClock
-from .encoding import append_record, check_fields, encode, read_records
+from .encoding import append_record, check_fields, check_kind, encode, read_records
 from .errors import InvalidArgument, TicketError, UnknownGroup
 
 PHASE_ACQUISITION = "acquisition"
 PHASE_EX_POST = "ex_post"
 PHASES = (PHASE_ACQUISITION, PHASE_EX_POST)
+_RECORDS = {  # kind -> the fields of a ledger record (FORMATS §6)
+    "open": {"kind": str, "account": str, "balance": int},
+    "charge": {"kind": str, "account": str, "at": int, "amount": int, "phase": str, "group": int, "receipt": str},
+}
 
 
 class ChargingError(TicketError):
@@ -214,7 +218,7 @@ class ChargingProvider:
         self._ledger_log = Path(ledger_log) if ledger_log else None
         if self._ledger_log and self._ledger_log.exists():
             for record in read_records(self._ledger_log):
-                self._apply(record)
+                self._apply(check_kind(record, _RECORDS, where="ledger record"))
 
     # -- accounts ------------------------------------------------------------
 

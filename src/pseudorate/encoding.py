@@ -212,6 +212,14 @@ def check_fields(record: object, kinds: dict[str, type], optional=(), where: str
     return record
 
 
+def check_kind(record: object, shapes: dict[str, dict[str, type]], optional=(), where: str = "record") -> dict:
+    """:func:`check_fields` of ``record`` against the shape its ``"kind"`` names in ``shapes``."""
+    kind = record.get("kind") if type(record) is dict else None
+    if type(kind) is not str or kind not in shapes:
+        raise EncodingError(f"{where} of unknown kind {kind!r}")
+    return check_fields(record, shapes[kind], optional, where)
+
+
 def append_record(path: Path | str, value: Value) -> None:
     """Append one record to a log file: base64 of the canonical bytes, one per line."""
     # one os.write on a descriptor opened per record; a write that fails part-way

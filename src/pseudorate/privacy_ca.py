@@ -30,12 +30,22 @@ from .charging import (
     price,
 )
 from .clock import SimClock
-from .encoding import append_record, read_records
+from .encoding import append_record, check_kind, read_records
 from .errors import InvalidArgument, TicketError, UnknownGroup
 
 logger = logging.getLogger(__name__)
 
 CHALLENGE_TTL = 300  # seconds of simulated time; single use regardless
+# kind -> the fields of an issuance log record (FORMATS §6). Older logs also hold
+# register records with a platform_info dict, and charge records, which replay skips.
+_RECORDS = {
+    "register": {"kind": str, "platform_id": str, "ek_public": bytes, "user_account": str, "platform_info": dict},
+    "issue": {
+        "kind": str, "platform_id": str, "aik_digest": str, "group": int, "at": int, "label": str, "charge_ref": str
+    },
+    "blacklist": {"kind": str, "platform_id": str, "flag": int},
+    "charge": {"kind": str, "account": str, "charge_ref": str, "receipt": str},
+}
 
 
 class PcaError(TicketError):
@@ -125,7 +135,7 @@ class PrivacyCa:
         self._tickets: dict[str, IssuedTicket] = {}  # aik digest -> ticket
         self._pending: dict[bytes, PendingIssuance] = {}
         for record in records:
-            self._apply(record)
+            self._apply(check_kind(record, _RECORDS, ("platform_info",), "issuance record"))
         if records:  # two lives at one log length share seed and length: only the OS tells them apart
             self._randbytes = secrets.token_bytes
 
@@ -320,20 +330,11 @@ class PrivacyCa:
         provider's ledger holds those charges."""
         kind = record["kind"]
         if kind == "register":
-            self._platforms[record["platform_id"]] = IdentityRecord(
-                platform_id=record["platform_id"],
-                ek_public=record["ek_public"],
-                user_account=record["user_account"],
-            )
+            platform_id = record["platform_id"]
+            self._platforms[platform_id] = IdentityRecord(platform_id, record["ek_public"], record["user_account"])
         elif kind == "issue":
-            ticket = IssuedTicket(
-                aik_digest=record["aik_digest"],
-                platform_id=record["platform_id"],
-                group=record["group"],
-                at=record["at"],
-                identity_label=record["label"],
-                charge_ref=record["charge_ref"],
-            )
+            digest, platform_id, group = record["aik_digest"], record["platform_id"], record["group"]
+            ticket = IssuedTicket(digest, platform_id, group, record["at"], record["label"], record["charge_ref"])
             self._platforms[ticket.platform_id].issued.append(ticket)
             self._tickets[ticket.aik_digest] = ticket
         elif kind == "blacklist":

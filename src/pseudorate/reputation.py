@@ -34,6 +34,8 @@ REJECT_BAD_PAYLOAD = "bad-payload"
 REJECT_CP_DECLINED = "cp-declined"
 
 _PAYLOAD_FIELDS = {"subject": str, "score": int, "comment": str, "nonce": bytes, "rs_id": str}
+# a rating log record (FORMATS §6): the rating record and its ticket's aik_digest
+_LOGGED_FIELDS = {"payload": dict, "group": int, "impact": str, "received": int, "chain_digest": str, "aik_digest": str}
 
 
 @dataclass(frozen=True)
@@ -91,14 +93,11 @@ class RatingRecord:
         }
 
     @classmethod
-    def from_record(cls, record: dict) -> "RatingRecord":
-        return cls(
-            payload=RatingPayload.from_record(record["payload"]),
-            group=record["group"],
-            impact=Fraction(record["impact"]),
-            received=record["received"],
-            chain_digest=record["chain_digest"],
-        )
+    def from_record(cls, record: object) -> "RatingRecord":
+        """A rating log record (FORMATS §6); one of any other shape is an EncodingError."""
+        r = check_fields(record, _LOGGED_FIELDS, where="rating record")
+        payload = RatingPayload.from_record(r["payload"])
+        return cls(payload, r["group"], Fraction(r["impact"]), r["received"], r["chain_digest"])
 
 
 @dataclass(frozen=True)
@@ -172,7 +171,9 @@ class ReputationSystem:
         # the rating log records every spent ticket; a spend snapshot that an
         # older state dir still holds is merged too
         if spent_snapshot and Path(spent_snapshot).exists():
-            for digest, at in decode(Path(spent_snapshot).read_bytes())["spent"].items():
+            snapshot = decode(Path(spent_snapshot).read_bytes())
+            spent = check_fields(snapshot, {"spent": dict}, where="spend snapshot")["spent"]
+            for digest, at in check_fields(spent, dict.fromkeys(spent, int), where="spend snapshot").items():
                 self._spent.setdefault(digest, at)
 
     # -- configuration ---------------------------------------------------------

@@ -239,8 +239,8 @@ class Transcript:
 # ---------------------------------------------------------------------------
 
 class _Stack:
-    """Services behind one router, one transport to it, and the clients for
-    one scenario run."""
+    """Services behind one router, the chosen transport to it and an
+    in-process one for operator calls, and the clients for one scenario run."""
 
     def __init__(self, config: ScenarioConfig, transport: str, state_dir: Path | None):
         if transport not in TRANSPORTS:
@@ -293,9 +293,10 @@ class _Stack:
 
         self.tap: list = []
         router = Router(pca=self.pca, rs=self.rs, cp=self.cp)
+        local = InprocTransport(router, tap=self.tap)  # for operator calls: a socket serves no operator route
         self._server: SocketServer | None = None
         if transport == "inproc":
-            self._transport = InprocTransport(router, tap=self.tap)
+            self._transport = local
         else:
             try:
                 self._server = SocketServer(router, port=int(port))
@@ -317,6 +318,8 @@ class _Stack:
         self.pca_client = PcaClient(self._transport)
         self.rs_client = RsClient(self._transport)
         self.cp_client = CpClient(self._transport)
+        # the group push, the blacklist step and the final balance reads
+        self.operator_pca, self.operator_rs, self.operator_cp = PcaClient(local), RsClient(local), CpClient(local)
 
         self.agents = {
             spec.name: TrustedAgent(
@@ -375,7 +378,7 @@ def _drive(config: ScenarioConfig, stack: _Stack) -> Transcript:
         transcript.events.append(event)
 
     # the group registry push and policy fetch are part of every run
-    stack.rs_client.configure_groups(stack.pca.group_registry())
+    stack.operator_rs.configure_groups(stack.pca.group_registry())
     policy_record = stack.cp_client.get_policy()
     record("setup", None, "ok", {"policy": policy_record, "group_count": len(config.groups)})
 
@@ -408,7 +411,7 @@ def _drive(config: ScenarioConfig, stack: _Stack) -> Transcript:
                 record(action, agent_name, *_submit(agent, ticket, payload, chain))
 
             elif action == "blacklist":
-                stack.pca_client.blacklist(agent.platform_id, step["flag"])
+                stack.operator_pca.blacklist(agent.platform_id, step["flag"])
                 record(action, agent_name, f"flag={step['flag']:d}", {})
 
             elif action == "tamper":
@@ -494,7 +497,7 @@ def _run_tamper(stack: _Stack, agent: TrustedAgent, step: dict) -> tuple[str, di
 
 
 def _final_state(config: ScenarioConfig, stack: _Stack) -> dict:
-    balances = {spec.account: stack.cp_client.balance(spec.account) for spec in config.agents}
+    balances = {spec.account: stack.operator_cp.balance(spec.account) for spec in config.agents}
     scores = {}
     for subject in stack.rs.subjects():
         count, score = stack.rs_client.score(subject)

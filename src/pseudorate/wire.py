@@ -3,8 +3,8 @@
 Every exchange is one canonical-encoded request frame and one response
 frame. The router is total: arbitrary bytes at any endpoint produce a
 protocol error response, never a crash. The in-process and socket
-transports carry byte-identical frames, so behaviour is the same over
-either.
+transports carry byte-identical frames; a socket is answered as in process
+on every route but the operator routes, which it does not serve.
 
 Frame layout (socket transport adds a 4-byte big-endian length prefix):
 
@@ -16,6 +16,7 @@ Frame layout (socket transport adds a 4-byte big-endian length prefix):
 from __future__ import annotations
 
 import contextlib
+import copy
 import itertools
 import logging
 import socket
@@ -228,6 +229,9 @@ ROUTES: dict[str, tuple[str, dict[str, type], Callable[..., dict | bytes]]] = {
     "cp/policy": ("cp", {}, lambda cp: {"policy": cp.policy.to_record()}),
     "cp/admin/policy": ("cp", {"policy": dict}, _h_set_policy),
 }
+# called in process only: over a socket each is answered as an endpoint no one serves (FORMATS §3)
+OPERATOR_ROUTES = frozenset({"pca/blacklist", "rs/admin/groups", "cp/charge", "cp/balance", "cp/admin/policy"})
+_PUBLIC_ROUTES = {endpoint: route for endpoint, route in ROUTES.items() if endpoint not in OPERATOR_ROUTES}
 
 
 class Router:
@@ -241,12 +245,13 @@ class Router:
         cp: ChargingProvider | None = None,
     ):
         self._services = {"pca": pca, "rs": rs, "cp": cp}
+        self._routes = ROUTES  # a SocketServer's copy answers _PUBLIC_ROUTES only
 
     def handle(self, data: bytes) -> bytes:
         endpoint, corr = "", b""
         try:
             endpoint, body, corr = decode_request(data)
-            service_name, fields, handler = ROUTES.get(endpoint, ("", {}, None))
+            service_name, fields, handler = self._routes.get(endpoint, ("", {}, None))
             service = self._services.get(service_name)
             if service is None:
                 raise WireError(f"unknown endpoint {endpoint!r}", code="unknown-endpoint")
@@ -311,13 +316,16 @@ def _write_frame(sock: socket.socket, data: bytes) -> None:
 
 
 class SocketServer:
-    """Threaded TCP server speaking length-prefixed frames into a router.
-    ``close`` stops accepting, ends every connection it accepted and returns
-    once no request is still being handled, so a service rebuilt behind the
-    same port never runs beside the old one."""
+    """Threaded TCP server speaking length-prefixed frames into a copy of a
+    router that serves no operator route. ``close`` stops accepting, ends
+    every connection it accepted and returns once no request is still being
+    handled, so a service rebuilt behind the same port never runs beside the
+    old one."""
 
     def __init__(self, router: Router, host: str = "127.0.0.1", port: int = 0):
-        self._handle = router.handle
+        public = copy.copy(router)  # the same services
+        public._routes = _PUBLIC_ROUTES
+        self._handle = public.handle
         self._listener = socket.create_server((host, port))
         self.host, self.port = self._listener.getsockname()[:2]
         self._lock = threading.Lock()

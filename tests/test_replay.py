@@ -12,6 +12,7 @@ import pytest
 from pseudorate.agent import TicketDenied
 from pseudorate.charging import PHASES, ChargingProvider, Declined, PricingPolicy, RevenueShares
 from pseudorate.clock import SimClock
+from pseudorate.encoding import append_record, read_records
 from pseudorate.errors import TicketError
 from pseudorate.privacy_ca import GroupConfig, PrivacyCa
 from pseudorate.reputation import Ack, ReputationSystem
@@ -117,6 +118,13 @@ def test_authority_live_state_equals_replayed(tmp_path, charging):
     assert revived._platforms == stack.pca._platforms
     assert any(record.issued for record in revived._platforms.values())
     assert revived._tickets == stack.pca._tickets
+    # register records of older logs carry a platform_info dict, which replay ignores
+    older = tmp_path / "older-issuance.log"
+    for record in read_records(tmp_path / "pca-issuance.log"):
+        info = {"platform_info": {"tpm": "software-emulator-v1"}} if record["kind"] == "register" else {}
+        append_record(older, {**record, **info})
+    rebuilt = PrivacyCa({g: GroupConfig(impact=Fraction(g)) for g in (1, 2, 3)}, rng=random.Random(0), issuance_log=older)
+    assert (rebuilt._platforms, rebuilt._tickets) == (stack.pca._platforms, stack.pca._tickets)
 
 
 @pytest.mark.parametrize("charging", ["acquisition", "ex_post"])

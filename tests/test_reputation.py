@@ -21,7 +21,7 @@ from pseudorate.reputation import (
     Reject,
     ReputationSystem,
 )
-from pseudorate.encoding import append_record, encode
+from pseudorate.encoding import EncodingError, append_record, encode
 from pseudorate.wire import InprocTransport, Router, RsClient, decode_request, encode_request, encode_response
 
 from support import certify_with, count_calls, honest_chain, make_stack, raises_code, replace
@@ -684,6 +684,16 @@ def test_a_spend_snapshot_from_an_older_state_dir_is_still_read(tmp_path):
     assert revived.spent_count == 1
     assert revived.submit_rating(payload, chain).reason == "double-spend"
     assert revived.records == []
+
+
+@pytest.mark.parametrize("snapshot", [{"spent": {"d" * 64: "7"}}, {"spent": [7]}, {"spent": {}, "at": 1}, [7]])
+def test_a_spend_snapshot_of_another_shape_is_refused(tmp_path, snapshot):
+    """A spend snapshot is ``{"spent": {digest: int}}``; any other shape is an
+    EncodingError, which ``pseudorate run`` reports as one error line."""
+    path = tmp_path / "rs-spent.snap"
+    path.write_bytes(encode(snapshot))
+    with pytest.raises(EncodingError, match="spend snapshot"):
+        ReputationSystem("rs-test", spent_snapshot=path)
 
 
 def test_rating_log_replay_supports_aggregation_oracle(tmp_path):

@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import pseudorate
 from pseudorate.cli import demo_config, main
-from pseudorate.encoding import encode
+from pseudorate.encoding import encode, read_records
 from pseudorate.errors import TicketError
 from pseudorate.scenario import AgentSpec, ScenarioConfig, ScenarioError, Transcript, run_scenario
 
@@ -354,15 +355,63 @@ def test_cli_run_malformed_scenario_is_usage_error(tmp_path, capsys):
     assert main(["run", str(sick)]) == 2
 
 
-@pytest.mark.parametrize("log", ["cp-ledger.log", "pca-issuance.log", "rs-ratings.log"])
-def test_cli_run_over_a_log_line_that_does_not_decode_is_one_error_line(log, tmp_path, capsys):
+LOGS = ("cp-ledger.log", "pca-issuance.log", "rs-ratings.log")
+# (log, case, the record appended, made from the log's last record, and the
+# one error line it gives): each is decodable, but not of its log's shape
+WRONG_SHAPES = [
+    ("cp-ledger.log", "unknown-kind", lambda _: {"kind": "x"}, "ledger record of unknown kind 'x'"),
+    ("cp-ledger.log", "missing-field", lambda _: {"kind": "open", "account": "z"}, "ledger record: missing 'balance'"),
+    (
+        "cp-ledger.log",
+        "wrong-type",
+        lambda _: {"kind": "open", "account": "z", "balance": "10"},
+        "ledger record: balance must be int, not str",
+    ),
+    ("pca-issuance.log", "unknown-kind", lambda _: {"kind": "x"}, "issuance record of unknown kind 'x'"),
+    (
+        "pca-issuance.log",
+        "missing-field",
+        lambda last: {k: v for k, v in last.items() if k != "charge_ref"},
+        "issuance record: missing 'charge_ref'",
+    ),
+    (
+        "pca-issuance.log",
+        "wrong-type",
+        lambda last: {**last, "group": str(last["group"])},
+        "issuance record: group must be int, not str",
+    ),
+    ("rs-ratings.log", "unknown-kind", lambda _: {"kind": "x"}, "rating record: unknown field 'kind'"),
+    (
+        "rs-ratings.log",
+        "missing-field",
+        lambda last: {k: v for k, v in last.items() if k != "aik_digest"},
+        "rating record: missing 'aik_digest'",
+    ),
+    (
+        "rs-ratings.log",
+        "wrong-type",
+        lambda last: {**last, "received": str(last["received"])},
+        "rating record: received must be int, not str",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "log, fault, error",
+    [pytest.param(log, None, "corrupt log line", id=log) for log in LOGS]
+    + [pytest.param(log, fault, error, id=f"{log}-{case}") for log, case, fault, error in WRONG_SHAPES],
+)
+def test_cli_run_over_a_log_line_that_does_not_decode_is_one_error_line(log, fault, error, tmp_path, capsys):
+    """A state-dir log line that does not decode, or that decodes to a record
+    of the wrong shape, stops the run with one error line and exit 1."""
     state = tmp_path / "state"
     assert main(["run", str(SCENARIOS / "basic.json"), "--state-dir", str(state)]) == 0
+    line = b"garbage!!" if fault is None else base64.b64encode(encode(fault(read_records(state / log)[-1])))
     with open(state / log, "ab") as handle:
-        handle.write(b"garbage!!\n")
+        handle.write(line + b"\n")
     capsys.readouterr()
     assert main(["run", str(SCENARIOS / "basic.json"), "--state-dir", str(state)]) == 1
-    assert capsys.readouterr().err.splitlines() == ["error: corrupt log line"]
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
 
 
 def test_charging_mode_both_is_refused(tmp_path):

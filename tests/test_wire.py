@@ -11,12 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pseudorate.charging import PricingPolicy
-from pseudorate.crypto import key_id_of, sha256_hex
+from pseudorate.crypto import generate_keypair, key_id_of, sha256_hex
 from pseudorate.encoding import MAX_DEPTH, EncodingError, decode, encode
 from pseudorate.encoding import read_records
 from pseudorate.reputation import Ack, Reject, ReputationSystem
 from pseudorate.wire import (
     CpClient,
+    OPERATOR_ROUTES,
     InprocTransport,
     PcaClient,
     ROUTES,
@@ -475,23 +476,64 @@ def test_groups_admin_endpoint_refuses_keys_that_are_not_group_ids(keys):
     assert stack.rs.group_registry == before
 
 
-def test_socket_transport_matches_inproc_bytes():
+@pytest.mark.parametrize("endpoint", sorted(ROUTES.keys() - OPERATOR_ROUTES))
+def test_socket_transport_matches_inproc_bytes(endpoint):
+    """Every public route answers over the socket with the bytes it answers in
+    process: a well-formed body, one with a field missing, and an empty one."""
+    assert len(ROUTES) - len(OPERATOR_ROUTES) == 7
     stack_a = make_stack(7)
     stack_b = make_stack(7)
     inproc = InprocTransport(full_router(stack_a))
     server = SocketServer(full_router(stack_b))
     socket_transport = SocketTransport(server.host, server.port)
+    good = {name: SAMPLE[kind] for name, kind in ROUTES[endpoint][1].items()}
     try:
-        for endpoint, body in [
-            ("rs/score", {"subject": "nobody"}),
-            ("cp/policy", {}),
-            ("pca/blacklist", {"platform_id": "zz", "flag": 1}),
-        ]:
+        for body in (good, dict(list(good.items())[1:]), {}):
             frame = encode_request(endpoint, body, b"\x01")
             assert inproc.request(frame) == socket_transport.request(frame)
     finally:
         socket_transport.close()
         server.close()
+
+
+@pytest.mark.parametrize("endpoint", sorted(OPERATOR_ROUTES))
+def test_socket_answers_operator_routes_as_unknown_endpoints(endpoint):
+    """Over a socket an operator route is answered as an endpoint no router
+    serves, whatever its body, and no state changes; in process the same
+    frame is served as before."""
+    assert OPERATOR_ROUTES < ROUTES.keys()
+    stack = make_stack(3, policy=PricingPolicy.flat({1: 100, 2: 200, 3: 300}))
+    agent = stack.new_agent("victim")
+
+    def state():
+        platform = stack.pca._platforms[agent.platform_id]
+        return stack.rs.group_registry, stack.cp.balance(agent.user_account), platform.blacklisted, stack.cp.policy
+
+    before = state()
+    assert sorted(before[0]) == [1, 2, 3] and before[1:3] == (10_000, False)
+    # sent in process, each of these changes the state its route guards, or reads it
+    attack = {
+        "pca/blacklist": {"platform_id": agent.platform_id, "flag": 1},
+        "rs/admin/groups": {"groups": {"4": {"pub": generate_keypair(seed=b"attacker").public, "impact": "1000"}}},
+        "cp/charge": {"account_id": agent.user_account, "amount": -1_000_000, "group": 1, "phase": "acquisition"},
+        "cp/balance": {"account_id": agent.user_account},
+        "cp/admin/policy": {"policy": {"kind": "free"}},
+    }[endpoint]
+    server = SocketServer(full_router(stack))
+    transport = SocketTransport(server.host, server.port)
+    try:
+        for body in (attack, {}, {"platform_id": 7}):
+            frame = encode_request(endpoint, body, b"\x01")
+            assert transport.request(frame) == Router().handle(frame)
+    finally:
+        transport.close()
+        server.close()
+    _, _, status, body = decode_response(Router().handle(encode_request(endpoint, attack, b"\x01")))
+    assert (status, body) == ("error", {"code": "unknown-endpoint", "message": f"unknown endpoint {endpoint!r}"})
+    assert state() == before
+    _, _, status, _ = decode_response(full_router(stack).handle(encode_request(endpoint, attack, b"\x01")))
+    assert status == "ok"
+    assert (state() == before) is (endpoint == "cp/balance")
 
 
 def test_socket_survives_garbage_frames():
