@@ -41,7 +41,6 @@ def live_increasing_run(count: int) -> int:
         clock=clock,
         rng=random.Random(1),
         charging=cp,
-        pricing=policy,
         charge_phases=("acquisition",),
     )
     rs = ReputationSystem("rs-sybil", clock=clock)

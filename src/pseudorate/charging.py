@@ -24,6 +24,7 @@ PHASES = (PHASE_ACQUISITION, PHASE_EX_POST)
 _RECORDS = {  # kind -> the fields of a ledger record (FORMATS §6)
     "open": {"kind": str, "account": str, "balance": int},
     "charge": {"kind": str, "account": str, "at": int, "amount": int, "phase": str, "group": int, "receipt": str},
+    "policy": {"kind": str, "policy": dict},
 }
 
 
@@ -245,7 +246,8 @@ class ChargingProvider:
         return self._policy
 
     def set_policy(self, policy: PricingPolicy) -> None:
-        self._policy = policy
+        with self._lock:  # the price charged from the next charge on, logged so that a restart keeps it
+            self._commit({"kind": "policy", "policy": policy.to_record()})
 
     @property
     def revenue_totals(self) -> dict[str, int]:
@@ -296,6 +298,7 @@ class ChargingProvider:
                     for a in self._accounts.values()
                 },
                 "revenue": dict(self._revenue),
+                "policy": self._policy.to_record(),
             }
         )
 
@@ -322,11 +325,14 @@ class ChargingProvider:
         """The only code that changes ledger state: live operations reach it
         through :meth:`_commit` after logging, and replay calls it for each
         logged record."""
+        if record["kind"] == "policy":  # not a charge: no receipt, no price index, no revenue
+            self._policy = PricingPolicy.from_record(record["policy"])
+            return
         account_id = record["account"]
         if record["kind"] == "open":
             self._accounts[account_id] = Account(account_id, record["balance"], record["balance"])
             return
-        account = self._accounts[account_id]
+        account = self._account(account_id)  # a logged charge may name an account no record opened
         amount = record["amount"]
         account.balance -= amount
         account.history.append(

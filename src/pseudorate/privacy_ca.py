@@ -111,6 +111,8 @@ class PrivacyCa:
         issuance_log: Path | str | None = None,
     ):
         self._validate_groups(groups)
+        if pricing not in (None, getattr(charging, "policy", None)):  # the provider's published policy is the price
+            raise InvalidArgument("pricing must be the charging provider's own policy")
         self._issuance_log = Path(issuance_log) if issuance_log else None
         records = read_records(self._issuance_log) if self._issuance_log and self._issuance_log.exists() else []
         if records and rng is None:  # fresh group keys would void every ticket the log records
@@ -120,13 +122,11 @@ class PrivacyCa:
         self._groups = dict(groups)
         self._group_keys = {g: crypto.generate_keypair(seed=self._randbytes(32)) for g in sorted(groups)}
         self._charging = charging
-        self._pricing = pricing
         # ex-post charges reach the authority through charge_for_ticket only
         for phase in charge_phases:
             if phase != PHASE_ACQUISITION:
                 raise InvalidArgument(f"the authority charges only at acquisition, not {phase!r}")
-        # without a provider and a policy the authority charges nothing, in any phase
-        self._charge_phases = tuple(charge_phases) if charging is not None and pricing is not None else ()
+        self._charge_phases = tuple(charge_phases) if charging is not None else ()  # no provider, no charge
         self._authority_tokens = set(authority_tokens or ())
         # one writer at a time: nonce consumption and the identity index are
         # check-and-update pairs and must be linearizable
@@ -184,9 +184,7 @@ class PrivacyCa:
             now = self._clock.now()
             for nonce in list(takewhile(lambda n: self._pending[n].expires < now, self._pending)):
                 del self._pending[nonce]
-            record = self._platforms.get(platform_id)
-            if record is None:
-                raise PcaError("platform not registered", code="unregistered-platform")
+            record = self._platform(platform_id, "unregistered-platform")
             self._require_group(group)
             if record.blacklisted:
                 return DeniedRequest(reason="blacklisted")
@@ -194,12 +192,12 @@ class PrivacyCa:
             if aik_digest in self._tickets:
                 raise PcaError("identity key already carries a ticket", code="duplicate-aik")
 
-            # a CA-random reference kept on the issue record; drawn before the
-            # nonce, so every later draw and label keeps its place
+            # priced before any draw; a CA-random reference kept on the issue record
+            # is drawn before the nonce, so every later draw and label keeps its place
+            amount = self._price(record, group, PHASE_ACQUISITION) if PHASE_ACQUISITION in self._charge_phases else None
             charge_ref = self._randbytes(16).hex()
-            if PHASE_ACQUISITION in self._charge_phases:
-                if self._charging.declines(record.user_account, self._price(record, group)):
-                    return DeniedRequest(reason="cp-declined")
+            if amount is not None and self._charging.declines(record.user_account, amount):
+                return DeniedRequest(reason="cp-declined")
 
             nonce = self._randbytes(32)
             pending = PendingIssuance(
@@ -282,9 +280,7 @@ class PrivacyCa:
 
     def blacklist(self, platform_id: str, flag: bool) -> None:
         with self._lock:
-            record = self._platforms.get(platform_id)
-            if record is None:
-                raise PcaError("platform not registered", code="unknown-platform")
+            self._platform(platform_id)
             self._commit({"kind": "blacklist", "platform_id": platform_id, "flag": int(flag)})
 
     # -- charging ------------------------------------------------------------------
@@ -298,21 +294,29 @@ class PrivacyCa:
                 raise PcaError("no ticket issued for that identity key", code="not-found")
             return self._charge(self._platforms[ticket.platform_id], group, PHASE_EX_POST)
 
-    def _price(self, record: IdentityRecord, group: int) -> int:
-        # the provider's ledger is the one count of the charges an account
-        # has paid, so a declined or failed charge does not move the price
-        return price(self._pricing, group, self._charging.charge_count(record.user_account))
+    def _price(self, record: IdentityRecord, group: int, phase: str) -> int:
+        # the provider owns the price: its published policy, at the place its ledger's
+        # count of the account's charges gives; a declined or failed charge moves neither
+        amount = price(self._charging.policy, group, self._charging.charge_count(record.user_account))
+        if amount < 0 and phase == PHASE_ACQUISITION:  # a credit for each ticket pays for pseudonyms
+            raise InvalidArgument("a reverse policy pays each ticket's buyer: charge it ex post, not at acquisition")
+        return amount
 
     def _charge(self, record: IdentityRecord, group: int, phase: str) -> ChargeReceipt | Declined | None:
-        if self._charging is None or self._pricing is None:
+        if self._charging is None:
             return None
-        account = record.user_account
-        result = self._charging.charge(account, self._price(record, group), group=group, phase=phase)
+        result = self._charging.charge(record.user_account, self._price(record, group, phase), group=group, phase=phase)
         if isinstance(result, Declined):
-            logger.info("charge declined for account %s", account)
+            logger.info("charge declined for account %s", record.user_account)
         return result
 
     # -- internals --------------------------------------------------------------
+
+    def _platform(self, platform_id: str, code: str = "unknown-platform") -> IdentityRecord:
+        record = self._platforms.get(platform_id)
+        if record is None:
+            raise PcaError("platform not registered", code=code)
+        return record
 
     def _require_group(self, group: int) -> None:
         if group not in self._groups:
@@ -335,7 +339,7 @@ class PrivacyCa:
         elif kind == "issue":
             digest, platform_id, group = record["aik_digest"], record["platform_id"], record["group"]
             ticket = IssuedTicket(digest, platform_id, group, record["at"], record["label"], record["charge_ref"])
-            self._platforms[ticket.platform_id].issued.append(ticket)
+            self._platform(platform_id).issued.append(ticket)
             self._tickets[ticket.aik_digest] = ticket
         elif kind == "blacklist":
-            self._platforms[record["platform_id"]].blacklisted = bool(record["flag"])
+            self._platform(record["platform_id"]).blacklisted = bool(record["flag"])

@@ -24,7 +24,7 @@ from . import crypto
 from .charging import Declined
 from .clock import SimClock
 from .crypto import CredentialChain
-from .encoding import append_record, check_fields, decode, encode, read_records
+from .encoding import EncodingError, append_record, check_fields, decode, encode, read_records
 from .errors import InvalidArgument
 
 REJECT_INVALID_CHAIN = "invalid-chain"
@@ -97,7 +97,13 @@ class RatingRecord:
         """A rating log record (FORMATS §6); one of any other shape is an EncodingError."""
         r = check_fields(record, _LOGGED_FIELDS, where="rating record")
         payload = RatingPayload.from_record(r["payload"])
-        return cls(payload, r["group"], Fraction(r["impact"]), r["received"], r["chain_digest"])
+        try:
+            impact = Fraction(r["impact"])
+        except (ValueError, ZeroDivisionError):
+            impact = None
+        if impact is None or impact <= 0:  # refused as configure_groups refuses it: aggregate divides by the weights
+            raise EncodingError(f"rating record: impact must be a positive fraction, not {r['impact']!r}")
+        return cls(payload, r["group"], impact, r["received"], r["chain_digest"])
 
 
 @dataclass(frozen=True)

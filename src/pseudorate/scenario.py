@@ -271,14 +271,12 @@ class _Stack:
             ledger_log=logs.get("ledger_log"),
         )
 
-        pricing = config.policy if config.charging != "none" else None
         phases = (PHASE_ACQUISITION,) if config.charging == "acquisition" else ()
         self.pca = PrivacyCa(
             config.groups,
             clock=self.clock,
             rng=pca_rng,
-            charging=self.cp if pricing else None,
-            pricing=pricing,
+            charging=self.cp if config.charging != "none" else None,
             charge_phases=phases,
             authority_tokens={self.authority_token},
             issuance_log=logs.get("issuance_log"),

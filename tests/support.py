@@ -103,14 +103,12 @@ def make_stack(
     policy = policy or PricingPolicy.free()
     cp = ChargingProvider(clock, policy=policy, shares=shares, credit_limit=credit_limit, **(cp_kwargs or {}))
     groups = {g: GroupConfig(impact=Fraction(g)) for g in range(1, group_count + 1)}
-    pricing = policy if charging != "none" else None
     phases = ("acquisition",) if charging == "acquisition" else ()
     pca = PrivacyCa(
         groups,
         clock=clock,
         rng=random.Random(rng.getrandbits(64)),
-        charging=cp if pricing else None,
-        pricing=pricing,
+        charging=cp if charging != "none" else None,
         charge_phases=phases,
         authority_tokens={TOKEN},
         **(pca_kwargs or {}),

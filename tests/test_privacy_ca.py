@@ -12,7 +12,7 @@ from pseudorate.encoding import read_records
 from pseudorate.errors import InvalidArgument, TicketError, UnknownGroup
 from pseudorate.privacy_ca import CHALLENGE_TTL, Challenge, DeniedRequest, GroupConfig, PrivacyCa
 from pseudorate.tpm import TpmInstance
-from pseudorate.wire import InprocTransport, PcaClient, Router
+from pseudorate.wire import CpClient, InprocTransport, PcaClient, Router
 
 from support import TOKEN, make_stack, raises_code
 
@@ -24,6 +24,28 @@ def test_group_table_must_be_dense_and_positive():
         PrivacyCa({1: GroupConfig(Fraction(0))})
     with pytest.raises(InvalidArgument):
         PrivacyCa({})
+
+
+def test_the_pricing_keyword_is_only_the_providers_own_policy():
+    """The provider's published policy is the one price: the authority keeps
+    none, and takes ``pricing`` only as the provider's own policy or none."""
+    groups = {1: GroupConfig(Fraction(1))}
+    stack = make_stack(1, policy=PricingPolicy.flat({1: 100, 2: 100, 3: 100}))
+    accepted = [
+        {},
+        {"pricing": None},
+        {"pricing": stack.cp.policy},
+        {"pricing": PricingPolicy.flat({1: 100, 2: 100, 3: 100})},  # equal to it
+    ]
+    refused = [
+        {"pricing": PricingPolicy.flat({1: 70})},
+        {"pricing": PricingPolicy.free(), "charging": None},  # a price with no provider to own it
+    ]
+    for keywords in accepted:
+        PrivacyCa(groups, **{"charging": stack.cp, "charge_phases": ("acquisition",), **keywords})
+    for keywords in refused:
+        with raises_code("invalid-argument"):
+            PrivacyCa(groups, **{"charging": stack.cp, "charge_phases": ("acquisition",), **keywords})
 
 
 def test_authority_charges_only_at_acquisition():
@@ -219,17 +241,25 @@ def test_abandoned_requests_move_no_money(kind):
     """A request only reads the ledger: challenges never answered neither
     drain the account nor, under reverse pricing, pay it. Once charged at
     request, 50 at flat 100 took 10000 to 5000, and 100 at reverse(50) took
-    it to 15000, with no ticket issued."""
+    it to 15000, with no ticket issued. A credit for a ticket is now refused
+    at the request itself, so under reverse no challenge is opened at all."""
     policy = PRICINGS[kind]
     stack = make_stack(8, group_count=1, policy=policy, charging="acquisition", credit_limit=0)
     agent = stack.new_agent("a")
     for _ in range(100 if kind == "reverse" else 50):
-        assert isinstance(stack.pca.request_credential(agent.tpm.make_identity()[1], 1, agent.platform_id), Challenge)
+        public = agent.tpm.make_identity()[1]
+        if kind == "reverse":
+            with raises_code("invalid-argument"):
+                stack.pca.request_credential(public, 1, agent.platform_id)
+        else:
+            assert isinstance(stack.pca.request_credential(public, 1, agent.platform_id), Challenge)
     assert stack.cp.balance(agent.user_account) == 10_000
     assert stack.cp.history(agent.user_account) == []
     assert stack.pca._tickets == {}
-    agent.acquire_ticket(1)  # the one ticket issued is the one charged, at the first price
-    assert [e.amount for e in stack.cp.history(agent.user_account)] == [price(policy, 1, 0)]
+    assert len(stack.pca._pending) == (0 if kind == "reverse" else 50)
+    if kind != "reverse":
+        agent.acquire_ticket(1)  # the one ticket issued is the one charged, at the first price
+        assert [e.amount for e in stack.cp.history(agent.user_account)] == [price(policy, 1, 0)]
 
 
 @pytest.mark.parametrize("kind", PRICINGS)
@@ -238,9 +268,12 @@ def test_a_failed_handshake_leaves_no_charge(cause, kind):
     """An expired challenge, a proof that does not verify, a second
     challenge for an identity key that got its ticket meanwhile, and a
     platform blacklisted since its request each fail at the commit before
-    any draw, and leave the ledger holding exactly the issued tickets."""
+    any draw, and leave the ledger holding exactly the issued tickets. The
+    policy of ``kind`` is in force at that commit; a reverse one is set after
+    the requests, since a request under it is refused."""
     policy = PRICINGS[kind]
-    stack = make_stack(9, group_count=1, policy=policy, charging="acquisition", credit_limit=0)
+    opening = PRICINGS["flat"] if kind == "reverse" else policy
+    stack = make_stack(9, group_count=1, policy=opening, charging="acquisition", credit_limit=0)
     agent = stack.new_agent("a")
     identity = agent.tpm.make_identity()
     challenge = stack.pca.request_credential(identity[1], 1, agent.platform_id)
@@ -254,6 +287,7 @@ def test_a_failed_handshake_leaves_no_charge(cause, kind):
     else:
         first = stack.pca.request_credential(identity[1], 1, agent.platform_id)
         stack.pca.complete_handshake(first.nonce, prove(agent, identity, first))
+    stack.cp.set_policy(policy)
     draws = []
     randbytes = stack.pca._randbytes
     stack.pca._randbytes = lambda n: draws.append(n) or randbytes(n)
@@ -262,8 +296,38 @@ def test_a_failed_handshake_leaves_no_charge(cause, kind):
     assert draws == []
     issued = len(stack.pca._tickets)
     assert issued == (cause == "ticketed-meanwhile")
-    assert [e.amount for e in stack.cp.history(agent.user_account)] == [price(policy, 1, i) for i in range(issued)]
-    assert stack.cp.balance(agent.user_account) == 10_000 - sum(price(policy, 1, i) for i in range(issued))
+    assert [e.amount for e in stack.cp.history(agent.user_account)] == [price(opening, 1, i) for i in range(issued)]
+    assert stack.cp.balance(agent.user_account) == 10_000 - sum(price(opening, 1, i) for i in range(issued))
+
+
+@pytest.mark.parametrize("stage", ["request", "complete"])
+def test_a_credit_never_pays_for_a_ticket(stage):
+    """A reverse policy set through ``cp/admin/policy`` under acquisition
+    charging, before a request or between a request and its commit, is
+    refused where the authority reads the price, before any draw: no ticket,
+    no credit. With the published policy as the price and no refusal, three
+    acquisitions took the balance from 10000 to 10150."""
+    stack = make_stack(10, group_count=1, policy=PricingPolicy.flat({1: 100}), charging="acquisition")
+    agent = stack.new_agent("a")
+    identity = agent.tpm.make_identity()
+    if stage == "complete":
+        challenge = stack.pca.request_credential(identity[1], 1, agent.platform_id)
+    CpClient(InprocTransport(Router(cp=stack.cp))).set_policy(PricingPolicy.reverse(50))
+    draws = []
+    randbytes = stack.pca._randbytes
+    stack.pca._randbytes = lambda n: draws.append(n) or randbytes(n)
+    with raises_code("invalid-argument"):
+        if stage == "request":
+            stack.pca.request_credential(identity[1], 1, agent.platform_id)
+        else:
+            stack.pca.complete_handshake(challenge.nonce, prove(agent, identity, challenge))
+    for _ in range(3):
+        with raises_code("invalid-argument"):
+            agent.acquire_ticket(1)
+    assert draws == []
+    assert stack.pca._tickets == {} and stack.pca._pending == {} and agent.tickets == []
+    assert stack.cp.balance(agent.user_account) == 10_000
+    assert stack.cp.history(agent.user_account) == []
 
 
 @pytest.mark.parametrize("path", ["in-process", "wire"])

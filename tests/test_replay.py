@@ -133,7 +133,10 @@ def test_ledger_and_ratings_of_a_stack_equal_replayed(tmp_path, charging):
     for outcome in ("ack", "double-spend"):
         assert outcomes[outcome] > 0, outcome
     _check_charge_failures(outcomes, charging)
-    cp = ChargingProvider(SimClock(), shares=SHARES, credit_limit=0, ledger_log=tmp_path / "cp-ledger.log")
+    # built with the stack's configuration: the exported state carries the policy in force
+    cp = ChargingProvider(
+        SimClock(), policy=POLICY, shares=SHARES, credit_limit=0, ledger_log=tmp_path / "cp-ledger.log"
+    )
     assert cp.export_state() == stack.cp.export_state()
     rs = ReputationSystem("rs-test", rating_log=tmp_path / "rs-ratings.log")
     rs.configure_groups(stack.pca.group_registry())

@@ -394,16 +394,59 @@ WRONG_SHAPES = [
         "rating record: received must be int, not str",
     ),
 ]
+# (log, case, the record appended, and its one error line): each is of its
+# log's shape, but its values name nothing an earlier record made, or are out of range
+WRONG_VALUES = [
+    (
+        "cp-ledger.log",
+        "charge-to-an-unopened-account",
+        lambda last: {**last, "account": "nope"},
+        "unknown-account: unknown account nope",
+    ),
+    (
+        "cp-ledger.log",
+        "policy-refused",
+        lambda _: {"kind": "policy", "policy": {"kind": "bogus"}},
+        "invalid-argument: unknown pricing kind 'bogus'",
+    ),
+    (
+        "cp-ledger.log",
+        "policy-with-a-bad-group",
+        lambda _: {"kind": "policy", "policy": {"kind": "flat", "per_group": {"01": 7}}},
+        "invalid-argument: bad policy record: bad group id '01'",
+    ),
+    (
+        "pca-issuance.log",
+        "blacklist-of-an-unregistered-platform",
+        lambda _: {"kind": "blacklist", "platform_id": "nope", "flag": 1},
+        "unknown-platform: platform not registered",
+    ),
+    (
+        "pca-issuance.log",
+        "issue-to-an-unregistered-platform",
+        lambda last: {**last, "platform_id": "nope"},
+        "unknown-platform: platform not registered",
+    ),
+] + [
+    (
+        "rs-ratings.log",
+        f"impact-{case}",
+        lambda last, impact=impact: {**last, "impact": impact},
+        f"rating record: impact must be a positive fraction, not {impact!r}",
+    )
+    for case, impact in [("abc", "abc"), ("zero", "0"), ("negative", "-1/2"), ("zero-denominator", "1/0")]
+]
 
 
 @pytest.mark.parametrize(
     "log, fault, error",
     [pytest.param(log, None, "corrupt log line", id=log) for log in LOGS]
-    + [pytest.param(log, fault, error, id=f"{log}-{case}") for log, case, fault, error in WRONG_SHAPES],
+    + [pytest.param(log, fault, error, id=f"{log}-{case}") for log, case, fault, error in WRONG_SHAPES + WRONG_VALUES],
 )
 def test_cli_run_over_a_log_line_that_does_not_decode_is_one_error_line(log, fault, error, tmp_path, capsys):
     """A state-dir log line that does not decode, or that decodes to a record
-    of the wrong shape, stops the run with one error line and exit 1."""
+    of the wrong shape or with values replay refuses, stops the run with one
+    error line and exit 1."""
     state = tmp_path / "state"
     assert main(["run", str(SCENARIOS / "basic.json"), "--state-dir", str(state)]) == 0
     line = b"garbage!!" if fault is None else base64.b64encode(encode(fault(read_records(state / log)[-1])))
