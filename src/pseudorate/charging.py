@@ -330,6 +330,8 @@ class ChargingProvider:
             return
         account_id = record["account"]
         if record["kind"] == "open":
+            if account_id in self._accounts:  # a logged second opening would reset the balance and history
+                raise ChargingError(f"account {account_id} already open", code="duplicate-account")
             self._accounts[account_id] = Account(account_id, record["balance"], record["balance"])
             return
         account = self._account(account_id)  # a logged charge may name an account no record opened

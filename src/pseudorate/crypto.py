@@ -9,11 +9,13 @@ side verifies link by link against the registered group keys.
 Signing is Ed25519; blobs confined to one platform are sealed with
 X25519 + HKDF-SHA256 + ChaCha20-Poly1305. Domain prefixes keep the three
 signing contexts (credentials, issuance nonces, raw payload signing)
-mutually unforgeable.
+mutually unforgeable. Signatures are checked by the system's libsodium where
+it can be loaded, else by ``cryptography``; both accept the same set.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import secrets
 from dataclasses import dataclass, field
@@ -98,13 +100,65 @@ def sign(pair: KeyPair, message: bytes) -> bytes:
     return pair.key.sign(message)
 
 
-def verify(public: bytes, message: bytes, signature: bytes) -> bool:
-    """True iff the signature validates; never raises on malformed input."""
+# Ed25519 verifiers differ in what they accept (Chalkias et al., "Taming the
+# many EdDSAs", 2020). OpenSSL accepts signatures under a key, or with an R, of
+# small order: under the neutral point b"\x01" + bytes(31) as the key, the
+# signature b"\x01" + bytes(63) verifies every message there. libsodium refuses
+# a key or R whose y (the low 255 bits) is one of the seven values below, and a
+# key whose y is not reduced mod p; verify refuses both before either backend runs.
+_P = 2**255 - 19
+_Y8 = 2707385501144840649318225287225658788936804267575313519463743609750303402022  # y of a point of order 8
+_SMALL_ORDER_Y = frozenset({0, 1, _P - 1, _P, _P + 1, _Y8, _P - _Y8})
+_Y_MASK = (1 << 255) - 1
+
+
+def _openssl_verify(public: bytes, message: bytes, signature: bytes) -> bool:
     try:
         Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
-        return True
-    except (InvalidSignature, ValueError, TypeError):
+    except InvalidSignature:
         return False
+    return True
+
+
+def _load_sodium_verify() -> Callable[[bytes, bytes, bytes], bool] | None:
+    """libsodium's detached verify where the system has the library, else None."""
+    for name in ("libsodium.so.23", "libsodium.so.26", "libsodium.dylib"):
+        try:
+            lib = ctypes.CDLL(name)
+        except OSError:
+            continue
+        lib.sodium_init.argtypes, lib.sodium_init.restype = (), ctypes.c_int
+        if lib.sodium_init() < 0:
+            return None
+        check = lib.crypto_sign_ed25519_verify_detached
+        check.argtypes = (ctypes.c_char_p, ctypes.c_char_p, ctypes.c_ulonglong, ctypes.c_char_p)
+        check.restype = ctypes.c_int
+        return lambda public, message, signature: check(signature, message, len(message), public) == 0
+    return None
+
+
+_sodium_verify = _load_sodium_verify()
+_backend = _sodium_verify or _openssl_verify
+
+
+def verify(public: bytes, message: bytes, signature: bytes) -> bool:
+    """True iff the signature validates; never raises on malformed input.
+    Arguments that are not ``bytes``, or a key or signature not of 32 or 64
+    bytes, are False before any C call; so is a key or R of small order and
+    a key not reduced mod p, whichever backend runs."""
+    if not (
+        isinstance(public, bytes)
+        and len(public) == 32
+        and isinstance(signature, bytes)
+        and len(signature) == 64
+        and isinstance(message, bytes)
+    ):
+        return False
+    key_y = int.from_bytes(public, "little") & _Y_MASK
+    r_y = int.from_bytes(signature[:32], "little") & _Y_MASK
+    if key_y >= _P or key_y in _SMALL_ORDER_Y or r_y in _SMALL_ORDER_Y:
+        return False
+    return _backend(public, message, signature)
 
 
 # ---------------------------------------------------------------------------

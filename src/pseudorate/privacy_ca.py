@@ -335,6 +335,8 @@ class PrivacyCa:
         kind = record["kind"]
         if kind == "register":
             platform_id = record["platform_id"]
+            if platform_id in self._platforms:  # a logged second one would unblacklist and empty the record
+                raise PcaError("endorsement key already registered", code="duplicate-ek")
             self._platforms[platform_id] = IdentityRecord(platform_id, record["ek_public"], record["user_account"])
         elif kind == "issue":
             digest, platform_id, group = record["aik_digest"], record["platform_id"], record["group"]

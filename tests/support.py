@@ -1,7 +1,7 @@
 """Shared builders for the test suite: a directly-wired service stack (no
-wire layer), helpers to build honest chains and mutate them,
-``raises_code`` to expect a failure by its error code, and ``count_calls``
-to count calls of package functions."""
+wire layer), helpers to build honest chains and mutate them, a chain forged
+under a key of small order, ``raises_code`` to expect a failure by its error
+code, and ``count_calls`` to count calls of package functions."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from functools import partial
 
 import pytest
 
-from pseudorate.agent import TrustedAgent
+from pseudorate.agent import RATING_META, TrustedAgent
 from pseudorate.charging import ChargingProvider, PricingPolicy, RevenueShares
 from pseudorate.clock import SimClock
 from pseudorate import crypto
@@ -26,6 +26,12 @@ from pseudorate.reputation import ReputationSystem
 from pseudorate.tpm import TpmInstance
 
 TOKEN = "token-for-tests"
+# The neutral point's encoding, a key of order 1, and a "signature" under it
+# (R the neutral point, S = 0) that OpenSSL's verify accepts for every message.
+NEUTRAL = b"\x01" + bytes(31)
+NEUTRAL_FORGERY = b"\x01" + bytes(63)
+# the Ed25519 backends crypto.verify can run; None where libsodium cannot be loaded
+VERIFY_BACKENDS = {"openssl": crypto._openssl_verify, "sodium": crypto._sodium_verify}
 
 
 @contextlib.contextmanager
@@ -137,6 +143,18 @@ def honest_chain(stack: Stack, agent: TrustedAgent, *, group: int = 1, subject: 
     payload = agent.make_payload(subject, score)
     chain = agent.build_chain(ticket, payload)
     return ticket, payload, chain
+
+
+def small_order_chain(stack: Stack, payload) -> CredentialChain:
+    """A chain for ``payload`` whose signing key and identity key are both
+    :data:`NEUTRAL`, its two lower links "signed" with :data:`NEUTRAL_FORGERY`,
+    and its group credential issued for the neutral point by group 1's key."""
+    forge = lambda _preimage: NEUTRAL_FORGERY
+    return CredentialChain(
+        rating_cred=crypto.certify(NEUTRAL, forge, payload.canonical_bytes(), RATING_META),
+        csk_cred=crypto.certify(NEUTRAL, forge, NEUTRAL, {"kind": "certified-signing-key"}),
+        aik_cred=certify_with(stack.pca._group_keys[1], NEUTRAL, {"kind": "group-credential", "group": "1"}),
+    )
 
 
 def replace(chain: CredentialChain, slot: str, cred: Credential) -> CredentialChain:

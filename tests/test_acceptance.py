@@ -27,7 +27,16 @@ from pseudorate.reputation import Ack, RatingPayload, RatingRecord, Reject, Repu
 from pseudorate.tpm import TpmInstance
 from pseudorate.wire import InprocTransport, PcaClient, Router, RsClient, encode_request
 
-from support import TOKEN, all_single_field_mutants, honest_chain, make_stack, private_material, raises_code
+from support import (
+    TOKEN,
+    VERIFY_BACKENDS,
+    all_single_field_mutants,
+    honest_chain,
+    make_stack,
+    private_material,
+    raises_code,
+    small_order_chain,
+)
 
 
 def ok(n: int, name: str, detail: str) -> None:
@@ -139,7 +148,7 @@ def test_3_double_spend_exactness():
 # -- 4: identity-key usage restriction -----------------------------------------------
 
 
-def test_4_identity_key_signing_restriction():
+def test_4_identity_key_signing_restriction(monkeypatch):
     stack = make_stack(400)
     agent = stack.new_agent("restricted")
     rng = random.Random(4)
@@ -165,8 +174,16 @@ def test_4_identity_key_signing_restriction():
     blob = stack.pca.complete_handshake(challenge.nonce, proof)
     credential = agent.tpm.activate_identity(handle, blob)
     assert crypto.verify_credential(credential)
+
+    # a key of small order signs for nobody: a chain whose signing and identity
+    # keys are the neutral point, its links "signed" by a forgery, is refused
+    payload = agent.make_payload("seller-1", 5)
+    forged = small_order_chain(stack, payload)
+    for backend in filter(None, VERIFY_BACKENDS.values()):
+        monkeypatch.setattr(crypto, "_backend", backend)
+        assert stack.rs.submit_rating(payload, forged) == Reject("invalid-chain", "bad-signature")
     ok(4, "identity-key restriction", f"{attempts}/120 direct signing attempts refused; "
-       "issuance challenge-response succeeds")
+       "issuance challenge-response succeeds; a chain under small-order keys is refused")
 
 
 # -- 5 & 6 share a 100-agent colony ---------------------------------------------------

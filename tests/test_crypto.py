@@ -19,10 +19,21 @@ from pseudorate.crypto import (
 )
 from pseudorate.encoding import EncodingError, encode
 from pseudorate.errors import InvalidArgument
-from pseudorate.reputation import RatingPayload
+from pseudorate.reputation import RatingPayload, Reject
 from pseudorate.wire import decode_request, encode_request
 
-from support import all_single_field_mutants, certify_with, honest_chain, make_stack, mutate_credential, replace
+from support import (
+    NEUTRAL,
+    NEUTRAL_FORGERY,
+    VERIFY_BACKENDS,
+    all_single_field_mutants,
+    certify_with,
+    honest_chain,
+    make_stack,
+    mutate_credential,
+    replace,
+    small_order_chain,
+)
 
 
 def test_sign_verify_round_trip_empty_message():
@@ -196,6 +207,121 @@ def test_sign_verify_property(message, suffix):
     signature = crypto.sign(pair, message)
     assert crypto.verify(pair.public, message, signature)
     assert not crypto.verify(pair.public, message + suffix, signature)
+
+
+# -- Ed25519 accept set: one answer from either backend ---------------------
+
+P = 2**255 - 19
+L = 2**252 + 27742317777372353535851937790883648493  # order of the base point
+Y8 = 2707385501144840649318225287225658788936804267575313519463743609750303402022  # a point of order 8 has y = +-Y8
+# the 14 encodings whose y, the low 255 bits, is that of a point of order 1, 2, 4 or 8, or
+# such a y plus p; either sign bit
+SMALL_ORDER = [(y | sign << 255).to_bytes(32, "little") for y in (0, 1, P - 1, P, P + 1, Y8, P - Y8) for sign in (0, 1)]
+UNREDUCED = [(y | sign << 255).to_bytes(32, "little") for y in range(P, 2**255) for sign in (0, 1)]
+SIGNERS = [generate_keypair(seed=bytes([i])) for i in range(3)]
+HONEST = [(pair.public, m, crypto.sign(pair, m)) for pair in SIGNERS for m in (b"", b"m", bytes(range(256)) * 4)]
+
+needs_sodium = pytest.mark.skipif(VERIFY_BACKENDS["sodium"] is None, reason="libsodium cannot be loaded")
+
+
+def verdicts(public, message, signature) -> set[bool]:
+    """``crypto.verify``'s answers with each backend behind it."""
+    saved, answers = crypto._backend, set()
+    try:
+        for backend in VERIFY_BACKENDS.values():
+            crypto._backend = backend
+            answers.add(crypto.verify(public, message, signature))
+    finally:
+        crypto._backend = saved
+    return answers
+
+
+def _refused_cases():
+    public, message, signature = HONEST[-1]
+    s_plus_l = signature[:32] + (int.from_bytes(signature[32:], "little") + L).to_bytes(32, "little")
+    yield "s-plus-l", public, message, s_plus_l
+    for i, enc in enumerate(SMALL_ORDER):
+        yield f"small-order-key-{i}-neutral-sig", enc, message, NEUTRAL_FORGERY
+        yield f"small-order-key-{i}-r-is-key", enc, message, enc + bytes(32)
+        yield f"small-order-key-{i}-honest-sig", enc, message, signature
+        yield f"small-order-r-{i}", public, message, enc + signature[32:]
+        yield f"small-order-r-{i}-zero-s", public, message, enc + bytes(32)
+    for i, enc in enumerate(UNREDUCED):
+        yield f"unreduced-key-{i}", enc, message, signature
+        yield f"unreduced-key-{i}-neutral-sig", enc, message, NEUTRAL_FORGERY
+    for name, bad_public, bad_signature in [
+        ("short-key", public[:31], signature),
+        ("long-key", public + b"\x00", signature),
+        ("empty-key", b"", signature),
+        ("short-sig", public, signature[:63]),
+        ("long-sig", public, signature + b"\x00"),
+        ("empty-sig", public, b""),
+    ]:
+        yield name, bad_public, message, bad_signature
+    for kind in (str, bytearray, memoryview):
+        as_kind = (lambda b: b.hex()[: len(b)]) if kind is str else kind
+        yield f"{kind.__name__}-key", as_kind(public), message, signature
+        yield f"{kind.__name__}-message", public, as_kind(message), signature
+        yield f"{kind.__name__}-sig", public, message, as_kind(signature)
+    yield "none-key", None, message, signature
+
+
+@needs_sodium
+def test_backends_accept_honest_signatures():
+    assert [verdicts(*case) for case in HONEST] == [{True}] * len(HONEST)
+
+
+@needs_sodium
+def test_backends_refuse_alike():
+    """Small-order keys and R, unreduced keys, S + L, wrong lengths and
+    wrong types: False from either backend, and no exception."""
+    cases = list(_refused_cases())
+    assert len(cases) == 1 + 14 * 5 + 38 * 2 + 6 + 9 + 1
+    assert [name for name, *args in cases if verdicts(*args) != {False}] == []
+
+
+def test_the_refusals_run_before_any_backend(monkeypatch):
+    """Each refused case but S + L, which both libraries refuse themselves,
+    is False before a backend runs: one that accepts anything is never called."""
+    reached = []
+    monkeypatch.setattr(crypto, "_backend", lambda *args: reached.append(args) or True)
+    cases = [case for case in _refused_cases() if case[0] != "s-plus-l"]
+    assert [name for name, *args in cases if crypto.verify(*args)] == []
+    assert reached == []
+    assert all(crypto.verify(*case) for case in HONEST)
+
+
+@needs_sodium
+@given(st.sampled_from(HONEST), st.sets(st.integers(0, 8 * 96 - 1), min_size=1, max_size=3))
+def test_backends_agree_on_bit_flips(honest, bits):
+    """Flipped bits anywhere in an honest key and signature, sign bits included."""
+    public, message, signature = honest
+    blob = bytearray(public + signature)
+    for bit in bits:
+        blob[bit // 8] ^= 1 << bit % 8
+    assert len(verdicts(bytes(blob[:32]), message, bytes(blob[32:]))) == 1
+
+
+@needs_sodium
+@given(st.binary(min_size=32, max_size=32), st.sampled_from(HONEST), st.binary(min_size=64, max_size=64) | st.none())
+def test_backends_agree_on_random_keys(public, honest, signature):
+    _, message, honest_signature = honest
+    assert len(verdicts(public, message, honest_signature if signature is None else signature)) == 1
+
+
+def test_a_small_order_key_verifies_nothing(verify_backend):
+    """Under the neutral point, OpenSSL's verify accepts the forgery for
+    every message; crypto.verify refuses it whichever backend runs."""
+    for message in (b"", b"any message", crypto.CREDENTIAL_DOMAIN + b"body"):
+        assert not crypto.verify(NEUTRAL, message, NEUTRAL_FORGERY)
+
+
+def test_a_chain_under_small_order_keys_is_a_bad_signature(verify_backend):
+    stack = make_stack(5)
+    payload = RatingPayload(subject="seller-1", score=5, comment="", nonce=bytes(16), rs_id=stack.rs.rs_id)
+    chain = small_order_chain(stack, payload)
+    assert verify_chain(chain, {1: stack.pca.group_registry()[1][0]}) == VerifyReport(False, 1, "bad-signature")
+    assert stack.rs.submit_rating(payload, chain) == Reject("invalid-chain", "bad-signature")
 
 
 # -- sealed blobs -------------------------------------------------------------

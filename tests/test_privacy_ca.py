@@ -14,7 +14,7 @@ from pseudorate.privacy_ca import CHALLENGE_TTL, Challenge, DeniedRequest, Group
 from pseudorate.tpm import TpmInstance
 from pseudorate.wire import CpClient, InprocTransport, PcaClient, Router
 
-from support import TOKEN, make_stack, raises_code
+from support import NEUTRAL, NEUTRAL_FORGERY, TOKEN, make_stack, raises_code
 
 
 def test_group_table_must_be_dense_and_positive():
@@ -298,6 +298,33 @@ def test_a_failed_handshake_leaves_no_charge(cause, kind):
     assert issued == (cause == "ticketed-meanwhile")
     assert [e.amount for e in stack.cp.history(agent.user_account)] == [price(opening, 1, i) for i in range(issued)]
     assert stack.cp.balance(agent.user_account) == 10_000 - sum(price(opening, 1, i) for i in range(issued))
+
+
+class ForgingTpm(TpmInstance):
+    """A platform module that claims the neutral point as each identity key
+    and answers each challenge with the forgery OpenSSL accepts under it."""
+
+    def make_identity(self) -> tuple[int, bytes]:
+        return super().make_identity()[0], NEUTRAL
+
+    def sign_issuance_nonce(self, handle: int, nonce: bytes) -> bytes:
+        return NEUTRAL_FORGERY
+
+
+def test_a_small_order_identity_key_gets_no_ticket(verify_backend):
+    """``pca/request`` for the neutral point, then ``pca/complete`` with a
+    "proof" nobody signed, fails the handshake: nothing is charged, issued
+    or kept in the wallet."""
+    stack = make_stack(10, group_count=1, policy=PricingPolicy.flat({1: 100}), charging="acquisition")
+    pca = PcaClient(InprocTransport(Router(pca=stack.pca)))
+    agent = TrustedAgent(ForgingTpm(rng=random.Random(10)), pca, stack.rs, user_account="acct-forger", rs_id="rs-test")
+    stack.cp.open_account(agent.user_account, 10_000)
+    agent.register()
+    with raises_code("handshake-failed"):
+        agent.acquire_ticket(1)
+    assert agent.tickets == []
+    assert stack.pca._tickets == {}
+    assert (stack.cp.history(agent.user_account), stack.cp.balance(agent.user_account)) == ([], 10_000)
 
 
 @pytest.mark.parametrize("stage", ["request", "complete"])

@@ -394,8 +394,9 @@ WRONG_SHAPES = [
         "rating record: received must be int, not str",
     ),
 ]
-# (log, case, the record appended, and its one error line): each is of its
-# log's shape, but its values name nothing an earlier record made, or are out of range
+# (log, case, the record appended, or a list of them, and its one error line):
+# each is of its log's shape, but its values name nothing an earlier record
+# made, make again what an earlier record made, or are out of range
 WRONG_VALUES = [
     (
         "cp-ledger.log",
@@ -414,6 +415,18 @@ WRONG_VALUES = [
         "policy-with-a-bad-group",
         lambda _: {"kind": "policy", "policy": {"kind": "flat", "per_group": {"01": 7}}},
         "invalid-argument: bad policy record: bad group id '01'",
+    ),
+    (
+        "cp-ledger.log",
+        "second-opening-of-an-account",  # not the scenario's account, which its run opens again
+        lambda _: [{"kind": "open", "account": "acct-other", "balance": balance} for balance in (0, 1_000_000)],
+        "duplicate-account: account acct-other already open",
+    ),
+    (
+        "pca-issuance.log",
+        "second-registration-of-a-platform",
+        lambda last: {"kind": "register", "platform_id": last["platform_id"], "ek_public": bytes(32), "user_account": "x"},
+        "duplicate-ek: endorsement key already registered",
     ),
     (
         "pca-issuance.log",
@@ -449,9 +462,13 @@ def test_cli_run_over_a_log_line_that_does_not_decode_is_one_error_line(log, fau
     error line and exit 1."""
     state = tmp_path / "state"
     assert main(["run", str(SCENARIOS / "basic.json"), "--state-dir", str(state)]) == 0
-    line = b"garbage!!" if fault is None else base64.b64encode(encode(fault(read_records(state / log)[-1])))
+    if fault is None:
+        lines = [b"garbage!!"]
+    else:
+        records = fault(read_records(state / log)[-1])
+        lines = [base64.b64encode(encode(r)) for r in (records if isinstance(records, list) else [records])]
     with open(state / log, "ab") as handle:
-        handle.write(line + b"\n")
+        handle.write(b"".join(line + b"\n" for line in lines))
     capsys.readouterr()
     assert main(["run", str(SCENARIOS / "basic.json"), "--state-dir", str(state)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
