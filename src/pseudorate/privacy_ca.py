@@ -97,6 +97,15 @@ class PendingIssuance:
     charge_ref: str
 
 
+def check_groups(groups: dict[int, GroupConfig]) -> None:
+    if not groups:
+        raise InvalidArgument("at least one group is required")
+    if sorted(groups) != list(range(1, len(groups) + 1)):
+        raise InvalidArgument("group ids must be dense 1..G")
+    if any(cfg.impact <= 0 for cfg in groups.values()):
+        raise InvalidArgument("impact factors must be positive")
+
+
 class PrivacyCa:
     def __init__(
         self,
@@ -110,7 +119,7 @@ class PrivacyCa:
         authority_tokens: set[str] | None = None,
         issuance_log: Path | str | None = None,
     ):
-        self._validate_groups(groups)
+        check_groups(groups)
         if pricing not in (None, getattr(charging, "policy", None)):  # the provider's published policy is the price
             raise InvalidArgument("pricing must be the charging provider's own policy")
         self._issuance_log = Path(issuance_log) if issuance_log else None
@@ -138,15 +147,6 @@ class PrivacyCa:
             self._apply(check_kind(record, _RECORDS, ("platform_info",), "issuance record"))
         if records:  # two lives at one log length share seed and length: only the OS tells them apart
             self._randbytes = secrets.token_bytes
-
-    @staticmethod
-    def _validate_groups(groups: dict[int, GroupConfig]) -> None:
-        if not groups:
-            raise InvalidArgument("at least one group is required")
-        if sorted(groups) != list(range(1, len(groups) + 1)):
-            raise InvalidArgument("group ids must be dense 1..G")
-        if any(cfg.impact <= 0 for cfg in groups.values()):
-            raise InvalidArgument("impact factors must be positive")
 
     # -- group table ----------------------------------------------------------
 
@@ -288,6 +288,8 @@ class PrivacyCa:
     def charge_for_ticket(self, aik_digest: str, group: int) -> ChargeReceipt | Declined:
         """Ex-post charging entry point used at redemption time; the caller
         only ever supplies the pseudonymous ticket digest."""
+        if PHASE_ACQUISITION in self._charge_phases:  # each of its tickets was charged when it was issued
+            raise InvalidArgument("this authority charges at acquisition: a ticket is not charged again ex post")
         with self._lock:
             ticket = self._tickets.get(aik_digest)
             if ticket is None:
@@ -339,9 +341,11 @@ class PrivacyCa:
                 raise PcaError("endorsement key already registered", code="duplicate-ek")
             self._platforms[platform_id] = IdentityRecord(platform_id, record["ek_public"], record["user_account"])
         elif kind == "issue":
-            digest, platform_id, group = record["aik_digest"], record["platform_id"], record["group"]
-            ticket = IssuedTicket(digest, platform_id, group, record["at"], record["label"], record["charge_ref"])
-            self._platform(platform_id).issued.append(ticket)
-            self._tickets[ticket.aik_digest] = ticket
+            digest, group, owner = record["aik_digest"], record["group"], self._platform(record["platform_id"])
+            if digest in self._tickets:  # a logged second one would hand the ticket to another platform
+                raise PcaError("identity key already carries a ticket", code="duplicate-aik")
+            ticket = IssuedTicket(digest, owner.platform_id, group, record["at"], record["label"], record["charge_ref"])
+            owner.issued.append(ticket)
+            self._tickets[digest] = ticket
         elif kind == "blacklist":
             self._platform(record["platform_id"]).blacklisted = bool(record["flag"])

@@ -25,7 +25,7 @@ from .charging import Declined
 from .clock import SimClock
 from .crypto import CredentialChain
 from .encoding import EncodingError, append_record, check_fields, decode, encode, read_records
-from .errors import InvalidArgument
+from .errors import InvalidArgument, TicketError
 
 REJECT_INVALID_CHAIN = "invalid-chain"
 REJECT_WRONG_RS = "wrong-rs"
@@ -133,7 +133,6 @@ class _Totals:
     score built from them on the first read after a rating serves every
     later read until the next one."""
 
-    subject: str
     count: int
     weight: Fraction
     weighted: Fraction  # the sum of impact * score
@@ -164,23 +163,15 @@ class ReputationSystem:
         self._expost_charge = expost_charge
         # gid -> (group public key, impact); replaced whole, and read once per submission
         self._registry: dict[int, tuple[bytes, Fraction]] = {}
-        self._spent: dict[str, int] = {}
-        self._records: list[RatingRecord] = []
-        self._accepted: set[str] = set()  # the chain digest of every stored rating
-        # subject -> its totals, in the order subjects were first rated
-        self._totals: dict[str, _Totals] = {}
+        self._spent: dict[str, RatingRecord] = {}  # aik digest -> the rating its ticket bought, in stored order
+        self._totals: dict[str, _Totals] = {}  # subject -> its totals, in the order subjects were first rated
         self._lock = threading.Lock()
+        if spent_snapshot and Path(spent_snapshot).exists():  # the rating log is the one record of spent tickets
+            raise InvalidArgument(f"a spend snapshot is no longer read: {spent_snapshot}")
         self._rating_log = Path(rating_log) if rating_log else None
         if self._rating_log and self._rating_log.exists():
             for raw in read_records(self._rating_log):
                 self._apply(RatingRecord.from_record(raw), raw["aik_digest"])
-        # the rating log records every spent ticket; a spend snapshot that an
-        # older state dir still holds is merged too
-        if spent_snapshot and Path(spent_snapshot).exists():
-            snapshot = decode(Path(spent_snapshot).read_bytes())
-            spent = check_fields(snapshot, {"spent": dict}, where="spend snapshot")["spent"]
-            for digest, at in check_fields(spent, dict.fromkeys(spent, int), where="spend snapshot").items():
-                self._spent.setdefault(digest, at)
 
     # -- configuration ---------------------------------------------------------
 
@@ -205,8 +196,9 @@ class ReputationSystem:
     def submit_rating(self, payload: RatingPayload, chain: CredentialChain) -> Ack | Reject:
         registry = self._registry  # a configure_groups from here on is the next submission's
         keys = {g: public for g, (public, _) in registry.items()}
-        chain_digest = crypto.sha256_hex(chain.to_bytes())
-        if chain_digest in self._accepted:
+        chain_digest, aik_digest = crypto.sha256_hex(chain.to_bytes()), chain.aik_digest
+        stored = self._spent.get(aik_digest)
+        if stored is not None and stored.chain_digest == chain_digest:
             # signatures and links depend only on the chain's bytes, and these
             # bytes passed them once; the group is looked up in today's registry
             group = crypto.chain_group(chain, keys)
@@ -226,7 +218,6 @@ class ReputationSystem:
             return Reject(REJECT_WRONG_RS, detail="payload addressed to another system")
 
         impact = registry[group][1]
-        aik_digest = chain.aik_digest
 
         with self._lock:
             if aik_digest in self._spent:
@@ -287,31 +278,37 @@ class ReputationSystem:
 
     @property
     def records(self) -> list[RatingRecord]:
-        return list(self._records)
+        return list(self._spent.values())
 
     def subjects(self) -> list[str]:
         return list(self._totals)
 
     def export_state(self) -> bytes:
         """Full serialization of everything this service stores, for audits."""
+        spent = dict(self._spent)  # copied at once: a submission may store a rating meanwhile
         return encode(
             {
                 "rs_id": self.rs_id,
                 "scale": [self.scale[0], self.scale[1]],
                 "registry": registry_record(self._registry),
-                "spent": dict(self._spent),
-                "records": [r.to_record() for r in self._records],
+                "spent": {digest: r.received for digest, r in spent.items()},
+                "records": [r.to_record() for r in spent.values()],
             }
         )
 
     def _apply(self, record: RatingRecord, aik_digest: str) -> None:
-        """The only code that changes logged state: a live submission calls
-        it after logging the record with its ``aik_digest``, and replay calls
-        it for each logged record."""
-        self._records.append(record)
-        self._accepted.add(record.chain_digest)
+        """The only code that changes logged state: a live submission calls it after
+        logging the record with its ``aik_digest``, and replay for each logged record.
+        It refuses what the live path refuses, with its reason; live, those answer first."""
+        problem = self._payload_problem(record.payload)
+        if problem:
+            raise TicketError(problem, code=REJECT_BAD_PAYLOAD)
+        if record.payload.rs_id != self.rs_id:
+            raise TicketError("payload addressed to another system", code=REJECT_WRONG_RS)
+        if aik_digest in self._spent:
+            raise TicketError("ticket already redeemed", code=REJECT_DOUBLE_SPEND)
+        self._spent[aik_digest] = record
         subject, impact = record.payload.subject, record.impact
         totals = self._totals.get(subject)
         count, weight, weighted = (totals.count, totals.weight, totals.weighted) if totals else (0, 0, 0)
-        self._totals[subject] = _Totals(subject, count + 1, weight + impact, weighted + impact * record.payload.score)
-        self._spent.setdefault(aik_digest, record.received)
+        self._totals[subject] = _Totals(count + 1, weight + impact, weighted + impact * record.payload.score)

@@ -30,7 +30,7 @@ from .clock import SimClock
 from .crypto import CredentialChain, key_id_of
 from .encoding import EncodingError, check_fields, decode, encode
 from .errors import TicketError
-from .privacy_ca import GroupConfig, PrivacyCa
+from .privacy_ca import GroupConfig, PrivacyCa, check_groups
 from .reputation import Ack, RatingPayload, ReputationSystem
 from .tpm import TpmError, TpmInstance
 from .wire import (
@@ -112,8 +112,7 @@ class ScenarioConfig:
             for key, entry in raw["groups"].items():
                 check_fields(entry, {"impact": str}, where=f"group {key}")
                 groups[group_id(key)] = GroupConfig(impact=Fraction(entry["impact"]))
-            if sorted(groups) != list(range(1, len(groups) + 1)):
-                raise ScenarioError("group ids must be dense 1..G")
+            check_groups(groups)
 
             policy = PricingPolicy.from_record(raw.get("policy", {"kind": "free"}))
             shares = RevenueShares.from_record(raw["shares"]) if "shares" in raw else None

@@ -8,9 +8,10 @@ import pytest
 from pseudorate import crypto
 from pseudorate.agent import TrustedAgent
 from pseudorate.charging import PricingPolicy, price
-from pseudorate.encoding import read_records
+from pseudorate.encoding import append_record, read_records
 from pseudorate.errors import InvalidArgument, TicketError, UnknownGroup
 from pseudorate.privacy_ca import CHALLENGE_TTL, Challenge, DeniedRequest, GroupConfig, PrivacyCa
+from pseudorate.reputation import ReputationSystem
 from pseudorate.tpm import TpmInstance
 from pseudorate.wire import CpClient, InprocTransport, PcaClient, Router
 
@@ -487,6 +488,39 @@ def test_issuance_log_survives_restart(tmp_path):
     assert record.platform_id == agent.platform_id
     assert record.blacklisted is True
     assert record.issued[0].group == 2
+
+
+def test_replay_refuses_a_second_issue_record_for_one_identity_key(tmp_path):
+    """A copy of an issue record that names another registered platform hands
+    it the ticket: ``resolve_identity`` answers that platform, and an ex-post
+    charge bills its account. Replay refuses it ``duplicate-aik``, as
+    ``pca/request`` refuses a second request for one identity key."""
+    log = tmp_path / "issuance.log"
+    stack = make_stack(1, pca_kwargs={"issuance_log": log})
+    buyer, other = stack.new_agent("a"), stack.new_agent("b")
+    buyer.acquire_ticket(1)
+    append_record(log, {**read_records(log)[-1], "platform_id": other.platform_id})
+    with raises_code("duplicate-aik"):
+        PrivacyCa({g: GroupConfig(Fraction(g)) for g in (1, 2, 3)}, rng=random.Random(0), issuance_log=log)
+
+
+def test_an_authority_that_charges_at_acquisition_never_charges_a_ticket_again():
+    """Wired as a reputation system's ex-post charge too, an authority built
+    to charge at acquisition billed each ticket twice: ``charge_for_ticket``
+    refuses with ``invalid-argument`` before any charge, so the rating is
+    not stored and the ticket's one charge is its acquisition."""
+    stack = make_stack(1, policy=PricingPolicy.flat({1: 100, 2: 100, 3: 100}), charging="acquisition")
+    rs = ReputationSystem(stack.rs.rs_id, expost_charge=stack.pca.charge_for_ticket)
+    rs.configure_groups(stack.pca.group_registry())
+    agent = TrustedAgent(TpmInstance(rng=random.Random(1)), stack.pca, rs, user_account="acct-a", rs_id=rs.rs_id)
+    stack.cp.open_account(agent.user_account, 1000)
+    agent.register()
+    ticket = agent.acquire_ticket(1)
+    with raises_code("invalid-argument"):
+        agent.redeem_ticket(ticket, agent.make_payload("seller", 4))
+    assert [e.phase for e in stack.cp.history(agent.user_account)] == ["acquisition"]
+    assert stack.cp.balance(agent.user_account) == 900
+    assert (rs.records, rs.spent_count, agent.fresh_tickets()) == ([], 0, [ticket])
 
 
 def test_authority_rebuilt_from_its_log_without_an_rng_is_refused(tmp_path, monkeypatch):

@@ -21,7 +21,7 @@ from pseudorate.reputation import (
     Reject,
     ReputationSystem,
 )
-from pseudorate.encoding import EncodingError, append_record, encode
+from pseudorate.encoding import append_record, encode, read_records
 from pseudorate.wire import InprocTransport, Router, RsClient, decode_request, encode_request, encode_response
 
 from support import certify_with, count_calls, honest_chain, make_stack, raises_code, replace
@@ -670,30 +670,60 @@ def test_persistence_round_trip(tmp_path):
         assert revived.submit_rating(payload, chain).reason == "double-spend"
 
 
-def test_a_spend_snapshot_from_an_older_state_dir_is_still_read(tmp_path):
-    """A state dir written before the rating log became the only record of
-    spent tickets may hold ``rs-spent.snap``: its spends are merged."""
-    stack = make_stack(1)
-    agent = stack.new_agent("a")
-    _, payload, chain = honest_chain(stack, agent)
-    snapshot = tmp_path / "rs-spent.snap"
-    snapshot.write_bytes(encode({"spent": {chain.aik_digest: 7}}))
-
-    revived = ReputationSystem("rs-test", spent_snapshot=snapshot)
-    revived.configure_groups(stack.pca.group_registry())
-    assert revived.spent_count == 1
-    assert revived.submit_rating(payload, chain).reason == "double-spend"
-    assert revived.records == []
-
-
-@pytest.mark.parametrize("snapshot", [{"spent": {"d" * 64: "7"}}, {"spent": [7]}, {"spent": {}, "at": 1}, [7]])
-def test_a_spend_snapshot_of_another_shape_is_refused(tmp_path, snapshot):
-    """A spend snapshot is ``{"spent": {digest: int}}``; any other shape is an
-    EncodingError, which ``pseudorate run`` reports as one error line."""
+def test_an_existing_spend_snapshot_is_refused(tmp_path):
+    """The rating log is the one record of spent tickets, so a spend snapshot
+    is never read: a file at ``spent_snapshot``, whatever it holds, is refused
+    ``invalid-argument``, and a path that names no file is accepted."""
     path = tmp_path / "rs-spent.snap"
-    path.write_bytes(encode(snapshot))
-    with pytest.raises(EncodingError, match="spend snapshot"):
-        ReputationSystem("rs-test", spent_snapshot=path)
+    assert ReputationSystem("rs-test", spent_snapshot=path).spent_count == 0
+    for content in (encode({"spent": {"d" * 64: 7}}), encode({"spent": {}}), encode([7]), b"garbage"):
+        path.write_bytes(content)
+        with raises_code("invalid-argument"):
+            ReputationSystem("rs-test", spent_snapshot=path)
+
+
+def logged_rating(tmp_path) -> tuple[Path, dict]:
+    """A rating log holding one accepted rating, and that logged record."""
+    log = tmp_path / "ratings.log"
+    stack = make_stack(1, rs_kwargs={"rating_log": log})
+    assert isinstance(stack.new_agent("a").rate("seller-1", 4, group=1), Ack)
+    (record,) = read_records(log)
+    return log, record
+
+
+@pytest.mark.parametrize("chain_digest", ["same", "another"])
+def test_replay_refuses_a_second_record_for_one_ticket(tmp_path, chain_digest):
+    """A rating log that holds two records of one ticket replayed as two
+    ratings, its subject counted twice, where the live path answers
+    ``double-spend``: replay refuses the second record with that reject."""
+    log, record = logged_rating(tmp_path)
+    append_record(log, record if chain_digest == "same" else {**record, "chain_digest": "0" * 64})
+    with raises_code("double-spend") as excinfo:
+        ReputationSystem("rs-test", rating_log=log)
+    assert str(excinfo.value) == "ticket already redeemed"
+
+
+# edits of a logged payload that the live path rejects before it logs, with
+# that reject's reason and detail
+UNACCEPTABLE_PAYLOADS = {
+    "score-above-scale": ({"score": 1000}, "bad-payload", "score outside 1..5"),
+    "score-below-scale": ({"score": 0}, "bad-payload", "score outside 1..5"),
+    "empty-nonce": ({"nonce": b""}, "bad-payload", "empty nonce"),
+    "empty-subject": ({"subject": ""}, "bad-payload", "empty subject"),
+    "another-rs": ({"rs_id": "elsewhere"}, "wrong-rs", "payload addressed to another system"),
+}
+
+
+@pytest.mark.parametrize("edit, code, detail", UNACCEPTABLE_PAYLOADS.values(), ids=UNACCEPTABLE_PAYLOADS.keys())
+def test_replay_refuses_a_record_the_live_path_rejects(tmp_path, edit, code, detail):
+    """Replay applies the live acceptance rules that a record's own fields
+    can break, so a logged rating the live path would have rejected is not
+    aggregated: it stops the rebuild with the live reject."""
+    log, record = logged_rating(tmp_path)
+    append_record(log, {**record, "payload": {**record["payload"], **edit}, "aik_digest": "f" * 64})  # a fresh ticket
+    with raises_code(code) as excinfo:
+        ReputationSystem("rs-test", rating_log=log)
+    assert str(excinfo.value) == detail
 
 
 def test_rating_log_replay_supports_aggregation_oracle(tmp_path):

@@ -267,6 +267,29 @@ def test_reverse_pricing_at_acquisition_is_refused_before_any_state_file(tmp_pat
     assert not state.exists()
 
 
+@pytest.mark.parametrize(
+    "groups, error",
+    [
+        ({"1": {"impact": "0"}}, "impact factors must be positive"),
+        ({"1": {"impact": "-1/2"}}, "impact factors must be positive"),
+        ({}, "at least one group is required"),
+        ({"2": {"impact": "1"}}, "group ids must be dense 1..G"),
+    ],
+    ids=["zero-impact", "negative-impact", "no-groups", "sparse-ids"],
+)
+def test_a_group_table_the_authority_refuses_is_refused_before_any_state_file(groups, error, tmp_path, capsys):
+    """A scenario checks its group table with the authority's own rule,
+    ``privacy_ca.check_groups``: a table the authority would refuse is a
+    config error, exit 2 with no state dir, not exit 1 from a starting service."""
+    raw = json.loads((SCENARIOS / "basic.json").read_text())
+    raw["groups"] = groups
+    path, state = tmp_path / "scenario.json", tmp_path / "state"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--state-dir", str(state)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: bad scenario config: {error}"]
+    assert not state.exists()
+
+
 def test_resolve_past_the_tickets_is_a_scenario_error_outcome():
     raw = json.loads((SCENARIOS / "basic.json").read_text())
     raw["script"] += [
@@ -439,6 +462,24 @@ WRONG_VALUES = [
         "issue-to-an-unregistered-platform",
         lambda last: {**last, "platform_id": "nope"},
         "unknown-platform: platform not registered",
+    ),
+    (
+        "pca-issuance.log",
+        "second-issue-of-an-identity-key",
+        lambda last: last,
+        "duplicate-aik: identity key already carries a ticket",
+    ),
+    (
+        "rs-ratings.log",
+        "second-rating-of-a-ticket",
+        lambda last: last,
+        "double-spend: ticket already redeemed",
+    ),
+    (
+        "rs-ratings.log",
+        "score-outside-the-scale",
+        lambda last: {**last, "payload": {**last["payload"], "score": 9}, "aik_digest": "f" * 64},
+        "bad-payload: score outside 1..5",
     ),
 ] + [
     (
