@@ -91,12 +91,8 @@ class TrustedAgent:
         self.tickets.append(ticket)
         return ticket
 
-    def fresh_tickets(self, group: int | None = None) -> list[Ticket]:
-        return [
-            t
-            for t in self.tickets
-            if t.state == STATE_FRESH and (group is None or t.group == group)
-        ]
+    def fresh_tickets(self) -> list[Ticket]:
+        return [t for t in self.tickets if t.state == STATE_FRESH]
 
     # -- redemption -----------------------------------------------------------
 
@@ -127,10 +123,3 @@ class TrustedAgent:
 
     def redeem_ticket(self, ticket: Ticket, payload: RatingPayload) -> Ack | Reject:
         return self.submit_chain(ticket, payload, self.build_chain(ticket, payload))
-
-    def rate(self, subject: str, score: int, *, group: int, comment: str = "") -> Ack | Reject:
-        """Convenience: redeem the oldest fresh ticket for `group`, acquiring
-        one first if needed."""
-        fresh = self.fresh_tickets(group)
-        ticket = fresh[0] if fresh else self.acquire_ticket(group)
-        return self.redeem_ticket(ticket, self.make_payload(subject, score, comment))

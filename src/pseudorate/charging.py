@@ -335,6 +335,11 @@ class ChargingProvider:
             self._accounts[account_id] = Account(account_id, record["balance"], record["balance"])
             return
         account = self._account(account_id)  # a logged charge may name an account no record opened
+        if record["phase"] not in PHASES:
+            raise InvalidArgument(f"unknown charging phase {record['phase']!r}")
+        receipt = f"rcpt-{self._charges + 1:06d}"  # a logged repeat would charge one receipt twice
+        if record["receipt"] != receipt:
+            raise ChargingError(f"receipt {record['receipt']} is not the next, {receipt}", code="out-of-order-receipt")
         amount = record["amount"]
         account.balance -= amount
         account.history.append(

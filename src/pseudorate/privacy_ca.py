@@ -285,16 +285,17 @@ class PrivacyCa:
 
     # -- charging ------------------------------------------------------------------
 
-    def charge_for_ticket(self, aik_digest: str, group: int) -> ChargeReceipt | Declined:
+    def charge_for_ticket(self, aik_digest: str) -> ChargeReceipt | Declined:
         """Ex-post charging entry point used at redemption time; the caller
-        only ever supplies the pseudonymous ticket digest."""
+        only ever supplies the pseudonymous ticket digest, and the ticket's
+        own group is priced."""
         if PHASE_ACQUISITION in self._charge_phases:  # each of its tickets was charged when it was issued
             raise InvalidArgument("this authority charges at acquisition: a ticket is not charged again ex post")
         with self._lock:
             ticket = self._tickets.get(aik_digest)
             if ticket is None:
                 raise PcaError("no ticket issued for that identity key", code="not-found")
-            return self._charge(self._platforms[ticket.platform_id], group, PHASE_EX_POST)
+            return self._charge(self._platforms[ticket.platform_id], ticket.group, PHASE_EX_POST)
 
     def _price(self, record: IdentityRecord, group: int, phase: str) -> int:
         # the provider owns the price: its published policy, at the place its ledger's
@@ -342,6 +343,7 @@ class PrivacyCa:
             self._platforms[platform_id] = IdentityRecord(platform_id, record["ek_public"], record["user_account"])
         elif kind == "issue":
             digest, group, owner = record["aik_digest"], record["group"], self._platform(record["platform_id"])
+            self._require_group(group)
             if digest in self._tickets:  # a logged second one would hand the ticket to another platform
                 raise PcaError("identity key already carries a ticket", code="duplicate-aik")
             ticket = IssuedTicket(digest, owner.platform_id, group, record["at"], record["label"], record["charge_ref"])

@@ -154,7 +154,7 @@ class ReputationSystem:
         rs_id: str,
         *,
         clock: SimClock | None = None,
-        expost_charge: Callable[[str, int], object] | None = None,
+        expost_charge: Callable[[str], object] | None = None,
         rating_log: Path | str | None = None,
         spent_snapshot: Path | str | None = None,
     ):
@@ -224,7 +224,7 @@ class ReputationSystem:
                 return Reject(REJECT_DOUBLE_SPEND, detail="ticket already redeemed")
             # paid under the lock, so two submissions of one ticket pay once
             if self._expost_charge is not None:
-                paid = self._expost_charge(aik_digest, group)
+                paid = self._expost_charge(aik_digest)
                 if isinstance(paid, Declined):
                     return Reject(REJECT_CP_DECLINED, detail=paid.reason)
             record = RatingRecord(

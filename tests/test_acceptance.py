@@ -310,7 +310,7 @@ def test_7_pricing_and_settlement():
     rater = reverse.new_agent("earner")
     opening = reverse.cp.balance(rater.user_account)
     for i in range(4):
-        rater.rate(f"subject-{i}", 5, group=1)
+        rater.redeem_ticket(rater.acquire_ticket(1), rater.make_payload(f"subject-{i}", 5))
     assert reverse.cp.balance(rater.user_account) == opening + 4 * 25
     ok(7, "pricing and settlement", "increasing policy charged exactly 1450; "
        "100000 random splits conserved; reverse policy credited 100")

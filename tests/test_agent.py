@@ -220,11 +220,11 @@ def test_redemption_fault_keeps_wallet_pre_state():
     assert ticket.state == STATE_FRESH
 
 
-def test_rate_convenience_acquires_when_needed():
+def test_an_acquired_ticket_redeems_and_is_spent():
     stack = make_stack(1)
     agent = wired_agent(stack)
     agent.register()
-    result = agent.rate("seller", 4, group=1)
+    result = agent.redeem_ticket(agent.acquire_ticket(1), agent.make_payload("seller", 4))
     assert isinstance(result, Ack)
     assert len(agent.tickets) == 1 and agent.tickets[0].state == STATE_SPENT
 

@@ -176,7 +176,7 @@ def test_every_charge_is_priced_at_its_place_in_the_ledger(charging, balances, s
 
         live = {"cp": provider()}
         live["pca"] = authority(live["cp"])
-        expost = (lambda digest, group: live["pca"].charge_for_ticket(digest, group)) if charging == "ex_post" else None
+        expost = (lambda digest: live["pca"].charge_for_ticket(digest)) if charging == "ex_post" else None
         rs = ReputationSystem("rs-test", clock=clock, expost_charge=expost)
         rs.configure_groups(live["pca"].group_registry())
         agents = []

@@ -523,6 +523,15 @@ def test_an_authority_that_charges_at_acquisition_never_charges_a_ticket_again()
     assert (rs.records, rs.spent_count, agent.fresh_tickets()) == ([], 0, [ticket])
 
 
+def test_the_ex_post_charge_prices_the_tickets_own_group():
+    """``charge_for_ticket`` takes the ticket's digest only: the authority
+    prices the group it issued that ticket in."""
+    stack = make_stack(1, policy=PricingPolicy.flat({1: 10, 2: 20, 3: 30}), charging="ex_post")
+    ticket = stack.new_agent("a").acquire_ticket(2)
+    receipt = stack.pca.charge_for_ticket(crypto.key_id_of(ticket.credential.entity))
+    assert (receipt.amount, receipt.group, receipt.phase) == (20, 2, "ex_post")
+
+
 def test_authority_rebuilt_from_its_log_without_an_rng_is_refused(tmp_path, monkeypatch):
     """Built without an rng, it would draw new group keys, and every ticket
     it issued before would stop verifying: refused before any key is drawn."""

@@ -616,13 +616,14 @@ def test_a_declined_expost_charge_stores_nothing_until_a_top_up():
     stack = make_stack(1, policy=PricingPolicy.flat({1: 40, 2: 40, 3: 40}), charging="ex_post", credit_limit=0)
     stack.cp.open_account("acct-a", 10)  # below the price
     agent = stack.new_agent("a")
-    first = agent.rate("seller", 4, group=1)
+    ticket = agent.acquire_ticket(1)
+    first = agent.redeem_ticket(ticket, agent.make_payload("seller", 4))
     assert isinstance(first, Reject) and (first.reason, first.detail) == ("cp-declined", "limit-exceeded")
     assert (stack.rs.records, stack.rs.spent_count) == ([], 0)
     assert stack.rs.aggregate("seller").body == stack.rs.none_body
     assert stack.cp.balance(agent.user_account) == 10 and len(agent.fresh_tickets()) == 1
     stack.cp.charge(agent.user_account, -100, group=1, phase="ex_post")  # the top-up
-    assert isinstance(agent.rate("seller", 4, group=1), Ack)
+    assert isinstance(agent.redeem_ticket(ticket, agent.make_payload("seller", 4)), Ack)
     assert [e.amount for e in stack.cp.history(agent.user_account) if e.phase == "ex_post"] == [-100, 40]
     assert stack.cp.balance(agent.user_account) == 110 - 40
     assert stack.rs.aggregate("seller").count == 1 and len(agent.tickets) == 1 and agent.fresh_tickets() == []
@@ -686,7 +687,8 @@ def logged_rating(tmp_path) -> tuple[Path, dict]:
     """A rating log holding one accepted rating, and that logged record."""
     log = tmp_path / "ratings.log"
     stack = make_stack(1, rs_kwargs={"rating_log": log})
-    assert isinstance(stack.new_agent("a").rate("seller-1", 4, group=1), Ack)
+    agent = stack.new_agent("a")
+    assert isinstance(agent.redeem_ticket(agent.acquire_ticket(1), agent.make_payload("seller-1", 4)), Ack)
     (record,) = read_records(log)
     return log, record
 

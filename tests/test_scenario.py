@@ -76,10 +76,17 @@ GOLDEN_TRANSCRIPTS = {
 }
 
 
+# what `pseudorate verify` exits with on each scenario's transcript:
+# adversary_drills holds two tampered chains and sybil_increasing submits none
+VERIFY_EXITS = {"adversary_drills.json": 1, "basic.json": 0, "double_spend.json": 0, "sybil_increasing.json": 1}
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
-def test_transcript_matches_golden_digest(name):
-    digest = hashlib.sha256(run_file(name).to_bytes()).hexdigest()
-    assert digest == GOLDEN_TRANSCRIPTS[name]
+def test_transcript_matches_golden_digest(name, tmp_path):
+    blob = run_file(name).to_bytes()
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_TRANSCRIPTS[name]
+    (tmp_path / "t.bin").write_bytes(blob)
+    assert main(["verify", str(tmp_path / "t.bin")]) == VERIFY_EXITS[name]
 
 
 # sha256 of each state file a scenario run leaves in its state dir; the logs
@@ -350,9 +357,11 @@ def test_transcript_round_trip():
 
 
 def test_state_dir_persists_services(tmp_path):
-    run_file("basic.json", state_dir=tmp_path)
-    names = {p.name for p in tmp_path.iterdir()}
-    assert names == {"cp-ledger.log", "pca-issuance.log", "rs-ratings.log"}
+    run_file("basic.json", state_dir=tmp_path / "basic")
+    run_scenario(ScenarioConfig.from_dict(demo_config()), state_dir=tmp_path / "demo")
+    for state in ("basic", "demo"):
+        names = {p.name for p in (tmp_path / state).iterdir()}
+        assert names == {"cp-ledger.log", "pca-issuance.log", "rs-ratings.log"}
 
 
 # -- command line ----------------------------------------------------------------
@@ -365,6 +374,23 @@ def test_cli_run_writes_transcript(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "final: ratings=1" in captured.out
     assert out.exists()
+
+
+def test_cli_run_refuses_a_rating_its_buyer_cannot_pay(tmp_path, capsys):
+    """Ex post, with no credit and a balance below the price, the redeem is
+    refused ``cp-declined`` and nothing is stored, over either transport,
+    in one transcript."""
+    raw = json.loads((SCENARIOS / "basic.json").read_text())
+    raw["credit_limit"] = 0
+    raw["agents"][0]["balance"] = 50
+    path = tmp_path / "unpaid.json"
+    path.write_text(json.dumps(raw))
+    for transport in ("inproc", "socket"):
+        assert main(["run", str(path), "--transport", transport, "--out", str(tmp_path / f"{transport}.bin")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("] ")[1] for line in lines if "] redeem " in line] == ["redeem agent=buyer -> reject:cp-declined"]
+        assert "final: ratings=0 spent=0" in lines
+    assert (tmp_path / "inproc.bin").read_bytes() == (tmp_path / "socket.bin").read_bytes()
 
 
 def test_cli_run_malformed_scenario_is_usage_error(tmp_path, capsys):
@@ -446,6 +472,18 @@ WRONG_VALUES = [
         "duplicate-account: account acct-other already open",
     ),
     (
+        "cp-ledger.log",
+        "charge-in-an-unknown-phase",
+        lambda last: {**last, "phase": "bogus"},
+        "invalid-argument: unknown charging phase 'bogus'",
+    ),
+    (
+        "cp-ledger.log",
+        "repeated-receipt",
+        lambda last: last,
+        "out-of-order-receipt: receipt rcpt-000001 is not the next, rcpt-000002",
+    ),
+    (
         "pca-issuance.log",
         "second-registration-of-a-platform",
         lambda last: {"kind": "register", "platform_id": last["platform_id"], "ek_public": bytes(32), "user_account": "x"},
@@ -468,6 +506,12 @@ WRONG_VALUES = [
         "second-issue-of-an-identity-key",
         lambda last: last,
         "duplicate-aik: identity key already carries a ticket",
+    ),
+    (
+        "pca-issuance.log",
+        "issue-in-an-unconfigured-group",
+        lambda last: {**last, "aik_digest": "f" * 64, "group": 9},
+        "unknown-group: group 9 is not configured",
     ),
     (
         "rs-ratings.log",
@@ -582,8 +626,10 @@ def test_cli_verify_reports_a_malformed_detail(tmp_path, capsys, edit):
 
 def test_cli_verify_rejects_garbage(tmp_path, capsys):
     path = tmp_path / "junk.bin"
-    path.write_bytes(b"\x01\x02\x03")
-    assert main(["verify", str(path)]) == 2
+    for junk in (b"\x01\x02\x03", run_file("basic.json").to_bytes()[:100]):  # undecodable, and a cut transcript
+        path.write_bytes(junk)
+        assert main(["verify", str(path)]) == 2
+        assert main(["score", "seller-main", "--transcript", str(path)]) == 2
 
 
 WELL_FORMED = {"version": 1, "seed": 1, "events": [], "final": {}, "groups": {}}
@@ -697,6 +743,7 @@ def test_cli_demo_deterministic(tmp_path):
     c = tmp_path / "c.bin"
     assert main(["demo", "--seed", "43", "--out", str(c)]) == 0
     assert c.read_bytes() != a.read_bytes()
+    assert main(["verify", str(a)]) == main(["verify", str(c)]) == 0
 
 
 def test_demo_config_is_valid():
