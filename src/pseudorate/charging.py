@@ -28,10 +28,6 @@ _RECORDS = {  # kind -> the fields of a ledger record (FORMATS §6)
 }
 
 
-class ChargingError(TicketError):
-    code = "charging-error"
-
-
 def group_id(key: str) -> int:
     """The group id a record key names, as ``str(g)`` writes it: a key that is
     not the decimal string of an int >= 1 raises ValueError, so no two name one group."""
@@ -52,11 +48,11 @@ class RevenueShares:
     def __post_init__(self):
         parts = (self.cp, self.pca, self.rs)
         if any(not isinstance(p, Fraction) for p in parts):
-            raise ChargingError("shares must be fractions", code="invalid-shares")
+            raise TicketError("shares must be fractions", code="invalid-shares")
         if any(p < 0 for p in parts):
-            raise ChargingError("shares must be non-negative", code="invalid-shares")
+            raise TicketError("shares must be non-negative", code="invalid-shares")
         if sum(parts) != 1:
-            raise ChargingError("shares must sum to exactly 1", code="invalid-shares")
+            raise TicketError("shares must sum to exactly 1", code="invalid-shares")
         d = math.lcm(*(p.denominator for p in parts))
         object.__setattr__(self, "scaled", (*(p.numerator * (d // p.denominator) for p in parts), d))
 
@@ -70,7 +66,7 @@ class RevenueShares:
             check_fields(record, {"cp": str, "pca": str, "rs": str}, where="shares")
             return cls(Fraction(record["cp"]), Fraction(record["pca"]), Fraction(record["rs"]))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ChargingError(f"bad shares record: {exc}", code="invalid-shares") from exc
+            raise TicketError(f"bad shares record: {exc}", code="invalid-shares") from exc
 
 
 @dataclass(frozen=True)
@@ -226,7 +222,7 @@ class ChargingProvider:
     def open_account(self, account_id: str, balance: int = 0) -> None:
         with self._lock:
             if account_id in self._accounts:
-                raise ChargingError(f"account {account_id} already open", code="duplicate-account")
+                raise TicketError(f"account {account_id} already open", code="duplicate-account")
             self._commit({"kind": "open", "account": account_id, "balance": balance})
 
     def balance(self, account_id: str) -> int:
@@ -314,7 +310,7 @@ class ChargingProvider:
         try:
             return self._accounts[account_id]
         except KeyError:
-            raise ChargingError(f"unknown account {account_id}", code="unknown-account") from None
+            raise TicketError(f"unknown account {account_id}", code="unknown-account") from None
 
     def _commit(self, record: dict) -> None:
         if self._ledger_log:
@@ -331,7 +327,7 @@ class ChargingProvider:
         account_id = record["account"]
         if record["kind"] == "open":
             if account_id in self._accounts:  # a logged second opening would reset the balance and history
-                raise ChargingError(f"account {account_id} already open", code="duplicate-account")
+                raise TicketError(f"account {account_id} already open", code="duplicate-account")
             self._accounts[account_id] = Account(account_id, record["balance"], record["balance"])
             return
         account = self._account(account_id)  # a logged charge may name an account no record opened
@@ -339,7 +335,7 @@ class ChargingProvider:
             raise InvalidArgument(f"unknown charging phase {record['phase']!r}")
         receipt = f"rcpt-{self._charges + 1:06d}"  # a logged repeat would charge one receipt twice
         if record["receipt"] != receipt:
-            raise ChargingError(f"receipt {record['receipt']} is not the next, {receipt}", code="out-of-order-receipt")
+            raise TicketError(f"receipt {record['receipt']} is not the next, {receipt}", code="out-of-order-receipt")
         amount = record["amount"]
         account.balance -= amount
         account.history.append(

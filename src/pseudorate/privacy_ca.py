@@ -36,20 +36,13 @@ from .errors import InvalidArgument, TicketError, UnknownGroup
 logger = logging.getLogger(__name__)
 
 CHALLENGE_TTL = 300  # seconds of simulated time; single use regardless
-# kind -> the fields of an issuance log record (FORMATS §6). Older logs also hold
-# register records with a platform_info dict, and charge records, which replay skips.
-_RECORDS = {
-    "register": {"kind": str, "platform_id": str, "ek_public": bytes, "user_account": str, "platform_info": dict},
+_RECORDS = {  # kind -> the fields of an issuance log record (FORMATS §6)
+    "register": {"kind": str, "platform_id": str, "ek_public": bytes, "user_account": str},
     "issue": {
         "kind": str, "platform_id": str, "aik_digest": str, "group": int, "at": int, "label": str, "charge_ref": str
     },
     "blacklist": {"kind": str, "platform_id": str, "flag": int},
-    "charge": {"kind": str, "account": str, "charge_ref": str, "receipt": str},
 }
-
-
-class PcaError(TicketError):
-    code = "pca-error"
 
 
 @dataclass(frozen=True)
@@ -144,7 +137,7 @@ class PrivacyCa:
         self._tickets: dict[str, IssuedTicket] = {}  # aik digest -> ticket
         self._pending: dict[bytes, PendingIssuance] = {}
         for record in records:
-            self._apply(check_kind(record, _RECORDS, ("platform_info",), "issuance record"))
+            self._apply(check_kind(record, _RECORDS, where="issuance record"))
         if records:  # two lives at one log length share seed and length: only the OS tells them apart
             self._randbytes = secrets.token_bytes
 
@@ -160,7 +153,7 @@ class PrivacyCa:
         with self._lock:
             platform_id = crypto.sha256_hex(ek_public)
             if platform_id in self._platforms:
-                raise PcaError("endorsement key already registered", code="duplicate-ek")
+                raise TicketError("endorsement key already registered", code="duplicate-ek")
             self._commit(
                 {
                     "kind": "register",
@@ -190,7 +183,7 @@ class PrivacyCa:
                 return DeniedRequest(reason="blacklisted")
             aik_digest = crypto.key_id_of(aik_public)
             if aik_digest in self._tickets:
-                raise PcaError("identity key already carries a ticket", code="duplicate-aik")
+                raise TicketError("identity key already carries a ticket", code="duplicate-aik")
 
             # priced before any draw; a CA-random reference kept on the issue record
             # is drawn before the nonce, so every later draw and label keeps its place
@@ -217,24 +210,24 @@ class PrivacyCa:
         with self._lock:
             pending = self._pending.pop(nonce, None)  # single use, valid or not
             if pending is None:
-                raise PcaError("unknown or already-used challenge", code="handshake-failed")
+                raise TicketError("unknown or already-used challenge", code="handshake-failed")
             if self._clock.now() > pending.expires:
-                raise PcaError("challenge expired", code="handshake-failed")
+                raise TicketError("challenge expired", code="handshake-failed")
             if not crypto.verify(
                 pending.aik_public, crypto.ISSUANCE_NONCE_DOMAIN + nonce, signature
             ):
-                raise PcaError("possession proof did not verify", code="handshake-failed")
+                raise TicketError("possession proof did not verify", code="handshake-failed")
             aik_digest = crypto.key_id_of(pending.aik_public)
             if aik_digest in self._tickets:
-                raise PcaError("identity key already carries a ticket", code="handshake-failed")
+                raise TicketError("identity key already carries a ticket", code="handshake-failed")
 
             record = self._platforms[pending.platform_id]
             # before any draw: a refused or declined commit draws nothing
             if record.blacklisted:
-                raise PcaError("platform blacklisted since its request", code="handshake-failed")
+                raise TicketError("platform blacklisted since its request", code="handshake-failed")
             if PHASE_ACQUISITION in self._charge_phases:
                 if isinstance(self._charge(record, pending.group, PHASE_ACQUISITION), Declined):
-                    raise PcaError("charging provider declined the ticket", code="cp-declined")
+                    raise TicketError("charging provider declined the ticket", code="cp-declined")
             identity_label = self._randbytes(8).hex()
             meta = {
                 "kind": "group-credential",
@@ -270,10 +263,10 @@ class PrivacyCa:
         contractual bearer token."""
         with self._lock:
             if authority_token not in self._authority_tokens:
-                raise PcaError("missing or invalid authority token", code="forbidden")
+                raise TicketError("missing or invalid authority token", code="forbidden")
             ticket = self._tickets.get(aik_digest)
             if ticket is None:
-                raise PcaError("no ticket issued for that identity key", code="not-found")
+                raise TicketError("no ticket issued for that identity key", code="not-found")
             return self._platforms[ticket.platform_id]
 
     # -- policy enforcement ------------------------------------------------------
@@ -291,10 +284,12 @@ class PrivacyCa:
         own group is priced."""
         if PHASE_ACQUISITION in self._charge_phases:  # each of its tickets was charged when it was issued
             raise InvalidArgument("this authority charges at acquisition: a ticket is not charged again ex post")
+        if self._charging is None:  # a rating it acked would be free
+            raise InvalidArgument("this authority has no charging provider: it cannot charge a ticket ex post")
         with self._lock:
             ticket = self._tickets.get(aik_digest)
             if ticket is None:
-                raise PcaError("no ticket issued for that identity key", code="not-found")
+                raise TicketError("no ticket issued for that identity key", code="not-found")
             return self._charge(self._platforms[ticket.platform_id], ticket.group, PHASE_EX_POST)
 
     def _price(self, record: IdentityRecord, group: int, phase: str) -> int:
@@ -305,9 +300,7 @@ class PrivacyCa:
             raise InvalidArgument("a reverse policy pays each ticket's buyer: charge it ex post, not at acquisition")
         return amount
 
-    def _charge(self, record: IdentityRecord, group: int, phase: str) -> ChargeReceipt | Declined | None:
-        if self._charging is None:
-            return None
+    def _charge(self, record: IdentityRecord, group: int, phase: str) -> ChargeReceipt | Declined:
         result = self._charging.charge(record.user_account, self._price(record, group, phase), group=group, phase=phase)
         if isinstance(result, Declined):
             logger.info("charge declined for account %s", record.user_account)
@@ -318,7 +311,7 @@ class PrivacyCa:
     def _platform(self, platform_id: str, code: str = "unknown-platform") -> IdentityRecord:
         record = self._platforms.get(platform_id)
         if record is None:
-            raise PcaError("platform not registered", code=code)
+            raise TicketError("platform not registered", code=code)
         return record
 
     def _require_group(self, group: int) -> None:
@@ -333,19 +326,18 @@ class PrivacyCa:
     def _apply(self, record: dict) -> None:
         """The only code that changes logged state: live operations reach it
         through :meth:`_commit` after logging, and replay calls it for each
-        logged record. It skips the "charge" records of older logs: the
-        provider's ledger holds those charges."""
+        logged record."""
         kind = record["kind"]
         if kind == "register":
             platform_id = record["platform_id"]
             if platform_id in self._platforms:  # a logged second one would unblacklist and empty the record
-                raise PcaError("endorsement key already registered", code="duplicate-ek")
+                raise TicketError("endorsement key already registered", code="duplicate-ek")
             self._platforms[platform_id] = IdentityRecord(platform_id, record["ek_public"], record["user_account"])
         elif kind == "issue":
             digest, group, owner = record["aik_digest"], record["group"], self._platform(record["platform_id"])
             self._require_group(group)
             if digest in self._tickets:  # a logged second one would hand the ticket to another platform
-                raise PcaError("identity key already carries a ticket", code="duplicate-aik")
+                raise TicketError("identity key already carries a ticket", code="duplicate-aik")
             ticket = IssuedTicket(digest, owner.platform_id, group, record["at"], record["label"], record["charge_ref"])
             owner.issued.append(ticket)
             self._tickets[digest] = ticket

@@ -32,7 +32,7 @@ from .encoding import EncodingError, check_fields, decode, encode
 from .errors import TicketError
 from .privacy_ca import GroupConfig, PrivacyCa, check_groups
 from .reputation import Ack, RatingPayload, ReputationSystem
-from .tpm import TpmError, TpmInstance
+from .tpm import TpmInstance
 from .wire import (
     CpClient,
     InprocTransport,
@@ -302,8 +302,10 @@ class _Stack:
             self._transport = SocketTransport(self._server.host, self._server.port, tap=self.tap)
 
         # the services only read their state files so far: a port that cannot
-        # be served leaves the state dir untouched
+        # be served, or a state dir whose logs they replayed, is left untouched
         try:
+            if any(path.exists() for path in logs.values()):  # the script would open its accounts again
+                raise ScenarioError(f"{state_dir} already holds service logs: resuming is not supported")
             if state_dir is not None:
                 state_dir.mkdir(parents=True, exist_ok=True)
             for spec in config.agents:
@@ -474,7 +476,7 @@ def _run_tamper(stack: _Stack, agent: TrustedAgent, step: dict) -> tuple[str, di
         try:
             agent.tpm.sign_with_key(ticket.aik_handle, b"direct-misuse")
             return "signed", {}
-        except TpmError as exc:
+        except TicketError as exc:
             return f"tpm-error:{exc.code}", {}
 
     payload = agent.make_payload(step["subject"], step["score"])

@@ -31,10 +31,6 @@ KIND_CSK = "csk"
 KIND_EK = "ek"
 
 
-class TpmError(TicketError):
-    code = "tpm-error"
-
-
 @dataclass
 class ShieldedKey:
     handle: int
@@ -88,20 +84,20 @@ class TpmInstance:
         with self._lock:
             key = self._get(handle)
             if key.kind != KIND_AIK:
-                raise TpmError("handle is not an identity key", code="invalid-handle")
+                raise TicketError("handle is not an identity key", code="invalid-handle")
             if key.activated:
-                raise TpmError("identity already activated", code="already-activated")
+                raise TicketError("identity already activated", code="already-activated")
             try:
                 plaintext = crypto.unseal(self._ek.pair, activation_blob)
             except SealError as exc:
-                raise TpmError("blob not sealed to this platform", code="wrong-platform") from exc
+                raise TicketError("blob not sealed to this platform", code="wrong-platform") from exc
             try:
                 record = check_fields(decode(plaintext), {"aik": bytes, "cred": bytes, "nonce": bytes}, where="blob")
                 credential = Credential.from_bytes(record["cred"])
             except EncodingError as exc:
-                raise TpmError("undecodable activation blob", code="malformed-blob") from exc
+                raise TicketError("undecodable activation blob", code="malformed-blob") from exc
             if record["aik"] != key.public:
-                raise TpmError("blob targets a different identity key", code="aik-mismatch")
+                raise TicketError("blob targets a different identity key", code="aik-mismatch")
             key.activated = True
             return credential
 
@@ -121,13 +117,13 @@ class TpmInstance:
         with self._lock:
             blob = wrapped.private_blob
             if len(blob) < 12 + 16:
-                raise TpmError("wrapped blob too short", code="malformed-blob")
+                raise TicketError("wrapped blob too short", code="malformed-blob")
             nonce, cipher = blob[:12], blob[12:]
             try:
                 ChaCha20Poly1305(self._wrap_key).decrypt(nonce, cipher, wrapped.public)
                 pair = self._created[wrapped.public]
             except (InvalidTag, KeyError) as exc:
-                raise TpmError("wrapped key was not created by this instance", code="foreign-blob") from exc
+                raise TicketError("wrapped key was not created by this instance", code="foreign-blob") from exc
             return self._store(pair, KIND_CSK).handle
 
     def certify_key(self, aik_handle: int, csk_handle: int) -> Credential:
@@ -137,9 +133,9 @@ class TpmInstance:
             aik = self._get(aik_handle)
             csk = self._get(csk_handle)
             if aik.kind != KIND_AIK or csk.kind != KIND_CSK:
-                raise TpmError("certify needs an identity key and a signing key", code="invalid-handle")
+                raise TicketError("certify needs an identity key and a signing key", code="invalid-handle")
             if not aik.activated:
-                raise TpmError("identity key not activated", code="not-activated")
+                raise TicketError("identity key not activated", code="not-activated")
             meta = {
                 "kind": "certified-signing-key",
                 "statement": "key-held-in-shielded-location-never-revealed",
@@ -154,9 +150,9 @@ class TpmInstance:
         with self._lock:
             key = self._get(handle)
             if key.kind == KIND_AIK:
-                raise TpmError("identity keys never sign arbitrary data", code="forbidden-aik-signing")
+                raise TicketError("identity keys never sign arbitrary data", code="forbidden-aik-signing")
             if key.kind == KIND_EK:
-                raise TpmError("endorsement key never signs", code="forbidden-ek-signing")
+                raise TicketError("endorsement key never signs", code="forbidden-ek-signing")
             return crypto.sign(key.pair, payload)
 
     def sign_issuance_nonce(self, handle: int, nonce: bytes) -> bytes:
@@ -165,7 +161,7 @@ class TpmInstance:
         with self._lock:
             key = self._get(handle)
             if key.kind != KIND_AIK:
-                raise TpmError("challenge-response needs an identity key", code="invalid-handle")
+                raise TicketError("challenge-response needs an identity key", code="invalid-handle")
             return crypto.sign(key.pair, crypto.ISSUANCE_NONCE_DOMAIN + nonce)
 
     # -- internals -----------------------------------------------------------
@@ -181,4 +177,4 @@ class TpmInstance:
         try:
             return self._keys[handle]
         except KeyError:
-            raise TpmError(f"unknown handle {handle}", code="invalid-handle") from None
+            raise TicketError(f"unknown handle {handle}", code="invalid-handle") from None

@@ -128,6 +128,14 @@ def test_wallet_consistent_with_platform_module():
         assert certify_fresh_key(agent.tpm, ticket.aik_handle).issuer_public == ticket.credential.entity
 
 
+def test_acquire_before_register_fails_before_any_message():
+    tap = []
+    agent = wired_agent(make_stack(1), tap=tap)
+    with raises_code("unregistered-platform"):
+        agent.acquire_ticket(1)
+    assert (tap, agent.tickets) == ([], [])
+
+
 def test_denied_propagates_and_wallet_unchanged():
     stack = make_stack(1)
     agent = wired_agent(stack)

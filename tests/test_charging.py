@@ -98,8 +98,14 @@ def test_policy_record_is_not_coerced(record):
         lambda: PricingPolicy.flat({1: True}),
         lambda: PricingPolicy.increasing({1: 5}, step=1.5),
         lambda: PricingPolicy.reverse(True),
+        lambda: PricingPolicy.increasing({1: 5}, step=-1),
+        lambda: PricingPolicy.reverse(-1),
+        lambda: PricingPolicy.flat({1: -1}),
     ],
-    ids=["group-0", "group-negative", "group-str", "group-bool", "group-float", "price-bool", "step-float", "incentive-bool"],
+    ids=[
+        "group-0", "group-negative", "group-str", "group-bool", "group-float", "price-bool", "step-float",
+        "incentive-bool", "step-negative", "incentive-negative", "price-negative",
+    ],
 )
 def test_policy_refuses_what_its_record_could_not_hold(build):
     with pytest.raises(InvalidArgument):
@@ -167,6 +173,8 @@ def test_invalid_shares_rejected():
         RevenueShares(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
     with raises_code("invalid-shares"):
         RevenueShares(Fraction(3, 2), Fraction(-1, 2), Fraction(0))
+    with raises_code("invalid-shares"):
+        RevenueShares(Fraction(1), 0, Fraction(0))  # an int share is not coerced
 
 
 @pytest.mark.parametrize(

@@ -352,6 +352,11 @@ def test_unseal_rejects_short_blob():
         unseal(generate_sealing_keypair(), b"tiny")
 
 
+def test_seal_to_a_key_that_is_not_a_sealing_key_fails():
+    with pytest.raises(crypto.SealError):
+        seal(b"k" * 31, b"secret")
+
+
 # -- chains -------------------------------------------------------------------
 
 

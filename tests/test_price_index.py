@@ -5,7 +5,6 @@ policy in force at that charge, whatever the authority logged or lost, and
 across rebuilds of either service from its log."""
 
 import random
-import shutil
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 from pseudorate.agent import STATE_SPENT, TicketDenied, TrustedAgent
 from pseudorate.charging import ChargingProvider, PricingPolicy, RevenueShares, price
 from pseudorate.clock import SimClock
-from pseudorate.encoding import append_record, read_records
+from pseudorate.encoding import read_records
 from pseudorate.errors import InvalidArgument
 from pseudorate.privacy_ca import GroupConfig, PrivacyCa
 from pseudorate.reputation import Ack, ReputationSystem
@@ -66,59 +65,6 @@ def test_a_charge_the_authority_never_logged_still_raises_the_price(tmp_path):
     revived.platform_id = agent.platform_id
     revived.acquire_ticket(1)
     assert amounts(cp, agent.user_account) == [100, 110]
-
-
-def test_charge_records_of_older_issuance_logs_are_skipped(tmp_path):
-    """Issuance logs written while the authority kept its own price index
-    hold a "charge" record for each paid charge. Replay skips them: the
-    rebuilt authority and the next price are those of the log without them."""
-    ledger, issuance = tmp_path / "cp-ledger.log", tmp_path / "pca-issuance.log"
-    stack = make_stack(
-        3,
-        policy=POLICY,
-        charging="acquisition",
-        cp_kwargs={"ledger_log": ledger},
-        pca_kwargs={"issuance_log": issuance},
-    )
-    agents = [stack.new_agent(name) for name in "ab"]
-    for group in (1, 3, 2):
-        for agent in agents:
-            agent.acquire_ticket(group)
-    stack.pca.blacklist(agents[1].platform_id, True)
-
-    older = tmp_path / "older-issuance.log"
-    receipts = {agent.user_account: iter(stack.cp.history(agent.user_account)) for agent in agents}
-    accounts = {}
-    for record in read_records(issuance):
-        if record["kind"] == "register":
-            accounts[record["platform_id"]] = record["user_account"]
-        elif record["kind"] == "issue":
-            account = accounts[record["platform_id"]]
-            receipt = next(receipts[account]).receipt_id
-            charge = {"kind": "charge", "account": account, "charge_ref": record["charge_ref"], "receipt": receipt}
-            append_record(older, charge)
-        append_record(older, record)
-    assert sum(record["kind"] == "charge" for record in read_records(older)) == 6
-
-    def rebuild(log: Path, ledger_copy: Path) -> tuple[PrivacyCa, ChargingProvider]:
-        shutil.copy(ledger, ledger_copy)
-        cp = ChargingProvider(SimClock(), policy=POLICY, ledger_log=ledger_copy)
-        pca = PrivacyCa(GROUPS, rng=random.Random(0), charging=cp, charge_phases=("acquisition",), issuance_log=log)
-        return pca, cp
-
-    def next_price(pca: PrivacyCa, cp: ChargingProvider) -> int:
-        handle, public = agents[0].tpm.make_identity()
-        challenge = pca.request_credential(public, 2, agents[0].platform_id)
-        pca.complete_handshake(challenge.nonce, agents[0].tpm.sign_issuance_nonce(handle, challenge.nonce))
-        return cp.history(agents[0].user_account)[-1].amount
-
-    current, current_cp = rebuild(issuance, tmp_path / "ledger-current.log")
-    replayed, replayed_cp = rebuild(older, tmp_path / "ledger-older.log")
-    assert replayed._platforms == current._platforms
-    assert replayed._platforms[agents[1].platform_id].blacklisted
-    assert replayed._tickets == current._tickets
-    assert len(replayed._tickets) == 6
-    assert next_price(replayed, replayed_cp) == next_price(current, current_cp) == price(POLICY, 2, 3)
 
 
 # a step: an action by one of two agents in one group, or a policy set through

@@ -523,13 +523,31 @@ def test_an_authority_that_charges_at_acquisition_never_charges_a_ticket_again()
     assert (rs.records, rs.spent_count, agent.fresh_tickets()) == ([], 0, [ticket])
 
 
+def test_an_authority_with_no_charging_provider_never_acks_a_free_ex_post_rating():
+    """Wired as a reputation system's ex-post charge, an authority built with
+    no charging provider answered ``None``, and the rating was stored unpaid:
+    ``charge_for_ticket`` refuses with ``invalid-argument``, so nothing is stored."""
+    stack = make_stack(1)
+    rs = ReputationSystem(stack.rs.rs_id, expost_charge=stack.pca.charge_for_ticket)
+    rs.configure_groups(stack.pca.group_registry())
+    agent = TrustedAgent(TpmInstance(rng=random.Random(1)), stack.pca, rs, user_account="acct-a", rs_id=rs.rs_id)
+    agent.register()
+    ticket = agent.acquire_ticket(1)
+    with raises_code("invalid-argument"):
+        agent.redeem_ticket(ticket, agent.make_payload("seller", 4))
+    assert (rs.records, rs.spent_count, agent.fresh_tickets()) == ([], 0, [ticket])
+
+
 def test_the_ex_post_charge_prices_the_tickets_own_group():
     """``charge_for_ticket`` takes the ticket's digest only: the authority
-    prices the group it issued that ticket in."""
+    prices the group it issued that ticket in, and a digest it never issued
+    is ``not-found``."""
     stack = make_stack(1, policy=PricingPolicy.flat({1: 10, 2: 20, 3: 30}), charging="ex_post")
     ticket = stack.new_agent("a").acquire_ticket(2)
     receipt = stack.pca.charge_for_ticket(crypto.key_id_of(ticket.credential.entity))
     assert (receipt.amount, receipt.group, receipt.phase) == (20, 2, "ex_post")
+    with raises_code("not-found"):
+        stack.pca.charge_for_ticket("f" * 64)
 
 
 def test_authority_rebuilt_from_its_log_without_an_rng_is_refused(tmp_path, monkeypatch):
@@ -564,6 +582,16 @@ def test_mapping_completeness():
             expected[crypto.key_id_of(ticket.credential.entity)] = agent.platform_id
     for digest, platform_id in expected.items():
         assert stack.pca.resolve_identity(digest, TOKEN).platform_id == platform_id
+
+
+def test_the_clock_never_goes_back():
+    """Expired challenges are a prefix of the pending ones only because the
+    clock never goes back."""
+    stack = make_stack(1)
+    stack.clock.advance(5)
+    with pytest.raises(ValueError):
+        stack.clock.advance(-1)
+    assert stack.clock.now() == 5
 
 
 def test_expired_challenges_are_dropped_by_the_next_request():

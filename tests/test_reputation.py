@@ -61,6 +61,14 @@ def test_configure_groups_refuses_an_impact_that_is_not_a_fraction(impact):
     assert rs.group_registry == {}
 
 
+def test_configure_groups_refuses_a_key_that_is_not_bytes():
+    rs = ReputationSystem("rs-x")
+    for public in ("k" * 32, bytearray(32)):
+        with raises_code("invalid-argument"):
+            rs.configure_groups({1: (public, Fraction(1))})
+    assert rs.group_registry == {}
+
+
 def test_honest_submission_acked_and_stored():
     stack = make_stack(1)
     agent = stack.new_agent("a")

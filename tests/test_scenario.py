@@ -2,6 +2,7 @@ import base64
 import hashlib
 import json
 import os
+import runpy
 import socket
 import subprocess
 import sys
@@ -81,9 +82,10 @@ GOLDEN_TRANSCRIPTS = {
 VERIFY_EXITS = {"adversary_drills.json": 1, "basic.json": 0, "double_spend.json": 0, "sybil_increasing.json": 1}
 
 
+@pytest.mark.parametrize("transport", ["inproc", "socket"])
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
-def test_transcript_matches_golden_digest(name, tmp_path):
-    blob = run_file(name).to_bytes()
+def test_transcript_matches_golden_digest(name, transport, tmp_path):
+    blob = run_file(name, transport=transport).to_bytes()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_TRANSCRIPTS[name]
     (tmp_path / "t.bin").write_bytes(blob)
     assert main(["verify", str(tmp_path / "t.bin")]) == VERIFY_EXITS[name]
@@ -116,11 +118,29 @@ GOLDEN_STATE_FILES = {
 }
 
 
+def state_digests(state: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in state.iterdir()}
+
+
+@pytest.mark.parametrize("transport", ["inproc", "socket"])
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
-def test_state_files_match_golden_digests(name, tmp_path):
-    run_file(name, state_dir=tmp_path)
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
-    assert digests == GOLDEN_STATE_FILES[name]
+def test_state_files_match_golden_digests(name, transport, tmp_path):
+    run_file(name, transport=transport, state_dir=tmp_path)
+    assert state_digests(tmp_path) == GOLDEN_STATE_FILES[name]
+
+
+def test_a_second_run_over_a_state_dir_is_refused_before_any_account_opens(tmp_path, capsys):
+    """Resuming is not supported: the script would open its accounts again.
+    The services replay the logs first, so a bad record keeps its own error;
+    then the run stops as a usage error, exit 2, and the logs do not move."""
+    state = tmp_path / "state"
+    argv = ["run", str(SCENARIOS / "basic.json"), "--state-dir", str(state)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv) == 2
+    error = f"error: {state} already holds service logs: resuming is not supported"
+    assert capsys.readouterr().err.splitlines() == [error]
+    assert state_digests(state) == GOLDEN_STATE_FILES["basic.json"]
 
 
 # every tamper mode on an agent with no fresh ticket, then crossover with no
@@ -220,6 +240,9 @@ CONFIG_ERRORS = {
     "number-shares": set_key("shares", value={"cp": 1, "pca": 0, "rs": 0}),
     "empty-shares": set_key("shares", value={}),
     "reverse-at-acquisition": lambda raw: raw.update(charging="acquisition", policy={"kind": "reverse", "incentive": 5}),
+    "duplicate-agent": add_agents({"name": "buyer", "account": "acct-twin"}),
+    "step-in-an-unknown-group": add_step(action="acquire", agent="buyer", group=2),
+    "unknown-tamper-mode": add_step(action="tamper", agent="buyer", mode="smudge"),
 }
 
 
@@ -343,10 +366,14 @@ def test_same_seed_same_transcript_bytes():
     assert a.to_bytes() == b.to_bytes()
 
 
-def test_transport_equivalence():
-    a = run_file("adversary_drills.json", transport="inproc")
-    b = run_file("adversary_drills.json", transport="socket")
-    assert a.to_bytes() == b.to_bytes()
+def test_transport_equivalence(tmp_path):
+    """The demo writes one transcript and one state dir over either transport,
+    as each scenario file matches its golden digests over both."""
+    for transport in ("inproc", "socket"):
+        argv = ["demo", "--transport", transport, "--out", str(tmp_path / f"{transport}.bin")]
+        assert main([*argv, "--state-dir", str(tmp_path / transport)]) == 0
+    assert (tmp_path / "inproc.bin").read_bytes() == (tmp_path / "socket.bin").read_bytes()
+    assert state_digests(tmp_path / "inproc") == state_digests(tmp_path / "socket")
 
 
 def test_transcript_round_trip():
@@ -417,6 +444,18 @@ WRONG_SHAPES = [
         "ledger record: balance must be int, not str",
     ),
     ("pca-issuance.log", "unknown-kind", lambda _: {"kind": "x"}, "issuance record of unknown kind 'x'"),
+    (  # the ledger is the one record of a charge
+        "pca-issuance.log",
+        "charge-kind",
+        lambda last: {"kind": "charge", "account": "acct-buyer", "charge_ref": last["charge_ref"], "receipt": "r"},
+        "issuance record of unknown kind 'charge'",
+    ),
+    (
+        "pca-issuance.log",
+        "platform-info",
+        lambda _: {"kind": "register", "platform_id": "p", "ek_public": b"", "user_account": "x", "platform_info": {}},
+        "issuance record: unknown field 'platform_info'",
+    ),
     (
         "pca-issuance.log",
         "missing-field",
@@ -584,6 +623,15 @@ def test_cli_verify_transcript_and_tampered_chain(tmp_path, capsys):
     tampered.write_bytes(transcript.to_bytes())
     assert main(["verify", str(tampered)]) == 1
 
+    # a valid chain over a payload other than the one it signed
+    transcript = Transcript.from_bytes(out.read_bytes())
+    (redeem,) = actions(transcript, "redeem")
+    redeem["detail"]["payload"]["score"] = 1
+    tampered.write_bytes(transcript.to_bytes())
+    capsys.readouterr()
+    assert main(["verify", str(tampered)]) == 1
+    assert capsys.readouterr().out.splitlines() == ["chain 0: payload does not match signed bytes"]
+
 
 def test_cli_verify_with_no_group_keys_finds_no_group(tmp_path, capsys):
     transcript = run_scenario(ScenarioConfig.from_dict(demo_config()))
@@ -744,6 +792,40 @@ def test_cli_demo_deterministic(tmp_path):
     assert main(["demo", "--seed", "43", "--out", str(c)]) == 0
     assert c.read_bytes() != a.read_bytes()
     assert main(["verify", str(a)]) == main(["verify", str(c)]) == 0
+
+
+PRICING_TABLES = """\
+tickets   free      flat(100)  increasing(100,+10)  reverse(-50)  
+1         0         100        100                  -50           
+2         0         200        210                  -100          
+5         0         500        600                  -250          
+10        0         1000       1450                 -500          
+20        0         2000       3900                 -1000         
+50        0         5000       17250                -2500         
+
+cross-check: each cell charged through the protocol against its sum of prices: mismatches=0
+
+                        free          flat    increasing       reverse
+acct-a                  1000           700           625          1120
+acct-b                  1000           600           575          1080
+acct-c                  1000           900           900          1040
+revenue cp                 0           160           180             0
+revenue pca                0           320           360             0
+revenue rs                 0           320           360             0
+
+scores are policy-independent: True
+  shop-x = 13/4
+  shop-y = 7/2
+"""
+
+
+def test_pricing_experiment_prints_its_tables_and_passes(capsys):
+    """``scripts/pricing_spectrum.py`` charges every cell of its cost table
+    through scenario runs, checks each against the policy's prices, and
+    exits 0 only if all match and no score depends on the policy."""
+    script = runpy.run_path(str(REPO / "scripts" / "pricing_spectrum.py"))
+    assert script["main"]() == 0
+    assert capsys.readouterr().out == PRICING_TABLES
 
 
 def test_demo_config_is_valid():

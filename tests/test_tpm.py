@@ -3,7 +3,7 @@ import random
 import pytest
 
 from pseudorate import crypto
-from pseudorate.tpm import TpmError, TpmInstance
+from pseudorate.tpm import TpmInstance
 
 from support import certify_fresh_key, certify_with, make_stack, raises_code
 
@@ -87,9 +87,8 @@ def test_activation_blob_for_other_identity_rejected():
     handle, _ = tpm.make_identity()
     _, other_public = tpm.make_identity()
     blob = make_blob(tpm.ek_public, other_public)
-    with pytest.raises(TpmError) as excinfo:
+    with raises_code("aik-mismatch"):
         tpm.activate_identity(handle, blob)
-    assert excinfo.value.code == "aik-mismatch"
 
 
 def test_activation_on_non_identity_handle_rejected():

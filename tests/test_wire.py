@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pseudorate import wire
 from pseudorate.charging import PricingPolicy
 from pseudorate.crypto import generate_keypair, key_id_of, sha256_hex
 from pseudorate.encoding import MAX_DEPTH, EncodingError, decode, encode
@@ -427,6 +428,54 @@ def test_cp_policy_endpoint_get_and_set():
     record = cp_client.set_policy(PricingPolicy.increasing({1: 100}, step=10))
     assert record["kind"] == "increasing"
     assert stack.cp.policy.per_group == {1: 100}
+
+
+def test_cp_charge_answers_a_declined_charge_over_its_client():
+    stack = make_stack(1, credit_limit=0)
+    stack.cp.open_account("acct-w", 100)
+    cp_client = CpClient(InprocTransport(full_router(stack)))
+    declined = cp_client.charge("acct-w", 101, group=1, phase="acquisition")
+    assert declined == {"status": "declined", "reason": "limit-exceeded"}
+    assert stack.cp.balance("acct-w") == 100
+
+
+# an answer to rs/score, made from the request's endpoint and correlation id,
+# that the client refuses with a protocol error, and the error's message
+CLIENT_REFUSALS = {
+    "field-missing": (
+        lambda endpoint, corr: encode_response(endpoint, corr, "ok", {"count": 0}),
+        "response field 'score' missing or not str",
+    ),
+    "correlation-id-mismatch": (
+        lambda endpoint, corr: encode_response(endpoint, corr[::-1], "ok", {"count": 0, "score": "no-score"}),
+        "correlation id mismatch",
+    ),
+}
+
+
+@pytest.mark.parametrize("answer, message", CLIENT_REFUSALS.values(), ids=CLIENT_REFUSALS.keys())
+def test_a_client_refuses_a_response_it_cannot_read(answer, message):
+    class Answering:
+        def request(self, data: bytes) -> bytes:
+            endpoint, _, corr = decode_request(data)
+            return answer(endpoint, corr)
+
+    with raises_code("protocol-error") as excinfo:
+        RsClient(Answering()).score("s")
+    assert str(excinfo.value) == message
+
+
+def test_a_frame_over_the_limit_is_refused_on_send_and_on_receive(monkeypatch):
+    monkeypatch.setattr(wire, "MAX_FRAME", 8)
+    left, right = socket.socketpair()
+    with left, right:
+        with raises_code("protocol-error"):
+            _write_frame(left, b"x" * 9)
+        _write_frame(left, b"x" * 8)
+        assert _read_frame(right) == b"x" * 8
+        left.sendall((9).to_bytes(4, "big"))
+        with raises_code("protocol-error"):
+            _read_frame(right)
 
 
 def test_cp_admin_policy_refuses_wrong_types_and_unknown_keys():
