@@ -177,9 +177,6 @@ def main(argv: list[str] | None = None) -> int:
     except TicketError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 1
-    except EncodingError as exc:  # a state-dir log line that does not decode
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     return 2
 
 

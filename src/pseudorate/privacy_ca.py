@@ -82,7 +82,6 @@ class IdentityRecord:
 
 @dataclass
 class PendingIssuance:
-    nonce: bytes
     aik_public: bytes
     group: int
     platform_id: str
@@ -115,6 +114,12 @@ class PrivacyCa:
         check_groups(groups)
         if pricing not in (None, getattr(charging, "policy", None)):  # the provider's published policy is the price
             raise InvalidArgument("pricing must be the charging provider's own policy")
+        # ex-post charges reach the authority through charge_for_ticket only
+        for phase in charge_phases:
+            if phase != PHASE_ACQUISITION:
+                raise InvalidArgument(f"the authority charges only at acquisition, not {phase!r}")
+        if charge_phases and charging is None:  # else its tickets would be issued free
+            raise InvalidArgument("charging at acquisition needs a charging provider")
         self._issuance_log = Path(issuance_log) if issuance_log else None
         records = read_records(self._issuance_log) if self._issuance_log and self._issuance_log.exists() else []
         if records and rng is None:  # fresh group keys would void every ticket the log records
@@ -124,11 +129,7 @@ class PrivacyCa:
         self._groups = dict(groups)
         self._group_keys = {g: crypto.generate_keypair(seed=self._randbytes(32)) for g in sorted(groups)}
         self._charging = charging
-        # ex-post charges reach the authority through charge_for_ticket only
-        for phase in charge_phases:
-            if phase != PHASE_ACQUISITION:
-                raise InvalidArgument(f"the authority charges only at acquisition, not {phase!r}")
-        self._charge_phases = tuple(charge_phases) if charging is not None else ()  # no provider, no charge
+        self._charge_phases = tuple(charge_phases)
         self._authority_tokens = set(authority_tokens or ())
         # one writer at a time: nonce consumption and the identity index are
         # check-and-update pairs and must be linearizable
@@ -194,7 +195,6 @@ class PrivacyCa:
 
             nonce = self._randbytes(32)
             pending = PendingIssuance(
-                nonce=nonce,
                 aik_public=aik_public,
                 group=group,
                 platform_id=platform_id,

@@ -261,6 +261,8 @@ class _Stack:
                 "issuance_log": state_dir / "pca-issuance.log",
                 "rating_log": state_dir / "rs-ratings.log",
             }
+        if any(path.exists() for path in logs.values()):  # the script would open its accounts again
+            raise ScenarioError(f"{state_dir} already holds service logs: resuming is not supported")
 
         self.cp = ChargingProvider(
             self.clock,
@@ -301,11 +303,7 @@ class _Stack:
                 raise ScenarioError(f"cannot serve on port {port}: {exc}") from exc
             self._transport = SocketTransport(self._server.host, self._server.port, tap=self.tap)
 
-        # the services only read their state files so far: a port that cannot
-        # be served, or a state dir whose logs they replayed, is left untouched
         try:
-            if any(path.exists() for path in logs.values()):  # the script would open its accounts again
-                raise ScenarioError(f"{state_dir} already holds service logs: resuming is not supported")
             if state_dir is not None:
                 state_dir.mkdir(parents=True, exist_ok=True)
             for spec in config.agents:

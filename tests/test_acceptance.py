@@ -12,7 +12,6 @@ import random
 import threading
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -21,11 +20,10 @@ from pseudorate.agent import TrustedAgent
 from pseudorate.charging import PricingPolicy, RevenueShares, split_revenue
 from pseudorate.cli import main
 from pseudorate.crypto import CredentialChain, key_id_of, verify_chain
-from pseudorate.encoding import EncodingError, encode
-from pseudorate.errors import TicketError
+from pseudorate.encoding import EncodingError
 from pseudorate.reputation import Ack, RatingPayload, RatingRecord, Reject, ReputationSystem
 from pseudorate.tpm import TpmInstance
-from pseudorate.wire import InprocTransport, PcaClient, Router, RsClient, encode_request
+from pseudorate.wire import InprocTransport, PcaClient, Router, RsClient
 
 from support import (
     TOKEN,

@@ -7,7 +7,8 @@ import pytest
 
 from pseudorate import crypto
 from pseudorate.agent import TrustedAgent
-from pseudorate.charging import PricingPolicy, price
+from pseudorate.charging import ChargingProvider, PricingPolicy, price
+from pseudorate.clock import SimClock
 from pseudorate.encoding import append_record, read_records
 from pseudorate.errors import InvalidArgument, TicketError, UnknownGroup
 from pseudorate.privacy_ca import CHALLENGE_TTL, Challenge, DeniedRequest, GroupConfig, PrivacyCa
@@ -53,10 +54,30 @@ def test_authority_charges_only_at_acquisition():
     """Ex-post charges reach the authority through charge_for_ticket only, so
     acquisition is the one phase it may be built to charge in."""
     groups = {1: GroupConfig(Fraction(1))}
-    PrivacyCa(groups, charge_phases=("acquisition",))
+    PrivacyCa(groups, charging=ChargingProvider(SimClock()), charge_phases=("acquisition",))
     for phases in (("ex_post",), ("acquisition", "ex_post"), ("later",)):
         with pytest.raises(InvalidArgument):
             PrivacyCa(groups, charge_phases=phases)
+
+
+@pytest.mark.parametrize(
+    "phases, error",
+    [
+        pytest.param(("ex_post",), "the authority charges only at acquisition, not 'ex_post'", id="ex_post"),
+        pytest.param(  # else its tickets would be issued free
+            ("acquisition",), "charging at acquisition needs a charging provider", id="acquisition-with-no-provider"
+        ),
+    ],
+)
+def test_an_authority_refused_for_its_charge_phases_reads_no_log(phases, error, tmp_path):
+    """With no provider, acquisition is refused too; the phases are checked
+    before the issuance log is read, so its torn last line is not cut."""
+    log = tmp_path / "pca-issuance.log"
+    log.write_bytes(b"torn")
+    with raises_code("invalid-argument") as excinfo:
+        PrivacyCa({1: GroupConfig(Fraction(1))}, rng=random.Random(0), charge_phases=phases, issuance_log=log)
+    assert str(excinfo.value) == error
+    assert log.read_bytes() == b"torn"
 
 
 def test_register_and_duplicate():

@@ -1,22 +1,29 @@
 """Live state equals replayed state: each service runs a seeded random mix of
 operations with its log configured, including declines under a credit
 limit, blacklisted platforms, charges that raise and double spends; a new
-instance rebuilt from that log must hold exactly the live state."""
+instance rebuilt from that log must hold exactly the live state. A log line
+replay refuses stops the one service that replays it with one error."""
 
+import base64
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from pseudorate.agent import TicketDenied
 from pseudorate.charging import PHASES, ChargingProvider, Declined, PricingPolicy, RevenueShares
 from pseudorate.clock import SimClock
+from pseudorate.encoding import EncodingError, encode, read_records
 from pseudorate.errors import TicketError
 from pseudorate.privacy_ca import GroupConfig, PrivacyCa
 from pseudorate.reputation import Ack, ReputationSystem
+from pseudorate.scenario import ScenarioConfig, run_scenario
 
 from support import TOKEN, make_stack
+
+BASIC = Path(__file__).resolve().parent.parent / "scenarios" / "basic.json"
 
 SHARES = RevenueShares(Fraction(1, 5), Fraction(2, 5), Fraction(2, 5))
 POLICY = PricingPolicy.increasing({1: 40, 2: 60, 3: 80}, step=15)
@@ -163,3 +170,181 @@ def test_each_stored_rating_is_paid_for_live_and_after_a_rebuild(tmp_path):
     )
     rs = ReputationSystem("rs-test", rating_log=tmp_path / "rs-ratings.log")
     assert _expost_charges_and_ratings(cp, pca, rs) == (charges, ratings)
+
+
+LOGS = ("cp-ledger.log", "pca-issuance.log", "rs-ratings.log")
+# (log, case, the record appended, made from the log's last record, and the
+# one error its replay gives): each is decodable, but not of its log's shape
+WRONG_SHAPES = [
+    ("cp-ledger.log", "unknown-kind", lambda _: {"kind": "x"}, "ledger record of unknown kind 'x'"),
+    ("cp-ledger.log", "missing-field", lambda _: {"kind": "open", "account": "z"}, "ledger record: missing 'balance'"),
+    (
+        "cp-ledger.log",
+        "wrong-type",
+        lambda _: {"kind": "open", "account": "z", "balance": "10"},
+        "ledger record: balance must be int, not str",
+    ),
+    ("pca-issuance.log", "unknown-kind", lambda _: {"kind": "x"}, "issuance record of unknown kind 'x'"),
+    (  # the ledger is the one record of a charge
+        "pca-issuance.log",
+        "charge-kind",
+        lambda last: {"kind": "charge", "account": "acct-buyer", "charge_ref": last["charge_ref"], "receipt": "r"},
+        "issuance record of unknown kind 'charge'",
+    ),
+    (
+        "pca-issuance.log",
+        "platform-info",
+        lambda _: {"kind": "register", "platform_id": "p", "ek_public": b"", "user_account": "x", "platform_info": {}},
+        "issuance record: unknown field 'platform_info'",
+    ),
+    (
+        "pca-issuance.log",
+        "missing-field",
+        lambda last: {k: v for k, v in last.items() if k != "charge_ref"},
+        "issuance record: missing 'charge_ref'",
+    ),
+    (
+        "pca-issuance.log",
+        "wrong-type",
+        lambda last: {**last, "group": str(last["group"])},
+        "issuance record: group must be int, not str",
+    ),
+    ("rs-ratings.log", "unknown-kind", lambda _: {"kind": "x"}, "rating record: unknown field 'kind'"),
+    (
+        "rs-ratings.log",
+        "missing-field",
+        lambda last: {k: v for k, v in last.items() if k != "aik_digest"},
+        "rating record: missing 'aik_digest'",
+    ),
+    (
+        "rs-ratings.log",
+        "wrong-type",
+        lambda last: {**last, "received": str(last["received"])},
+        "rating record: received must be int, not str",
+    ),
+]
+# (log, case, the record appended, or a list of them, and its one error):
+# each is of its log's shape, but its values name nothing an earlier record
+# made, make again what an earlier record made, or are out of range
+WRONG_VALUES = [
+    (
+        "cp-ledger.log",
+        "charge-to-an-unopened-account",
+        lambda last: {**last, "account": "nope"},
+        "unknown-account: unknown account nope",
+    ),
+    (
+        "cp-ledger.log",
+        "policy-refused",
+        lambda _: {"kind": "policy", "policy": {"kind": "bogus"}},
+        "invalid-argument: unknown pricing kind 'bogus'",
+    ),
+    (
+        "cp-ledger.log",
+        "policy-with-a-bad-group",
+        lambda _: {"kind": "policy", "policy": {"kind": "flat", "per_group": {"01": 7}}},
+        "invalid-argument: bad policy record: bad group id '01'",
+    ),
+    (
+        "cp-ledger.log",
+        "second-opening-of-an-account",  # not the scenario's account, which its run opens again
+        lambda _: [{"kind": "open", "account": "acct-other", "balance": balance} for balance in (0, 1_000_000)],
+        "duplicate-account: account acct-other already open",
+    ),
+    (
+        "cp-ledger.log",
+        "charge-in-an-unknown-phase",
+        lambda last: {**last, "phase": "bogus"},
+        "invalid-argument: unknown charging phase 'bogus'",
+    ),
+    (
+        "cp-ledger.log",
+        "repeated-receipt",
+        lambda last: last,
+        "out-of-order-receipt: receipt rcpt-000001 is not the next, rcpt-000002",
+    ),
+    (
+        "pca-issuance.log",
+        "second-registration-of-a-platform",
+        lambda last: {"kind": "register", "platform_id": last["platform_id"], "ek_public": bytes(32), "user_account": "x"},
+        "duplicate-ek: endorsement key already registered",
+    ),
+    (
+        "pca-issuance.log",
+        "blacklist-of-an-unregistered-platform",
+        lambda _: {"kind": "blacklist", "platform_id": "nope", "flag": 1},
+        "unknown-platform: platform not registered",
+    ),
+    (
+        "pca-issuance.log",
+        "issue-to-an-unregistered-platform",
+        lambda last: {**last, "platform_id": "nope"},
+        "unknown-platform: platform not registered",
+    ),
+    (
+        "pca-issuance.log",
+        "second-issue-of-an-identity-key",
+        lambda last: last,
+        "duplicate-aik: identity key already carries a ticket",
+    ),
+    (
+        "pca-issuance.log",
+        "issue-in-an-unconfigured-group",
+        lambda last: {**last, "aik_digest": "f" * 64, "group": 9},
+        "unknown-group: group 9 is not configured",
+    ),
+    (
+        "rs-ratings.log",
+        "second-rating-of-a-ticket",
+        lambda last: last,
+        "double-spend: ticket already redeemed",
+    ),
+    (
+        "rs-ratings.log",
+        "score-outside-the-scale",
+        lambda last: {**last, "payload": {**last["payload"], "score": 9}, "aik_digest": "f" * 64},
+        "bad-payload: score outside 1..5",
+    ),
+] + [
+    (
+        "rs-ratings.log",
+        f"impact-{case}",
+        lambda last, impact=impact: {**last, "impact": impact},
+        f"rating record: impact must be a positive fraction, not {impact!r}",
+    )
+    for case, impact in [("abc", "abc"), ("zero", "0"), ("negative", "-1/2"), ("zero-denominator", "1/0")]
+]
+
+
+def _replay(log: str, path: Path) -> None:
+    """Build the one service that replays ``log``, as basic.json configures it."""
+    if log == "cp-ledger.log":
+        ChargingProvider(ledger_log=path)
+    elif log == "pca-issuance.log":
+        PrivacyCa(ScenarioConfig.from_json_file(BASIC).groups, rng=random.Random(0), issuance_log=path)
+    else:
+        ReputationSystem("rs-market", rating_log=path)
+
+
+@pytest.mark.parametrize(
+    "log, fault, error",
+    [pytest.param(log, None, "corrupt log line", id=log) for log in LOGS]
+    + [pytest.param(log, fault, error, id=f"{log}-{case}") for log, case, fault, error in WRONG_SHAPES + WRONG_VALUES],
+)
+def test_a_log_line_replay_refuses_stops_its_service_with_one_error(log, fault, error, tmp_path):
+    """A log line that does not decode, or that decodes to a record of the
+    wrong shape or with values replay refuses, stops the service that
+    replays it with one error: ``code: message`` for a :class:`TicketError`,
+    the bare message for an :class:`EncodingError`."""
+    run_scenario(ScenarioConfig.from_json_file(BASIC), state_dir=tmp_path)
+    if fault is None:
+        lines = [b"garbage!!"]
+    else:
+        records = fault(read_records(tmp_path / log)[-1])
+        lines = [base64.b64encode(encode(r)) for r in (records if isinstance(records, list) else [records])]
+    with open(tmp_path / log, "ab") as handle:
+        handle.write(b"".join(line + b"\n" for line in lines))
+    with pytest.raises((TicketError, EncodingError)) as excinfo:
+        _replay(log, tmp_path / log)
+    exc = excinfo.value
+    assert (f"{exc.code}: {exc}" if isinstance(exc, TicketError) else str(exc)) == error

@@ -1,4 +1,3 @@
-import base64
 import hashlib
 import json
 import os
@@ -12,10 +11,13 @@ from pathlib import Path
 import pytest
 
 import pseudorate
+from pseudorate import encoding
 from pseudorate.cli import demo_config, main
-from pseudorate.encoding import encode, read_records
+from pseudorate.encoding import encode
 from pseudorate.errors import TicketError
 from pseudorate.scenario import AgentSpec, ScenarioConfig, ScenarioError, Transcript, run_scenario
+
+from support import count_calls
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -131,8 +133,8 @@ def test_state_files_match_golden_digests(name, transport, tmp_path):
 
 def test_a_second_run_over_a_state_dir_is_refused_before_any_account_opens(tmp_path, capsys):
     """Resuming is not supported: the script would open its accounts again.
-    The services replay the logs first, so a bad record keeps its own error;
-    then the run stops as a usage error, exit 2, and the logs do not move."""
+    The run is refused before any service is built, so no log is replayed:
+    it stops as a usage error, exit 2, and the logs do not move."""
     state = tmp_path / "state"
     argv = ["run", str(SCENARIOS / "basic.json"), "--state-dir", str(state)]
     assert main(argv) == 0
@@ -141,6 +143,24 @@ def test_a_second_run_over_a_state_dir_is_refused_before_any_account_opens(tmp_p
     error = f"error: {state} already holds service logs: resuming is not supported"
     assert capsys.readouterr().err.splitlines() == [error]
     assert state_digests(state) == GOLDEN_STATE_FILES["basic.json"]
+
+
+@pytest.mark.parametrize("log", ["cp-ledger.log", "pca-issuance.log", "rs-ratings.log"])
+def test_a_refused_run_reads_no_log_and_keeps_a_torn_tail(log, tmp_path, capsys, monkeypatch):
+    """A log that ends in a line with no newline keeps it over a refused
+    run: no service is built, so no log is read and none is cut."""
+    state = tmp_path / "state"
+    argv = ["run", str(SCENARIOS / "basic.json"), "--state-dir", str(state)]
+    assert main(argv) == 0
+    with open(state / log, "ab") as handle:
+        handle.write(b"torn")
+    before = {p.name: p.read_bytes() for p in state.iterdir()}
+    calls = count_calls(monkeypatch, encoding, ["read_records"])
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {state} already holds service logs: resuming is not supported\n"
+    assert {p.name: p.read_bytes() for p in state.iterdir()} == before
+    assert calls["read_records"] == 0
 
 
 # every tamper mode on an agent with no fresh ticket, then crossover with no
@@ -429,173 +449,6 @@ def test_cli_run_malformed_scenario_is_usage_error(tmp_path, capsys):
     sick = tmp_path / "sick.json"
     sick.write_text(json.dumps(raw))
     assert main(["run", str(sick)]) == 2
-
-
-LOGS = ("cp-ledger.log", "pca-issuance.log", "rs-ratings.log")
-# (log, case, the record appended, made from the log's last record, and the
-# one error line it gives): each is decodable, but not of its log's shape
-WRONG_SHAPES = [
-    ("cp-ledger.log", "unknown-kind", lambda _: {"kind": "x"}, "ledger record of unknown kind 'x'"),
-    ("cp-ledger.log", "missing-field", lambda _: {"kind": "open", "account": "z"}, "ledger record: missing 'balance'"),
-    (
-        "cp-ledger.log",
-        "wrong-type",
-        lambda _: {"kind": "open", "account": "z", "balance": "10"},
-        "ledger record: balance must be int, not str",
-    ),
-    ("pca-issuance.log", "unknown-kind", lambda _: {"kind": "x"}, "issuance record of unknown kind 'x'"),
-    (  # the ledger is the one record of a charge
-        "pca-issuance.log",
-        "charge-kind",
-        lambda last: {"kind": "charge", "account": "acct-buyer", "charge_ref": last["charge_ref"], "receipt": "r"},
-        "issuance record of unknown kind 'charge'",
-    ),
-    (
-        "pca-issuance.log",
-        "platform-info",
-        lambda _: {"kind": "register", "platform_id": "p", "ek_public": b"", "user_account": "x", "platform_info": {}},
-        "issuance record: unknown field 'platform_info'",
-    ),
-    (
-        "pca-issuance.log",
-        "missing-field",
-        lambda last: {k: v for k, v in last.items() if k != "charge_ref"},
-        "issuance record: missing 'charge_ref'",
-    ),
-    (
-        "pca-issuance.log",
-        "wrong-type",
-        lambda last: {**last, "group": str(last["group"])},
-        "issuance record: group must be int, not str",
-    ),
-    ("rs-ratings.log", "unknown-kind", lambda _: {"kind": "x"}, "rating record: unknown field 'kind'"),
-    (
-        "rs-ratings.log",
-        "missing-field",
-        lambda last: {k: v for k, v in last.items() if k != "aik_digest"},
-        "rating record: missing 'aik_digest'",
-    ),
-    (
-        "rs-ratings.log",
-        "wrong-type",
-        lambda last: {**last, "received": str(last["received"])},
-        "rating record: received must be int, not str",
-    ),
-]
-# (log, case, the record appended, or a list of them, and its one error line):
-# each is of its log's shape, but its values name nothing an earlier record
-# made, make again what an earlier record made, or are out of range
-WRONG_VALUES = [
-    (
-        "cp-ledger.log",
-        "charge-to-an-unopened-account",
-        lambda last: {**last, "account": "nope"},
-        "unknown-account: unknown account nope",
-    ),
-    (
-        "cp-ledger.log",
-        "policy-refused",
-        lambda _: {"kind": "policy", "policy": {"kind": "bogus"}},
-        "invalid-argument: unknown pricing kind 'bogus'",
-    ),
-    (
-        "cp-ledger.log",
-        "policy-with-a-bad-group",
-        lambda _: {"kind": "policy", "policy": {"kind": "flat", "per_group": {"01": 7}}},
-        "invalid-argument: bad policy record: bad group id '01'",
-    ),
-    (
-        "cp-ledger.log",
-        "second-opening-of-an-account",  # not the scenario's account, which its run opens again
-        lambda _: [{"kind": "open", "account": "acct-other", "balance": balance} for balance in (0, 1_000_000)],
-        "duplicate-account: account acct-other already open",
-    ),
-    (
-        "cp-ledger.log",
-        "charge-in-an-unknown-phase",
-        lambda last: {**last, "phase": "bogus"},
-        "invalid-argument: unknown charging phase 'bogus'",
-    ),
-    (
-        "cp-ledger.log",
-        "repeated-receipt",
-        lambda last: last,
-        "out-of-order-receipt: receipt rcpt-000001 is not the next, rcpt-000002",
-    ),
-    (
-        "pca-issuance.log",
-        "second-registration-of-a-platform",
-        lambda last: {"kind": "register", "platform_id": last["platform_id"], "ek_public": bytes(32), "user_account": "x"},
-        "duplicate-ek: endorsement key already registered",
-    ),
-    (
-        "pca-issuance.log",
-        "blacklist-of-an-unregistered-platform",
-        lambda _: {"kind": "blacklist", "platform_id": "nope", "flag": 1},
-        "unknown-platform: platform not registered",
-    ),
-    (
-        "pca-issuance.log",
-        "issue-to-an-unregistered-platform",
-        lambda last: {**last, "platform_id": "nope"},
-        "unknown-platform: platform not registered",
-    ),
-    (
-        "pca-issuance.log",
-        "second-issue-of-an-identity-key",
-        lambda last: last,
-        "duplicate-aik: identity key already carries a ticket",
-    ),
-    (
-        "pca-issuance.log",
-        "issue-in-an-unconfigured-group",
-        lambda last: {**last, "aik_digest": "f" * 64, "group": 9},
-        "unknown-group: group 9 is not configured",
-    ),
-    (
-        "rs-ratings.log",
-        "second-rating-of-a-ticket",
-        lambda last: last,
-        "double-spend: ticket already redeemed",
-    ),
-    (
-        "rs-ratings.log",
-        "score-outside-the-scale",
-        lambda last: {**last, "payload": {**last["payload"], "score": 9}, "aik_digest": "f" * 64},
-        "bad-payload: score outside 1..5",
-    ),
-] + [
-    (
-        "rs-ratings.log",
-        f"impact-{case}",
-        lambda last, impact=impact: {**last, "impact": impact},
-        f"rating record: impact must be a positive fraction, not {impact!r}",
-    )
-    for case, impact in [("abc", "abc"), ("zero", "0"), ("negative", "-1/2"), ("zero-denominator", "1/0")]
-]
-
-
-@pytest.mark.parametrize(
-    "log, fault, error",
-    [pytest.param(log, None, "corrupt log line", id=log) for log in LOGS]
-    + [pytest.param(log, fault, error, id=f"{log}-{case}") for log, case, fault, error in WRONG_SHAPES + WRONG_VALUES],
-)
-def test_cli_run_over_a_log_line_that_does_not_decode_is_one_error_line(log, fault, error, tmp_path, capsys):
-    """A state-dir log line that does not decode, or that decodes to a record
-    of the wrong shape or with values replay refuses, stops the run with one
-    error line and exit 1."""
-    state = tmp_path / "state"
-    assert main(["run", str(SCENARIOS / "basic.json"), "--state-dir", str(state)]) == 0
-    if fault is None:
-        lines = [b"garbage!!"]
-    else:
-        records = fault(read_records(state / log)[-1])
-        lines = [base64.b64encode(encode(r)) for r in (records if isinstance(records, list) else [records])]
-    with open(state / log, "ab") as handle:
-        handle.write(b"".join(line + b"\n" for line in lines))
-    capsys.readouterr()
-    assert main(["run", str(SCENARIOS / "basic.json"), "--state-dir", str(state)]) == 1
-    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
 
 
 def test_charging_mode_both_is_refused(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from pseudorate import crypto
 from pseudorate.tpm import TpmInstance
 
-from support import certify_fresh_key, certify_with, make_stack, raises_code
+from support import certify_fresh_key, certify_with, raises_code
 
 
 def make_blob(ek_public: bytes, aik_public: bytes, nonce: bytes = b"n" * 16) -> bytes:

@@ -4,7 +4,6 @@ import socket
 import sys
 import threading
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
