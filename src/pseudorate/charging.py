@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .clock import SimClock
-from .encoding import append_record, check_fields, check_kind, encode, read_records
+from .encoding import append_record, check_fields, check_kind, read_records
 from .errors import InvalidArgument, TicketError, UnknownGroup
 
 PHASE_ACQUISITION = "acquisition"
@@ -23,7 +23,9 @@ PHASE_EX_POST = "ex_post"
 PHASES = (PHASE_ACQUISITION, PHASE_EX_POST)
 _RECORDS = {  # kind -> the fields of a ledger record (FORMATS §6)
     "open": {"kind": str, "account": str, "balance": int},
-    "charge": {"kind": str, "account": str, "at": int, "amount": int, "phase": str, "group": int, "receipt": str},
+    "charge": {
+        "kind": str, "account": str, "at": int, "amount": int, "phase": str, "group": int, "receipt": str, "ref": str
+    },
     "policy": {"kind": str, "policy": dict},
 }
 
@@ -208,6 +210,7 @@ class ChargingProvider:
         self._credit_limit = credit_limit
         self._accounts: dict[str, Account] = {}
         self._charges = 0  # charge records folded so far; numbers the next receipt
+        self._by_ref: dict[str, ChargeReceipt] = {}  # each charge's ref -> its receipt
         self._revenue = {"cp": 0, "pca": 0, "rs": 0}
         # the socket server is threaded: open_account and charge check and
         # then update, and without the lock concurrent charges lose updates
@@ -256,12 +259,16 @@ class ChargingProvider:
         balance = self._account(account_id).balance
         return self._credit_limit is not None and balance - amount < -self._credit_limit
 
-    def charge(self, account_id: str, amount: int, *, group: int, phase: str) -> ChargeReceipt | Declined:
+    def charge(self, account_id: str, amount: int, *, group: int, phase: str, ref: str) -> ChargeReceipt | Declined:
         """Move `amount` off the account (negative = incentive credit).
-        Positive revenue is immediately split between the parties."""
+        Positive revenue is immediately split between the parties. A `ref`
+        the ledger holds returns its charge's receipt and moves nothing."""
         if phase not in PHASES:
             raise InvalidArgument(f"unknown charging phase {phase!r}")
         with self._lock:
+            charged = self._by_ref.get(ref)
+            if charged is not None:
+                return charged
             if self.declines(account_id, amount):
                 return Declined(reason="limit-exceeded")
             self._commit(
@@ -273,30 +280,12 @@ class ChargingProvider:
                     "phase": phase,
                     "group": group,
                     "receipt": f"rcpt-{self._charges + 1:06d}",
+                    "ref": ref,
                 }
             )
             return self._accounts[account_id].history[-1]
 
     # -- audit ----------------------------------------------------------------
-
-    def export_state(self) -> bytes:
-        return encode(
-            {
-                "accounts": {
-                    a.account_id: {
-                        "balance": a.balance,
-                        "opening": a.opening_balance,
-                        "history": [
-                            {"at": e.at, "amount": e.amount, "phase": e.phase, "group": e.group, "receipt": e.receipt_id}
-                            for e in a.history
-                        ],
-                    }
-                    for a in self._accounts.values()
-                },
-                "revenue": dict(self._revenue),
-                "policy": self._policy.to_record(),
-            }
-        )
 
     def replayed_balance(self, account_id: str) -> int:
         """Opening balance minus the sum of history amounts; must always
@@ -336,13 +325,14 @@ class ChargingProvider:
         receipt = f"rcpt-{self._charges + 1:06d}"  # a logged repeat would charge one receipt twice
         if record["receipt"] != receipt:
             raise TicketError(f"receipt {record['receipt']} is not the next, {receipt}", code="out-of-order-receipt")
+        ref = record["ref"]
+        if ref in self._by_ref:  # a logged second charge of one ref would charge its ticket twice
+            raise TicketError(f"ref {ref} is already charged", code="duplicate-charge")
         amount = record["amount"]
         account.balance -= amount
-        account.history.append(
-            ChargeReceipt(
-                record["receipt"], account_id, amount, record["group"], record["phase"], record["at"], account.balance
-            )
-        )
+        entry = ChargeReceipt(receipt, account_id, amount, record["group"], record["phase"], record["at"], account.balance)
+        account.history.append(entry)
+        self._by_ref[ref] = entry
         self._charges += 1
         if amount > 0 and self._shares is not None:
             cp_part, pca_part, rs_part = split_revenue(amount, self._shares)

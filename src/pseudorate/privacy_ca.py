@@ -120,10 +120,11 @@ class PrivacyCa:
                 raise InvalidArgument(f"the authority charges only at acquisition, not {phase!r}")
         if charge_phases and charging is None:  # else its tickets would be issued free
             raise InvalidArgument("charging at acquisition needs a charging provider")
-        self._issuance_log = Path(issuance_log) if issuance_log else None
-        records = read_records(self._issuance_log) if self._issuance_log and self._issuance_log.exists() else []
-        if records and rng is None:  # fresh group keys would void every ticket the log records
+        log = self._issuance_log = Path(issuance_log) if issuance_log else None
+        logged = log is not None and log.exists() and log.stat().st_size > 0
+        if logged and rng is None:  # fresh group keys would void its tickets; refused before a read cuts a torn tail
             raise InvalidArgument("an authority rebuilt from its issuance log must be given its rng")
+        records = read_records(log) if logged else []
         self._clock = clock or SimClock()
         self._randbytes = rng.randbytes if rng is not None else secrets.token_bytes
         self._groups = dict(groups)
@@ -226,7 +227,7 @@ class PrivacyCa:
             if record.blacklisted:
                 raise TicketError("platform blacklisted since its request", code="handshake-failed")
             if PHASE_ACQUISITION in self._charge_phases:
-                if isinstance(self._charge(record, pending.group, PHASE_ACQUISITION), Declined):
+                if isinstance(self._charge(record, pending.group, PHASE_ACQUISITION, pending.charge_ref), Declined):
                     raise TicketError("charging provider declined the ticket", code="cp-declined")
             identity_label = self._randbytes(8).hex()
             meta = {
@@ -290,7 +291,7 @@ class PrivacyCa:
             ticket = self._tickets.get(aik_digest)
             if ticket is None:
                 raise TicketError("no ticket issued for that identity key", code="not-found")
-            return self._charge(self._platforms[ticket.platform_id], ticket.group, PHASE_EX_POST)
+            return self._charge(self._platforms[ticket.platform_id], ticket.group, PHASE_EX_POST, ticket.charge_ref)
 
     def _price(self, record: IdentityRecord, group: int, phase: str) -> int:
         # the provider owns the price: its published policy, at the place its ledger's
@@ -300,8 +301,9 @@ class PrivacyCa:
             raise InvalidArgument("a reverse policy pays each ticket's buyer: charge it ex post, not at acquisition")
         return amount
 
-    def _charge(self, record: IdentityRecord, group: int, phase: str) -> ChargeReceipt | Declined:
-        result = self._charging.charge(record.user_account, self._price(record, group, phase), group=group, phase=phase)
+    def _charge(self, record: IdentityRecord, group: int, phase: str, ref: str) -> ChargeReceipt | Declined:
+        amount = self._price(record, group, phase)
+        result = self._charging.charge(record.user_account, amount, group=group, phase=phase, ref=ref)
         if isinstance(result, Declined):
             logger.info("charge declined for account %s", record.user_account)
         return result

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable
 
 from . import crypto
 from .charging import Declined
@@ -137,11 +137,6 @@ class _Totals:
     weight: Fraction
     weighted: Fraction  # the sum of impact * score
     score: WeightedScore | None = None  # built on the first read
-
-
-def registry_record(registry: Mapping[int, tuple[bytes, Fraction]]) -> dict:
-    """The group table as ``rs/admin/groups`` and an exported state carry it."""
-    return {str(g): {"pub": pub, "impact": str(impact)} for g, (pub, impact) in registry.items()}
 
 
 class ReputationSystem:
@@ -270,7 +265,7 @@ class ReputationSystem:
             )
         return score
 
-    # -- inspection / persistence ------------------------------------------------------
+    # -- inspection ----------------------------------------------------------------
 
     @property
     def spent_count(self) -> int:
@@ -282,19 +277,6 @@ class ReputationSystem:
 
     def subjects(self) -> list[str]:
         return list(self._totals)
-
-    def export_state(self) -> bytes:
-        """Full serialization of everything this service stores, for audits."""
-        spent = dict(self._spent)  # copied at once: a submission may store a rating meanwhile
-        return encode(
-            {
-                "rs_id": self.rs_id,
-                "scale": [self.scale[0], self.scale[1]],
-                "registry": registry_record(self._registry),
-                "spent": {digest: r.received for digest, r in spent.items()},
-                "records": [r.to_record() for r in spent.values()],
-            }
-        )
 
     def _apply(self, record: RatingRecord, aik_digest: str) -> None:
         """The only code that changes logged state: a live submission calls it after

@@ -29,7 +29,7 @@ from .crypto import CredentialChain
 from .encoding import EncodingError, check_fields, decode_head, encode
 from .errors import TicketError
 from .privacy_ca import Challenge, DeniedRequest, PrivacyCa
-from .reputation import Ack, RatingPayload, Reject, ReputationSystem, registry_record
+from .reputation import Ack, RatingPayload, Reject, ReputationSystem
 
 logger = logging.getLogger(__name__)
 
@@ -186,8 +186,8 @@ def _h_groups(rs: ReputationSystem, groups: dict) -> dict:
     return {"count": len(registry)}
 
 
-def _h_charge(cp: ChargingProvider, account_id: str, amount: int, group: int, phase: str) -> dict:
-    result = cp.charge(account_id, amount, group=group, phase=phase)
+def _h_charge(cp: ChargingProvider, account_id: str, amount: int, group: int, phase: str, ref: str) -> dict:
+    result = cp.charge(account_id, amount, group=group, phase=phase, ref=ref)
     if isinstance(result, Declined):
         return {"status": "declined", "reason": result.reason}
     return {
@@ -224,7 +224,7 @@ ROUTES: dict[str, tuple[str, dict[str, type], Callable[..., dict | bytes]]] = {
     "rs/submit": ("rs", {"payload": bytes, "chain": bytes}, _h_submit),
     "rs/score": ("rs", {"subject": str}, _h_score),
     "rs/admin/groups": ("rs", {"groups": dict}, _h_groups),
-    "cp/charge": ("cp", {"account_id": str, "amount": int, "group": int, "phase": str}, _h_charge),
+    "cp/charge": ("cp", {"account_id": str, "amount": int, "group": int, "phase": str, "ref": str}, _h_charge),
     "cp/balance": ("cp", {"account_id": str}, lambda cp, account_id: {"balance": cp.balance(account_id)}),
     "cp/policy": ("cp", {}, lambda cp: {"policy": cp.policy.to_record()}),
     "cp/admin/policy": ("cp", {"policy": dict}, _h_set_policy),
@@ -467,15 +467,16 @@ class RsClient(_Client):
         return _field(body, "count", int), _field(body, "score", str)
 
     def configure_groups(self, registry: dict[int, tuple[bytes, Fraction]]) -> int:
-        body = self._call("rs/admin/groups", {"groups": registry_record(registry)})
+        groups = {str(g): {"pub": pub, "impact": str(impact)} for g, (pub, impact) in registry.items()}
+        body = self._call("rs/admin/groups", {"groups": groups})
         return _field(body, "count", int)
 
 
 class CpClient(_Client):
-    def charge(self, account_id: str, amount: int, *, group: int, phase: str) -> dict:
+    def charge(self, account_id: str, amount: int, *, group: int, phase: str, ref: str) -> dict:
         return self._call(
             "cp/charge",
-            {"account_id": account_id, "amount": amount, "group": group, "phase": phase},
+            {"account_id": account_id, "amount": amount, "group": group, "phase": phase, "ref": ref},
         )
 
     def balance(self, account_id: str) -> int:

@@ -1,7 +1,8 @@
 """Shared builders for the test suite: a directly-wired service stack (no
 wire layer), helpers to build honest chains and mutate them, a chain forged
 under a key of small order, ``raises_code`` to expect a failure by its error
-code, and ``count_calls`` to count calls of package functions."""
+code, ``count_calls`` to count calls of package functions, and the folds and
+decoded logs that replay and pseudonymity tests compare and scan."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from pseudorate.charging import ChargingProvider, PricingPolicy, RevenueShares
 from pseudorate.clock import SimClock
 from pseudorate import crypto
 from pseudorate.crypto import Credential, CredentialChain, KeyPair
+from pseudorate.encoding import encode, read_records
 from pseudorate.errors import TicketError
 from pseudorate.privacy_ca import GroupConfig, PrivacyCa
 from pseudorate.reputation import ReputationSystem
@@ -62,6 +65,22 @@ def count_calls(monkeypatch, owner, names) -> Counter:
 
         patch_everywhere(monkeypatch, original, counted)
     return calls
+
+
+def ledger_state(cp: ChargingProvider) -> tuple:
+    """What a ledger's fold holds: its accounts, revenue totals and policy."""
+    return cp._accounts, cp.revenue_totals, cp.policy
+
+
+def rating_state(rs: ReputationSystem) -> tuple:
+    """What a rating fold holds: each spent ticket's rating, in stored order, and the group table."""
+    return list(rs._spent.items()), rs.group_registry
+
+
+def log_bytes(path: Path) -> bytes:
+    """A log's records decoded and encoded again, for byte scans: the file
+    holds each record as base64, which hides a bytes field from a raw scan."""
+    return b"||".join(encode(r) for r in read_records(path))
 
 
 @dataclass

@@ -9,6 +9,7 @@ settlement laws, exact aggregation, and transcript determinism.
 """
 
 import random
+import shutil
 import threading
 import time
 from fractions import Fraction
@@ -20,7 +21,7 @@ from pseudorate.agent import TrustedAgent
 from pseudorate.charging import PricingPolicy, RevenueShares, split_revenue
 from pseudorate.cli import main
 from pseudorate.crypto import CredentialChain, key_id_of, verify_chain
-from pseudorate.encoding import EncodingError
+from pseudorate.encoding import EncodingError, append_record
 from pseudorate.reputation import Ack, RatingPayload, RatingRecord, Reject, ReputationSystem
 from pseudorate.tpm import TpmInstance
 from pseudorate.wire import InprocTransport, PcaClient, Router, RsClient
@@ -30,6 +31,7 @@ from support import (
     VERIFY_BACKENDS,
     all_single_field_mutants,
     honest_chain,
+    log_bytes,
     make_stack,
     private_material,
     raises_code,
@@ -228,9 +230,9 @@ def colony(tmp_path_factory):
 
 def test_5_pseudonymity_boundary(colony):
     stack, agents, issued = colony["stack"], colony["agents"], colony["issued"]
-    haystacks = {
-        "rs-state": stack.rs.export_state(),
-        "cp-state": stack.cp.export_state(),
+    haystacks = {  # the records each service persists, decoded
+        "rs-state": log_bytes(colony["state"] / "rs-ratings.log"),
+        "cp-state": log_bytes(colony["state"] / "cp-ledger.log"),
     }
     labels = [
         ticket.identity_label
@@ -258,22 +260,42 @@ def test_5_pseudonymity_boundary(colony):
        "100/100 tickets resolved by the authority alone")
 
 
-def test_6_shielding(colony):
-    stack, agents, tap, state = colony["stack"], colony["agents"], colony["tap"], colony["state"]
-    secrets = private_material(stack, agents)
-    assert len(secrets) >= 100
-    messages = b"||".join(frame for _, frame in tap)
+def _shielding_haystack(tap: list, state) -> bytes:
+    """Every captured frame, and each persisted log both as its file's bytes
+    and as its decoded records: a log line is base64, so a bytes field is
+    in the file neither raw nor in hex."""
     paths = sorted(state.iterdir())
     # every service's persisted state is in the haystack, none silently missing
     assert [p.name for p in paths] == ["cp-ledger.log", "pca-issuance.log", "rs-ratings.log"]
     assert all(p.stat().st_size > 0 for p in paths)
-    files = b"||".join(p.read_bytes() for p in paths)
-    haystack = messages + b"||" + files
+    parts = [frame for _, frame in tap] + [p.read_bytes() for p in paths] + [log_bytes(p) for p in paths]
+    return b"||".join(parts)
+
+
+def _leaked(secret: bytes, haystack: bytes) -> bool:
+    return secret in haystack or secret.hex().encode() in haystack
+
+
+def test_6_shielding(colony):
+    stack, agents, tap, state = colony["stack"], colony["agents"], colony["tap"], colony["state"]
+    secrets = private_material(stack, agents)
+    assert len(secrets) >= 100
+    haystack = _shielding_haystack(tap, state)
     for secret in secrets:
-        assert secret not in haystack
-        assert secret.hex().encode() not in haystack
+        assert not _leaked(secret, haystack)
     ok(6, "shielding", f"{len(secrets)} private keys absent from "
        f"{len(tap)} captured frames and {len(list(state.iterdir()))} persisted files")
+
+
+def test_6_shielding_scan_finds_a_key_logged_as_a_bytes_field(colony, tmp_path):
+    """The scan reads what a log holds: a private key logged in a record is
+    found, though its file holds it only inside a base64 line."""
+    copy = tmp_path / "state"
+    shutil.copytree(colony["state"], copy)
+    secret = private_material(colony["stack"], colony["agents"])[0]
+    append_record(copy / "rs-ratings.log", {"kind": "planted", "key": secret})
+    assert not _leaked(secret, (copy / "rs-ratings.log").read_bytes())
+    assert _leaked(secret, _shielding_haystack(colony["tap"], copy))
 
 
 # -- 7: pricing and settlement ----------------------------------------------------------

@@ -19,7 +19,7 @@ from pseudorate.charging import (
 from pseudorate.clock import SimClock
 from pseudorate.errors import InvalidArgument, UnknownGroup
 
-from support import make_stack, raises_code
+from support import ledger_state, make_stack, raises_code
 
 THIRDS = RevenueShares(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 
@@ -246,7 +246,7 @@ def _provider(**kw):
 
 def test_charge_moves_balance():
     cp = _provider()
-    receipt = cp.charge("acct", 100, group=1, phase="acquisition")
+    receipt = cp.charge("acct", 100, group=1, phase="acquisition", ref="r1")
     assert isinstance(receipt, ChargeReceipt)
     assert cp.balance("acct") == 400
     assert receipt.balance_after == 400
@@ -258,9 +258,9 @@ def test_charge_returns_the_receipt_the_ledger_keeps_and_replay_rebuilds(tmp_pat
     cp.open_account("acct", 500)
     cp.open_account("other", 0)
     receipts = [
-        cp.charge("acct", 120, group=2, phase="acquisition"),
-        cp.charge("other", -30, group=1, phase="ex_post"),
-        cp.charge("acct", 45, group=1, phase="ex_post"),
+        cp.charge("acct", 120, group=2, phase="acquisition", ref="r1"),
+        cp.charge("other", -30, group=1, phase="ex_post", ref="r2"),
+        cp.charge("acct", 45, group=1, phase="ex_post", ref="r3"),
     ]
     assert receipts[0] is cp.history("acct")[0]
     assert receipts[1] is cp.history("other")[-1]
@@ -273,15 +273,27 @@ def test_charge_returns_the_receipt_the_ledger_keeps_and_replay_rebuilds(tmp_pat
         assert revived.history(account) == cp.history(account)
 
 
+def test_a_charge_of_a_known_ref_returns_its_receipt_and_moves_nothing(tmp_path):
+    path = tmp_path / "ledger.log"
+    cp = ChargingProvider(SimClock(), shares=THIRDS, credit_limit=0, ledger_log=path)
+    cp.open_account("acct", 500)
+    first = cp.charge("acct", 300, group=1, phase="ex_post", ref="r1")
+    logged = path.read_bytes()
+    # the same ref again: not declined, though 300 more would pass the limit now
+    assert cp.charge("acct", 300, group=1, phase="ex_post", ref="r1") is first
+    assert (cp.balance("acct"), cp.history("acct"), path.read_bytes()) == (200, [first], logged)
+    assert ChargingProvider(SimClock(), ledger_log=path).charge("acct", 5, group=1, phase="ex_post", ref="r1") == first
+
+
 def test_incentive_credits_account():
     cp = _provider()
-    cp.charge("acct", -50, group=1, phase="ex_post")
+    cp.charge("acct", -50, group=1, phase="ex_post", ref="r1")
     assert cp.balance("acct") == 550
 
 
 def test_charge_beyond_limit_declined_and_unchanged():
     cp = _provider(credit_limit=0)
-    result = cp.charge("acct", 600, group=1, phase="acquisition")
+    result = cp.charge("acct", 600, group=1, phase="acquisition", ref="r1")
     assert isinstance(result, Declined)
     assert result.reason == "limit-exceeded"
     assert cp.balance("acct") == 500
@@ -291,20 +303,20 @@ def test_charge_beyond_limit_declined_and_unchanged():
 def test_unknown_account():
     cp = _provider()
     with raises_code("unknown-account"):
-        cp.charge("ghost", 1, group=1, phase="acquisition")
+        cp.charge("ghost", 1, group=1, phase="acquisition", ref="r1")
 
 
 def test_unknown_phase_rejected():
     cp = _provider()
     with pytest.raises(InvalidArgument):
-        cp.charge("acct", 1, group=1, phase="later")
+        cp.charge("acct", 1, group=1, phase="later", ref="r1")
 
 
 def test_replaying_history_reproduces_balance():
     cp = _provider()
     rng = random.Random(4)
-    for _ in range(50):
-        cp.charge("acct", rng.randrange(-50, 80), group=1, phase="ex_post")
+    for n in range(50):
+        cp.charge("acct", rng.randrange(-50, 80), group=1, phase="ex_post", ref=f"r{n}")
     assert cp.replayed_balance("acct") == cp.balance("acct")
 
 
@@ -313,9 +325,9 @@ def test_revenue_totals_conserve_charges():
     cp.open_account("acct", 10_000)
     charged = 0
     rng = random.Random(9)
-    for _ in range(40):
+    for n in range(40):
         amount = rng.randrange(-20, 200)
-        result = cp.charge("acct", amount, group=1, phase="ex_post")
+        result = cp.charge("acct", amount, group=1, phase="ex_post", ref=f"r{n}")
         if isinstance(result, ChargeReceipt) and amount > 0:
             charged += amount
     assert sum(cp.revenue_totals.values()) == charged
@@ -325,14 +337,14 @@ def test_ledger_log_replay(tmp_path):
     path = tmp_path / "ledger.log"
     cp = ChargingProvider(SimClock(), shares=THIRDS, ledger_log=path)
     cp.open_account("acct", 500)
-    cp.charge("acct", 120, group=2, phase="acquisition")
-    cp.charge("acct", -30, group=2, phase="ex_post")
+    cp.charge("acct", 120, group=2, phase="acquisition", ref="r1")
+    cp.charge("acct", -30, group=2, phase="ex_post", ref="r2")
 
     revived = ChargingProvider(SimClock(), shares=THIRDS, ledger_log=path)
     assert revived.balance("acct") == cp.balance("acct") == 410
     assert revived.revenue_totals == cp.revenue_totals
     # receipts keep counting upward after a restart
-    receipt = revived.charge("acct", 10, group=2, phase="ex_post")
+    receipt = revived.charge("acct", 10, group=2, phase="ex_post", ref="r3")
     assert receipt.receipt_id == "rcpt-000003"
 
 
@@ -341,19 +353,19 @@ def test_torn_ledger_tail_does_not_block_restart(tmp_path):
     cp = ChargingProvider(SimClock(), shares=THIRDS, ledger_log=path)
     cp.open_account("acct", 500)
     for amount in (10, 20, 30):
-        cp.charge("acct", amount, group=1, phase="ex_post")
+        cp.charge("acct", amount, group=1, phase="ex_post", ref=f"r{amount}")
     # a crash in the middle of the last append leaves a line without its newline
     path.write_bytes(path.read_bytes()[:-7])
 
     revived = ChargingProvider(SimClock(), shares=THIRDS, ledger_log=path)
     assert [e.amount for e in revived.history("acct")] == [10, 20]
-    revived.charge("acct", 40, group=1, phase="ex_post")
+    revived.charge("acct", 40, group=1, phase="ex_post", ref="r40")
 
     again = ChargingProvider(SimClock(), shares=THIRDS, ledger_log=path)
     assert [e.amount for e in again.history("acct")] == [10, 20, 40]
     assert [e.receipt_id for e in again.history("acct")] == ["rcpt-000001", "rcpt-000002", "rcpt-000003"]
     assert again.balance("acct") == again.replayed_balance("acct") == 430
-    assert again.export_state() == revived.export_state()
+    assert ledger_state(again) == ledger_state(revived)
 
 
 def test_concurrent_charges_lose_no_update():
@@ -361,14 +373,14 @@ def test_concurrent_charges_lose_no_update():
     cp = ChargingProvider(SimClock(), shares=THIRDS)
     cp.open_account("acct", 0)
 
-    def work():
-        for _ in range(charges_n):
-            cp.charge("acct", 1, group=1, phase="ex_post")
+    def work(thread_n):
+        for n in range(charges_n):
+            cp.charge("acct", 1, group=1, phase="ex_post", ref=f"t{thread_n}-{n}")
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work) for _ in range(threads_n)]
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(threads_n)]
         for thread in threads:
             thread.start()
         for thread in threads:

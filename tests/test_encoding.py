@@ -25,7 +25,7 @@ from pseudorate.scenario import ScenarioConfig, Transcript
 from pseudorate.tpm import TpmInstance
 from pseudorate.wire import Router, decode_response, encode_request
 
-from support import honest_chain, make_stack
+from support import honest_chain, ledger_state, make_stack
 
 
 def test_scalar_round_trips():
@@ -450,7 +450,7 @@ def test_append_cut_short_by_a_full_disk_leaves_no_half_line(tmp_path, monkeypat
     revived = ChargingProvider(SimClock(), ledger_log=path)
     assert revived.balance("first") == 100
     assert revived.balance("third") == 300
-    assert revived.export_state() == cp.export_state()
+    assert ledger_state(revived) == ledger_state(cp)
     assert path.read_bytes().count(b"\n") == 2
 
 
@@ -625,8 +625,8 @@ class Shape(NamedTuple):
 
 SHAPES = {
     "router-body": Shape(
-        {"account_id": str, "amount": int, "group": int, "phase": str}, (),
-        {"account_id": "acct-shape", "amount": 1, "group": 1, "phase": "acquisition"},
+        {"account_id": str, "amount": int, "group": int, "phase": str, "ref": str}, (),
+        {"account_id": "acct-shape", "amount": 1, "group": 1, "phase": "acquisition", "ref": "r1"},
         lambda body: routed("cp/charge", body), "protocol-error", WRONG_ENCODED,
     ),
     "router-group-entry": Shape(

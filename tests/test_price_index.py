@@ -23,7 +23,7 @@ from pseudorate.reputation import Ack, ReputationSystem
 from pseudorate.tpm import TpmInstance
 from pseudorate.wire import CpClient, InprocTransport, Router
 
-from support import make_stack
+from support import ledger_state, make_stack
 
 POLICY = PricingPolicy.increasing({1: 40, 2: 60, 3: 80}, step=15)
 GROUPS = {g: GroupConfig(impact=Fraction(g)) for g in (1, 2, 3)}
@@ -226,19 +226,19 @@ def test_the_price_charged_is_the_policy_the_provider_publishes(tmp_path, chargi
 
 def test_a_policy_record_is_not_a_charge(tmp_path):
     """A policy set between charges moves no receipt number, no price index,
-    no history and no revenue, live or replayed, and the exported state
-    carries it."""
+    no history and no revenue, live or replayed, and the replayed fold
+    holds it."""
     ledger = tmp_path / "cp-ledger.log"
     shares = RevenueShares(Fraction(1, 5), Fraction(2, 5), Fraction(2, 5))
     cp = ChargingProvider(SimClock(), policy=POLICY, shares=shares, ledger_log=ledger)
     cp.open_account("acct", 1000)
-    cp.charge("acct", 100, group=1, phase="acquisition")
+    cp.charge("acct", 100, group=1, phase="acquisition", ref="r1")
     before = (cp.history("acct"), cp.charge_count("acct"), cp.balance("acct"), cp.revenue_totals)
     cp.set_policy(SEVEN)
     assert (cp.history("acct"), cp.charge_count("acct"), cp.balance("acct"), cp.revenue_totals) == before
-    assert cp.charge("acct", 7, group=1, phase="acquisition").receipt_id == "rcpt-000002"
+    assert cp.charge("acct", 7, group=1, phase="acquisition", ref="r2").receipt_id == "rcpt-000002"
     assert read_records(ledger)[-2] == {"kind": "policy", "policy": SEVEN.to_record()}
     revived = ChargingProvider(SimClock(), policy=POLICY, shares=shares, ledger_log=ledger)
-    assert revived.export_state() == cp.export_state()
+    assert ledger_state(revived) == ledger_state(cp)
     assert revived.policy == SEVEN
-    assert ChargingProvider(SimClock(), policy=POLICY, shares=shares).export_state() != cp.export_state()
+    assert ledger_state(ChargingProvider(SimClock(), policy=POLICY, shares=shares)) != ledger_state(cp)

@@ -80,6 +80,20 @@ def test_an_authority_refused_for_its_charge_phases_reads_no_log(phases, error, 
     assert log.read_bytes() == b"torn"
 
 
+def test_an_authority_refused_for_want_of_its_rng_reads_no_log(tmp_path):
+    """A log that holds bytes needs the rng its group keys came from; that
+    is checked before the log is read, so its torn last line is not cut."""
+    log = tmp_path / "pca-issuance.log"
+    append_record(log, {"kind": "register", "platform_id": "p", "ek_public": bytes(32), "user_account": "acct"})
+    with open(log, "ab") as handle:
+        handle.write(b"torn")
+    before = log.read_bytes()
+    with raises_code("invalid-argument") as excinfo:
+        PrivacyCa({1: GroupConfig(Fraction(1))}, issuance_log=log)
+    assert str(excinfo.value) == "an authority rebuilt from its issuance log must be given its rng"
+    assert log.read_bytes() == before
+
+
 def test_register_and_duplicate():
     stack = make_stack(1)
     tpm = TpmInstance()

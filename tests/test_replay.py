@@ -21,7 +21,7 @@ from pseudorate.privacy_ca import GroupConfig, PrivacyCa
 from pseudorate.reputation import Ack, ReputationSystem
 from pseudorate.scenario import ScenarioConfig, run_scenario
 
-from support import TOKEN, make_stack
+from support import TOKEN, ledger_state, make_stack, rating_state
 
 BASIC = Path(__file__).resolve().parent.parent / "scenarios" / "basic.json"
 
@@ -38,18 +38,18 @@ def test_ledger_live_state_equals_replayed(tmp_path):
     for account in accounts:
         cp.open_account(account, rng.randrange(0, 300))
     declined = 0
-    for _ in range(300):
+    for n in range(300):
         clock.advance(rng.randrange(0, 3))
         result = cp.charge(
-            rng.choice(accounts), rng.randrange(-50, 120), group=rng.randrange(1, 4), phase=rng.choice(PHASES)
+            rng.choice(accounts), rng.randrange(-50, 120), group=rng.randrange(1, 4), phase=rng.choice(PHASES), ref=f"r{n}"
         )
         declined += isinstance(result, Declined)
     assert 0 < declined < 300
 
     revived = ChargingProvider(clock, shares=SHARES, credit_limit=100, ledger_log=path)
-    assert revived.export_state() == cp.export_state()
+    assert ledger_state(revived) == ledger_state(cp)
     # the receipt sequence continues where the live instance left off
-    assert revived.charge("acct-0", 1, group=1, phase="ex_post").receipt_id == f"rcpt-{300 - declined + 1:06d}"
+    assert revived.charge("acct-0", 1, group=1, phase="ex_post", ref="r300").receipt_id == f"rcpt-{300 - declined + 1:06d}"
 
 
 def _drive(tmp_path, seed: int, charging: str):
@@ -132,14 +132,14 @@ def test_ledger_and_ratings_of_a_stack_equal_replayed(tmp_path, charging):
     for outcome in ("ack", "double-spend"):
         assert outcomes[outcome] > 0, outcome
     _check_charge_failures(outcomes, charging)
-    # built with the stack's configuration: the exported state carries the policy in force
+    # built with the stack's configuration: the fold compared holds the policy in force
     cp = ChargingProvider(
         SimClock(), policy=POLICY, shares=SHARES, credit_limit=0, ledger_log=tmp_path / "cp-ledger.log"
     )
-    assert cp.export_state() == stack.cp.export_state()
+    assert ledger_state(cp) == ledger_state(stack.cp)
     rs = ReputationSystem("rs-test", rating_log=tmp_path / "rs-ratings.log")
     rs.configure_groups(stack.pca.group_registry())
-    assert rs.export_state() == stack.rs.export_state()
+    assert rating_state(rs) == rating_state(stack.rs)
     # the running per-subject sums are rebuilt by the same fold
     assert len(rs.subjects()) > 1
     assert rs.subjects() == stack.rs.subjects()
@@ -262,6 +262,12 @@ WRONG_VALUES = [
         "repeated-receipt",
         lambda last: last,
         "out-of-order-receipt: receipt rcpt-000001 is not the next, rcpt-000002",
+    ),
+    (
+        "cp-ledger.log",
+        "second-charge-of-a-ref",
+        lambda last: [{**last, "receipt": f"rcpt-{n:06d}", "ref": "r"} for n in (2, 3)],
+        "duplicate-charge: ref r is already charged",
     ),
     (
         "pca-issuance.log",

@@ -1,3 +1,5 @@
+import errno
+import os
 import random
 import sys
 import tempfile
@@ -10,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pseudorate import crypto, encoding
+from pseudorate import crypto, encoding, reputation
 from pseudorate.agent import RATING_META
-from pseudorate.charging import PricingPolicy
+from pseudorate.charging import ChargingProvider, PricingPolicy
 from pseudorate.errors import InvalidArgument
 from pseudorate.reputation import (
     Ack,
@@ -24,7 +26,7 @@ from pseudorate.reputation import (
 from pseudorate.encoding import append_record, encode, read_records
 from pseudorate.wire import InprocTransport, Router, RsClient, decode_request, encode_request, encode_response
 
-from support import certify_with, count_calls, honest_chain, make_stack, raises_code, replace
+from support import certify_with, count_calls, honest_chain, log_bytes, make_stack, raises_code, replace
 
 
 def test_configure_groups_rejects_nonpositive_impact():
@@ -566,13 +568,13 @@ def test_score_reads_racing_ratings_pair_each_count_with_its_own_mean():
 # -- pseudonymity and persistence -------------------------------------------------------
 
 
-def test_state_contains_no_platform_identifiers():
-    stack = make_stack(1)
+def test_state_contains_no_platform_identifiers(tmp_path):
+    stack = make_stack(1, rs_kwargs={"rating_log": tmp_path / "rs-ratings.log"})
     agents = [stack.new_agent(f"a{i}") for i in range(4)]
     for agent in agents:
         t, p, c = honest_chain(stack, agent, subject="seller")
-        stack.rs.submit_rating(p, c)
-    state = stack.rs.export_state()
+        assert isinstance(stack.rs.submit_rating(p, c), Ack)
+    state = log_bytes(tmp_path / "rs-ratings.log")
     for agent in agents:
         assert agent.tpm.ek_public not in state
         assert agent.platform_id.encode() not in state
@@ -604,6 +606,36 @@ def test_a_raised_expost_charge_stores_nothing_until_a_resubmission_pays(monkeyp
     assert stack.rs.aggregate("seller").count == stack.rs.spent_count == 1
 
 
+def test_a_rating_whose_append_fails_is_charged_once_when_resubmitted(tmp_path, monkeypatch):
+    """A rating append that fails leaves its ex-post charge in the ledger; the
+    resubmission is charged under the ticket's same ref, so the ledger hands
+    back the first receipt and moves no money again, live or rebuilt."""
+    ledger = tmp_path / "cp-ledger.log"
+    stack = make_stack(
+        1,
+        policy=PricingPolicy.flat({1: 100, 2: 100, 3: 100}),
+        charging="ex_post",
+        cp_kwargs={"ledger_log": ledger},
+        rs_kwargs={"rating_log": tmp_path / "rs-ratings.log"},
+    )
+    agent = stack.new_agent("a")
+    ticket, payload, chain = honest_chain(stack, agent, subject="seller")
+    faults = [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))]
+
+    def full_once(path, record):
+        if faults:
+            raise faults.pop()
+        append_record(path, record)
+
+    monkeypatch.setattr(reputation, "append_record", full_once)
+    with pytest.raises(OSError):
+        agent.submit_chain(ticket, payload, chain)
+    assert isinstance(agent.submit_chain(ticket, payload, chain), Ack)
+    for cp in (stack.cp, ChargingProvider(ledger_log=ledger)):
+        assert [e.amount for e in cp.history(agent.user_account)] == [100]
+        assert cp.balance(agent.user_account) == 9900
+
+
 def test_expost_charging_happens_via_authority():
     stack = make_stack(1, policy=PricingPolicy.flat({1: 40, 2: 40, 3: 40}), charging="ex_post")
     agent = stack.new_agent("a")
@@ -630,7 +662,7 @@ def test_a_declined_expost_charge_stores_nothing_until_a_top_up():
     assert (stack.rs.records, stack.rs.spent_count) == ([], 0)
     assert stack.rs.aggregate("seller").body == stack.rs.none_body
     assert stack.cp.balance(agent.user_account) == 10 and len(agent.fresh_tickets()) == 1
-    stack.cp.charge(agent.user_account, -100, group=1, phase="ex_post")  # the top-up
+    stack.cp.charge(agent.user_account, -100, group=1, phase="ex_post", ref="top-up")
     assert isinstance(agent.redeem_ticket(ticket, agent.make_payload("seller", 4)), Ack)
     assert [e.amount for e in stack.cp.history(agent.user_account) if e.phase == "ex_post"] == [-100, 40]
     assert stack.cp.balance(agent.user_account) == 110 - 40

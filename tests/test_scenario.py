@@ -104,7 +104,7 @@ GOLDEN_STATE_FILES = {
         "rs-ratings.log": "648848e059b675b1cd04c7dc76fb61ca47e495006fd73b2cb098ce11196b9f7f",
     },
     "basic.json": {
-        "cp-ledger.log": "03af514fb42982256b0e5c87d6c5573c75618c08e38e2fb9601fb8f668159a2f",
+        "cp-ledger.log": "7853c33b98bc3a3bcbed59693a1e0a711602f2095fef239e8cd30f54279af94d",
         "pca-issuance.log": "e0d1549f18213879e175e4fbe5164bb102a28d6846214705d32935e15d31d318",
         "rs-ratings.log": "0950d6a1538853d17f691d5eac0ab2e1da517093d173d2406a08c12b6561a16b",
     },
@@ -114,7 +114,7 @@ GOLDEN_STATE_FILES = {
         "rs-ratings.log": "d5565e990fc750058dbbc66baec4ecc4f43b7928aef59b3166f56386ee8d51a4",
     },
     "sybil_increasing.json": {
-        "cp-ledger.log": "a43811a0644462572e261f2f9dc2a6466cef8ac0e2ebe4223038137462b09e2e",
+        "cp-ledger.log": "73c2edbca18baa636792586ce698ae92dc497c61986d56d6532adfff1b27ccfd",
         "pca-issuance.log": "0f5ba1de8325fe5fe6ebe32ee44f2ff6af2eed8be37bac2885e972ce14fea5f7",
     },
 }

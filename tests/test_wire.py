@@ -364,8 +364,8 @@ ERROR_CASES = {
     "pca/resolve:forbidden": lambda pca, a, b: pca.resolve_identity("00" * 32, "bad-token"),
     "pca/resolve:not-found": lambda pca, a, b: pca.resolve_identity("ff" * 32, TOKEN),
     "pca/blacklist:unknown-platform": lambda pca, a, b: pca.blacklist("nope", True),
-    "cp/charge:unknown-account": lambda cp, a, b: cp.charge(b.user_account, 1, group=1, phase="acquisition"),
-    "cp/charge:invalid-argument": lambda cp, a, b: cp.charge(a.user_account, 1, group=1, phase="later"),
+    "cp/charge:unknown-account": lambda cp, a, b: cp.charge(b.user_account, 1, group=1, phase="acquisition", ref="r1"),
+    "cp/charge:invalid-argument": lambda cp, a, b: cp.charge(a.user_account, 1, group=1, phase="later", ref="r1"),
     "cp/balance:unknown-account": lambda cp, a, b: cp.balance("ghost"),
 }
 
@@ -433,7 +433,7 @@ def test_cp_charge_answers_a_declined_charge_over_its_client():
     stack = make_stack(1, credit_limit=0)
     stack.cp.open_account("acct-w", 100)
     cp_client = CpClient(InprocTransport(full_router(stack)))
-    declined = cp_client.charge("acct-w", 101, group=1, phase="acquisition")
+    declined = cp_client.charge("acct-w", 101, group=1, phase="acquisition", ref="r1")
     assert declined == {"status": "declined", "reason": "limit-exceeded"}
     assert stack.cp.balance("acct-w") == 100
 
@@ -563,7 +563,9 @@ def test_socket_answers_operator_routes_as_unknown_endpoints(endpoint):
     attack = {
         "pca/blacklist": {"platform_id": agent.platform_id, "flag": 1},
         "rs/admin/groups": {"groups": {"4": {"pub": generate_keypair(seed=b"attacker").public, "impact": "1000"}}},
-        "cp/charge": {"account_id": agent.user_account, "amount": -1_000_000, "group": 1, "phase": "acquisition"},
+        "cp/charge": {
+            "account_id": agent.user_account, "amount": -1_000_000, "group": 1, "phase": "acquisition", "ref": "r1"
+        },
         "cp/balance": {"account_id": agent.user_account},
         "cp/admin/policy": {"policy": {"kind": "free"}},
     }[endpoint]
