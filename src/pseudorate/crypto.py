@@ -9,8 +9,11 @@ side verifies link by link against the registered group keys.
 Signing is Ed25519; blobs confined to one platform are sealed with
 X25519 + HKDF-SHA256 + ChaCha20-Poly1305. Domain prefixes keep the three
 signing contexts (credentials, issuance nonces, raw payload signing)
-mutually unforgeable. Signatures are checked by the system's libsodium where
-it can be loaded, else by ``cryptography``; both accept the same set.
+mutually unforgeable. Ed25519 key derivation, signing and verifying, and
+ChaCha20-Poly1305, run in the system's libsodium where it can be loaded,
+else in ``cryptography``; X25519 and HKDF always run in ``cryptography``.
+Ed25519 (RFC 8032) and ChaCha20-Poly1305 (RFC 8439) are deterministic, so
+both libraries give the same bytes, and verify accepts the same set on both.
 """
 
 from __future__ import annotations
@@ -62,17 +65,69 @@ def key_id_of(public: bytes) -> str:
 
 @dataclass(frozen=True)
 class KeyPair:
-    """Raw key bytes plus the ``cryptography`` private-key object built from
-    them once: signing (Ed25519) and unsealing (X25519) go through ``key``."""
+    """Raw key bytes plus the private key in the form its library signs or
+    unseals with, built once: for Ed25519, libsodium's 64-byte secret key
+    (``private`` then ``public``), or ``cryptography``'s key object where
+    libsodium is not loaded; for X25519, always ``cryptography``'s object."""
 
     public: bytes
     private: bytes = field(repr=False)
-    key: Ed25519PrivateKey | X25519PrivateKey = field(repr=False, compare=False)
+    key: bytes | Ed25519PrivateKey | X25519PrivateKey = field(repr=False, compare=False)
 
 
 def _seed_to_raw(domain: bytes, seed: bytes) -> bytes:
     return hashlib.sha256(domain + seed).digest()
 
+
+# ---------------------------------------------------------------------------
+# libsodium, where the system has it
+# ---------------------------------------------------------------------------
+
+def _load_sodium() -> ctypes.CDLL | None:
+    """The system's libsodium, with the types of each function used declared,
+    where it can be loaded; else None, and ``cryptography`` runs instead."""
+    for name in ("libsodium.so.23", "libsodium.so.26", "libsodium.dylib"):
+        try:
+            lib = ctypes.CDLL(name)
+        except OSError:
+            continue
+        lib.sodium_init.argtypes, lib.sodium_init.restype = (), ctypes.c_int
+        if lib.sodium_init() < 0:
+            return None
+        buf, size, null = ctypes.c_char_p, ctypes.c_ulonglong, ctypes.c_void_p
+        for function, argtypes in {
+            "crypto_sign_seed_keypair": (buf, buf, buf),  # public, secret, seed
+            "crypto_sign_detached": (buf, null, buf, size, buf),  # sig, -, message, len, secret
+            "crypto_sign_ed25519_verify_detached": (buf, buf, size, buf),  # sig, message, len, public
+            # out, -, in, len, aad, len, -, nonce, key
+            "crypto_aead_chacha20poly1305_ietf_encrypt": (buf, null, buf, size, buf, size, null, buf, buf),
+            # out, -, -, in, len, aad, len, nonce, key
+            "crypto_aead_chacha20poly1305_ietf_decrypt": (buf, null, null, buf, size, buf, size, buf, buf),
+        }.items():
+            declared = getattr(lib, function)
+            declared.argtypes, declared.restype = argtypes, ctypes.c_int
+        return lib
+    return None
+
+
+_sodium = _load_sodium()
+
+
+def _bytes(value: bytes, size: int | None = None, name: str = "input") -> bytes:
+    """``value`` as ``bytes`` of ``size`` bytes, checked before a C function
+    reads it, since libsodium reads exactly the lengths it is given. A value
+    that is not bytes-like is a TypeError and a wrong length a ValueError, as
+    in ``cryptography``, which also takes a bytearray or memoryview."""
+    if type(value) is not bytes:
+        value = bytes(memoryview(value))
+    if size is not None and len(value) != size:
+        raise ValueError(f"{name} must be {size} bytes")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# Ed25519
+# ---------------------------------------------------------------------------
 
 def generate_keypair(seed: bytes | None = None) -> KeyPair:
     """Fresh Ed25519 signing pair; a fixed seed makes the pair reproducible."""
@@ -81,10 +136,15 @@ def generate_keypair(seed: bytes | None = None) -> KeyPair:
 
 
 def signing_pair(private: bytes) -> KeyPair:
-    """The Ed25519 pair of raw private bytes."""
-    priv = Ed25519PrivateKey.from_private_bytes(private)
-    pub = priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-    return KeyPair(public=pub, private=private, key=priv)
+    """The Ed25519 pair of a 32-byte seed."""
+    private = _bytes(private, 32, "an Ed25519 seed")
+    if _sodium is None:
+        key = Ed25519PrivateKey.from_private_bytes(private)
+        public = key.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+        return KeyPair(public=public, private=private, key=key)
+    public, secret = ctypes.create_string_buffer(32), ctypes.create_string_buffer(64)
+    _sodium.crypto_sign_seed_keypair(public, secret, private)
+    return KeyPair(public=public.raw, private=private, key=secret.raw)
 
 
 def generate_sealing_keypair(seed: bytes | None = None) -> KeyPair:
@@ -96,8 +156,13 @@ def generate_sealing_keypair(seed: bytes | None = None) -> KeyPair:
 
 
 def sign(pair: KeyPair, message: bytes) -> bytes:
-    """Ed25519 signature by a signing pair's prebuilt key object."""
-    return pair.key.sign(message)
+    """Ed25519 signature by a signing pair's prebuilt key."""
+    if _sodium is None:
+        return pair.key.sign(message)
+    secret, message = _bytes(pair.key, 64, "an Ed25519 secret key"), _bytes(message)
+    signature = ctypes.create_string_buffer(64)
+    _sodium.crypto_sign_detached(signature, None, message, len(message), secret)
+    return signature.raw
 
 
 # Ed25519 verifiers differ in what they accept (Chalkias et al., "Taming the
@@ -105,47 +170,18 @@ def sign(pair: KeyPair, message: bytes) -> bytes:
 # small order: under the neutral point b"\x01" + bytes(31) as the key, the
 # signature b"\x01" + bytes(63) verifies every message there. libsodium refuses
 # a key or R whose y (the low 255 bits) is one of the seven values below, and a
-# key whose y is not reduced mod p; verify refuses both before either backend runs.
+# key whose y is not reduced mod p; verify refuses both before either library runs.
 _P = 2**255 - 19
 _Y8 = 2707385501144840649318225287225658788936804267575313519463743609750303402022  # y of a point of order 8
 _SMALL_ORDER_Y = frozenset({0, 1, _P - 1, _P, _P + 1, _Y8, _P - _Y8})
 _Y_MASK = (1 << 255) - 1
 
 
-def _openssl_verify(public: bytes, message: bytes, signature: bytes) -> bool:
-    try:
-        Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
-    except InvalidSignature:
-        return False
-    return True
-
-
-def _load_sodium_verify() -> Callable[[bytes, bytes, bytes], bool] | None:
-    """libsodium's detached verify where the system has the library, else None."""
-    for name in ("libsodium.so.23", "libsodium.so.26", "libsodium.dylib"):
-        try:
-            lib = ctypes.CDLL(name)
-        except OSError:
-            continue
-        lib.sodium_init.argtypes, lib.sodium_init.restype = (), ctypes.c_int
-        if lib.sodium_init() < 0:
-            return None
-        check = lib.crypto_sign_ed25519_verify_detached
-        check.argtypes = (ctypes.c_char_p, ctypes.c_char_p, ctypes.c_ulonglong, ctypes.c_char_p)
-        check.restype = ctypes.c_int
-        return lambda public, message, signature: check(signature, message, len(message), public) == 0
-    return None
-
-
-_sodium_verify = _load_sodium_verify()
-_backend = _sodium_verify or _openssl_verify
-
-
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:
     """True iff the signature validates; never raises on malformed input.
     Arguments that are not ``bytes``, or a key or signature not of 32 or 64
     bytes, are False before any C call; so is a key or R of small order and
-    a key not reduced mod p, whichever backend runs."""
+    a key not reduced mod p, whichever library runs."""
     if not (
         isinstance(public, bytes)
         and len(public) == 32
@@ -158,7 +194,69 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
     r_y = int.from_bytes(signature[:32], "little") & _Y_MASK
     if key_y >= _P or key_y in _SMALL_ORDER_Y or r_y in _SMALL_ORDER_Y:
         return False
-    return _backend(public, message, signature)
+    if _sodium is not None:
+        return _sodium.crypto_sign_ed25519_verify_detached(signature, message, len(message), public) == 0
+    try:
+        Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
+    except InvalidSignature:
+        return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# ChaCha20-Poly1305
+# ---------------------------------------------------------------------------
+
+# The AEAD runs in libsodium along with signing, for a measured side effect
+# as much as for speed. Pure-Python code on a thread ran about 14 % slower
+# after a ``cryptography`` ChaCha20-Poly1305 call there, until an OpenSSL
+# SHA-512 ran on that thread, as one does inside every OpenSSL Ed25519 sign.
+# After libsodium's AEAD it ran at full speed, and that call also cleared the
+# slowdown. With signing alone moved, the in-process score reads of the
+# benchmark slowed by 13 %. (Interleaved probes on 2 vCPUs with AVX-512,
+# Python 3.11.7, OpenSSL 4.0.0, libsodium 1.0.18. The pattern points at the
+# CPU's vector-register state; no hardware counter was read to confirm it.)
+
+def aead_encrypt(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes | None = None) -> bytes:
+    """ChaCha20-Poly1305 (RFC 8439) under a 32-byte key and a 12-byte nonce:
+    the ciphertext of ``plaintext`` followed by its 16-byte tag."""
+    key, nonce, plaintext, aad = _aead_inputs(key, nonce, plaintext, aad)
+    if _sodium is None:
+        return ChaCha20Poly1305(key).encrypt(nonce, plaintext, aad)
+    out = ctypes.create_string_buffer(len(plaintext) + 16)
+    _sodium.crypto_aead_chacha20poly1305_ietf_encrypt(
+        out, None, plaintext, len(plaintext), aad, len(aad or b""), None, nonce, key
+    )
+    return out.raw
+
+
+def aead_decrypt(key: bytes, nonce: bytes, ciphertext: bytes, aad: bytes | None = None) -> bytes:
+    """The plaintext of :func:`aead_encrypt`'s output. A :class:`SealError`
+    where the tag does not hold under this key, nonce and associated data, or
+    the input is shorter than a tag."""
+    key, nonce, ciphertext, aad = _aead_inputs(key, nonce, ciphertext, aad)
+    if len(ciphertext) < 16:
+        raise SealError("ciphertext shorter than its tag")
+    if _sodium is None:
+        try:
+            return ChaCha20Poly1305(key).decrypt(nonce, ciphertext, aad)
+        except InvalidTag as exc:
+            raise SealError("not sealed to this key") from exc
+    out = ctypes.create_string_buffer(len(ciphertext) - 16)
+    if _sodium.crypto_aead_chacha20poly1305_ietf_decrypt(
+        out, None, None, ciphertext, len(ciphertext), aad, len(aad or b""), nonce, key
+    ):
+        raise SealError("not sealed to this key")
+    return out.raw
+
+
+def _aead_inputs(key: bytes, nonce: bytes, data: bytes, aad: bytes | None) -> tuple:
+    return (
+        _bytes(key, 32, "a ChaCha20-Poly1305 key"),
+        _bytes(nonce, 12, "a ChaCha20-Poly1305 nonce"),
+        _bytes(data),
+        None if aad is None else _bytes(aad),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +270,7 @@ def seal(recipient_public: bytes, plaintext: bytes, *, ephemeral_seed: bytes | N
         raise SealError("bad recipient key") from exc
     ephemeral = generate_sealing_keypair(ephemeral_seed)
     key = _seal_key(ephemeral.key.exchange(recipient), ephemeral.public, recipient_public)
-    ciphertext = ChaCha20Poly1305(key).encrypt(_SEAL_NONCE, plaintext, None)
-    return ephemeral.public + ciphertext
+    return ephemeral.public + aead_encrypt(key, _SEAL_NONCE, plaintext)
 
 
 def unseal(recipient: KeyPair, blob: bytes) -> bytes:
@@ -184,11 +281,7 @@ def unseal(recipient: KeyPair, blob: bytes) -> bytes:
         shared = recipient.key.exchange(X25519PublicKey.from_public_bytes(eph_pub))
     except ValueError as exc:
         raise SealError("malformed blob") from exc
-    key = _seal_key(shared, eph_pub, recipient.public)
-    try:
-        return ChaCha20Poly1305(key).decrypt(_SEAL_NONCE, ciphertext, None)
-    except InvalidTag as exc:
-        raise SealError("not sealed to this key") from exc
+    return aead_decrypt(_seal_key(shared, eph_pub, recipient.public), _SEAL_NONCE, ciphertext)
 
 
 def _seal_key(shared: bytes, eph_pub: bytes, recipient_pub: bytes) -> bytes:

@@ -18,9 +18,6 @@ import threading
 from dataclasses import dataclass, field
 from functools import partial
 
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
-
 from . import crypto
 from .crypto import Credential, KeyPair, SealError
 from .encoding import EncodingError, check_fields, decode
@@ -109,7 +106,7 @@ class TpmInstance:
             pair = crypto.generate_keypair(seed=self._randbytes(32))
             self._wrap_seq += 1
             nonce = self._wrap_seq.to_bytes(12, "big")
-            cipher = ChaCha20Poly1305(self._wrap_key).encrypt(nonce, pair.private, pair.public)
+            cipher = crypto.aead_encrypt(self._wrap_key, nonce, pair.private, pair.public)
             self._created[pair.public] = pair
             return WrappedKey(public=pair.public, private_blob=nonce + cipher)
 
@@ -120,9 +117,9 @@ class TpmInstance:
                 raise TicketError("wrapped blob too short", code="malformed-blob")
             nonce, cipher = blob[:12], blob[12:]
             try:
-                ChaCha20Poly1305(self._wrap_key).decrypt(nonce, cipher, wrapped.public)
+                crypto.aead_decrypt(self._wrap_key, nonce, cipher, wrapped.public)
                 pair = self._created[wrapped.public]
-            except (InvalidTag, KeyError) as exc:
+            except (SealError, KeyError) as exc:
                 raise TicketError("wrapped key was not created by this instance", code="foreign-blob") from exc
             return self._store(pair, KIND_CSK).handle
 

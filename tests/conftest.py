@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from pseudorate import crypto
-from support import VERIFY_BACKENDS
+from support import BACKENDS, on_backend
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -15,10 +14,10 @@ settings.register_profile("ci", parent=settings.get_profile("suite"), max_exampl
 settings.load_profile("suite")
 
 
-@pytest.fixture(params=list(VERIFY_BACKENDS))
-def verify_backend(request, monkeypatch):
-    """Runs the test once with each Ed25519 backend behind ``crypto.verify``;
-    the libsodium run is skipped where the library cannot be loaded."""
-    if VERIFY_BACKENDS[request.param] is None:
-        pytest.skip("libsodium cannot be loaded")
-    monkeypatch.setattr(crypto, "_backend", VERIFY_BACKENDS[request.param])
+@pytest.fixture(params=list(BACKENDS))
+def backend(request):
+    """Runs the test once with every Ed25519 and ChaCha20-Poly1305 primitive
+    on each backend; the libsodium run is skipped where the library cannot be
+    loaded."""
+    with on_backend(request.param):
+        yield request.param

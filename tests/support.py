@@ -33,8 +33,23 @@ TOKEN = "token-for-tests"
 # (R the neutral point, S = 0) that OpenSSL's verify accepts for every message.
 NEUTRAL = b"\x01" + bytes(31)
 NEUTRAL_FORGERY = b"\x01" + bytes(63)
-# the Ed25519 backends crypto.verify can run; None where libsodium cannot be loaded
-VERIFY_BACKENDS = {"openssl": crypto._openssl_verify, "sodium": crypto._sodium_verify}
+# What crypto._sodium holds on each backend of its Ed25519 and ChaCha20-Poly1305
+# primitives: None runs them in cryptography, and the libsodium handle is None
+# where the library cannot be loaded.
+BACKENDS = {"openssl": None, "sodium": crypto._sodium}
+
+
+@contextlib.contextmanager
+def on_backend(name: str):
+    """Run every primitive on backend ``name``; skips the test where libsodium
+    cannot be loaded."""
+    if name == "sodium" and BACKENDS["sodium"] is None:
+        pytest.skip("libsodium cannot be loaded")
+    saved, crypto._sodium = crypto._sodium, BACKENDS[name]
+    try:
+        yield name
+    finally:
+        crypto._sodium = saved
 
 
 @contextlib.contextmanager

@@ -25,12 +25,13 @@ from pseudorate.wire import decode_request, encode_request
 from support import (
     NEUTRAL,
     NEUTRAL_FORGERY,
-    VERIFY_BACKENDS,
+    BACKENDS,
     all_single_field_mutants,
     certify_with,
     honest_chain,
     make_stack,
     mutate_credential,
+    on_backend,
     replace,
     small_order_chain,
 )
@@ -221,19 +222,32 @@ UNREDUCED = [(y | sign << 255).to_bytes(32, "little") for y in range(P, 2**255) 
 SIGNERS = [generate_keypair(seed=bytes([i])) for i in range(3)]
 HONEST = [(pair.public, m, crypto.sign(pair, m)) for pair in SIGNERS for m in (b"", b"m", bytes(range(256)) * 4)]
 
-needs_sodium = pytest.mark.skipif(VERIFY_BACKENDS["sodium"] is None, reason="libsodium cannot be loaded")
+needs_sodium = pytest.mark.skipif(BACKENDS["sodium"] is None, reason="libsodium cannot be loaded")
+
+
+def on_each_backend(function, *args) -> list:
+    """``function(*args)`` with every primitive in ``cryptography``, then in libsodium."""
+    results = []
+    for name in BACKENDS:
+        with on_backend(name):
+            results.append(function(*args))
+    return results
 
 
 def verdicts(public, message, signature) -> set[bool]:
-    """``crypto.verify``'s answers with each backend behind it."""
-    saved, answers = crypto._backend, set()
-    try:
-        for backend in VERIFY_BACKENDS.values():
-            crypto._backend = backend
-            answers.add(crypto.verify(public, message, signature))
-    finally:
-        crypto._backend = saved
-    return answers
+    """``crypto.verify``'s answers on each backend."""
+    return set(on_each_backend(crypto.verify, public, message, signature))
+
+
+class RecordingSodium:
+    """A stand-in for the libsodium handle: records the name of each function
+    called, and every call reports success."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return lambda *args: self.calls.append(name) or 0
 
 
 def _refused_cases():
@@ -283,11 +297,10 @@ def test_backends_refuse_alike():
 def test_the_refusals_run_before_any_backend(monkeypatch):
     """Each refused case but S + L, which both libraries refuse themselves,
     is False before a backend runs: one that accepts anything is never called."""
-    reached = []
-    monkeypatch.setattr(crypto, "_backend", lambda *args: reached.append(args) or True)
+    monkeypatch.setattr(crypto, "_sodium", RecordingSodium())
     cases = [case for case in _refused_cases() if case[0] != "s-plus-l"]
     assert [name for name, *args in cases if crypto.verify(*args)] == []
-    assert reached == []
+    assert crypto._sodium.calls == []
     assert all(crypto.verify(*case) for case in HONEST)
 
 
@@ -309,14 +322,126 @@ def test_backends_agree_on_random_keys(public, honest, signature):
     assert len(verdicts(public, message, honest_signature if signature is None else signature)) == 1
 
 
-def test_a_small_order_key_verifies_nothing(verify_backend):
+# -- Ed25519 keys and signatures, ChaCha20-Poly1305: the same bytes from either backend
+
+seeds = st.binary(min_size=32, max_size=32)
+aead_keys = st.binary(min_size=32, max_size=32)
+nonces = st.binary(min_size=12, max_size=12)
+aads = st.none() | st.binary(max_size=40)
+
+
+@needs_sodium
+@given(seeds)
+def test_backends_derive_the_same_public_key(seed):
+    publics = on_each_backend(lambda: crypto.signing_pair(seed).public)
+    assert publics[0] == publics[1]
+
+
+@needs_sodium
+@given(seeds, st.binary(max_size=300))
+def test_backends_sign_alike(seed, message):
+    signatures = on_each_backend(lambda: crypto.sign(crypto.signing_pair(seed), message))
+    assert signatures[0] == signatures[1]
+
+
+@needs_sodium
+@given(aead_keys, nonces, st.binary(max_size=300), aads)
+def test_backends_encrypt_alike(key, nonce, plaintext, aad):
+    """Ciphertext and tag, for any associated data, None and empty included."""
+    boxes = on_each_backend(crypto.aead_encrypt, key, nonce, plaintext, aad)
+    assert boxes[0] == boxes[1] and len(boxes[0]) == len(plaintext) + 16
+    assert on_each_backend(crypto.aead_decrypt, key, nonce, boxes[0], aad) == [plaintext, plaintext]
+
+
+@needs_sodium
+@given(aead_keys, nonces, st.binary(max_size=60), aads, st.sampled_from(["key", "nonce", "box", "tag", "aad"]), st.data())
+def test_backends_refuse_a_tampered_box_alike(key, nonce, plaintext, aad, part, data):
+    """One flipped bit in the key, the nonce, the ciphertext and tag, the tag
+    alone or the associated data, or associated data where there was none:
+    a SealError on either backend."""
+    inputs = {"key": key, "nonce": nonce, "box": crypto.aead_encrypt(key, nonce, plaintext, aad), "aad": aad or b""}
+    field = "box" if part == "tag" else part
+    value = inputs[field]
+    if value:
+        at = data.draw(st.integers(len(value) - 16 if part == "tag" else 0, len(value) - 1))
+        value = value[:at] + bytes([value[at] ^ 1 << data.draw(st.integers(0, 7))]) + value[at + 1 :]
+    else:
+        value = b"\x01"
+    inputs[field] = value
+    for name in BACKENDS:
+        with on_backend(name), pytest.raises(crypto.SealError):
+            crypto.aead_decrypt(inputs["key"], inputs["nonce"], inputs["box"], inputs["aad"])
+
+
+def test_bytes_like_inputs_give_the_same_bytes(backend):
+    """A bytearray or memoryview is taken wherever bytes are, as ``cryptography`` takes them."""
+    key, nonce, plaintext, aad = bytes(range(32)), bytes(12), b"plaintext", b"aad"
+    box = crypto.aead_encrypt(key, nonce, plaintext, aad)
+    assert crypto.aead_encrypt(bytearray(key), memoryview(nonce), bytearray(plaintext), memoryview(aad)) == box
+    assert crypto.aead_decrypt(memoryview(key), bytearray(nonce), bytearray(box), bytearray(aad)) == plaintext
+    pair = crypto.signing_pair(bytearray(key))
+    assert pair == crypto.signing_pair(key) and type(pair.private) is bytes
+    assert crypto.sign(pair, bytearray(b"m")) == crypto.sign(pair, b"m")
+
+
+def _bad_inputs():
+    """(name, call, error) for each input of a wrong type or length that
+    libsodium would read past or short of. Each error is the type
+    ``cryptography`` raises for that input, but for a ciphertext shorter than
+    its tag, which fails as a wrong tag does."""
+    key, nonce, data = bytes(32), bytes(12), bytes(16)
+    pair = crypto.KeyPair(public=bytes(32), private=bytes(32), key=bytes(64))
+    yield "seed-31", lambda: crypto.signing_pair(bytes(31)), ValueError
+    yield "seed-64", lambda: crypto.signing_pair(bytes(64)), ValueError
+    yield "seed-str", lambda: crypto.signing_pair("s" * 32), TypeError
+    yield "seed-none", lambda: crypto.signing_pair(None), TypeError
+    yield "secret-key-63", lambda: crypto.sign(crypto.KeyPair(bytes(32), bytes(32), bytes(63)), b"m"), ValueError
+    yield "secret-key-object", lambda: crypto.sign(generate_sealing_keypair(), b"m"), TypeError
+    yield "message-str", lambda: crypto.sign(pair, "m"), TypeError
+    for name, function in (("encrypt", crypto.aead_encrypt), ("decrypt", crypto.aead_decrypt)):
+        yield f"{name}-key-31", lambda f=function: f(bytes(31), nonce, data), ValueError
+        yield f"{name}-key-33", lambda f=function: f(bytes(33), nonce, data), ValueError
+        yield f"{name}-key-str", lambda f=function: f("k" * 32, nonce, data), TypeError
+        yield f"{name}-nonce-11", lambda f=function: f(key, bytes(11), data), ValueError
+        yield f"{name}-nonce-24", lambda f=function: f(key, bytes(24), data), ValueError
+        yield f"{name}-data-str", lambda f=function: f(key, nonce, "d" * 16), TypeError
+        yield f"{name}-aad-str", lambda f=function: f(key, nonce, data, "a"), TypeError
+        yield f"{name}-aad-int", lambda f=function: f(key, nonce, data, 5), TypeError
+    yield "decrypt-shorter-than-tag", lambda: crypto.aead_decrypt(key, nonce, bytes(15)), crypto.SealError
+
+
+def test_inputs_are_checked_before_any_c_call(monkeypatch):
+    """Each wrong type or length raises its error and no libsodium function
+    runs; right inputs reach each function once."""
+    monkeypatch.setattr(crypto, "_sodium", RecordingSodium())
+    wrong = []
+    for name, call, error in _bad_inputs():
+        with pytest.raises(Exception) as excinfo:
+            call()
+        if excinfo.type is not error:
+            wrong.append(name)
+    assert wrong == []
+    assert crypto._sodium.calls == []
+    pair = crypto.signing_pair(bytes(32))
+    crypto.sign(pair, b"m")
+    crypto.aead_encrypt(bytes(32), bytes(12), b"", None)
+    crypto.aead_decrypt(bytes(32), bytes(12), bytes(16), b"")
+    assert crypto._sodium.calls == [
+        "crypto_sign_seed_keypair",
+        "crypto_sign_detached",
+        "crypto_aead_chacha20poly1305_ietf_encrypt",
+        "crypto_aead_chacha20poly1305_ietf_decrypt",
+    ]
+
+
+def test_a_small_order_key_verifies_nothing(backend):
     """Under the neutral point, OpenSSL's verify accepts the forgery for
     every message; crypto.verify refuses it whichever backend runs."""
     for message in (b"", b"any message", crypto.CREDENTIAL_DOMAIN + b"body"):
         assert not crypto.verify(NEUTRAL, message, NEUTRAL_FORGERY)
 
 
-def test_a_chain_under_small_order_keys_is_a_bad_signature(verify_backend):
+def test_a_chain_under_small_order_keys_is_a_bad_signature(backend):
     stack = make_stack(5)
     payload = RatingPayload(subject="seller-1", score=5, comment="", nonce=bytes(16), rs_id=stack.rs.rs_id)
     chain = small_order_chain(stack, payload)
@@ -345,6 +470,19 @@ def test_unseal_with_wrong_key_fails():
     blob = seal(pair.public, b"secret")
     with pytest.raises(crypto.SealError):
         unseal(other, blob)
+
+
+def test_a_tampered_sealed_blob_is_refused(backend):
+    pair = generate_sealing_keypair(seed=b"recipient")
+    blob = seal(pair.public, b"secret", ephemeral_seed=b"ephemeral")
+    assert unseal(pair, blob) == b"secret"
+    for at in (0, 31, 32, len(blob) - 17, len(blob) - 16, len(blob) - 1):  # ephemeral key, ciphertext, tag
+        tampered = bytearray(blob)
+        tampered[at] ^= 0x80
+        with pytest.raises(crypto.SealError):
+            unseal(pair, bytes(tampered))
+    with pytest.raises(crypto.SealError):
+        unseal(generate_sealing_keypair(seed=b"other"), blob)
 
 
 def test_unseal_rejects_short_blob():

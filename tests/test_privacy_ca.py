@@ -347,7 +347,7 @@ class ForgingTpm(TpmInstance):
         return NEUTRAL_FORGERY
 
 
-def test_a_small_order_identity_key_gets_no_ticket(verify_backend):
+def test_a_small_order_identity_key_gets_no_ticket(backend):
     """``pca/request`` for the neutral point, then ``pca/complete`` with a
     "proof" nobody signed, fails the handshake: nothing is charged, issued
     or kept in the wallet."""

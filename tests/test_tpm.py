@@ -3,9 +3,13 @@ import random
 import pytest
 
 from pseudorate import crypto
-from pseudorate.tpm import TpmInstance
+from pseudorate.tpm import TpmInstance, WrappedKey
 
 from support import certify_fresh_key, certify_with, raises_code
+
+# every test runs with the module's signing, key derivation and key wrapping
+# on each backend
+pytestmark = pytest.mark.usefixtures("backend")
 
 
 def make_blob(ek_public: bytes, aik_public: bytes, nonce: bytes = b"n" * 16) -> bytes:
@@ -132,10 +136,21 @@ def test_wrapped_key_from_a_same_seed_twin_is_foreign():
 def test_wrapped_key_malformed_blob():
     tpm = TpmInstance()
     wrapped = tpm.cmk_create_key()
-    from pseudorate.tpm import WrappedKey
-
     with raises_code("malformed-blob"):
         tpm.load_key(WrappedKey(public=wrapped.public, private_blob=b"xx"))
+
+
+@pytest.mark.parametrize("part", ["nonce", "ciphertext", "tag", "public"])
+def test_a_tampered_wrapped_key_is_foreign(part):
+    """One flipped bit in the wrap's nonce, ciphertext, tag or associated
+    data (the public key) and the instance that made the key refuses it."""
+    tpm = TpmInstance()
+    wrapped = tpm.cmk_create_key()
+    blob, public = bytearray(wrapped.private_blob), bytearray(wrapped.public)
+    target, at = {"nonce": (blob, 0), "ciphertext": (blob, 12), "tag": (blob, -1), "public": (public, 0)}[part]
+    target[at] ^= 0x01
+    with raises_code("foreign-blob"):
+        tpm.load_key(WrappedKey(public=bytes(public), private_blob=bytes(blob)))
 
 
 def test_wrapped_blob_contains_no_private_bytes():
