@@ -40,7 +40,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from .encoding import EncodingError, check_fields, decode, encode
+from .encoding import EncodingError, cut_entry, encode
 from .errors import InvalidArgument
 
 CREDENTIAL_DOMAIN = b"pseudorate:cred:v1:"
@@ -314,9 +314,10 @@ class Credential:
     @cached_property
     def body(self) -> bytes:
         """The record without its signature: the bytes :func:`certify` signed,
-        or cut from the bytes it was parsed from, else encoded once. The
-        signature covers ``CREDENTIAL_DOMAIN + body``, and :meth:`to_bytes` is
-        ``body`` with the ``sig`` entry spliced in."""
+        or, in a credential read from bytes, those bytes up to the ``sig``
+        entry and then ``e``, else encoded once. The signature covers
+        ``CREDENTIAL_DOMAIN + body``, and :meth:`to_bytes` is ``body`` with the
+        ``sig`` entry spliced in."""
         return encode({"entity": self.entity, "issuer": self.issuer_public, "meta": dict(self.meta)})
 
     def to_record(self) -> dict:
@@ -327,27 +328,51 @@ class Credential:
             "sig": self.signature,
         }
 
-    @classmethod
-    def from_record(cls, record: object, data: bytes, spans: dict) -> "Credential":
-        """``record`` as ``decode(data, spans)`` produced it. Decoding is
-        canonical, so its span without the ``sig`` entry is the body."""
-        check_fields(record, {"entity": bytes, "issuer": bytes, "meta": dict, "sig": bytes}, where="credential")
-        entity, issuer, meta, sig = record["entity"], record["issuer"], record["meta"], record["sig"]
-        if any(type(v) is not str for v in meta.values()):  # decoded keys are str
-            raise EncodingError("bad credential meta")
-        cred = cls(entity=entity, issuer_public=issuer, signature=sig, meta=meta)
-        start, end = spans[id(record)]  # the span ends in the "sig" entry and "e"
-        object.__setattr__(cred, "body", data[start : end - len(b"s3:sigb%d:%se" % (len(sig), sig))] + b"e")
-        return cred
-
     def to_bytes(self) -> bytes:
         # "sig" sorts after "entity", "issuer" and "meta"
         return b"%ss3:sigb%d:%se" % (self.body[:-1], len(self.signature), self.signature)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Credential":
-        spans: dict = {}
-        return cls.from_record(decode(data, spans), data, spans)
+        return _read_all(data, _cut_credential)
+
+
+def _cut_credential(data: bytes, start: int, key: bytes = b"") -> tuple[Credential, int]:
+    """The credential after ``key`` at ``start``, cut at its fixed keys as
+    FORMATS §2 describes, and the position after it."""
+    entity, pos = cut_entry(data, start, key + b"ds6:entityb")
+    issuer, pos = cut_entry(data, pos, b"s6:issuerb")
+    if not data.startswith(b"s4:metad", pos):
+        raise EncodingError("credential: no meta entry")
+    pos, meta, raw_key = pos + 8, {}, None
+    while data[pos] != 0x65:  # e
+        raw, pos = cut_entry(data, pos, b"s")
+        if raw_key is not None and raw <= raw_key:  # UTF-8 byte order is str order
+            raise EncodingError("credential: meta keys not strictly ascending")
+        value, pos = cut_entry(data, pos, b"s")
+        meta[raw.decode()], raw_key = value.decode(), raw
+    signature, end = cut_entry(data, pos + 1, b"s3:sigb")
+    if data[end] != 0x65:
+        raise EncodingError("credential: an entry after sig")
+    cred = Credential(entity=entity, issuer_public=issuer, signature=signature, meta=meta)
+    object.__setattr__(cred, "body", data[start + len(key) : pos + 1] + b"e")  # meta's end, then the record's
+    return cred, end + 1
+
+
+def _read_all(data: bytes, cut: Callable[[bytes, int], tuple]) -> object:
+    """What ``cut`` reads from all of ``data``, bytes-like as for :func:`encoding.decode`."""
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise EncodingError("decode expects bytes")
+    data = bytes(data)
+    try:
+        value, end = cut(data, 0)
+    except EncodingError:
+        raise
+    except (IndexError, ValueError) as exc:  # a read past the end; bad UTF-8; a length past int()'s digit limit
+        raise EncodingError(f"malformed credential: {exc}") from exc
+    if end != len(data):
+        raise EncodingError("trailing bytes after value")
+    return value
 
 
 def certify(
@@ -418,17 +443,21 @@ class CredentialChain:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CredentialChain":
-        spans: dict = {}
-        record = check_fields(decode(data, spans), {"rating": dict, "csk": dict, "aik": dict}, where="chain")
-        return cls(
-            rating_cred=Credential.from_record(record["rating"], data, spans),
-            csk_cred=Credential.from_record(record["csk"], data, spans),
-            aik_cred=Credential.from_record(record["aik"], data, spans),
-        )
+        return _read_all(data, _cut_chain)
 
     @property
     def aik_digest(self) -> str:
         return key_id_of(self.aik_cred.entity)
+
+
+def _cut_chain(data: bytes, pos: int) -> tuple[CredentialChain, int]:
+    """The chain at ``pos``, its credentials cut in key order, and the position after it."""
+    aik, pos = _cut_credential(data, pos, b"ds3:aik")
+    csk, pos = _cut_credential(data, pos, b"s3:csk")
+    rating, pos = _cut_credential(data, pos, b"s6:rating")
+    if data[pos] != 0x65:  # e
+        raise EncodingError("chain: an entry after rating")
+    return CredentialChain(rating_cred=rating, csk_cred=csk, aik_cred=aik), pos + 1
 
 
 @dataclass(frozen=True)

@@ -86,15 +86,15 @@ def _encode_into(value: Value, out: bytearray, depth: int) -> None:
         raise EncodingError(f"cannot encode {cls.__name__}")
 
 
-def decode(data: bytes, spans: dict[int, tuple[int, int]] | None = None) -> Value:
-    """Given ``spans``, also records ``id(d) -> (start, end)`` for every
-    decoded dict ``d``: canonical decoding makes ``data[start:end] == encode(d)``."""
+def decode(data: bytes) -> Value:
+    """The one value ``data`` encodes; every malformed or non-canonical input,
+    or one that is not bytes-like, raises EncodingError."""
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise EncodingError("decode expects bytes")
     buf = bytes(data)
     end = len(buf)
     try:
-        value, pos = _decode_at(buf, 0, end, 0, spans)
+        value, pos = _decode_at(buf, 0, end, 0)
     except IndexError:  # a read past the end
         raise EncodingError("truncated input") from None
     except UnicodeDecodeError as exc:
@@ -109,19 +109,19 @@ def decode_head(data: bytes, pos: int, depth: int) -> tuple[Value, int]:
     and return it with the position after it; what follows is the caller's.
     Faults raise EncodingError, as in :func:`decode`."""
     try:
-        return _decode_at(data, pos, len(data), depth, None)
+        return _decode_at(data, pos, len(data), depth)
     except IndexError:
         raise EncodingError("truncated input") from None
     except UnicodeDecodeError as exc:
         raise EncodingError("invalid utf-8 in string") from exc
 
 
-def _decode_at(data: bytes, pos: int, end: int, depth: int, spans: dict | None) -> tuple[Value, int]:
+def _decode_at(data: bytes, pos: int, end: int, depth: int) -> tuple[Value, int]:
     """Decode the value at ``pos``; return it and the position after it.
     One loop reads a container's items, scalars inline, and only a nested
     container recurses; a scalar at ``pos`` is the loop's only token. A read
     past ``end`` raises IndexError, which its callers report as truncation."""
-    start, tag = pos, data[pos]
+    tag = data[pos]
     result: Any = None  # the dict or list being filled
     is_list = tag == 0x6C  # l
     if is_list or tag == 0x64:  # d
@@ -133,8 +133,6 @@ def _decode_at(data: bytes, pos: int, end: int, depth: int, spans: dict | None) 
         if result is not None:
             tag = data[pos]
             if tag == 0x65 and key is None:  # e
-                if spans is not None and not is_list:
-                    spans[id(result)] = (start, pos + 1)
                 return result, pos + 1
             if deep:
                 raise EncodingError("nesting too deep")
@@ -150,7 +148,7 @@ def _decode_at(data: bytes, pos: int, end: int, depth: int, spans: dict | None) 
                 if sep < 0:
                     raise EncodingError("truncated input")
                 digits = data[pos + 1 : sep]
-                if not digits.isdigit() or digits[0] == 0x30:
+                if not digits.isdigit() or digits[0] == 0x30 or len(digits) > 18:  # 19 digits pass any input
                     raise EncodingError("malformed length")
                 pos = sep + 1 + int(digits)
             if pos > end:
@@ -171,7 +169,7 @@ def _decode_at(data: bytes, pos: int, end: int, depth: int, spans: dict | None) 
                 raise EncodingError("non-canonical int")
             pos = stop + 1
         elif result is not None and (tag == 0x64 or tag == 0x6C):
-            value, pos = _decode_at(data, pos, end, depth + 1, spans)
+            value, pos = _decode_at(data, pos, end, depth + 1)
         else:
             raise EncodingError(f"unknown tag byte {tag:#04x}")
         if result is None:
@@ -186,6 +184,29 @@ def _decode_at(data: bytes, pos: int, end: int, depth: int, spans: dict | None) 
             raise EncodingError("dict keys not strictly ascending")
         else:
             key = value
+
+
+def cut_entry(data: bytes, pos: int, key: bytes) -> tuple[bytes, int]:
+    """The raw value of the entry at ``pos`` whose key and value tag are
+    ``key``, and the position after it; a length must be canonical. It cuts
+    the fixed entries of frames and credentials (FORMATS §2, §3). One- and
+    two-digit lengths are read inline, as :func:`_decode_at` reads them. An
+    end past the data is the caller's to refuse: its next read there fails."""
+    if not data.startswith(key, pos):
+        raise EncodingError("not the expected entry")
+    pos += len(key)
+    if data[pos + 1] == 0x3A and 0x30 <= data[pos] <= 0x39:  # a one-digit length
+        end = pos + 2 + data[pos] - 0x30
+        return data[pos + 2 : end], end
+    if 0x31 <= data[pos] <= 0x39 and 0x30 <= data[pos + 1] <= 0x39 and data[pos + 2] == 0x3A:
+        end = pos + 3 + (data[pos] - 0x30) * 10 + data[pos + 1] - 0x30  # two digits, no leading 0
+        return data[pos + 3 : end], end
+    sep = data.find(b":", pos)
+    digits = data[pos:sep]
+    if sep < 0 or not digits.isdigit() or digits[0] == 0x30 and len(digits) > 1:
+        raise EncodingError("malformed length")
+    end = sep + 1 + int(digits)
+    return data[sep + 1 : end], end
 
 
 def check_fields(record: object, kinds: dict[str, type], optional=(), where: str = "record") -> dict:

@@ -26,7 +26,7 @@ from typing import Callable
 
 from .charging import ChargingProvider, Declined, PricingPolicy, group_id
 from .crypto import CredentialChain
-from .encoding import EncodingError, check_fields, decode_head, encode
+from .encoding import EncodingError, check_fields, cut_entry, decode_head, encode
 from .errors import TicketError
 from .privacy_ca import Challenge, DeniedRequest, PrivacyCa
 from .reputation import Ack, RatingPayload, Reject, ReputationSystem
@@ -68,18 +68,19 @@ _VERSION_ENTRY = b"s7:versioni%dee" % WIRE_VERSION  # a frame's last entry, and 
 def _decode_frame(data: bytes, response: bool) -> tuple[str, bytes, str, dict]:
     """A frame's endpoint, correlation id, status ("" in a request) and body:
     :func:`_frame` in reverse. Only the body is decoded; each entry after it
-    is read at its fixed key, the version last. A frame that is canonical but
-    for a version other than 1 is unsupported-version; any other fault is a
-    protocol-error."""
+    is cut at its fixed key by :func:`encoding.cut_entry`, the reader that
+    cuts credentials too, and the version is read last. A frame that is
+    canonical but for a version other than 1 is unsupported-version; any
+    other fault is a protocol-error."""
     try:
         if type(data) is not bytes or not data.startswith(b"ds4:bodyd"):
             raise EncodingError("not a canonical frame")
         body, pos = decode_head(data, 8, 1)  # one level inside the frame dict
-        corr, pos = _cut_entry(data, pos, b"s14:correlation_idb")
-        endpoint, pos = _cut_entry(data, pos, b"s8:endpoints")
+        corr, pos = cut_entry(data, pos, b"s14:correlation_idb")
+        endpoint, pos = cut_entry(data, pos, b"s8:endpoints")
         status = b""
         if response:
-            status, pos = _cut_entry(data, pos, b"s6:statuss")
+            status, pos = cut_entry(data, pos, b"s6:statuss")
             if status != b"ok" and status != b"error":
                 raise EncodingError("status must be ok or error")
         endpoint, status = endpoint.decode(), status.decode()
@@ -94,28 +95,6 @@ def _decode_frame(data: bytes, response: bool) -> tuple[str, bytes, str, dict]:
         # Python's int-string limit; a read past the end
         raise WireError(f"bad {'response' if response else 'request'} frame: {exc}") from exc
     return endpoint, corr, status, body
-
-
-def _cut_entry(data: bytes, pos: int, key: bytes) -> tuple[bytes, int]:
-    """The raw value of the entry at ``pos`` whose key and value tag are
-    ``key``, and the position after it; a length must be canonical. One- and
-    two-digit lengths are read inline, as :func:`encoding._decode_at` reads them."""
-    if not data.startswith(key, pos):
-        raise EncodingError("not the expected entry")
-    pos += len(key)
-    # an end past the data fails the next key or the version check
-    if data[pos + 1] == 0x3A and 0x30 <= data[pos] <= 0x39:  # a one-digit length
-        end = pos + 2 + data[pos] - 0x30
-        return data[pos + 2 : end], end
-    if 0x31 <= data[pos] <= 0x39 and 0x30 <= data[pos + 1] <= 0x39 and data[pos + 2] == 0x3A:
-        end = pos + 3 + (data[pos] - 0x30) * 10 + data[pos + 1] - 0x30  # two digits, no leading 0
-        return data[pos + 3 : end], end
-    sep = data.find(b":", pos)
-    digits = data[pos:sep]
-    if sep < 0 or not digits.isdigit() or digits[0] == 0x30 and len(digits) > 1:
-        raise EncodingError("malformed length")
-    end = sep + 1 + int(digits)
-    return data[sep + 1 : end], end
 
 
 def decode_request(data: bytes) -> tuple[str, dict, bytes]:

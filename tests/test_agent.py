@@ -77,9 +77,10 @@ def test_build_chain_builds_one_key_object(monkeypatch):
 
 
 def test_wire_redemption_encodes_at_most_five_times_and_decodes_each_input_once(monkeypatch):
-    """The chain and the payload travel as their own bytes: each is parsed by
-    its own decode, each frame by one decode_head of its body, and no byte is
-    parsed as structure twice."""
+    """The chain and the payload travel as their own bytes: each frame is read
+    by one decode_head of its body, the payload by one decode, and the chain
+    by one pass of the credential reader, which no generic decode repeats, so
+    no byte is parsed as structure twice."""
     stack = make_stack(5)
     tap = []
     agent = wired_agent(stack, tap=tap)
@@ -87,14 +88,24 @@ def test_wire_redemption_encodes_at_most_five_times_and_decodes_each_input_once(
     ticket = agent.acquire_ticket(1)
     tap.clear()
     calls = count_calls(monkeypatch, encoding, ["encode"])
-    decode, decode_head, decoded = encoding.decode, encoding.decode_head, []
-    patch_everywhere(monkeypatch, decode, lambda data, *spans: decoded.append(data) or decode(data, *spans))
-    patch_everywhere(monkeypatch, decode_head, lambda data, *at: decoded.append(data) or decode_head(data, *at))
+    decode, decode_head, read_all, parsed = encoding.decode, encoding.decode_head, crypto._read_all, []
+    patch_everywhere(monkeypatch, decode, lambda data: parsed.append(("decode", data)) or decode(data))
+    patch_everywhere(
+        monkeypatch, decode_head, lambda data, *at: parsed.append(("decode_head", data)) or decode_head(data, *at)
+    )
+    patch_everywhere(
+        monkeypatch, read_all, lambda data, cut: parsed.append((cut.__name__, data)) or read_all(data, cut)
+    )
     assert isinstance(agent.redeem_ticket(ticket, agent.make_payload("seller", 4)), Ack)
     assert calls["encode"] <= 5
     (_, request), (_, response) = tap
     body = decode(request)["body"]
-    assert decoded == [request, body["chain"], body["payload"], response]
+    assert parsed == [
+        ("decode_head", request),
+        ("_cut_chain", body["chain"]),
+        ("decode", body["payload"]),
+        ("decode_head", response),
+    ]
 
 
 def test_built_chain_keeps_the_bodies_it_signed(monkeypatch):

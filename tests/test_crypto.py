@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from pseudorate.crypto import (
     verify_chain,
     verify_credential,
 )
-from pseudorate.encoding import EncodingError, encode
+from pseudorate.encoding import EncodingError, check_fields, decode, encode
 from pseudorate.errors import InvalidArgument
 from pseudorate.reputation import RatingPayload, Reject
 from pseudorate.wire import decode_request, encode_request
@@ -193,6 +194,205 @@ def test_records_parsed_from_a_frame_hold_their_encodings(creds, payload):
     received = RatingPayload.from_bytes(body["payload"])
     assert received == payload and "_canonical" in vars(received)
     assert received.canonical_bytes() == encode(payload.to_record())
+
+
+def _reference_credential(record: object) -> tuple:
+    check_fields(record, {"entity": bytes, "issuer": bytes, "meta": dict, "sig": bytes}, where="credential")
+    if any(type(value) is not str for value in record["meta"].values()):
+        raise EncodingError("meta must map str to str")
+    body = encode({"entity": record["entity"], "issuer": record["issuer"], "meta": record["meta"]})
+    return record["entity"], record["issuer"], record["meta"], record["sig"], body
+
+
+def _reference_read(data, chain: bool) -> tuple:
+    """A credential or chain as the generic decoder and check_fields accept
+    it; its body is ``encode`` of the fields without ``sig``."""
+    record = decode(data)
+    if not chain:
+        return _reference_credential(record)
+    check_fields(record, {"rating": dict, "csk": dict, "aik": dict}, where="chain")
+    return tuple(_reference_credential(record[key]) for key in ("aik", "csk", "rating"))
+
+
+def _reader_view(cred: Credential) -> tuple:
+    # the body must be the one cut from the input, not one encoded on first use
+    return cred.entity, cred.issuer_public, dict(cred.meta), cred.signature, vars(cred).get("body")
+
+
+def _read(data, chain: bool) -> tuple:
+    if not chain:
+        return _reader_view(Credential.from_bytes(data))
+    parsed = CredentialChain.from_bytes(data)
+    assert parsed.to_bytes() == bytes(data)
+    return tuple(_reader_view(cred) for cred in (parsed.aik_cred, parsed.csk_cred, parsed.rating_cred))
+
+
+def _outcome(read, data, chain: bool) -> tuple | None:
+    """What ``read`` makes of ``data``, or None when it refuses it; a refusal
+    that is not an EncodingError fails the test."""
+    try:
+        return read(data, chain)
+    except EncodingError:
+        return None
+
+
+def _assert_read_as_the_reference_does(data, chain: bool) -> None:
+    assert _outcome(_read, data, chain) == _outcome(_reference_read, data, chain)
+
+
+def _credential_bytes(entity: bytes, issuer: bytes, entries: list, sig: bytes, after_sig: bytes = b"") -> bytes:
+    meta = b"".join(encode(key) + encode(value) for key, value in entries)
+    fields = (encode(entity), encode(issuer), meta, encode(sig), after_sig)
+    return b"ds6:entity%ss6:issuer%ss4:metad%ses3:sig%s%se" % fields
+
+
+def _chain_bytes(aik: bytes, csk: bytes, rating: bytes, after_rating: bytes = b"") -> bytes:
+    return b"ds3:aik%ss3:csk%ss6:rating%s%se" % (aik, csk, rating, after_rating)
+
+
+_TOKEN = re.compile(rb"([bs])(0|[1-9][0-9]*):|[dle]|i(0|-?[1-9][0-9]*)e")
+
+
+def _skeleton(data: bytes) -> tuple[list[int], list[int]]:
+    """The positions of a canonical encoding that are not the raw bytes of a
+    bytes value (tags, lengths, ends, and every str's bytes), and those of
+    the first digit of each bytes or str length."""
+    skeleton, lengths, pos = [], [], 0
+    while pos < len(data):
+        token = _TOKEN.match(data, pos)
+        skeleton += range(pos, token.end())
+        pos = token.end()
+        if token.group(1):
+            lengths.append(token.start() + 1)
+            pos += int(token.group(2))
+            if token.group(1) == b"s":
+                skeleton += range(token.end(), pos)
+    return skeleton, lengths
+
+
+# 0, 1-9, 10-99 and at least 100 bytes: each of cut_entry's three length paths
+field_bytes = st.sampled_from([(0, 0), (1, 9), (10, 99), (100, 150)]).flatmap(
+    lambda size: st.binary(min_size=size[0], max_size=size[1])
+)
+meta_keys = st.text(st.sampled_from("az0é€\U0001f600"), max_size=3)  # the empty key included
+not_str = (
+    st.integers()
+    | st.binary(max_size=3)
+    | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+    | st.lists(st.integers(), max_size=2)
+)
+# an entry that no credential or chain holds, keyed to sort before or after the last one
+stray_entries = st.tuples(st.sampled_from(["", "a", "rating", "sig", "sig2", "z"]), st.text(max_size=2) | not_str).map(
+    lambda entry: encode(entry[0]) + encode(entry[1])
+)
+META_DEFECTS = ("meta order", "meta repeat", "meta value")
+DEFECTS = [None, *META_DEFECTS, "after sig", "after rating", "truncate", "flip", "pad", "trailing"]
+
+
+def _with_defect(entries: list, defect, at: int, stray) -> list:
+    """``entries``, sorted and distinct, with the meta defect ``defect`` at
+    entry ``at``: two keys swapped, one repeated, or a value not a str."""
+    entries = list(entries) or [("j", "v"), ("k", "w")]
+    at %= len(entries)
+    if defect == "meta order" and len(entries) > 1:
+        at = min(at, len(entries) - 2)
+        entries[at : at + 2] = entries[at + 1], entries[at]
+    elif defect == "meta repeat":
+        entries.insert(at, entries[at])
+    elif defect == "meta value":
+        entries[at] = (entries[at][0], stray)
+    return entries
+
+
+@st.composite
+def reader_inputs(draw) -> tuple:
+    """A credential or a chain built from its parts, with at most one defect,
+    as bytes, a bytearray or a memoryview."""
+    defect, chain = draw(st.sampled_from(DEFECTS)), draw(st.booleans())
+
+    def credential(defect) -> bytes:
+        meta = draw(st.dictionaries(meta_keys, st.text(max_size=12), max_size=6))
+        entries = sorted(meta.items(), key=lambda entry: entry[0].encode())
+        if defect in META_DEFECTS:
+            entries = _with_defect(entries, defect, draw(st.integers(0, 5)), draw(not_str))
+        after_sig = draw(stray_entries) if defect == "after sig" else b""
+        return _credential_bytes(draw(field_bytes), draw(field_bytes), entries, draw(field_bytes), after_sig)
+
+    if chain:
+        flawed = draw(st.integers(0, 2))
+        creds = [credential(defect if slot == flawed else None) for slot in range(3)]
+        data = _chain_bytes(*creds, draw(stray_entries) if defect == "after rating" else b"")
+    else:
+        data = credential(defect)
+    skeleton, lengths = _skeleton(data)
+    if defect == "truncate":
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    elif defect == "flip":
+        at, byte = draw(st.sampled_from(skeleton)), draw(st.sampled_from(b"0123456789:-ibsdle") | st.integers(0, 255))
+        data = data[:at] + bytes([byte]) + data[at + 1 :]
+    elif defect == "pad":  # a leading zero: b032:, or b00: for an empty value
+        at = draw(st.sampled_from(lengths))
+        data = data[:at] + b"0" + data[at:]
+    elif defect == "trailing":
+        data += draw(st.binary(min_size=1, max_size=3))
+    return draw(st.sampled_from([bytes, bytearray, memoryview]))(data), chain
+
+
+@given(reader_inputs())
+def test_the_credential_reader_accepts_what_decode_and_check_fields_accept(case):
+    """Credentials and chains are cut at their fixed keys; the reference
+    decodes them in full. Both accept the same inputs, with equal fields and
+    equal bodies, and the reader refuses with an EncodingError only."""
+    _assert_read_as_the_reference_does(*case)
+
+
+_SAMPLE_CREDENTIALS = [
+    (b"", b"x" * 5, [], b"s" * 150),
+    (b"e" * 150, b"", [("", "v"), ("é", "")], b"q" * 9),
+    (b"r" * 50, b"i" * 32, [("a", "b"), ("z", "€" * 5), ("\U0001f600", "")], b""),
+]
+
+
+def _sample_chain(flawed: int = -1, defect=None, stray=b"", after_rating=b"") -> bytes:
+    creds = []
+    for slot, (entity, issuer, entries, sig) in enumerate(_SAMPLE_CREDENTIALS):
+        after_sig = stray if slot == flawed and defect == "after sig" else b""
+        if slot == flawed and defect in META_DEFECTS:
+            entries = _with_defect(entries, defect, 0, stray)
+        creds.append(_credential_bytes(entity, issuer, entries, sig, after_sig))
+    return _chain_bytes(*creds, after_rating)
+
+
+def test_the_credential_reader_refuses_each_defect_as_the_reference_does():
+    chain = _sample_chain()
+    assert _outcome(_reference_read, chain, True) is not None
+    for kind in (bytes, bytearray, memoryview):
+        _assert_read_as_the_reference_does(kind(chain), True)
+        _assert_read_as_the_reference_does(kind(chain[7:-1]), False)  # one credential, as a blob carries it
+    defects = [chain + b"e", _sample_chain(after_rating=encode("z") + encode(""))]
+    for slot in range(3):
+        defects += [_sample_chain(slot, "meta order"), _sample_chain(slot, "meta repeat")]
+        defects += [_sample_chain(slot, "meta value", value) for value in (7, b"v", {}, [])]
+        defects += [_sample_chain(slot, "after sig", encode(key) + encode(b"")) for key in ("a", "sig", "z")]
+    defects += [chain.replace(b"b5:", needle) for needle in (b"b05:", b"b+5:", b" b5:", b"b5 :")]
+    defects += [chain.replace(b"b0:", b"b00:", 1), chain.replace(b"b32:", b"b032:")]
+    defects.append(chain.replace(b"b5:xxxxx", b"b::" + b"x" * 10))  # ":" is no digit, though it follows "9"
+    for data in defects:
+        assert data != chain and _outcome(_reference_read, data, True) is None
+        _assert_read_as_the_reference_does(data, True)
+    for cut in range(len(chain)):
+        _assert_read_as_the_reference_does(chain[:cut], True)
+    skeleton, lengths = _skeleton(chain)
+    for at in skeleton:
+        for byte in (chain[at] ^ 1, 0x30, 0x3A, 0x65):
+            _assert_read_as_the_reference_does(chain[:at] + bytes([byte]) + chain[at + 1 :], True)
+    for at in lengths:
+        _assert_read_as_the_reference_does(chain[:at] + b"0" + chain[at:], True)
+
+
+def test_a_length_past_the_int_digit_limit_is_an_encoding_error():
+    with pytest.raises(EncodingError):
+        Credential.from_bytes(b"ds6:entityb" + b"9" * 5000 + b":")
 
 
 def test_credential_bytes_canonical():

@@ -349,6 +349,14 @@ def test_submission_endpoint_total_over_fuzzed_records(body):
         assert out["code"] != "internal", out
 
 
+@pytest.mark.parametrize("field", ["payload", "chain"])
+def test_a_length_past_the_int_digit_limit_is_a_protocol_error(field):
+    body = {"payload": FUZZ_PAYLOAD.canonical_bytes(), "chain": FUZZ_CHAIN.to_bytes()}
+    body[field] = b"ds6:entityb" + b"9" * 5000 + b":"
+    _, _, status, out = decode_response(Router(rs=FUZZ_STACK.rs).handle(encode_request("rs/submit", body, b"c")))
+    assert (status, out["code"]) == ("error", "protocol-error")
+
+
 # "endpoint:code" -> the failing call, for every error code the certification
 # authority and the charging provider send. Each call takes the service or its
 # wire client, agent a (holds a ticket) and agent b (registered, no account).
