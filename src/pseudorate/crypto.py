@@ -40,7 +40,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from .encoding import EncodingError, cut_entry, encode
+from .encoding import EncodingError, cut_entry, read_all
 from .errors import InvalidArgument
 
 CREDENTIAL_DOMAIN = b"pseudorate:cred:v1:"
@@ -315,10 +315,10 @@ class Credential:
     def body(self) -> bytes:
         """The record without its signature: the bytes :func:`certify` signed,
         or, in a credential read from bytes, those bytes up to the ``sig``
-        entry and then ``e``, else encoded once. The signature covers
-        ``CREDENTIAL_DOMAIN + body``, and :meth:`to_bytes` is ``body`` with the
-        ``sig`` entry spliced in."""
-        return encode({"entity": self.entity, "issuer": self.issuer_public, "meta": dict(self.meta)})
+        entry and then ``e``, else written once by :func:`credential_body`.
+        The signature covers ``CREDENTIAL_DOMAIN + body``, and :meth:`to_bytes`
+        is ``body`` with the ``sig`` entry spliced in."""
+        return credential_body(self.entity, self.issuer_public, self.meta)
 
     def to_record(self) -> dict:
         return {
@@ -334,7 +334,7 @@ class Credential:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Credential":
-        return _read_all(data, _cut_credential)
+        return read_all(data, _cut_credential)
 
 
 def _cut_credential(data: bytes, start: int, key: bytes = b"") -> tuple[Credential, int]:
@@ -359,20 +359,23 @@ def _cut_credential(data: bytes, start: int, key: bytes = b"") -> tuple[Credenti
     return cred, end + 1
 
 
-def _read_all(data: bytes, cut: Callable[[bytes, int], tuple]) -> object:
-    """What ``cut`` reads from all of ``data``, bytes-like as for :func:`encoding.decode`."""
-    if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise EncodingError("decode expects bytes")
-    data = bytes(data)
+def credential_body(entity: bytes, issuer: bytes, meta: Mapping[str, str]) -> bytes:
+    """``encode({"entity": entity, "issuer": issuer, "meta": meta})``, spliced,
+    as the keys sort: entity < issuer < meta. A field not exactly of its type
+    (``meta`` maps str to str) or a str UTF-8 cannot encode is an EncodingError."""
+    if type(entity) is not bytes or type(issuer) is not bytes:
+        raise EncodingError("credential: entity and issuer must be bytes")
+    for key, value in meta.items():
+        if type(key) is not str or type(value) is not str:
+            raise EncodingError("credential: meta must map str to str")
+    entries = b""
     try:
-        value, end = cut(data, 0)
-    except EncodingError:
-        raise
-    except (IndexError, ValueError) as exc:  # a read past the end; bad UTF-8; a length past int()'s digit limit
-        raise EncodingError(f"malformed credential: {exc}") from exc
-    if end != len(data):
-        raise EncodingError("trailing bytes after value")
-    return value
+        for key in sorted(meta):
+            raw, value = key.encode(), meta[key].encode()
+            entries += b"s%d:%ss%d:%s" % (len(raw), raw, len(value), value)
+    except UnicodeEncodeError as exc:  # a lone surrogate
+        raise EncodingError(f"cannot encode: {exc}") from exc
+    return b"ds6:entityb%d:%ss6:issuerb%d:%ss4:metad%see" % (len(entity), entity, len(issuer), issuer, entries)
 
 
 def certify(
@@ -383,13 +386,13 @@ def certify(
 ) -> Credential:
     """The one way to make a credential: ``sign`` maps the preimage
     ``CREDENTIAL_DOMAIN + body`` to the issuer's signature, and the credential
-    keeps the body it signed."""
+    keeps the body it signed, written by :func:`credential_body`."""
     meta = dict(meta or {})
     if not entity:
         raise InvalidArgument("entity must be non-empty")
     if any(not isinstance(k, str) or not isinstance(v, str) for k, v in meta.items()):
         raise InvalidArgument("meta must map str to str")
-    body = encode({"entity": entity, "issuer": issuer_public, "meta": meta})
+    body = credential_body(entity, issuer_public, meta)
     signature = sign(CREDENTIAL_DOMAIN + body)
     cred = Credential(entity=entity, issuer_public=issuer_public, signature=signature, meta=meta)
     object.__setattr__(cred, "body", body)
@@ -408,8 +411,31 @@ def verify_credential(cred: Credential) -> bool:
 
 def encode_activation_payload(aik_public: bytes, credential: Credential, blob_nonce: bytes) -> bytes:
     """Plaintext carried inside a sealed activation blob: the target identity
-    key, its group credential, and a single-use nonce."""
-    return encode({"aik": aik_public, "cred": credential.to_bytes(), "nonce": blob_nonce})
+    key, its group credential, and a single-use nonce. It is ``encode`` of
+    ``{"aik", "cred", "nonce"}``, spliced as the keys sort."""
+    cred = credential.to_bytes()
+    if type(aik_public) is not bytes or type(blob_nonce) is not bytes:
+        raise EncodingError("activation blob: aik and nonce must be bytes")
+    return b"ds3:aikb%d:%ss4:credb%d:%ss5:nonceb%d:%se" % (
+        len(aik_public), aik_public, len(cred), cred, len(blob_nonce), blob_nonce
+    )
+
+
+def read_activation_payload(plaintext: bytes) -> tuple[bytes, bytes, bytes]:
+    """The identity key, credential bytes and nonce of an activation blob's
+    plaintext, cut at their fixed keys; it accepts what ``decode`` and
+    ``check_fields`` of ``{"aik": bytes, "cred": bytes, "nonce": bytes}``
+    accept, and refuses the rest with an EncodingError."""
+    return read_all(plaintext, _cut_activation_payload)
+
+
+def _cut_activation_payload(data: bytes, pos: int) -> tuple[tuple[bytes, bytes, bytes], int]:
+    aik, pos = cut_entry(data, pos, b"ds3:aikb")
+    cred, pos = cut_entry(data, pos, b"s4:credb")
+    nonce, pos = cut_entry(data, pos, b"s5:nonceb")
+    if data[pos] != 0x65:  # e
+        raise EncodingError("activation blob: an entry after nonce")
+    return (aik, cred, nonce), pos + 1
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +469,7 @@ class CredentialChain:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CredentialChain":
-        return _read_all(data, _cut_chain)
+        return read_all(data, _cut_chain)
 
     @property
     def aik_digest(self) -> str:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import base64
 import os
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 MAX_DEPTH = 32
 
@@ -157,17 +157,7 @@ def _decode_at(data: bytes, pos: int, end: int, depth: int) -> tuple[Value, int]
         elif tag == 0x69 and data[pos + 2] == 0x65 and 0x30 <= data[pos + 1] <= 0x39:  # i<digit>e
             value, pos = data[pos + 1] - 0x30, pos + 3
         elif tag == 0x69:  # i
-            stop = data.find(b"e", pos)
-            if stop < 0:
-                raise EncodingError("truncated input")
-            digits = data[pos + 1 : stop]
-            try:
-                value = int(digits)
-            except ValueError:
-                raise EncodingError("malformed int") from None
-            if b"%d" % value != digits:
-                raise EncodingError("non-canonical int")
-            pos = stop + 1
+            value, pos = _int_at(data, pos + 1)
         elif result is not None and (tag == 0x64 or tag == 0x6C):
             value, pos = _decode_at(data, pos, end, depth + 1)
         else:
@@ -188,10 +178,11 @@ def _decode_at(data: bytes, pos: int, end: int, depth: int) -> tuple[Value, int]
 
 def cut_entry(data: bytes, pos: int, key: bytes) -> tuple[bytes, int]:
     """The raw value of the entry at ``pos`` whose key and value tag are
-    ``key``, and the position after it; a length must be canonical. It cuts
-    the fixed entries of frames and credentials (FORMATS §2, §3). One- and
-    two-digit lengths are read inline, as :func:`_decode_at` reads them. An
-    end past the data is the caller's to refuse: its next read there fails."""
+    ``key``, and the position after it; a length must be canonical, and of
+    at most 18 digits, as :func:`_decode_at` reads it. It cuts the fixed
+    entries of frames, credentials, rating payloads and activation blobs
+    (FORMATS §2, §3). One- and two-digit lengths are read inline. An end
+    past the data is the caller's to refuse: its next read there fails."""
     if not data.startswith(key, pos):
         raise EncodingError("not the expected entry")
     pos += len(key)
@@ -203,10 +194,57 @@ def cut_entry(data: bytes, pos: int, key: bytes) -> tuple[bytes, int]:
         return data[pos + 3 : end], end
     sep = data.find(b":", pos)
     digits = data[pos:sep]
-    if sep < 0 or not digits.isdigit() or digits[0] == 0x30 and len(digits) > 1:
+    if sep < 0 or not digits.isdigit() or digits[0] == 0x30 and len(digits) > 1 or len(digits) > 18:
         raise EncodingError("malformed length")
     end = sep + 1 + int(digits)
     return data[sep + 1 : end], end
+
+
+def _int_at(data: bytes, pos: int) -> tuple[int, int]:
+    """The canonical int whose digits start at ``pos`` and end at the next
+    ``e``, and the position after that ``e``."""
+    stop = data.find(b"e", pos)
+    if stop < 0:
+        raise EncodingError("truncated input")
+    digits = data[pos:stop]
+    try:
+        value = int(digits)
+    except ValueError:
+        raise EncodingError("malformed int") from None
+    if b"%d" % value != digits:
+        raise EncodingError("non-canonical int")
+    return value, stop + 1
+
+
+def cut_int(data: bytes, pos: int, key: bytes) -> tuple[int, int]:
+    """The int of the entry at ``pos`` whose key and value tag are ``key``,
+    and the position after it; the int must be canonical, as
+    :func:`_decode_at` reads it, and a one-digit int is read inline."""
+    if not data.startswith(key, pos):
+        raise EncodingError("not the expected entry")
+    pos += len(key)
+    if data[pos + 1] == 0x65 and 0x30 <= data[pos] <= 0x39:  # e
+        return data[pos] - 0x30, pos + 2
+    return _int_at(data, pos)
+
+
+def read_all(data: bytes, cut: Callable[[bytes, int], tuple]) -> Any:
+    """What ``cut`` reads from all of ``data``: the value it cuts at position
+    0, which must end where the data ends. ``data`` is bytes-like as for
+    :func:`decode`, and every fault is an EncodingError: ``cut``'s own, a
+    read past the end, bad UTF-8 or a value past ``int()``'s digit limit."""
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise EncodingError("decode expects bytes")
+    data = bytes(data)
+    try:
+        value, end = cut(data, 0)
+    except EncodingError:
+        raise
+    except (IndexError, ValueError) as exc:
+        raise EncodingError(f"malformed input: {exc}") from exc
+    if end != len(data):
+        raise EncodingError("trailing bytes after value")
+    return value
 
 
 def check_fields(record: object, kinds: dict[str, type], optional=(), where: str = "record") -> dict:

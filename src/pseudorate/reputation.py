@@ -24,7 +24,7 @@ from . import crypto
 from .charging import Declined
 from .clock import SimClock
 from .crypto import CredentialChain
-from .encoding import EncodingError, append_record, check_fields, decode, encode, read_records
+from .encoding import EncodingError, append_record, check_fields, cut_entry, cut_int, read_all, read_records
 from .errors import InvalidArgument, TicketError
 
 REJECT_INVALID_CHAIN = "invalid-chain"
@@ -48,10 +48,24 @@ class RatingPayload:
 
     @cached_property
     def _canonical(self) -> bytes:
-        return encode(self.to_record())
+        # the keys sort as comment < nonce < rs_id < score < subject
+        comment, nonce, rs_id, score, subject = self.comment, self.nonce, self.rs_id, self.score, self.subject
+        if not (
+            type(comment) is str and type(nonce) is bytes and type(rs_id) is str
+            and type(score) is int and type(subject) is str
+        ):
+            raise EncodingError("payload: a field not exactly of its type")
+        try:
+            comment, rs_id, subject = comment.encode(), rs_id.encode(), subject.encode()
+            return b"ds7:comments%d:%ss5:nonceb%d:%ss5:rs_ids%d:%ss5:scorei%des7:subjects%d:%se" % (
+                len(comment), comment, len(nonce), nonce, len(rs_id), rs_id, score, len(subject), subject
+            )
+        except ValueError as exc:  # a lone surrogate; an int past Python's 4300 digits
+            raise EncodingError(f"cannot encode: {exc}") from exc
 
     def canonical_bytes(self) -> bytes:
-        """``encode(self.to_record())``: encoded once, or the bytes it was parsed from."""
+        """``encode(self.to_record())``: spliced once, or the bytes it was parsed from.
+        A field not exactly of its type is an EncodingError, as in ``encode``."""
         return self._canonical
 
     def to_record(self) -> dict:
@@ -69,10 +83,25 @@ class RatingPayload:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "RatingPayload":
-        """Decoding is canonical, so ``data`` is the payload's canonical bytes."""
-        payload = cls.from_record(decode(data))
-        object.__setattr__(payload, "_canonical", data)
-        return payload
+        """The payload ``data`` holds, cut at its fixed keys: it accepts what
+        ``decode`` and ``from_record`` accept, and refuses the rest with an
+        EncodingError. The reader is canonical, so ``data`` is the payload's
+        canonical bytes."""
+        return read_all(data, _cut_payload)
+
+
+def _cut_payload(data: bytes, start: int) -> tuple[RatingPayload, int]:
+    """The payload at ``start``, its keys in sorted order, and the position after it."""
+    comment, pos = cut_entry(data, start, b"ds7:comments")
+    nonce, pos = cut_entry(data, pos, b"s5:nonceb")
+    rs_id, pos = cut_entry(data, pos, b"s5:rs_ids")
+    score, pos = cut_int(data, pos, b"s5:scorei")
+    subject, pos = cut_entry(data, pos, b"s7:subjects")
+    if data[pos] != 0x65:  # e
+        raise EncodingError("payload: an entry after subject")
+    payload = RatingPayload(subject.decode(), score, nonce, rs_id.decode(), comment.decode())
+    object.__setattr__(payload, "_canonical", data[start : pos + 1])
+    return payload, pos + 1
 
 
 @dataclass(frozen=True)
@@ -124,7 +153,19 @@ class WeightedScore:
     subject: str
     count: int
     score: Fraction | None
-    body: bytes  # the encoded rs/score reply body: {"count": count, "score": the score's text}
+    body: bytes  # the rs/score reply body, written by score_body
+
+
+def score_body(count: int, score: str) -> bytes:
+    """``encode({"count": count, "score": score})``, spliced; a field not
+    exactly of its type is an EncodingError, as in ``encode``."""
+    if type(count) is not int or type(score) is not str:
+        raise EncodingError("score body: count must be an int and score a str")
+    try:
+        raw = score.encode()
+        return b"ds5:counti%des5:scores%d:%se" % (count, len(raw), raw)
+    except ValueError as exc:  # a lone surrogate; an int past Python's 4300 digits
+        raise EncodingError(f"cannot encode: {exc}") from exc
 
 
 @dataclass(slots=True)
@@ -141,7 +182,7 @@ class _Totals:
 
 class ReputationSystem:
     none_value = "no-score"  # what rs/score reports for a subject with no ratings
-    none_body = encode({"count": 0, "score": none_value})
+    none_body = score_body(0, none_value)
     scale = (1, 5)  # the lowest and highest score a rating may give
 
     def __init__(
@@ -260,9 +301,7 @@ class ReputationSystem:
         if score is None:
             # two first reads may both build it, from the same totals: either is the answer
             mean = totals.weighted / totals.weight
-            score = totals.score = WeightedScore(
-                subject, totals.count, mean, encode({"count": totals.count, "score": str(mean)})
-            )
+            score = totals.score = WeightedScore(subject, totals.count, mean, score_body(totals.count, str(mean)))
         return score
 
     # -- inspection ----------------------------------------------------------------

@@ -20,7 +20,7 @@ from functools import partial
 
 from . import crypto
 from .crypto import Credential, KeyPair, SealError
-from .encoding import EncodingError, check_fields, decode
+from .encoding import EncodingError
 from .errors import TicketError
 
 KIND_AIK = "aik"
@@ -89,11 +89,11 @@ class TpmInstance:
             except SealError as exc:
                 raise TicketError("blob not sealed to this platform", code="wrong-platform") from exc
             try:
-                record = check_fields(decode(plaintext), {"aik": bytes, "cred": bytes, "nonce": bytes}, where="blob")
-                credential = Credential.from_bytes(record["cred"])
+                aik, cred, _ = crypto.read_activation_payload(plaintext)
+                credential = Credential.from_bytes(cred)
             except EncodingError as exc:
                 raise TicketError("undecodable activation blob", code="malformed-blob") from exc
-            if record["aik"] != key.public:
+            if aik != key.public:
                 raise TicketError("blob targets a different identity key", code="aik-mismatch")
             key.activated = True
             return credential

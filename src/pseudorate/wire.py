@@ -41,7 +41,7 @@ class WireError(TicketError):
     code = "protocol-error"
 
 
-def encode_request(endpoint: str, body: dict, correlation_id: bytes) -> bytes:
+def encode_request(endpoint: str, body: dict | bytes, correlation_id: bytes) -> bytes:
     return _frame(body, correlation_id, endpoint, b"")
 
 
@@ -114,14 +114,87 @@ def _field(body: dict, name: str, kind: type):
     return value
 
 
+# -- the fixed-shape bodies of the acquire -> redeem -> score path: each is
+# ``encode`` of its dict, spliced with its keys in sorted order. A field not
+# exactly of its type, a str UTF-8 cannot encode or an int past Python's 4300
+# digits is an EncodingError, as in ``encode``.
+
+def _challenge_body(nonce: bytes, expires: int) -> bytes:
+    """The ``pca/request`` challenge body ``{"expires", "nonce", "status": "challenge"}``"""
+    if type(nonce) is not bytes or type(expires) is not int:
+        raise EncodingError("challenge: nonce must be bytes and expires an int")
+    try:
+        return b"ds7:expiresi%des5:nonceb%d:%ss6:statuss9:challengee" % (expires, len(nonce), nonce)
+    except ValueError as exc:
+        raise EncodingError(f"cannot encode: {exc}") from exc
+
+
+def _activation_body(activation_blob: bytes) -> bytes:
+    """The ``pca/complete`` ok body ``{"activation_blob"}``"""
+    if type(activation_blob) is not bytes:
+        raise EncodingError("activation_blob must be bytes")
+    return b"ds15:activation_blobb%d:%se" % (len(activation_blob), activation_blob)
+
+
+def _ack_body(receipt: str, subject: str, group: int) -> bytes:
+    """The ``rs/submit`` ack body ``{"group", "receipt", "status": "ack", "subject"}``"""
+    if type(receipt) is not str or type(subject) is not str or type(group) is not int:
+        raise EncodingError("ack: receipt and subject must be str and group an int")
+    try:
+        receipt_raw, subject_raw = receipt.encode(), subject.encode()
+        return b"ds5:groupi%des7:receipts%d:%ss6:statuss3:acks7:subjects%d:%se" % (
+            group, len(receipt_raw), receipt_raw, len(subject_raw), subject_raw
+        )
+    except ValueError as exc:
+        raise EncodingError(f"cannot encode: {exc}") from exc
+
+
+def _pca_request_body(aik_public: bytes, group: int, platform_id: str) -> bytes:
+    """The ``pca/request`` body ``{"aik_public", "group", "platform_id"}``"""
+    if type(aik_public) is not bytes or type(group) is not int or type(platform_id) is not str:
+        raise EncodingError("pca/request: aik_public must be bytes, group an int and platform_id a str")
+    try:
+        raw = platform_id.encode()
+        return b"ds10:aik_publicb%d:%ss5:groupi%des11:platform_ids%d:%se" % (
+            len(aik_public), aik_public, group, len(raw), raw
+        )
+    except ValueError as exc:
+        raise EncodingError(f"cannot encode: {exc}") from exc
+
+
+def _pca_complete_body(nonce: bytes, signature: bytes) -> bytes:
+    """The ``pca/complete`` body ``{"nonce", "signature"}``"""
+    if type(nonce) is not bytes or type(signature) is not bytes:
+        raise EncodingError("pca/complete: nonce and signature must be bytes")
+    return b"ds5:nonceb%d:%ss9:signatureb%d:%se" % (len(nonce), nonce, len(signature), signature)
+
+
+def _rs_submit_body(payload: bytes, chain: bytes) -> bytes:
+    """The ``rs/submit`` body ``{"chain", "payload"}``"""
+    if type(payload) is not bytes or type(chain) is not bytes:
+        raise EncodingError("rs/submit: payload and chain must be bytes")
+    return b"ds5:chainb%d:%ss7:payloadb%d:%se" % (len(chain), chain, len(payload), payload)
+
+
+def _rs_score_body(subject: str) -> bytes:
+    """The ``rs/score`` body ``{"subject"}``"""
+    if type(subject) is not str:
+        raise EncodingError("rs/score: subject must be a str")
+    try:
+        raw = subject.encode()
+    except ValueError as exc:
+        raise EncodingError(f"cannot encode: {exc}") from exc
+    return b"ds7:subjects%d:%se" % (len(raw), raw)
+
+
 # -- handlers: each takes its service and the checked request fields, and maps
 # the service's result to the response body, a dict or its encoded bytes
 
-def _h_request(pca: PrivacyCa, aik_public: bytes, group: int, platform_id: str) -> dict:
+def _h_request(pca: PrivacyCa, aik_public: bytes, group: int, platform_id: str) -> dict | bytes:
     result = pca.request_credential(aik_public, group, platform_id)
     if isinstance(result, DeniedRequest):
         return {"status": "denied", "reason": result.reason}
-    return {"status": "challenge", "nonce": result.nonce, "expires": result.expires}
+    return _challenge_body(result.nonce, result.expires)
 
 
 def _h_resolve(pca: PrivacyCa, aik_digest: str, authority_token: str) -> dict:
@@ -141,12 +214,12 @@ def _h_blacklist(pca: PrivacyCa, platform_id: str, flag: int) -> dict:
     return {"ok": 1}
 
 
-def _h_submit(rs: ReputationSystem, payload: bytes, chain: bytes) -> dict:
+def _h_submit(rs: ReputationSystem, payload: bytes, chain: bytes) -> dict | bytes:
     credentials = CredentialChain.from_bytes(chain)
     result = rs.submit_rating(RatingPayload.from_bytes(payload), credentials)
     if isinstance(result, Reject):
         return {"status": "reject", "reason": result.reason, "detail": result.detail}
-    return {"status": "ack", "receipt": result.receipt, "subject": result.subject, "group": result.group}
+    return _ack_body(result.receipt, result.subject, result.group)
 
 
 def _h_score(rs: ReputationSystem, subject: str) -> bytes:
@@ -196,7 +269,7 @@ ROUTES: dict[str, tuple[str, dict[str, type], Callable[..., dict | bytes]]] = {
     "pca/complete": (
         "pca",
         {"nonce": bytes, "signature": bytes},
-        lambda pca, nonce, signature: {"activation_blob": pca.complete_handshake(nonce, signature)},
+        lambda pca, nonce, signature: _activation_body(pca.complete_handshake(nonce, signature)),
     ),
     "pca/resolve": ("pca", {"aik_digest": str, "authority_token": str}, _h_resolve),
     "pca/blacklist": ("pca", {"platform_id": str, "flag": int}, _h_blacklist),
@@ -390,7 +463,7 @@ class _Client:
         self._transport = transport
         self._corr = itertools.count(1)
 
-    def _call(self, endpoint: str, body: dict) -> dict:
+    def _call(self, endpoint: str, body: dict | bytes) -> dict:
         corr = next(self._corr).to_bytes(8, "big")
         response = self._transport.request(encode_request(endpoint, body, corr))
         r_endpoint, r_corr, status, r_body = decode_response(response)
@@ -409,16 +482,13 @@ class PcaClient(_Client):
     def request_credential(
         self, aik_public: bytes, group: int, platform_id: str
     ) -> Challenge | DeniedRequest:
-        body = self._call(
-            "pca/request",
-            {"aik_public": aik_public, "group": group, "platform_id": platform_id},
-        )
+        body = self._call("pca/request", _pca_request_body(aik_public, group, platform_id))
         if _field(body, "status", str) == "denied":
             return DeniedRequest(reason=_field(body, "reason", str))
         return Challenge(nonce=_field(body, "nonce", bytes), expires=_field(body, "expires", int))
 
     def complete_handshake(self, nonce: bytes, signature: bytes) -> bytes:
-        body = self._call("pca/complete", {"nonce": nonce, "signature": signature})
+        body = self._call("pca/complete", _pca_complete_body(nonce, signature))
         return _field(body, "activation_blob", bytes)
 
     def resolve_identity(self, aik_digest: str, authority_token: str) -> dict:
@@ -432,7 +502,7 @@ class PcaClient(_Client):
 
 class RsClient(_Client):
     def submit_rating(self, payload: RatingPayload, chain: CredentialChain) -> Ack | Reject:
-        body = self._call("rs/submit", {"payload": payload.canonical_bytes(), "chain": chain.to_bytes()})
+        body = self._call("rs/submit", _rs_submit_body(payload.canonical_bytes(), chain.to_bytes()))
         if _field(body, "status", str) == "reject":
             return Reject(reason=_field(body, "reason", str), detail=_field(body, "detail", str))
         return Ack(
@@ -442,7 +512,7 @@ class RsClient(_Client):
         )
 
     def score(self, subject: str) -> tuple[int, str]:
-        body = self._call("rs/score", {"subject": subject})
+        body = self._call("rs/score", _rs_score_body(subject))
         return _field(body, "count", int), _field(body, "score", str)
 
     def configure_groups(self, registry: dict[int, tuple[bytes, Fraction]]) -> int:

@@ -76,11 +76,12 @@ def test_build_chain_builds_one_key_object(monkeypatch):
     assert isinstance(stack.rs.submit_rating(payload, chain), Ack)
 
 
-def test_wire_redemption_encodes_at_most_five_times_and_decodes_each_input_once(monkeypatch):
+def test_wire_redemption_encodes_nothing_generic_and_decodes_each_input_once(monkeypatch):
     """The chain and the payload travel as their own bytes: each frame is read
-    by one decode_head of its body, the payload by one decode, and the chain
-    by one pass of the credential reader, which no generic decode repeats, so
-    no byte is parsed as structure twice."""
+    by one decode_head of its body, the payload by one pass of its reader, and
+    the chain by one pass of the credential reader, which no generic decode
+    repeats, so no byte is parsed as structure twice. Every record on the way
+    is spliced, so the generic encoder never runs."""
     stack = make_stack(5)
     tap = []
     agent = wired_agent(stack, tap=tap)
@@ -88,7 +89,7 @@ def test_wire_redemption_encodes_at_most_five_times_and_decodes_each_input_once(
     ticket = agent.acquire_ticket(1)
     tap.clear()
     calls = count_calls(monkeypatch, encoding, ["encode"])
-    decode, decode_head, read_all, parsed = encoding.decode, encoding.decode_head, crypto._read_all, []
+    decode, decode_head, read_all, parsed = encoding.decode, encoding.decode_head, encoding.read_all, []
     patch_everywhere(monkeypatch, decode, lambda data: parsed.append(("decode", data)) or decode(data))
     patch_everywhere(
         monkeypatch, decode_head, lambda data, *at: parsed.append(("decode_head", data)) or decode_head(data, *at)
@@ -97,15 +98,30 @@ def test_wire_redemption_encodes_at_most_five_times_and_decodes_each_input_once(
         monkeypatch, read_all, lambda data, cut: parsed.append((cut.__name__, data)) or read_all(data, cut)
     )
     assert isinstance(agent.redeem_ticket(ticket, agent.make_payload("seller", 4)), Ack)
-    assert calls["encode"] <= 5
+    assert calls["encode"] == 0
     (_, request), (_, response) = tap
     body = decode(request)["body"]
     assert parsed == [
         ("decode_head", request),
         ("_cut_chain", body["chain"]),
-        ("decode", body["payload"]),
+        ("_cut_payload", body["payload"]),
         ("decode_head", response),
     ]
+
+
+def test_a_log_free_cycle_never_calls_the_generic_encoder(monkeypatch):
+    """One acquisition, one redemption and two score reads, in process and
+    with no log: every record on the way, each request and ok response body
+    among them, is spliced, so the generic encoder never runs."""
+    stack = make_stack(7, charging="acquisition")
+    agent = wired_agent(stack)
+    rs = RsClient(InprocTransport(Router(rs=stack.rs)))
+    agent.register()
+    calls = count_calls(monkeypatch, encoding, ["encode"])
+    ticket = agent.acquire_ticket(1)
+    assert isinstance(agent.redeem_ticket(ticket, agent.make_payload("seller", 4)), Ack)
+    assert [rs.score("seller"), rs.score("seller")] == [(1, "4"), (1, "4")]
+    assert calls["encode"] == 0
 
 
 def test_built_chain_keeps_the_bodies_it_signed(monkeypatch):
@@ -124,8 +140,9 @@ def test_built_chain_keeps_the_bodies_it_signed(monkeypatch):
     calls.clear()
     config = ScenarioConfig.from_json_file(Path(__file__).resolve().parent.parent / "scenarios" / "basic.json")
     run_scenario(config)
-    # the final scores' read of seller-main repeats the script's, and encodes nothing
-    assert calls["encode"] == 22
+    # the final scores' read of seller-main repeats the script's, and encodes nothing; the
+    # eight left are the pca/register, rs/admin/groups, cp/policy and cp/balance exchanges
+    assert calls["encode"] == 8
 
 
 def test_wallet_consistent_with_platform_module():

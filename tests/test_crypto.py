@@ -19,9 +19,10 @@ from pseudorate.crypto import (
     verify_credential,
 )
 from pseudorate.encoding import EncodingError, check_fields, decode, encode
-from pseudorate.errors import InvalidArgument
-from pseudorate.reputation import RatingPayload, Reject
-from pseudorate.wire import decode_request, encode_request
+from pseudorate.errors import InvalidArgument, TicketError
+from pseudorate.reputation import RatingPayload, Reject, ReputationSystem
+from pseudorate.tpm import TpmInstance
+from pseudorate.wire import Router, decode_request, decode_response, encode_request
 
 from support import (
     NEUTRAL,
@@ -393,6 +394,207 @@ def test_the_credential_reader_refuses_each_defect_as_the_reference_does():
 def test_a_length_past_the_int_digit_limit_is_an_encoding_error():
     with pytest.raises(EncodingError):
         Credential.from_bytes(b"ds6:entityb" + b"9" * 5000 + b":")
+
+
+# -- the rating payload and activation blob readers ---------------------------
+
+PAYLOAD_KINDS = {"comment": str, "nonce": bytes, "rs_id": str, "score": int, "subject": str}
+BLOB_KINDS = {"aik": bytes, "cred": bytes, "nonce": bytes}
+
+
+def _read_payload(data) -> tuple:
+    payload = RatingPayload.from_bytes(data)
+    canonical = vars(payload).get("_canonical")  # the bytes it was cut from, not spliced again
+    assert type(canonical) is bytes
+    return payload.to_record(), canonical
+
+
+def _reference_payload(data) -> tuple:
+    return check_fields(decode(data), PAYLOAD_KINDS), bytes(data)
+
+
+def _read_blob(data) -> dict:
+    return dict(zip(BLOB_KINDS, crypto.read_activation_payload(data)))
+
+
+def _reference_blob(data) -> dict:
+    return check_fields(decode(data), BLOB_KINDS)
+
+
+# each reader's kinds, in key order, the reader, and its reference: decode and check_fields
+RECORD_READERS = {
+    "payload": (PAYLOAD_KINDS, _read_payload, _reference_payload),
+    "blob": (BLOB_KINDS, _read_blob, _reference_blob),
+}
+
+
+def _record_outcome(read, data):
+    """What ``read`` makes of ``data``, or None when it refuses it with an EncodingError."""
+    try:
+        return read(data)
+    except EncodingError:
+        return None
+
+
+def _assert_record_read_as_the_reference_does(reader: str, data) -> None:
+    _, read, reference = RECORD_READERS[reader]
+    assert _record_outcome(read, data) == _record_outcome(reference, data)
+
+
+def _record_bytes(entries: list) -> bytes:
+    return b"d%se" % b"".join(key + value for key, value in entries)
+
+
+RECORD_VALUES = {
+    bytes: field_bytes,
+    str: st.sampled_from([(0, 0), (1, 2), (5, 20), (60, 80)]).flatmap(
+        lambda size: st.text(st.sampled_from("az0é€\U0001f600"), min_size=size[0], max_size=size[1])
+    ),
+    int: st.integers() | st.integers(-9, 9),
+}
+BAD_UTF8 = [b"\xff", b"\xc0\x80", b"\xed\xa0\x80", b"a\x80", b"\xf4\x90\x80\x80"]
+RECORD_DEFECTS = [None, "swap", "missing", "extra", "kind", "bad utf-8", "int pad", "-0", "truncate", "flip", "pad", "trailing"]
+
+
+@st.composite
+def record_inputs(draw, kinds: dict):
+    """A payload or an activation blob built from its parts, with at most one
+    defect, as bytes, a bytearray or a memoryview."""
+    entries = [(encode(key), encode(draw(RECORD_VALUES[kind]))) for key, kind in kinds.items()]
+    defect, at = draw(st.sampled_from(RECORD_DEFECTS)), draw(st.integers(0, len(entries) - 1))
+    key, value = entries[at]
+    if defect == "swap":
+        at = min(at, len(entries) - 2)
+        entries[at : at + 2] = entries[at + 1], entries[at]
+    elif defect == "missing":
+        del entries[at]
+    elif defect == "extra":  # a stray key, or one repeated, anywhere
+        stray = encode(draw(st.sampled_from(["", "a", "nonce", "score", "zz"]))), encode(draw(st.text(max_size=2) | not_str))
+        entries.insert(draw(st.integers(0, len(entries))), stray)
+    elif defect == "kind":
+        kind = list(kinds.values())[at]
+        other = draw(st.sampled_from([7, b"x", "x", [], {"k": 1}]).filter(lambda v: type(v) is not kind))
+        entries[at] = (key, encode(other))
+    elif defect == "bad utf-8":  # in a str value, or in a key
+        bad = draw(st.sampled_from(BAD_UTF8))
+        if value[:1] == b"s" and draw(st.booleans()):
+            entries[at] = (key, b"s%d:%s" % (len(bad), bad))
+        else:
+            entries[at] = (b"s%d:%s" % (len(bad), bad), value)
+    elif defect in ("int pad", "-0") and int in kinds.values():
+        at = list(kinds.values()).index(int)
+        key, value = entries[at]
+        entries[at] = (key, b"i-0e" if defect == "-0" else b"i0" + value[1:])
+    data = _record_bytes(entries)
+    if defect in ("truncate", "flip", "pad"):
+        skeleton, lengths = _skeleton(data)
+    if defect == "truncate":
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    elif defect == "flip":
+        at, byte = draw(st.sampled_from(skeleton)), draw(st.sampled_from(b"0123456789:-ibsdle") | st.integers(0, 255))
+        data = data[:at] + bytes([byte]) + data[at + 1 :]
+    elif defect == "pad":
+        at = draw(st.sampled_from(lengths))
+        data = data[:at] + b"0" + data[at:]
+    elif defect == "trailing":
+        data += draw(st.binary(min_size=1, max_size=3))
+    return draw(st.sampled_from([bytes, bytearray, memoryview]))(data)
+
+
+@given(
+    st.sampled_from(sorted(RECORD_READERS)).flatmap(
+        lambda reader: st.tuples(st.just(reader), record_inputs(RECORD_READERS[reader][0]))
+    )
+)
+def test_the_payload_and_blob_readers_accept_what_decode_and_check_fields_accept(case):
+    """A rating payload and an activation blob are cut at their fixed keys;
+    the reference decodes them in full and checks their fields. Both accept
+    the same inputs, with equal fields, and the reader refuses with an
+    EncodingError only. A payload keeps the bytes it was cut from."""
+    _assert_record_read_as_the_reference_does(*case)
+
+
+BLOB_TPM_SEED = 3  # each TpmInstance of this seed makes the same identity key first
+SAMPLE_RECORDS = {
+    # lengths of 0, 1-9, 10-99 and at least 100 bytes; a many-digit and a one-digit score
+    "payload": {"comment": "é" * 60, "nonce": b"n" * 5, "rs_id": "", "score": -12, "subject": "seller-" * 4},
+    "payload-one-digit": {"comment": "", "nonce": b"n" * 16, "rs_id": "rs-x", "score": 4, "subject": "s"},
+    "blob": {
+        "aik": TpmInstance(rng=random.Random(BLOB_TPM_SEED)).make_identity()[1],
+        "cred": certify_with(generate_keypair(seed=b"blob"), b"x", {"group": "1"}).to_bytes(),
+        "nonce": b"",
+    },
+}
+
+
+def _reply(reader: str, data: bytes) -> str:
+    """What a service answers a payload (at ``rs/submit``, beside a chain of
+    sound bytes) or a blob's plaintext (at activation): its error code, or
+    the outcome it reaches with a record it read."""
+    if reader == "payload":
+        body = {"payload": data, "chain": _sample_chain()}
+        router = Router(rs=ReputationSystem("rs-x"))
+        _, _, status, out = decode_response(router.handle(encode_request("rs/submit", body, b"c")))
+        return out["code"] if status == "error" else out["status"]
+    tpm = TpmInstance(rng=random.Random(BLOB_TPM_SEED))
+    handle, _ = tpm.make_identity()
+    try:
+        tpm.activate_identity(handle, seal(tpm.ek_public, data))
+    except TicketError as exc:
+        return exc.code
+    return "activated"
+
+
+def _record_defects(sample: str) -> tuple[bytes, list[bytes]]:
+    """A sample record's bytes, and defects of it: a key swapped, missing,
+    repeated or extra, a key of bad UTF-8, a value of another kind, trailing
+    bytes, and for a payload a malformed, leading-zero or -0 score and bad
+    UTF-8 in a str value."""
+    record = SAMPLE_RECORDS[sample]
+    entries = [(encode(key), encode(value)) for key, value in record.items()]
+    data = _record_bytes(entries)
+    defects = [data + b"e", data + b"\x00", encode([record]), data[:-1] + encode("zz") + encode(b"") + b"e"]
+    for at in range(len(entries)):
+        key, value = entries[at]
+        before, after = entries[:at], entries[at + 1 :]
+        defects += [_record_bytes(before + after), _record_bytes(before + [entries[at]] + entries[at:])]
+        defects += [_record_bytes(before + [(encode("a"), encode(b""))] + entries[at:])]
+        defects += [_record_bytes(before + [(b"s%d:%s" % (len(bad), bad), value)] + after) for bad in BAD_UTF8]
+        defects += [_record_bytes(before + [(key, encode(7 if value[:1] != b"i" else "7"))] + after)]
+        if at:
+            defects.append(_record_bytes(entries[: at - 1] + [entries[at], entries[at - 1]] + after))
+    if "score" in record:
+        score = b"s5:score" + encode(record["score"])
+        bad_scores = (b"i-012e", b"i012e", b"i04e", b"i00e", b"i-0e", b"i+4e", b"i 4e", b"i1_2e", b"i-e", b"i/e", b"i.e", b"ie")
+        defects += [data.replace(score, b"s5:score" + bad) for bad in bad_scores]
+        subject = encode(record["subject"])
+        defects.append(data.replace(b"s7:subject" + subject, b"s7:subject" + subject[:-1] + b"\xff"))
+    if sample == "payload":
+        defects.append(data.replace(b"s120:\xc3\xa9", b"s120:\xa9\xc3"))
+    return data, defects
+
+
+@pytest.mark.parametrize("sample", sorted(SAMPLE_RECORDS))
+def test_the_payload_and_blob_readers_refuse_each_defect_as_the_reference_does(sample):
+    """Each defect, each truncation and each zero-padded length is refused by
+    the reader as by the reference, and the service answers it with the code
+    it gave before: protocol-error at rs/submit, malformed-blob at activation."""
+    reader = sample.split("-")[0]
+    data, defects = _record_defects(sample)
+    code = {"payload": "protocol-error", "blob": "malformed-blob"}[reader]
+    assert _reply(reader, data) == {"payload": "reject", "blob": "activated"}[reader]
+    for kind in (bytes, bytearray, memoryview):
+        _assert_record_read_as_the_reference_does(reader, kind(data))
+    skeleton, lengths = _skeleton(data)
+    defects += [data[:cut] for cut in range(len(data))]
+    defects += [data[:at] + b"0" + data[at:] for at in lengths]
+    for bad in defects:
+        assert bad != data and _record_outcome(RECORD_READERS[reader][2], bad) is None
+        _assert_record_read_as_the_reference_does(reader, bad)
+        assert _reply(reader, bad) == code
+    for at in skeleton:
+        for byte in (data[at] ^ 1, 0x30, 0x3A, 0x65):
+            _assert_record_read_as_the_reference_does(reader, data[:at] + bytes([byte]) + data[at + 1 :])
 
 
 def test_credential_bytes_canonical():

@@ -14,11 +14,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pseudorate import crypto
+from pseudorate import crypto, reputation, wire
 from pseudorate.charging import ChargingProvider, PricingPolicy, RevenueShares
 from pseudorate.cli import _verify_detail
 from pseudorate.clock import SimClock
-from pseudorate.encoding import MAX_DEPTH, EncodingError, append_record, check_fields, decode, encode, read_records
+from pseudorate.encoding import (
+    MAX_DEPTH,
+    EncodingError,
+    append_record,
+    check_fields,
+    cut_entry,
+    decode,
+    encode,
+    read_records,
+)
 from pseudorate.errors import TicketError
 from pseudorate.reputation import RatingPayload
 from pseudorate.scenario import ScenarioConfig, Transcript
@@ -230,6 +239,17 @@ def test_a_length_past_the_int_digit_limit_is_an_encoding_error():
             decode(data)
 
 
+@pytest.mark.parametrize("digits", [b"1" + b"0" * 18, b"9" * 5000], ids=["19-digits", "5000-digits"])
+def test_cut_entry_refuses_a_length_of_more_than_18_digits_as_decode_does(digits):
+    data = b"s3:keyb" + digits + b":" + b"x" * 8
+    with pytest.raises(EncodingError, match="malformed length"):
+        cut_entry(data, 0, b"s3:keyb")
+    with pytest.raises(EncodingError, match="malformed length"):
+        decode(data[6:])  # the value alone
+    # 18 digits are read: such a length runs past any input, which the caller refuses
+    assert cut_entry(b"s3:keyb" + b"1" * 18 + b":x", 0, b"s3:keyb") == (b"x", 26 + int(b"1" * 18))
+
+
 def _reference_encode(value) -> bytes:
     """An encoder written apart from ``encode``: isinstance dispatch, dict
     keys sorted by their UTF-8 bytes. On values built only of the five
@@ -379,6 +399,104 @@ def test_encode_equals_the_reference_encoder(value):
 def test_values_outside_the_domain_raise_encoding_error(bad):
     with pytest.raises(EncodingError):
         encode(bad)
+
+
+# -- the splices: fixed-shape records written without the generic encoder ----
+
+SPLICE_CRED = crypto.Credential(b"e", b"i" * 32, b"s" * 64, {"group": "1"})
+# writer, the kind of each field it takes, and the record's fields it writes itself
+SPLICES = {
+    "credential body": (crypto.credential_body, {"entity": bytes, "issuer": bytes, "meta": dict}, {}),
+    "Credential.body": (
+        lambda entity, issuer, meta: crypto.Credential(entity, issuer, b"s", meta).body,
+        {"entity": bytes, "issuer": bytes, "meta": dict}, {},
+    ),
+    "rating payload": (
+        lambda **fields: RatingPayload(**fields).canonical_bytes(),
+        {"comment": str, "nonce": bytes, "rs_id": str, "score": int, "subject": str}, {},
+    ),
+    "activation blob": (
+        lambda aik, nonce: crypto.encode_activation_payload(aik, SPLICE_CRED, nonce),
+        {"aik": bytes, "nonce": bytes}, {"cred": SPLICE_CRED.to_bytes()},
+    ),
+    "score body": (reputation.score_body, {"count": int, "score": str}, {}),
+    "pca/request body": (wire._pca_request_body, {"aik_public": bytes, "group": int, "platform_id": str}, {}),
+    "pca/complete body": (wire._pca_complete_body, {"nonce": bytes, "signature": bytes}, {}),
+    "rs/submit body": (wire._rs_submit_body, {"chain": bytes, "payload": bytes}, {}),
+    "rs/score body": (wire._rs_score_body, {"subject": str}, {}),
+    "pca/request challenge": (wire._challenge_body, {"expires": int, "nonce": bytes}, {"status": "challenge"}),
+    "pca/complete response": (wire._activation_body, {"activation_blob": bytes}, {}),
+    "rs/submit ack": (wire._ack_body, {"group": int, "receipt": str, "subject": str}, {"status": "ack"}),
+}
+# values that encode refuses (a subclass, a look-alike, a lone surrogate, an
+# int past the digit limit) and values of another kind that it would write
+SPLICE_BAD = {
+    bytes: [bytearray(b"x"), memoryview(b"x"), Blob(b"x"), "x", None, 1],
+    str: [Text("x"), "\ud800", "a\udfff", b"x", None, 1],
+    int: [True, False, Small(2), Color.RED, 10**4300, -(10**4300), 1.0, "1", None],
+    dict: [
+        {Text("k"): "v"}, {"k": Text("v")}, {"k": 1}, {"k": b"v"}, {1: "v"}, {"k": "\ud800"}, {"\udfff": "v"},
+        {"a": "v", 2: "w"},
+    ],
+}
+SPLICE_GOOD = {
+    bytes: st.sampled_from([(0, 0), (1, 9), (10, 99), (100, 150)]).flatmap(
+        lambda size: st.binary(min_size=size[0], max_size=size[1])
+    ),
+    str: st.text(max_size=3) | st.text(min_size=40, max_size=60),
+    int: st.integers() | st.integers(-9, 9) | st.sampled_from([10**4299, -(10**4299)]),
+    dict: st.dictionaries(st.text(max_size=3), st.text(max_size=4), max_size=4),
+}
+
+
+def _splice_field(kind) -> st.SearchStrategy:
+    good = SPLICE_GOOD[kind]
+    return st.one_of(good, good, good, st.sampled_from(SPLICE_BAD[kind]))
+
+
+def _reference_splice(kinds: dict, fields: dict, constants: dict) -> bytes:
+    """``encode`` of the record, where each field is exactly of its kind and a
+    dict maps str to str; else an EncodingError."""
+    for name, kind in kinds.items():
+        value = fields[name]
+        if type(value) is not kind or kind is dict and any(type(k) is not str or type(v) is not str for k, v in value.items()):
+            raise EncodingError(f"{name} is not of its kind")
+    return encode({**fields, **constants})
+
+
+def _written(write, **fields) -> bytes | str:
+    try:
+        return write(**fields)
+    except EncodingError:
+        return "EncodingError"
+
+
+@given(
+    st.sampled_from(sorted(SPLICES)).flatmap(
+        lambda name: st.tuples(st.just(name), st.fixed_dictionaries({f: _splice_field(k) for f, k in SPLICES[name][1].items()}))
+    )
+)
+def test_each_splice_writes_what_encode_writes(case):
+    """Each fixed-shape record on the acquire, redeem and score path is spliced.
+    Where every field is exactly of its kind, the splice is ``encode`` of the
+    record, and it refuses with an EncodingError exactly where ``encode`` does;
+    a field of another kind is refused, with no other exception, though
+    ``encode`` would have written it under its own tag."""
+    name, fields = case
+    write, kinds, constants = SPLICES[name]
+    assert _written(write, **fields) == _written(_reference_splice, kinds=kinds, fields=fields, constants=constants)
+
+
+@pytest.mark.parametrize("name", sorted(SPLICES))
+def test_each_splice_refuses_each_bad_field_as_the_reference_does(name):
+    write, kinds, constants = SPLICES[name]
+    good = {field: {bytes: b"x", str: "é", int: -7, dict: {"k": "v"}}[kind] for field, kind in kinds.items()}
+    assert _written(write, **good) == encode({**good, **constants})
+    for field, kind in kinds.items():
+        for bad in SPLICE_BAD[kind]:
+            fields = {**good, field: bad}
+            assert _written(write, **fields) == "EncodingError"
+            assert _written(_reference_splice, kinds=kinds, fields=fields, constants=constants) == "EncodingError"
 
 
 def test_log_records_round_trip(tmp_path):

@@ -355,26 +355,29 @@ def test_score_replies_follow_every_rating(ops):
         assert rebuilt.subjects() == rs.subjects()
 
 
-def test_score_body_is_encoded_once_per_rating(monkeypatch):
-    """A read with no rating of its subject since the previous read encodes
-    nothing for its reply; the first read after a rating encodes the body
-    once; an unrated subject's body is a constant."""
+def test_score_body_is_written_once_per_rating(monkeypatch):
+    """A read with no rating of its subject since the previous read writes
+    nothing for its reply; the first read after a rating writes the body
+    once; an unrated subject's body is a constant. The body is spliced and
+    the frame around it too, so no read calls the generic encoder."""
     rs = ReputationSystem("rs-x")
     rs.configure_groups({g: (pair.public, impact) for g, (pair, impact) in SCORE_GROUPS.items()})
     router = Router(rs=rs)
     requests = {subject: encode_request("rs/score", {"subject": subject}, b"c") for subject in "ab"}
     ratings = [scored_chain(n, "a", 1 + n % 3, 1 + n % 5) for n in range(2)]
-    calls = count_calls(monkeypatch, encoding, ["encode"])
+    writes = count_calls(monkeypatch, reputation, ["score_body"])
+    encodes = count_calls(monkeypatch, encoding, ["encode"])
 
-    def encodes_per_read(subject: str) -> int:
-        calls.clear()
+    def writes_per_read(subject: str) -> int:
+        writes.clear()
         router.handle(requests[subject])
-        return calls["encode"]
+        return writes["score_body"]
 
-    assert [encodes_per_read("a"), encodes_per_read("b")] == [0, 0]
+    assert [writes_per_read("a"), writes_per_read("b")] == [0, 0]
     for rating in ratings:
         assert isinstance(rs.submit_rating(*rating), Ack)
-        assert [encodes_per_read("a"), encodes_per_read("a"), encodes_per_read("b")] == [1, 0, 0]
+        assert [writes_per_read("a"), writes_per_read("a"), writes_per_read("b")] == [1, 0, 0]
+    assert encodes["encode"] == 0
 
 
 # -- resubmitted chains ---------------------------------------------------------------
