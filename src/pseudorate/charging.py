@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .clock import SimClock
-from .encoding import append_record, check_fields, check_kind, read_records
+from .encoding import EncodingError, append_record, check_fields, check_kind, encode, read_records
 from .errors import InvalidArgument, TicketError, UnknownGroup
 
 PHASE_ACQUISITION = "acquisition"
@@ -28,6 +28,27 @@ _RECORDS = {  # kind -> the fields of a ledger record (FORMATS §6)
     },
     "policy": {"kind": str, "policy": dict},
 }
+
+
+def charge_record_bytes(record: dict) -> bytes:
+    """``encode`` of a ``charge`` record, spliced with its keys in sorted order.
+    A field not exactly of its type, a lone surrogate or an int past Python's
+    4300 digits is an EncodingError, as in ``encode``."""
+    account, amount, at, group = record["account"], record["amount"], record["at"], record["group"]
+    phase, receipt, ref = record["phase"], record["receipt"], record["ref"]
+    if not (
+        type(account) is str and type(amount) is int and type(at) is int and type(group) is int
+        and type(phase) is str and type(receipt) is str and type(ref) is str
+    ):
+        raise EncodingError("charge record: a field not exactly of its type")
+    try:
+        account, phase, receipt, ref = account.encode(), phase.encode(), receipt.encode(), ref.encode()
+        return (
+            b"ds7:accounts%d:%ss6:amounti%des2:ati%des5:groupi%des4:kinds6:charge"
+            b"s5:phases%d:%ss7:receipts%d:%ss3:refs%d:%se"
+        ) % (len(account), account, amount, at, group, len(phase), phase, len(receipt), receipt, len(ref), ref)
+    except ValueError as exc:
+        raise EncodingError(f"cannot encode: {exc}") from exc
 
 
 def group_id(key: str) -> int:
@@ -302,8 +323,9 @@ class ChargingProvider:
             raise TicketError(f"unknown account {account_id}", code="unknown-account") from None
 
     def _commit(self, record: dict) -> None:
-        if self._ledger_log:
-            append_record(self._ledger_log, record)
+        if self._ledger_log:  # the record each ticket adds is spliced
+            raw = charge_record_bytes(record) if record["kind"] == "charge" else encode(record)
+            append_record(self._ledger_log, raw)
         self._apply(record)
 
     def _apply(self, record: dict) -> None:

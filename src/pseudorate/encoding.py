@@ -279,11 +279,12 @@ def check_kind(record: object, shapes: dict[str, dict[str, type]], optional=(), 
     return check_fields(record, shapes[kind], optional, where)
 
 
-def append_record(path: Path | str, value: Value) -> None:
-    """Append one record to a log file: base64 of the canonical bytes, one per line."""
+def append_record(path: Path | str, record: bytes) -> None:
+    """Append one record, given as its canonical bytes, to a log file: base64
+    of the bytes, one record per line."""
     # one os.write on a descriptor opened per record; a write that fails part-way
     # is cut back, so the next append does not land on a half line (FORMATS §6)
-    line = base64.b64encode(encode(value)) + b"\n"
+    line = base64.b64encode(record) + b"\n"
     fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
     written = 0
     try:

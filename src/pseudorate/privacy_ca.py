@@ -30,7 +30,7 @@ from .charging import (
     price,
 )
 from .clock import SimClock
-from .encoding import append_record, check_kind, read_records
+from .encoding import EncodingError, append_record, check_kind, encode, read_records
 from .errors import InvalidArgument, TicketError, UnknownGroup
 
 logger = logging.getLogger(__name__)
@@ -43,6 +43,27 @@ _RECORDS = {  # kind -> the fields of an issuance log record (FORMATS §6)
     },
     "blacklist": {"kind": str, "platform_id": str, "flag": int},
 }
+
+
+def issue_record_bytes(record: dict) -> bytes:
+    """``encode`` of an ``issue`` record, spliced with its keys in sorted order.
+    A field not exactly of its type, a lone surrogate or an int past Python's
+    4300 digits is an EncodingError, as in ``encode``."""
+    digest, at, ref = record["aik_digest"], record["at"], record["charge_ref"]
+    group, label, platform = record["group"], record["label"], record["platform_id"]
+    if not (
+        type(digest) is str and type(at) is int and type(ref) is str
+        and type(group) is int and type(label) is str and type(platform) is str
+    ):
+        raise EncodingError("issue record: a field not exactly of its type")
+    try:
+        digest, ref, label, platform = digest.encode(), ref.encode(), label.encode(), platform.encode()
+        return (
+            b"ds10:aik_digests%d:%ss2:ati%des10:charge_refs%d:%ss5:groupi%des4:kinds5:issue"
+            b"s5:labels%d:%ss11:platform_ids%d:%se"
+        ) % (len(digest), digest, at, len(ref), ref, group, len(label), label, len(platform), platform)
+    except ValueError as exc:
+        raise EncodingError(f"cannot encode: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -321,8 +342,9 @@ class PrivacyCa:
             raise UnknownGroup(f"group {group} is not configured")
 
     def _commit(self, record: dict) -> None:
-        if self._issuance_log:
-            append_record(self._issuance_log, record)
+        if self._issuance_log:  # the record each ticket adds is spliced
+            raw = issue_record_bytes(record) if record["kind"] == "issue" else encode(record)
+            append_record(self._issuance_log, raw)
         self._apply(record)
 
     def _apply(self, record: dict) -> None:

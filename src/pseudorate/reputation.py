@@ -112,15 +112,6 @@ class RatingRecord:
     received: int
     chain_digest: str
 
-    def to_record(self) -> dict:
-        return {
-            "payload": self.payload.to_record(),
-            "group": self.group,
-            "impact": str(self.impact),
-            "received": self.received,
-            "chain_digest": self.chain_digest,
-        }
-
     @classmethod
     def from_record(cls, record: object) -> "RatingRecord":
         """A rating log record (FORMATS §6); one of any other shape is an EncodingError."""
@@ -133,6 +124,27 @@ class RatingRecord:
         if impact is None or impact <= 0:  # refused as configure_groups refuses it: aggregate divides by the weights
             raise EncodingError(f"rating record: impact must be a positive fraction, not {r['impact']!r}")
         return cls(payload, r["group"], impact, r["received"], r["chain_digest"])
+
+
+def rating_record_bytes(
+    aik_digest: str, chain_digest: str, group: int, impact: str, payload: bytes, received: int
+) -> bytes:
+    """``encode`` of a rating log record, spliced with its keys in sorted order
+    around ``payload``, its payload's canonical bytes. A field not exactly of
+    its type, a lone surrogate or an int past Python's 4300 digits is an
+    EncodingError, as in ``encode``."""
+    if not (
+        type(aik_digest) is str and type(chain_digest) is str and type(group) is int
+        and type(impact) is str and type(payload) is bytes and type(received) is int
+    ):
+        raise EncodingError("rating record: a field not exactly of its type")
+    try:
+        aik_digest, chain_digest, impact = aik_digest.encode(), chain_digest.encode(), impact.encode()
+        return (
+            b"ds10:aik_digests%d:%ss12:chain_digests%d:%ss5:groupi%des6:impacts%d:%ss7:payload%ss8:receivedi%dee"
+        ) % (len(aik_digest), aik_digest, len(chain_digest), chain_digest, group, len(impact), impact, payload, received)
+    except ValueError as exc:
+        raise EncodingError(f"cannot encode: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -166,6 +178,16 @@ def score_body(count: int, score: str) -> bytes:
         return b"ds5:counti%des5:scores%d:%se" % (count, len(raw), raw)
     except ValueError as exc:  # a lone surrogate; an int past Python's 4300 digits
         raise EncodingError(f"cannot encode: {exc}") from exc
+
+
+def cut_score_body(data: bytes, pos: int) -> tuple[tuple[int, str], int]:
+    """The (count, score) of the :func:`score_body` at ``pos``, cut at its
+    fixed keys, and the position after it; any other body is an EncodingError."""
+    count, pos = cut_int(data, pos, b"ds5:counti")
+    score, pos = cut_entry(data, pos, b"s5:scores")
+    if data[pos] != 0x65:  # e
+        raise EncodingError("score body: an entry after score")
+    return (count, score.decode()), pos + 1
 
 
 @dataclass(slots=True)
@@ -271,7 +293,10 @@ class ReputationSystem:
                 chain_digest=chain_digest,
             )
             if self._rating_log:
-                append_record(self._rating_log, {**record.to_record(), "aik_digest": aik_digest})
+                raw = payload.canonical_bytes()
+                append_record(
+                    self._rating_log, rating_record_bytes(aik_digest, chain_digest, group, str(impact), raw, record.received)
+                )
             self._apply(record, aik_digest)
         return Ack(receipt=chain_digest, subject=payload.subject, group=group)
 

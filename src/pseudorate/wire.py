@@ -26,10 +26,10 @@ from typing import Callable
 
 from .charging import ChargingProvider, Declined, PricingPolicy, group_id
 from .crypto import CredentialChain
-from .encoding import EncodingError, check_fields, cut_entry, decode_head, encode
+from .encoding import EncodingError, check_fields, cut_entry, cut_int, decode_head, encode, read_all
 from .errors import TicketError
 from .privacy_ca import Challenge, DeniedRequest, PrivacyCa
-from .reputation import Ack, RatingPayload, Reject, ReputationSystem
+from .reputation import Ack, RatingPayload, Reject, ReputationSystem, cut_score_body
 
 logger = logging.getLogger(__name__)
 
@@ -59,6 +59,14 @@ def _frame(body: dict | bytes, correlation_id: bytes, endpoint: str, status: byt
     encoded = body if type(body) is bytes else encode(body)
     return b"ds4:body%ss14:correlation_idb%d:%ss8:endpoints%d:%s%ss7:versioni%dee" % (
         encoded, len(correlation_id), correlation_id, len(raw), raw, status, WIRE_VERSION
+    )
+
+
+def _ok_tail(correlation_id: bytes, endpoint: str) -> bytes:
+    """What :func:`_frame` writes after the body of an ok response."""
+    raw = endpoint.encode()
+    return b"s14:correlation_idb%d:%ss8:endpoints%d:%ss6:statuss2:oks7:versioni%dee" % (
+        len(correlation_id), correlation_id, len(raw), raw, WIRE_VERSION
     )
 
 
@@ -117,7 +125,18 @@ def _field(body: dict, name: str, kind: type):
 # -- the fixed-shape bodies of the acquire -> redeem -> score path: each is
 # ``encode`` of its dict, spliced with its keys in sorted order. A field not
 # exactly of its type, a str UTF-8 cannot encode or an int past Python's 4300
-# digits is an EncodingError, as in ``encode``.
+# digits is an EncodingError, as in ``encode``. The ok answer of each route
+# stands beside its reader, which cuts the body at its fixed keys and reads
+# the denied and reject bodies the handlers write too: a reader accepts
+# exactly the bodies ``decode`` reads as one of its route's shapes (FORMATS
+# §3), and refuses any other key, kind or status with an EncodingError.
+
+def _cut_fixed(data: bytes, pos: int, fixed: bytes) -> int:
+    """The position after the ``fixed`` bytes that must stand at ``pos``."""
+    if not data.startswith(fixed, pos):
+        raise EncodingError(f"not {fixed!r}")
+    return pos + len(fixed)
+
 
 def _challenge_body(nonce: bytes, expires: int) -> bytes:
     """The ``pca/request`` challenge body ``{"expires", "nonce", "status": "challenge"}``"""
@@ -129,11 +148,25 @@ def _challenge_body(nonce: bytes, expires: int) -> bytes:
         raise EncodingError(f"cannot encode: {exc}") from exc
 
 
+def _cut_challenge_or_denied(data: bytes, pos: int) -> tuple[Challenge | DeniedRequest, int]:
+    if data.startswith(b"ds6:reasons", pos):
+        reason, pos = cut_entry(data, pos, b"ds6:reasons")
+        return DeniedRequest(reason.decode()), _cut_fixed(data, pos, b"s6:statuss6:deniede")
+    expires, pos = cut_int(data, pos, b"ds7:expiresi")
+    nonce, pos = cut_entry(data, pos, b"s5:nonceb")
+    return Challenge(nonce, expires), _cut_fixed(data, pos, b"s6:statuss9:challengee")
+
+
 def _activation_body(activation_blob: bytes) -> bytes:
     """The ``pca/complete`` ok body ``{"activation_blob"}``"""
     if type(activation_blob) is not bytes:
         raise EncodingError("activation_blob must be bytes")
     return b"ds15:activation_blobb%d:%se" % (len(activation_blob), activation_blob)
+
+
+def _cut_activation(data: bytes, pos: int) -> tuple[bytes, int]:
+    blob, pos = cut_entry(data, pos, b"ds15:activation_blobb")
+    return blob, _cut_fixed(data, pos, b"e")
 
 
 def _ack_body(receipt: str, subject: str, group: int) -> bytes:
@@ -147,6 +180,17 @@ def _ack_body(receipt: str, subject: str, group: int) -> bytes:
         )
     except ValueError as exc:
         raise EncodingError(f"cannot encode: {exc}") from exc
+
+
+def _cut_ack_or_reject(data: bytes, pos: int) -> tuple[Ack | Reject, int]:
+    if data.startswith(b"ds6:details", pos):
+        detail, pos = cut_entry(data, pos, b"ds6:details")
+        reason, pos = cut_entry(data, pos, b"s6:reasons")
+        return Reject(reason.decode(), detail.decode()), _cut_fixed(data, pos, b"s6:statuss6:rejecte")
+    group, pos = cut_int(data, pos, b"ds5:groupi")
+    receipt, pos = cut_entry(data, pos, b"s7:receipts")
+    subject, pos = cut_entry(data, _cut_fixed(data, pos, b"s6:statuss3:ack"), b"s7:subjects")
+    return Ack(receipt.decode(), subject.decode(), group), _cut_fixed(data, pos, b"e")
 
 
 def _pca_request_body(aik_public: bytes, group: int, platform_id: str) -> bytes:
@@ -177,7 +221,7 @@ def _rs_submit_body(payload: bytes, chain: bytes) -> bytes:
 
 
 def _rs_score_body(subject: str) -> bytes:
-    """The ``rs/score`` body ``{"subject"}``"""
+    """The ``rs/score`` body ``{"subject"}``; its ok body is ``reputation.score_body``'s"""
     if type(subject) is not str:
         raise EncodingError("rs/score: subject must be a str")
     try:
@@ -463,15 +507,27 @@ class _Client:
         self._transport = transport
         self._corr = itertools.count(1)
 
-    def _call(self, endpoint: str, body: dict | bytes) -> dict:
+    def _call(self, endpoint: str, body: dict | bytes, cut: Callable[[bytes, int], tuple] | None = None):
+        """The ok answer to this request: its body, or what ``cut`` reads of
+        its body at fixed keys. An ok answer carries this request's
+        correlation id and endpoint; an error answer carries them or neither,
+        as the router's answer to a frame it could not read does."""
         corr = next(self._corr).to_bytes(8, "big")
         response = self._transport.request(encode_request(endpoint, body, corr))
+        if cut is not None and type(response) is bytes and response.startswith(b"ds4:body"):
+            tail = _ok_tail(corr, endpoint)
+            if response.endswith(tail):  # an ok answer to this request, if its body is
+                try:
+                    return read_all(response[8 : len(response) - len(tail)], cut)
+                except EncodingError as exc:
+                    decode_response(response)  # a frame the generic decoder refuses is refused as it refuses it
+                    raise WireError(f"bad {endpoint} answer: {exc}") from exc
         r_endpoint, r_corr, status, r_body = decode_response(response)
-        if r_corr != corr and r_corr != b"":
-            raise WireError("correlation id mismatch")
+        if (r_corr, r_endpoint) != (corr, endpoint) and (status == "ok" or r_corr or r_endpoint):
+            raise WireError("correlation id mismatch" if r_corr != corr else "endpoint mismatch")
         if status == "error":
             raise TicketError(str(r_body.get("message", "")), code=str(r_body.get("code", "internal")))
-        return r_body
+        return r_body  # with a cut, an ok answer to this request ends with its tail and was cut above
 
 
 class PcaClient(_Client):
@@ -482,14 +538,10 @@ class PcaClient(_Client):
     def request_credential(
         self, aik_public: bytes, group: int, platform_id: str
     ) -> Challenge | DeniedRequest:
-        body = self._call("pca/request", _pca_request_body(aik_public, group, platform_id))
-        if _field(body, "status", str) == "denied":
-            return DeniedRequest(reason=_field(body, "reason", str))
-        return Challenge(nonce=_field(body, "nonce", bytes), expires=_field(body, "expires", int))
+        return self._call("pca/request", _pca_request_body(aik_public, group, platform_id), _cut_challenge_or_denied)
 
     def complete_handshake(self, nonce: bytes, signature: bytes) -> bytes:
-        body = self._call("pca/complete", _pca_complete_body(nonce, signature))
-        return _field(body, "activation_blob", bytes)
+        return self._call("pca/complete", _pca_complete_body(nonce, signature), _cut_activation)
 
     def resolve_identity(self, aik_digest: str, authority_token: str) -> dict:
         return self._call(
@@ -502,18 +554,12 @@ class PcaClient(_Client):
 
 class RsClient(_Client):
     def submit_rating(self, payload: RatingPayload, chain: CredentialChain) -> Ack | Reject:
-        body = self._call("rs/submit", _rs_submit_body(payload.canonical_bytes(), chain.to_bytes()))
-        if _field(body, "status", str) == "reject":
-            return Reject(reason=_field(body, "reason", str), detail=_field(body, "detail", str))
-        return Ack(
-            receipt=_field(body, "receipt", str),
-            subject=_field(body, "subject", str),
-            group=_field(body, "group", int),
+        return self._call(
+            "rs/submit", _rs_submit_body(payload.canonical_bytes(), chain.to_bytes()), _cut_ack_or_reject
         )
 
     def score(self, subject: str) -> tuple[int, str]:
-        body = self._call("rs/score", _rs_score_body(subject))
-        return _field(body, "count", int), _field(body, "score", str)
+        return self._call("rs/score", _rs_score_body(subject), cut_score_body)
 
     def configure_groups(self, registry: dict[int, tuple[bytes, Fraction]]) -> int:
         groups = {str(g): {"pub": pub, "impact": str(impact)} for g, (pub, impact) in registry.items()}

@@ -21,7 +21,7 @@ from pseudorate.agent import TrustedAgent
 from pseudorate.charging import PricingPolicy, RevenueShares, split_revenue
 from pseudorate.cli import main
 from pseudorate.crypto import CredentialChain, key_id_of, verify_chain
-from pseudorate.encoding import EncodingError, append_record
+from pseudorate.encoding import EncodingError, append_record, encode
 from pseudorate.reputation import Ack, RatingPayload, RatingRecord, Reject, ReputationSystem
 from pseudorate.tpm import KIND_EK, TpmInstance
 from pseudorate.wire import InprocTransport, PcaClient, Router, RsClient
@@ -307,7 +307,7 @@ def test_6_shielding_scan_finds_a_key_logged_as_a_bytes_field(colony, tmp_path):
     copy = tmp_path / "state"
     shutil.copytree(colony["state"], copy)
     secret = private_material(colony["stack"], colony["agents"])[0]
-    append_record(copy / "rs-ratings.log", {"kind": "planted", "key": secret})
+    append_record(copy / "rs-ratings.log", encode({"kind": "planted", "key": secret}))
     assert not _leaked(secret, (copy / "rs-ratings.log").read_bytes())
     assert _leaked(secret, _shielding_haystack(colony["tap"], copy))
 

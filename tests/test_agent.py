@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from pseudorate import crypto, encoding
+from pseudorate import crypto, encoding, wire
 from pseudorate.agent import STATE_FRESH, STATE_SPENT, TicketDenied, TrustedAgent
 from pseudorate.reputation import Ack, Reject
 from pseudorate.scenario import ScenarioConfig, run_scenario
@@ -77,11 +77,12 @@ def test_build_chain_builds_one_key_object(monkeypatch):
 
 
 def test_wire_redemption_encodes_nothing_generic_and_decodes_each_input_once(monkeypatch):
-    """The chain and the payload travel as their own bytes: each frame is read
-    by one decode_head of its body, the payload by one pass of its reader, and
-    the chain by one pass of the credential reader, which no generic decode
-    repeats, so no byte is parsed as structure twice. Every record on the way
-    is spliced, so the generic encoder never runs."""
+    """The chain and the payload travel as their own bytes: the request frame
+    is read by one decode_head of its body, the payload by one pass of its
+    reader, the chain by one pass of the credential reader and the ack by one
+    pass of its own, and no generic decode repeats them, so no byte is parsed
+    as structure twice. Every record on the way is spliced, so the generic
+    encoder never runs."""
     stack = make_stack(5)
     tap = []
     agent = wired_agent(stack, tap=tap)
@@ -105,7 +106,7 @@ def test_wire_redemption_encodes_nothing_generic_and_decodes_each_input_once(mon
         ("decode_head", request),
         ("_cut_chain", body["chain"]),
         ("_cut_payload", body["payload"]),
-        ("decode_head", response),
+        ("_cut_ack_or_reject", encoding.encode(decode(response)["body"])),
     ]
 
 
@@ -122,6 +123,49 @@ def test_a_log_free_cycle_never_calls_the_generic_encoder(monkeypatch):
     assert isinstance(agent.redeem_ticket(ticket, agent.make_payload("seller", 4)), Ack)
     assert [rs.score("seller"), rs.score("seller")] == [(1, "4"), (1, "4")]
     assert calls["encode"] == 0
+
+
+def logged_cycle(tmp_path, charging: str, counted) -> None:
+    """One acquisition, one redemption and two score reads over a stack whose
+    three services log to ``tmp_path``; ``counted()`` starts the count once
+    the platform and its account are set up."""
+    stack = make_stack(
+        7,
+        charging=charging,
+        pca_kwargs={"issuance_log": tmp_path / "pca.log"},
+        cp_kwargs={"ledger_log": tmp_path / "cp.log"},
+        rs_kwargs={"rating_log": tmp_path / "rs.log"},
+    )
+    agent = wired_agent(stack)
+    rs = RsClient(InprocTransport(Router(rs=stack.rs)))
+    agent.register()
+    counted()
+    ticket = agent.acquire_ticket(1)
+    assert isinstance(agent.redeem_ticket(ticket, agent.make_payload("seller", 4)), Ack)
+    assert [rs.score("seller"), rs.score("seller")] == [(1, "4"), (1, "4")]
+    # the cycle's issue, charge and rating records read back as the generic decoder reads them
+    issue, charge, rating = encoding.read_records(tmp_path / "pca.log")[-1], *(
+        encoding.read_records(tmp_path / name)[-1] for name in ("cp.log", "rs.log")
+    )
+    assert (issue["kind"], charge["kind"], charge["phase"]) == ("issue", "charge", charging)
+    assert charge["ref"] == issue["charge_ref"] and rating["aik_digest"] == issue["aik_digest"]
+    assert rating["payload"]["subject"] == "seller"
+
+
+@pytest.mark.parametrize("charging", ["acquisition", "ex_post"])
+def test_a_logged_cycle_never_calls_the_generic_encoder(monkeypatch, tmp_path, charging):
+    """The issue, charge and rating records a logged cycle appends are spliced."""
+    counts = []
+    logged_cycle(tmp_path, charging, lambda: counts.append(count_calls(monkeypatch, encoding, ["encode"])))
+    assert counts[0]["encode"] == 0
+
+
+@pytest.mark.parametrize("charging", ["acquisition", "ex_post"])
+def test_the_clients_read_no_ok_answer_generically(monkeypatch, tmp_path, charging):
+    """Each ok answer of the cycle is read at its fixed keys, not by decode_response."""
+    counts = []
+    logged_cycle(tmp_path, charging, lambda: counts.append(count_calls(monkeypatch, wire, ["decode_response"])))
+    assert counts[0]["decode_response"] == 0
 
 
 def test_built_chain_keeps_the_bodies_it_signed(monkeypatch):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pseudorate import crypto, reputation, wire
+from pseudorate import charging, crypto, privacy_ca, reputation, wire
 from pseudorate.charging import ChargingProvider, PricingPolicy, RevenueShares
 from pseudorate.cli import _verify_detail
 from pseudorate.clock import SimClock
@@ -404,6 +404,7 @@ def test_values_outside_the_domain_raise_encoding_error(bad):
 # -- the splices: fixed-shape records written without the generic encoder ----
 
 SPLICE_CRED = crypto.Credential(b"e", b"i" * 32, b"s" * 64, {"group": "1"})
+SPLICE_PAYLOAD = RatingPayload("seller-é", 4, b"n" * 16, "rs-1", "fine")
 # writer, the kind of each field it takes, and the record's fields it writes itself
 SPLICES = {
     "credential body": (crypto.credential_body, {"entity": bytes, "issuer": bytes, "meta": dict}, {}),
@@ -427,6 +428,22 @@ SPLICES = {
     "pca/request challenge": (wire._challenge_body, {"expires": int, "nonce": bytes}, {"status": "challenge"}),
     "pca/complete response": (wire._activation_body, {"activation_blob": bytes}, {}),
     "rs/submit ack": (wire._ack_body, {"group": int, "receipt": str, "subject": str}, {"status": "ack"}),
+    # the three records a logged cycle appends
+    "issue record": (
+        lambda **fields: privacy_ca.issue_record_bytes({"kind": "issue", **fields}),
+        {"aik_digest": str, "at": int, "charge_ref": str, "group": int, "label": str, "platform_id": str},
+        {"kind": "issue"},
+    ),
+    "charge record": (
+        lambda **fields: charging.charge_record_bytes({"kind": "charge", **fields}),
+        {"account": str, "amount": int, "at": int, "group": int, "phase": str, "receipt": str, "ref": str},
+        {"kind": "charge"},
+    ),
+    "rating record": (
+        lambda **fields: reputation.rating_record_bytes(payload=SPLICE_PAYLOAD.canonical_bytes(), **fields),
+        {"aik_digest": str, "chain_digest": str, "group": int, "impact": str, "received": int},
+        {"payload": SPLICE_PAYLOAD.to_record()},
+    ),
 }
 # values that encode refuses (a subclass, a look-alike, a lone surrogate, an
 # int past the digit limit) and values of another kind that it would write
@@ -503,7 +520,7 @@ def test_log_records_round_trip(tmp_path):
     path = tmp_path / "records.log"
     rows = [{"n": i, "blob": bytes([i])} for i in range(5)]
     for row in rows:
-        append_record(path, row)
+        append_record(path, encode(row))
     assert read_records(path) == rows
 
 
@@ -580,7 +597,7 @@ def test_failed_appends_leave_exactly_the_records_whose_append_returned(faults):
             record = {"n": n, "pad": "x" * (n * 7 % 23)}
             disk.budget, disk.chunk = budget, chunk
             try:
-                append_record(path, record)
+                append_record(path, encode(record))
             except OSError as exc:
                 assert exc.errno == errno.ENOSPC
             else:
@@ -593,7 +610,7 @@ def test_failed_appends_leave_exactly_the_records_whose_append_returned(faults):
 
 def test_a_failed_cut_back_still_raises_the_write_error(tmp_path, monkeypatch):
     path = tmp_path / "records.log"
-    append_record(path, {"n": 0})
+    append_record(path, encode({"n": 0}))
     disk = FillingDisk()
     disk.budget = 5
     monkeypatch.setattr(os, "write", disk.write)
@@ -603,19 +620,19 @@ def test_a_failed_cut_back_still_raises_the_write_error(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "ftruncate", no_truncate)
     with pytest.raises(OSError) as excinfo:
-        append_record(path, {"n": 1})
+        append_record(path, encode({"n": 1}))
     assert excinfo.value.errno == errno.ENOSPC
     monkeypatch.undo()
     # what the cut-back left behind is a torn tail, and reading drops it
     assert read_records(path) == [{"n": 0}]
-    append_record(path, {"n": 2})
+    append_record(path, encode({"n": 2}))
     assert read_records(path) == [{"n": 0}, {"n": 2}]
 
 
 def test_append_keeps_the_mode_errors_and_descriptor_of_a_buffered_open(tmp_path, monkeypatch):
     previous = os.umask(0o027)
     try:
-        append_record(tmp_path / "records.log", {"n": 0})
+        append_record(tmp_path / "records.log", encode({"n": 0}))
         with open(tmp_path / "opened.log", "ab"):
             pass
     finally:
@@ -624,9 +641,9 @@ def test_append_keeps_the_mode_errors_and_descriptor_of_a_buffered_open(tmp_path
     assert mode == stat.S_IMODE((tmp_path / "opened.log").stat().st_mode) == 0o640
 
     with pytest.raises(FileNotFoundError):
-        append_record(tmp_path / "missing" / "records.log", {"n": 0})
+        append_record(tmp_path / "missing" / "records.log", encode({"n": 0}))
     with pytest.raises(IsADirectoryError):
-        append_record(tmp_path, {"n": 0})
+        append_record(tmp_path, encode({"n": 0}))
 
     inheritable = []
     close = os.close
@@ -636,7 +653,7 @@ def test_append_keeps_the_mode_errors_and_descriptor_of_a_buffered_open(tmp_path
         close(fd)
 
     monkeypatch.setattr(os, "close", spy_close)
-    append_record(tmp_path / "records.log", {"n": 1})
+    append_record(tmp_path / "records.log", encode({"n": 1}))
     assert inheritable == [False]
 
 
@@ -651,7 +668,7 @@ def test_appends_leave_no_descriptor_open(tmp_path, monkeypatch):
         disk.budget = (None, 0, 7)[n % 3]
         target = tmp_path / "missing" / "records.log" if n % 10 == 9 else path
         try:
-            append_record(target, {"n": n})
+            append_record(target, encode({"n": n}))
         except OSError:
             pass
     assert len(os.listdir("/proc/self/fd")) == before

@@ -9,7 +9,7 @@ from pseudorate import crypto
 from pseudorate.agent import TrustedAgent
 from pseudorate.charging import ChargingProvider, PricingPolicy, price
 from pseudorate.clock import SimClock
-from pseudorate.encoding import append_record, read_records
+from pseudorate.encoding import append_record, encode, read_records
 from pseudorate.errors import InvalidArgument, TicketError, UnknownGroup
 from pseudorate.privacy_ca import CHALLENGE_TTL, Challenge, DeniedRequest, GroupConfig, PrivacyCa
 from pseudorate.reputation import ReputationSystem
@@ -84,7 +84,7 @@ def test_an_authority_refused_for_want_of_its_rng_reads_no_log(tmp_path):
     """A log that holds bytes needs the rng its group keys came from; that
     is checked before the log is read, so its torn last line is not cut."""
     log = tmp_path / "pca-issuance.log"
-    append_record(log, {"kind": "register", "platform_id": "p", "ek_public": bytes(32), "user_account": "acct"})
+    append_record(log, encode({"kind": "register", "platform_id": "p", "ek_public": bytes(32), "user_account": "acct"}))
     with open(log, "ab") as handle:
         handle.write(b"torn")
     before = log.read_bytes()
@@ -534,7 +534,7 @@ def test_replay_refuses_a_second_issue_record_for_one_identity_key(tmp_path):
     stack = make_stack(1, pca_kwargs={"issuance_log": log})
     buyer, other = stack.new_agent("a"), stack.new_agent("b")
     buyer.acquire_ticket(1)
-    append_record(log, {**read_records(log)[-1], "platform_id": other.platform_id})
+    append_record(log, encode({**read_records(log)[-1], "platform_id": other.platform_id}))
     with raises_code("duplicate-aik"):
         PrivacyCa({g: GroupConfig(Fraction(g)) for g in (1, 2, 3)}, rng=random.Random(0), issuance_log=log)
 

@@ -628,7 +628,7 @@ def test_a_rating_whose_append_fails_is_charged_once_when_resubmitted(tmp_path, 
     def full_once(path, record):
         if faults:
             raise faults.pop()
-        append_record(path, record)
+        append_record(path, encode(record))
 
     monkeypatch.setattr(reputation, "append_record", full_once)
     with pytest.raises(OSError):
@@ -742,7 +742,7 @@ def test_replay_refuses_a_second_record_for_one_ticket(tmp_path, chain_digest):
     ratings, its subject counted twice, where the live path answers
     ``double-spend``: replay refuses the second record with that reject."""
     log, record = logged_rating(tmp_path)
-    append_record(log, record if chain_digest == "same" else {**record, "chain_digest": "0" * 64})
+    append_record(log, encode(record if chain_digest == "same" else {**record, "chain_digest": "0" * 64}))
     with raises_code("double-spend") as excinfo:
         ReputationSystem("rs-test", rating_log=log)
     assert str(excinfo.value) == "ticket already redeemed"
@@ -765,7 +765,7 @@ def test_replay_refuses_a_record_the_live_path_rejects(tmp_path, edit, code, det
     can break, so a logged rating the live path would have rejected is not
     aggregated: it stops the rebuild with the live reject."""
     log, record = logged_rating(tmp_path)
-    append_record(log, {**record, "payload": {**record["payload"], **edit}, "aik_digest": "f" * 64})  # a fresh ticket
+    append_record(log, encode({**record, "payload": {**record["payload"], **edit}, "aik_digest": "f" * 64}))  # a fresh ticket
     with raises_code(code) as excinfo:
         ReputationSystem("rs-test", rating_log=log)
     assert str(excinfo.value) == detail
@@ -778,14 +778,9 @@ def test_rating_log_replay_supports_aggregation_oracle(tmp_path):
     for n in range(20):
         impact, score = Fraction(rng.randrange(1, 9), rng.randrange(1, 4)), rng.randrange(1, 6)
         pairs.append((impact, score))
-        record = RatingRecord(
-            payload=RatingPayload("subj", score, nonce=b"x%d" % n, rs_id="rs-test"),
-            group=1,
-            impact=impact,
-            received=n,
-            chain_digest=f"{n:03d}",
-        )
-        append_record(path, {**record.to_record(), "aik_digest": f"aik-{n:03d}"})
+        payload = RatingPayload("subj", score, nonce=b"x%d" % n, rs_id="rs-test")
+        record = reputation.rating_record_bytes(f"aik-{n:03d}", f"{n:03d}", 1, str(impact), payload.canonical_bytes(), n)
+        append_record(path, record)
     rs = ReputationSystem("rs-test", rating_log=path)
     assert len(rs.records) == rs.spent_count == 20
     assert rs.aggregate("subj").score == _brute_force(pairs)

@@ -4,6 +4,7 @@ import socket
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 from pseudorate import wire
 from pseudorate.charging import PricingPolicy
 from pseudorate.crypto import generate_keypair, key_id_of, sha256_hex
-from pseudorate.encoding import MAX_DEPTH, EncodingError, decode, encode
+from pseudorate.encoding import MAX_DEPTH, EncodingError, check_fields, decode, encode
 from pseudorate.encoding import read_records
-from pseudorate.reputation import Ack, Reject, ReputationSystem
+from pseudorate.errors import TicketError
+from pseudorate.privacy_ca import Challenge, DeniedRequest
+from pseudorate.reputation import Ack, RatingPayload, Reject, ReputationSystem, score_body
 from pseudorate.wire import (
     CpClient,
     OPERATOR_ROUTES,
@@ -446,15 +449,44 @@ def test_cp_charge_answers_a_declined_charge_over_its_client():
     assert stack.cp.balance("acct-w") == 100
 
 
+class Answering:
+    """A transport that answers each request frame with ``answer(endpoint, correlation id)``."""
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def request(self, data: bytes) -> bytes:
+        endpoint, _, corr = decode_request(data)
+        return self.answer(endpoint, corr)
+
+
 # an answer to rs/score, made from the request's endpoint and correlation id,
 # that the client refuses with a protocol error, and the error's message
 CLIENT_REFUSALS = {
     "field-missing": (
         lambda endpoint, corr: encode_response(endpoint, corr, "ok", {"count": 0}),
-        "response field 'score' missing or not str",
+        "bad rs/score answer: not the expected entry",
     ),
     "correlation-id-mismatch": (
         lambda endpoint, corr: encode_response(endpoint, corr[::-1], "ok", {"count": 0, "score": "no-score"}),
+        "correlation id mismatch",
+    ),
+    # an ok answer carries its request's correlation id and endpoint, though an error answer may carry neither
+    "empty-correlation-id": (
+        lambda endpoint, corr: encode_response(endpoint, b"", "ok", {"count": 1, "score": "4"}),
+        "correlation id mismatch",
+    ),
+    "another-endpoint": (
+        lambda endpoint, corr: encode_response("pca/register", corr, "ok", {"count": 1, "score": "4"}),
+        "endpoint mismatch",
+    ),
+    "neither": (lambda endpoint, corr: encode_response("", b"", "ok", {"count": 1, "score": "4"}), "correlation id mismatch"),
+    "error-for-another-endpoint": (
+        lambda endpoint, corr: encode_response("rs/submit", corr, "error", {"code": "bad-payload", "message": "m"}),
+        "endpoint mismatch",
+    ),
+    "error-with-an-empty-correlation-id-only": (
+        lambda endpoint, corr: encode_response(endpoint, b"", "error", {"code": "bad-payload", "message": "m"}),
         "correlation id mismatch",
     ),
 }
@@ -462,14 +494,208 @@ CLIENT_REFUSALS = {
 
 @pytest.mark.parametrize("answer, message", CLIENT_REFUSALS.values(), ids=CLIENT_REFUSALS.keys())
 def test_a_client_refuses_a_response_it_cannot_read(answer, message):
-    class Answering:
-        def request(self, data: bytes) -> bytes:
-            endpoint, _, corr = decode_request(data)
-            return answer(endpoint, corr)
-
     with raises_code("protocol-error") as excinfo:
-        RsClient(Answering()).score("s")
+        RsClient(Answering(answer)).score("s")
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("corr, endpoint", [("this", "rs/score"), (b"", "")], ids=["this-request", "the-routers-own"])
+def test_an_error_answer_raises_its_code(corr, endpoint):
+    """An error answer carries its request's correlation id and endpoint, or
+    neither: the router answers a frame it could not read with both empty."""
+    answer = lambda _, this: encode_response(endpoint, this if corr == "this" else corr, "error", {"code": "x", "message": "m"})
+    with raises_code("x"):
+        RsClient(Answering(answer)).score("s")
+
+
+SUBMIT_ARGS = (RatingPayload("s", 4, b"n", "rs"), SimpleNamespace(to_bytes=lambda: b"chain"))
+# an ok body of pca/request or rs/submit whose status is neither of its route's two
+BAD_STATUS_BODIES = {
+    "challenge-bogus": ("pca/request", {"expires": 5, "nonce": b"n", "status": "bogus"}),
+    "denied-bogus": ("pca/request", {"reason": "r", "status": "bogus"}),
+    "challenge-as-denied": ("pca/request", {"expires": 5, "nonce": b"n", "status": "denied"}),
+    "challenge-as-ack": ("pca/request", {"expires": 5, "nonce": b"n", "status": "ack"}),
+    "ack-bogus": ("rs/submit", {"group": 1, "receipt": "r", "status": "bogus", "subject": "s"}),
+    "reject-bogus": ("rs/submit", {"detail": "d", "reason": "r", "status": "bogus"}),
+    "ack-as-reject": ("rs/submit", {"group": 1, "receipt": "r", "status": "reject", "subject": "s"}),
+    "ack-as-challenge": ("rs/submit", {"group": 1, "receipt": "r", "status": "challenge", "subject": "s"}),
+}
+
+
+@pytest.mark.parametrize("endpoint, body", BAD_STATUS_BODIES.values(), ids=BAD_STATUS_BODIES.keys())
+def test_an_ok_body_whose_status_is_not_its_routes_is_refused(endpoint, body):
+    transport = Answering(lambda endpoint, corr: encode_response(endpoint, corr, "ok", body))
+    with raises_code("protocol-error"):
+        if endpoint == "pca/request":
+            PcaClient(transport).request_credential(b"a", 1, "p")
+        else:
+            RsClient(transport).submit_rating(*SUBMIT_ARGS)
+
+
+FIRST_CORR = (1).to_bytes(8, "big")  # the correlation id of a client's first request
+# each route whose ok answer a client reads at fixed keys: how the client asks,
+# and each ok body it reads, by status (None where the body has no status):
+# the body's fields and the record the client returns for it
+READ_ROUTES = {
+    "pca/request": (
+        lambda transport: PcaClient(transport).request_credential(b"a", 1, "p"),
+        {
+            "challenge": ({"expires": int, "nonce": bytes, "status": str}, lambda b: Challenge(b["nonce"], b["expires"])),
+            "denied": ({"reason": str, "status": str}, lambda b: DeniedRequest(b["reason"])),
+        },
+    ),
+    "pca/complete": (
+        lambda transport: PcaClient(transport).complete_handshake(b"n", b"s"),
+        {None: ({"activation_blob": bytes}, lambda b: b["activation_blob"])},
+    ),
+    "rs/submit": (
+        lambda transport: RsClient(transport).submit_rating(*SUBMIT_ARGS),
+        {
+            "ack": (
+                {"group": int, "receipt": str, "status": str, "subject": str},
+                lambda b: Ack(b["receipt"], b["subject"], b["group"]),
+            ),
+            "reject": ({"detail": str, "reason": str, "status": str}, lambda b: Reject(b["reason"], b["detail"])),
+        },
+    ),
+    "rs/score": (
+        lambda transport: RsClient(transport).score("s"),
+        {None: ({"count": int, "score": str}, lambda b: (b["count"], b["score"]))},
+    ),
+}
+# the ok bodies each route's service writes
+WRITTEN_BODIES = {
+    "pca/request": st.builds(Challenge, st.binary(max_size=40), st.integers())
+    | st.builds(DeniedRequest, st.text(max_size=12)),
+    "pca/complete": st.binary(max_size=300),
+    "rs/submit": st.builds(Ack, st.text(max_size=70), st.text(max_size=12), st.integers())
+    | st.builds(Reject, st.text(max_size=12), st.text(max_size=20)),
+    "rs/score": st.tuples(st.integers(min_value=0), st.text(max_size=12)),
+}
+WRITERS = {  # the denied and reject bodies are the handlers' dicts
+    "pca/request": lambda result: wire._h_request(SimpleNamespace(request_credential=lambda *_: result), b"a", 1, "p"),
+    "pca/complete": wire._activation_body,
+    "rs/submit": lambda result: (
+        wire._ack_body(result.receipt, result.subject, result.group)
+        if isinstance(result, Ack)
+        else {"status": "reject", "reason": result.reason, "detail": result.detail}
+    ),
+    "rs/score": lambda count_score: score_body(*count_score),
+}
+
+
+def generic_answer(endpoint: str, frame: bytes):
+    """The reference reading of ``frame`` as the answer to a client's first
+    request at ``endpoint``: ``decode_response``, then the ok body mapped by
+    its status, its fields exactly those of that status."""
+    r_endpoint, r_corr, status, body = decode_response(frame)
+    if (r_corr, r_endpoint) != (FIRST_CORR, endpoint) and (status == "ok" or (r_corr, r_endpoint) != (b"", "")):
+        raise WireError("an answer to another request")
+    if status == "error":
+        raise TicketError("", code=str(body.get("code", "internal")))
+    shapes = READ_ROUTES[endpoint][1]
+    key = None if None in shapes else body.get("status")
+    fields, record = shapes.get(key if key is None or type(key) is str else "", (None, None))
+    if fields is None:
+        raise WireError("no body of that status")
+    try:
+        check_fields(body, fields)
+    except EncodingError as exc:
+        raise WireError(str(exc)) from exc
+    return record(body)
+
+
+def outcome(read):
+    try:
+        return "read", read()
+    except TicketError as exc:
+        return "refused", exc.code
+
+
+class Raw(bytes):
+    """A body value's bytes, written as they stand."""
+
+
+def raw_frame(entries, corr=FIRST_CORR, endpoint="rs/score", status=b"ok", version=1) -> bytes:
+    """A response frame spliced as ``_frame`` splices it, around the body
+    whose entries, in the order given, are ``entries``."""
+    body = b"".join(encode(key) + (value if type(value) is Raw else encode(value)) for key, value in entries)
+    raw = endpoint.encode()
+    return b"ds4:bodyd%ses14:correlation_idb%d:%ss8:endpoints%d:%ss6:statuss%d:%ss7:versioni%dee" % (
+        body, len(corr), corr, len(raw), raw, len(status), status, version
+    )
+
+
+DEFECTS = [
+    "none", "missing", "swapped", "repeated", "stray", "kind", "utf8", "leading-zero",
+    "truncated", "corr", "endpoint", "version", "error",
+]
+OTHER_KIND = {int: ["4", b"4", [4]], str: [4, b"s", {}], bytes: ["b", 4, []]}
+
+
+@st.composite
+def answers(draw):
+    """(defect, endpoint, frame): an ok answer its service writes to a
+    client's first request at endpoint, with at most one defect."""
+    endpoint = draw(st.sampled_from(sorted(READ_ROUTES)))
+    body = WRITERS[endpoint](draw(WRITTEN_BODIES[endpoint]))
+    entries = list(decode(body if type(body) is bytes else encode(body)).items())
+    frame = {"corr": FIRST_CORR, "endpoint": endpoint}
+    defect = draw(st.sampled_from(DEFECTS))
+    texts = [i for i, (_, value) in enumerate(entries) if type(value) is str]
+    at = draw(st.sampled_from(texts) if defect == "utf8" and texts else st.integers(0, len(entries) - 1))
+    key, value = entries[at]
+    if defect == "missing":
+        del entries[at]
+    elif defect == "swapped" and len(entries) > 1:
+        entries[at - 1], entries[at] = entries[at], entries[at - 1]
+    elif defect == "repeated":
+        entries.insert(at, entries[at])
+    elif defect == "stray":
+        stray = (draw(st.text(max_size=12)), draw(st.sampled_from([0, b"", "x"])))
+        entries.insert(draw(st.integers(0, len(entries))), stray)
+    elif defect == "kind":
+        entries[at] = (key, draw(st.sampled_from(OTHER_KIND[type(value)])))
+    elif defect == "utf8" and type(value) is str:
+        raw = value.encode()
+        cut = draw(st.integers(0, len(raw)))
+        raw = raw[:cut] + b"\xff" + raw[cut:]
+        entries[at] = (key, Raw(b"s%d:%s" % (len(raw), raw)))
+    elif defect == "leading-zero":
+        raw = encode(value)
+        entries[at] = (key, Raw(raw[:1] + b"0" + raw[1:]))
+    elif defect in ("corr", "endpoint"):
+        others = st.binary(max_size=9) if defect == "corr" else st.sampled_from(["", *sorted(ROUTES)])
+        frame[defect] = draw(others.filter(lambda other: other != frame[defect]))
+    elif defect == "version":
+        frame["version"] = draw(st.integers().filter(lambda version: version != 1))
+    elif defect == "error":
+        entries = [("code", draw(st.text(max_size=12))), ("message", "m")]
+        frame.update(status=b"error", **draw(st.sampled_from([{}, {"corr": b"", "endpoint": ""}])))
+    data = raw_frame(entries, **frame)
+    if defect == "truncated":
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    return defect, endpoint, data
+
+
+# the tail of an ok answer to rs/score, inside the str a version 1 frame gives
+# as its version: its reader reads the body, which does not end where that tail starts
+TAIL_IN_THE_VERSION = raw_frame(
+    [("count", 1), ("score", "4")], version=0
+).replace(b"versioni0e", b"versions%d:%s" % (len(wire._ok_tail(FIRST_CORR, "rs/score")) - 1, wire._ok_tail(FIRST_CORR, "rs/score")[:-1]))
+
+
+@given(answers())
+@example(("version", "rs/score", TAIL_IN_THE_VERSION))
+def test_each_fixed_key_reader_reads_what_the_generic_decoder_reads(case):
+    """A client reads the ok answer to each of pca/request, pca/complete,
+    rs/submit and rs/score at its fixed keys. Whatever the answer, it returns
+    what decode_response and the mapping of its body give, or refuses with
+    the code they refuse with; an honest answer it reads."""
+    defect, endpoint, frame = case
+    read = outcome(lambda: READ_ROUTES[endpoint][0](Answering(lambda *_: frame)))
+    assert read == outcome(lambda: generic_answer(endpoint, frame))
+    assert defect != "none" or read[0] == "read"
 
 
 def test_a_frame_over_the_limit_is_refused_on_send_and_on_receive(monkeypatch):
