@@ -228,6 +228,33 @@ def cut_int(data: bytes, pos: int, key: bytes) -> tuple[int, int]:
     return _int_at(data, pos)
 
 
+def field_table(kinds: dict[str, type]) -> tuple[tuple[str, bytes, type], ...]:
+    """What :func:`cut_fields` cuts of a dict with exactly the fields of
+    ``kinds``, each ``bytes``, ``str`` or ``int``: per field in sorted key
+    order, its name, its key and value tag as encoded, and its kind."""
+    tags = {bytes: b"b", str: b"s", int: b"i"}
+    return tuple((name, encode(name) + tags[kind], kind) for name, kind in sorted(kinds.items()))
+
+
+def cut_fields(data: bytes, pos: int, table: tuple[tuple[str, bytes, type], ...]) -> tuple[dict, int]:
+    """The dict at ``pos`` with exactly the entries of ``table``, each cut at
+    its fixed key by :func:`cut_entry` or :func:`cut_int`, and the position
+    after it. Bad UTF-8 is a UnicodeDecodeError, a read past the end an IndexError."""
+    if data[pos] != 0x64:  # d
+        raise EncodingError("not a dict")
+    pos += 1
+    fields = {}
+    for name, key, kind in table:
+        if kind is int:
+            fields[name], pos = cut_int(data, pos, key)
+        else:
+            value, pos = cut_entry(data, pos, key)
+            fields[name] = value if kind is bytes else value.decode()
+    if data[pos] != 0x65:  # e
+        raise EncodingError("an entry past the dict's fields")
+    return fields, pos + 1
+
+
 def read_all(data: bytes, cut: Callable[[bytes, int], tuple]) -> Any:
     """What ``cut`` reads from all of ``data``: the value it cuts at position
     0, which must end where the data ends. ``data`` is bytes-like as for

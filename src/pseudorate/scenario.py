@@ -408,6 +408,8 @@ def _drive(config: ScenarioConfig, stack: _Stack) -> Transcript:
                 record(action, agent_name, *_submit(agent, ticket, payload, chain))
 
             elif action == "blacklist":
+                if agent.platform_id is None:
+                    raise TicketError("platform not registered", code="unregistered-platform")
                 stack.operator_pca.blacklist(agent.platform_id, step["flag"])
                 record(action, agent_name, f"flag={step['flag']:d}", {})
 
@@ -503,6 +505,6 @@ def _final_state(config: ScenarioConfig, stack: _Stack) -> dict:
         "balances": balances,
         "revenue": stack.cp.revenue_totals,
         "spent": stack.rs.spent_count,
-        "ratings": len(stack.rs.records),
+        "ratings": stack.rs.spent_count,
         "scores": scores,
     }

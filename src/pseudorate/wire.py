@@ -26,7 +26,7 @@ from typing import Callable
 
 from .charging import ChargingProvider, Declined, PricingPolicy, group_id
 from .crypto import CredentialChain
-from .encoding import EncodingError, check_fields, cut_entry, cut_int, decode_head, encode, read_all
+from .encoding import EncodingError, check_fields, cut_entry, cut_fields, cut_int, decode_head, encode, field_table
 from .errors import TicketError
 from .privacy_ca import Challenge, DeniedRequest, PrivacyCa
 from .reputation import Ack, RatingPayload, Reject, ReputationSystem, cut_score_body
@@ -63,11 +63,8 @@ def _frame(body: dict | bytes, correlation_id: bytes, endpoint: str, status: byt
 
 
 def _ok_tail(correlation_id: bytes, endpoint: str) -> bytes:
-    """What :func:`_frame` writes after the body of an ok response."""
-    raw = endpoint.encode()
-    return b"s14:correlation_idb%d:%ss8:endpoints%d:%ss6:statuss2:oks7:versioni%dee" % (
-        len(correlation_id), correlation_id, len(raw), raw, WIRE_VERSION
-    )
+    """What :func:`_frame` writes after the body of an ok response to a route."""
+    return b"s14:correlation_idb%d:%s%s" % (len(correlation_id), correlation_id, _OK_SUFFIXES[endpoint])
 
 
 _VERSION_ENTRY = b"s7:versioni%dee" % WIRE_VERSION  # a frame's last entry, and its end
@@ -328,6 +325,35 @@ ROUTES: dict[str, tuple[str, dict[str, type], Callable[..., dict | bytes]]] = {
 # called in process only: over a socket each is answered as an endpoint no one serves (FORMATS §3)
 OPERATOR_ROUTES = frozenset({"pca/blacklist", "rs/admin/groups", "cp/charge", "cp/balance", "cp/admin/policy"})
 _PUBLIC_ROUTES = {endpoint: route for endpoint, route in ROUTES.items() if endpoint not in OPERATOR_ROUTES}
+# what follows the correlation id of an ok answer on each route: the rest of the frame dict
+_OK_SUFFIXES = {
+    endpoint: encode({"endpoint": endpoint, "status": "ok", "version": WIRE_VERSION})[1:] for endpoint in ROUTES
+}
+# what follows the correlation id of a request to each route whose fields are all
+# bytes, str or int -> its endpoint, and the table encoding.cut_fields cuts its body by
+_FIXED_REQUESTS = {
+    encode({"endpoint": endpoint, "version": WIRE_VERSION})[1:]: (endpoint, field_table(fields))
+    for endpoint, (_, fields, _) in ROUTES.items()
+    if all(kind in (bytes, str, int) for kind in fields.values())
+}
+
+
+def _read_fixed(data: bytes) -> tuple[str, dict, bytes] | None:
+    """What :func:`decode_request` and ``check_fields`` read of a request to a
+    route found by its frame's tail in ``_FIXED_REQUESTS``, cut at fixed keys
+    that must end where that tail starts; None for any other frame (FORMATS §3)."""
+    if type(data) is not bytes or not data.startswith(b"ds4:body"):
+        return None
+    at = data.rfind(b"s8:endpoints")
+    route = _FIXED_REQUESTS.get(data[at:])  # with no such entry, one byte: no route's tail
+    if route is None:
+        return None
+    try:
+        body, pos = cut_fields(data, 8, route[1])
+        corr, pos = cut_entry(data, pos, b"s14:correlation_idb")
+    except (ValueError, IndexError):  # EncodingError, bad UTF-8; a read past the end
+        return None
+    return (route[0], body, corr) if pos == at else None
 
 
 class Router:
@@ -346,12 +372,15 @@ class Router:
     def handle(self, data: bytes) -> bytes:
         endpoint, corr = "", b""
         try:
-            endpoint, body, corr = decode_request(data)
+            request = _read_fixed(data)
+            endpoint, body, corr = request or decode_request(data)
             service_name, fields, handler = self._routes.get(endpoint, ("", {}, None))
             service = self._services.get(service_name)
             if service is None:
                 raise WireError(f"unknown endpoint {endpoint!r}", code="unknown-endpoint")
-            result = handler(service, **check_fields(body, fields, where=endpoint))
+            result = handler(service, **(body if request else check_fields(body, fields, where=endpoint)))
+            if type(result) is bytes:
+                return b"ds4:body" + result + _ok_tail(corr, endpoint)
             return encode_response(endpoint, corr, "ok", result)
         except EncodingError as exc:  # a body, or a record it carries, that is not of its shape
             return encode_response(endpoint, corr, "error", {"code": WireError.code, "message": str(exc)})
@@ -517,9 +546,12 @@ class _Client:
         if cut is not None and type(response) is bytes and response.startswith(b"ds4:body"):
             tail = _ok_tail(corr, endpoint)
             if response.endswith(tail):  # an ok answer to this request, if its body is
-                try:
-                    return read_all(response[8 : len(response) - len(tail)], cut)
-                except EncodingError as exc:
+                try:  # the body is cut in place, and must end where the tail starts
+                    value, end = cut(response, 8)
+                    if end == len(response) - len(tail):
+                        return value
+                    raise EncodingError("trailing bytes after the body")
+                except (ValueError, IndexError) as exc:  # EncodingError, bad UTF-8; a read past the end
                     decode_response(response)  # a frame the generic decoder refuses is refused as it refuses it
                     raise WireError(f"bad {endpoint} answer: {exc}") from exc
         r_endpoint, r_corr, status, r_body = decode_response(response)

@@ -78,11 +78,11 @@ def test_build_chain_builds_one_key_object(monkeypatch):
 
 def test_wire_redemption_encodes_nothing_generic_and_decodes_each_input_once(monkeypatch):
     """The chain and the payload travel as their own bytes: the request frame
-    is read by one decode_head of its body, the payload by one pass of its
-    reader, the chain by one pass of the credential reader and the ack by one
-    pass of its own, and no generic decode repeats them, so no byte is parsed
-    as structure twice. Every record on the way is spliced, so the generic
-    encoder never runs."""
+    is read by one pass of the table reader over its route's fields, the
+    payload by one pass of its reader, the chain by one pass of the
+    credential reader and the ack by one pass of its own, and no generic
+    decode repeats them, so no byte is parsed as structure twice. Every
+    record on the way is spliced, so the generic encoder never runs."""
     stack = make_stack(5)
     tap = []
     agent = wired_agent(stack, tap=tap)
@@ -98,15 +98,19 @@ def test_wire_redemption_encodes_nothing_generic_and_decodes_each_input_once(mon
     patch_everywhere(
         monkeypatch, read_all, lambda data, cut: parsed.append((cut.__name__, data)) or read_all(data, cut)
     )
+    for cut in (encoding.cut_fields, wire._cut_ack_or_reject):  # each cuts a whole frame in place
+        patch_everywhere(
+            monkeypatch, cut, lambda data, *at, _cut=cut: parsed.append((_cut.__name__, data)) or _cut(data, *at)
+        )
     assert isinstance(agent.redeem_ticket(ticket, agent.make_payload("seller", 4)), Ack)
     assert calls["encode"] == 0
     (_, request), (_, response) = tap
     body = decode(request)["body"]
     assert parsed == [
-        ("decode_head", request),
+        ("cut_fields", request),
         ("_cut_chain", body["chain"]),
         ("_cut_payload", body["payload"]),
-        ("_cut_ack_or_reject", encoding.encode(decode(response)["body"])),
+        ("_cut_ack_or_reject", response),
     ]
 
 
@@ -166,6 +170,14 @@ def test_the_clients_read_no_ok_answer_generically(monkeypatch, tmp_path, chargi
     counts = []
     logged_cycle(tmp_path, charging, lambda: counts.append(count_calls(monkeypatch, wire, ["decode_response"])))
     assert counts[0]["decode_response"] == 0
+
+
+@pytest.mark.parametrize("charging", ["acquisition", "ex_post"])
+def test_the_router_reads_no_request_of_the_cycle_generically(monkeypatch, tmp_path, charging):
+    """Each request of the cycle is read at its route's fixed keys, not by decode_request."""
+    counts = []
+    logged_cycle(tmp_path, charging, lambda: counts.append(count_calls(monkeypatch, wire, ["decode_request"])))
+    assert counts[0]["decode_request"] == 0
 
 
 def test_built_chain_keeps_the_bodies_it_signed(monkeypatch):

@@ -350,6 +350,22 @@ def test_resolve_past_the_tickets_is_a_scenario_error_outcome():
     assert [e["outcome"] for e in actions(transcript, "resolve")] == ["error:scenario-error", "resolved"]
 
 
+@pytest.mark.parametrize("transport", ["inproc", "socket"])
+def test_blacklisting_an_unregistered_agent_is_an_error_outcome(transport, tmp_path, capsys):
+    """A blacklist step names a platform the agent never registered: the run
+    records the code acquire_ticket refuses with, and no request is sent."""
+    raw = json.loads((SCENARIOS / "basic.json").read_text())
+    raw["agents"][0]["name"] = "a"
+    raw["script"] = [{"action": "blacklist", "agent": "a"}]
+    path = tmp_path / "blacklist.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--transport", transport, "--out", str(tmp_path / "t.bin")]) == 0
+    assert "blacklist agent=a -> error:unregistered-platform" in capsys.readouterr().out
+    transcript = run_scenario(ScenarioConfig.from_dict(raw), transport=transport)
+    assert [e["outcome"] for e in actions(transcript, "blacklist")] == ["error:unregistered-platform"]
+    assert "pca/blacklist" not in [e["endpoint"] for e in transcript.events if e["kind"] == "msg"]
+
+
 def test_bounded_step_fields_take_their_least_value_and_null_credit_limit():
     raw = json.loads((SCENARIOS / "basic.json").read_text())
     raw["credit_limit"] = None

@@ -1,3 +1,4 @@
+import copy
 import random
 import re
 import socket
@@ -5,6 +6,7 @@ import sys
 import threading
 import time
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -174,13 +176,20 @@ def test_cutter_keeps_the_depth_limit(depth, response):
             decode(data)
 
 
+FRAME_EDITS = ["truncate", "leading-zero", "extra-key", "version", "status", "byte", "type", "kind"]
+
+
 @st.composite
 def mutated_frames(draw):
     """An encoded frame after one edit: a cut, a length given a leading zero,
     an extra entry, version 2, any status, a byte edit, bytes of another
     type, or the other kind of frame expected."""
     response, data = draw(frames())
-    edit = draw(st.sampled_from(["truncate", "leading-zero", "extra-key", "version", "status", "byte", "type", "kind"]))
+    return edit_frame(draw, response, data, draw(st.sampled_from(FRAME_EDITS)))
+
+
+def edit_frame(draw, response: bool, data: bytes, edit: str):
+    """``(response, data)`` after the one edit of FRAME_EDITS named ``edit``."""
     if edit == "truncate":
         data = data[: draw(st.integers(0, len(data) - 1))]
     elif edit == "leading-zero":
@@ -300,6 +309,117 @@ test_router_total_over_arbitrary_bytes.router = Router(
     rs=test_router_total_over_arbitrary_bytes.stack.rs,
     cp=test_router_total_over_arbitrary_bytes.stack.cp,
 )
+
+
+# -- the router reads a request to a route whose fields are all scalars at its
+# fixed keys; every other frame is read by decode_request and check_fields
+
+SCALAR_ROUTES = sorted(
+    endpoint for endpoint, (_, fields, _) in ROUTES.items() if all(kind in (bytes, str, int) for kind in fields.values())
+)
+
+
+def public_copy(router: Router) -> Router:
+    """The router a SocketServer answers with: the same services, no operator route."""
+    public = copy.copy(router)
+    public._routes = wire._PUBLIC_ROUTES
+    return public
+
+
+def twin_stack():
+    stack = make_stack(9)
+    return stack, stack.new_agent("t")
+
+
+# two equal stacks, the first answered with the fixed-key read and the second
+# without it, in full and as a socket's copy; both are sent the same frames in
+# the same order, so the services behind them stay equal
+(TWIN_A, AGENT_A), (TWIN_B, AGENT_B) = twin_stack(), twin_stack()
+assert (AGENT_A.platform_id, AGENT_A.user_account) == (AGENT_B.platform_id, AGENT_B.user_account)
+FULL_A, FULL_B = full_router(TWIN_A), full_router(TWIN_B)
+TWIN_ROUTERS = {False: (FULL_A, FULL_B), True: (public_copy(FULL_A), public_copy(FULL_B))}
+FIELD_VALUES = {
+    bytes: st.binary(max_size=40),
+    str: st.sampled_from([AGENT_A.platform_id, AGENT_A.user_account, "s"]) | st.text(max_size=8),
+    int: st.integers(0, 4) | st.integers(),
+}
+# edits to the body's entries, to the frame's entries, and then each frame edit
+REQUEST_EDITS = [
+    "none", "swapped", "repeated", "missing", "stray", "unclosed", "kind", "int-form", "utf8", "body-leading-zero",
+    "other-tail", "corr-holds-a-tail", "endpoint-holds-a-tail", *FRAME_EDITS,
+]
+
+
+def request_tail(endpoint: str) -> bytes:
+    """The endpoint and version entries that end a request frame, and its end."""
+    return encode("endpoint") + encode(endpoint) + encode("version") + encode(1) + b"e"
+
+
+@st.composite
+def scalar_requests(draw):
+    """(edit, public?, frame): a request to a route of scalar fields, with
+    drawn field values, after at most one edit."""
+    endpoint = draw(st.sampled_from(SCALAR_ROUTES))
+    fields = sorted(ROUTES[endpoint][1].items())
+    entries = [[encode(name), encode(draw(FIELD_VALUES[kind]))] for name, kind in fields]
+    corr = draw(st.binary(max_size=12))
+    edit = draw(st.sampled_from(REQUEST_EDITS))
+    tagged = {tag: [entry for entry in entries if entry[1][:1] == tag] for tag in (b"b", b"s", b"i")}
+    if edit in ("swapped", "repeated", "missing", "kind") and entries:
+        at = draw(st.integers(0, len(entries) - 1))
+        if edit == "swapped":
+            entries[at - 1], entries[at] = entries[at], entries[at - 1]
+        elif edit == "repeated":
+            entries.insert(at, entries[at])
+        elif edit == "missing":
+            del entries[at]
+        else:
+            entries[at][1] = draw(st.sampled_from([b"i1e", b"b1:x", b"s1:x", b"de", b"le"]))
+    elif edit == "stray":
+        stray = [encode(draw(st.text(max_size=12))), draw(st.sampled_from([b"i0e", b"b0:", b"s1:x"]))]
+        entries.insert(draw(st.integers(0, len(entries))), stray)
+    elif edit == "int-form" and tagged[b"i"]:
+        forms = [b"i-0e", b"i01e", b"i+1e", b"i 1e", b"i1_0e", b"ie"]
+        draw(st.sampled_from(tagged[b"i"]))[1] = draw(st.sampled_from(forms))
+    elif edit == "utf8" and tagged[b"s"]:
+        entry = draw(st.sampled_from(tagged[b"s"]))
+        raw = decode(entry[1]).encode()
+        cut = draw(st.integers(0, len(raw)))
+        raw = raw[:cut] + b"\xff" + raw[cut:]
+        entry[1] = b"s%d:%s" % (len(raw), raw)
+    elif edit == "body-leading-zero" and tagged[b"b"] + tagged[b"s"]:
+        entry = draw(st.sampled_from(tagged[b"b"] + tagged[b"s"]))
+        entry[1] = entry[1][:1] + b"0" + entry[1][1:]
+    elif edit == "other-tail":
+        endpoint = draw(st.sampled_from(sorted(ROUTES)).filter(lambda other: other != endpoint))
+    elif edit == "corr-holds-a-tail":
+        tail = request_tail(draw(st.sampled_from(SCALAR_ROUTES)))
+        corr = draw(st.binary(max_size=4)) + tail + draw(st.binary(max_size=4))
+    elif edit == "endpoint-holds-a-tail":
+        entry = encode("endpoint") + encode(draw(st.sampled_from(SCALAR_ROUTES)))
+        endpoint = draw(st.text(max_size=3)) + entry.decode()
+    body = b"d" + b"".join(key + value for key, value in entries) + (b"" if edit == "unclosed" else b"e")
+    frame = b"d" + encode("body") + body + encode("correlation_id") + encode(corr) + request_tail(endpoint)
+    if edit in FRAME_EDITS:
+        _, frame = edit_frame(draw, False, frame, edit)
+    return edit, draw(st.booleans()), frame
+
+
+@given(scalar_requests())
+@settings(max_examples=settings().max_examples * 3)
+def test_the_fixed_key_read_answers_as_the_generic_path(case):
+    """Whatever the request, the router answers with the bytes it answers
+    when every request is read by decode_request and check_fields, in full
+    and as a socket's copy that serves no operator route; an honest request
+    to a route of scalar fields is read at its fixed keys."""
+    edit, public, frame = case
+    fast, generic = TWIN_ROUTERS[public]
+    answer = fast.handle(frame)
+    with mock.patch.object(wire, "_read_fixed", lambda data: None):
+        assert answer == generic.handle(frame)
+    if edit in ("none", "corr-holds-a-tail"):
+        assert wire._read_fixed(frame) is not None
+        assert decode_request(frame)[0] in SCALAR_ROUTES
 
 
 FUZZ_STACK = make_stack(2)
