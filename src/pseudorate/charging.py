@@ -15,40 +15,23 @@ from fractions import Fraction
 from pathlib import Path
 
 from .clock import SimClock
-from .encoding import EncodingError, append_record, check_fields, check_kind, encode, read_records
+from .encoding import Shape, append_record, check_fields, check_kind, read_records
 from .errors import InvalidArgument, TicketError, UnknownGroup
 
 PHASE_ACQUISITION = "acquisition"
 PHASE_EX_POST = "ex_post"
 PHASES = (PHASE_ACQUISITION, PHASE_EX_POST)
-_RECORDS = {  # kind -> the fields of a ledger record (FORMATS §6)
-    "open": {"kind": str, "account": str, "balance": int},
-    "charge": {
-        "kind": str, "account": str, "at": int, "amount": int, "phase": str, "group": int, "receipt": str, "ref": str
-    },
-    "policy": {"kind": str, "policy": dict},
+_RECORDS = {  # kind -> the shape of a ledger record (FORMATS §6)
+    shape.fields["kind"]: shape
+    for shape in (
+        Shape("ledger record", kind="open", account=str, balance=int),
+        Shape(
+            "ledger record",
+            kind="charge", account=str, at=int, amount=int, phase=str, group=int, receipt=str, ref=str,
+        ),
+        Shape("ledger record", kind="policy", policy=dict),
+    )
 }
-
-
-def charge_record_bytes(record: dict) -> bytes:
-    """``encode`` of a ``charge`` record, spliced with its keys in sorted order.
-    A field not exactly of its type, a lone surrogate or an int past Python's
-    4300 digits is an EncodingError, as in ``encode``."""
-    account, amount, at, group = record["account"], record["amount"], record["at"], record["group"]
-    phase, receipt, ref = record["phase"], record["receipt"], record["ref"]
-    if not (
-        type(account) is str and type(amount) is int and type(at) is int and type(group) is int
-        and type(phase) is str and type(receipt) is str and type(ref) is str
-    ):
-        raise EncodingError("charge record: a field not exactly of its type")
-    try:
-        account, phase, receipt, ref = account.encode(), phase.encode(), receipt.encode(), ref.encode()
-        return (
-            b"ds7:accounts%d:%ss6:amounti%des2:ati%des5:groupi%des4:kinds6:charge"
-            b"s5:phases%d:%ss7:receipts%d:%ss3:refs%d:%se"
-        ) % (len(account), account, amount, at, group, len(phase), phase, len(receipt), receipt, len(ref), ref)
-    except ValueError as exc:
-        raise EncodingError(f"cannot encode: {exc}") from exc
 
 
 def group_id(key: str) -> int:
@@ -323,9 +306,8 @@ class ChargingProvider:
             raise TicketError(f"unknown account {account_id}", code="unknown-account") from None
 
     def _commit(self, record: dict) -> None:
-        if self._ledger_log:  # the record each ticket adds is spliced
-            raw = charge_record_bytes(record) if record["kind"] == "charge" else encode(record)
-            append_record(self._ledger_log, raw)
+        if self._ledger_log:
+            append_record(self._ledger_log, _RECORDS[record["kind"]].write(**record))
         self._apply(record)
 
     def _apply(self, record: dict) -> None:

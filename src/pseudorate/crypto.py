@@ -40,7 +40,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from .encoding import EncodingError, cut_entry, read_all
+from .encoding import EncodingError, Shape, cut_entry, read_all
 from .errors import InvalidArgument
 
 CREDENTIAL_DOMAIN = b"pseudorate:cred:v1:"
@@ -320,14 +320,6 @@ class Credential:
         is ``body`` with the ``sig`` entry spliced in."""
         return credential_body(self.entity, self.issuer_public, self.meta)
 
-    def to_record(self) -> dict:
-        return {
-            "entity": self.entity,
-            "issuer": self.issuer_public,
-            "meta": dict(self.meta),
-            "sig": self.signature,
-        }
-
     def to_bytes(self) -> bytes:
         # "sig" sorts after "entity", "issuer" and "meta"
         return b"%ss3:sigb%d:%se" % (self.body[:-1], len(self.signature), self.signature)
@@ -409,33 +401,8 @@ def verify_credential(cred: Credential) -> bool:
     return verify(cred.issuer_public, payload, cred.signature)
 
 
-def encode_activation_payload(aik_public: bytes, credential: Credential, blob_nonce: bytes) -> bytes:
-    """Plaintext carried inside a sealed activation blob: the target identity
-    key, its group credential, and a single-use nonce. It is ``encode`` of
-    ``{"aik", "cred", "nonce"}``, spliced as the keys sort."""
-    cred = credential.to_bytes()
-    if type(aik_public) is not bytes or type(blob_nonce) is not bytes:
-        raise EncodingError("activation blob: aik and nonce must be bytes")
-    return b"ds3:aikb%d:%ss4:credb%d:%ss5:nonceb%d:%se" % (
-        len(aik_public), aik_public, len(cred), cred, len(blob_nonce), blob_nonce
-    )
-
-
-def read_activation_payload(plaintext: bytes) -> tuple[bytes, bytes, bytes]:
-    """The identity key, credential bytes and nonce of an activation blob's
-    plaintext, cut at their fixed keys; it accepts what ``decode`` and
-    ``check_fields`` of ``{"aik": bytes, "cred": bytes, "nonce": bytes}``
-    accept, and refuses the rest with an EncodingError."""
-    return read_all(plaintext, _cut_activation_payload)
-
-
-def _cut_activation_payload(data: bytes, pos: int) -> tuple[tuple[bytes, bytes, bytes], int]:
-    aik, pos = cut_entry(data, pos, b"ds3:aikb")
-    cred, pos = cut_entry(data, pos, b"s4:credb")
-    nonce, pos = cut_entry(data, pos, b"s5:nonceb")
-    if data[pos] != 0x65:  # e
-        raise EncodingError("activation blob: an entry after nonce")
-    return (aik, cred, nonce), pos + 1
+# the plaintext of an activation blob: the identity key, its group credential's bytes and a single-use nonce
+ACTIVATION_BLOB = Shape("activation blob", aik=bytes, cred=bytes, nonce=bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -452,15 +419,9 @@ class CredentialChain:
     csk_cred: Credential
     aik_cred: Credential
 
-    def to_record(self) -> dict:
-        return {
-            "rating": self.rating_cred.to_record(),
-            "csk": self.csk_cred.to_record(),
-            "aik": self.aik_cred.to_record(),
-        }
-
     def to_bytes(self) -> bytes:
-        """``encode(self.to_record())``, spliced from the credentials' own bytes."""
+        """``encode`` of ``{"aik", "csk", "rating"}``, each its credential's
+        record, spliced from the credentials' own bytes."""
         return b"ds3:aik%ss3:csk%ss6:rating%se" % (
             self.aik_cred.to_bytes(),
             self.csk_cred.to_bytes(),

@@ -228,33 +228,6 @@ def cut_int(data: bytes, pos: int, key: bytes) -> tuple[int, int]:
     return _int_at(data, pos)
 
 
-def field_table(kinds: dict[str, type]) -> tuple[tuple[str, bytes, type], ...]:
-    """What :func:`cut_fields` cuts of a dict with exactly the fields of
-    ``kinds``, each ``bytes``, ``str`` or ``int``: per field in sorted key
-    order, its name, its key and value tag as encoded, and its kind."""
-    tags = {bytes: b"b", str: b"s", int: b"i"}
-    return tuple((name, encode(name) + tags[kind], kind) for name, kind in sorted(kinds.items()))
-
-
-def cut_fields(data: bytes, pos: int, table: tuple[tuple[str, bytes, type], ...]) -> tuple[dict, int]:
-    """The dict at ``pos`` with exactly the entries of ``table``, each cut at
-    its fixed key by :func:`cut_entry` or :func:`cut_int`, and the position
-    after it. Bad UTF-8 is a UnicodeDecodeError, a read past the end an IndexError."""
-    if data[pos] != 0x64:  # d
-        raise EncodingError("not a dict")
-    pos += 1
-    fields = {}
-    for name, key, kind in table:
-        if kind is int:
-            fields[name], pos = cut_int(data, pos, key)
-        else:
-            value, pos = cut_entry(data, pos, key)
-            fields[name] = value if kind is bytes else value.decode()
-    if data[pos] != 0x65:  # e
-        raise EncodingError("an entry past the dict's fields")
-    return fields, pos + 1
-
-
 def read_all(data: bytes, cut: Callable[[bytes, int], tuple]) -> Any:
     """What ``cut`` reads from all of ``data``: the value it cuts at position
     0, which must end where the data ends. ``data`` is bytes-like as for
@@ -298,12 +271,111 @@ def check_fields(record: object, kinds: dict[str, type], optional=(), where: str
     return record
 
 
-def check_kind(record: object, shapes: dict[str, dict[str, type]], optional=(), where: str = "record") -> dict:
-    """:func:`check_fields` of ``record`` against the shape its ``"kind"`` names in ``shapes``."""
+def check_kind(record: object, shapes: dict[str, Shape], where: str) -> dict:
+    """``record`` checked by the shape its ``"kind"`` names in ``shapes``; a
+    record of no kind there is an EncodingError that names it ``where``."""
     kind = record.get("kind") if type(record) is dict else None
     if type(kind) is not str or kind not in shapes:
         raise EncodingError(f"{where} of unknown kind {kind!r}")
-    return check_fields(record, shapes[kind], optional, where)
+    return shapes[kind].check(record)
+
+
+_TAGS = {bytes: b"b", str: b"s", int: b"i"}
+
+
+class Shape:
+    """One fixed-shape record, declared once: ``name``, as its faults name it,
+    and its fields, each given as its kind: ``bytes``, ``str``, ``int`` or
+    ``dict``; a ``str``, the constant every record of the shape holds there;
+    or a nested Shape, whose record the field holds. From them come, once:
+
+    * ``kinds``, the field types :meth:`check` applies to a decoded record;
+    * ``write``, a function generated as ``dataclasses`` generates
+      ``__init__``: it takes each field by keyword, a constant optionally and
+      a nested record as its canonical bytes, and returns ``encode`` of the
+      record, spliced into its literal keys in sorted order. A dict field is
+      written by ``encode``. A field not exactly of its kind, a str UTF-8
+      cannot encode or an int past Python's 4300 digits is an EncodingError,
+      as in ``encode``;
+    * :meth:`cut` and :meth:`read`, which cut a record of bytes, str, int and
+      constant fields at its fixed keys, one loop of :func:`cut_entry` and
+      :func:`cut_int`, and accept exactly what ``decode`` and :meth:`check`
+      accept (FORMATS §1)."""
+
+    def __init__(self, name: str, **fields: type | str | Shape):
+        self.name = name
+        self.fields = dict(sorted(fields.items()))  # code-point order is UTF-8 byte order
+        self.kinds = {f: str if type(k) is str else dict if type(k) is Shape else k for f, k in self.fields.items()}
+        # per field: its name, its key and value tag as encoded (a constant's whole entry), and its kind
+        self._table = tuple(
+            (f, encode(f) + (encode(k) if type(k) is str else _TAGS.get(k, b"")), k) for f, k in self.fields.items()
+        )
+        self.head = b"d" + (self._table[0][1] if self._table else b"")  # what a record of the shape starts with
+        self._overrun = f"{name}: an entry after {[*self.fields][-1] if fields else 'its start'}"
+        self.write = self._writer()
+
+    def _writer(self) -> Callable[..., bytes]:
+        params, checks, dicts, strs, fmt, args = [], [], [], [], b"d", []
+        for name, key, kind in self._table:
+            if type(kind) is str:
+                params.append(f"{name}={kind!r}")
+                checks.append(f"{name} == {kind!r}")
+                fmt += key.replace(b"%", b"%%")
+                continue
+            params.append(name)
+            checks.append(f"type({name}) is {'bytes' if type(kind) is Shape else kind.__name__}")
+            if kind is str:
+                strs.append(f"{name} = {name}.encode()")
+            elif kind is dict:
+                dicts.append(f"{name} = encode({name})")
+            fmt += key + (b"%de" if kind is int else b"%s" if kind is dict or type(kind) is Shape else b"%d:%s")
+            args += [name] if kind is int or kind is dict or type(kind) is Shape else [f"len({name})", name]
+        source = "\n".join([
+            f"def write({'*, ' + ', '.join(params) if params else ''}):",
+            f"    if not ({' and '.join(checks) or 'True'}):",
+            f"        raise EncodingError({self.name + ': a field not exactly of its type'!r})",
+            *(f"    {line}" for line in dicts),
+            "    try:",
+            *(f"        {line}" for line in strs),
+            f"        return {fmt + b'e'!r} % ({''.join(arg + ', ' for arg in args)})",
+            "    except ValueError as exc:  # a lone surrogate; an int past Python's 4300 digits",
+            "        raise EncodingError(f'cannot encode: {exc}') from exc",
+        ])
+        namespace: dict = {}
+        exec(source, globals(), namespace)  # encode and EncodingError are this module's
+        return namespace["write"]
+
+    def check(self, record: object) -> dict:
+        """``record``, if :func:`check_fields` finds it of this shape's kinds."""
+        return check_fields(record, self.kinds, where=self.name)
+
+    def cut(self, data: bytes, pos: int) -> tuple[dict, int]:
+        """The fields of the record at ``pos``, constants left out, and the
+        position after it. Bad UTF-8 is a UnicodeDecodeError, a read past the
+        end an IndexError."""
+        if not data.startswith(b"d", pos):
+            raise EncodingError("not the expected entry")
+        pos += 1
+        fields = {}
+        for name, key, kind in self._table:
+            if kind is int:
+                fields[name], pos = cut_int(data, pos, key)
+            elif kind is bytes:
+                fields[name], pos = cut_entry(data, pos, key)
+            elif kind is str:
+                value, pos = cut_entry(data, pos, key)
+                fields[name] = value.decode()
+            elif type(kind) is str and data.startswith(key, pos):
+                pos += len(key)
+            else:  # another constant, or a field this reader does not cut
+                raise EncodingError(f"{self.name}: not its {name} entry")
+        if data[pos] != 0x65:  # e
+            raise EncodingError(self._overrun)
+        return fields, pos + 1
+
+    def read(self, data: bytes) -> dict:
+        """The fields of the record that is all of ``data``, as :func:`read_all` reads it."""
+        return read_all(data, self.cut)
 
 
 def append_record(path: Path | str, record: bytes) -> None:

@@ -30,40 +30,23 @@ from .charging import (
     price,
 )
 from .clock import SimClock
-from .encoding import EncodingError, append_record, check_kind, encode, read_records
+from .encoding import Shape, append_record, check_kind, read_records
 from .errors import InvalidArgument, TicketError, UnknownGroup
 
 logger = logging.getLogger(__name__)
 
 CHALLENGE_TTL = 300  # seconds of simulated time; single use regardless
-_RECORDS = {  # kind -> the fields of an issuance log record (FORMATS §6)
-    "register": {"kind": str, "platform_id": str, "ek_public": bytes, "user_account": str},
-    "issue": {
-        "kind": str, "platform_id": str, "aik_digest": str, "group": int, "at": int, "label": str, "charge_ref": str
-    },
-    "blacklist": {"kind": str, "platform_id": str, "flag": int},
+_RECORDS = {  # kind -> the shape of an issuance log record (FORMATS §6)
+    shape.fields["kind"]: shape
+    for shape in (
+        Shape("issuance record", kind="register", platform_id=str, ek_public=bytes, user_account=str),
+        Shape(
+            "issuance record",
+            kind="issue", platform_id=str, aik_digest=str, group=int, at=int, label=str, charge_ref=str,
+        ),
+        Shape("issuance record", kind="blacklist", platform_id=str, flag=int),
+    )
 }
-
-
-def issue_record_bytes(record: dict) -> bytes:
-    """``encode`` of an ``issue`` record, spliced with its keys in sorted order.
-    A field not exactly of its type, a lone surrogate or an int past Python's
-    4300 digits is an EncodingError, as in ``encode``."""
-    digest, at, ref = record["aik_digest"], record["at"], record["charge_ref"]
-    group, label, platform = record["group"], record["label"], record["platform_id"]
-    if not (
-        type(digest) is str and type(at) is int and type(ref) is str
-        and type(group) is int and type(label) is str and type(platform) is str
-    ):
-        raise EncodingError("issue record: a field not exactly of its type")
-    try:
-        digest, ref, label, platform = digest.encode(), ref.encode(), label.encode(), platform.encode()
-        return (
-            b"ds10:aik_digests%d:%ss2:ati%des10:charge_refs%d:%ss5:groupi%des4:kinds5:issue"
-            b"s5:labels%d:%ss11:platform_ids%d:%se"
-        ) % (len(digest), digest, at, len(ref), ref, group, len(label), label, len(platform), platform)
-    except ValueError as exc:
-        raise EncodingError(f"cannot encode: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -262,7 +245,9 @@ class PrivacyCa:
             credential = crypto.certify(group_pair.public, partial(crypto.sign, group_pair), pending.aik_public, meta)
 
             blob_nonce = self._randbytes(16)
-            plaintext = crypto.encode_activation_payload(pending.aik_public, credential, blob_nonce)
+            plaintext = crypto.ACTIVATION_BLOB.write(
+                aik=pending.aik_public, cred=credential.to_bytes(), nonce=blob_nonce
+            )
             blob = crypto.seal(record.ek_public, plaintext, ephemeral_seed=self._randbytes(32))
 
             self._commit(
@@ -342,9 +327,8 @@ class PrivacyCa:
             raise UnknownGroup(f"group {group} is not configured")
 
     def _commit(self, record: dict) -> None:
-        if self._issuance_log:  # the record each ticket adds is spliced
-            raw = issue_record_bytes(record) if record["kind"] == "issue" else encode(record)
-            append_record(self._issuance_log, raw)
+        if self._issuance_log:
+            append_record(self._issuance_log, _RECORDS[record["kind"]].write(**record))
         self._apply(record)
 
     def _apply(self, record: dict) -> None:

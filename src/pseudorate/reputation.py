@@ -24,7 +24,7 @@ from . import crypto
 from .charging import Declined
 from .clock import SimClock
 from .crypto import CredentialChain
-from .encoding import EncodingError, append_record, check_fields, cut_entry, cut_int, read_all, read_records
+from .encoding import EncodingError, Shape, append_record, read_records
 from .errors import InvalidArgument, TicketError
 
 REJECT_INVALID_CHAIN = "invalid-chain"
@@ -33,9 +33,12 @@ REJECT_DOUBLE_SPEND = "double-spend"
 REJECT_BAD_PAYLOAD = "bad-payload"
 REJECT_CP_DECLINED = "cp-declined"
 
-_PAYLOAD_FIELDS = {"subject": str, "score": int, "comment": str, "nonce": bytes, "rs_id": str}
+PAYLOAD = Shape("payload", comment=str, nonce=bytes, rs_id=str, score=int, subject=str)
 # a rating log record (FORMATS §6): the rating record and its ticket's aik_digest
-_LOGGED_FIELDS = {"payload": dict, "group": int, "impact": str, "received": int, "chain_digest": str, "aik_digest": str}
+RATING_RECORD = Shape(
+    "rating record", aik_digest=str, chain_digest=str, group=int, impact=str, payload=PAYLOAD, received=int
+)
+SCORE_BODY = Shape("score body", count=int, score=str)  # an rs/score ok body
 
 
 @dataclass(frozen=True)
@@ -48,20 +51,7 @@ class RatingPayload:
 
     @cached_property
     def _canonical(self) -> bytes:
-        # the keys sort as comment < nonce < rs_id < score < subject
-        comment, nonce, rs_id, score, subject = self.comment, self.nonce, self.rs_id, self.score, self.subject
-        if not (
-            type(comment) is str and type(nonce) is bytes and type(rs_id) is str
-            and type(score) is int and type(subject) is str
-        ):
-            raise EncodingError("payload: a field not exactly of its type")
-        try:
-            comment, rs_id, subject = comment.encode(), rs_id.encode(), subject.encode()
-            return b"ds7:comments%d:%ss5:nonceb%d:%ss5:rs_ids%d:%ss5:scorei%des7:subjects%d:%se" % (
-                len(comment), comment, len(nonce), nonce, len(rs_id), rs_id, score, len(subject), subject
-            )
-        except ValueError as exc:  # a lone surrogate; an int past Python's 4300 digits
-            raise EncodingError(f"cannot encode: {exc}") from exc
+        return PAYLOAD.write(**self.to_record())
 
     def canonical_bytes(self) -> bytes:
         """``encode(self.to_record())``: spliced once, or the bytes it was parsed from.
@@ -69,17 +59,11 @@ class RatingPayload:
         return self._canonical
 
     def to_record(self) -> dict:
-        return {
-            "subject": self.subject,
-            "score": self.score,
-            "comment": self.comment,
-            "nonce": self.nonce,
-            "rs_id": self.rs_id,
-        }
+        return {name: getattr(self, name) for name in PAYLOAD.fields}
 
     @classmethod
     def from_record(cls, record: object) -> "RatingPayload":
-        return cls(**check_fields(record, _PAYLOAD_FIELDS, where="payload"))
+        return cls(**PAYLOAD.check(record))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "RatingPayload":
@@ -87,21 +71,9 @@ class RatingPayload:
         ``decode`` and ``from_record`` accept, and refuses the rest with an
         EncodingError. The reader is canonical, so ``data`` is the payload's
         canonical bytes."""
-        return read_all(data, _cut_payload)
-
-
-def _cut_payload(data: bytes, start: int) -> tuple[RatingPayload, int]:
-    """The payload at ``start``, its keys in sorted order, and the position after it."""
-    comment, pos = cut_entry(data, start, b"ds7:comments")
-    nonce, pos = cut_entry(data, pos, b"s5:nonceb")
-    rs_id, pos = cut_entry(data, pos, b"s5:rs_ids")
-    score, pos = cut_int(data, pos, b"s5:scorei")
-    subject, pos = cut_entry(data, pos, b"s7:subjects")
-    if data[pos] != 0x65:  # e
-        raise EncodingError("payload: an entry after subject")
-    payload = RatingPayload(subject.decode(), score, nonce, rs_id.decode(), comment.decode())
-    object.__setattr__(payload, "_canonical", data[start : pos + 1])
-    return payload, pos + 1
+        payload = cls(**PAYLOAD.read(data))
+        object.__setattr__(payload, "_canonical", bytes(data))
+        return payload
 
 
 @dataclass(frozen=True)
@@ -115,7 +87,7 @@ class RatingRecord:
     @classmethod
     def from_record(cls, record: object) -> "RatingRecord":
         """A rating log record (FORMATS §6); one of any other shape is an EncodingError."""
-        r = check_fields(record, _LOGGED_FIELDS, where="rating record")
+        r = RATING_RECORD.check(record)
         payload = RatingPayload.from_record(r["payload"])
         try:
             impact = Fraction(r["impact"])
@@ -124,27 +96,6 @@ class RatingRecord:
         if impact is None or impact <= 0:  # refused as configure_groups refuses it: aggregate divides by the weights
             raise EncodingError(f"rating record: impact must be a positive fraction, not {r['impact']!r}")
         return cls(payload, r["group"], impact, r["received"], r["chain_digest"])
-
-
-def rating_record_bytes(
-    aik_digest: str, chain_digest: str, group: int, impact: str, payload: bytes, received: int
-) -> bytes:
-    """``encode`` of a rating log record, spliced with its keys in sorted order
-    around ``payload``, its payload's canonical bytes. A field not exactly of
-    its type, a lone surrogate or an int past Python's 4300 digits is an
-    EncodingError, as in ``encode``."""
-    if not (
-        type(aik_digest) is str and type(chain_digest) is str and type(group) is int
-        and type(impact) is str and type(payload) is bytes and type(received) is int
-    ):
-        raise EncodingError("rating record: a field not exactly of its type")
-    try:
-        aik_digest, chain_digest, impact = aik_digest.encode(), chain_digest.encode(), impact.encode()
-        return (
-            b"ds10:aik_digests%d:%ss12:chain_digests%d:%ss5:groupi%des6:impacts%d:%ss7:payload%ss8:receivedi%dee"
-        ) % (len(aik_digest), aik_digest, len(chain_digest), chain_digest, group, len(impact), impact, payload, received)
-    except ValueError as exc:
-        raise EncodingError(f"cannot encode: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -165,29 +116,7 @@ class WeightedScore:
     subject: str
     count: int
     score: Fraction | None
-    body: bytes  # the rs/score reply body, written by score_body
-
-
-def score_body(count: int, score: str) -> bytes:
-    """``encode({"count": count, "score": score})``, spliced; a field not
-    exactly of its type is an EncodingError, as in ``encode``."""
-    if type(count) is not int or type(score) is not str:
-        raise EncodingError("score body: count must be an int and score a str")
-    try:
-        raw = score.encode()
-        return b"ds5:counti%des5:scores%d:%se" % (count, len(raw), raw)
-    except ValueError as exc:  # a lone surrogate; an int past Python's 4300 digits
-        raise EncodingError(f"cannot encode: {exc}") from exc
-
-
-def cut_score_body(data: bytes, pos: int) -> tuple[tuple[int, str], int]:
-    """The (count, score) of the :func:`score_body` at ``pos``, cut at its
-    fixed keys, and the position after it; any other body is an EncodingError."""
-    count, pos = cut_int(data, pos, b"ds5:counti")
-    score, pos = cut_entry(data, pos, b"s5:scores")
-    if data[pos] != 0x65:  # e
-        raise EncodingError("score body: an entry after score")
-    return (count, score.decode()), pos + 1
+    body: bytes  # the rs/score reply body, written by SCORE_BODY
 
 
 @dataclass(slots=True)
@@ -204,7 +133,7 @@ class _Totals:
 
 class ReputationSystem:
     none_value = "no-score"  # what rs/score reports for a subject with no ratings
-    none_body = score_body(0, none_value)
+    none_body = SCORE_BODY.write(count=0, score=none_value)
     scale = (1, 5)  # the lowest and highest score a rating may give
 
     def __init__(
@@ -293,10 +222,11 @@ class ReputationSystem:
                 chain_digest=chain_digest,
             )
             if self._rating_log:
-                raw = payload.canonical_bytes()
-                append_record(
-                    self._rating_log, rating_record_bytes(aik_digest, chain_digest, group, str(impact), raw, record.received)
+                raw = RATING_RECORD.write(
+                    aik_digest=aik_digest, chain_digest=chain_digest, group=group, impact=str(impact),
+                    payload=payload.canonical_bytes(), received=record.received,
                 )
+                append_record(self._rating_log, raw)
             self._apply(record, aik_digest)
         return Ack(receipt=chain_digest, subject=payload.subject, group=group)
 
@@ -326,7 +256,8 @@ class ReputationSystem:
         if score is None:
             # two first reads may both build it, from the same totals: either is the answer
             mean = totals.weighted / totals.weight
-            score = totals.score = WeightedScore(subject, totals.count, mean, score_body(totals.count, str(mean)))
+            body = SCORE_BODY.write(count=totals.count, score=str(mean))
+            score = totals.score = WeightedScore(subject, totals.count, mean, body)
         return score
 
     # -- inspection ----------------------------------------------------------------

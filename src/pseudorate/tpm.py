@@ -89,11 +89,11 @@ class TpmInstance:
             except SealError as exc:
                 raise TicketError("blob not sealed to this platform", code="wrong-platform") from exc
             try:
-                aik, cred, _ = crypto.read_activation_payload(plaintext)
-                credential = Credential.from_bytes(cred)
+                blob = crypto.ACTIVATION_BLOB.read(plaintext)
+                credential = Credential.from_bytes(blob["cred"])
             except EncodingError as exc:
                 raise TicketError("undecodable activation blob", code="malformed-blob") from exc
-            if aik != key.public:
+            if blob["aik"] != key.public:
                 raise TicketError("blob targets a different identity key", code="aik-mismatch")
             key.activated = True
             return credential

@@ -26,10 +26,10 @@ from typing import Callable
 
 from .charging import ChargingProvider, Declined, PricingPolicy, group_id
 from .crypto import CredentialChain
-from .encoding import EncodingError, check_fields, cut_entry, cut_fields, cut_int, decode_head, encode, field_table
+from .encoding import EncodingError, Shape, check_fields, cut_entry, decode_head, encode
 from .errors import TicketError
 from .privacy_ca import Challenge, DeniedRequest, PrivacyCa
-from .reputation import Ack, RatingPayload, Reject, ReputationSystem, cut_score_body
+from .reputation import SCORE_BODY, Ack, RatingPayload, Reject, ReputationSystem
 
 logger = logging.getLogger(__name__)
 
@@ -119,113 +119,20 @@ def _field(body: dict, name: str, kind: type):
     return value
 
 
-# -- the fixed-shape bodies of the acquire -> redeem -> score path: each is
-# ``encode`` of its dict, spliced with its keys in sorted order. A field not
-# exactly of its type, a str UTF-8 cannot encode or an int past Python's 4300
-# digits is an EncodingError, as in ``encode``. The ok answer of each route
-# stands beside its reader, which cuts the body at its fixed keys and reads
-# the denied and reject bodies the handlers write too: a reader accepts
-# exactly the bodies ``decode`` reads as one of its route's shapes (FORMATS
-# §3), and refuses any other key, kind or status with an EncodingError.
-
-def _cut_fixed(data: bytes, pos: int, fixed: bytes) -> int:
-    """The position after the ``fixed`` bytes that must stand at ``pos``."""
-    if not data.startswith(fixed, pos):
-        raise EncodingError(f"not {fixed!r}")
-    return pos + len(fixed)
-
-
-def _challenge_body(nonce: bytes, expires: int) -> bytes:
-    """The ``pca/request`` challenge body ``{"expires", "nonce", "status": "challenge"}``"""
-    if type(nonce) is not bytes or type(expires) is not int:
-        raise EncodingError("challenge: nonce must be bytes and expires an int")
-    try:
-        return b"ds7:expiresi%des5:nonceb%d:%ss6:statuss9:challengee" % (expires, len(nonce), nonce)
-    except ValueError as exc:
-        raise EncodingError(f"cannot encode: {exc}") from exc
-
-
-def _cut_challenge_or_denied(data: bytes, pos: int) -> tuple[Challenge | DeniedRequest, int]:
-    if data.startswith(b"ds6:reasons", pos):
-        reason, pos = cut_entry(data, pos, b"ds6:reasons")
-        return DeniedRequest(reason.decode()), _cut_fixed(data, pos, b"s6:statuss6:deniede")
-    expires, pos = cut_int(data, pos, b"ds7:expiresi")
-    nonce, pos = cut_entry(data, pos, b"s5:nonceb")
-    return Challenge(nonce, expires), _cut_fixed(data, pos, b"s6:statuss9:challengee")
-
-
-def _activation_body(activation_blob: bytes) -> bytes:
-    """The ``pca/complete`` ok body ``{"activation_blob"}``"""
-    if type(activation_blob) is not bytes:
-        raise EncodingError("activation_blob must be bytes")
-    return b"ds15:activation_blobb%d:%se" % (len(activation_blob), activation_blob)
-
-
-def _cut_activation(data: bytes, pos: int) -> tuple[bytes, int]:
-    blob, pos = cut_entry(data, pos, b"ds15:activation_blobb")
-    return blob, _cut_fixed(data, pos, b"e")
-
-
-def _ack_body(receipt: str, subject: str, group: int) -> bytes:
-    """The ``rs/submit`` ack body ``{"group", "receipt", "status": "ack", "subject"}``"""
-    if type(receipt) is not str or type(subject) is not str or type(group) is not int:
-        raise EncodingError("ack: receipt and subject must be str and group an int")
-    try:
-        receipt_raw, subject_raw = receipt.encode(), subject.encode()
-        return b"ds5:groupi%des7:receipts%d:%ss6:statuss3:acks7:subjects%d:%se" % (
-            group, len(receipt_raw), receipt_raw, len(subject_raw), subject_raw
-        )
-    except ValueError as exc:
-        raise EncodingError(f"cannot encode: {exc}") from exc
-
-
-def _cut_ack_or_reject(data: bytes, pos: int) -> tuple[Ack | Reject, int]:
-    if data.startswith(b"ds6:details", pos):
-        detail, pos = cut_entry(data, pos, b"ds6:details")
-        reason, pos = cut_entry(data, pos, b"s6:reasons")
-        return Reject(reason.decode(), detail.decode()), _cut_fixed(data, pos, b"s6:statuss6:rejecte")
-    group, pos = cut_int(data, pos, b"ds5:groupi")
-    receipt, pos = cut_entry(data, pos, b"s7:receipts")
-    subject, pos = cut_entry(data, _cut_fixed(data, pos, b"s6:statuss3:ack"), b"s7:subjects")
-    return Ack(receipt.decode(), subject.decode(), group), _cut_fixed(data, pos, b"e")
-
-
-def _pca_request_body(aik_public: bytes, group: int, platform_id: str) -> bytes:
-    """The ``pca/request`` body ``{"aik_public", "group", "platform_id"}``"""
-    if type(aik_public) is not bytes or type(group) is not int or type(platform_id) is not str:
-        raise EncodingError("pca/request: aik_public must be bytes, group an int and platform_id a str")
-    try:
-        raw = platform_id.encode()
-        return b"ds10:aik_publicb%d:%ss5:groupi%des11:platform_ids%d:%se" % (
-            len(aik_public), aik_public, group, len(raw), raw
-        )
-    except ValueError as exc:
-        raise EncodingError(f"cannot encode: {exc}") from exc
-
-
-def _pca_complete_body(nonce: bytes, signature: bytes) -> bytes:
-    """The ``pca/complete`` body ``{"nonce", "signature"}``"""
-    if type(nonce) is not bytes or type(signature) is not bytes:
-        raise EncodingError("pca/complete: nonce and signature must be bytes")
-    return b"ds5:nonceb%d:%ss9:signatureb%d:%se" % (len(nonce), nonce, len(signature), signature)
-
-
-def _rs_submit_body(payload: bytes, chain: bytes) -> bytes:
-    """The ``rs/submit`` body ``{"chain", "payload"}``"""
-    if type(payload) is not bytes or type(chain) is not bytes:
-        raise EncodingError("rs/submit: payload and chain must be bytes")
-    return b"ds5:chainb%d:%ss7:payloadb%d:%se" % (len(chain), chain, len(payload), payload)
-
-
-def _rs_score_body(subject: str) -> bytes:
-    """The ``rs/score`` body ``{"subject"}``; its ok body is ``reputation.score_body``'s"""
-    if type(subject) is not str:
-        raise EncodingError("rs/score: subject must be a str")
-    try:
-        raw = subject.encode()
-    except ValueError as exc:
-        raise EncodingError(f"cannot encode: {exc}") from exc
-    return b"ds7:subjects%d:%se" % (len(raw), raw)
+# -- the six ok bodies a client reads at fixed keys (FORMATS §3); the score
+# body is reputation.SCORE_BODY, which the reputation system writes itself
+CHALLENGE = Shape("pca/request challenge", expires=int, nonce=bytes, status="challenge")
+DENIED = Shape("pca/request denial", reason=str, status="denied")
+ACTIVATION = Shape("pca/complete answer", activation_blob=bytes)
+ACK = Shape("rs/submit ack", group=int, receipt=str, status="ack", subject=str)
+REJECT = Shape("rs/submit reject", detail=str, reason=str, status="reject")
+# endpoint -> (ok shape, what the client answers of its fields) for each ok body its client cuts
+_OK_ANSWERS = {
+    "pca/request": ((CHALLENGE, Challenge), (DENIED, DeniedRequest)),
+    "pca/complete": ((ACTIVATION, lambda activation_blob: activation_blob),),
+    "rs/submit": ((ACK, Ack), (REJECT, Reject)),
+    "rs/score": ((SCORE_BODY, lambda count, score: (count, score)),),
+}
 
 
 # -- handlers: each takes its service and the checked request fields, and maps
@@ -234,8 +141,8 @@ def _rs_score_body(subject: str) -> bytes:
 def _h_request(pca: PrivacyCa, aik_public: bytes, group: int, platform_id: str) -> dict | bytes:
     result = pca.request_credential(aik_public, group, platform_id)
     if isinstance(result, DeniedRequest):
-        return {"status": "denied", "reason": result.reason}
-    return _challenge_body(result.nonce, result.expires)
+        return DENIED.write(reason=result.reason)
+    return CHALLENGE.write(expires=result.expires, nonce=result.nonce)
 
 
 def _h_resolve(pca: PrivacyCa, aik_digest: str, authority_token: str) -> dict:
@@ -259,8 +166,8 @@ def _h_submit(rs: ReputationSystem, payload: bytes, chain: bytes) -> dict | byte
     credentials = CredentialChain.from_bytes(chain)
     result = rs.submit_rating(RatingPayload.from_bytes(payload), credentials)
     if isinstance(result, Reject):
-        return {"status": "reject", "reason": result.reason, "detail": result.detail}
-    return _ack_body(result.receipt, result.subject, result.group)
+        return REJECT.write(detail=result.detail, reason=result.reason)
+    return ACK.write(group=result.group, receipt=result.receipt, subject=result.subject)
 
 
 def _h_score(rs: ReputationSystem, subject: str) -> bytes:
@@ -297,30 +204,33 @@ def _h_set_policy(cp: ChargingProvider, policy: dict) -> dict:
     return {"policy": cp.policy.to_record()}
 
 
-# endpoint -> (Router keyword of its service, request field -> type, handler).
+# endpoint -> (Router keyword of its service, the shape of its request body, handler).
 # Every request schema lives here: the router checks a body's fields and their
-# types before the handler sees them.
-ROUTES: dict[str, tuple[str, dict[str, type], Callable[..., dict | bytes]]] = {
-    "pca/register": (
-        "pca",
-        {"ek_public": bytes, "user_account": str},
-        lambda pca, ek_public, user_account: {"platform_id": pca.register_platform(ek_public, user_account)},
-    ),
-    "pca/request": ("pca", {"aik_public": bytes, "group": int, "platform_id": str}, _h_request),
-    "pca/complete": (
-        "pca",
-        {"nonce": bytes, "signature": bytes},
-        lambda pca, nonce, signature: _activation_body(pca.complete_handshake(nonce, signature)),
-    ),
-    "pca/resolve": ("pca", {"aik_digest": str, "authority_token": str}, _h_resolve),
-    "pca/blacklist": ("pca", {"platform_id": str, "flag": int}, _h_blacklist),
-    "rs/submit": ("rs", {"payload": bytes, "chain": bytes}, _h_submit),
-    "rs/score": ("rs", {"subject": str}, _h_score),
-    "rs/admin/groups": ("rs", {"groups": dict}, _h_groups),
-    "cp/charge": ("cp", {"account_id": str, "amount": int, "group": int, "phase": str, "ref": str}, _h_charge),
-    "cp/balance": ("cp", {"account_id": str}, lambda cp, account_id: {"balance": cp.balance(account_id)}),
-    "cp/policy": ("cp", {}, lambda cp: {"policy": cp.policy.to_record()}),
-    "cp/admin/policy": ("cp", {"policy": dict}, _h_set_policy),
+# types before the handler sees them, and each client writes its body by it.
+ROUTES: dict[str, tuple[str, Shape, Callable[..., dict | bytes]]] = {
+    endpoint: (service, Shape(endpoint, **fields), handler)
+    for endpoint, (service, fields, handler) in {
+        "pca/register": (
+            "pca",
+            {"ek_public": bytes, "user_account": str},
+            lambda pca, ek_public, user_account: {"platform_id": pca.register_platform(ek_public, user_account)},
+        ),
+        "pca/request": ("pca", {"aik_public": bytes, "group": int, "platform_id": str}, _h_request),
+        "pca/complete": (
+            "pca",
+            {"nonce": bytes, "signature": bytes},
+            lambda pca, nonce, signature: ACTIVATION.write(activation_blob=pca.complete_handshake(nonce, signature)),
+        ),
+        "pca/resolve": ("pca", {"aik_digest": str, "authority_token": str}, _h_resolve),
+        "pca/blacklist": ("pca", {"platform_id": str, "flag": int}, _h_blacklist),
+        "rs/submit": ("rs", {"payload": bytes, "chain": bytes}, _h_submit),
+        "rs/score": ("rs", {"subject": str}, _h_score),
+        "rs/admin/groups": ("rs", {"groups": dict}, _h_groups),
+        "cp/charge": ("cp", {"account_id": str, "amount": int, "group": int, "phase": str, "ref": str}, _h_charge),
+        "cp/balance": ("cp", {"account_id": str}, lambda cp, account_id: {"balance": cp.balance(account_id)}),
+        "cp/policy": ("cp", {}, lambda cp: {"policy": cp.policy.to_record()}),
+        "cp/admin/policy": ("cp", {"policy": dict}, _h_set_policy),
+    }.items()
 }
 # called in process only: over a socket each is answered as an endpoint no one serves (FORMATS §3)
 OPERATOR_ROUTES = frozenset({"pca/blacklist", "rs/admin/groups", "cp/charge", "cp/balance", "cp/admin/policy"})
@@ -330,11 +240,11 @@ _OK_SUFFIXES = {
     endpoint: encode({"endpoint": endpoint, "status": "ok", "version": WIRE_VERSION})[1:] for endpoint in ROUTES
 }
 # what follows the correlation id of a request to each route whose fields are all
-# bytes, str or int -> its endpoint, and the table encoding.cut_fields cuts its body by
+# bytes, str or int -> its endpoint, and the shape its body is cut by
 _FIXED_REQUESTS = {
-    encode({"endpoint": endpoint, "version": WIRE_VERSION})[1:]: (endpoint, field_table(fields))
-    for endpoint, (_, fields, _) in ROUTES.items()
-    if all(kind in (bytes, str, int) for kind in fields.values())
+    encode({"endpoint": endpoint, "version": WIRE_VERSION})[1:]: (endpoint, shape)
+    for endpoint, (_, shape, _) in ROUTES.items()
+    if dict not in shape.kinds.values()
 }
 
 
@@ -349,7 +259,7 @@ def _read_fixed(data: bytes) -> tuple[str, dict, bytes] | None:
     if route is None:
         return None
     try:
-        body, pos = cut_fields(data, 8, route[1])
+        body, pos = route[1].cut(data, 8)
         corr, pos = cut_entry(data, pos, b"s14:correlation_idb")
     except (ValueError, IndexError):  # EncodingError, bad UTF-8; a read past the end
         return None
@@ -374,11 +284,11 @@ class Router:
         try:
             request = _read_fixed(data)
             endpoint, body, corr = request or decode_request(data)
-            service_name, fields, handler = self._routes.get(endpoint, ("", {}, None))
+            service_name, shape, handler = self._routes.get(endpoint, ("", None, None))
             service = self._services.get(service_name)
             if service is None:
                 raise WireError(f"unknown endpoint {endpoint!r}", code="unknown-endpoint")
-            result = handler(service, **(body if request else check_fields(body, fields, where=endpoint)))
+            result = handler(service, **(body if request else shape.check(body)))
             if type(result) is bytes:
                 return b"ds4:body" + result + _ok_tail(corr, endpoint)
             return encode_response(endpoint, corr, "ok", result)
@@ -536,20 +446,27 @@ class _Client:
         self._transport = transport
         self._corr = itertools.count(1)
 
-    def _call(self, endpoint: str, body: dict | bytes, cut: Callable[[bytes, int], tuple] | None = None):
-        """The ok answer to this request: its body, or what ``cut`` reads of
-        its body at fixed keys. An ok answer carries this request's
-        correlation id and endpoint; an error answer carries them or neither,
-        as the router's answer to a frame it could not read does."""
+    def _call(self, endpoint: str, **fields):
+        """The ok answer to this request, whose body the route's shape writes
+        from ``fields``: its body, or, on a route of ``_OK_ANSWERS``, what its
+        ok shape cuts of the body at fixed keys, made into the answer: that of
+        the first shape whose head the body starts with, else of the last. An
+        ok answer carries this request's correlation id and endpoint; an error
+        answer carries them or neither, as the router's answer to a frame it
+        could not read does."""
         corr = next(self._corr).to_bytes(8, "big")
-        response = self._transport.request(encode_request(endpoint, body, corr))
-        if cut is not None and type(response) is bytes and response.startswith(b"ds4:body"):
+        response = self._transport.request(_frame(ROUTES[endpoint][1].write(**fields), corr, endpoint, b""))
+        answers = _OK_ANSWERS.get(endpoint)
+        if answers and type(response) is bytes and response.startswith(b"ds4:body"):
             tail = _ok_tail(corr, endpoint)
             if response.endswith(tail):  # an ok answer to this request, if its body is
+                for shape, make in answers:
+                    if response.startswith(shape.head, 8):
+                        break
                 try:  # the body is cut in place, and must end where the tail starts
-                    value, end = cut(response, 8)
+                    value, end = shape.cut(response, 8)
                     if end == len(response) - len(tail):
-                        return value
+                        return make(**value)
                     raise EncodingError("trailing bytes after the body")
                 except (ValueError, IndexError) as exc:  # EncodingError, bad UTF-8; a read past the end
                     decode_response(response)  # a frame the generic decoder refuses is refused as it refuses it
@@ -559,58 +476,51 @@ class _Client:
             raise WireError("correlation id mismatch" if r_corr != corr else "endpoint mismatch")
         if status == "error":
             raise TicketError(str(r_body.get("message", "")), code=str(r_body.get("code", "internal")))
-        return r_body  # with a cut, an ok answer to this request ends with its tail and was cut above
+        return r_body  # on a route of _OK_ANSWERS, an ok answer to this request ends with its tail and was cut above
 
 
 class PcaClient(_Client):
     def register_platform(self, ek_public: bytes, user_account: str) -> str:
-        body = self._call("pca/register", {"ek_public": ek_public, "user_account": user_account})
+        body = self._call("pca/register", ek_public=ek_public, user_account=user_account)
         return _field(body, "platform_id", str)
 
     def request_credential(
         self, aik_public: bytes, group: int, platform_id: str
     ) -> Challenge | DeniedRequest:
-        return self._call("pca/request", _pca_request_body(aik_public, group, platform_id), _cut_challenge_or_denied)
+        return self._call("pca/request", aik_public=aik_public, group=group, platform_id=platform_id)
 
     def complete_handshake(self, nonce: bytes, signature: bytes) -> bytes:
-        return self._call("pca/complete", _pca_complete_body(nonce, signature), _cut_activation)
+        return self._call("pca/complete", nonce=nonce, signature=signature)
 
     def resolve_identity(self, aik_digest: str, authority_token: str) -> dict:
-        return self._call(
-            "pca/resolve", {"aik_digest": aik_digest, "authority_token": authority_token}
-        )
+        return self._call("pca/resolve", aik_digest=aik_digest, authority_token=authority_token)
 
     def blacklist(self, platform_id: str, flag: bool) -> None:
-        self._call("pca/blacklist", {"platform_id": platform_id, "flag": int(flag)})
+        self._call("pca/blacklist", platform_id=platform_id, flag=int(flag))
 
 
 class RsClient(_Client):
     def submit_rating(self, payload: RatingPayload, chain: CredentialChain) -> Ack | Reject:
-        return self._call(
-            "rs/submit", _rs_submit_body(payload.canonical_bytes(), chain.to_bytes()), _cut_ack_or_reject
-        )
+        return self._call("rs/submit", chain=chain.to_bytes(), payload=payload.canonical_bytes())
 
     def score(self, subject: str) -> tuple[int, str]:
-        return self._call("rs/score", _rs_score_body(subject), cut_score_body)
+        return self._call("rs/score", subject=subject)
 
     def configure_groups(self, registry: dict[int, tuple[bytes, Fraction]]) -> int:
         groups = {str(g): {"pub": pub, "impact": str(impact)} for g, (pub, impact) in registry.items()}
-        body = self._call("rs/admin/groups", {"groups": groups})
-        return _field(body, "count", int)
+        return _field(self._call("rs/admin/groups", groups=groups), "count", int)
+
 
 
 class CpClient(_Client):
     def charge(self, account_id: str, amount: int, *, group: int, phase: str, ref: str) -> dict:
-        return self._call(
-            "cp/charge",
-            {"account_id": account_id, "amount": amount, "group": group, "phase": phase, "ref": ref},
-        )
+        return self._call("cp/charge", account_id=account_id, amount=amount, group=group, phase=phase, ref=ref)
 
     def balance(self, account_id: str) -> int:
-        return _field(self._call("cp/balance", {"account_id": account_id}), "balance", int)
+        return _field(self._call("cp/balance", account_id=account_id), "balance", int)
 
     def get_policy(self) -> dict:
-        return _field(self._call("cp/policy", {}), "policy", dict)
+        return _field(self._call("cp/policy"), "policy", dict)
 
     def set_policy(self, policy: PricingPolicy) -> dict:
-        return _field(self._call("cp/admin/policy", {"policy": policy.to_record()}), "policy", dict)
+        return _field(self._call("cp/admin/policy", policy=policy.to_record()), "policy", dict)

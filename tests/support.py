@@ -1,5 +1,6 @@
 """Shared builders for the test suite: a directly-wired service stack (no
-wire layer), helpers to build honest chains and mutate them, a chain forged
+wire layer), helpers to build honest chains and mutate them, the records a
+credential's and a chain's bytes encode, a chain forged
 under a key of small order, ``raises_code`` to expect a failure by its error
 code, ``count_calls`` to count calls of package functions, and the folds and
 decoded logs that replay and pseudonymity tests compare and scan."""
@@ -59,6 +60,20 @@ def raises_code(code: str):
     with pytest.raises(TicketError) as excinfo:
         yield excinfo
     assert excinfo.value.code == code
+
+
+def credential_record(cred: Credential) -> dict:
+    """The record whose ``encode`` a credential's bytes must be (FORMATS §2)."""
+    return {"entity": cred.entity, "issuer": cred.issuer_public, "meta": dict(cred.meta), "sig": cred.signature}
+
+
+def chain_record(chain: CredentialChain) -> dict:
+    """The record whose ``encode`` a chain's bytes must be (FORMATS §2)."""
+    return {
+        "aik": credential_record(chain.aik_cred),
+        "csk": credential_record(chain.csk_cred),
+        "rating": credential_record(chain.rating_cred),
+    }
 
 
 def patch_everywhere(monkeypatch, original, replacement) -> None:

@@ -10,7 +10,7 @@ from pseudorate.scenario import ScenarioConfig, run_scenario
 from pseudorate.tpm import TpmInstance
 from pseudorate.wire import InprocTransport, PcaClient, Router, RsClient, decode_request
 
-from support import certify_fresh_key, count_calls, make_stack, patch_everywhere, raises_code
+from support import certify_fresh_key, chain_record, count_calls, make_stack, patch_everywhere, raises_code
 
 # body fields each endpoint is allowed to carry, per docs/FORMATS.md;
 # anything extra would be platform state sneaking out of the agent
@@ -78,11 +78,11 @@ def test_build_chain_builds_one_key_object(monkeypatch):
 
 def test_wire_redemption_encodes_nothing_generic_and_decodes_each_input_once(monkeypatch):
     """The chain and the payload travel as their own bytes: the request frame
-    is read by one pass of the table reader over its route's fields, the
-    payload by one pass of its reader, the chain by one pass of the
-    credential reader and the ack by one pass of its own, and no generic
-    decode repeats them, so no byte is parsed as structure twice. Every
-    record on the way is spliced, so the generic encoder never runs."""
+    is read by one pass of its route's shape, the payload by one pass of its
+    shape, the chain by one pass of the credential reader and the ack by one
+    pass of its shape, and no generic decode repeats them, so no byte is
+    parsed as structure twice. Every record on the way is spliced, so the
+    generic encoder never runs."""
     stack = make_stack(5)
     tap = []
     agent = wired_agent(stack, tap=tap)
@@ -90,27 +90,31 @@ def test_wire_redemption_encodes_nothing_generic_and_decodes_each_input_once(mon
     ticket = agent.acquire_ticket(1)
     tap.clear()
     calls = count_calls(monkeypatch, encoding, ["encode"])
-    decode, decode_head, read_all, parsed = encoding.decode, encoding.decode_head, encoding.read_all, []
+    decode, decode_head, read_all, cut, parsed = (
+        encoding.decode, encoding.decode_head, encoding.read_all, encoding.Shape.cut, []
+    )
     patch_everywhere(monkeypatch, decode, lambda data: parsed.append(("decode", data)) or decode(data))
     patch_everywhere(
         monkeypatch, decode_head, lambda data, *at: parsed.append(("decode_head", data)) or decode_head(data, *at)
     )
-    patch_everywhere(
-        monkeypatch, read_all, lambda data, cut: parsed.append((cut.__name__, data)) or read_all(data, cut)
-    )
-    for cut in (encoding.cut_fields, wire._cut_ack_or_reject):  # each cuts a whole frame in place
-        patch_everywhere(
-            monkeypatch, cut, lambda data, *at, _cut=cut: parsed.append((_cut.__name__, data)) or _cut(data, *at)
-        )
+
+    def reads_all(data, cut):
+        if not isinstance(getattr(cut, "__self__", None), encoding.Shape):  # a shape's cut is counted below
+            parsed.append((cut.__name__, data))
+        return read_all(data, cut)
+
+    patch_everywhere(monkeypatch, read_all, reads_all)
+    # each shape cuts a whole frame in place, or a record read_all hands it
+    monkeypatch.setattr(encoding.Shape, "cut", lambda shape, data, pos: parsed.append((shape.name, data)) or cut(shape, data, pos))
     assert isinstance(agent.redeem_ticket(ticket, agent.make_payload("seller", 4)), Ack)
     assert calls["encode"] == 0
     (_, request), (_, response) = tap
     body = decode(request)["body"]
     assert parsed == [
-        ("cut_fields", request),
+        ("rs/submit", request),
         ("_cut_chain", body["chain"]),
-        ("_cut_payload", body["payload"]),
-        ("_cut_ack_or_reject", response),
+        ("payload", body["payload"]),
+        ("rs/submit ack", response),
     ]
 
 
@@ -188,7 +192,7 @@ def test_built_chain_keeps_the_bodies_it_signed(monkeypatch):
     calls = count_calls(monkeypatch, encoding, ["encode"])
     spliced = chain.to_bytes()
     assert calls["encode"] == 0
-    assert spliced == encoding.encode(chain.to_record())
+    assert spliced == encoding.encode(chain_record(chain))
     for cred in (chain.rating_cred, chain.csk_cred):
         expected = encoding.encode({"entity": cred.entity, "issuer": cred.issuer_public, "meta": dict(cred.meta)})
         assert vars(cred)["body"] == expected
@@ -197,8 +201,9 @@ def test_built_chain_keeps_the_bodies_it_signed(monkeypatch):
     config = ScenarioConfig.from_json_file(Path(__file__).resolve().parent.parent / "scenarios" / "basic.json")
     run_scenario(config)
     # the final scores' read of seller-main repeats the script's, and encodes nothing; the
-    # eight left are the pca/register, rs/admin/groups, cp/policy and cp/balance exchanges
-    assert calls["encode"] == 8
+    # five left are the ok bodies of pca/register, rs/admin/groups, cp/policy and
+    # cp/balance, and the group table the rs/admin/groups request carries
+    assert calls["encode"] == 5
 
 
 def test_wallet_consistent_with_platform_module():

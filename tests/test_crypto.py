@@ -30,6 +30,8 @@ from support import (
     BACKENDS,
     all_single_field_mutants,
     certify_with,
+    chain_record,
+    credential_record,
     honest_chain,
     make_stack,
     mutate_credential,
@@ -152,11 +154,11 @@ def test_meta_shared_by_chain_credentials_cannot_be_changed_after_checking():
 
 def test_credential_and_chain_bytes_equal_the_encoded_records():
     _, chain, _ = _stack_chain()
-    assert chain.to_bytes() == encode(chain.to_record())
+    assert chain.to_bytes() == encode(chain_record(chain))
     for slot, _field, _mode, mutant in all_single_field_mutants(chain):
         for cred in (mutant.rating_cred, mutant.csk_cred, mutant.aik_cred):
-            assert cred.to_bytes() == encode(cred.to_record())
-        assert mutant.to_bytes() == encode(mutant.to_record())
+            assert cred.to_bytes() == encode(credential_record(cred))
+        assert mutant.to_bytes() == encode(chain_record(mutant))
     assert CredentialChain.from_bytes(chain.to_bytes()) == chain
 
 
@@ -191,7 +193,7 @@ def test_records_parsed_from_a_frame_hold_their_encodings(creds, payload):
     for cred in (parsed.rating_cred, parsed.csk_cred, parsed.aik_cred):
         assert "body" in vars(cred)  # cut from the chain bytes, not encoded on first use
         assert cred.body == encode({"entity": cred.entity, "issuer": cred.issuer_public, "meta": dict(cred.meta)})
-    assert parsed.to_bytes() == chain.to_bytes() == encode(chain.to_record())
+    assert parsed.to_bytes() == chain.to_bytes() == encode(chain_record(chain))
     received = RatingPayload.from_bytes(body["payload"])
     assert received == payload and "_canonical" in vars(received)
     assert received.canonical_bytes() == encode(payload.to_record())
@@ -414,7 +416,7 @@ def _reference_payload(data) -> tuple:
 
 
 def _read_blob(data) -> dict:
-    return dict(zip(BLOB_KINDS, crypto.read_activation_payload(data)))
+    return crypto.ACTIVATION_BLOB.read(data)
 
 
 def _reference_blob(data) -> dict:

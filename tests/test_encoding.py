@@ -34,7 +34,7 @@ from pseudorate.scenario import ScenarioConfig, Transcript
 from pseudorate.tpm import TpmInstance
 from pseudorate.wire import Router, decode_response, encode_request
 
-from support import honest_chain, ledger_state, make_stack
+from support import chain_record, honest_chain, ledger_state, make_stack
 
 
 def test_scalar_round_trips():
@@ -417,33 +417,46 @@ SPLICES = {
         {"comment": str, "nonce": bytes, "rs_id": str, "score": int, "subject": str}, {},
     ),
     "activation blob": (
-        lambda aik, nonce: crypto.encode_activation_payload(aik, SPLICE_CRED, nonce),
+        lambda aik, nonce: crypto.ACTIVATION_BLOB.write(aik=aik, cred=SPLICE_CRED.to_bytes(), nonce=nonce),
         {"aik": bytes, "nonce": bytes}, {"cred": SPLICE_CRED.to_bytes()},
     ),
-    "score body": (reputation.score_body, {"count": int, "score": str}, {}),
-    "pca/request body": (wire._pca_request_body, {"aik_public": bytes, "group": int, "platform_id": str}, {}),
-    "pca/complete body": (wire._pca_complete_body, {"nonce": bytes, "signature": bytes}, {}),
-    "rs/submit body": (wire._rs_submit_body, {"chain": bytes, "payload": bytes}, {}),
-    "rs/score body": (wire._rs_score_body, {"subject": str}, {}),
-    "pca/request challenge": (wire._challenge_body, {"expires": int, "nonce": bytes}, {"status": "challenge"}),
-    "pca/complete response": (wire._activation_body, {"activation_blob": bytes}, {}),
-    "rs/submit ack": (wire._ack_body, {"group": int, "receipt": str, "subject": str}, {"status": "ack"}),
+    "score body": (reputation.SCORE_BODY.write, {"count": int, "score": str}, {}),
+    "pca/request body": (wire.ROUTES["pca/request"][1].write, {"aik_public": bytes, "group": int, "platform_id": str}, {}),
+    "pca/complete body": (wire.ROUTES["pca/complete"][1].write, {"nonce": bytes, "signature": bytes}, {}),
+    "rs/submit body": (wire.ROUTES["rs/submit"][1].write, {"chain": bytes, "payload": bytes}, {}),
+    "rs/score body": (wire.ROUTES["rs/score"][1].write, {"subject": str}, {}),
+    "pca/request challenge": (wire.CHALLENGE.write, {"expires": int, "nonce": bytes}, {"status": "challenge"}),
+    "pca/complete response": (wire.ACTIVATION.write, {"activation_blob": bytes}, {}),
+    "rs/submit ack": (wire.ACK.write, {"group": int, "receipt": str, "subject": str}, {"status": "ack"}),
     # the three records a logged cycle appends
     "issue record": (
-        lambda **fields: privacy_ca.issue_record_bytes({"kind": "issue", **fields}),
+        privacy_ca._RECORDS["issue"].write,
         {"aik_digest": str, "at": int, "charge_ref": str, "group": int, "label": str, "platform_id": str},
         {"kind": "issue"},
     ),
     "charge record": (
-        lambda **fields: charging.charge_record_bytes({"kind": "charge", **fields}),
+        charging._RECORDS["charge"].write,
         {"account": str, "amount": int, "at": int, "group": int, "phase": str, "receipt": str, "ref": str},
         {"kind": "charge"},
     ),
     "rating record": (
-        lambda **fields: reputation.rating_record_bytes(payload=SPLICE_PAYLOAD.canonical_bytes(), **fields),
+        lambda **fields: reputation.RATING_RECORD.write(payload=SPLICE_PAYLOAD.canonical_bytes(), **fields),
         {"aik_digest": str, "chain_digest": str, "group": int, "impact": str, "received": int},
         {"payload": SPLICE_PAYLOAD.to_record()},
     ),
+    # every other shape of bytes, str, int and constant fields, with the kinds it declares
+    **{
+        f"{shape.name} {shape.fields.get('kind', '')}": (
+            shape.write,
+            {name: kind for name, kind in shape.fields.items() if type(kind) is not str},
+            {name: kind for name, kind in shape.fields.items() if type(kind) is str},
+        )
+        for shape in (
+            *(shape for _, shape, _ in wire.ROUTES.values()), wire.DENIED, wire.REJECT,
+            *privacy_ca._RECORDS.values(), *charging._RECORDS.values(),
+        )
+        if dict not in shape.kinds.values()
+    },
 }
 # values that encode refuses (a subclass, a look-alike, a lone surrogate, an
 # int past the digit limit) and values of another kind that it would write
@@ -769,7 +782,7 @@ SHAPES = {
         lambda record: crypto.Credential.from_bytes(encode(record)), "EncodingError", WRONG_ENCODED,
     ),
     "chain": Shape(
-        {"rating": dict, "csk": dict, "aik": dict}, (), SHAPE_CHAIN.to_record(),
+        {"rating": dict, "csk": dict, "aik": dict}, (), chain_record(SHAPE_CHAIN),
         lambda record: crypto.CredentialChain.from_bytes(encode(record)), "EncodingError", WRONG_ENCODED,
     ),
     "activation-blob": Shape(

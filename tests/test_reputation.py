@@ -4,6 +4,7 @@ import random
 import sys
 import tempfile
 import threading
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -26,7 +27,7 @@ from pseudorate.reputation import (
 from pseudorate.encoding import append_record, encode, read_records
 from pseudorate.wire import InprocTransport, Router, RsClient, decode_request, encode_request, encode_response
 
-from support import certify_with, count_calls, honest_chain, log_bytes, make_stack, raises_code, replace
+from support import certify_with, chain_record, count_calls, honest_chain, log_bytes, make_stack, raises_code, replace
 
 
 def test_configure_groups_rejects_nonpositive_impact():
@@ -180,7 +181,7 @@ def test_receipt_is_the_digest_of_the_encoded_chain():
     agent = stack.new_agent("a")
     _, payload, chain = honest_chain(stack, agent)
     result = stack.rs.submit_rating(payload, chain)
-    assert result.receipt == crypto.sha256_hex(encode(chain.to_record()))
+    assert result.receipt == crypto.sha256_hex(encode(chain_record(chain)))
     assert stack.rs.records[0].chain_digest == result.receipt
 
 
@@ -365,7 +366,8 @@ def test_score_body_is_written_once_per_rating(monkeypatch):
     router = Router(rs=rs)
     requests = {subject: encode_request("rs/score", {"subject": subject}, b"c") for subject in "ab"}
     ratings = [scored_chain(n, "a", 1 + n % 3, 1 + n % 5) for n in range(2)]
-    writes = count_calls(monkeypatch, reputation, ["score_body"])
+    writes, write = Counter(), reputation.SCORE_BODY.write
+    monkeypatch.setattr(reputation.SCORE_BODY, "write", lambda **fields: writes.update(["score_body"]) or write(**fields))
     encodes = count_calls(monkeypatch, encoding, ["encode"])
 
     def writes_per_read(subject: str) -> int:
@@ -779,7 +781,10 @@ def test_rating_log_replay_supports_aggregation_oracle(tmp_path):
         impact, score = Fraction(rng.randrange(1, 9), rng.randrange(1, 4)), rng.randrange(1, 6)
         pairs.append((impact, score))
         payload = RatingPayload("subj", score, nonce=b"x%d" % n, rs_id="rs-test")
-        record = reputation.rating_record_bytes(f"aik-{n:03d}", f"{n:03d}", 1, str(impact), payload.canonical_bytes(), n)
+        record = reputation.RATING_RECORD.write(
+            aik_digest=f"aik-{n:03d}", chain_digest=f"{n:03d}", group=1, impact=str(impact),
+            payload=payload.canonical_bytes(), received=n,
+        )
         append_record(path, record)
     rs = ReputationSystem("rs-test", rating_log=path)
     assert len(rs.records) == rs.spent_count == 20

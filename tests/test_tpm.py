@@ -16,7 +16,7 @@ def make_blob(ek_public: bytes, aik_public: bytes, nonce: bytes = b"n" * 16) -> 
     """Build an activation blob the way the certification authority does."""
     group = crypto.generate_keypair(seed=b"group")
     cred = certify_with(group, aik_public, {"group": "1"})
-    plaintext = crypto.encode_activation_payload(aik_public, cred, nonce)
+    plaintext = crypto.ACTIVATION_BLOB.write(aik=aik_public, cred=cred.to_bytes(), nonce=nonce)
     return crypto.seal(ek_public, plaintext)
 
 

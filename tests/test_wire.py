@@ -19,7 +19,7 @@ from pseudorate.encoding import MAX_DEPTH, EncodingError, check_fields, decode, 
 from pseudorate.encoding import read_records
 from pseudorate.errors import TicketError
 from pseudorate.privacy_ca import Challenge, DeniedRequest
-from pseudorate.reputation import Ack, RatingPayload, Reject, ReputationSystem, score_body
+from pseudorate.reputation import SCORE_BODY, Ack, RatingPayload, Reject, ReputationSystem
 from pseudorate.wire import (
     CpClient,
     OPERATOR_ROUTES,
@@ -280,7 +280,7 @@ WRONG_TYPE = {bytes: "x", str: 7, int: "1", dict: b"x"}
 def test_router_schema_rejects_extra_and_missing_fields(endpoint):
     stack = make_stack(1)
     router = full_router(stack)
-    _, fields, _ = ROUTES[endpoint]
+    fields = ROUTES[endpoint][1].kinds
     good = {name: SAMPLE[kind] for name, kind in fields.items()}
     bad_bodies = [{**good, "extra": 1}]
     for name, kind in fields.items():
@@ -315,7 +315,7 @@ test_router_total_over_arbitrary_bytes.router = Router(
 # fixed keys; every other frame is read by decode_request and check_fields
 
 SCALAR_ROUTES = sorted(
-    endpoint for endpoint, (_, fields, _) in ROUTES.items() if all(kind in (bytes, str, int) for kind in fields.values())
+    endpoint for endpoint, (_, shape, _) in ROUTES.items() if all(kind in (bytes, str, int) for kind in shape.kinds.values())
 )
 
 
@@ -360,7 +360,7 @@ def scalar_requests(draw):
     """(edit, public?, frame): a request to a route of scalar fields, with
     drawn field values, after at most one edit."""
     endpoint = draw(st.sampled_from(SCALAR_ROUTES))
-    fields = sorted(ROUTES[endpoint][1].items())
+    fields = sorted(ROUTES[endpoint][1].kinds.items())
     entries = [[encode(name), encode(draw(FIELD_VALUES[kind]))] for name, kind in fields]
     corr = draw(st.binary(max_size=12))
     edit = draw(st.sampled_from(REQUEST_EDITS))
@@ -692,15 +692,15 @@ WRITTEN_BODIES = {
     | st.builds(Reject, st.text(max_size=12), st.text(max_size=20)),
     "rs/score": st.tuples(st.integers(min_value=0), st.text(max_size=12)),
 }
-WRITERS = {  # the denied and reject bodies are the handlers' dicts
+WRITERS = {
     "pca/request": lambda result: wire._h_request(SimpleNamespace(request_credential=lambda *_: result), b"a", 1, "p"),
-    "pca/complete": wire._activation_body,
+    "pca/complete": lambda blob: wire.ACTIVATION.write(activation_blob=blob),
     "rs/submit": lambda result: (
-        wire._ack_body(result.receipt, result.subject, result.group)
+        wire.ACK.write(group=result.group, receipt=result.receipt, subject=result.subject)
         if isinstance(result, Ack)
-        else {"status": "reject", "reason": result.reason, "detail": result.detail}
+        else wire.REJECT.write(detail=result.detail, reason=result.reason)
     ),
-    "rs/score": lambda count_score: score_body(*count_score),
+    "rs/score": lambda count_score: SCORE_BODY.write(count=count_score[0], score=count_score[1]),
 }
 
 
@@ -888,7 +888,7 @@ def test_socket_transport_matches_inproc_bytes(endpoint):
     inproc = InprocTransport(full_router(stack_a))
     server = SocketServer(full_router(stack_b))
     socket_transport = SocketTransport(server.host, server.port)
-    good = {name: SAMPLE[kind] for name, kind in ROUTES[endpoint][1].items()}
+    good = {name: SAMPLE[kind] for name, kind in ROUTES[endpoint][1].kinds.items()}
     try:
         for body in (good, dict(list(good.items())[1:]), {}):
             frame = encode_request(endpoint, body, b"\x01")
