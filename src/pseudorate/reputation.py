@@ -35,9 +35,7 @@ REJECT_CP_DECLINED = "cp-declined"
 
 PAYLOAD = Shape("payload", comment=str, nonce=bytes, rs_id=str, score=int, subject=str)
 # a rating log record (FORMATS §6): the rating record and its ticket's aik_digest
-RATING_RECORD = Shape(
-    "rating record", aik_digest=str, chain_digest=str, group=int, impact=str, payload=PAYLOAD, received=int
-)
+RATING_RECORD = Shape("rating record", aik_digest=str, chain_digest=str, group=int, impact=str, payload=PAYLOAD)
 SCORE_BODY = Shape("score body", count=int, score=str)  # an rs/score ok body
 
 
@@ -81,7 +79,6 @@ class RatingRecord:
     payload: RatingPayload
     group: int
     impact: Fraction
-    received: int
     chain_digest: str
 
     @classmethod
@@ -95,7 +92,7 @@ class RatingRecord:
             impact = None
         if impact is None or impact <= 0:  # refused as configure_groups refuses it: aggregate divides by the weights
             raise EncodingError(f"rating record: impact must be a positive fraction, not {r['impact']!r}")
-        return cls(payload, r["group"], impact, r["received"], r["chain_digest"])
+        return cls(payload, r["group"], impact, r["chain_digest"])
 
 
 @dataclass(frozen=True)
@@ -140,13 +137,12 @@ class ReputationSystem:
         self,
         rs_id: str,
         *,
-        clock: SimClock | None = None,
+        clock: SimClock | None = None,  # taken as the other services take it; a rating records no time
         expost_charge: Callable[[str], object] | None = None,
         rating_log: Path | str | None = None,
         spent_snapshot: Path | str | None = None,
     ):
         self.rs_id = rs_id
-        self._clock = clock or SimClock()
         self._expost_charge = expost_charge
         # gid -> (group public key, impact); replaced whole, and read once per submission
         self._registry: dict[int, tuple[bytes, Fraction]] = {}
@@ -214,17 +210,11 @@ class ReputationSystem:
                 paid = self._expost_charge(aik_digest)
                 if isinstance(paid, Declined):
                     return Reject(REJECT_CP_DECLINED, detail=paid.reason)
-            record = RatingRecord(
-                payload=payload,
-                group=group,
-                impact=impact,
-                received=self._clock.now(),
-                chain_digest=chain_digest,
-            )
+            record = RatingRecord(payload=payload, group=group, impact=impact, chain_digest=chain_digest)
             if self._rating_log:
                 raw = RATING_RECORD.write(
                     aik_digest=aik_digest, chain_digest=chain_digest, group=group, impact=str(impact),
-                    payload=payload.canonical_bytes(), received=record.received,
+                    payload=payload.canonical_bytes(),
                 )
                 append_record(self._rating_log, raw)
             self._apply(record, aik_digest)

@@ -369,7 +369,6 @@ def test_8_aggregation_oracle():
                     payload=RatingPayload("subj", score, nonce=b"%d" % i, rs_id="rs-agg"),
                     group=1,
                     impact=impact,
-                    received=i,
                     chain_digest=f"{trial}-{i}",
                 ),
                 f"aik-{trial}-{i}",

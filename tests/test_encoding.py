@@ -441,7 +441,7 @@ SPLICES = {
     ),
     "rating record": (
         lambda **fields: reputation.RATING_RECORD.write(payload=SPLICE_PAYLOAD.canonical_bytes(), **fields),
-        {"aik_digest": str, "chain_digest": str, "group": int, "impact": str, "received": int},
+        {"aik_digest": str, "chain_digest": str, "group": int, "impact": str},
         {"payload": SPLICE_PAYLOAD.to_record()},
     ),
     # every other shape of bytes, str, int and constant fields, with the kinds it declares

@@ -219,8 +219,8 @@ WRONG_SHAPES = [
     (
         "rs-ratings.log",
         "wrong-type",
-        lambda last: {**last, "received": str(last["received"])},
-        "rating record: received must be int, not str",
+        lambda last: {**last, "group": str(last["group"])},
+        "rating record: group must be int, not str",
     ),
 ]
 # (log, case, the record appended, or a list of them, and its one error):

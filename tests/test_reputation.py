@@ -259,7 +259,6 @@ def test_aggregate_matches_brute_force_and_permutation_invariant(pairs):
                     payload=RatingPayload("subj", score, nonce=b"n%d" % n, rs_id="rs-x"),
                     group=1,
                     impact=Fraction(impact),
-                    received=n,
                     chain_digest=f"{n:02d}",
                 ),
                 f"aik-{n:02d}",
@@ -529,7 +528,7 @@ def test_score_reads_racing_ratings_pair_each_count_with_its_own_mean():
     under the RS lock, without the signature checks that would space the
     ratings too far apart for a read to race them; each round is a new RS."""
     ratings = [
-        RatingRecord(RatingPayload("s", 1 + n * 2 % 5, nonce=b"n%d" % n, rs_id="rs-x"), 1, impact, n, f"{n:02d}")
+        RatingRecord(RatingPayload("s", 1 + n * 2 % 5, nonce=b"n%d" % n, rs_id="rs-x"), 1, impact, f"{n:02d}")
         for n, impact in enumerate(Fraction(1 + n % 3, 2 + n % 2) for n in range(12))
     ]
     pairs = [(r.impact, r.payload.score) for r in ratings]
@@ -783,7 +782,7 @@ def test_rating_log_replay_supports_aggregation_oracle(tmp_path):
         payload = RatingPayload("subj", score, nonce=b"x%d" % n, rs_id="rs-test")
         record = reputation.RATING_RECORD.write(
             aik_digest=f"aik-{n:03d}", chain_digest=f"{n:03d}", group=1, impact=str(impact),
-            payload=payload.canonical_bytes(), received=n,
+            payload=payload.canonical_bytes(),
         )
         append_record(path, record)
     rs = ReputationSystem("rs-test", rating_log=path)

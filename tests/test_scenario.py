@@ -101,17 +101,17 @@ GOLDEN_STATE_FILES = {
     "adversary_drills.json": {
         "cp-ledger.log": "a4475e753ac17fe0312c3dfbf1ac47e6ddbc395256981d23fa5a84670bd78e68",
         "pca-issuance.log": "94417f9e2209bfba61b632d6e2996feaafb0f65f849a31eff30ff14edb50c813",
-        "rs-ratings.log": "648848e059b675b1cd04c7dc76fb61ca47e495006fd73b2cb098ce11196b9f7f",
+        "rs-ratings.log": "03a6d8f1537c7c3c2da5422e29a6bf28b1aaf1b2d0a051504f51c8fe65bd5674",
     },
     "basic.json": {
         "cp-ledger.log": "7853c33b98bc3a3bcbed59693a1e0a711602f2095fef239e8cd30f54279af94d",
         "pca-issuance.log": "e0d1549f18213879e175e4fbe5164bb102a28d6846214705d32935e15d31d318",
-        "rs-ratings.log": "0950d6a1538853d17f691d5eac0ab2e1da517093d173d2406a08c12b6561a16b",
+        "rs-ratings.log": "722798ab70000ac4de9f03d7e7bd42d50240b5c66c6d1849d6906c9003d2bfc6",
     },
     "double_spend.json": {
         "cp-ledger.log": "b00a054ac9f7d83acccad72224facaf63c5bacf4232f2d667f6b4e18a8f8c484",
         "pca-issuance.log": "5fbc52840a6d578a97b75bcc124682345e08b241a11eb46ca72760780041ba0e",
-        "rs-ratings.log": "d5565e990fc750058dbbc66baec4ecc4f43b7928aef59b3166f56386ee8d51a4",
+        "rs-ratings.log": "df31b3f9f18a232dcd057c98e9f06d36fedde9541d9b73af0c6bf35793dc0f58",
     },
     "sybil_increasing.json": {
         "cp-ledger.log": "73c2edbca18baa636792586ce698ae92dc497c61986d56d6532adfff1b27ccfd",
