@@ -175,6 +175,19 @@ _P = 2**255 - 19
 _Y8 = 2707385501144840649318225287225658788936804267575313519463743609750303402022  # y of a point of order 8
 _SMALL_ORDER_Y = frozenset({0, 1, _P - 1, _P, _P + 1, _Y8, _P - _Y8})
 _Y_MASK = (1 << 255) - 1
+# The X25519 u of each point of small order libsodium's has_small_order lists,
+# compared with bit 255 cleared: 0, 1, the two points of order 8, p - 1, p and
+# p + 1. An exchange with any of them yields no shared key, so nothing can be
+# sealed to it.
+_SMALL_ORDER_U = frozenset({
+    0,
+    1,
+    325606250916557431795983626356110631294008115727848805560023387167927233504,
+    39382357235489614581723060781553021112529911719440698176882885853963445705823,
+    _P - 1,
+    _P,
+    _P + 1,
+})
 
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:
@@ -262,6 +275,14 @@ def _aead_inputs(key: bytes, nonce: bytes, data: bytes, aad: bytes | None) -> tu
 # ---------------------------------------------------------------------------
 # Sealed blobs (decryptable only by the holder of the sealing private key)
 # ---------------------------------------------------------------------------
+
+def can_seal_to(public: object) -> bool:
+    """True iff :func:`seal` can seal to ``public``: 32 bytes whose u, bit 255
+    cleared, is of no point of small order; checked by comparison, with no exchange."""
+    if type(public) is not bytes or len(public) != 32:
+        return False
+    return int.from_bytes(public, "little") & _Y_MASK not in _SMALL_ORDER_U
+
 
 def seal(recipient_public: bytes, plaintext: bytes, *, ephemeral_seed: bytes | None = None) -> bytes:
     try:

@@ -158,8 +158,7 @@ class PrivacyCa:
     def register_platform(self, ek_public: bytes, user_account: str) -> str:
         with self._lock:
             platform_id = crypto.sha256_hex(ek_public)
-            if platform_id in self._platforms:
-                raise TicketError("endorsement key already registered", code="duplicate-ek")
+            self._check_new_platform(platform_id, ek_public)
             self._commit(
                 {
                     "kind": "register",
@@ -169,6 +168,12 @@ class PrivacyCa:
                 }
             )
             return platform_id
+
+    def _check_new_platform(self, platform_id: str, ek_public: bytes) -> None:
+        if platform_id in self._platforms:  # a logged second one would unblacklist and empty the record
+            raise TicketError("endorsement key already registered", code="duplicate-ek")
+        if not crypto.can_seal_to(ek_public):  # else each ticket it buys is charged, and then its blob fails to seal
+            raise InvalidArgument("not an endorsement key a blob can be sealed to")
 
     # -- issuance ----------------------------------------------------------------
 
@@ -338,8 +343,7 @@ class PrivacyCa:
         kind = record["kind"]
         if kind == "register":
             platform_id = record["platform_id"]
-            if platform_id in self._platforms:  # a logged second one would unblacklist and empty the record
-                raise TicketError("endorsement key already registered", code="duplicate-ek")
+            self._check_new_platform(platform_id, record["ek_public"])
             self._platforms[platform_id] = IdentityRecord(platform_id, record["ek_public"], record["user_account"])
         elif kind == "issue":
             digest, group, owner = record["aik_digest"], record["group"], self._platform(record["platform_id"])

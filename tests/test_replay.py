@@ -277,6 +277,12 @@ WRONG_VALUES = [
     ),
     (
         "pca-issuance.log",
+        "registration-of-a-key-no-blob-can-be-sealed-to",
+        lambda _: {"kind": "register", "platform_id": "p", "ek_public": bytes(32), "user_account": "x"},
+        "invalid-argument: not an endorsement key a blob can be sealed to",
+    ),
+    (
+        "pca-issuance.log",
         "blacklist-of-an-unregistered-platform",
         lambda _: {"kind": "blacklist", "platform_id": "nope", "flag": 1},
         "unknown-platform: platform not registered",

@@ -940,6 +940,66 @@ def test_socket_answers_operator_routes_as_unknown_endpoints(endpoint):
     assert (state() == before) is (endpoint == "cp/balance")
 
 
+# endorsement keys no blob can be sealed to: one short of 32 bytes, and each u
+# libsodium's has_small_order lists (0, 1, the two points of order 8, p - 1,
+# p and p + 1), one of them with bit 255 set, which X25519 ignores
+_P = 2**255 - 19
+_U8 = (
+    325606250916557431795983626356110631294008115727848805560023387167927233504,
+    39382357235489614581723060781553021112529911719440698176882885853963445705823,
+)
+UNSEALABLE_EKS = [
+    bytes(31),
+    *(u.to_bytes(32, "little") for u in (0, 1, *_U8, _P - 1, _P, _P + 1, 1 | 1 << 255)),
+]
+
+
+def test_an_endorsement_key_no_blob_can_be_sealed_to_is_refused_at_registration(tmp_path):
+    """Over a socket, under acquisition charging: each such key is refused at
+    pca/register with invalid-argument before anything is logged, so the two
+    handshakes its platform then tries are each unregistered-platform, and
+    no account is charged. An authority that took the key would charge each
+    handshake and then fail to seal its blob."""
+    from pseudorate.tpm import TpmInstance
+
+    stack = make_stack(
+        4,
+        policy=PricingPolicy.increasing({1: 100, 2: 250, 3: 500}, step=10),
+        charging="acquisition",
+        pca_kwargs={"issuance_log": tmp_path / "pca.log"},
+    )
+    server = SocketServer(full_router(stack))
+    transport = SocketTransport(server.host, server.port)
+    pca, tpm, outcomes = PcaClient(transport), TpmInstance(rng=random.Random(4)), []
+
+    def outcome(call) -> str:
+        try:
+            call()
+            return "ok"
+        except TicketError as exc:
+            return exc.code
+
+    def handshake(platform_id: str) -> None:
+        handle, aik_public = tpm.make_identity()
+        challenge = pca.request_credential(aik_public, 1, platform_id)
+        pca.complete_handshake(challenge.nonce, tpm.sign_issuance_nonce(handle, challenge.nonce))
+
+    try:
+        for n, ek in enumerate(UNSEALABLE_EKS):
+            account = f"acct-{n}"
+            stack.cp.open_account(account, 10_000)
+            codes = [outcome(lambda: pca.register_platform(ek, account))]
+            codes += [outcome(lambda: handshake(sha256_hex(ek))) for _ in range(2)]
+            outcomes.append((codes, [entry.amount for entry in stack.cp.history(account)]))
+    finally:
+        transport.close()
+        server.close()
+    assert outcomes == [(["invalid-argument", "unregistered-platform", "unregistered-platform"], [])] * len(
+        UNSEALABLE_EKS
+    )
+    assert not (tmp_path / "pca.log").exists()
+
+
 def test_socket_survives_garbage_frames():
     stack = make_stack(1)
     server = SocketServer(full_router(stack))
