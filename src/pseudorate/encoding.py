@@ -20,6 +20,7 @@ byte strings therefore never decode to equal values.
 from __future__ import annotations
 
 import base64
+import inspect
 import os
 from pathlib import Path
 from typing import Any, Callable
@@ -290,37 +291,34 @@ class Shape:
     or a nested Shape, whose record the field holds. From them come, once:
 
     * ``kinds``, the field types :meth:`check` applies to a decoded record;
-    * ``write``, a function generated as ``dataclasses`` generates
-      ``__init__``: it takes each field by keyword, a constant optionally and
-      a nested record as its canonical bytes, and returns ``encode`` of the
-      record, spliced into its literal keys in sorted order. A dict field is
-      written by ``encode``. A field not exactly of its kind, a str UTF-8
-      cannot encode or an int past Python's 4300 digits is an EncodingError,
-      as in ``encode``;
-    * :meth:`cut` and :meth:`read`, which cut a record of bytes, str, int and
-      constant fields at its fixed keys, one loop of :func:`cut_entry` and
-      :func:`cut_int`, and accept exactly what ``decode`` and :meth:`check`
-      accept (FORMATS §1)."""
+    * ``write``, a function generated from the fields as ``dataclasses``
+      generates ``__init__``: it takes each field by keyword, a constant
+      optionally and a nested record as its canonical bytes, and returns
+      ``encode`` of the record, spliced into its literal keys in sorted
+      order; a dict field is written by ``encode``. A field not exactly of
+      its kind, a str UTF-8 cannot encode or an int past Python's 4300
+      digits is an EncodingError, as in ``encode``;
+    * ``cut``, the :meth:`cutter` of the record's fields as a dict."""
 
-    def __init__(self, name: str, **fields: type | str | Shape):
+    def __init__(self, name: str, /, **fields: type | str | Shape):
         self.name = name
         self.fields = dict(sorted(fields.items()))  # code-point order is UTF-8 byte order
         self.kinds = {f: str if type(k) is str else dict if type(k) is Shape else k for f, k in self.fields.items()}
-        # per field: its name, its key and value tag as encoded (a constant's whole entry), and its kind
-        self._table = tuple(
-            (f, encode(f) + (encode(k) if type(k) is str else _TAGS.get(k, b"")), k) for f, k in self.fields.items()
-        )
-        self.head = b"d" + (self._table[0][1] if self._table else b"")  # what a record of the shape starts with
-        self._overrun = f"{name}: an entry after {[*self.fields][-1] if fields else 'its start'}"
-        self.write = self._writer()
+        # per field: its key and value tag as encoded, or a constant's whole entry
+        self._keys = {
+            f: encode(f) + (encode(k) if type(k) is str else _TAGS.get(k, b"")) for f, k in self.fields.items()
+        }
+        self.head = b"d" + next(iter(self._keys.values()), b"")  # what a record of the shape starts with
+        self.write = _generate(self._writer())
+        self.cut = self.cutter(dict)
 
-    def _writer(self) -> Callable[..., bytes]:
+    def _writer(self) -> list[str]:
         params, checks, dicts, strs, fmt, args = [], [], [], [], b"d", []
-        for name, key, kind in self._table:
+        for name, kind in self.fields.items():
             if type(kind) is str:
                 params.append(f"{name}={kind!r}")
                 checks.append(f"{name} == {kind!r}")
-                fmt += key.replace(b"%", b"%%")
+                fmt += self._keys[name].replace(b"%", b"%%")
                 continue
             params.append(name)
             checks.append(f"type({name}) is {'bytes' if type(kind) is Shape else kind.__name__}")
@@ -328,9 +326,10 @@ class Shape:
                 strs.append(f"{name} = {name}.encode()")
             elif kind is dict:
                 dicts.append(f"{name} = encode({name})")
-            fmt += key + (b"%de" if kind is int else b"%s" if kind is dict or type(kind) is Shape else b"%d:%s")
-            args += [name] if kind is int or kind is dict or type(kind) is Shape else [f"len({name})", name]
-        source = "\n".join([
+            sized = kind is str or kind is bytes  # written with its length; an int, dict or record is not
+            fmt += self._keys[name] + (b"%d:%s" if sized else b"%de" if kind is int else b"%s")
+            args += [f"len({name})", name] if sized else [name]
+        return [
             f"def write({'*, ' + ', '.join(params) if params else ''}):",
             f"    if not ({' and '.join(checks) or 'True'}):",
             f"        raise EncodingError({self.name + ': a field not exactly of its type'!r})",
@@ -340,42 +339,61 @@ class Shape:
             f"        return {fmt + b'e'!r} % ({''.join(arg + ', ' for arg in args)})",
             "    except ValueError as exc:  # a lone surrogate; an int past Python's 4300 digits",
             "        raise EncodingError(f'cannot encode: {exc}') from exc",
-        ])
-        namespace: dict = {}
-        exec(source, globals(), namespace)  # encode and EncodingError are this module's
-        return namespace["write"]
+        ]
+
+    def cutter(self, make: Callable) -> Callable[[bytes, int], tuple[Any, int]]:
+        """``cut(data, pos)``, generated as ``write`` is: ``make`` of the fields
+        of the record at ``pos``, constants left out, and the position after
+        it. ``make`` is ``dict``, ``tuple`` (of the values in key order) or a
+        callable whose parameters are the fields' names. It cuts each field at its
+        fixed key with :func:`cut_entry` or :func:`cut_int`, and refuses a
+        dict or nested field. It accepts exactly what ``decode`` and
+        :meth:`check` accept (FORMATS §1); bad UTF-8 is a UnicodeDecodeError
+        and a read past the end an IndexError, as :meth:`read` reports them."""
+        lines, values = ["def cut(data, pos, make=make):"], {}  # values: each field's, as an expression
+        if not self.fields:
+            lines += ['    if not data.startswith(b"d", pos):', '        raise EncodingError("not the expected entry")']
+            lines.append("    pos += 1")
+        for i, (name, kind) in enumerate(self.fields.items()):
+            key = b"d" + self._keys[name] if i == 0 else self._keys[name]  # the first entry's key starts the dict
+            if kind is int or kind is bytes or kind is str:
+                lines.append(f"    v{i}, pos = {'cut_int' if kind is int else 'cut_entry'}(data, pos, {key!r})")
+                values[name] = f"v{i}.decode()" if kind is str else f"v{i}"
+                continue
+            fault = f"{self.name}: not its {name} entry"
+            if type(kind) is str:
+                lines += [f"    if not data.startswith({key!r}, pos):", f"        raise EncodingError({fault!r})"]
+                lines.append(f"    pos += {len(key)}")
+            else:  # a dict or a nested record is not cut at fixed keys
+                lines.append(f"    raise EncodingError({fault!r})")
+        if make is dict:
+            value = "{" + ", ".join(f"{name!r}: {v}" for name, v in values.items()) + "}"
+        elif make is tuple:
+            value = "(" + "".join(f"{v}, " for v in values.values()) + ")"
+        else:  # by position, in the order make takes the fields, which costs less than by keyword
+            value = "make(" + ", ".join(values[name] for name in inspect.signature(make).parameters) + ")"
+        overrun = f"{self.name}: an entry after {[*self.fields][-1] if self.fields else 'its start'}"
+        return _generate([
+            *lines,
+            "    if data[pos] != 0x65:  # e",
+            f"        raise EncodingError({overrun!r})",
+            f"    return {value}, pos + 1",
+        ], make=make)
 
     def check(self, record: object) -> dict:
         """``record``, if :func:`check_fields` finds it of this shape's kinds."""
         return check_fields(record, self.kinds, where=self.name)
 
-    def cut(self, data: bytes, pos: int) -> tuple[dict, int]:
-        """The fields of the record at ``pos``, constants left out, and the
-        position after it. Bad UTF-8 is a UnicodeDecodeError, a read past the
-        end an IndexError."""
-        if not data.startswith(b"d", pos):
-            raise EncodingError("not the expected entry")
-        pos += 1
-        fields = {}
-        for name, key, kind in self._table:
-            if kind is int:
-                fields[name], pos = cut_int(data, pos, key)
-            elif kind is bytes:
-                fields[name], pos = cut_entry(data, pos, key)
-            elif kind is str:
-                value, pos = cut_entry(data, pos, key)
-                fields[name] = value.decode()
-            elif type(kind) is str and data.startswith(key, pos):
-                pos += len(key)
-            else:  # another constant, or a field this reader does not cut
-                raise EncodingError(f"{self.name}: not its {name} entry")
-        if data[pos] != 0x65:  # e
-            raise EncodingError(self._overrun)
-        return fields, pos + 1
-
     def read(self, data: bytes) -> dict:
         """The fields of the record that is all of ``data``, as :func:`read_all` reads it."""
         return read_all(data, self.cut)
+
+
+def _generate(lines: list[str], **names) -> Callable:
+    """The one function the source ``lines`` define, with this module's names
+    in scope and ``names`` for its default values."""
+    exec("\n".join(lines), globals(), names)
+    return names.popitem()[1]
 
 
 def append_record(path: Path | str, record: bytes) -> None:

@@ -24,7 +24,7 @@ from . import crypto
 from .charging import Declined
 from .clock import SimClock
 from .crypto import CredentialChain
-from .encoding import EncodingError, Shape, append_record, read_records
+from .encoding import EncodingError, Shape, append_record, read_all, read_records
 from .errors import InvalidArgument, TicketError
 
 REJECT_INVALID_CHAIN = "invalid-chain"
@@ -49,7 +49,7 @@ class RatingPayload:
 
     @cached_property
     def _canonical(self) -> bytes:
-        return PAYLOAD.write(**self.to_record())
+        return PAYLOAD.write(**vars(self))  # which holds the fields alone until this is cached
 
     def canonical_bytes(self) -> bytes:
         """``encode(self.to_record())``: spliced once, or the bytes it was parsed from.
@@ -69,9 +69,12 @@ class RatingPayload:
         ``decode`` and ``from_record`` accept, and refuses the rest with an
         EncodingError. The reader is canonical, so ``data`` is the payload's
         canonical bytes."""
-        payload = cls(**PAYLOAD.read(data))
+        payload = read_all(data, _cut_payload)
         object.__setattr__(payload, "_canonical", bytes(data))
         return payload
+
+
+_cut_payload = PAYLOAD.cutter(RatingPayload)
 
 
 @dataclass(frozen=True)

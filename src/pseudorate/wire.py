@@ -126,12 +126,20 @@ DENIED = Shape("pca/request denial", reason=str, status="denied")
 ACTIVATION = Shape("pca/complete answer", activation_blob=bytes)
 ACK = Shape("rs/submit ack", group=int, receipt=str, status="ack", subject=str)
 REJECT = Shape("rs/submit reject", detail=str, reason=str, status="reject")
-# endpoint -> (ok shape, what the client answers of its fields) for each ok body its client cuts
+
+
+def _either(cut: Callable, other: Shape, make: Callable) -> Callable:
+    """What ``other`` cuts and ``make`` makes of a body that starts with its head, else what ``cut`` returns."""
+    other_cut = other.cutter(make)
+    return lambda data, pos: (other_cut if data.startswith(other.head, pos) else cut)(data, pos)
+
+
+# endpoint -> what its client cuts an ok body by: the client's answer, made of the fields at fixed keys
 _OK_ANSWERS = {
-    "pca/request": ((CHALLENGE, Challenge), (DENIED, DeniedRequest)),
-    "pca/complete": ((ACTIVATION, lambda activation_blob: activation_blob),),
-    "rs/submit": ((ACK, Ack), (REJECT, Reject)),
-    "rs/score": ((SCORE_BODY, lambda count, score: (count, score)),),
+    "pca/request": _either(CHALLENGE.cutter(Challenge), DENIED, DeniedRequest),
+    "pca/complete": ACTIVATION.cutter(lambda activation_blob: activation_blob),
+    "rs/submit": _either(ACK.cutter(Ack), REJECT, Reject),
+    "rs/score": SCORE_BODY.cutter(tuple),
 }
 
 
@@ -235,6 +243,7 @@ ROUTES: dict[str, tuple[str, Shape, Callable[..., dict | bytes]]] = {
 # called in process only: over a socket each is answered as an endpoint no one serves (FORMATS §3)
 OPERATOR_ROUTES = frozenset({"pca/blacklist", "rs/admin/groups", "cp/charge", "cp/balance", "cp/admin/policy"})
 _PUBLIC_ROUTES = {endpoint: route for endpoint, route in ROUTES.items() if endpoint not in OPERATOR_ROUTES}
+_WRITE = {endpoint: shape.write for endpoint, (_, shape, _) in ROUTES.items()}  # each route's request writer
 # what follows the correlation id of an ok answer on each route: the rest of the frame dict
 _OK_SUFFIXES = {
     endpoint: encode({"endpoint": endpoint, "status": "ok", "version": WIRE_VERSION})[1:] for endpoint in ROUTES
@@ -446,27 +455,22 @@ class _Client:
         self._transport = transport
         self._corr = itertools.count(1)
 
-    def _call(self, endpoint: str, **fields):
-        """The ok answer to this request, whose body the route's shape writes
-        from ``fields``: its body, or, on a route of ``_OK_ANSWERS``, what its
-        ok shape cuts of the body at fixed keys, made into the answer: that of
-        the first shape whose head the body starts with, else of the last. An
-        ok answer carries this request's correlation id and endpoint; an error
-        answer carries them or neither, as the router's answer to a frame it
-        could not read does."""
+    def _call(self, endpoint: str, body: bytes):
+        """The ok answer to the request of ``body``, which ``_WRITE`` wrote:
+        its body, or, on a route of ``_OK_ANSWERS``, what that cuts of the
+        body at fixed keys. An ok answer carries this request's correlation
+        id and endpoint; an error answer carries them or neither, as the
+        router's answer to a frame it could not read does."""
         corr = next(self._corr).to_bytes(8, "big")
-        response = self._transport.request(_frame(ROUTES[endpoint][1].write(**fields), corr, endpoint, b""))
-        answers = _OK_ANSWERS.get(endpoint)
-        if answers and type(response) is bytes and response.startswith(b"ds4:body"):
+        response = self._transport.request(encode_request(endpoint, body, corr))
+        cut = _OK_ANSWERS.get(endpoint)
+        if cut and type(response) is bytes and response.startswith(b"ds4:body"):
             tail = _ok_tail(corr, endpoint)
             if response.endswith(tail):  # an ok answer to this request, if its body is
-                for shape, make in answers:
-                    if response.startswith(shape.head, 8):
-                        break
                 try:  # the body is cut in place, and must end where the tail starts
-                    value, end = shape.cut(response, 8)
+                    value, end = cut(response, 8)
                     if end == len(response) - len(tail):
-                        return make(**value)
+                        return value
                     raise EncodingError("trailing bytes after the body")
                 except (ValueError, IndexError) as exc:  # EncodingError, bad UTF-8; a read past the end
                     decode_response(response)  # a frame the generic decoder refuses is refused as it refuses it
@@ -481,46 +485,50 @@ class _Client:
 
 class PcaClient(_Client):
     def register_platform(self, ek_public: bytes, user_account: str) -> str:
-        body = self._call("pca/register", ek_public=ek_public, user_account=user_account)
+        body = self._call("pca/register", _WRITE["pca/register"](ek_public=ek_public, user_account=user_account))
         return _field(body, "platform_id", str)
 
     def request_credential(
         self, aik_public: bytes, group: int, platform_id: str
     ) -> Challenge | DeniedRequest:
-        return self._call("pca/request", aik_public=aik_public, group=group, platform_id=platform_id)
+        body = _WRITE["pca/request"](aik_public=aik_public, group=group, platform_id=platform_id)
+        return self._call("pca/request", body)
 
     def complete_handshake(self, nonce: bytes, signature: bytes) -> bytes:
-        return self._call("pca/complete", nonce=nonce, signature=signature)
+        return self._call("pca/complete", _WRITE["pca/complete"](nonce=nonce, signature=signature))
 
     def resolve_identity(self, aik_digest: str, authority_token: str) -> dict:
-        return self._call("pca/resolve", aik_digest=aik_digest, authority_token=authority_token)
+        body = _WRITE["pca/resolve"](aik_digest=aik_digest, authority_token=authority_token)
+        return self._call("pca/resolve", body)
 
     def blacklist(self, platform_id: str, flag: bool) -> None:
-        self._call("pca/blacklist", platform_id=platform_id, flag=int(flag))
+        self._call("pca/blacklist", _WRITE["pca/blacklist"](platform_id=platform_id, flag=int(flag)))
 
 
 class RsClient(_Client):
     def submit_rating(self, payload: RatingPayload, chain: CredentialChain) -> Ack | Reject:
-        return self._call("rs/submit", chain=chain.to_bytes(), payload=payload.canonical_bytes())
+        body = _WRITE["rs/submit"](chain=chain.to_bytes(), payload=payload.canonical_bytes())
+        return self._call("rs/submit", body)
 
     def score(self, subject: str) -> tuple[int, str]:
-        return self._call("rs/score", subject=subject)
+        return self._call("rs/score", _WRITE["rs/score"](subject=subject))
 
     def configure_groups(self, registry: dict[int, tuple[bytes, Fraction]]) -> int:
         groups = {str(g): {"pub": pub, "impact": str(impact)} for g, (pub, impact) in registry.items()}
-        return _field(self._call("rs/admin/groups", groups=groups), "count", int)
-
+        return _field(self._call("rs/admin/groups", _WRITE["rs/admin/groups"](groups=groups)), "count", int)
 
 
 class CpClient(_Client):
     def charge(self, account_id: str, amount: int, *, group: int, phase: str, ref: str) -> dict:
-        return self._call("cp/charge", account_id=account_id, amount=amount, group=group, phase=phase, ref=ref)
+        body = _WRITE["cp/charge"](account_id=account_id, amount=amount, group=group, phase=phase, ref=ref)
+        return self._call("cp/charge", body)
 
     def balance(self, account_id: str) -> int:
-        return _field(self._call("cp/balance", account_id=account_id), "balance", int)
+        return _field(self._call("cp/balance", _WRITE["cp/balance"](account_id=account_id)), "balance", int)
 
     def get_policy(self) -> dict:
-        return _field(self._call("cp/policy"), "policy", dict)
+        return _field(self._call("cp/policy", _WRITE["cp/policy"]()), "policy", dict)
 
     def set_policy(self, policy: PricingPolicy) -> dict:
-        return _field(self._call("cp/admin/policy", policy=policy.to_record()), "policy", dict)
+        body = _WRITE["cp/admin/policy"](policy=policy.to_record())
+        return _field(self._call("cp/admin/policy", body), "policy", dict)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from pseudorate import crypto, encoding, wire
+from pseudorate import crypto, encoding, reputation, wire
 from pseudorate.agent import STATE_FRESH, STATE_SPENT, TicketDenied, TrustedAgent
 from pseudorate.reputation import Ack, Reject
 from pseudorate.scenario import ScenarioConfig, run_scenario
@@ -90,22 +90,34 @@ def test_wire_redemption_encodes_nothing_generic_and_decodes_each_input_once(mon
     ticket = agent.acquire_ticket(1)
     tap.clear()
     calls = count_calls(monkeypatch, encoding, ["encode"])
-    decode, decode_head, read_all, cut, parsed = (
-        encoding.decode, encoding.decode_head, encoding.read_all, encoding.Shape.cut, []
-    )
+    decode, decode_head, read_all, parsed = encoding.decode, encoding.decode_head, encoding.read_all, []
     patch_everywhere(monkeypatch, decode, lambda data: parsed.append(("decode", data)) or decode(data))
     patch_everywhere(
         monkeypatch, decode_head, lambda data, *at: parsed.append(("decode_head", data)) or decode_head(data, *at)
     )
+    # the router cuts a request frame by its route's shape, and a client its ok answer
+    # by its route's reader, each in place; read_all hands the payload to its reader
+    recorders, labels = set(), {reputation._cut_payload: "payload"}
+
+    def recording(label, cut):
+        def recorder(data, pos):
+            parsed.append((label, data))
+            return cut(data, pos)
+
+        recorders.add(recorder)
+        return recorder
+
+    for endpoint, (_, shape, _) in wire.ROUTES.items():
+        monkeypatch.setattr(shape, "cut", recording(endpoint, shape.cut))
+    for endpoint, cut in wire._OK_ANSWERS.items():
+        monkeypatch.setitem(wire._OK_ANSWERS, endpoint, recording(f"{endpoint} answer", cut))
 
     def reads_all(data, cut):
-        if not isinstance(getattr(cut, "__self__", None), encoding.Shape):  # a shape's cut is counted below
-            parsed.append((cut.__name__, data))
+        if cut not in recorders:  # a recorder records itself
+            parsed.append((labels.get(cut, cut.__name__), data))
         return read_all(data, cut)
 
     patch_everywhere(monkeypatch, read_all, reads_all)
-    # each shape cuts a whole frame in place, or a record read_all hands it
-    monkeypatch.setattr(encoding.Shape, "cut", lambda shape, data, pos: parsed.append((shape.name, data)) or cut(shape, data, pos))
     assert isinstance(agent.redeem_ticket(ticket, agent.make_payload("seller", 4)), Ack)
     assert calls["encode"] == 0
     (_, request), (_, response) = tap
@@ -114,7 +126,7 @@ def test_wire_redemption_encodes_nothing_generic_and_decodes_each_input_once(mon
         ("rs/submit", request),
         ("_cut_chain", body["chain"]),
         ("payload", body["payload"]),
-        ("rs/submit ack", response),
+        ("rs/submit answer", response),
     ]
 
 
